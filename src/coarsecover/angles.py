@@ -208,27 +208,6 @@ class SmallnessOracle:
         m = b if self.sub.is_midpoint(b) else a
         return self.sub.edge_of_midpoint[m]
 
-    def angle_of_path_at(self, path, i):
-        """Canonical angle of path at internal index i, or None if unchecked."""
-        v = path[i]
-        if not self.is_checked(v):
-            return None
-        if self.sub is None:
-            return canonical_angle(path[i - 1], v, path[i + 1])
-        e1 = self.sub.edge_of_midpoint[path[i - 1]]
-        e2 = self.sub.edge_of_midpoint[path[i + 1]]
-        u = e1[0] if e1[1] == v else e1[1]
-        w = e2[0] if e2[1] == v else e2[1]
-        return canonical_angle(u, v, w)
-
-    def path_is_small(self, path) -> bool:
-        for i in range(1, len(path) - 1):
-            if not self.is_checked(path[i]):
-                continue
-            if not self.turn_ok(path[i - 1], path[i], path[i + 1]):
-                return False
-        return True
-
 
 def angles_of_geodesic(g: Graph, path, index: GeodesicIndex = None):
     """One angle per internal vertex of a geodesic; raises off geodesics."""
@@ -373,14 +352,6 @@ def theta_small_geodesics(base, theta: AngleSet, u, v, cap: int,
     g = oracle.graph
     dag = index.dag(u, v) if index is not None else geodesic_dag(g, u, v)
     return enumerate_small_geodesics(dag, oracle, cap)
-
-
-def has_theta_small_geodesic(base, theta: AngleSet, u, v,
-                             index: GeodesicIndex = None) -> bool:
-    oracle = SmallnessOracle(base, theta)
-    g = oracle.graph
-    dag = index.dag(u, v) if index is not None else geodesic_dag(g, u, v)
-    return exists_small_geodesic(dag, oracle)
 
 
 def theta_ball(base, theta: AngleSet, v, e, alpha,
@@ -547,22 +518,20 @@ class ThetaMetric:
     theta: AngleSet
     order: tuple
     dist: tuple
+    pos: dict  # vertex -> its index in order, hence its row in dist
 
     def d(self, w, w2):
-        return self.dist[self._pos[w]][self._pos[w2]]
-
-    @property
-    def _pos(self):
-        pos = getattr(self, "_pos_cache", None)
-        if pos is None:
-            pos = {v: i for i, v in enumerate(self.order)}
-            object.__setattr__(self, "_pos_cache", pos)
-        return pos
+        return self.dist[self.pos[w]][self.pos[w2]]
 
     def ball(self, w, radius):
-        row = self.dist[self._pos[w]]
+        row = self.dist[self.pos[w]]
         return frozenset(self.order[i] for i, dv in enumerate(row)
                          if dv <= radius)
+
+    def submatrix(self, points):
+        """Dense distances among points, indexed by their position in it."""
+        idx = [self.pos[p] for p in points]
+        return [[row[j] for j in idx] for row in (self.dist[i] for i in idx)]
 
     def diameter(self):
         best = 0
@@ -603,7 +572,7 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
                         nxt.append(w)
             frontier = nxt
         rows.append(tuple(row))
-    return ThetaMetric(sub, theta, order, tuple(rows))
+    return ThetaMetric(sub, theta, order, tuple(rows), pos)
 
 
 def d_theta_definitional_oracle(sub: Subdivision, theta: AngleSet,

@@ -71,7 +71,10 @@ class RunConfig:
     def from_file(cls, path):
         with open(path) as fh:
             doc = json.load(fh)
-        cfg = cls(**doc)
+        try:
+            cfg = cls(**doc)
+        except TypeError as e:  # not an object, or unknown or missing keys
+            raise GraphFormatError("bad run configuration: %s" % e) from None
         cfg.validate()
         return cfg
 

@@ -14,6 +14,7 @@ bounded by D - 1 whenever every z-fiber of the pair set has the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import INF
@@ -32,28 +33,35 @@ class PairSpace:
     group: GroupModel
     act_v: dict
     act_z: dict
+    by_z: dict  # z -> V_z, filled by pair_space()
+    by_v: dict  # v -> Z_v, filled by pair_space()
 
     def d(self, a, b):
         return self.dist[a][b]
 
     def fiber_v(self, z):
         """V_z, the v-points admitted over z."""
-        return frozenset(v for (v, zz) in self.pairs if zz == z)
+        return self.by_z.get(z, frozenset())
 
     def fiber_z(self, v):
         """Z_v, the z-points admitted over v."""
-        return frozenset(z for (vv, z) in self.pairs if vv == v)
+        return self.by_v.get(v, frozenset())
 
     def ball_v(self, v, alpha):
+        """The v-points within alpha of v."""
         row = self.dist[v]
-        return [w for w in self.v_points if row[w] <= alpha]
-
-    def act_pair(self, p, pair):
-        v, z = pair
-        return (self.act_v[p][v], self.act_z[p][z])
+        return frozenset(w for w in self.v_points if row[w] <= alpha)
 
     def pair_action(self):
-        return lambda p, pair: self.act_pair(p, pair)
+        act_v, act_z = self.act_v, self.act_z
+        return lambda p, pair: (act_v[p][pair[0]], act_z[p][pair[1]])
+
+    def translate(self, p, points):
+        """p applied to a set of pairs; the identity returns it unchanged."""
+        if p == self.group.identity:
+            return frozenset(points)
+        av, az = self.act_v[p], self.act_z[p]
+        return frozenset((av[v], az[z]) for v, z in points)
 
     def validate(self):
         for v in self.v_points:
@@ -62,9 +70,10 @@ class PairSpace:
             for w in self.v_points:
                 if self.dist[v][w] != self.dist[w][v]:
                     raise ValueError("metric not symmetric")
+        act = self.pair_action()
         for p in self.group.elements:
             for pair in self.pairs:
-                if self.act_pair(p, pair) not in self.pairs:
+                if act(p, pair) not in self.pairs:
                     raise ValueError("pair set is not group invariant")
             for v in self.v_points:
                 for w in self.v_points:
@@ -77,6 +86,7 @@ def pair_space(v_points, z_points, pairs, dist, group=None,
     """Assemble a PairSpace; the trivial group is used when none is given."""
     v_points = tuple(v_points)
     z_points = tuple(z_points)
+    pairs = frozenset(pairs)
     if group is None:
         from .graphs import make_graph
         group = trivial_group(base_graph if base_graph is not None
@@ -85,8 +95,13 @@ def pair_space(v_points, z_points, pairs, dist, group=None,
         act_v = {p: {v: v for v in v_points} for p in group.elements}
     if act_z is None:
         act_z = {p: {z: z for z in z_points} for p in group.elements}
-    return PairSpace(v_points, z_points, frozenset(pairs), dist,
-                     group, act_v, act_z)
+    by_z, by_v = {}, {}
+    for v, z in pairs:
+        by_z.setdefault(z, set()).add(v)
+        by_v.setdefault(v, set()).add(z)
+    return PairSpace(v_points, z_points, pairs, dist, group, act_v, act_z,
+                     {z: frozenset(vs) for z, vs in by_z.items()},
+                     {v: frozenset(zs) for v, zs in by_v.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -102,77 +117,62 @@ class DoublingReport:
     witness: tuple = None  # (alpha, center, separated_points) on failure
 
 
-def _alpha_candidates(points, dist_fn, R):
-    realized = set()
-    pts = list(points)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            d = dist_fn(a, b)
-            if d is not INF:
-                realized.add(d)
-    cands = {R}
-    for d in realized:
-        if d >= R:
-            cands.add(d)
-        if d / 2 >= R:
-            cands.add(d / 2)
-    return sorted(cands)
+def _dense_distances(points, dist_fn):
+    """Dense distances among points, indexed by their position in it."""
+    return [[dist_fn(a, b) for b in points] for a in points]
 
 
-def _violating_set(points, dist_fn, size, R):
+def _violating_set(pts, dist, size, R):
     """A size-subset with pairwise gaps above R fitting a ball of radius
     strictly below twice its minimum gap, or None.
 
-    Such a set is exactly a doubling violation: with s its minimum pairwise
-    gap and r its covering radius, every scale alpha in [max(R, r/2), s)
-    separates it inside a 2*alpha ball.  The search prunes on the coupling:
-    adding points only shrinks the gap and grows the radius.
+    pts is sorted and dist its dense distance matrix.  Such a set is
+    exactly a doubling violation: with s its minimum pairwise gap and r its
+    covering radius, every scale alpha in [max(R, r/2), s) separates it
+    inside a 2*alpha ball.  The search prunes on the coupling: adding
+    points only shrinks the gap and grows the radius.  Each node keeps the
+    positions still more than R from every selected point, and the
+    distance from each center to its farthest selected point.
     """
-    pts = sorted(points)
-    n = len(pts)
     found = []
 
-    def rec(start, sel, sep, maxd):
-        if found:
-            return
+    def rec(cands, sel, sep, radii):
         if sel:
-            rad = min(maxd.values())
+            rad = min(radii)
             if rad >= 2 * sep:
                 return
             if len(sel) == size:
-                center = min(maxd, key=lambda c: (maxd[c], c))
-                found.append((list(sel), sep, rad, center))
+                center = pts[radii.index(rad)]
+                found.append(([pts[i] for i in sel], sep, rad, center))
                 return
-        for i in range(start, n):
-            if n - i < size - len(sel):
+        need = size - len(sel)
+        for k, i in enumerate(cands):
+            if len(cands) - k < need:
                 return
-            p = pts[i]
-            if sel:
-                gaps = [dist_fn(p, s) for s in sel]
-                if any(gp <= R for gp in gaps):
-                    continue
-                nsep = min([sep] + gaps)
-            else:
-                nsep = INF
-            nmaxd = {c: max(maxd[c], dist_fn(c, p)) for c in pts}
-            rec(i + 1, sel + [p], nsep, nmaxd)
+            row = dist[i]
+            nsep = min([sep] + [row[j] for j in sel])
+            rec([j for j in cands[k + 1:] if row[j] > R], sel + [i], nsep,
+                list(map(max, radii, row)))
             if found:
                 return
 
-    rec(0, [], INF, {c: 0 for c in pts})
+    rec(range(len(pts)), [], INF, [0] * len(pts))
     return found[0] if found else None
 
 
-def doubling_check(points, dist_fn, D, R) -> DoublingReport:
+def doubling_check(points, dist_fn, D, R, dist=None) -> DoublingReport:
     """Verify the (D, R)-doubling property of a finite metric set.
 
     For every alpha >= R, every alpha-separated subset (pairwise distances
     strictly above alpha) of every closed 2*alpha ball centered at a point
     of the set must have at most D points.  Scanning scales is equivalent
-    to one subset search, see _violating_set.
+    to one subset search, see _violating_set.  dist, when given, is the
+    dense distance matrix of the sorted points and replaces dist_fn.
     """
     pts = sorted(points)
-    hit = _violating_set(pts, dist_fn, D + 1, R)
+    if dist is None:
+        dist = _dense_distances(pts, dist_fn)
+    hit = _violating_set(pts, dist, D + 1, R)
     if hit is None:
         return DoublingReport(True, D, R)
     sel, sep, rad, center = hit
@@ -180,39 +180,42 @@ def doubling_check(points, dist_fn, D, R) -> DoublingReport:
     return DoublingReport(False, D, R, (alpha, center, tuple(sel)))
 
 
-def minimal_doubling_constant(points, dist_fn, R) -> int:
+def minimal_doubling_constant(points, dist_fn, R, dist=None) -> int:
     """The smallest D for which the (D, R)-doubling property holds."""
     pts = sorted(points)
     if not pts:
         return 0
+    if dist is None:
+        dist = _dense_distances(pts, dist_fn)
     best = 1
-    while _violating_set(pts, dist_fn, best + 1, R) is not None:
+    while _violating_set(pts, dist, best + 1, R) is not None:
         best += 1
     return best
 
 
-def minimal_doubling_radius(points, dist_fn, D):
+def minimal_doubling_radius(points, dist_fn, D, dist=None):
     """The smallest R for which the (D, R)-doubling property holds.
 
     The property only weakens as R grows, so a binary search over realized
     gaps finds the tightest passing threshold.
     """
     pts = sorted(points)
+    if dist is None:
+        dist = _dense_distances(pts, dist_fn)
     cands = [0]
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            d = dist_fn(a, b)
+    for i, row in enumerate(dist):
+        for d in row[i + 1:]:
             if d is not INF:
                 cands.append(d)
     cands = sorted(set(cands))
     lo, hi = 0, len(cands) - 1
-    if doubling_check(pts, dist_fn, D, cands[lo]).ok:
+    if doubling_check(pts, dist_fn, D, cands[lo], dist).ok:
         return cands[lo]
-    if not doubling_check(pts, dist_fn, D, cands[hi]).ok:
+    if not doubling_check(pts, dist_fn, D, cands[hi], dist).ok:
         return INF
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if doubling_check(pts, dist_fn, D, cands[mid]).ok:
+        if doubling_check(pts, dist_fn, D, cands[mid], dist).ok:
             hi = mid
         else:
             lo = mid
@@ -245,12 +248,12 @@ class Cover:
 
 
 def cover_order(member_sets, domain_points) -> int:
-    worst = -1
-    for x in domain_points:
-        c = sum(1 for m in member_sets if x in m)
-        if c - 1 > worst:
-            worst = c - 1
-    return worst
+    """The most members sharing one domain point, less one (-1 when the
+    domain is empty)."""
+    counts = Counter()
+    for m in member_sets:
+        counts.update(m)
+    return max((counts[x] for x in domain_points), default=0) - 1
 
 
 @dataclass(frozen=True)
@@ -267,12 +270,13 @@ class BasisError(ValueError):
 def default_basis(space: PairSpace):
     """One triple per orbit of admitted pairs: a singleton z-set with the
     stabilizer of the z-point.  Always satisfies the separation condition."""
+    act = space.pair_action()
     seen = set()
     triples = []
     for pair in sorted(space.pairs):
         if pair in seen:
             continue
-        orbit = {space.act_pair(p, pair) for p in space.group.elements}
+        orbit = {act(p, pair) for p in space.group.elements}
         seen |= orbit
         v, z = pair
         stab = frozenset(p for p in space.group.elements
@@ -309,6 +313,13 @@ def fiber_basis(space: PairSpace, alpha):
     return triples
 
 
+def _check_alpha(alpha):
+    # longness is read off the pair's own holders, which needs (v, z) in
+    # its own alpha-neighbourhood; a negative scale makes every check vacuous
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative, got %r" % (alpha,))
+
+
 def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     """The packing-driven equivariant cover of the pair set.
 
@@ -317,21 +328,22 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     and saturated.  Determinism: ties follow basis order and sorted group
     elements.
     """
+    _check_alpha(alpha)
     G = space.group
+    act_v, act_z = space.act_v, space.act_z
     if basis is None:
         basis = default_basis(space)
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        fiber = space.fiber_z(t.v)
-        if not t.zset <= fiber:
+        if not t.zset <= space.fiber_z(t.v):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
     # precondition: separation condition at scale 4*alpha
     for i, t in enumerate(basis):
         for p in G.elements:
-            if space.dist[space.act_v[p][t.v]][t.v] <= 4 * alpha:
-                moved = {space.act_z[p][z] for z in t.zset}
+            if space.dist[act_v[p][t.v]][t.v] <= 4 * alpha:
+                moved = {act_z[p][z] for z in t.zset}
                 if moved & t.zset and p not in t.subgroup:
                     raise BasisError(
                         "basis %d: element %r moves the block onto itself" % (i, p))
@@ -339,9 +351,8 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     covered = set()
     for t in basis:
         for p in G.elements:
-            pv = space.act_v[p][t.v]
-            for z in t.zset:
-                covered.add((pv, space.act_z[p][z]))
+            pv, az = act_v[p][t.v], act_z[p]
+            covered.update((pv, az[z]) for z in t.zset)
     if not space.pairs <= covered:
         missing = sorted(space.pairs - covered)[:3]
         raise BasisError("basis does not cover the pair set, e.g. %r" % (missing,))
@@ -350,13 +361,15 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     reduced = []
     for i, t in enumerate(basis):
         zset = set(t.zset)
+        row = space.dist[t.v]
         for j in range(i):
-            tj = basis[j]
             if not reduced[j]:
                 continue
+            vj = basis[j].v
             for p in G.elements:
-                if space.dist[t.v][space.act_v[p][tj.v]] <= alpha:
-                    zset -= {space.act_z[p][z] for z in reduced[j]}
+                if row[act_v[p][vj]] <= alpha:
+                    az = act_z[p]
+                    zset.difference_update(az[z] for z in reduced[j])
         reduced.append(frozenset(zset))
 
     members = []
@@ -365,15 +378,17 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
         if not reduced[i]:
             continue
         ball = space.ball_v(t.v, 2 * alpha)
-        core = frozenset((v, z) for v in ball for z in reduced[i]
-                         if (v, z) in space.pairs)
-        saturated = frozenset(space.act_pair(a, x)
-                              for a in t.subgroup for x in core)
+        core = frozenset((w, z) for z in reduced[i]
+                         for w in space.fiber_v(z) & ball)
+        saturated = set()
+        for a in t.subgroup:  # one translate alive at a time
+            saturated |= space.translate(a, core)
+        saturated = frozenset(saturated)
         if not saturated:
             continue
         first = True
         for p in G.elements:
-            translated = frozenset(space.act_pair(p, x) for x in saturated)
+            translated = space.translate(p, saturated)
             if translated in seen_sets:
                 continue
             seen_sets.add(translated)
@@ -404,15 +419,30 @@ class CoverReport:
 
 def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:
-    """Independent check of order, longness, invariance and F-subsetness."""
+    """Independent check of order, longness, invariance and F-subsetness.
+
+    Longness asks every pair (v, z) for a member holding all of X's pairs
+    over z within alpha of v.  That set contains (v, z) itself, so only
+    the members holding (v, z) need testing, and each is tested on its
+    slice over z.
+    """
+    _check_alpha(alpha)
     failures = []
     sets = cover.member_sets()
     order = cover_order(sets, space.pairs)
 
+    slices = {}  # z -> the v-sets of the members over z
+    for m in sets:
+        over = {}
+        for v, z in m:
+            over.setdefault(z, set()).add(v)
+        for z, vs in over.items():
+            slices.setdefault(z, []).append(vs)
+    balls = {v: space.ball_v(v, alpha) for v in space.by_v}
     long_ok = True
     for (v, z) in sorted(space.pairs):
-        needed = {(w, z) for w in space.ball_v(v, alpha) if (w, z) in space.pairs}
-        if not any(needed <= m for m in sets):
+        needed = space.fiber_v(z) & balls[v]
+        if not any(v in vs and needed <= vs for vs in slices.get(z, ())):
             long_ok = False
             failures.append(("not-long", (v, z)))
             break
@@ -421,8 +451,7 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     set_pool = set(sets)
     for p in space.group.elements:
         for m in sets:
-            tm = frozenset(space.act_pair(p, x) for x in m)
-            if tm not in set_pool:
+            if space.translate(p, m) not in set_pool:
                 inv_ok = False
                 failures.append(("not-invariant", p))
                 break

@@ -10,7 +10,7 @@ original units, so every bound here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .angles import (
     AngleSet,
@@ -69,17 +69,11 @@ class CoarseFlowSpace:
     group: GroupModel
     triples: frozenset
     index: GeodesicIndex
+    # (g v0, xi) -> the geodesic DAG and its small carriers, see _flow_line_data
+    line_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def fiber(self, xi_minus, xi_plus):
         return self.fibers.get((xi_minus, xi_plus), frozenset())
-
-    @property
-    def _line_cache(self):
-        cache = getattr(self, "_line_cache_store", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_line_cache_store", cache)
-        return cache
 
 
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
@@ -162,14 +156,15 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
     tightest_r = 0
     for key in sorted(cf.fibers):
         fiber = sorted(cf.fibers[key])
-        rep = doubling_check(fiber, cf.metric.d, 5, R)
+        dist = cf.metric.submatrix(fiber)
+        rep = doubling_check(fiber, cf.metric.d, 5, R, dist)
         if not rep.ok:
             failures.append((key, rep.witness))
         if compute_tightest and fiber:
-            tightest_d = max(tightest_d,
-                             minimal_doubling_constant(fiber, cf.metric.d, R))
-            tightest_r = max(tightest_r,
-                             minimal_doubling_radius(fiber, cf.metric.d, 5))
+            tightest_d = max(tightest_d, minimal_doubling_constant(
+                fiber, cf.metric.d, R, dist))
+            tightest_r = max(tightest_r, minimal_doubling_radius(
+                fiber, cf.metric.d, 5, dist))
     return {
         "ok": not failures,
         "D": 5,
@@ -184,7 +179,8 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     ve = cf.sub.ve_vertices()
     zs = tuple(sorted(cf.fibers))
-    dist = {v: {w: cf.metric.d(v, w) for w in ve} for v in ve}
+    dist = {v: dict(zip(ve, row))
+            for v, row in zip(ve, cf.metric.submatrix(ve))}
     act_v = {p: {v: p[v] for v in ve} for p in cf.group.elements}
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in zs} for p in cf.group.elements}
     pairs = frozenset((v, (xm, xp)) for (v, xm, xp) in cf.triples)
@@ -192,9 +188,15 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
                       act_v=act_v, act_z=act_z)
 
 
-def cover_cf(cf: CoarseFlowSpace, alpha_prime, basis=None) -> Cover:
-    """Long thin cover of the flow space, alpha'-long in the chain metric."""
-    space = cf_pair_space(cf)
+def cover_cf(cf: CoarseFlowSpace, alpha_prime, basis=None,
+             space: PairSpace = None) -> Cover:
+    """Long thin cover of the flow space, alpha'-long in the chain metric.
+
+    space, when given, is cf_pair_space(cf), built once by a caller that
+    also verifies the cover.
+    """
+    if space is None:
+        space = cf_pair_space(cf)
     if basis is None:
         basis = fiber_basis(space, alpha_prime)
     return greedy_cover(space, alpha_prime, basis)
@@ -207,13 +209,13 @@ def cover_cf(cf: CoarseFlowSpace, alpha_prime, basis=None) -> Cover:
 
 def _flow_line_data(cf: CoarseFlowSpace, gv0, xi):
     """Layer map and small-carrier set of the geodesic DAG gv0 -> xi."""
-    cached = cf._line_cache.get((gv0, xi))
+    cached = cf.line_cache.get((gv0, xi))
     if cached is not None:
         return cached
     dag = cf.index.dag(gv0, xi)
     oracle = SmallnessOracle(cf.sub, cf.theta)
     carriers = vertices_on_small_geodesics(dag, oracle)
-    cf._line_cache[(gv0, xi)] = (dag, carriers)
+    cf.line_cache[(gv0, xi)] = (dag, carriers)
     return dag, carriers
 
 

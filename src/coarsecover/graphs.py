@@ -133,10 +133,13 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     n = doc["vertices"]
     if not isinstance(n, int) or n < 0:
         raise GraphFormatError("'vertices' must be a nonnegative integer")
+    if not isinstance(doc["edges"], (list, tuple)):
+        raise GraphFormatError("'edges' must be a list")
     edges = []
     seen = set()
     for pair in doc["edges"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in pair):
             raise GraphFormatError("bad edge entry %r" % (pair,))
         u, v = pair
         if u == v:
@@ -272,15 +275,6 @@ def enumerate_geodesics(dag: GeodesicDag, cap: int):
 
     walk(dag.source)
     return out
-
-
-def count_geodesics(dag: GeodesicDag) -> int:
-    counts = {dag.target: 1}
-    for u in sorted(dag.layer, key=lambda x: -dag.layer[x]):
-        if u == dag.target:
-            continue
-        counts[u] = sum(counts[w] for w in dag.succ[u])
-    return counts[dag.source]
 
 
 def mandatory_vertices(dag: GeodesicDag) -> frozenset:

@@ -131,8 +131,8 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
             if sub_group.word_length[p] <= alpha]
     reach = max(index.d(v0, p[v0]) for p in ball) // 2
     alpha_prime = reach + 2 * delta_prime
-    flow_cover = cover_cf(cf, alpha_prime)
     space = cf_pair_space(cf)
+    flow_cover = cover_cf(cf, alpha_prime, space=space)
     flow_report = verify_cover(flow_cover, space, alpha_prime, ALL_SUBGROUPS)
     stages["flow_cover"] = {
         "alpha_prime": alpha_prime, "members": len(flow_cover),

@@ -169,7 +169,6 @@ def resolve_action_for(obj):
 class OrbitReport:
     orbits: tuple
     orbit_count: int
-    cofinite: bool = True  # finite models: every invariant set is cofinite
 
 
 def orbits(G: GroupModel, objects, action) -> OrbitReport:
@@ -195,13 +194,6 @@ def stabilizer(G: GroupModel, obj, action=None) -> frozenset:
     """
     fn = action_fn(action) if action is not None else resolve_action_for(obj)
     return frozenset(p for p in G.elements if fn(p, obj) == obj)
-
-
-def setwise_stabilizer(G: GroupModel, subset, action) -> frozenset:
-    fn = action_fn(action)
-    sub = frozenset(subset)
-    return frozenset(p for p in G.elements
-                     if frozenset(fn(p, x) for x in sub) == sub)
 
 
 def subgroup_generated(G: GroupModel, seed) -> frozenset:
@@ -338,7 +330,7 @@ def is_F_subset(U, G: GroupModel, family: SubgroupFamily, action):
         return True, frozenset([G.identity])
     stab = set()
     for p in G.elements:
-        pU = frozenset(fn(p, x) for x in U)
+        pU = U if p == G.identity else frozenset(fn(p, x) for x in U)
         if pU == U:
             stab.add(p)
         elif pU & U:

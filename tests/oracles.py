@@ -161,3 +161,48 @@ def doubling_scan_oracle(points, dist_fn, D, R):
             if bad is not None:
                 return False, (alpha, center, tuple(bad))
     return True, None
+
+
+def cover_order_brute(member_sets, domain_points):
+    """Most members containing one domain point, less one; -1 when the
+    domain is empty."""
+    return max((sum(1 for m in member_sets if x in m) for x in domain_points),
+               default=0) - 1
+
+
+def verify_cover_definitional(members, space, alpha, family):
+    """Order, longness, invariance and F-subsetness straight from the
+    definitions, on a pair space given by its parts.
+
+    members is a list of sets of pairs.  Returns (order, first pair
+    that is not alpha-long or None, invariant, f_subsets).
+    """
+    G = space.group
+
+    def act(p, pair):
+        return (space.act_v[p][pair[0]], space.act_z[p][pair[1]])
+
+    order = cover_order_brute(members, space.pairs)
+    not_long = None
+    for (v, z) in sorted(space.pairs):
+        needed = {(w, z) for w in space.v_points
+                  if space.dist[v][w] <= alpha and (w, z) in space.pairs}
+        if not any(needed <= set(m) for m in members):
+            not_long = (v, z)
+            break
+    pool = [set(m) for m in members]
+    invariant = all({act(p, x) for x in m} in pool
+                    for p in G.elements for m in members)
+    f_subsets = True
+    for m in members:
+        m = set(m)
+        stab = set()
+        for p in G.elements:
+            pm = {act(p, x) for x in m}
+            if pm == m:
+                stab.add(p)
+            elif pm & m:
+                f_subsets = False
+        if m and not family.contains(frozenset(stab), G):
+            f_subsets = False
+    return order, not_long, invariant, f_subsets

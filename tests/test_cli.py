@@ -49,6 +49,13 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", "--graph", str(p)], capsys)
         assert code == 2
 
+    def test_non_integer_edge_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"vertices": 2, "edges": [["a", 1]]}))
+        code, out = run_cli(["analyze", "--graph", str(p)], capsys)
+        assert code == 2
+        assert "bad edge entry" in json.loads(out)["error"]
+
 
 class TestPipelineCommand:
     def test_tree_pipeline_passes(self, tmp_graph, capsys):
@@ -143,6 +150,16 @@ class TestRunConfig:
         code, _ = run_cli(["pipeline", "--graph", "x", "--config", str(cfg)],
                           capsys)
         assert code == 2
+
+    def test_unknown_config_key_is_usage_error(self, tmp_graph, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph_path": tmp_graph(path_graph(4)),
+                                   "alhpa": 1}))
+        code, out = run_cli(["pipeline", "--graph", "x", "--config",
+                             str(cfg)], capsys)
+        assert code == 2
+        assert "alhpa" in json.loads(out)["error"]
 
 
 class TestSubcommands:

@@ -198,6 +198,21 @@ class TestVerifyCover:
         assert any(kind == "not-long" for kind, _ in rep.failures)
 
 
+    def test_negative_alpha_rejected(self):
+        # one member misses (1, z) and (2, z); at alpha = -1 every needed
+        # set would be empty and the check would pass it
+        sp = build_space(3)
+        member = CoverMember(frozenset([(0, "z")]),
+                             frozenset([sp.group.identity]), True)
+        cov = Cover((member,), 0, 0)
+        rep = verify_cover(cov, sp, 0, ALL_SUBGROUPS)
+        assert not rep.ok and not rep.long
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_cover(cov, sp, -1, ALL_SUBGROUPS)
+        with pytest.raises(ValueError, match="nonnegative"):
+            greedy_cover(sp, -1)
+
+
 class TestRandomCorpus:
     def test_order_bound_random_instances(self):
         rng = random.Random(13)
