@@ -26,6 +26,7 @@ from .graphs import (
     Subdivision,
     canon_edge,
     enumerate_geodesics,
+    geodesic_counts,
     geodesic_dag,
     mandatory_vertices,
 )
@@ -69,9 +70,6 @@ class AngleSet:
         u = e1[0] if e1[1] == apex else e1[1]
         w = e2[0] if e2[1] == apex else e2[1]
         return self.contains(u, apex, w)
-
-    def at_apex(self, apex):
-        return frozenset(t for t in self.nontrivial if t[1] == apex)
 
     def union(self, other) -> "AngleSet":
         self._check_base(other)
@@ -407,46 +405,48 @@ def theta3(base, include_cone_completion: bool = True,
     if len(corners) * len(corners) > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
 
-    def init_edges(v, p):
-        dv = dist[v]
-        out = set()
-        for w in g.neighbors(v):
-            if dist[w][p] == dv[p] - 1:
-                if sub is None:
-                    out.add(canon_edge(v, w))
-                else:
-                    out.add(sub.edge_of_midpoint[w])
-        return out
+    # The first steps from v toward p, as the far ends of original edges
+    # (a midpoint's other end).  Equal sets are one object, so they
+    # compare by identity.
+    far_ends = {v: [(w, w if sub is None else sum(sub.edge_of_midpoint[w]) - v)
+                    for w in g.neighbors(v)] for v in apexes}
+    interned = {}
 
-    # mandatory[p, q]: vertices on every geodesic p -> q (p <= q, connected)
+    def first_steps(v, p):
+        if dist[v][p] is INF:
+            return frozenset()
+        d = dist[v][p] - 1
+        steps = frozenset(x for w, x in far_ends[v] if dist[w][p] == d)
+        return interned.setdefault(steps, steps)
+
+    # The third side p-q avoids v unless v lies on every p-q geodesic, that
+    # is d(p,v) + d(v,q) = d(p,q) and sigma(p,v) * sigma(v,q) = sigma(p,q)
+    # (a q outside p's component passes too, as inf = inf and 0 = 0).  Per
+    # apex the test runs over the rows cut down to the corners, and the
+    # corners are grouped by their first steps: each pair of groups counts
+    # once, and a single first step paired with itself makes no angle.
+    sigma = geodesic_counts(g, dist)
+    dist_c = [[row[q] for q in corners] for row in dist]
+    sigma_c = [[row[q] for q in corners] for row in sigma]
     result = set()
-    init_cache = {}
-    for pi, p in enumerate(corners):
-        dp = dist[p]
-        for q in corners[pi:]:
-            if dp[q] is INF:
+    for v in apexes:
+        dv, dv_c, sv_c = dist[v], dist_c[v], sigma_c[v]
+        steps = [first_steps(v, q) for q in corners]
+        groups = set()
+        for i, p in enumerate(corners):
+            dpv, spv = dv[p], sigma[p][v]
+            if p == v or dpv is INF:
                 continue
-            if p == q:
-                mand = frozenset([p])
-            else:
-                mand = mandatory_vertices(geodesic_dag(g, p, q, dist))
-            for v in apexes:
-                if v == p or v == q or v in mand:
-                    continue
-                if dist[v][p] is INF:
-                    continue
-                key_p = (v, p)
-                ip = init_cache.get(key_p)
-                if ip is None:
-                    ip = init_cache[key_p] = init_edges(v, p)
-                key_q = (v, q)
-                iq = init_cache.get(key_q)
-                if iq is None:
-                    iq = init_cache[key_q] = init_edges(v, q)
-                for e1 in ip:
-                    for e2 in iq:
-                        if e1 != e2:
-                            result.add(_angle_from_edges(e1, e2))
+            own = steps[i]
+            bare = own if len(own) == 1 else None
+            groups.update((own, s) for s in {s for s, a, b, x, y in zip(
+                steps[i:], dv_c[i:], dist_c[p][i:], sv_c[i:], sigma_c[p][i:])
+                if s is not bare and (dpv + a != b or spv * x != y)})
+        for s1, s2 in groups:
+            for x in s1:
+                for y in s2:
+                    if x != y:
+                        result.add(canonical_angle(x, v, y))
     return AngleSet(original, frozenset(result))
 
 

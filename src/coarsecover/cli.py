@@ -97,13 +97,17 @@ def _read_group(g, args):
         return trivial_group(g)
     with open(args.action) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise GraphFormatError("action document must be an object")
     name = getattr(args, "action_name", None)
     if name is None:
         # the graph document may reference the generator list by name
         with open(args.graph) as fh:
             name = json.load(fh).get("action")
     if name is None:
-        name = sorted(doc)[0]
+        name = min(doc, default=None)
+    if name not in doc:
+        raise GraphFormatError("no action named %r" % name)
     perms = [tuple(p) for p in doc[name]]
     return close_group(g, perms)
 

@@ -146,12 +146,6 @@ def grid_graph(rows, cols) -> Graph:
     return make_graph(rows * cols, edges)
 
 
-def cone_star_cycles(legs, cycle_len) -> Graph:
-    """Cycles sharing one high-valency vertex, marked as a cone vertex."""
-    g = wedge_of_cycles(legs, cycle_len)
-    return make_graph(g.vertex_count, g.edges, cone_vertices=[0])
-
-
 def cyclic_rotation(n):
     return tuple((i + 1) % n for i in range(n))
 

@@ -409,13 +409,6 @@ class CoverReport:
     f_subsets: bool
     failures: tuple
 
-    def as_dict(self):
-        return {
-            "ok": self.ok, "order": self.order, "long": self.long,
-            "invariant": self.invariant, "f_subsets": self.f_subsets,
-            "failures": [repr(f) for f in self.failures],
-        }
-
 
 def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import add, eq
 
 INF = math.inf
 
@@ -131,7 +133,7 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphFormatError("document must carry 'vertices' and 'edges'")
     n = doc["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphFormatError("'vertices' must be a nonnegative integer")
     if not isinstance(doc["edges"], (list, tuple)):
         raise GraphFormatError("'edges' must be a list")
@@ -157,7 +159,10 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
             deg[u] += 1
             deg[v] += 1
         cones = frozenset(v for v in range(n) if deg[v] >= cone_threshold)
-    labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}
+    labels = doc.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise GraphFormatError("'labels' must be an object")
+    labels = {int(k): str(v) for k, v in labels.items()}
     g = make_graph(n, edges, cones, labels)
     if g.cone_vertices_adjacent():
         g = make_graph(n, edges, cones, labels, warn_adjacent_cones=True)
@@ -200,6 +205,25 @@ def _bfs(g: Graph, source):
 def distance_matrix(g: Graph):
     """All-pairs hop distances; disconnected pairs map to math.inf."""
     return [_bfs(g, s) for s in g.vertices]
+
+
+def geodesic_counts(g: Graph, dist):
+    """sigma[s][w]: the number of s-w geodesics (0 when disconnected).
+
+    One pass per source in BFS order sums the counts of the predecessors
+    (Brandes, J. Math. Sociol. 25, 2001); counts are exact integers.
+    """
+    sigma = []
+    for s in g.vertices:
+        ds = dist[s]
+        row = [0] * g.vertex_count
+        row[s] = 1
+        for w in sorted((w for w in g.vertices if ds[w] is not INF),
+                        key=ds.__getitem__)[1:]:
+            dw = ds[w] - 1
+            row[w] = sum(row[u] for u in g.neighbors(w) if ds[u] == dw)
+        sigma.append(row)
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -302,20 +326,6 @@ def geodesic_vertices(g: Graph, u, v, dist):
     return [w for w in g.vertices if du[w] is not INF and du[w] + dv[w] == total]
 
 
-def is_geodesic(g: Graph, path, dist=None) -> bool:
-    if len(path) == 0:
-        return False
-    if len(path) == 1:
-        return True
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            return False
-    if dist is None:
-        dist = {path[0]: _bfs(g, path[0])}
-    d0 = dist[path[0]]
-    return d0[path[-1]] == len(path) - 1
-
-
 class GeodesicIndex:
     """Shared cache of distances and geodesic DAGs for one graph."""
 
@@ -350,29 +360,24 @@ class SlimnessReport:
     witness_triangle: tuple
 
 
-def _maximin_side_distance(g: Graph, dist, x, y):
-    """For every v: the largest min-distance from v achieved by an x-y geodesic.
+def _maximin_columns(g: Graph, dist, x):
+    """cols[v][y] = max over x-y geodesics c of min_{w in c} d(w, v).
 
-    m[v] = max over geodesics c from x to y of min_{w in c} d(w, v).
-    Computed as a vectorised DAG dynamic program over all v at once.
+    One sweep from x in BFS order of y: the row of y (over v) is the
+    elementwise max of its predecessors' rows, the neighbours one step
+    closer to x, capped by d(y, .).  The rows are returned as columns of
+    unsigned 16-bit values; no graph the cubic slimness scan can handle has
+    a distance of 2**16.
     """
-    dag = geodesic_dag(g, x, y, dist)
-    order = sorted(dag.layer, key=lambda w: dag.layer[w])
-    n = g.vertex_count
-    best = {x: list(dist[x])}
-    for u in order:
-        bu = best.get(u)
-        if bu is None:
-            continue
-        for w in dag.succ[u]:
-            dw = dist[w]
-            cand = [bu[i] if bu[i] < dw[i] else dw[i] for i in range(n)]
-            bw = best.get(w)
-            if bw is None:
-                best[w] = cand
-            else:
-                best[w] = [a if a > b else b for a, b in zip(bw, cand)]
-    return best[dag.target]
+    dx = dist[x]
+    best = [None] * g.vertex_count
+    best[x] = dist[x]
+    for y in sorted(g.vertices, key=dx.__getitem__)[1:]:
+        dy = dx[y] - 1
+        rows = [best[u] for u in g.neighbors(y) if dx[u] == dy]
+        top = rows[0] if len(rows) == 1 else list(map(max, *rows))
+        best[y] = list(map(min, top, dist[y]))
+    return [array("H", col) for col in zip(*best)]
 
 
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
@@ -380,67 +385,69 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
 
     Sides are chosen adversarially: for each vertex triple the three side
     geodesics maximizing the slimness defect are taken into account, so the
-    result bounds all geodesic triangles of the graph.
+    result bounds all geodesic triangles of the graph.  The witness is the
+    first triple, in combinations order, whose defect is delta.
     """
     if not g.is_connected():
         raise ValueError("slimness requires a connected graph")
     if dist is None:
         dist = distance_matrix(g)
+    # The defect of v on side p-q of the triangle p, q, r is
+    # min(m(p,r)[v], m(q,r)[v]): how far v stays from the adversarial sides
+    # p-r and q-r.  Sets of third corners r are byte masks, byte r 0 or 1.
     n = g.vertex_count
-    maximin = {}
-    for x in range(n):
-        for y in range(x, n):
-            maximin[(x, y)] = _maximin_side_distance(g, dist, x, y)
+    cols = [_maximin_columns(g, dist, x) for x in range(n)]
+    corner = [1 << 8 * r for r in range(n)]
 
-    def m(x, y):
-        return maximin[(x, y) if x <= y else (y, x)]
+    def above(t):
+        # byte r of above(t)[x][v] is 1 iff m(x, r)[v] > t
+        return [[int.from_bytes(bytes(map(t.__lt__, col)), "little")
+                 for col in xcols] for xcols in cols]
 
+    def side(p, q):
+        dp, dq = dist[p], dist[q]
+        return compress(range(n), map(eq, map(add, dp, dq), repeat(dp[q])))
+
+    def thirds(masks, p, q):
+        # the corners r for which some v on side p-q has a defect above the
+        # masks' threshold
+        mp, mq = masks[p], masks[q]
+        found = 0
+        for v in side(p, q):
+            found |= mp[v] & mq[v]
+        found &= ~(corner[p] | corner[q])
+        return [r for r in range(n) if found >> 8 * r & 1] if found else []
+
+    # A defect on side p-q is at most d(p,q) // 2: sides are taken longest
+    # first, and the scan ends at the first side too short to raise delta.
+    pairs = sorted(combinations(range(n), 2),
+                   key=lambda pq: -dist[pq[0]][pq[1]])
     delta = 0
-    witness = (0, 0, 0)
-    for a, b, c in combinations(range(n), 3):
-        for (p, q, r) in ((a, b, c), (b, c, a), (a, c, b)):
-            # side p-q against the adversarial union of sides p-r and q-r
-            m1 = m(p, r)
-            m2 = m(q, r)
-            dp, dq = dist[p], dist[q]
-            total = dp[q]
-            for v in range(n):
-                if dp[v] + dq[v] == total:
-                    gap = m1[v] if m1[v] < m2[v] else m2[v]
-                    if gap > delta:
-                        delta = gap
-                        witness = (a, b, c)
-    return SlimnessReport(int(delta), witness)
-
-
-def slimness_min_over_sides(g: Graph, cap=200, dist=None) -> int:
-    """Diagnostic variant: sides chosen favourably instead of adversarially.
-
-    Enumerates geodesic side combinations (capped) and reports the best
-    achievable slimness over the worst triple.  Only useful on small graphs.
-    """
-    if dist is None:
-        dist = distance_matrix(g)
-    n = g.vertex_count
-    worst = 0
-    for a, b, c in combinations(range(n), 3):
-        sides = []
-        for (x, y) in ((a, b), (b, c), (a, c)):
-            sides.append(enumerate_geodesics(geodesic_dag(g, x, y, dist), cap))
-        best = None
-        for c1 in sides[0]:
-            for c2 in sides[1]:
-                for c3 in sides[2]:
-                    tri = (c1, c2, c3)
-                    val = 0
-                    for i in range(3):
-                        others = set(tri[(i + 1) % 3]) | set(tri[(i + 2) % 3])
-                        for v in tri[i]:
-                            val = max(val, min(dist[v][w] for w in others))
-                    if best is None or val < best:
-                        best = val
-        worst = max(worst, best)
-    return worst
+    masks = above(delta)
+    for p, q in pairs:
+        if dist[p][q] <= 2 * delta + 1:
+            break
+        rs = thirds(masks, p, q)
+        if rs:
+            cp, cq = cols[p], cols[q]
+            delta = max(min(cp[v][r], cq[v][r])
+                        for v in side(p, q) for r in rs)
+            masks = above(delta)
+    if delta == 0:
+        return SlimnessReport(0, (0, 0, 0))
+    # The witness is the least triple with a side of defect delta; for one
+    # side p < q, the least such triple has the least third corner.
+    masks = above(delta - 1)
+    witness = None
+    for p, q in pairs:
+        if dist[p][q] < 2 * delta:
+            break
+        rs = thirds(masks, p, q)
+        if rs:
+            tri = tuple(sorted((p, q, rs[0])))
+            if witness is None or tri < witness:
+                witness = tri
+    return SlimnessReport(delta, witness)
 
 
 # ---------------------------------------------------------------------------

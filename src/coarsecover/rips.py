@@ -42,10 +42,6 @@ class SimplicialComplex:
                         raise CapExceeded("more than %d simplices" % cap)
         return out
 
-    def has_simplex(self, s):
-        s = frozenset(s)
-        return any(s <= m for m in self.maximal_simplices)
-
 
 def _clique_complex(vertices, relation_pairs) -> SimplicialComplex:
     G = nx.Graph()

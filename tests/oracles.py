@@ -5,7 +5,7 @@ graph, exhaustive triangle enumeration, direct definitional scans.  They
 are slow and only ever run on small instances.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from coarsecover.graphs import INF, canon_edge, distance_matrix
 
@@ -35,52 +35,86 @@ def all_simple_shortest_paths(g, u, v):
     return sorted(out)
 
 
-def slimness_brute(g):
-    """Adversarial slimness by full geodesic enumeration."""
+def triangle_defects_brute(g):
+    """Adversarial slimness defect of every vertex triple, in combinations
+    order, by full geodesic enumeration."""
     dist = distance_matrix(g)
-    n = g.vertex_count
-    worst = 0
-    for a, b, c in combinations(range(n), 3):
-        sides = {
-            (a, b): all_simple_shortest_paths(g, a, b),
-            (a, c): all_simple_shortest_paths(g, a, c),
-            (b, c): all_simple_shortest_paths(g, b, c),
-        }
+    paths = {pair: all_simple_shortest_paths(g, *pair)
+             for pair in combinations(range(g.vertex_count), 2)}
+    defects = {}
+    for a, b, c in combinations(range(g.vertex_count), 3):
+        sides = {pair: paths[pair] for pair in ((a, b), (a, c), (b, c))}
+        worst = 0
         for (p, q), (r, s) , (t, u) in (
                 ((a, b), (a, c), (b, c)),
                 ((a, c), (a, b), (b, c)),
                 ((b, c), (a, b), (a, c))):
             for side in sides[(p, q)]:
                 for v in side:
-                    best = 0
                     # adversary maximizes over the two other sides separately
                     m1 = max(min(dist[v][w] for w in other)
                              for other in sides[(r, s)])
                     m2 = max(min(dist[v][w] for w in other)
                              for other in sides[(t, u)])
-                    best = min(m1, m2)
-                    worst = max(worst, best)
+                    worst = max(worst, min(m1, m2))
+        defects[(a, b, c)] = worst
+    return defects
+
+
+def slimness_brute(g):
+    """Adversarial slimness: the largest defect of any triple."""
+    return max(triangle_defects_brute(g).values(), default=0)
+
+
+def slimness_min_over_sides(g):
+    """Diagnostic variant of slimness_brute: sides chosen favourably
+    instead of adversarially, the best over side choices of the worst
+    triple."""
+    dist = distance_matrix(g)
+    worst = 0
+    for a, b, c in combinations(range(g.vertex_count), 3):
+        sides = [all_simple_shortest_paths(g, x, y)
+                 for (x, y) in ((a, b), (b, c), (a, c))]
+        best = None
+        for tri in product(*sides):
+            val = 0
+            for i in range(3):
+                others = set(tri[(i + 1) % 3]) | set(tri[(i + 2) % 3])
+                for v in tri[i]:
+                    val = max(val, min(dist[v][w] for w in others))
+            if best is None or val < best:
+                best = val
+        worst = max(worst, best)
     return worst
 
 
-def theta3_brute(g):
+def theta3_brute(g, corners=None):
     """Corner angles of triangles whose third side avoids the corner,
-    by exhaustive triple and geodesic enumeration."""
+    by exhaustive triple and geodesic enumeration.  The far corners p, q
+    run over `corners` (default: every vertex)."""
     out = set()
     n = g.vertex_count
     dist = distance_matrix(g)
+    corners = range(n) if corners is None else sorted(corners)
+    paths = {}
+
+    def geodesics(u, v):
+        if (u, v) not in paths:
+            paths[u, v] = all_simple_shortest_paths(g, u, v)
+        return paths[u, v]
+
     for v in range(n):
-        for p in range(n):
+        for p in corners:
             if p == v or dist[v][p] is INF:
                 continue
-            for q in range(n):
+            for q in corners:
                 if q == v or dist[p][q] is INF:
                     continue
-                third = all_simple_shortest_paths(g, p, q)
+                third = geodesics(p, q)
                 if not any(v not in side for side in third):
                     continue
-                for c1 in all_simple_shortest_paths(g, v, p):
-                    for c2 in all_simple_shortest_paths(g, v, q):
+                for c1 in geodesics(v, p):
+                    for c2 in geodesics(v, q):
                         e1 = canon_edge(v, c1[1])
                         e2 = canon_edge(v, c2[1])
                         if e1 != e2:
@@ -88,6 +122,22 @@ def theta3_brute(g):
                             x = e1[0] if e1[1] == shared else e1[1]
                             y = e2[0] if e2[1] == shared else e2[1]
                             out.add((min(x, y), shared, max(x, y)))
+    return frozenset(out)
+
+
+def theta3_subdivision_brute(sub, corners=None):
+    """theta3_brute on the subdivided graph itself, apexes kept at original
+    vertices and midpoints translated back to the original edges."""
+    n = sub.original.vertex_count
+    out = set()
+    for (u, apex, w) in theta3_brute(sub.graph, corners):
+        if apex >= n:
+            continue  # midpoint apexes carry a single passable angle
+        e1 = sub.edge_of_midpoint[u]
+        e2 = sub.edge_of_midpoint[w]
+        a = e1[0] if e1[1] == apex else e1[1]
+        b = e2[0] if e2[1] == apex else e2[1]
+        out.add((min(a, b), apex, max(a, b)))
     return frozenset(out)
 
 

@@ -56,6 +56,19 @@ class TestAnalyze:
         assert code == 2
         assert "bad edge entry" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": 3, "edges": [[0, 1], [1, 2]], "labels": [1]},
+         "'labels' must be an object"),
+        ({"vertices": True, "edges": []}, "'vertices' must be"),
+    ], ids=["labels-list", "vertices-bool"])
+    def test_malformed_fields_are_usage_errors(self, tmp_path, capsys, doc,
+                                               message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["analyze", "--graph", str(p)], capsys)
+        assert code == 2
+        assert message in json.loads(out)["error"]
+
 
 class TestPipelineCommand:
     def test_tree_pipeline_passes(self, tmp_graph, capsys):
@@ -73,6 +86,17 @@ class TestPipelineCommand:
                              "--action", str(apath), "--action-name", "rot",
                              "--alpha", "1", "--tau-max", "3"], capsys)
         assert code == 0
+
+    def test_unknown_action_name_is_usage_error(self, tmp_graph, tmp_path,
+                                                capsys):
+        gpath = tmp_graph(spider(3, 4))
+        apath = tmp_path / "act.json"
+        apath.write_text(json.dumps({"rot": [list(spider_rotation(3, 4))]}))
+        code, out = run_cli(["pipeline", "--graph", gpath,
+                             "--action", str(apath), "--action-name", "nope"],
+                            capsys)
+        assert code == 2
+        assert "no action named 'nope'" in json.loads(out)["error"]
 
     def test_determinism(self, tmp_graph, capsys):
         args = ["pipeline", "--graph", tmp_graph(path_graph(8)),

@@ -29,9 +29,9 @@ from coarsecover.graphs import (
     make_graph,
     mandatory_vertices,
     slimness_constant,
-    slimness_min_over_sides,
 )
-from oracles import all_simple_shortest_paths, slimness_brute
+from oracles import all_simple_shortest_paths, slimness_brute, \
+    slimness_min_over_sides
 
 
 class TestLoadGraph:
