@@ -207,6 +207,30 @@ class SmallnessOracle:
         return self.sub.edge_of_midpoint[m]
 
 
+def dag_turns(dag: GeodesicDag, oracle: SmallnessOracle, at=None):
+    """The turns of the DAG's geodesics at checked internal vertices.
+
+    Yields (w, p, s, e1, e2) for each step pair p -> w -> s whose original
+    edges e1 and e2 differ, w in layer-map order; given at, only the turns
+    at that vertex.
+    """
+    if at is None:
+        ws = dag.layer
+    elif at in dag.layer:
+        ws = (at,)
+    else:
+        return
+    for w in ws:
+        if w == dag.source or w == dag.target or not oracle.is_checked(w):
+            continue
+        for p in dag.pred[w]:
+            e1 = oracle.step_edge(p, w)
+            for s in dag.succ[w]:
+                e2 = oracle.step_edge(w, s)
+                if e1 != e2:
+                    yield w, p, s, e1, e2
+
+
 def angles_of_geodesic(g: Graph, path, index: GeodesicIndex = None):
     """One angle per internal vertex of a geodesic; raises off geodesics."""
     if len(path) == 0:
@@ -260,7 +284,7 @@ def _forward_states(dag: GeodesicDag, oracle: SmallnessOracle):
 
 def _backward_states(dag: GeodesicDag, oracle: SmallnessOracle):
     """bwd[v] = set of successors s such that some small suffix starts v->s."""
-    pred = dag.pred()
+    pred = dag.pred
     order = sorted(dag.layer, key=lambda w: -dag.layer[w])
     bwd = {v: set() for v in dag.layer}
     for u in order:
@@ -575,46 +599,6 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
     return ThetaMetric(sub, theta, order, tuple(rows), pos)
 
 
-def d_theta_definitional_oracle(sub: Subdivision, theta: AngleSet,
-                                index: GeodesicIndex = None):
-    """Slow reference: Dijkstra over hops of every length.
-
-    Hop (w, w') is admitted whenever some small geodesic joins w and w',
-    with weight equal to the graph distance.  Used to cross-check d_theta.
-    """
-    import heapq
-    oracle = SmallnessOracle(sub, theta)
-    if index is None:
-        index = GeodesicIndex(sub.graph)
-    order = sub.ve_vertices()
-    hops = {w: [] for w in order}
-    for i, w in enumerate(order):
-        for w2 in order[i + 1:]:
-            dg = index.d(w, w2)
-            if dg is INF:
-                continue
-            if exists_small_geodesic(index.dag(w, w2), oracle):
-                units = dg // 2
-                hops[w].append((w2, units))
-                hops[w2].append((w, units))
-    out = {}
-    for src in order:
-        dist = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            dv, u = heapq.heappop(heap)
-            if dv > dist.get(u, INF):
-                continue
-            for (w, wt) in hops[u]:
-                nd = dv + wt
-                if nd < dist.get(w, INF):
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        for w in order:
-            out[(src, w)] = dist.get(w, INF)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Lemma battery
 # ---------------------------------------------------------------------------
@@ -857,62 +841,3 @@ def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
                 c.violations.append(("between", xm, xp, v, v2))
 
     return BatteryReport(counters)
-
-
-# ---------------------------------------------------------------------------
-# Observer basis sets (finite shadows; used by tests only)
-# ---------------------------------------------------------------------------
-
-
-def observer_set_all(g: Graph, xi, v0_set, index: GeodesicIndex = None):
-    """Vertices xi' whose every geodesic to xi misses v0_set minus {xi}.
-
-    Every geodesic vertex lies on some geodesic, so the condition is that
-    the whole geodesic vertex set avoids the forbidden vertices.
-    """
-    if index is None:
-        index = GeodesicIndex(g)
-    avoid = frozenset(v0_set) - {xi}
-    out = set()
-    for x2 in g.vertices:
-        if index.d(xi, x2) is INF:
-            continue
-        if x2 == xi:
-            out.add(x2)
-            continue
-        if not (set(index.geodesic_vertex_set(xi, x2)) & avoid):
-            out.add(x2)
-    return frozenset(out)
-
-
-def observer_set_exists(g: Graph, xi, v0_set, index: GeodesicIndex = None):
-    """Vertices xi' joined to xi by some geodesic missing v0_set minus {xi}."""
-    if index is None:
-        index = GeodesicIndex(g)
-    avoid = frozenset(v0_set) - {xi}
-    out = set()
-    for x2 in g.vertices:
-        if index.d(xi, x2) is INF:
-            continue
-        if x2 == xi:
-            out.add(x2)
-            continue
-        if _reachable_avoiding(index.dag(xi, x2), avoid):
-            out.add(x2)
-    return frozenset(out)
-
-
-def _reachable_avoiding(dag: GeodesicDag, avoid):
-    if dag.source in avoid or dag.target in avoid:
-        return False
-    stack = [dag.source]
-    seen = {dag.source}
-    while stack:
-        u = stack.pop()
-        if u == dag.target:
-            return True
-        for w in dag.succ[u]:
-            if w not in seen and w not in avoid:
-                seen.add(w)
-                stack.append(w)
-    return False

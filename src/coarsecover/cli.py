@@ -34,7 +34,6 @@ from .flow import (
 from .graphs import (
     GeodesicIndex,
     GraphFormatError,
-    barycentric_subdivision,
     dag_to_dot,
     fineness_profile,
     geodesic_dag,
@@ -42,14 +41,14 @@ from .graphs import (
     load_graph,
     slimness_constant,
 )
-from .pipeline import boundary_surrogates, cover_to_document, \
-    default_base_vertex, report_json, run_pipeline
+from .pipeline import PipelineError, build_instance, cover_to_document, \
+    report_json, run_pipeline
 from .rips import build_rips, complex_stats, contract_subcomplex, \
     homology_oracle
-from .symmetry import close_group, subdivided_group, trivial_group
+from .symmetry import close_group, trivial_group
 
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -59,13 +58,9 @@ class RunConfig:
     graph_path: str
     action_path: str = None
     action_name: str = None
-    theta_path: str = None
     alpha: int = 1
-    d: int = 4
     tau_max: int = 8
     theta0_mode: str = "seed"
-    caps: dict = field(default_factory=dict)
-    seed: int = 0
 
     @classmethod
     def from_file(cls, path):
@@ -79,12 +74,9 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        for p in (self.graph_path, self.action_path, self.theta_path):
+        for p in (self.graph_path, self.action_path):
             if p is not None and not os.path.exists(p):
                 raise GraphFormatError("missing file %r" % p)
-        for name, cap in self.caps.items():
-            if cap <= 0:
-                raise GraphFormatError("cap %r must be positive" % name)
 
 
 def _read_graph(args):
@@ -112,14 +104,21 @@ def _read_group(g, args):
     return close_group(g, perms)
 
 
-def _theta_for(g, spec_text, index=None):
+def _read_instance(args):
+    g = _read_graph(args)
+    return build_instance(g, _read_group(g, args))
+
+
+def _theta_for(g, spec_text, corner):
+    """The size named by spec_text; tfold:k sums k copies of the corner
+    size that the zero-argument function corner returns."""
     if spec_text == "all":
         return all_angles(g)
     if spec_text == "trivial":
         return trivial_only(g)
     if spec_text.startswith("tfold:"):
         k = int(spec_text.split(":", 1)[1])
-        return k_fold_sum(theta3(g, index=index), k)
+        return k_fold_sum(corner(), k)
     if spec_text.startswith("file:"):
         with open(spec_text.split(":", 1)[1]) as fh:
             return load_angleset(fh.read(), g)
@@ -163,6 +162,26 @@ def cmd_analyze(args):
     return 0
 
 
+def _cf_document(cf):
+    return {"delta": cf.delta, "delta_prime": cf.delta_prime,
+            "endpoints": list(cf.endpoints),
+            "triples": sorted(list(t) for t in cf.triples)}
+
+
+def _run_and_write(args, summary_name, artifact_keys):
+    """Run the pipeline, emit its summary and, under --out, the artifacts."""
+    g = _read_graph(args)
+    res = run_pipeline(g, group=_read_group(g, args), alpha=args.alpha,
+                       tau_max=args.tau_max, theta0_mode=args.theta0_mode)
+    _emit(args, summary_name, res.summary())
+    for key in artifact_keys if args.out else ():
+        if key in res.artifacts:
+            art = res.artifacts[key]
+            _emit(args, key, _cf_document(art) if key == "cf"
+                  else cover_to_document(art, res.instance.sub_group))
+    return res
+
+
 def cmd_pipeline(args):
     if args.config:
         cfg = RunConfig.from_file(args.config)
@@ -172,25 +191,9 @@ def cmd_pipeline(args):
         args.alpha = cfg.alpha
         args.tau_max = cfg.tau_max
         args.theta0_mode = cfg.theta0_mode
-    g = _read_graph(args)
-    group = _read_group(g, args)
-    res = run_pipeline(g, group=group, alpha=args.alpha, tau_max=args.tau_max,
-                       theta0_mode=args.theta0_mode)
-    _emit(args, "pipeline_summary", res.summary())
+    res = _run_and_write(args, "pipeline_summary",
+                         ("flow_cover", "pullback", "combined", "cf"))
     if args.out:
-        sub_group = subdivided_group(group, barycentric_subdivision(g))
-        for key in ("flow_cover", "pullback", "combined"):
-            if key in res.artifacts:
-                doc = cover_to_document(res.artifacts[key], sub_group)
-                with open(os.path.join(args.out, key + ".json"), "w") as fh:
-                    fh.write(report_json(doc) + "\n")
-        if "cf" in res.artifacts:
-            cf = res.artifacts["cf"]
-            doc = {"delta": cf.delta, "delta_prime": cf.delta_prime,
-                   "endpoints": list(cf.endpoints),
-                   "triples": sorted(list(t) for t in cf.triples)}
-            with open(os.path.join(args.out, "cf.json"), "w") as fh:
-                fh.write(report_json(doc) + "\n")
         print(report_json({"ok": res.ok, "out": args.out}))
     return 0 if res.ok else 1
 
@@ -245,30 +248,15 @@ def cmd_export_dot(args):
     return 0
 
 
-def _cf_setup(args):
-    g = _read_graph(args)
-    group = _read_group(g, args)
-    sub = barycentric_subdivision(g)
-    index = GeodesicIndex(sub.graph)
-    sub_group = subdivided_group(group, sub)
-    theta = _theta_for(g, args.theta, index=index)
-    v0 = default_base_vertex(sub)
-    boundary = boundary_surrogates(sub, sub_group, v0)
-    endpoints = tuple(sorted(set(boundary)
-                             | {p[v0] for p in sub_group.elements}))
-    cf = build_cf_theta(sub, theta, endpoints, group=group, index=index)
-    return g, group, sub, sub_group, index, cf, v0, boundary
-
-
 def cmd_cf(args):
-    g, group, sub, sub_group, index, cf, v0, boundary = _cf_setup(args)
+    inst = _read_instance(args)
+    sub_group, v0, boundary = inst.sub_group, inst.v0, inst.boundary
+    theta = _theta_for(inst.graph, args.theta, lambda: inst.t3)
+    cf = build_cf_theta(inst.sub, theta, inst.flow_endpoints(),
+                        group=sub_group, delta=inst.delta, index=inst.index,
+                        theta3_set=inst.t3)
     if args.cf_cmd == "build":
-        data = {
-            "delta": cf.delta, "delta_prime": cf.delta_prime,
-            "endpoints": list(cf.endpoints),
-            "triples": sorted(list(t) for t in cf.triples),
-        }
-        _emit(args, "cf", data)
+        _emit(args, "cf", _cf_document(cf))
         return 0
     if args.cf_cmd == "doubling":
         rep = cf_doubling_report(cf, compute_tightest=True)
@@ -294,19 +282,14 @@ def cmd_cf(args):
 
 
 def cmd_cone(args):
-    g = _read_graph(args)
-    group = _read_group(g, args)
-    sub = barycentric_subdivision(g)
-    index = GeodesicIndex(sub.graph)
-    sub_group = subdivided_group(group, sub)
-    v0 = default_base_vertex(sub)
-    boundary = boundary_surrogates(sub, sub_group, v0)
-    xi = tuple(sorted(set(g.cone_vertices) | set(boundary)))
-    theta0 = seed_theta0(sub, group, v0, args.alpha, index=index)
+    inst = _read_instance(args)
+    sub, sub_group, v0, index = inst.sub, inst.sub_group, inst.v0, inst.index
+    xi = inst.cone_targets()
+    theta0 = seed_theta0(sub, sub_group, v0, args.alpha, index=index)
     if args.theta0_mode == "all":
-        theta0 = theta0.union(all_angles(g))
-    cones, theta_out = cone_cover(sub, group, theta0, args.alpha, v0, xi,
-                                  index=index)
+        theta0 = theta0.union(all_angles(inst.graph))
+    cones, theta_out = cone_cover(sub, sub_group, theta0, args.alpha, v0, xi,
+                                  theta3_set=inst.t3, index=index)
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
@@ -318,31 +301,21 @@ def cmd_cone(args):
         _emit(args, "cones", {"theta_out": angleset_to_document(theta_out),
                               "cone_sets": data})
         return 0
-    rep = dichotomy_check(sub, group, theta_out, args.alpha, v0, cones, xi,
+    rep = dichotomy_check(sub, sub_group, theta_out, args.alpha, v0, cones, xi,
                           index=index)
     _emit(args, "dichotomy", rep)
     return 0 if rep["ok"] else 1
 
 
 def cmd_cover_combine(args):
-    args.theta0_mode = getattr(args, "theta0_mode", "seed")
-    g = _read_graph(args)
-    group = _read_group(g, args)
-    res = run_pipeline(g, group=group, alpha=args.alpha, tau_max=args.tau_max,
-                       theta0_mode=args.theta0_mode)
-    _emit(args, "combined_summary", res.summary())
-    if args.out and "combined" in res.artifacts:
-        sub_group = subdivided_group(group, barycentric_subdivision(g))
-        doc = cover_to_document(res.artifacts["combined"], sub_group)
-        with open(os.path.join(args.out, "combined.json"), "w") as fh:
-            fh.write(report_json(doc) + "\n")
+    res = _run_and_write(args, "combined_summary", ("combined",))
     return 0 if res.ok else 1
 
 
 def cmd_rips(args):
     g = _read_graph(args)
     index = GeodesicIndex(g)
-    theta = _theta_for(g, args.theta, index=index)
+    theta = _theta_for(g, args.theta, lambda: theta3(g, index=index))
     if args.rips_cmd == "build":
         P = build_rips(g, args.d, theta, index=index)
         _emit(args, "rips", {
@@ -376,7 +349,7 @@ def cmd_rips(args):
 def cmd_battery(args):
     g = _read_graph(args)
     group = trivial_group(g)
-    theta0 = _theta_for(g, args.theta)
+    theta0 = _theta_for(g, args.theta, lambda: theta3(g))
     rep = lemma_battery(g, group, theta0, args.trials, args.seed)
     _emit(args, "battery", {"ok": rep.ok, "total": rep.total_checked,
                             "lemmas": rep.summary()})
@@ -469,7 +442,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.cmd](args)
-    except (OSError, json.JSONDecodeError, GraphFormatError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, GraphFormatError, ValueError,
+            PipelineError) as e:
         print(report_json({"error": str(e)}))
         return 2
 

@@ -13,37 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .angles import AngleSet, SmallnessOracle, angle_sum, exists_small_geodesic, \
-    k_fold_sum, theta3, _angle_from_edges
+from .angles import AngleSet, SmallnessOracle, angle_sum, dag_turns, \
+    exists_small_geodesic, k_fold_sum, theta3, trivial_only, \
+    _angle_from_edges
 from .covers import Cover, CoverMember, cover_order
 from .graphs import INF, GeodesicIndex, Subdivision
 from .symmetry import GroupModel, subdivided_group
 
 
-def _turn_pairs(dag, apex, oracle: SmallnessOracle):
-    """All (in-edge, out-edge) original-edge pairs realized at apex."""
-    if apex not in dag.layer or apex in (dag.source, dag.target):
-        return []
-    pred = [p for p, outs in dag.succ.items() if apex in outs]
-    out = []
-    for p in pred:
-        e1 = oracle.step_edge(p, apex)
-        for s in dag.succ[apex]:
-            e2 = oracle.step_edge(apex, s)
-            if e1 != e2:
-                out.append((e1, e2))
-    return out
-
-
-def _all_geodesics_small_at(dag, oracle: SmallnessOracle, theta: AngleSet):
-    """True when no geodesic of the DAG turns theta-large anywhere."""
-    for w in dag.layer:
-        if w in (dag.source, dag.target) or not oracle.is_checked(w):
-            continue
-        for (e1, e2) in _turn_pairs(dag, w, oracle):
-            if not theta.contains_edges(e1, e2):
-                return False
-    return True
+def _turns_large(dag, oracle: SmallnessOracle, theta: AngleSet, at=None):
+    """True when some geodesic of the DAG turns theta-large, anywhere or,
+    given at, at that vertex."""
+    return any(not theta.contains_edges(e1, e2)
+               for _, _, _, e1, e2 in dag_turns(dag, oracle, at))
 
 
 def vplus_membership(group: GroupModel, g, xi, apex, theta: AngleSet,
@@ -53,18 +35,13 @@ def vplus_membership(group: GroupModel, g, xi, apex, theta: AngleSet,
     if index.d(gv0, apex) is INF:
         return False
     oracle = SmallnessOracle(sub, theta)
-    dag_to_apex = index.dag(gv0, apex)
-    if not _all_geodesics_small_at(dag_to_apex, oracle, theta):
+    if _turns_large(index.dag(gv0, apex), oracle, theta):
         return False
     if xi == apex:
         return True
     if index.d(gv0, xi) is INF:
         return False
-    dag = index.dag(gv0, xi)
-    for (e1, e2) in _turn_pairs(dag, apex, oracle):
-        if not theta.contains_edges(e1, e2):
-            return True
-    return False
+    return _turns_large(index.dag(gv0, xi), oracle, theta, at=apex)
 
 
 def _dag_reaches(dag, a, b):
@@ -102,34 +79,19 @@ def interior_certificate(group: GroupModel, g, xi, apex, theta: AngleSet,
     else:
         t3_2, big = _sums
     dag = index.dag(gv0, xi)
-    pred = dag.pred()
-    apex_turns = _turn_pairs(dag, apex, oracle)
-    for (e1, e2) in apex_turns:
+    large_apex_exits = set()
+    for _, _, s, e1, e2 in dag_turns(dag, oracle, at=apex):
         if not big.contains_edges(e1, e2):
             return True
-    large_apex_exits = set()
-    for p in pred[apex] if apex in pred else ():
-        e1 = oracle.step_edge(p, apex)
-        for s in dag.succ[apex]:
-            e2 = oracle.step_edge(apex, s)
-            if e1 != e2 and not theta.contains_edges(e1, e2):
-                large_apex_exits.add(s)
+        if not theta.contains_edges(e1, e2):
+            large_apex_exits.add(s)
     if not large_apex_exits:
         return False
-    for w in dag.layer:
-        if w in (dag.source, dag.target) or not oracle.is_checked(w):
-            continue
-        if dag.layer[w] <= dag.layer.get(apex, INF):
-            continue
-        for p in pred[w]:
-            e1 = oracle.step_edge(p, w)
-            for s in dag.succ[w]:
-                e2 = oracle.step_edge(w, s)
-                if e1 == e2 or t3_2.contains_edges(e1, e2):
-                    continue
-                for exit_v in large_apex_exits:
-                    if _dag_reaches(dag, exit_v, p) or exit_v == p:
-                        return True
+    apex_layer = dag.layer[apex]
+    for w, p, _, e1, e2 in dag_turns(dag, oracle):
+        if dag.layer[w] > apex_layer and not t3_2.contains_edges(e1, e2) \
+                and any(_dag_reaches(dag, x, p) for x in large_apex_exits):
+            return True
     return False
 
 
@@ -145,11 +107,9 @@ def seed_theta0(sub: Subdivision, group: GroupModel, v0, alpha,
                 index: GeodesicIndex = None) -> AngleSet:
     """All angles on geodesics from a ball translate of the base point to a
     vertex on a geodesic between two other ball translates, saturated."""
-    g = sub.graph
     if index is None:
-        index = GeodesicIndex(g)
-    sub_group = group if group.graph == g else subdivided_group(group, sub)
-    from .angles import trivial_only
+        index = GeodesicIndex(sub.graph)
+    sub_group = subdivided_group(group, sub)
     oracle = SmallnessOracle(sub, trivial_only(sub.original))
     ball = sorted({p[v0] for p in sub_group.elements
                    if sub_group.word_length[p] <= alpha})
@@ -164,17 +124,8 @@ def seed_theta0(sub: Subdivision, group: GroupModel, v0, alpha,
         for w in mids:
             if a == w or index.d(a, w) is INF:
                 continue
-            dag = index.dag(a, w)
-            pred = dag.pred()
-            for u in dag.layer:
-                if u in (a, w) or not oracle.is_checked(u):
-                    continue
-                for p in pred[u]:
-                    e1 = oracle.step_edge(p, u)
-                    for s in dag.succ[u]:
-                        e2 = oracle.step_edge(u, s)
-                        if e1 != e2:
-                            angles.add(_angle_from_edges(e1, e2))
+            angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
+                          in dag_turns(index.dag(a, w), oracle))
     from .flow import sub_group_base
     base = AngleSet(sub.original, frozenset(angles))
     return base.saturate(sub_group_base(sub_group, sub))
@@ -189,13 +140,12 @@ def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
     summands; the returned companion size is 6X.  Each layer has order 0,
     so the collection has order at most 2.
     """
-    g = sub.graph
     sub.original.require_cone_separation()
     if index is None:
-        index = GeodesicIndex(g)
+        index = GeodesicIndex(sub.graph)
     if theta3_set is None:
         theta3_set = theta3(sub, index=index)
-    sub_group = group if group.graph == g else subdivided_group(group, sub)
+    sub_group = subdivided_group(group, sub)
     x = angle_sum(theta0, k_fold_sum(theta3_set, 3))
     powers = {1: x}
     for k in (2, 3, 4, 5, 6):
@@ -216,8 +166,7 @@ def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
                 if index.d(gv0, apex) is INF:
                     continue
                 # clause one is shared by every endpoint of this element
-                if not _all_geodesics_small_at(index.dag(gv0, apex),
-                                               oracle, size):
+                if _turns_large(index.dag(gv0, apex), oracle, size):
                     continue
                 for xi in xi_set:
                     if xi == apex:
@@ -225,9 +174,8 @@ def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
                         continue
                     if index.d(gv0, xi) is INF:
                         continue
-                    dag = index.dag(gv0, xi)
-                    if any(not size.contains_edges(e1, e2)
-                           for (e1, e2) in _turn_pairs(dag, apex, oracle)):
+                    if _turns_large(index.dag(gv0, xi), oracle, size,
+                                    at=apex):
                         members.add((ge, xi))
                         if interior_certificate(sub_group, ge, xi, apex, size,
                                                 sub, v0, theta3_set, index,
@@ -247,10 +195,9 @@ def dichotomy_check(sub: Subdivision, group: GroupModel, theta_out: AngleSet,
     Vertex endpoints are tried under the covering clause first; the report
     records which clause fired for each pair.
     """
-    g = sub.graph
     if index is None:
-        index = GeodesicIndex(g)
-    sub_group = group if group.graph == g else subdivided_group(group, sub)
+        index = GeodesicIndex(sub.graph)
+    sub_group = subdivided_group(group, sub)
     oracle = SmallnessOracle(sub, theta_out)
     member_sets = [c.members for c in cones]
     balls = {ge: sub_group.ball(alpha, center=ge) for ge in sub_group.elements}

@@ -18,6 +18,7 @@ from .angles import (
     ThetaMetric,
     angle_sum,
     d_theta,
+    dag_turns,
     k_fold_sum,
     theta3,
     trivial_only,
@@ -36,7 +37,7 @@ from .covers import (
     pair_space,
 )
 from .graphs import INF, GeodesicIndex, Graph, Subdivision, slimness_constant
-from .symmetry import GroupModel, subdivided_group, trivial_group
+from .symmetry import GroupModel, act_angle, subdivided_group, trivial_group
 
 
 def build_cf_hyp(g: Graph, delta: int, index: GeodesicIndex = None):
@@ -84,10 +85,11 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     """Materialize the coarse flow space over ordered endpoint pairs.
 
     Requires theta to contain the doubled triangle-corner size of the
-    subdivision; the endpoint set is saturated under the group so that the
-    triple set is invariant.  Equal endpoint pairs mean constant flow lines
-    and are excluded unless allow_equal is set, in which case their fiber
-    is the chain-metric ball around the endpoint.
+    subdivision and to be invariant under the group; the endpoint set is
+    saturated under the group so that the triple set is invariant.  Equal
+    endpoint pairs mean constant flow lines and are excluded unless
+    allow_equal is set, in which case their fiber is the chain-metric ball
+    around the endpoint.
     """
     g = sub.graph
     if not g.is_connected():
@@ -101,10 +103,12 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     if delta is None:
         delta = slimness_constant(sub.original).delta
     delta_prime = delta + 1
-    if group is None:
-        sub_group = trivial_group(g)
-    else:
-        sub_group = group if group.graph == g else subdivided_group(group, sub)
+    sub_group = trivial_group(g) if group is None \
+        else subdivided_group(group, sub)
+    # invariance under each generator is invariance under the group
+    if any(act_angle(p, t) not in theta.nontrivial
+           for p in sub_group.generators for t in theta.nontrivial):
+        raise ValueError("theta is not invariant under the group")
     endpoints = set(endpoint_set)
     for v in endpoint_set:
         if not sub.is_midpoint(v):
@@ -347,21 +351,6 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
 # ---------------------------------------------------------------------------
 
 
-def _dag_internal_angles(sub, dag, oracle: SmallnessOracle):
-    out = set()
-    pred = dag.pred()
-    for w in dag.layer:
-        if w in (dag.source, dag.target) or not oracle.is_checked(w):
-            continue
-        for p in pred[w]:
-            for s in dag.succ[w]:
-                e1 = oracle.step_edge(p, w)
-                e2 = oracle.step_edge(w, s)
-                if e1 != e2:
-                    out.add(_angle_from_edges(e1, e2))
-    return out
-
-
 def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
                        theta0: AngleSet, theta3_set: AngleSet = None,
                        index: GeodesicIndex = None) -> AngleSet:
@@ -374,12 +363,11 @@ def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
     flow space hypothesis.  Its fitness is checked extensionally by the
     wideness scan, never assumed.
     """
-    g = sub.graph
     if index is None:
-        index = GeodesicIndex(g)
+        index = GeodesicIndex(sub.graph)
     if theta3_set is None:
         theta3_set = theta3(sub, index=index)
-    sub_group = group if group.graph == g else subdivided_group(group, sub)
+    sub_group = subdivided_group(group, sub)
     oracle = SmallnessOracle(sub, trivial_only(sub.original))
     ball = [p[v0] for p in sub_group.elements
             if sub_group.word_length[p] <= alpha]
@@ -388,7 +376,8 @@ def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
         for b in ball:
             if a == b or index.d(a, b) is INF:
                 continue
-            angles |= _dag_internal_angles(sub, index.dag(a, b), oracle)
+            angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
+                          in dag_turns(index.dag(a, b), oracle))
     theta1 = AngleSet(sub.original, frozenset(angles)).saturate(sub_group_base(sub_group, sub))
     t3_3 = k_fold_sum(theta3_set, 3)
     x = angle_sum(theta0.union(theta1), t3_3)

@@ -144,6 +144,8 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
                 isinstance(x, int) and not isinstance(x, bool) for x in pair):
             raise GraphFormatError("bad edge entry %r" % (pair,))
         u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError("edge %r out of range" % (pair,))
         if u == v:
             raise GraphFormatError("self-loop at vertex %r" % u)
         e = canon_edge(u, v)
@@ -151,8 +153,13 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
             raise GraphFormatError("duplicate edge %r" % (e,))
         seen.add(e)
         edges.append(e)
-    if "cone_vertices" in doc and doc["cone_vertices"] is not None:
-        cones = frozenset(doc["cone_vertices"])
+    if doc.get("cone_vertices") is not None:
+        cones = doc["cone_vertices"]
+        if not isinstance(cones, (list, tuple)) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in cones):
+            raise GraphFormatError("'cone_vertices' must be a list of "
+                                   "integers")
+        cones = frozenset(cones)
     else:
         deg = {v: 0 for v in range(n)}
         for (u, v) in edges:
@@ -231,13 +238,15 @@ class GeodesicDag:
     """All geodesics from source to target, as a layered DAG.
 
     succ[u] lists the vertices w adjacent to u with
-    layer[w] = layer[u] + 1 lying on at least one geodesic.
+    layer[w] = layer[u] + 1 lying on at least one geodesic; pred[w] lists
+    the vertices u with w in succ[u].  Both are sorted tuples.
     """
 
     source: int
     target: int
     layer: dict
     succ: dict
+    pred: dict
 
     def length(self):
         return self.layer[self.target]
@@ -249,13 +258,6 @@ class GeodesicDag:
         for u in sorted(self.succ):
             for w in self.succ[u]:
                 yield (u, w)
-
-    def pred(self):
-        p = {v: [] for v in self.layer}
-        for u, ws in self.succ.items():
-            for w in ws:
-                p[w].append(u)
-        return {v: tuple(sorted(us)) for v, us in p.items()}
 
 
 def geodesic_dag(g: Graph, u, v, dist=None) -> GeodesicDag:
@@ -274,11 +276,16 @@ def geodesic_dag(g: Graph, u, v, dist=None) -> GeodesicDag:
     for w in g.vertices:
         if du[w] is not INF and du[w] + dv[w] == total:
             layer[w] = du[w]
+    pred = {w: [] for w in layer}
+    # layer lists the vertices in increasing order, so pred comes out sorted
     for a in layer:
         outs = tuple(sorted(b for b in g.neighbors(a)
                             if b in layer and layer[b] == layer[a] + 1))
         succ[a] = outs
-    return GeodesicDag(u, v, layer, succ)
+        for b in outs:
+            pred[b].append(a)
+    return GeodesicDag(u, v, layer, succ,
+                       {w: tuple(ps) for w, ps in pred.items()})
 
 
 def enumerate_geodesics(dag: GeodesicDag, cap: int):

@@ -10,9 +10,10 @@ with order at most the flow order plus three.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .angles import theta3
+from .angles import AngleSet, all_angles, theta3
 from .cones import cone_cover, cone_sets_as_cover, combined_cover, \
     dichotomy_check, seed_theta0
 from .covers import Cover, verify_cover
@@ -23,10 +24,11 @@ from .flow import (
     cf_pair_space,
     cover_cf,
     pullback_cover,
+    theta_for_wideness,
     wideness_scan,
 )
-from .graphs import GeodesicIndex, Graph, INF, barycentric_subdivision, \
-    slimness_constant
+from .graphs import GeodesicIndex, Graph, INF, Subdivision, \
+    barycentric_subdivision, slimness_constant
 from .symmetry import ALL_SUBGROUPS, GroupModel, close_group, \
     subdivided_group, trivial_group
 
@@ -37,28 +39,72 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+@dataclass(frozen=True)
+class Instance:
+    """A graph model measured on its barycentric subdivision.
+
+    Every cover is built from this one object: the graph, the lift of its
+    group to the subdivision with the subdivision's geodesic index, the
+    base vertex v0, the boundary surrogates standing in for ideal endpoints,
+    the corner size t3 and, computed on first use, the slimness delta.
+    """
+
+    graph: Graph
+    sub: Subdivision
+    index: GeodesicIndex
+    sub_group: GroupModel
+    v0: int
+    boundary: tuple
+    t3: AngleSet
+
+    @cached_property
+    def delta(self):
+        return slimness_constant(self.graph).delta
+
+    def cone_targets(self):
+        """Endpoints of the cone sets: cone vertices and boundary surrogates."""
+        return tuple(sorted(set(self.graph.cone_vertices)
+                            | set(self.boundary)))
+
+    def flow_endpoints(self):
+        """Endpoints of the flow space: the boundary surrogates and the orbit
+        of the base vertex, since pullback slices sit over pairs (g v0, xi)."""
+        return tuple(sorted(set(self.boundary)
+                            | {p[self.v0] for p in self.sub_group.elements}))
+
+
+def build_instance(g: Graph, group: GroupModel = None) -> Instance:
+    """Check that the graph model is connected and has an edge, subdivide
+    it and lift the group (default trivial); the base vertex is the
+    midpoint of the least edge.  Cone separation is left to cone_cover,
+    since the flow space does not need it."""
+    if not g.is_connected():
+        raise PipelineError("load", "graph is disconnected")
+    if not g.edges:
+        raise PipelineError("load", "graph has no edges")
+    if group is None:
+        group = trivial_group(g)
+    sub = barycentric_subdivision(g)
+    index = GeodesicIndex(sub.graph)
+    sub_group = subdivided_group(group, sub)
+    v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
+    # Finite stand-ins for ideal endpoints must never collide with an orbit
+    # translate of the base vertex, or flow lines degenerate to points.
+    orbit = {p[v0] for p in sub_group.elements}
+    boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
+    return Instance(g, sub, index, sub_group, v0, boundary,
+                    theta3(sub, index=index))
+
+
 @dataclass
 class PipelineResult:
     ok: bool
     stages: dict
-    artifacts: dict = field(default_factory=dict)
+    instance: Instance
+    artifacts: dict
 
     def summary(self):
         return {"ok": self.ok, "stages": self.stages}
-
-
-def default_base_vertex(sub):
-    return sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-
-
-def boundary_surrogates(sub, sub_group, v0):
-    """Midpoint vertices outside the orbit of the base point.
-
-    Finite stand-ins for ideal endpoints must never collide with an orbit
-    translate of the base vertex, or flow lines degenerate to points.
-    """
-    orbit = {p[v0] for p in sub_group.elements}
-    return tuple(v for v in sub.ve_vertices() if v not in orbit)
 
 
 def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
@@ -66,57 +112,48 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
                  theta0_mode="seed") -> PipelineResult:
     stages = {}
     artifacts = {}
-    if not g.is_connected():
-        raise PipelineError("load", "graph is disconnected")
-    g.require_cone_separation()
-    if group is None:
-        group = close_group(g, generators) if generators else trivial_group(g)
-    sub = barycentric_subdivision(g)
-    index = GeodesicIndex(sub.graph)
-    sub_group = subdivided_group(group, sub)
-    delta = slimness_constant(g).delta
-    delta_prime = delta + 1
-    v0 = default_base_vertex(sub)
+    if group is None and generators:
+        group = close_group(g, generators)
+    inst = build_instance(g, group)
+    if boundary_set is not None:
+        inst = replace(inst, boundary=tuple(boundary_set))
+    sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
+    t3, delta = inst.t3, inst.delta
+
+    def result(ok):
+        return PipelineResult(ok, stages, inst, artifacts)
+
     stages["setup"] = {
         "vertices": g.vertex_count, "edges": len(g.edges),
-        "group_order": len(group), "delta": delta, "base_vertex": v0,
+        "group_order": len(sub_group), "delta": delta, "base_vertex": v0,
     }
-
-    t3 = theta3(sub, index=index)
     stages["theta3"] = {"nontrivial": len(t3)}
 
-    theta0 = seed_theta0(sub, group, v0, alpha, index=index)
+    theta0 = seed_theta0(sub, sub_group, v0, alpha, index=index)
     if theta0_mode == "all":
         # any size containing the seed is legal; the saturated choice routes
         # every boundary direction through the flow branch
-        from .angles import all_angles
         theta0 = theta0.union(all_angles(g))
     elif theta0_mode != "seed":
         raise ValueError("theta0_mode must be 'seed' or 'all'")
-    if boundary_set is None:
-        boundary_set = boundary_surrogates(sub, sub_group, v0)
-    xi_cone = tuple(sorted(set(g.cone_vertices) | set(boundary_set)))
-    cones, theta_out = cone_cover(sub, group, theta0, alpha, v0, xi_cone,
+    xi_cone = inst.cone_targets()
+    cones, theta_out = cone_cover(sub, sub_group, theta0, alpha, v0, xi_cone,
                                   theta3_set=t3, index=index)
     stages["cone"] = {"cone_sets": len(cones), "theta_out": len(theta_out),
                       "theta0": len(theta0)}
 
-    dich = dichotomy_check(sub, group, theta_out, alpha, v0, cones, xi_cone,
-                           index=index)
+    dich = dichotomy_check(sub, sub_group, theta_out, alpha, v0, cones,
+                           xi_cone, index=index)
     stages["dichotomy"] = {"ok": dich["ok"], "clauses": dich["clauses"],
                            "failures": dich["failures"][:4]}
     if not dich["ok"]:
-        return PipelineResult(False, stages, artifacts)
+        return result(False)
 
-    from .flow import theta_for_wideness
-    theta_cf = theta_for_wideness(sub, group, v0, alpha, theta_out,
+    theta_cf = theta_for_wideness(sub, sub_group, v0, alpha, theta_out,
                                   theta3_set=t3, index=index)
-    # pullback slices sit over pairs (g v0, xi), so the endpoint set must
-    # carry the orbit of the base vertex alongside the boundary surrogates
-    cf_endpoints = tuple(sorted(set(boundary_set)
-                                | {p[v0] for p in sub_group.elements}))
-    cf = build_cf_theta(sub, theta_cf, cf_endpoints, group=group,
-                        delta=delta, index=index, theta3_set=t3)
+    cf = build_cf_theta(sub, theta_cf, inst.flow_endpoints(),
+                        group=sub_group, delta=delta, index=index,
+                        theta3_set=t3)
     stages["flow_space"] = {"fibers": len(cf.fibers),
                             "triples": len(cf.triples),
                             "theta_cf": len(theta_cf)}
@@ -125,12 +162,12 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     doubling = cf_doubling_report(cf, compute_tightest=False)
     stages["flow_doubling"] = {"ok": doubling["ok"], "R": doubling["R"]}
     if not doubling["ok"]:
-        return PipelineResult(False, stages, artifacts)
+        return result(False)
 
     ball = [p for p in sub_group.elements
             if sub_group.word_length[p] <= alpha]
     reach = max(index.d(v0, p[v0]) for p in ball) // 2
-    alpha_prime = reach + 2 * delta_prime
+    alpha_prime = reach + 2 * (delta + 1)
     space = cf_pair_space(cf)
     flow_cover = cover_cf(cf, alpha_prime, space=space)
     flow_report = verify_cover(flow_cover, space, alpha_prime, ALL_SUBGROUPS)
@@ -140,9 +177,9 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     }
     artifacts["flow_cover"] = flow_cover
     if not flow_report.ok:
-        return PipelineResult(False, stages, artifacts)
+        return result(False)
 
-    targets = ball_closed_targets(cf, v0, alpha, boundary_set)
+    targets = ball_closed_targets(cf, v0, alpha, inst.boundary)
     if targets:
         scan = wideness_scan(cf, flow_cover, alpha, targets,
                              range(0, tau_max + 1), v0)
@@ -150,7 +187,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
                                    "tau": scan.passing_tau,
                                    "witness": scan.witness[:2]}
         if not scan.ok:
-            return PipelineResult(False, stages, artifacts)
+            return result(False)
         pull = pullback_cover(cf, flow_cover, scan.passing_tau, targets, v0)
     else:
         stages["wideness_scan"] = {"targets": 0, "tau": None, "witness": ()}
@@ -184,8 +221,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
         "flow_order": pull.order, "order_ok": order_ok,
         "wide_failures": wide_failures[:4],
     }
-    ok = order_ok and not wide_failures
-    return PipelineResult(ok, stages, artifacts)
+    return result(order_ok and not wide_failures)
 
 
 # ---------------------------------------------------------------------------

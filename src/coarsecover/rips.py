@@ -15,8 +15,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from .angles import AngleSet, SmallnessOracle, exists_small_geodesic, \
-    k_fold_sum
+from .angles import AngleSet, SmallnessOracle, dag_turns, \
+    exists_small_geodesic, k_fold_sum
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
 
@@ -160,22 +160,9 @@ def _large_angle_vertices(index: GeodesicIndex, oracle: SmallnessOracle,
     if v0 == v:
         return {}
     dag = index.dag(v0, v)
-    pred = dag.pred()
     out = {}
-    for w in dag.layer:
-        if w in (v0, v) or not oracle.is_checked(w):
-            continue
-        hit = False
-        for p in pred[w]:
-            e1 = oracle.step_edge(p, w)
-            for s in dag.succ[w]:
-                e2 = oracle.step_edge(w, s)
-                if e1 != e2 and not small.contains_edges(e1, e2):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
+    for w, _, _, e1, e2 in dag_turns(dag, oracle):
+        if w not in out and not small.contains_edges(e1, e2):
             out[w] = dag.layer[w]
     return out
 

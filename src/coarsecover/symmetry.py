@@ -359,7 +359,12 @@ def subdivision_perm(perm, subdivision):
 
 
 def subdivided_group(G: GroupModel, subdivision) -> GroupModel:
-    """The same abstract group acting on the subdivided graph."""
+    """The same abstract group acting on the subdivided graph.
+
+    A group already acting on the subdivision is returned unchanged.
+    """
+    if G.graph == subdivision.graph:
+        return G
     lift = {p: subdivision_perm(p, subdivision) for p in G.elements}
     elements = tuple(sorted(lift.values()))
     word = {lift[p]: G.word_length[p] for p in G.elements}

@@ -5,9 +5,11 @@ graph, exhaustive triangle enumeration, direct definitional scans.  They
 are slow and only ever run on small instances.
 """
 
+import heapq
 from itertools import combinations, product
 
-from coarsecover.graphs import INF, canon_edge, distance_matrix
+from coarsecover.angles import SmallnessOracle, exists_small_geodesic
+from coarsecover.graphs import INF, GeodesicIndex, canon_edge, distance_matrix
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -256,3 +258,101 @@ def verify_cover_definitional(members, space, alpha, family):
         if m and not family.contains(frozenset(stab), G):
             f_subsets = False
     return order, not_long, invariant, f_subsets
+
+
+# ---------------------------------------------------------------------------
+# References built on the library's geodesic DAGs: the chain metric by its
+# definition, and the observer basis sets (finite shadows)
+# ---------------------------------------------------------------------------
+
+
+def d_theta_definitional_oracle(sub, theta, index=None):
+    """Slow reference: Dijkstra over hops of every length.
+
+    Hop (w, w') is admitted whenever some small geodesic joins w and w',
+    with weight equal to the graph distance.  Used to cross-check d_theta.
+    """
+    oracle = SmallnessOracle(sub, theta)
+    if index is None:
+        index = GeodesicIndex(sub.graph)
+    order = sub.ve_vertices()
+    hops = {w: [] for w in order}
+    for i, w in enumerate(order):
+        for w2 in order[i + 1:]:
+            dg = index.d(w, w2)
+            if dg is INF:
+                continue
+            if exists_small_geodesic(index.dag(w, w2), oracle):
+                units = dg // 2
+                hops[w].append((w2, units))
+                hops[w2].append((w, units))
+    out = {}
+    for src in order:
+        dist = {src: 0}
+        heap = [(0, src)]
+        while heap:
+            dv, u = heapq.heappop(heap)
+            if dv > dist.get(u, INF):
+                continue
+            for (w, wt) in hops[u]:
+                nd = dv + wt
+                if nd < dist.get(w, INF):
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, w))
+        for w in order:
+            out[(src, w)] = dist.get(w, INF)
+    return out
+
+
+def observer_set_all(g, xi, v0_set, index=None):
+    """Vertices xi' whose every geodesic to xi misses v0_set minus {xi}.
+
+    Every geodesic vertex lies on some geodesic, so the condition is that
+    the whole geodesic vertex set avoids the forbidden vertices.
+    """
+    if index is None:
+        index = GeodesicIndex(g)
+    avoid = frozenset(v0_set) - {xi}
+    out = set()
+    for x2 in g.vertices:
+        if index.d(xi, x2) is INF:
+            continue
+        if x2 == xi:
+            out.add(x2)
+            continue
+        if not (set(index.geodesic_vertex_set(xi, x2)) & avoid):
+            out.add(x2)
+    return frozenset(out)
+
+
+def observer_set_exists(g, xi, v0_set, index=None):
+    """Vertices xi' joined to xi by some geodesic missing v0_set minus {xi}."""
+    if index is None:
+        index = GeodesicIndex(g)
+    avoid = frozenset(v0_set) - {xi}
+    out = set()
+    for x2 in g.vertices:
+        if index.d(xi, x2) is INF:
+            continue
+        if x2 == xi:
+            out.add(x2)
+            continue
+        if _reachable_avoiding(index.dag(xi, x2), avoid):
+            out.add(x2)
+    return frozenset(out)
+
+
+def _reachable_avoiding(dag, avoid):
+    if dag.source in avoid or dag.target in avoid:
+        return False
+    stack = [dag.source]
+    seen = {dag.source}
+    while stack:
+        u = stack.pop()
+        if u == dag.target:
+            return True
+        for w in dag.succ[u]:
+            if w not in seen and w not in avoid:
+                seen.add(w)
+                stack.append(w)
+    return False

@@ -11,12 +11,9 @@ from coarsecover.angles import (
     angles_of_geodesic,
     angleset_to_document,
     d_theta,
-    d_theta_definitional_oracle,
     k_fold_sum,
     lemma_battery,
     load_angleset,
-    observer_set_all,
-    observer_set_exists,
     theta3,
     theta3_circuit_bound_check,
     theta_ball,
@@ -43,8 +40,9 @@ from coarsecover.graphs import (
     slimness_constant,
 )
 from coarsecover.symmetry import trivial_group
-from oracles import angle_sum_brute, theta3_brute, theta3_subdivision_brute, \
-    theta_small_paths_brute
+from oracles import angle_sum_brute, d_theta_definitional_oracle, \
+    observer_set_all, observer_set_exists, theta3_brute, \
+    theta3_subdivision_brute, theta_small_paths_brute
 
 C6 = cycle_graph(6)
 

@@ -60,7 +60,13 @@ class TestAnalyze:
         ({"vertices": 3, "edges": [[0, 1], [1, 2]], "labels": [1]},
          "'labels' must be an object"),
         ({"vertices": True, "edges": []}, "'vertices' must be"),
-    ], ids=["labels-list", "vertices-bool"])
+        ({"vertices": 3, "edges": [[0, 5]]}, "out of range"),
+        ({"vertices": 3, "edges": [[0, 1]], "cone_vertices": 5},
+         "'cone_vertices' must be"),
+        ({"vertices": 3, "edges": [[0, 1]], "cone_vertices": ["a"]},
+         "'cone_vertices' must be"),
+    ], ids=["labels-list", "vertices-bool", "edge-out-of-range",
+            "cone-vertices-int", "cone-vertex-str"])
     def test_malformed_fields_are_usage_errors(self, tmp_path, capsys, doc,
                                                message):
         p = tmp_path / "bad.json"
@@ -156,7 +162,7 @@ class TestRunConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "graph_path": gpath, "alpha": 1, "tau_max": 2,
-            "theta0_mode": "all", "caps": {"geodesics": 1000}, "seed": 7}))
+            "theta0_mode": "all"}))
         args = ["pipeline", "--graph", gpath, "--config", str(cfg)]
         code, out1 = run_cli(args, capsys)
         assert code == 0
@@ -169,11 +175,25 @@ class TestRunConfig:
         code, _ = run_cli(["pipeline", "--graph", "x", "--config", str(cfg)],
                           capsys)
         assert code == 2
+        # caps are no configuration key, so any caps entry is refused
         cfg.write_text(json.dumps({"graph_path": str(cfg),
                                    "caps": {"bad": 0}}))
-        code, _ = run_cli(["pipeline", "--graph", "x", "--config", str(cfg)],
-                          capsys)
+        code, out = run_cli(["pipeline", "--graph", "x", "--config",
+                             str(cfg)], capsys)
         assert code == 2
+        assert "caps" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 4), ("theta_path", "t.json"), ("caps", {}), ("seed", 0)])
+    def test_ignored_fields_are_unknown_keys(self, tmp_graph, tmp_path,
+                                             capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph_path": tmp_graph(path_graph(4)),
+                                   key: value}))
+        code, out = run_cli(["pipeline", "--graph", "x", "--config",
+                             str(cfg)], capsys)
+        assert code == 2
+        assert key in json.loads(out)["error"]
 
     def test_unknown_config_key_is_usage_error(self, tmp_graph, tmp_path,
                                                capsys):
@@ -257,6 +277,16 @@ class TestRemainingSurfaces:
         assert code == 0
         assert json.loads(out)["members"]
 
+    def test_cf_tfold_uses_the_subdivision_corner_size(self, tmp_graph,
+                                                       capsys):
+        # the doubled corner size of the subdivision always passes the
+        # flow-space hypothesis, also on a graph with cycles
+        code, out = run_cli(["cf", "build", "--graph",
+                             tmp_graph(cycle_graph(6)), "--theta", "tfold:2"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["triples"]
+
     def test_cf_build_lists_triples(self, tmp_graph, capsys):
         code, out = run_cli(["cf", "build", "--graph",
                              tmp_graph(path_graph(6)), "--theta", "all"],
@@ -272,3 +302,44 @@ class TestRemainingSurfaces:
         doc = json.loads(out)
         assert doc["cone_sets"]
         assert all("apex" in c and "members" in c for c in doc["cone_sets"])
+
+
+class TestInstanceInputs:
+    """Inputs no subdivided instance can be built from are usage errors."""
+
+    SUBDIVIDING = [["pipeline"], ["cover", "combine"], ["cone", "build"],
+                   ["cone", "dichotomy"], ["cf", "build"]]
+
+    @pytest.mark.parametrize("cmd", SUBDIVIDING, ids=" ".join)
+    def test_disconnected_graph(self, tmp_path, capsys, cmd):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [2, 3]]}))
+        code, out = run_cli(cmd + ["--graph", str(p)], capsys)
+        assert code == 2
+        assert "disconnected" in json.loads(out)["error"]
+
+    def test_graph_without_edges(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": 1, "edges": []}))
+        code, out = run_cli(["pipeline", "--graph", str(p)], capsys)
+        assert code == 2
+        assert "no edges" in json.loads(out)["error"]
+
+    def test_theta_not_invariant_under_action(self, tmp_graph, tmp_path,
+                                               capsys):
+        # angles at vertices 1 and 2 of the first leg only; the rotation
+        # moves them to the other legs
+        gpath = tmp_graph(spider(3, 4))
+        apath = tmp_path / "act.json"
+        apath.write_text(json.dumps({"rot": [list(spider_rotation(3, 4))]}))
+        tpath = tmp_path / "theta.json"
+        tpath.write_text(json.dumps([[0, 1, 2], [1, 2, 3]]))
+        code, out = run_cli(["cf", "build", "--graph", gpath, "--action",
+                             str(apath), "--theta", "file:%s" % tpath],
+                            capsys)
+        assert code == 2
+        assert "not invariant" in json.loads(out)["error"]
+        tpath.write_text(json.dumps([[0, 1, 2], [0, 5, 6], [0, 9, 10]]))
+        code, _ = run_cli(["cf", "build", "--graph", gpath, "--action",
+                           str(apath), "--theta", "file:%s" % tpath], capsys)
+        assert code == 0

@@ -1,5 +1,5 @@
-"""Property tests: the geodesic-triangle kernels against the brute-force
-oracles.
+"""Property tests: the geodesic-triangle kernels and the geodesic-DAG turn
+iterator against the brute-force oracles.
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
@@ -10,11 +10,16 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from coarsecover.angles import theta3
+from coarsecover.angles import SmallnessOracle, dag_turns, theta3, \
+    trivial_only
 from coarsecover.graphs import (
+    INF,
     barycentric_subdivision,
+    canon_edge,
     distance_matrix,
+    enumerate_geodesics,
     geodesic_counts,
+    geodesic_dag,
     make_graph,
     slimness_constant,
 )
@@ -94,3 +99,51 @@ def test_slimness_matches_brute(g):
 @given(graphs(max_n=6, max_extra=4, connected=True))
 def test_slimness_on_subdivision_matches_brute(g):
     _check_slimness(barycentric_subdivision(g).graph)
+
+
+def _check_dag_turns(g, sub=None):
+    """dag_turns against the turns read off every enumerated geodesic."""
+    if sub is None:
+        graph, oracle = g, SmallnessOracle(g, trivial_only(g))
+
+        def step(a, b):
+            return canon_edge(a, b)
+    else:
+        graph, oracle = sub.graph, SmallnessOracle(sub, trivial_only(g))
+
+        def step(a, b):
+            return sub.edge_of_midpoint[a if sub.is_midpoint(a) else b]
+    dist = distance_matrix(graph)
+    for u in graph.vertices:
+        for v in graph.vertices:
+            if dist[u][v] is INF:
+                continue
+            dag = geodesic_dag(graph, u, v, dist)
+            for w in dag.layer:
+                assert dag.pred[w] == tuple(sorted(
+                    a for a in dag.succ if w in dag.succ[a]))
+            want = set()
+            for path in enumerate_geodesics(dag, 10 ** 5):
+                for p, w, s in zip(path, path[1:], path[2:]):
+                    if sub is None or not sub.is_midpoint(w):
+                        e1, e2 = step(p, w), step(w, s)
+                        if e1 != e2:
+                            want.add((w, p, s, e1, e2))
+            got = list(dag_turns(dag, oracle))
+            assert len(got) == len(set(got))
+            assert set(got) == want
+            for at in graph.vertices:
+                assert list(dag_turns(dag, oracle, at=at)) == \
+                    [t for t in got if t[0] == at]
+
+
+@SETTINGS
+@given(graphs())
+def test_dag_turns_match_enumerated_geodesics(g):
+    _check_dag_turns(g)
+
+
+@SETTINGS
+@given(graphs())
+def test_dag_turns_on_subdivision_match_enumerated_geodesics(g):
+    _check_dag_turns(g, barycentric_subdivision(g))

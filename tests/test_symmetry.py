@@ -184,3 +184,11 @@ class TestSubdividedAction:
                       if q[:g.vertex_count] == p]
             assert len(lifted) == 1
             assert Gs.word_length[lifted[0]] == G.word_length[p]
+
+    def test_lift_is_idempotent(self):
+        g = spider(3, 4)
+        sub = barycentric_subdivision(g)
+        Gs = subdivided_group(close_group(g, [spider_rotation(3, 4)]), sub)
+        assert subdivided_group(Gs, sub) is Gs
+        trivial = subdivided_group(trivial_group(g), sub)
+        assert subdivided_group(trivial, sub) is trivial
