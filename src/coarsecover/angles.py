@@ -305,7 +305,6 @@ def exists_small_geodesic(dag: GeodesicDag, oracle: SmallnessOracle,
         return True
     if dag.length() == 1:
         return init_ok is None or init_ok(dag.target)
-    fwd = _forward_states(dag, oracle)
     bwd = _backward_states(dag, oracle)
     for w in dag.succ[dag.source]:
         if init_ok is not None and not init_ok(w):
@@ -344,7 +343,7 @@ def vertices_on_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle):
 
 
 def enumerate_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle,
-                              cap: int, init_ok=None):
+                              cap: int):
     out = []
     path = [dag.source]
 
@@ -355,8 +354,6 @@ def enumerate_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle,
             out.append(list(path))
             return
         for w in dag.succ[u]:
-            if len(path) == 1 and init_ok is not None and not init_ok(w):
-                continue
             if len(path) >= 2 and not oracle.turn_ok(path[-2], u, w):
                 continue
             path.append(w)

@@ -74,6 +74,16 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        for key, optional in (("graph_path", False), ("action_path", True),
+                              ("action_name", True)):
+            v = getattr(self, key)
+            if not isinstance(v, str) and not (optional and v is None):
+                raise GraphFormatError("%r must be a string" % key)
+        for key in ("alpha", "tau_max"):
+            v = getattr(self, key)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise GraphFormatError("%r must be a nonnegative integer"
+                                       % key)
         for p in (self.graph_path, self.action_path):
             if p is not None and not os.path.exists(p):
                 raise GraphFormatError("missing file %r" % p)
@@ -98,10 +108,16 @@ def _read_group(g, args):
             name = json.load(fh).get("action")
     if name is None:
         name = min(doc, default=None)
-    if name not in doc:
-        raise GraphFormatError("no action named %r" % name)
-    perms = [tuple(p) for p in doc[name]]
-    return close_group(g, perms)
+    if not isinstance(name, str) or name not in doc:
+        raise GraphFormatError("no action named %r" % (name,))
+    perms = doc[name]
+    if not isinstance(perms, list) or not all(
+            isinstance(p, list) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in p)
+            for p in perms):
+        raise GraphFormatError("action %r must be a list of integer lists"
+                               % name)
+    return close_group(g, [tuple(p) for p in perms])
 
 
 def _read_instance(args):
@@ -242,6 +258,8 @@ def cmd_export_dot(args):
     g = _read_graph(args)
     if args.dag:
         u, v = map(int, args.dag.split(","))
+        if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+            raise GraphFormatError("--dag vertex out of range: %s" % args.dag)
         sys.stdout.write(dag_to_dot(geodesic_dag(g, u, v)))
     else:
         sys.stdout.write(graph_to_dot(g))
@@ -283,13 +301,11 @@ def cmd_cf(args):
 
 def cmd_cone(args):
     inst = _read_instance(args)
-    sub, sub_group, v0, index = inst.sub, inst.sub_group, inst.v0, inst.index
-    xi = inst.cone_targets()
-    theta0 = seed_theta0(sub, sub_group, v0, args.alpha, index=index)
+    sub_group, xi = inst.sub_group, inst.cone_targets()
+    theta0 = seed_theta0(inst, args.alpha)
     if args.theta0_mode == "all":
         theta0 = theta0.union(all_angles(inst.graph))
-    cones, theta_out = cone_cover(sub, sub_group, theta0, args.alpha, v0, xi,
-                                  theta3_set=inst.t3, index=index)
+    cones, theta_out = cone_cover(inst, theta0, args.alpha, xi)
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
@@ -301,8 +317,7 @@ def cmd_cone(args):
         _emit(args, "cones", {"theta_out": angleset_to_document(theta_out),
                               "cone_sets": data})
         return 0
-    rep = dichotomy_check(sub, sub_group, theta_out, args.alpha, v0, cones, xi,
-                          index=index)
+    rep = dichotomy_check(inst, theta_out, args.alpha, cones, xi)
     _emit(args, "dichotomy", rep)
     return 0 if rep["ok"] else 1
 

@@ -12,13 +12,16 @@ separately instead of inventing a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, dag_turns, \
-    exists_small_geodesic, k_fold_sum, theta3, trivial_only, \
-    _angle_from_edges
+    exists_small_geodesic, k_fold_sum, trivial_only, _angle_from_edges
 from .covers import Cover, CoverMember, cover_order
-from .graphs import INF, GeodesicIndex, Subdivision
-from .symmetry import GroupModel, subdivided_group
+from .graphs import INF
+from .symmetry import GroupModel
+
+if TYPE_CHECKING:
+    from .pipeline import Instance
 
 
 def _turns_large(dag, oracle: SmallnessOracle, theta: AngleSet, at=None):
@@ -28,13 +31,13 @@ def _turns_large(dag, oracle: SmallnessOracle, theta: AngleSet, at=None):
                for _, _, _, e1, e2 in dag_turns(dag, oracle, at))
 
 
-def vplus_membership(group: GroupModel, g, xi, apex, theta: AngleSet,
-                     sub: Subdivision, v0, index: GeodesicIndex) -> bool:
+def vplus_membership(inst: Instance, g, xi, apex, theta: AngleSet) -> bool:
     """Both clauses of the cone-set definition, by geodesic DAG scans."""
-    gv0 = g[v0]
+    index = inst.index
+    gv0 = g[inst.v0]
     if index.d(gv0, apex) is INF:
         return False
-    oracle = SmallnessOracle(sub, theta)
+    oracle = SmallnessOracle(inst.sub, theta)
     if _turns_large(index.dag(gv0, apex), oracle, theta):
         return False
     if xi == apex:
@@ -60,21 +63,21 @@ def _dag_reaches(dag, a, b):
     return False
 
 
-def interior_certificate(group: GroupModel, g, xi, apex, theta: AngleSet,
-                         sub: Subdivision, v0, theta3_set: AngleSet,
-                         index: GeodesicIndex, _sums=None) -> bool:
+def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
+                         _sums=None) -> bool:
     """Sufficient condition for the pair to sit in the cone set's interior.
 
     Either some geodesic to xi turns (theta + doubled corner size)-large at
     the apex, or a single geodesic turns theta-large at the apex and twice-
     corner-large at a strictly later internal vertex.
     """
-    gv0 = g[v0]
+    index = inst.index
+    gv0 = g[inst.v0]
     if xi == apex or index.d(gv0, xi) is INF:
         return False
-    oracle = SmallnessOracle(sub, theta)
+    oracle = SmallnessOracle(inst.sub, theta)
     if _sums is None:
-        t3_2 = k_fold_sum(theta3_set, 2)
+        t3_2 = k_fold_sum(inst.t3, 2)
         big = angle_sum(theta, t3_2)
     else:
         t3_2, big = _sums
@@ -103,15 +106,12 @@ class ConeSet:
     certified_interior: frozenset
 
 
-def seed_theta0(sub: Subdivision, group: GroupModel, v0, alpha,
-                index: GeodesicIndex = None) -> AngleSet:
+def seed_theta0(inst: Instance, alpha) -> AngleSet:
     """All angles on geodesics from a ball translate of the base point to a
     vertex on a geodesic between two other ball translates, saturated."""
-    if index is None:
-        index = GeodesicIndex(sub.graph)
-    sub_group = subdivided_group(group, sub)
-    oracle = SmallnessOracle(sub, trivial_only(sub.original))
-    ball = sorted({p[v0] for p in sub_group.elements
+    index, sub_group = inst.index, inst.sub_group
+    oracle = SmallnessOracle(inst.sub, trivial_only(inst.graph))
+    ball = sorted({p[inst.v0] for p in sub_group.elements
                    if sub_group.word_length[p] <= alpha})
     angles = set()
     mids = set()
@@ -126,33 +126,25 @@ def seed_theta0(sub: Subdivision, group: GroupModel, v0, alpha,
                 continue
             angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
                           in dag_turns(index.dag(a, w), oracle))
-    from .flow import sub_group_base
-    base = AngleSet(sub.original, frozenset(angles))
-    return base.saturate(sub_group_base(sub_group, sub))
+    return AngleSet(inst.graph, frozenset(angles)).saturate(sub_group)
 
 
-def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
-               alpha, v0, xi_set, theta3_set: AngleSet = None,
-               index: GeodesicIndex = None):
+def cone_cover(inst: Instance, theta0: AngleSet, alpha, xi_set):
     """Three layers of cone sets over all original apexes.
 
     Layers use sizes 2X, 5X and 6X where X pads theta0 with three corner
     summands; the returned companion size is 6X.  Each layer has order 0,
     so the collection has order at most 2.
     """
-    sub.original.require_cone_separation()
-    if index is None:
-        index = GeodesicIndex(sub.graph)
-    if theta3_set is None:
-        theta3_set = theta3(sub, index=index)
-    sub_group = subdivided_group(group, sub)
-    x = angle_sum(theta0, k_fold_sum(theta3_set, 3))
+    inst.graph.require_cone_separation()
+    sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
+    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
     powers = {1: x}
     for k in (2, 3, 4, 5, 6):
         powers[k] = angle_sum(powers[k - 1], x)
     layer_sizes = {1: powers[2], 2: powers[5], 3: powers[6]}
     theta_out = powers[6]
-    t3_2 = k_fold_sum(theta3_set, 2)
+    t3_2 = k_fold_sum(inst.t3, 2)
     sums = {layer: (t3_2, angle_sum(size, t3_2))
             for layer, size in layer_sizes.items()}
     cones = []
@@ -177,8 +169,7 @@ def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
                     if _turns_large(index.dag(gv0, xi), oracle, size,
                                     at=apex):
                         members.add((ge, xi))
-                        if interior_certificate(sub_group, ge, xi, apex, size,
-                                                sub, v0, theta3_set, index,
+                        if interior_certificate(inst, ge, xi, apex, size,
                                                 _sums=sums[layer]):
                             certified.add((ge, xi))
             if members:
@@ -187,24 +178,21 @@ def cone_cover(sub: Subdivision, group: GroupModel, theta0: AngleSet,
     return cones, theta_out
 
 
-def dichotomy_check(sub: Subdivision, group: GroupModel, theta_out: AngleSet,
-                    alpha, v0, cones, xi_set,
-                    index: GeodesicIndex = None) -> dict:
+def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
+                    xi_set) -> dict:
     """Every eligible pair is widely cone-covered or flows small.
 
     Vertex endpoints are tried under the covering clause first; the report
     records which clause fired for each pair.
     """
-    if index is None:
-        index = GeodesicIndex(sub.graph)
-    sub_group = subdivided_group(group, sub)
-    oracle = SmallnessOracle(sub, theta_out)
+    index, sub_group = inst.index, inst.sub_group
+    oracle = SmallnessOracle(inst.sub, theta_out)
     member_sets = [c.members for c in cones]
     balls = {ge: sub_group.ball(alpha, center=ge) for ge in sub_group.elements}
     failures = []
     clause_counts = {"cone": 0, "small-geodesic": 0}
     for ge in sub_group.elements:
-        gv0 = ge[v0]
+        gv0 = ge[inst.v0]
         for xi in xi_set:
             if index.d(gv0, xi) is INF:
                 continue

@@ -11,6 +11,7 @@ original units, so every bound here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .angles import (
     AngleSet,
@@ -38,6 +39,9 @@ from .covers import (
 )
 from .graphs import INF, GeodesicIndex, Graph, Subdivision, slimness_constant
 from .symmetry import GroupModel, act_angle, subdivided_group, trivial_group
+
+if TYPE_CHECKING:
+    from .pipeline import Instance
 
 
 def build_cf_hyp(g: Graph, delta: int, index: GeodesicIndex = None):
@@ -192,7 +196,7 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
                       act_v=act_v, act_z=act_z)
 
 
-def cover_cf(cf: CoarseFlowSpace, alpha_prime, basis=None,
+def cover_cf(cf: CoarseFlowSpace, alpha_prime,
              space: PairSpace = None) -> Cover:
     """Long thin cover of the flow space, alpha'-long in the chain metric.
 
@@ -201,9 +205,7 @@ def cover_cf(cf: CoarseFlowSpace, alpha_prime, basis=None,
     """
     if space is None:
         space = cf_pair_space(cf)
-    if basis is None:
-        basis = fiber_basis(space, alpha_prime)
-    return greedy_cover(space, alpha_prime, basis)
+    return greedy_cover(space, alpha_prime, fiber_basis(space, alpha_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +353,7 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
 # ---------------------------------------------------------------------------
 
 
-def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
-                       theta0: AngleSet, theta3_set: AngleSet = None,
-                       index: GeodesicIndex = None) -> AngleSet:
+def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     """Enlarge theta0 so geodesics from word-ball translates of the base
     point to a common endpoint stay small, as do geodesics between them.
 
@@ -363,13 +363,9 @@ def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
     flow space hypothesis.  Its fitness is checked extensionally by the
     wideness scan, never assumed.
     """
-    if index is None:
-        index = GeodesicIndex(sub.graph)
-    if theta3_set is None:
-        theta3_set = theta3(sub, index=index)
-    sub_group = subdivided_group(group, sub)
-    oracle = SmallnessOracle(sub, trivial_only(sub.original))
-    ball = [p[v0] for p in sub_group.elements
+    index, sub_group = inst.index, inst.sub_group
+    oracle = SmallnessOracle(inst.sub, trivial_only(inst.graph))
+    ball = [p[inst.v0] for p in sub_group.elements
             if sub_group.word_length[p] <= alpha]
     angles = set()
     for a in ball:
@@ -378,26 +374,11 @@ def theta_for_wideness(sub: Subdivision, group: GroupModel, v0, alpha,
                 continue
             angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
                           in dag_turns(index.dag(a, b), oracle))
-    theta1 = AngleSet(sub.original, frozenset(angles)).saturate(sub_group_base(sub_group, sub))
-    t3_3 = k_fold_sum(theta3_set, 3)
+    theta1 = AngleSet(inst.graph, frozenset(angles)).saturate(sub_group)
+    t3_3 = k_fold_sum(inst.t3, 3)
     x = angle_sum(theta0.union(theta1), t3_3)
     out = angle_sum(theta1, angle_sum(x, x))
     out = out.union(angle_sum(theta0, x))
-    out = out.union(angle_sum(theta0, k_fold_sum(theta3_set, 2)))
-    out = out.union(k_fold_sum(theta3_set, 2))
+    out = out.union(angle_sum(theta0, k_fold_sum(inst.t3, 2)))
+    out = out.union(k_fold_sum(inst.t3, 2))
     return out
-
-
-def sub_group_base(sub_group: GroupModel, sub: Subdivision) -> GroupModel:
-    """Restrict a subdivided group to the original vertex set."""
-    n = sub.original.vertex_count
-    elements = tuple(sorted({p[:n] for p in sub_group.elements}))
-    word = {}
-    for p in sub_group.elements:
-        q = p[:n]
-        w = sub_group.word_length[p]
-        if q not in word or w < word[q]:
-            word[q] = w
-    gens = tuple(p[:n] for p in sub_group.generators)
-    return GroupModel(sub.original, elements, gens,
-                      sub_group.identity[:n], word)

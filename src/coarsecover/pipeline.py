@@ -10,7 +10,7 @@ with order at most the flow order plus three.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .angles import AngleSet, all_angles, theta3
@@ -108,15 +108,13 @@ class PipelineResult:
 
 
 def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
-                 boundary_set=None, group: GroupModel = None,
+                 group: GroupModel = None,
                  theta0_mode="seed") -> PipelineResult:
     stages = {}
     artifacts = {}
     if group is None and generators:
         group = close_group(g, generators)
     inst = build_instance(g, group)
-    if boundary_set is not None:
-        inst = replace(inst, boundary=tuple(boundary_set))
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
     t3, delta = inst.t3, inst.delta
 
@@ -129,7 +127,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     }
     stages["theta3"] = {"nontrivial": len(t3)}
 
-    theta0 = seed_theta0(sub, sub_group, v0, alpha, index=index)
+    theta0 = seed_theta0(inst, alpha)
     if theta0_mode == "all":
         # any size containing the seed is legal; the saturated choice routes
         # every boundary direction through the flow branch
@@ -137,20 +135,17 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     elif theta0_mode != "seed":
         raise ValueError("theta0_mode must be 'seed' or 'all'")
     xi_cone = inst.cone_targets()
-    cones, theta_out = cone_cover(sub, sub_group, theta0, alpha, v0, xi_cone,
-                                  theta3_set=t3, index=index)
+    cones, theta_out = cone_cover(inst, theta0, alpha, xi_cone)
     stages["cone"] = {"cone_sets": len(cones), "theta_out": len(theta_out),
                       "theta0": len(theta0)}
 
-    dich = dichotomy_check(sub, sub_group, theta_out, alpha, v0, cones,
-                           xi_cone, index=index)
+    dich = dichotomy_check(inst, theta_out, alpha, cones, xi_cone)
     stages["dichotomy"] = {"ok": dich["ok"], "clauses": dich["clauses"],
                            "failures": dich["failures"][:4]}
     if not dich["ok"]:
         return result(False)
 
-    theta_cf = theta_for_wideness(sub, sub_group, v0, alpha, theta_out,
-                                  theta3_set=t3, index=index)
+    theta_cf = theta_for_wideness(inst, alpha, theta_out)
     cf = build_cf_theta(sub, theta_cf, inst.flow_endpoints(),
                         group=sub_group, delta=delta, index=index,
                         theta3_set=t3)

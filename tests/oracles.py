@@ -157,14 +157,29 @@ def angle_sum_brute(a_triples, b_triples):
     return frozenset(out)
 
 
-def theta_small_paths_brute(g, theta, u, v):
-    """Geodesics whose internal angles all lie in theta, by raw DFS."""
+def theta_small_paths_brute(g, theta, u, v, sub=None):
+    """Geodesics whose internal angles all lie in theta, by raw DFS.
+
+    Given sub, g is its subdivided graph: turns are read at original
+    vertices only, with the neighbouring midpoints translated back to the
+    far ends of their original edges.
+    """
+    n = g.vertex_count if sub is None else sub.original.vertex_count
+
+    def far(m, apex):
+        if sub is None:
+            return m
+        a, b = sub.edge_of_midpoint[m]
+        return b if a == apex else a
+
     out = []
     for path in all_simple_shortest_paths(g, u, v):
         ok = True
         for i in range(1, len(path) - 1):
             x, apex, y = path[i - 1], path[i], path[i + 1]
-            if not theta.contains(x, apex, y):
+            if apex >= n:
+                continue  # midpoint apexes carry a single passable angle
+            if not theta.contains(far(x, apex), apex, far(y, apex)):
                 ok = False
                 break
         if ok:

@@ -45,9 +45,9 @@ from coarsecover.graphs import (
     distance_matrix,
     slimness_constant,
 )
-from coarsecover.pipeline import run_pipeline
+from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
-from coarsecover.symmetry import ALL_SUBGROUPS, subdivided_group, trivial_group
+from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
 
 
 def report(number, detail):
@@ -192,28 +192,20 @@ def test_criterion_03_theta3_circuit_bound():
 
 def _cone_setup(name, g, gens, mode, alpha):
     from coarsecover.symmetry import close_group
-    sub = barycentric_subdivision(g)
-    index = GeodesicIndex(sub.graph)
-    group = close_group(g, gens) if gens else trivial_group(g)
-    sub_group = subdivided_group(group, sub)
-    v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-    t3 = theta3(sub, index=index)
-    theta0 = seed_theta0(sub, group, v0, alpha, index=index)
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    theta0 = seed_theta0(inst, alpha)
     if mode == "all":
         theta0 = theta0.union(all_angles(g))
-    orbit = {p[v0] for p in sub_group.elements}
-    boundary = [v for v in sub.ve_vertices() if v not in orbit]
-    xi = tuple(sorted(set(g.cone_vertices) | set(boundary)))
-    cones, theta_out = cone_cover(sub, group, theta0, alpha, v0, xi,
-                                  theta3_set=t3, index=index)
-    return sub, index, group, sub_group, v0, xi, cones, theta_out
+    xi = inst.cone_targets()
+    cones, theta_out = cone_cover(inst, theta0, alpha, xi)
+    return inst, xi, cones, theta_out
 
 
 def test_criterion_04_cone_cover_order():
     worst = -1
     for name, g, gens, mode, alpha, _tau in pipeline_instances():
-        sub, index, group, sub_group, v0, xi, cones, theta_out = \
-            _cone_setup(name, g, gens, mode, alpha)
+        inst, xi, cones, theta_out = _cone_setup(name, g, gens, mode, alpha)
+        sub_group = inst.sub_group
         dom = [(ge, x) for ge in sub_group.elements for x in xi]
         cov = cone_sets_as_cover(cones, sub_group, dom)
         assert cov.order <= 2, name
@@ -224,10 +216,8 @@ def test_criterion_04_cone_cover_order():
 def test_criterion_05_dichotomy():
     pairs = 0
     for name, g, gens, mode, alpha, _tau in pipeline_instances():
-        sub, index, group, sub_group, v0, xi, cones, theta_out = \
-            _cone_setup(name, g, gens, mode, alpha)
-        rep = dichotomy_check(sub, group, theta_out, alpha, v0, cones, xi,
-                              index=index)
+        inst, xi, cones, theta_out = _cone_setup(name, g, gens, mode, alpha)
+        rep = dichotomy_check(inst, theta_out, alpha, cones, xi)
         assert rep["ok"], (name, rep["failures"][:2])
         pairs += rep["pairs_checked"]
     report(5, "wide-or-small dichotomy holds on %d pairs" % pairs)

@@ -56,22 +56,35 @@ class TestAnalyze:
         assert code == 2
         assert "bad edge entry" in json.loads(out)["error"]
 
-    @pytest.mark.parametrize("doc, message", [
-        ({"vertices": 3, "edges": [[0, 1], [1, 2]], "labels": [1]},
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("graph", {"vertices": 3, "edges": [[0, 1], [1, 2]], "labels": [1]},
          "'labels' must be an object"),
-        ({"vertices": True, "edges": []}, "'vertices' must be"),
-        ({"vertices": 3, "edges": [[0, 5]]}, "out of range"),
-        ({"vertices": 3, "edges": [[0, 1]], "cone_vertices": 5},
+        ("graph", {"vertices": True, "edges": []}, "'vertices' must be"),
+        ("graph", {"vertices": 3, "edges": [[0, 5]]}, "out of range"),
+        ("graph", {"vertices": 3, "edges": [[0, 1]], "cone_vertices": 5},
          "'cone_vertices' must be"),
-        ({"vertices": 3, "edges": [[0, 1]], "cone_vertices": ["a"]},
+        ("graph", {"vertices": 3, "edges": [[0, 1]], "cone_vertices": ["a"]},
          "'cone_vertices' must be"),
+        ("action", {"a": 5}, "must be a list of integer lists"),
+        ("action", {"a": [5]}, "must be a list of integer lists"),
+        ("config", {"alpha": "x"}, "'alpha' must be"),
     ], ids=["labels-list", "vertices-bool", "edge-out-of-range",
-            "cone-vertices-int", "cone-vertex-str"])
-    def test_malformed_fields_are_usage_errors(self, tmp_path, capsys, doc,
-                                               message):
+            "cone-vertices-int", "cone-vertex-str", "action-int",
+            "action-entry-int", "config-alpha-str"])
+    def test_malformed_fields_are_usage_errors(self, tmp_path, tmp_graph,
+                                               capsys, kind, doc, message):
+        """Graph documents go to analyze; action and config documents go
+        to pipeline beside a valid graph."""
         p = tmp_path / "bad.json"
+        if kind == "graph":
+            args = ["analyze", "--graph", str(p)]
+        else:
+            gpath = tmp_graph(path_graph(4))
+            if kind == "config":
+                doc = dict(doc, graph_path=gpath)
+            args = ["pipeline", "--graph", gpath, "--" + kind, str(p)]
         p.write_text(json.dumps(doc))
-        code, out = run_cli(["analyze", "--graph", str(p)], capsys)
+        code, out = run_cli(args, capsys)
         assert code == 2
         assert message in json.loads(out)["error"]
 
@@ -104,6 +117,18 @@ class TestPipelineCommand:
         assert code == 2
         assert "no action named 'nope'" in json.loads(out)["error"]
 
+    def test_non_string_action_reference_is_usage_error(self, tmp_path,
+                                                         capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]],
+                                     "action": [1]}))
+        apath = tmp_path / "act.json"
+        apath.write_text(json.dumps({"a": [[1, 0]]}))
+        code, out = run_cli(["pipeline", "--graph", str(gpath),
+                             "--action", str(apath)], capsys)
+        assert code == 2
+        assert "no action named [1]" in json.loads(out)["error"]
+
     def test_determinism(self, tmp_graph, capsys):
         args = ["pipeline", "--graph", tmp_graph(path_graph(8)),
                 "--theta0-mode", "all", "--tau-max", "2"]
@@ -133,6 +158,15 @@ class TestExportDot:
                              tmp_graph(cycle_graph(4)), "--dag", "0,2"],
                             capsys)
         assert code == 0 and "digraph" in out
+
+    @pytest.mark.parametrize("dag", ["0,9", "-1,2"])
+    def test_dag_vertex_out_of_range_is_usage_error(self, tmp_graph, capsys,
+                                                    dag):
+        code, out = run_cli(["export-dot", "--graph",
+                             tmp_graph(cycle_graph(4)), "--dag=" + dag],
+                            capsys)
+        assert code == 2
+        assert "out of range" in json.loads(out)["error"]
 
     def test_cover_nerve(self, tmp_graph, tmp_path, capsys):
         out_dir = tmp_path / "art"

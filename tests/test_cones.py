@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 from coarsecover.angles import (
     all_angles,
     angle_set_from_triples,
     k_fold_sum,
-    theta3,
     trivial_only,
 )
 from coarsecover.cones import (
@@ -23,109 +24,98 @@ from coarsecover.corpus import (
     wedge_of_cycles,
 )
 from coarsecover.covers import Cover, CoverMember
-from coarsecover.graphs import GeodesicIndex, barycentric_subdivision
-from coarsecover.symmetry import close_group, compose, subdivided_group, \
-    trivial_group
+from coarsecover.pipeline import build_instance
+from coarsecover.symmetry import close_group, compose
 
 
 def setup(g, gens=()):
-    sub = barycentric_subdivision(g)
-    idx = GeodesicIndex(sub.graph)
-    G = close_group(g, gens) if gens else trivial_group(g)
-    Gs = subdivided_group(G, sub)
-    v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-    return sub, idx, G, Gs, v0
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    return inst, inst.sub, inst.sub_group, inst.v0
 
 
 class TestVplus:
     def test_apex_endpoint_with_small_approach(self):
         g = path_graph(5)
-        sub, idx, G, Gs, v0 = setup(g)
+        inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         # v0 = midpoint of (0,1); apex 1 is half a unit away
-        assert vplus_membership(Gs, e, 1, 1, trivial_only(g), sub, v0, idx)
+        assert vplus_membership(inst, e, 1, 1, trivial_only(g))
 
     def test_all_angles_never_large(self):
         g = wedge_of_cycles(2, 6)
-        sub, idx, G, Gs, v0 = setup(g)
+        inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]
-        assert not vplus_membership(Gs, e, xi, 0, all_angles(g), sub, v0, idx)
+        assert not vplus_membership(inst, e, xi, 0, all_angles(g))
 
     def test_planted_cut_vertex(self):
         g = wedge_of_cycles(2, 6)
-        sub, idx, G, Gs, v0 = setup(g)
-        theta = k_fold_sum(theta3(sub, index=idx), 2)
+        inst, sub, Gs, v0 = setup(g)
+        theta = k_fold_sum(inst.t3, 2)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]  # inside the far cycle
-        assert vplus_membership(Gs, e, xi, 0, theta, sub, v0, idx)
+        assert vplus_membership(inst, e, xi, 0, theta)
 
     def test_blocked_approach_fails_first_clause(self):
         g = wedge_of_cycles(2, 6)
-        sub, idx, G, Gs, v0 = setup(g)
-        theta = k_fold_sum(theta3(sub, index=idx), 2)
+        inst, sub, Gs, v0 = setup(g)
+        theta = k_fold_sum(inst.t3, 2)
         e = Gs.identity
         # reaching an apex inside the far cycle crosses the cut vertex with
         # a large angle, so the first clause fails
-        assert not vplus_membership(Gs, e, 0, 7, theta, sub, v0, idx)
+        assert not vplus_membership(inst, e, 0, 7, theta)
 
 
 class TestInteriorCertificate:
     def test_large_by_margin_fires_first_condition(self):
         g = wedge_of_cycles(2, 6)
-        sub, idx, G, Gs, v0 = setup(g)
-        t3 = theta3(sub, index=idx)
-        theta = k_fold_sum(t3, 2)
+        inst, sub, Gs, v0 = setup(g)
+        theta = k_fold_sum(inst.t3, 2)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]
         # the crossing angle at the cut vertex avoids theta + 2 corners
-        assert interior_certificate(Gs, e, xi, 0, theta, sub, v0, t3, idx)
+        assert interior_certificate(inst, e, xi, 0, theta)
 
     def test_second_condition_with_two_large_turns(self):
         g = triangle_caterpillar(6, [1, 3])
-        sub, idx, G, Gs, v0 = setup(g)
-        t3 = theta3(sub, index=idx)
+        inst, sub, Gs, v0 = setup(g)
         bloom1 = 7  # bloom vertex of the triangle at spine position 1
         theta = angle_set_from_triples(g, [(0, 1, bloom1)])
         e = Gs.identity
         xi = sub.midpoint_of_edge[(5, 6)]
         # spine angle at apex 1 is theta-large but (theta + 2 corners)-small,
         # and the spine angle at 3 on the same flow line is twice-corner-large
-        assert vplus_membership(Gs, e, xi, 1, theta, sub, v0, idx)
-        assert interior_certificate(Gs, e, xi, 1, theta, sub, v0, t3, idx)
+        assert vplus_membership(inst, e, xi, 1, theta)
+        assert interior_certificate(inst, e, xi, 1, theta)
 
     def test_no_geodesic_no_certificate(self):
         g = path_graph(5)
-        sub, idx, G, Gs, v0 = setup(g)
-        t3 = theta3(sub, index=idx)
+        inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(3, 4)]
-        assert not interior_certificate(Gs, e, xi, 2, all_angles(g), sub, v0,
-                                        t3, idx)
+        assert not interior_certificate(inst, e, xi, 2, all_angles(g))
 
 
 def build_cones(g, gens=(), alpha=1, theta0=None):
-    sub, idx, G, Gs, v0 = setup(g, gens)
-    t3 = theta3(sub, index=idx)
+    inst, sub, Gs, v0 = setup(g, gens)
     if theta0 is None:
-        theta0 = seed_theta0(sub, G, v0, alpha, index=idx)
+        theta0 = seed_theta0(inst, alpha)
     xi_set = tuple(sorted(set(g.cone_vertices) | set(sub.ve_vertices())))
-    cones, theta_out = cone_cover(sub, G, theta0, alpha, v0, xi_set,
-                                  theta3_set=t3, index=idx)
-    return sub, idx, G, Gs, v0, xi_set, cones, theta_out
+    cones, theta_out = cone_cover(inst, theta0, alpha, xi_set)
+    return inst, sub, Gs, v0, xi_set, cones, theta_out
 
 
 class TestConeCover:
     def test_tree_order_bound(self):
         g = random_tree(10, seed=6)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(g)
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g)
         dom = [(ge, x) for ge in Gs.elements for x in xi]
         cov = cone_sets_as_cover(cones, Gs, dom)
         assert cov.order <= 2
 
     def test_spider_nontrivial_cones(self):
         g = spider(3, 4)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
             g, [spider_rotation(3, 4)])
         assert cones
         dom = [(ge, x) for ge in Gs.elements for x in xi]
@@ -134,7 +124,7 @@ class TestConeCover:
 
     def test_same_layer_distinct_apexes_disjoint(self):
         g = triangle_caterpillar(8, [2, 5])
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(g)
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g)
         by_layer = {}
         for c in cones:
             by_layer.setdefault(c.layer, []).append(c)
@@ -146,7 +136,7 @@ class TestConeCover:
 
     def test_translate_overlap_forces_fixed_apex(self):
         g = spider(3, 4)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
             g, [spider_rotation(3, 4)])
         for c in cones:
             for h in Gs.elements:
@@ -162,12 +152,11 @@ class TestConeCover:
     def test_base_vertex_translation_covariance(self):
         g = spider(3, 4)
         gens = [spider_rotation(3, 4)]
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(g, gens)
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g, gens)
         r = [p for p in Gs.elements if p != Gs.identity][0]
-        t3 = theta3(sub, index=idx)
-        theta0 = seed_theta0(sub, G, r[v0], 1, index=idx)
-        cones2, _ = cone_cover(sub, G, theta0, 1, r[v0], xi,
-                               theta3_set=t3, index=idx)
+        moved = replace(inst, v0=r[v0])
+        theta0 = seed_theta0(moved, 1)
+        cones2, _ = cone_cover(moved, theta0, 1, xi)
         expect = {
             (c.apex, c.layer):
             frozenset((compose(ge, r), x) for (ge, x) in c.members)
@@ -179,32 +168,32 @@ class TestConeCover:
 class TestDichotomy:
     def test_all_angles_everything_small(self):
         g = random_tree(9, seed=8)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
             g, theta0=all_angles(g))
-        rep = dichotomy_check(sub, G, theta_out, 1, v0, cones, xi, index=idx)
+        rep = dichotomy_check(inst, theta_out, 1, cones, xi)
         assert rep["ok"]
         assert rep["clauses"]["small-geodesic"] > 0
 
     def test_spider_passes(self):
         g = spider(3, 4)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
             g, [spider_rotation(3, 4)])
-        rep = dichotomy_check(sub, G, theta_out, 1, v0, cones, xi, index=idx)
+        rep = dichotomy_check(inst, theta_out, 1, cones, xi)
         assert rep["ok"]
         assert rep["clauses"]["cone"] > 0
 
     def test_deleted_layers_are_witnessed(self):
         g = spider(3, 4)
-        sub, idx, G, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
             g, [spider_rotation(3, 4)])
-        rep = dichotomy_check(sub, G, theta_out, 1, v0, [], xi, index=idx)
+        rep = dichotomy_check(inst, theta_out, 1, [], xi)
         assert not rep["ok"] and rep["failures"]
 
 
 class TestCombined:
     def test_empty_cone_side_is_identity(self):
         g = path_graph(5)
-        sub, idx, G, Gs, v0 = setup(g)
+        inst, sub, Gs, v0 = setup(g)
         dom = [((0,), "x")]
         flow = Cover((CoverMember(frozenset(dom), frozenset([Gs.identity]),
                                   True),), 1, 0)

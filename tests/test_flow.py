@@ -33,6 +33,7 @@ from coarsecover.graphs import (
     GeodesicIndex,
     barycentric_subdivision,
 )
+from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group, stabilizer, subdivided_group, \
     trivial_group
 
@@ -312,14 +313,11 @@ class TestThetaForWideness:
     def test_ball_translate_geodesics_become_small(self):
         g = cycle_graph(12)
         G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
-        sub = barycentric_subdivision(g)
-        idx = GeodesicIndex(sub.graph)
-        Gs = subdivided_group(G, sub)
-        v0 = sub.midpoint_of_edge[(0, 1)]
-        t3 = theta3(sub, index=idx)
+        inst = build_instance(g, G)
+        sub, idx, Gs, v0, t3 = inst.sub, inst.index, inst.sub_group, \
+            inst.v0, inst.t3
         theta0 = k_fold_sum(t3, 1)
-        theta = theta_for_wideness(sub, G, v0, 1, theta0, theta3_set=t3,
-                                   index=idx)
+        theta = theta_for_wideness(inst, 1, theta0)
         assert k_fold_sum(t3, 2) <= theta
         oracle = SmallnessOracle(sub, theta)
         ball = [p for p in Gs.elements if Gs.word_length[p] <= 1]

@@ -1,5 +1,5 @@
-"""Property tests: the geodesic-triangle kernels and the geodesic-DAG turn
-iterator against the brute-force oracles.
+"""Property tests: the geodesic-triangle kernels, the geodesic-DAG turn
+iterator and the small-geodesic scans against the brute-force oracles.
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
@@ -10,8 +10,9 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from coarsecover.angles import SmallnessOracle, dag_turns, theta3, \
-    trivial_only
+from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
+    dag_turns, exists_small_geodesic, theta3, trivial_only, \
+    vertices_on_small_geodesics
 from coarsecover.graphs import (
     INF,
     barycentric_subdivision,
@@ -27,6 +28,7 @@ from oracles import (
     all_simple_shortest_paths,
     theta3_brute,
     theta3_subdivision_brute,
+    theta_small_paths_brute,
     triangle_defects_brute,
 )
 
@@ -147,3 +149,41 @@ def test_dag_turns_match_enumerated_geodesics(g):
 @given(graphs())
 def test_dag_turns_on_subdivision_match_enumerated_geodesics(g):
     _check_dag_turns(g, barycentric_subdivision(g))
+
+
+@st.composite
+def graphs_with_theta(draw, **kw):
+    """A random graph and a random size: any subset of its angles."""
+    g = draw(graphs(**kw))
+    angles = sorted(all_angles(g).nontrivial)
+    chosen = draw(st.sets(st.sampled_from(angles))) if angles else ()
+    return g, AngleSet(g, frozenset(chosen))
+
+
+def _check_small_geodesics(g, theta, sub=None):
+    """The DAG scans against the theta-small geodesics found by DFS."""
+    graph = g if sub is None else sub.graph
+    oracle = SmallnessOracle(g if sub is None else sub, theta)
+    dist = distance_matrix(graph)
+    for u in graph.vertices:
+        for v in graph.vertices:
+            if dist[u][v] is INF:
+                continue
+            dag = geodesic_dag(graph, u, v, dist)
+            paths = theta_small_paths_brute(graph, theta, u, v, sub)
+            assert exists_small_geodesic(dag, oracle) == bool(paths)
+            assert vertices_on_small_geodesics(dag, oracle) == \
+                frozenset(w for p in paths for w in p)
+
+
+@SETTINGS
+@given(graphs_with_theta())
+def test_small_geodesic_scans_match_brute(case):
+    _check_small_geodesics(*case)
+
+
+@SETTINGS
+@given(graphs_with_theta(max_n=6, max_extra=4))
+def test_small_geodesic_scans_on_subdivision_match_brute(case):
+    g, theta = case
+    _check_small_geodesics(g, theta, barycentric_subdivision(g))
