@@ -37,8 +37,6 @@ from .symmetry import (
     TRIVIAL_ONLY,
     close_group,
     is_F_subset,
-    orbits,
-    stabilizer,
     trivial_group,
 )
 from .angles import (
@@ -46,14 +44,11 @@ from .angles import (
     ThetaMetric,
     all_angles,
     angle_sum,
-    angles_of_geodesic,
     d_theta,
     k_fold_sum,
     lemma_battery,
     theta3,
     theta3_circuit_bound_check,
-    theta_ball,
-    theta_small_geodesics,
     trivial_only,
 )
 from .covers import (
@@ -69,7 +64,6 @@ from .covers import (
 )
 from .flow import (
     CoarseFlowSpace,
-    build_cf_hyp,
     build_cf_theta,
     cf_doubling_report,
     cover_cf,
@@ -84,7 +78,6 @@ from .cones import (
     cone_cover,
     dichotomy_check,
     interior_certificate,
-    vplus_membership,
 )
 from .rips import (
     ContractionTrace,
@@ -93,5 +86,4 @@ from .rips import (
     complex_stats,
     contract_subcomplex,
     homology_oracle,
-    span_L,
 )

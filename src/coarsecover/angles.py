@@ -27,7 +27,6 @@ from .graphs import (
     canon_edge,
     enumerate_geodesics,
     geodesic_counts,
-    geodesic_dag,
     mandatory_vertices,
 )
 from .symmetry import GroupModel, act_angle
@@ -157,11 +156,16 @@ def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
 
 
 def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
+    """The sum of k copies of a.  Once a sum adds nothing, every later sum
+    is equal too, so the loop stops there."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     acc = trivial_only(a.graph)
     for _ in range(k):
-        acc = angle_sum(acc, a)
+        nxt = angle_sum(acc, a)
+        if nxt.nontrivial == acc.nontrivial:
+            break
+        acc = nxt
     return acc
 
 
@@ -231,41 +235,6 @@ def dag_turns(dag: GeodesicDag, oracle: SmallnessOracle, at=None):
                     yield w, p, s, e1, e2
 
 
-def angles_of_geodesic(g: Graph, path, index: GeodesicIndex = None):
-    """One angle per internal vertex of a geodesic; raises off geodesics."""
-    if len(path) == 0:
-        raise ValueError("empty path")
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            raise ValueError("path step (%r,%r) is not an edge" % (a, b))
-    d = (index.d(path[0], path[-1]) if index is not None
-         else len(_shortest(g, path[0], path[-1])) - 1)
-    if d != len(path) - 1:
-        raise ValueError("path is not a geodesic")
-    return [canonical_angle(path[i - 1], path[i], path[i + 1])
-            for i in range(1, len(path) - 1)]
-
-
-def _shortest(g: Graph, u, v):
-    from collections import deque
-    pred = {u: None}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        if x == v:
-            break
-        for w in g.neighbors(x):
-            if w not in pred:
-                pred[w] = x
-                q.append(w)
-    if v not in pred:
-        raise ValueError("disconnected pair")
-    path = [v]
-    while pred[path[-1]] is not None:
-        path.append(pred[path[-1]])
-    return path[::-1]
-
-
 def _forward_states(dag: GeodesicDag, oracle: SmallnessOracle):
     """fwd[v] = set of predecessors p such that some small prefix ends p->v."""
     order = sorted(dag.layer, key=lambda w: dag.layer[w])
@@ -299,18 +268,11 @@ def _backward_states(dag: GeodesicDag, oracle: SmallnessOracle):
     return bwd
 
 
-def exists_small_geodesic(dag: GeodesicDag, oracle: SmallnessOracle,
-                          init_ok=None) -> bool:
-    if dag.source == dag.target:
+def exists_small_geodesic(dag: GeodesicDag, oracle: SmallnessOracle) -> bool:
+    if dag.length() <= 1:
         return True
-    if dag.length() == 1:
-        return init_ok is None or init_ok(dag.target)
     bwd = _backward_states(dag, oracle)
     for w in dag.succ[dag.source]:
-        if init_ok is not None and not init_ok(w):
-            continue
-        if w == dag.target:
-            return True
         for nxt in bwd[w]:
             if oracle.turn_ok(dag.source, w, nxt):
                 return True
@@ -339,62 +301,6 @@ def vertices_on_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle):
                     out.add(v)
                     done = True
                     break
-    return frozenset(out)
-
-
-def enumerate_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle,
-                              cap: int):
-    out = []
-    path = [dag.source]
-
-    def walk(u):
-        if u == dag.target:
-            if len(out) >= cap:
-                raise CapExceeded("more than %d small geodesics" % cap)
-            out.append(list(path))
-            return
-        for w in dag.succ[u]:
-            if len(path) >= 2 and not oracle.turn_ok(path[-2], u, w):
-                continue
-            path.append(w)
-            walk(w)
-            path.pop()
-
-    walk(dag.source)
-    return out
-
-
-def theta_small_geodesics(base, theta: AngleSet, u, v, cap: int,
-                          index: GeodesicIndex = None):
-    """Exactly the geodesics u -> v whose internal angles all lie in theta."""
-    oracle = SmallnessOracle(base, theta)
-    g = oracle.graph
-    dag = index.dag(u, v) if index is not None else geodesic_dag(g, u, v)
-    return enumerate_small_geodesics(dag, oracle, cap)
-
-
-def theta_ball(base, theta: AngleSet, v, e, alpha,
-               index: GeodesicIndex = None) -> frozenset:
-    """Vertices reachable from v by a small geodesic of length <= alpha whose
-    initial edge e' pairs with e inside theta."""
-    oracle = SmallnessOracle(base, theta)
-    g = oracle.graph
-    e = canon_edge(*e)
-    if v not in e:
-        raise ValueError("edge %r not incident to %r" % (e, v))
-    if index is None:
-        index = GeodesicIndex(g)
-    out = {v}
-    for w in g.vertices:
-        if w == v or not (0 < index.d(v, w) <= alpha):
-            continue
-        dag = index.dag(v, w)
-
-        def init_ok(first, _v=v):
-            return theta.contains_edges(e, oracle.step_edge(_v, first))
-
-        if exists_small_geodesic(dag, oracle, init_ok=init_ok):
-            out.add(w)
     return frozenset(out)
 
 

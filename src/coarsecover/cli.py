@@ -39,6 +39,7 @@ from .graphs import (
     geodesic_dag,
     graph_to_dot,
     load_graph,
+    parse_document,
     slimness_constant,
 )
 from .pipeline import PipelineError, build_instance, cover_to_document, \
@@ -90,13 +91,17 @@ class RunConfig:
 
 
 def _read_graph(args):
+    """The graph model and the document it was loaded from."""
     with open(args.graph) as fh:
-        return load_graph(fh.read(), cone_threshold=args.cone_threshold)
+        doc = parse_document(fh.read())
+    return load_graph(doc, cone_threshold=args.cone_threshold), doc
 
 
-def _read_group(g, args):
+def _read_model(args):
+    """The graph model and its group, trivial without an action file."""
+    g, graph_doc = _read_graph(args)
     if not getattr(args, "action", None):
-        return trivial_group(g)
+        return g, trivial_group(g)
     with open(args.action) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -104,8 +109,7 @@ def _read_group(g, args):
     name = getattr(args, "action_name", None)
     if name is None:
         # the graph document may reference the generator list by name
-        with open(args.graph) as fh:
-            name = json.load(fh).get("action")
+        name = graph_doc.get("action")
     if name is None:
         name = min(doc, default=None)
     if not isinstance(name, str) or name not in doc:
@@ -117,12 +121,11 @@ def _read_group(g, args):
             for p in perms):
         raise GraphFormatError("action %r must be a list of integer lists"
                                % name)
-    return close_group(g, [tuple(p) for p in perms])
+    return g, close_group(g, [tuple(p) for p in perms])
 
 
 def _read_instance(args):
-    g = _read_graph(args)
-    return build_instance(g, _read_group(g, args))
+    return build_instance(*_read_model(args))
 
 
 def _theta_for(g, spec_text, corner):
@@ -152,7 +155,7 @@ def _emit(args, name, data):
 
 
 def cmd_analyze(args):
-    g = _read_graph(args)
+    g, _ = _read_graph(args)
     index = GeodesicIndex(g)
     report = {
         "vertices": g.vertex_count,
@@ -186,8 +189,8 @@ def _cf_document(cf):
 
 def _run_and_write(args, summary_name, artifact_keys):
     """Run the pipeline, emit its summary and, under --out, the artifacts."""
-    g = _read_graph(args)
-    res = run_pipeline(g, group=_read_group(g, args), alpha=args.alpha,
+    g, group = _read_model(args)
+    res = run_pipeline(g, group=group, alpha=args.alpha,
                        tau_max=args.tau_max, theta0_mode=args.theta0_mode)
     _emit(args, summary_name, res.summary())
     for key in artifact_keys if args.out else ():
@@ -255,7 +258,7 @@ def cmd_export_dot(args):
         return 0
     if not args.graph:
         raise GraphFormatError("export-dot needs --graph, --cover or --trace")
-    g = _read_graph(args)
+    g, _ = _read_graph(args)
     if args.dag:
         u, v = map(int, args.dag.split(","))
         if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
@@ -305,7 +308,7 @@ def cmd_cone(args):
     theta0 = seed_theta0(inst, args.alpha)
     if args.theta0_mode == "all":
         theta0 = theta0.union(all_angles(inst.graph))
-    cones, theta_out = cone_cover(inst, theta0, args.alpha, xi)
+    cones, theta_out = cone_cover(inst, theta0, xi)
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
@@ -328,7 +331,7 @@ def cmd_cover_combine(args):
 
 
 def cmd_rips(args):
-    g = _read_graph(args)
+    g, _ = _read_graph(args)
     index = GeodesicIndex(g)
     theta = _theta_for(g, args.theta, lambda: theta3(g, index=index))
     if args.rips_cmd == "build":
@@ -362,7 +365,7 @@ def cmd_rips(args):
 
 
 def cmd_battery(args):
-    g = _read_graph(args)
+    g, _ = _read_graph(args)
     group = trivial_group(g)
     theta0 = _theta_for(g, args.theta, lambda: theta3(g))
     rep = lemma_battery(g, group, theta0, args.trials, args.seed)
@@ -456,6 +459,11 @@ def main(argv=None):
         "battery": cmd_battery,
     }
     try:
+        for key in ("alpha", "tau_max", "trials", "max_dim", "d"):
+            value = getattr(args, key, 0)
+            if value < 0:
+                raise GraphFormatError("--%s must be a nonnegative integer, "
+                                       "got %d" % (key.replace("_", "-"), value))
         return handlers[args.cmd](args)
     except (OSError, json.JSONDecodeError, GraphFormatError, ValueError,
             PipelineError) as e:

@@ -31,22 +31,6 @@ def _turns_large(dag, oracle: SmallnessOracle, theta: AngleSet, at=None):
                for _, _, _, e1, e2 in dag_turns(dag, oracle, at))
 
 
-def vplus_membership(inst: Instance, g, xi, apex, theta: AngleSet) -> bool:
-    """Both clauses of the cone-set definition, by geodesic DAG scans."""
-    index = inst.index
-    gv0 = g[inst.v0]
-    if index.d(gv0, apex) is INF:
-        return False
-    oracle = SmallnessOracle(inst.sub, theta)
-    if _turns_large(index.dag(gv0, apex), oracle, theta):
-        return False
-    if xi == apex:
-        return True
-    if index.d(gv0, xi) is INF:
-        return False
-    return _turns_large(index.dag(gv0, xi), oracle, theta, at=apex)
-
-
 def _dag_reaches(dag, a, b):
     if a == b:
         return True
@@ -129,7 +113,7 @@ def seed_theta0(inst: Instance, alpha) -> AngleSet:
     return AngleSet(inst.graph, frozenset(angles)).saturate(sub_group)
 
 
-def cone_cover(inst: Instance, theta0: AngleSet, alpha, xi_set):
+def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     """Three layers of cone sets over all original apexes.
 
     Layers use sizes 2X, 5X and 6X where X pads theta0 with three corner

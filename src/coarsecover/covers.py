@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import INF
+from .graphs import INF, make_graph
 from .symmetry import GroupModel, SubgroupFamily, compose, invert, \
     is_F_subset, is_subgroup, subgroup_generated, trivial_group
 
@@ -82,15 +82,13 @@ class PairSpace:
 
 
 def pair_space(v_points, z_points, pairs, dist, group=None,
-               act_v=None, act_z=None, base_graph=None) -> PairSpace:
+               act_v=None, act_z=None) -> PairSpace:
     """Assemble a PairSpace; the trivial group is used when none is given."""
     v_points = tuple(v_points)
     z_points = tuple(z_points)
     pairs = frozenset(pairs)
     if group is None:
-        from .graphs import make_graph
-        group = trivial_group(base_graph if base_graph is not None
-                              else make_graph(1, []))
+        group = trivial_group(make_graph(1, []))
     if act_v is None:
         act_v = {p: {v: v for v in v_points} for p in group.elements}
     if act_z is None:

@@ -37,29 +37,11 @@ from .covers import (
     minimal_doubling_constant,
     pair_space,
 )
-from .graphs import INF, GeodesicIndex, Graph, Subdivision, slimness_constant
-from .symmetry import GroupModel, act_angle, subdivided_group, trivial_group
+from .graphs import INF, GeodesicIndex, Subdivision, slimness_constant
+from .symmetry import GroupModel, act_angle, trivial_group
 
 if TYPE_CHECKING:
     from .pipeline import Instance
-
-
-def build_cf_hyp(g: Graph, delta: int, index: GeodesicIndex = None):
-    """Coarse flow triples for a plain graph: (x, xi-, xi+) whenever some
-    geodesic between the endpoints passes within delta of x."""
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if index is None:
-        index = GeodesicIndex(g)
-    triples = set()
-    for p in g.vertices:
-        for q in g.vertices:
-            geo = index.geodesic_vertex_set(p, q)
-            fiber = {x for x in g.vertices
-                     if min(index.d(x, w) for w in geo) <= delta}
-            for x in fiber:
-                triples.add((x, p, q))
-    return frozenset(triples)
 
 
 @dataclass(frozen=True)
@@ -84,20 +66,22 @@ class CoarseFlowSpace:
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
                    group: GroupModel = None, delta: int = None,
                    index: GeodesicIndex = None,
-                   theta3_set: AngleSet = None,
-                   allow_equal: bool = False) -> CoarseFlowSpace:
+                   theta3_set: AngleSet = None) -> CoarseFlowSpace:
     """Materialize the coarse flow space over ordered endpoint pairs.
 
     Requires theta to contain the doubled triangle-corner size of the
-    subdivision and to be invariant under the group; the endpoint set is
-    saturated under the group so that the triple set is invariant.  Equal
-    endpoint pairs mean constant flow lines and are excluded unless
-    allow_equal is set, in which case their fiber is the chain-metric ball
-    around the endpoint.
+    subdivision and to be invariant under the group, which must act on the
+    subdivided graph (default trivial); the endpoint set is saturated under
+    the group so that the triple set is invariant.  Equal endpoint pairs
+    mean constant flow lines and are excluded.
     """
     g = sub.graph
     if not g.is_connected():
         raise ValueError("subdivided graph must be connected")
+    if group is None:
+        group = trivial_group(g)
+    elif group.graph != g:
+        raise ValueError("the group must act on the subdivided graph")
     if index is None:
         index = GeodesicIndex(g)
     if theta3_set is None:
@@ -107,17 +91,15 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     if delta is None:
         delta = slimness_constant(sub.original).delta
     delta_prime = delta + 1
-    sub_group = trivial_group(g) if group is None \
-        else subdivided_group(group, sub)
     # invariance under each generator is invariance under the group
     if any(act_angle(p, t) not in theta.nontrivial
-           for p in sub_group.generators for t in theta.nontrivial):
+           for p in group.generators for t in theta.nontrivial):
         raise ValueError("theta is not invariant under the group")
     endpoints = set(endpoint_set)
     for v in endpoint_set:
         if not sub.is_midpoint(v):
             raise ValueError("endpoint %r is not a midpoint vertex" % (v,))
-        for p in sub_group.elements:
+        for p in group.elements:
             endpoints.add(p[v])
     endpoints = tuple(sorted(endpoints))
 
@@ -128,14 +110,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     triples = set()
     for xm in endpoints:
         for xp in endpoints:
-            if xm == xp:
-                if allow_equal:
-                    fiber = balls[xm]
-                    fibers[(xm, xm)] = frozenset(fiber)
-                    for v in fiber:
-                        triples.add((v, xm, xm))
-                continue
-            if index.d(xm, xp) is INF:
+            if xm == xp or index.d(xm, xp) is INF:
                 continue
             dag = index.dag(xm, xp)
             carriers = [v for v in vertices_on_small_geodesics(dag, oracle)
@@ -147,7 +122,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
             for v in fiber:
                 triples.add((v, xm, xp))
     return CoarseFlowSpace(sub, theta, delta, delta_prime, endpoints,
-                           fibers, metric, sub_group, frozenset(triples), index)
+                           fibers, metric, group, frozenset(triples), index)
 
 
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:

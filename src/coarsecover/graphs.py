@@ -43,6 +43,7 @@ class Graph:
     cone_vertices: frozenset = frozenset()
     labels: dict = field(default_factory=dict, compare=False)
     cone_adjacency_warning: bool = field(default=False, compare=False)
+    _adj: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         adj = {v: [] for v in range(self.vertex_count)}
@@ -114,6 +115,17 @@ def make_graph(n, edges, cone_vertices=(), labels=None, warn_adjacent_cones=Fals
     return g
 
 
+def parse_document(document):
+    """A JSON document given as text or already parsed; malformed text is a
+    GraphFormatError."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as e:
+        raise GraphFormatError("malformed document: %s" % e) from None
+
+
 def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     """Parse a graph document (JSON text or dict).
 
@@ -123,13 +135,7 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     are marked as cone vertices.  Adjacent cone vertices are legal at load
     time but recorded as a warning; cone and Rips operations refuse them.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise GraphFormatError("malformed document: %s" % e) from None
-    else:
-        doc = document
+    doc = parse_document(document)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphFormatError("document must carry 'vertices' and 'edges'")
     n = doc["vertices"]
@@ -580,7 +586,8 @@ def graph_to_dot(g: Graph, name="g") -> str:
         if v in g.cone_vertices:
             attrs.append('shape=doublecircle')
         if v in g.labels:
-            attrs.append('label="%s"' % g.labels[v])
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            attrs.append('label="%s"' % label)
         lines.append("  %d%s;" % (v, (" [" + ", ".join(attrs) + "]") if attrs else ""))
     for (u, v) in sorted(g.edges):
         lines.append("  %d -- %d;" % (u, v))

@@ -135,7 +135,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     elif theta0_mode != "seed":
         raise ValueError("theta0_mode must be 'seed' or 'all'")
     xi_cone = inst.cone_targets()
-    cones, theta_out = cone_cover(inst, theta0, alpha, xi_cone)
+    cones, theta_out = cone_cover(inst, theta0, xi_cone)
     stages["cone"] = {"cone_sets": len(cones), "theta_out": len(theta_out),
                       "theta0": len(theta0)}
 

@@ -113,22 +113,6 @@ def complex_stats(P: SimplicialComplex, cap=200000) -> dict:
     }
 
 
-def span_L(K_vertices, g: Graph, d, theta: AngleSet,
-           index: GeodesicIndex = None) -> SimplicialComplex:
-    """Full subcomplex on every vertex of a geodesic between two K-vertices."""
-    if index is None:
-        index = GeodesicIndex(g)
-    verts = set()
-    ks = sorted(set(K_vertices))
-    for u in ks:
-        verts.add(u)
-        for v in ks:
-            if u < v and index.d(u, v) is not INF:
-                verts.update(index.geodesic_vertex_set(u, v))
-    rel = SmallPairRelation(g, d, theta, index)
-    return _clique_complex(sorted(verts), rel.pairs(verts))
-
-
 # ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------

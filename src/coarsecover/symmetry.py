@@ -111,10 +111,6 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
 # ---------------------------------------------------------------------------
 
 
-def act_vertex(perm, v):
-    return perm[v]
-
-
 def act_edge(perm, e):
     return canon_edge(perm[e[0]], perm[e[1]])
 
@@ -125,75 +121,9 @@ def act_angle(perm, angle):
     return (a, perm[apex], b)
 
 
-def act_ordered_pair(perm, pair):
-    return (perm[pair[0]], perm[pair[1]])
-
-
-def act_unordered_pair(perm, pair):
-    return frozenset(perm[x] for x in pair)
-
-
-ACTIONS = {
-    "vertices": act_vertex,
-    "edges": act_edge,
-    "angles": act_angle,
-    "pairs": act_ordered_pair,
-    "unordered_pairs": act_unordered_pair,
-}
-
-
-def action_fn(action):
-    if callable(action):
-        return action
-    try:
-        return ACTIONS[action]
-    except KeyError:
-        raise ValueError("unknown action %r" % (action,)) from None
-
-
-def resolve_action_for(obj):
-    """Infer the named action from an object's shape."""
-    if isinstance(obj, int):
-        return act_vertex
-    if isinstance(obj, frozenset):
-        return act_unordered_pair
-    if isinstance(obj, tuple):
-        if len(obj) == 2:
-            return act_ordered_pair
-        if len(obj) == 3:
-            return act_angle
-    raise ValueError("cannot infer an action for %r" % (obj,))
-
-
-@dataclass(frozen=True)
-class OrbitReport:
-    orbits: tuple
-    orbit_count: int
-
-
-def orbits(G: GroupModel, objects, action) -> OrbitReport:
-    fn = action_fn(action)
-    remaining = set(objects)
-    parts = []
-    while remaining:
-        x = min(remaining, key=repr)
-        orb = {fn(p, x) for p in G.elements}
-        if not orb <= set(objects):
-            raise ValueError("action does not preserve the object set")
-        parts.append(frozenset(orb))
-        remaining -= orb
-    parts.sort(key=lambda s: sorted(map(repr, s)))
-    return OrbitReport(tuple(parts), len(parts))
-
-
-def stabilizer(G: GroupModel, obj, action=None) -> frozenset:
-    """Isotropy subgroup of obj.
-
-    Ordered pairs (tuples) get the ordered-pair stabilizer; pass the object
-    as a frozenset for the setwise (unordered) stabilizer.
-    """
-    fn = action_fn(action) if action is not None else resolve_action_for(obj)
-    return frozenset(p for p in G.elements if fn(p, obj) == obj)
+# ---------------------------------------------------------------------------
+# Subgroups
+# ---------------------------------------------------------------------------
 
 
 def subgroup_generated(G: GroupModel, seed) -> frozenset:
@@ -317,20 +247,20 @@ TRIVIAL_ONLY = SubgroupFamily("trivial-only")
 ALL_SUBGROUPS = SubgroupFamily("all-subgroups")
 
 
-def is_F_subset(U, G: GroupModel, family: SubgroupFamily, action):
+def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
     """Check the equivariant-subset condition with a stabilizer witness.
 
     U is an F-subset when its setwise stabilizer F0 lies in the family and
-    every other translate of U is disjoint from U.  Returns (ok, witness)
-    where witness is F0 on success.
+    every other translate of U is disjoint from U; act(p, x) applies the
+    group element p to a point x of U.  Returns (ok, witness) where witness
+    is F0 on success.
     """
-    fn = action_fn(action)
     U = frozenset(U)
     if not U:
         return True, frozenset([G.identity])
     stab = set()
     for p in G.elements:
-        pU = U if p == G.identity else frozenset(fn(p, x) for x in U)
+        pU = U if p == G.identity else frozenset(act(p, x) for x in U)
         if pU == U:
             stab.add(p)
         elif pU & U:

@@ -6,6 +6,7 @@ are slow and only ever run on small instances.
 """
 
 import heapq
+from functools import lru_cache
 from itertools import combinations, product
 
 from coarsecover.angles import SmallnessOracle, exists_small_geodesic
@@ -157,34 +158,58 @@ def angle_sum_brute(a_triples, b_triples):
     return frozenset(out)
 
 
-def theta_small_paths_brute(g, theta, u, v, sub=None):
-    """Geodesics whose internal angles all lie in theta, by raw DFS.
+def _turn_small(theta, path, i, sub):
+    """Whether the path turns theta-small at its internal position i.
 
-    Given sub, g is its subdivided graph: turns are read at original
-    vertices only, with the neighbouring midpoints translated back to the
-    far ends of their original edges.
+    Given sub, the path runs in the subdivided graph: midpoint apexes carry
+    a single passable angle, and the midpoints beside an original apex
+    stand for the far ends of their original edges.
     """
-    n = g.vertex_count if sub is None else sub.original.vertex_count
+    x, apex, y = path[i - 1], path[i], path[i + 1]
+    if sub is None:
+        return theta.contains(x, apex, y)
+    if sub.is_midpoint(apex):
+        return True
 
-    def far(m, apex):
-        if sub is None:
-            return m
+    def far(m):
         a, b = sub.edge_of_midpoint[m]
         return b if a == apex else a
 
-    out = []
-    for path in all_simple_shortest_paths(g, u, v):
-        ok = True
-        for i in range(1, len(path) - 1):
-            x, apex, y = path[i - 1], path[i], path[i + 1]
-            if apex >= n:
-                continue  # midpoint apexes carry a single passable angle
-            if not theta.contains(far(x, apex), apex, far(y, apex)):
-                ok = False
-                break
-        if ok:
-            out.append(path)
-    return out
+    return theta.contains(far(x), apex, far(y))
+
+
+def theta_small_paths_brute(g, theta, u, v, sub=None):
+    """Geodesics whose internal angles all lie in theta, by raw DFS.
+
+    Given sub, g is its subdivided graph and turns are read as in
+    _turn_small.
+    """
+    return [path for path in all_simple_shortest_paths(g, u, v)
+            if all(_turn_small(theta, path, i, sub)
+                   for i in range(1, len(path) - 1))]
+
+
+@lru_cache(maxsize=8192)
+def _geodesics(g, u, v):
+    """all_simple_shortest_paths, memoized; callers must not mutate it."""
+    return all_simple_shortest_paths(g, u, v)
+
+
+def cone_member_brute(inst, g, xi, apex, theta):
+    """Both clauses of the cone-set definition, read off every geodesic:
+    every geodesic from g v0 to the apex is theta-small and, unless xi is
+    the apex, some geodesic from g v0 to xi turns theta-large at the apex."""
+    sub, gv0 = inst.sub, g[inst.v0]
+    to_apex = _geodesics(sub.graph, gv0, apex)
+    if not to_apex or not all(_turn_small(theta, path, i, sub)
+                              for path in to_apex
+                              for i in range(1, len(path) - 1)):
+        return False
+    if xi == apex:
+        return True
+    return any(not _turn_small(theta, path, path.index(apex), sub)
+               for path in _geodesics(sub.graph, gv0, xi)
+               if apex in path[1:-1])
 
 
 def separated_sets_brute(points, dist_fn, alpha, size):

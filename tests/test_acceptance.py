@@ -197,7 +197,7 @@ def _cone_setup(name, g, gens, mode, alpha):
     if mode == "all":
         theta0 = theta0.union(all_angles(g))
     xi = inst.cone_targets()
-    cones, theta_out = cone_cover(inst, theta0, alpha, xi)
+    cones, theta_out = cone_cover(inst, theta0, xi)
     return inst, xi, cones, theta_out
 
 

@@ -8,17 +8,16 @@ from coarsecover.angles import (
     angle_set_from_triples,
     canonical_angle,
     angle_sum,
-    angles_of_geodesic,
     angleset_to_document,
     d_theta,
+    exists_small_geodesic,
     k_fold_sum,
     lemma_battery,
     load_angleset,
     theta3,
     theta3_circuit_bound_check,
-    theta_ball,
-    theta_small_geodesics,
     trivial_only,
+    vertices_on_small_geodesics,
 )
 from coarsecover.corpus import (
     battery_graphs,
@@ -48,18 +47,6 @@ C6 = cycle_graph(6)
 
 
 class TestAngleBasics:
-    def test_angles_of_geodesic(self):
-        p3 = path_graph(3)
-        assert angles_of_geodesic(p3, [0, 1]) == []
-        assert angles_of_geodesic(p3, [0, 1, 2]) == [(0, 1, 2)]
-        assert len(angles_of_geodesic(C6, [0, 1, 2, 3])) == 2
-
-    def test_non_geodesic_rejected(self):
-        with pytest.raises(ValueError, match="not a geodesic"):
-            angles_of_geodesic(C6, [0, 1, 0])
-        with pytest.raises(ValueError, match="not an edge"):
-            angles_of_geodesic(C6, [0, 2])
-
     def test_trivial_membership_implicit(self):
         t = trivial_only(C6)
         assert t.contains(1, 0, 1)
@@ -194,20 +181,50 @@ class TestAngleSum:
         assert k_fold_sum(t3, 1) == t3
         assert k_fold_sum(t3, 2) == angle_sum(t3, t3)
 
+    def test_k_fold_stops_once_a_sum_adds_nothing(self, monkeypatch):
+        import coarsecover.angles as angles_mod
+        g = wedge_of_cycles(2, 6)
+        t3 = theta3(g)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return angle_sum(a, b)
+
+        monkeypatch.setattr(angles_mod, "angle_sum", counted)
+        fixed = k_fold_sum(t3, 50)
+        used = len(calls)
+        assert used < 50
+        # one more sum than it took to reach the fixed point adds nothing
+        assert angle_sum(fixed, t3) == fixed
+        assert k_fold_sum(t3, used - 1) == fixed
+        assert k_fold_sum(t3, used - 2) != fixed
+        calls.clear()
+        assert k_fold_sum(t3, 10_000) == fixed
+        assert len(calls) == used
+
 
 class TestSmallGeodesics:
+    """Whether some geodesic between two vertices is small, read off the
+    geodesic DAG."""
+
+    @staticmethod
+    def small(g, theta, u, v):
+        return exists_small_geodesic(GeodesicIndex(g).dag(u, v),
+                                     SmallnessOracle(g, theta))
+
     def test_adjacent_always_small(self):
-        got = theta_small_geodesics(C6, trivial_only(C6), 0, 1, 10)
-        assert got == [[0, 1]]
+        assert self.small(C6, trivial_only(C6), 0, 1)
 
     def test_square_all_angles(self):
         c4 = cycle_graph(4)
-        got = theta_small_geodesics(c4, all_angles(c4), 0, 2, 10)
-        assert got == [[0, 1, 2], [0, 3, 2]]
+        oracle = SmallnessOracle(c4, all_angles(c4))
+        got = vertices_on_small_geodesics(GeodesicIndex(c4).dag(0, 2), oracle)
+        assert got == frozenset({0, 1, 2, 3})
 
     def test_square_trivial_only_empty(self):
         c4 = cycle_graph(4)
-        assert theta_small_geodesics(c4, trivial_only(c4), 0, 2, 10) == []
+        assert not self.small(c4, trivial_only(c4), 0, 2)
 
     def test_against_brute(self):
         rng = random.Random(11)
@@ -220,8 +237,8 @@ class TestSmallGeodesics:
                     v = rng.randrange(g.vertex_count)
                     if u == v:
                         continue
-                    got = theta_small_geodesics(g, theta, u, v, 1000)
-                    assert got == theta_small_paths_brute(g, theta, u, v)
+                    assert self.small(g, theta, u, v) == bool(
+                        theta_small_paths_brute(g, theta, u, v))
 
 
 class TestDTheta:
@@ -275,35 +292,6 @@ class TestDTheta:
                 for v in sub.ve_vertices():
                     for w in sub.ve_vertices():
                         assert tm.d(v, w) == oracle[(v, w)]
-
-
-class TestThetaBall:
-    def test_radius_zero(self):
-        assert theta_ball(C6, all_angles(C6), 0, (0, 1), 0) == frozenset({0})
-
-    def test_radius_one_filters_by_initial_edge(self):
-        t = trivial_only(C6)
-        assert theta_ball(C6, t, 0, (0, 1), 1) == frozenset({0, 1})
-
-    def test_c6_trivial_only(self):
-        # the initial-edge clause pins the direction and the smallness
-        # clause stops the walk after one step
-        got = theta_ball(C6, trivial_only(C6), 0, (0, 1), 3)
-        assert got == frozenset({0, 1})
-
-    def test_c6_all_angles(self):
-        got = theta_ball(C6, all_angles(C6), 0, (0, 1), 3)
-        assert got == frozenset(range(6))
-
-    def test_size_constant_on_orbits(self):
-        G = dihedral_group(6)
-        t3 = theta3(C6)
-        sizes = set()
-        for p in G.elements:
-            v = p[0]
-            e = tuple(sorted((p[0], p[1])))
-            sizes.add(len(theta_ball(C6, t3, v, e, 2)))
-        assert len(sizes) == 1
 
 
 class TestLemmaBattery:
@@ -378,13 +366,6 @@ class TestCaps:
         from coarsecover.graphs import CapExceeded
         with pytest.raises(CapExceeded):
             theta3(C6, pair_cap=4)
-
-    def test_small_geodesic_cap(self):
-        import pytest
-        from coarsecover.graphs import CapExceeded
-        c4 = cycle_graph(4)
-        with pytest.raises(CapExceeded):
-            theta_small_geodesics(c4, all_angles(c4), 0, 2, cap=1)
 
     def test_subdivision_matches_direct_brute(self):
         # run the raw triangle oracle on the subdivided graph itself, keep

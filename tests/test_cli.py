@@ -89,6 +89,26 @@ class TestAnalyze:
         assert message in json.loads(out)["error"]
 
 
+NEGATIVE_FLAGS = [
+    (["pipeline", "--tau-max", "-1"], "--tau-max"),
+    (["cf", "scan", "--tau-max", "-1"], "--tau-max"),
+    (["pipeline", "--alpha", "-1"], "--alpha"),
+    (["cone", "build", "--alpha", "-1"], "--alpha"),
+    (["battery", "--trials", "-5"], "--trials"),
+    (["rips", "homology", "--d", "2", "--max-dim", "-1"], "--max-dim"),
+    (["rips", "build", "--d", "-1"], "--d"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", NEGATIVE_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in NEGATIVE_FLAGS])
+def test_negative_flag_is_usage_error(tmp_graph, capsys, argv, flag):
+    code, out = run_cli(argv + ["--graph", tmp_graph(path_graph(6))],
+                        capsys)
+    assert code == 2
+    assert flag + " must be a nonnegative integer" in json.loads(out)["error"]
+
+
 class TestPipelineCommand:
     def test_tree_pipeline_passes(self, tmp_graph, capsys):
         code, out = run_cli(["pipeline", "--graph", tmp_graph(path_graph(10)),
@@ -152,6 +172,15 @@ class TestExportDot:
         code, out = run_cli(["export-dot", "--graph",
                              tmp_graph(cycle_graph(4))], capsys)
         assert code == 0 and "0 -- 1" in out
+
+    def test_labels_are_escaped(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]],
+                                 "labels": {"0": 'a"b', "1": "c\\d"}}))
+        code, out = run_cli(["export-dot", "--graph", str(p)], capsys)
+        assert code == 0
+        assert '0 [label="a\\"b"];' in out
+        assert '1 [label="c\\\\d"];' in out
 
     def test_dag(self, tmp_graph, capsys):
         code, out = run_cli(["export-dot", "--graph",

@@ -1,8 +1,11 @@
 from dataclasses import replace
 
+import pytest
+
 from coarsecover.angles import (
     all_angles,
     angle_set_from_triples,
+    angle_sum,
     k_fold_sum,
     trivial_only,
 )
@@ -13,10 +16,10 @@ from coarsecover.cones import (
     dichotomy_check,
     interior_certificate,
     seed_theta0,
-    vplus_membership,
 )
 from coarsecover.corpus import (
     path_graph,
+    pipeline_instances,
     random_tree,
     spider,
     spider_rotation,
@@ -26,6 +29,7 @@ from coarsecover.corpus import (
 from coarsecover.covers import Cover, CoverMember
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group, compose
+from oracles import cone_member_brute
 
 
 def setup(g, gens=()):
@@ -39,14 +43,14 @@ class TestVplus:
         inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         # v0 = midpoint of (0,1); apex 1 is half a unit away
-        assert vplus_membership(inst, e, 1, 1, trivial_only(g))
+        assert cone_member_brute(inst, e, 1, 1, trivial_only(g))
 
     def test_all_angles_never_large(self):
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]
-        assert not vplus_membership(inst, e, xi, 0, all_angles(g))
+        assert not cone_member_brute(inst, e, xi, 0, all_angles(g))
 
     def test_planted_cut_vertex(self):
         g = wedge_of_cycles(2, 6)
@@ -54,7 +58,7 @@ class TestVplus:
         theta = k_fold_sum(inst.t3, 2)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]  # inside the far cycle
-        assert vplus_membership(inst, e, xi, 0, theta)
+        assert cone_member_brute(inst, e, xi, 0, theta)
 
     def test_blocked_approach_fails_first_clause(self):
         g = wedge_of_cycles(2, 6)
@@ -63,7 +67,7 @@ class TestVplus:
         e = Gs.identity
         # reaching an apex inside the far cycle crosses the cut vertex with
         # a large angle, so the first clause fails
-        assert not vplus_membership(inst, e, 0, 7, theta)
+        assert not cone_member_brute(inst, e, 0, 7, theta)
 
 
 class TestInteriorCertificate:
@@ -85,7 +89,7 @@ class TestInteriorCertificate:
         xi = sub.midpoint_of_edge[(5, 6)]
         # spine angle at apex 1 is theta-large but (theta + 2 corners)-small,
         # and the spine angle at 3 on the same flow line is twice-corner-large
-        assert vplus_membership(inst, e, xi, 1, theta)
+        assert cone_member_brute(inst, e, xi, 1, theta)
         assert interior_certificate(inst, e, xi, 1, theta)
 
     def test_no_geodesic_no_certificate(self):
@@ -101,7 +105,7 @@ def build_cones(g, gens=(), alpha=1, theta0=None):
     if theta0 is None:
         theta0 = seed_theta0(inst, alpha)
     xi_set = tuple(sorted(set(g.cone_vertices) | set(sub.ve_vertices())))
-    cones, theta_out = cone_cover(inst, theta0, alpha, xi_set)
+    cones, theta_out = cone_cover(inst, theta0, xi_set)
     return inst, sub, Gs, v0, xi_set, cones, theta_out
 
 
@@ -156,13 +160,46 @@ class TestConeCover:
         r = [p for p in Gs.elements if p != Gs.identity][0]
         moved = replace(inst, v0=r[v0])
         theta0 = seed_theta0(moved, 1)
-        cones2, _ = cone_cover(moved, theta0, 1, xi)
+        cones2, _ = cone_cover(moved, theta0, xi)
         expect = {
             (c.apex, c.layer):
             frozenset((compose(ge, r), x) for (ge, x) in c.members)
             for c in cones}
         got = {(c.apex, c.layer): c.members for c in cones2}
         assert got == expect
+
+
+CONE_PARITY_CASES = [
+    ("path5", path_graph(5), [], "seed"),
+    ("tree9", random_tree(9, seed=8), [], "seed"),
+    ("wedge2-4", wedge_of_cycles(2, 4), [], "seed"),
+    ("caterpillar6", triangle_caterpillar(6, [1, 3]), [], "seed"),
+    ("spider3-3-rot", spider(3, 3), [spider_rotation(3, 3)], "seed"),
+] + [(name, g, gens, mode)
+     for name, g, gens, mode, _alpha, _tau in pipeline_instances()
+     if g.vertex_count <= 16]
+
+
+@pytest.mark.parametrize("name, g, gens, mode", CONE_PARITY_CASES,
+                         ids=[c[0] for c in CONE_PARITY_CASES])
+def test_cone_layers_match_the_definition(name, g, gens, mode):
+    """Each layer's member set is exactly the pairs meeting both clauses
+    of the cone-set definition at that layer's size."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    theta0 = seed_theta0(inst, 1)
+    if mode == "all":
+        theta0 = theta0.union(all_angles(g))
+    xi_set = inst.cone_targets()
+    cones, _ = cone_cover(inst, theta0, xi_set)
+    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    got = {(c.apex, c.layer): c.members for c in cones}
+    for apex in inst.sub.v_vertices():
+        for layer, k in ((1, 2), (2, 5), (3, 6)):
+            size = k_fold_sum(x, k)
+            want = frozenset(
+                (ge, xi) for ge in inst.sub_group.elements for xi in xi_set
+                if cone_member_brute(inst, ge, xi, apex, size))
+            assert got.get((apex, layer), frozenset()) == want, (apex, layer)
 
 
 class TestDichotomy:

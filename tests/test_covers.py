@@ -82,14 +82,13 @@ class TestDoubling:
 
 
 def build_space(n_points, alpha=1, group=None, act_v=None, act_z=None,
-                z_points=("z",), pairs=None, graph=None):
+                z_points=("z",), pairs=None):
     dist = {v: {w: abs(v - w) for w in range(n_points)}
             for v in range(n_points)}
     if pairs is None:
         pairs = [(v, z) for v in range(n_points) for z in z_points]
     return pair_space(tuple(range(n_points)), z_points, pairs, dist,
-                      group=group, act_v=act_v, act_z=act_z,
-                      base_graph=graph)
+                      group=group, act_v=act_v, act_z=act_z)
 
 
 class TestGreedyCover:

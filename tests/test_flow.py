@@ -4,7 +4,6 @@ from coarsecover.angles import (
     SmallnessOracle,
     all_angles,
     angle_set_from_triples,
-    enumerate_small_geodesics,
     k_fold_sum,
     theta3,
     trivial_only,
@@ -19,7 +18,6 @@ from coarsecover.corpus import (
 from coarsecover.covers import Cover, CoverMember
 from coarsecover.flow import (
     ball_closed_targets,
-    build_cf_hyp,
     build_cf_theta,
     cf_doubling_report,
     cf_pair_space,
@@ -29,35 +27,10 @@ from coarsecover.flow import (
     theta_for_wideness,
     wideness_scan,
 )
-from coarsecover.graphs import (
-    GeodesicIndex,
-    barycentric_subdivision,
-)
+from coarsecover.graphs import barycentric_subdivision
 from coarsecover.pipeline import build_instance
-from coarsecover.symmetry import close_group, stabilizer, subdivided_group, \
-    trivial_group
-
-
-class TestHyperbolicCase:
-    def test_tree_fibers_are_geodesics(self):
-        g = random_tree(10, seed=5)
-        idx = GeodesicIndex(g)
-        triples = build_cf_hyp(g, 0, idx)
-        for p in g.vertices:
-            for q in g.vertices:
-                fiber = {x for (x, a, b) in triples if (a, b) == (p, q)}
-                assert fiber == set(idx.geodesic_vertex_set(p, q))
-
-    def test_c6_antipodal_fiber_is_everything(self):
-        triples = build_cf_hyp(cycle_graph(6), 0)
-        fiber = {x for (x, a, b) in triples if (a, b) == (0, 3)}
-        assert fiber == set(range(6))
-
-    def test_equal_endpoints_give_ball(self):
-        g = cycle_graph(6)
-        triples = build_cf_hyp(g, 1)
-        fiber = {x for (x, a, b) in triples if (a, b) == (2, 2)}
-        assert fiber == {1, 2, 3}
+from coarsecover.symmetry import close_group
+from oracles import theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):
@@ -107,11 +80,20 @@ class TestBuildCfTheta:
         with pytest.raises(ValueError, match="midpoint"):
             build_cf_theta(sub, all_angles(g), (0,))
 
-    def test_equivariance_of_fibers(self):
+    def test_unlifted_group_rejected(self):
         g = cycle_graph(12)
         G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(), group=G)
+        with pytest.raises(ValueError, match="subdivided graph"):
+            build_cf_theta(sub, all_angles(g), sub.ve_vertices(), group=G)
+
+    def test_equivariance_of_fibers(self):
+        g = cycle_graph(12)
+        inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
+                                                      for i in range(12))]))
+        sub = inst.sub
+        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(),
+                            group=inst.sub_group)
         for p in cf.group.elements:
             for (v, xm, xp) in cf.triples:
                 assert (p[v], p[xm], p[xp]) in cf.triples
@@ -124,12 +106,10 @@ class TestBuildCfTheta:
         t3 = theta3(sub)
         theta = k_fold_sum(t3, 2).union(all_angles(g))
         cf = build_cf_theta(sub, theta, sub.ve_vertices())
-        oracle = SmallnessOracle(sub, theta)
         for (xm, xp), fiber in cf.fibers.items():
             if not fiber:
                 continue
-            smalls = enumerate_small_geodesics(cf.index.dag(xm, xp), oracle,
-                                               500)
+            smalls = theta_small_paths_brute(sub.graph, theta, xm, xp, sub)
             assert smalls
             bound = 2 * cf.delta_prime + 1
             best = max(
@@ -140,11 +120,14 @@ class TestBuildCfTheta:
 
     def test_fiber_stabilizers_respect_pair_stabilizers(self):
         g = cycle_graph(12)
-        G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
-        sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(), group=G)
+        inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
+                                                      for i in range(12))]))
+        sub = inst.sub
+        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(),
+                            group=inst.sub_group)
         for (xm, xp), fiber in list(cf.fibers.items())[:20]:
-            stab = stabilizer(cf.group, (xm, xp), "pairs")
+            stab = [p for p in cf.group.elements
+                    if (p[xm], p[xp]) == (xm, xp)]
             for p in stab:
                 assert frozenset(p[v] for v in fiber) == fiber
 
@@ -293,14 +276,13 @@ class TestWidenessScan:
     def test_equivariant_cycle_scan(self):
         g = cycle_graph(12)
         G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
-        sub = barycentric_subdivision(g)
-        idx = GeodesicIndex(sub.graph)
-        Gs = subdivided_group(G, sub)
+        inst = build_instance(g, G)
+        sub, idx, Gs = inst.sub, inst.index, inst.sub_group
         v0 = sub.midpoint_of_edge[(0, 1)]
         theta = all_angles(g)
         orbit = {p[v0] for p in Gs.elements}
         endpoints = tuple(sorted(set(sub.ve_vertices())))
-        cf = build_cf_theta(sub, theta, endpoints, group=G, index=idx)
+        cf = build_cf_theta(sub, theta, endpoints, group=Gs, index=idx)
         boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
         targets = ball_closed_targets(cf, v0, 1, boundary)
         assert targets
@@ -334,13 +316,6 @@ class TestThetaForWideness:
 
 
 class TestEqualEndpoints:
-    def test_constant_flow_line_fiber_is_ball(self):
-        g = path_graph(8)
-        sub = barycentric_subdivision(g)
-        xi = sub.ve_vertices()[3]
-        cf = build_cf_theta(sub, all_angles(g), (xi,), allow_equal=True)
-        assert cf.fiber(xi, xi) == cf.metric.ball(xi, cf.delta_prime)
-
     def test_tightest_constants_reported(self):
         g = path_graph(20)
         sub = barycentric_subdivision(g)

@@ -16,7 +16,6 @@ from coarsecover.rips import (
     complex_stats,
     contract_subcomplex,
     homology_oracle,
-    span_L,
     SimplicialComplex,
 )
 
@@ -77,23 +76,6 @@ class TestStats:
         st = complex_stats(build_rips(g, 2, all_angles(g)))
         assert st["dimension"] == 2
         assert st["simplices_by_dim"][2] == 8
-
-
-class TestSpan:
-    def test_singleton(self):
-        g = cycle_graph(6)
-        L = span_L([2], g, 2, all_angles(g))
-        assert L.vertices == (2,)
-
-    def test_adjacent_pair(self):
-        g = path_graph(5)
-        L = span_L([1, 2], g, 2, all_angles(g))
-        assert L.vertices == (1, 2)
-
-    def test_antipodes_span_cycle(self):
-        g = cycle_graph(6)
-        L = span_L([0, 3], g, 2, all_angles(g))
-        assert L.vertices == tuple(range(6))
 
 
 class TestHomology:
@@ -221,10 +203,13 @@ class TestContraction:
         delta = slimness_constant(g).delta
         d = 4 * max(1, delta)
         K = [1, 4, 8]
-        L = span_L(K, g, d, theta, index)
+        span = set(K)
+        for u in K:
+            for v in K:
+                span.update(index.geodesic_vertex_set(u, v))
         trace = contract_subcomplex(K, g, d, theta, delta, index=index)
         for m in trace.moves:
-            assert m.replacement in L.vertices
+            assert m.replacement in span
 
 
 class TestHomologyExactness:

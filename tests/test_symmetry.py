@@ -9,19 +9,19 @@ from coarsecover.corpus import (
     spider,
     spider_rotation,
 )
-from coarsecover.graphs import CapExceeded, barycentric_subdivision, canon_edge
+from coarsecover.graphs import CapExceeded, barycentric_subdivision
 from coarsecover.symmetry import (
     ALL_SUBGROUPS,
     TRIVIAL_ONLY,
     NotAutomorphism,
+    act_angle,
+    act_edge,
     SubgroupFamily,
     all_subgroups,
     close_group,
     compose,
     is_F_subset,
     is_subgroup,
-    orbits,
-    stabilizer,
     subdivided_group,
     subgroup_generated,
     trivial_group,
@@ -62,51 +62,18 @@ class TestCloseGroup:
             close_group(g, [(2, 1, 0)])  # swaps the cone vertex away
 
 
-class TestOrbitsAndStabilizers:
-    def test_rotation_vertex_orbit(self):
-        rep = orbits(rotation_group(6), range(6), "vertices")
-        assert rep.orbit_count == 1
-
-    def test_trivial_group_orbits(self):
-        g = path_graph(5)
-        rep = orbits(trivial_group(g), range(5), "vertices")
-        assert rep.orbit_count == 5
-
+class TestActions:
     def test_dihedral_edge_orbit(self):
         g = cycle_graph(6)
-        edges = [canon_edge(*e) for e in g.edges]
-        rep = orbits(dihedral_group(6), edges, "edges")
-        assert rep.orbit_count == 1
-
-    def test_vertex_stabilizer(self):
         G = dihedral_group(6)
-        assert len(stabilizer(G, 0)) == 2
-
-    def test_trivial_stabilizer(self):
-        g = path_graph(4)
-        assert stabilizer(trivial_group(g), 2) == frozenset([(0, 1, 2, 3)])
-
-    def test_ordered_vs_unordered_pair(self):
-        G = dihedral_group(6)
-        assert len(stabilizer(G, (0, 3))) == 2
-        assert len(stabilizer(G, frozenset({0, 3}))) == 4
-
-    def test_pair_stabilizer_is_intersection(self):
-        G = dihedral_group(6)
-        for u in range(6):
-            for v in range(6):
-                if u == v:
-                    continue
-                both = stabilizer(G, u) & stabilizer(G, v)
-                assert stabilizer(G, (u, v)) == both
+        assert {act_edge(p, (0, 1)) for p in G.elements} == set(g.edges)
 
     def test_angle_action(self):
         from coarsecover.angles import canonical_angle
         G = rotation_group(6)
-        angles = [canonical_angle((a - 1) % 6, a, (a + 1) % 6)
-                  for a in range(6)]
-        rep = orbits(G, angles, "angles")
-        assert rep.orbit_count == 1
+        angles = {canonical_angle((a - 1) % 6, a, (a + 1) % 6)
+                  for a in range(6)}
+        assert {act_angle(p, (0, 1, 2)) for p in G.elements} == angles
 
 
 class TestSubgroups:
@@ -142,30 +109,34 @@ class TestSubgroups:
             SubgroupFamily("explicit-list", members=(H,)).validate(G)
 
 
+def act_vertex(p, v):
+    return p[v]
+
+
 class TestFSubsets:
     def test_whole_set(self):
         G = rotation_group(6)
-        ok, wit = is_F_subset(set(range(6)), G, ALL_SUBGROUPS, "vertices")
+        ok, wit = is_F_subset(set(range(6)), G, ALL_SUBGROUPS, act_vertex)
         assert ok and len(wit) == 6
 
     def test_free_orbit_singleton(self):
         G = rotation_group(5)
-        ok, wit = is_F_subset({2}, G, TRIVIAL_ONLY, "vertices")
+        ok, wit = is_F_subset({2}, G, TRIVIAL_ONLY, act_vertex)
         assert ok and wit == frozenset([G.identity])
 
     def test_rotation_invariant_triple(self):
         G = rotation_group(6)
-        ok, wit = is_F_subset({0, 2, 4}, G, TRIVIAL_ONLY, "vertices")
+        ok, wit = is_F_subset({0, 2, 4}, G, TRIVIAL_ONLY, act_vertex)
         assert not ok
 
     def test_overlapping_translates(self):
         G = rotation_group(6)
-        ok, _ = is_F_subset({0, 1}, G, ALL_SUBGROUPS, "vertices")
+        ok, _ = is_F_subset({0, 1}, G, ALL_SUBGROUPS, act_vertex)
         assert not ok  # r{0,1} = {1,2} meets {0,1} without fixing it
 
     def test_empty_set(self):
         G = rotation_group(3)
-        ok, wit = is_F_subset(set(), G, TRIVIAL_ONLY, "vertices")
+        ok, wit = is_F_subset(set(), G, TRIVIAL_ONLY, act_vertex)
         assert ok
 
 
