@@ -32,6 +32,7 @@ from .flow import (
     wideness_scan,
 )
 from .graphs import (
+    CapExceeded,
     GeodesicIndex,
     GraphFormatError,
     dag_to_dot,
@@ -466,7 +467,7 @@ def main(argv=None):
                                        "got %d" % (key.replace("_", "-"), value))
         return handlers[args.cmd](args)
     except (OSError, json.JSONDecodeError, GraphFormatError, ValueError,
-            PipelineError) as e:
+            PipelineError, CapExceeded) as e:
         print(report_json({"error": str(e)}))
         return 2
 

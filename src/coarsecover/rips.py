@@ -5,6 +5,9 @@ of length at most d, so the complex is the clique complex of that pair
 relation and is stored by maximal simplices.  The contraction walks a
 finite subcomplex down to a single vertex by validated vertex folds; Betti
 numbers over the rationals give the independent contractibility check.
+Those are computed first over the prime field F_p, p = 2**31 - 1, with
+clearing; an F_p answer of (1, 0, ..., 0) certifies the rational one, and
+every other complex falls back to exact elimination over the rationals.
 """
 
 from __future__ import annotations
@@ -151,13 +154,13 @@ def _large_angle_vertices(index: GeodesicIndex, oracle: SmallnessOracle,
     return out
 
 
-def _measure(index, oracle, t3_2, v0, K):
+def _measure(index, large_at, v0, K):
     alpha = max(index.d(v0, v) for v in K)
     a = sum(1 for v in K if index.d(v0, v) == alpha)
     beta = 0
     b = 0
     for v in K:
-        bw = _large_angle_vertices(index, oracle, t3_2, v0, v)
+        bw = large_at(v)
         best = max(bw.values(), default=0)
         if best > beta:
             beta, b = best, 1
@@ -197,11 +200,21 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     K0 = sorted(set(K_vertices))
     if not K0:
         raise ValueError("empty subcomplex")
+    v0 = K0[0]
+    # the large-angle vertices of v depend only on v: v0, the index, the
+    # oracle and t3_2 are fixed for the whole contraction
+    large = {}
+
+    def large_at(v):
+        hit = large.get(v)
+        if hit is None:
+            hit = large[v] = _large_angle_vertices(index, oracle, t3_2, v0, v)
+        return hit
+
     for u in K0:
         for v in K0:
             if index.d(u, v) is INF:
                 raise ValueError("subcomplex spans several components")
-    v0 = K0[0]
     L_verts = set()
     for u in K0:
         L_verts.add(u)
@@ -215,7 +228,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         alpha0 = max(index.d(v0, v) for v in K)
         move_cap = 4 * len(K0) * (alpha0 + 2) + 16
     while True:
-        alpha, beta, a, b = _measure(index, oracle, t3_2, v0, K)
+        alpha, beta, a, b = _measure(index, large_at, v0, K)
         if alpha == 0:
             break
         if len(moves) > move_cap:
@@ -235,7 +248,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         else:
             v = None
             for cand in sorted(K):
-                bw = _large_angle_vertices(index, oracle, t3_2, v0, cand)
+                bw = large_at(cand)
                 wits = sorted(w for w, dw in bw.items() if dw == beta)
                 if wits:
                     v = cand
@@ -258,7 +271,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if vt not in L_verts:
             raise ContractionError("replacement %r leaves the span" % (vt,))
         K_next = (K - {v}) | {vt}
-        m_next = _measure(index, oracle, t3_2, v0, K_next)
+        m_next = _measure(index, large_at, v0, K_next)
         before = (alpha + beta, a + b)
         after = (m_next[0] + m_next[1], m_next[2] + m_next[3])
         if not after < before:
@@ -274,6 +287,9 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
 # ---------------------------------------------------------------------------
 # Homology over the rationals
 # ---------------------------------------------------------------------------
+
+
+_P = 2**31 - 1
 
 
 def _rank(columns):
@@ -300,8 +316,52 @@ def _rank(columns):
     return rank
 
 
+def _pivot_rows_mod_p(columns, cleared):
+    """Pivot rows of a sparse integer matrix reduced over F_p.
+
+    Columns are {row: int}; those whose index is in cleared are skipped.
+    Each column is reduced on its largest row index, so a reduced column
+    is a combination of the original ones whose largest row is its pivot.
+    The number of pivot rows is the rank of the columns not skipped.
+    """
+    pivots = {}
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
+        col = {r: v % _P for r, v in col.items()}
+        while col:
+            r = max(col)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = pow(col[r], -1, _P)
+                pivots[r] = {rr: vv * inv % _P for rr, vv in col.items()}
+                break
+            f = col[r]
+            for rr, vv in piv.items():
+                nv = (col.get(rr, 0) - f * vv) % _P
+                if nv:
+                    col[rr] = nv
+                else:
+                    del col[rr]
+    return pivots.keys()
+
+
 def homology_oracle(P: SimplicialComplex, max_dim=None, cap=200000):
-    """Betti numbers over the rationals by exact boundary-matrix ranks."""
+    """Betti numbers over the rationals by exact boundary-matrix ranks.
+
+    The ranks are first taken over F_p, p = 2**31 - 1.  For every integer
+    matrix the rank over F_p is at most the rank over Q, so every F_p Betti
+    number is at least the rational one.  When the F_p Betti numbers are
+    (1, 0, ..., 0) the rational ones are therefore the same, since b_0 >= 1
+    on a nonempty complex, and they are returned.  Any other answer,
+    including that of the empty complex, is recomputed by exact elimination
+    over the rationals.
+
+    The F_p ranks are reduced from the top dimension down with clearing: a
+    reduced column of the boundary of (k+1)-chains with pivot row i is a
+    k-cycle whose largest simplex is i, so column i of the boundary of
+    k-chains depends on earlier columns and is skipped.
+    """
     sims = P.all_simplices(cap)
     dim = P.dimension
     if max_dim is None:
@@ -312,24 +372,30 @@ def homology_oracle(P: SimplicialComplex, max_dim=None, cap=200000):
     for k in by_dim:
         by_dim[k].sort()
     pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in by_dim.items()}
+    columns = {}
 
     def boundary_columns(k):
         # columns of the boundary map from k-chains to (k-1)-chains
-        cols = []
-        lower = pos.get(k - 1, {})
-        for s in by_dim.get(k, []):
-            col = {}
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1:]
-                col[lower[face]] = Fraction(-1 if j % 2 else 1)
-            cols.append(col)
-        return cols
+        if k not in columns:
+            lower = pos.get(k - 1, {})
+            columns[k] = [{lower[s[:j] + s[j + 1:]]: -1 if j % 2 else 1
+                           for j in range(len(s))}
+                          for s in by_dim.get(k, [])]
+        return columns[k]
 
-    ranks = {0: 0}
-    for k in range(1, dim + 2):
-        ranks[k] = _rank(boundary_columns(k)) if by_dim.get(k) else 0
-    betti = []
-    for k in range(0, max_dim + 1):
-        nk = len(by_dim.get(k, []))
-        betti.append(nk - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    return tuple(betti)
+    def betti(ranks):
+        return tuple(len(by_dim.get(k, [])) - ranks.get(k, 0)
+                     - ranks.get(k + 1, 0) for k in range(max_dim + 1))
+
+    ranks = {}
+    cleared = ()
+    for k in range(min(dim, max_dim + 1), 0, -1):
+        pivot_rows = _pivot_rows_mod_p(boundary_columns(k), cleared)
+        ranks[k] = len(pivot_rows)
+        cleared = set(pivot_rows)
+    acyclic = (1,) + (0,) * max_dim
+    if betti(ranks) == acyclic:
+        return acyclic
+    return betti({k: _rank([{r: Fraction(v) for r, v in col.items()}
+                            for col in boundary_columns(k)])
+                  for k in range(1, dim + 2)})

@@ -291,10 +291,11 @@ def subdivision_perm(perm, subdivision):
 def subdivided_group(G: GroupModel, subdivision) -> GroupModel:
     """The same abstract group acting on the subdivided graph.
 
-    A group already acting on the subdivision is returned unchanged.
+    G must act on the original graph of the subdivision.
     """
-    if G.graph == subdivision.graph:
-        return G
+    if G.graph != subdivision.original:
+        raise ValueError("the group must act on the original graph of the "
+                         "subdivision")
     lift = {p: subdivision_perm(p, subdivision) for p in G.elements}
     elements = tuple(sorted(lift.values()))
     word = {lift[p]: G.word_length[p] for p in G.elements}

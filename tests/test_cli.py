@@ -100,6 +100,16 @@ NEGATIVE_FLAGS = [
 ]
 
 
+@pytest.mark.parametrize("rips_cmd", ["build", "homology"])
+def test_simplex_cap_is_usage_error(tmp_graph, capsys, rips_cmd):
+    # one simplex on 18 vertices has 2**18 - 1 faces, past the default cap
+    code, out = run_cli(["rips", rips_cmd, "--graph",
+                         tmp_graph(path_graph(18)), "--d", "20",
+                         "--theta", "all"], capsys)
+    assert code == 2
+    assert "more than 200000 simplices" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("argv, flag", NEGATIVE_FLAGS,
                          ids=[" ".join(argv) for argv, _ in NEGATIVE_FLAGS])
 def test_negative_flag_is_usage_error(tmp_graph, capsys, argv, flag):

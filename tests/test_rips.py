@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coarsecover import rips
 from coarsecover.angles import all_angles, k_fold_sum, theta3, trivial_only
 from coarsecover.corpus import (
     complete_graph,
@@ -195,6 +200,24 @@ class TestContraction:
             assert homology_oracle(cu, dim) == homology_oracle(ca, dim)
             current = (current - {m.vertex}) | {m.replacement}
 
+    @pytest.mark.parametrize("g", [wedge_of_cycles(2, 6),
+                                   triangle_caterpillar(8, [2, 5])],
+                             ids=["wedge2-6", "caterpillar8"])
+    def test_large_angle_vertices_once_per_vertex(self, monkeypatch, g):
+        calls = []
+        real = rips._large_angle_vertices
+
+        def counted(index, oracle, small, v0, v):
+            calls.append(v)
+            return real(index, oracle, small, v0, v)
+
+        monkeypatch.setattr(rips, "_large_angle_vertices", counted)
+        index, theta, delta = contraction_setup(g, None)
+        trace = contract_subcomplex(sorted(g.vertices), g, 4 * max(1, delta),
+                                    theta, delta, index=index)
+        assert trace.moves
+        assert len(calls) == len(set(calls))
+
     def test_replacements_stay_in_span(self):
         g = wedge_of_cycles(2, 6)
         index = GeodesicIndex(g)
@@ -227,6 +250,65 @@ class TestHomologyExactness:
         g = wedge_of_cycles(3, 5)
         P = build_rips(g, 1, trivial_only(g))
         assert homology_oracle(P, 1) == (1, 3)
+
+
+def rational_betti(P, max_dim):
+    """Betti numbers from Fraction elimination alone."""
+    by_dim = {}
+    for s in sorted(tuple(sorted(s)) for s in P.all_simplices()):
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    ranks = {}
+    for k, ss in by_dim.items():
+        if k > 0:
+            lower = {f: i for i, f in enumerate(by_dim[k - 1])}
+            ranks[k] = rips._rank(
+                [{lower[s[:j] + s[j + 1:]]: Fraction(-1 if j % 2 else 1)
+                  for j in range(len(s))} for s in ss])
+    return tuple(len(by_dim.get(k, [])) - ranks.get(k, 0)
+                 - ranks.get(k + 1, 0) for k in range(max_dim + 1))
+
+
+@st.composite
+def flag_complexes(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    if draw(st.booleans()):
+        # a cone over the rest: contractible, so the fast path answers
+        edges += [(0, v) for v in range(1, n)]
+    P = rips._clique_complex(range(n), edges)
+    return P, draw(st.integers(0, P.dimension + 1))
+
+
+def test_homology_matches_the_rational_reference(monkeypatch):
+    # p = 2**31 - 1 divides no torsion order of a flag complex this small,
+    # so the F_p Betti numbers equal the rational ones and the fast path
+    # must answer exactly the acyclic complexes
+    fallbacks = []
+    real_rank = rips._rank
+
+    def counted(columns):
+        fallbacks.append(1)
+        return real_rank(columns)
+
+    monkeypatch.setattr(rips, "_rank", counted)
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(flag_complexes())
+    def check(case):
+        P, max_dim = case
+        want = rational_betti(P, max_dim)
+        before = len(fallbacks)
+        assert homology_oracle(P, max_dim) == want
+        acyclic = want == (1,) + (0,) * max_dim
+        assert (len(fallbacks) == before) == acyclic
+        seen.add(acyclic)
+
+    check()
+    assert seen == {True, False}
 
 
 class TestCaps:

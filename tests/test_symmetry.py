@@ -156,10 +156,10 @@ class TestSubdividedAction:
             assert len(lifted) == 1
             assert Gs.word_length[lifted[0]] == G.word_length[p]
 
-    def test_lift_is_idempotent(self):
+    def test_group_of_another_graph_rejected(self):
         g = spider(3, 4)
         sub = barycentric_subdivision(g)
         Gs = subdivided_group(close_group(g, [spider_rotation(3, 4)]), sub)
-        assert subdivided_group(Gs, sub) is Gs
-        trivial = subdivided_group(trivial_group(g), sub)
-        assert subdivided_group(trivial, sub) is trivial
+        for G in (Gs, trivial_group(sub.graph), trivial_group(spider(3, 5))):
+            with pytest.raises(ValueError, match="original graph"):
+                subdivided_group(G, sub)
