@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import INF, make_graph
-from .symmetry import GroupModel, SubgroupFamily, compose, invert, \
-    is_F_subset, is_subgroup, subgroup_generated, trivial_group
+from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
+    is_subgroup, set_orbit, subgroup_generated, trivial_group
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,43 @@ class PairSpace:
         return frozenset((av[v], az[z]) for v, z in points)
 
     def validate(self):
+        """Check the metric, the action and their invariance.  An action
+        fixing points under the identity and composing with each generator
+        is a homomorphism, so invariance per generator is G-invariance."""
         for v in self.v_points:
             if self.dist[v][v] != 0:
                 raise ValueError("metric has nonzero diagonal")
             for w in self.v_points:
                 if self.dist[v][w] != self.dist[w][v]:
                     raise ValueError("metric not symmetric")
+        G = self.group
+        _check_generators(G)
+        maps = ((self.act_v, self.v_points), (self.act_z, self.z_points))
+        if any(act[G.identity][x] != x for act, xs in maps for x in xs):
+            raise ValueError("the identity moves a point")
+        for p in G.elements:
+            for s in G.generators:
+                sp = compose(s, p)
+                if any(act[sp][x] != act[s][act[p][x]]
+                       for act, xs in maps for x in xs):
+                    raise ValueError("the action does not respect composition")
         act = self.pair_action()
-        for p in self.group.elements:
+        for s in G.generators:
+            av = self.act_v[s]
             for pair in self.pairs:
-                if act(p, pair) not in self.pairs:
+                if act(s, pair) not in self.pairs:
                     raise ValueError("pair set is not group invariant")
             for v in self.v_points:
                 for w in self.v_points:
-                    if self.dist[v][w] != self.dist[self.act_v[p][v]][self.act_v[p][w]]:
+                    if self.dist[v][w] != self.dist[av[v]][av[w]]:
                         raise ValueError("metric is not group invariant")
+
+
+def _check_generators(G: GroupModel):
+    """Raise ValueError unless G.generators generate G.elements; the orbit
+    walks of this module reach the whole group only along generators."""
+    if subgroup_generated(G, G.generators) != frozenset(G.elements):
+        raise ValueError("the group's generators do not generate its elements")
 
 
 def pair_space(v_points, z_points, pairs, dist, group=None,
@@ -311,6 +333,31 @@ def fiber_basis(space: PairSpace, alpha):
     return triples
 
 
+def _sifted_generators(G: GroupModel, H):
+    """A generating set of the subgroup H: each element of sorted(H) not
+    yet generated by those kept before it."""
+    gens, span = [], {G.identity}
+    for a in sorted(H):
+        if a not in span:
+            gens.append(a)
+            span = subgroup_generated(G, gens)
+    return gens
+
+
+def _saturate(space: PairSpace, core, gens):
+    """The union of the translates a.core over the subgroup generated by
+    gens: core closed point by point under gens."""
+    acts = [(space.act_v[s], space.act_z[s]) for s in gens]
+    out, queue = set(core), list(core)
+    for v, z in queue:  # the queue grows while it is walked
+        for av, az in acts:
+            x = (av[v], az[z])
+            if x not in out:
+                out.add(x)
+                queue.append(x)
+    return frozenset(out)
+
+
 def _check_alpha(alpha):
     # longness is read off the pair's own holders, which needs (v, z) in
     # its own alpha-neighbourhood; a negative scale makes every check vacuous
@@ -325,9 +372,15 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     closed 2*alpha balls in the v-direction, intersected with the pair set
     and saturated.  Determinism: ties follow basis order and sorted group
     elements.
+
+    Each saturated set contributes its orbit, walked along the generators
+    (which must generate the group); orbits are equal or disjoint.  The
+    member W = p.saturated, p in the coset t_W.Stab, is annotated with the
+    first such p in G.elements order, and members come in that order.
     """
     _check_alpha(alpha)
     G = space.group
+    _check_generators(G)
     act_v, act_z = space.act_v, space.act_z
     if basis is None:
         basis = default_basis(space)
@@ -370,6 +423,7 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
                     zset.difference_update(az[z] for z in reduced[j])
         reduced.append(frozenset(zset))
 
+    rank = {p: k for k, p in enumerate(G.elements)}
     members = []
     seen_sets = set()
     for i, t in enumerate(basis):
@@ -378,22 +432,16 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
         ball = space.ball_v(t.v, 2 * alpha)
         core = frozenset((w, z) for z in reduced[i]
                          for w in space.fiber_v(z) & ball)
-        saturated = set()
-        for a in t.subgroup:  # one translate alive at a time
-            saturated |= space.translate(a, core)
-        saturated = frozenset(saturated)
-        if not saturated:
+        saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
+        if not saturated or saturated in seen_sets:
             continue
-        first = True
-        for p in G.elements:
-            translated = space.translate(p, saturated)
-            if translated in seen_sets:
-                continue
-            seen_sets.add(translated)
-            stab = frozenset(compose(compose(p, a), invert(p))
-                             for a in t.subgroup)
-            members.append(CoverMember(translated, stab, first))
-            first = False
+        orbit, stab = set_orbit(saturated, G, space.translate)
+        seen_sets.update(orbit)
+        firsts = sorted((min(rank[compose(tw, h)] for h in stab), W)
+                        for W, tw in orbit.items())
+        for k, (r, W) in enumerate(firsts):
+            members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
+                                       k == 0))
     order = cover_order([m.points for m in members], space.pairs)
     return Cover(tuple(members), alpha, order)
 
@@ -416,6 +464,16 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     over z within alpha of v.  That set contains (v, z) itself, so only
     the members holding (v, z) need testing, and each is tested on its
     slice over z.
+
+    Invariance and F-subsetness walk the generators, which must generate
+    the group (ValueError otherwise).  A generator maps the finite pool of
+    member sets injectively, so a pool each generator maps into itself is
+    G-invariant.  The first member m of each orbit, in cover order, gets
+    the check of is_F_subset on the orbit set_orbit walks.  It transfers
+    to m' = g.m: m' meets h.m' exactly when m meets (g^-1 h g).m, and
+    Stab(m') = g Stab(m) g^-1 is tested against the family directly, which
+    need not be closed under conjugation.  Failures name the first failing
+    generator or member; the members' annotations are not read.
     """
     _check_alpha(alpha)
     failures = []
@@ -438,21 +496,28 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
             failures.append(("not-long", (v, z)))
             break
 
+    G = space.group
+    _check_generators(G)
     inv_ok = True
     set_pool = set(sets)
-    for p in space.group.elements:
-        for m in sets:
-            if space.translate(p, m) not in set_pool:
-                inv_ok = False
-                failures.append(("not-invariant", p))
-                break
-        if not inv_ok:
+    for s in G.generators:
+        if any(space.translate(s, m) not in set_pool for m in set_pool):
+            inv_ok = False
+            failures.append(("not-invariant", s))
             break
 
     f_ok = True
-    action = space.pair_action()
-    for idx, m in enumerate(cover.members):
-        ok, witness = is_F_subset(m.points, space.group, family, action)
+    checked = {}  # translate of a checked member -> (t, member's stabilizer)
+    for idx, m in enumerate(sets):
+        if not m:
+            continue
+        if m in checked:
+            ok = family.contains(conjugate(*checked[m]), G)
+        else:
+            orbit, stab = set_orbit(m, G, space.translate)
+            ok = (not any(W & m for W in orbit if W != m)
+                  and family.contains(stab, G))
+            checked.update((W, (t, stab)) for W, t in orbit.items())
         if not ok:
             f_ok = False
             failures.append(("not-f-subset", idx))

@@ -28,6 +28,12 @@ def invert(p):
     return tuple(inv)
 
 
+def conjugate(g, H):
+    """The conjugate subgroup g H g^-1."""
+    gi = invert(g)
+    return frozenset(compose(compose(g, h), gi) for h in H)
+
+
 def is_automorphism(g: Graph, perm) -> bool:
     if len(perm) != g.vertex_count or set(perm) != set(range(g.vertex_count)):
         return False
@@ -216,9 +222,7 @@ class SubgroupFamily:
             for S in self.seeds:
                 S = frozenset(S)
                 for g in G.elements:
-                    gi = invert(g)
-                    conj = frozenset(compose(compose(g, s), gi) for s in S)
-                    if H <= conj:
+                    if H <= conjugate(g, S):
                         return True
             return False
         raise ValueError("unknown family kind %r" % (self.kind,))
@@ -231,12 +235,11 @@ class SubgroupFamily:
             if not is_subgroup(G, H):
                 raise ValueError("family member is not a subgroup")
             for g in G.elements:
-                gi = invert(g)
-                conj = frozenset(compose(compose(g, h), gi) for h in H)
-                if conj not in listed:
+                if conjugate(g, H) not in listed:
                     raise ValueError("family not conjugation closed")
         for H in listed:
-            sub_model = GroupModel(G.graph, tuple(sorted(H)), (), G.identity,
+            elements = tuple(sorted(H))
+            sub_model = GroupModel(G.graph, elements, elements, G.identity,
                                    {h: 0 for h in H})
             for K in all_subgroups(sub_model):
                 if K not in listed:
@@ -247,6 +250,36 @@ TRIVIAL_ONLY = SubgroupFamily("trivial-only")
 ALL_SUBGROUPS = SubgroupFamily("all-subgroups")
 
 
+def set_orbit(U, G: GroupModel, translate):
+    """The orbit of the set U, walked along the generators of G.
+
+    translate(p, S) applies the group element p to a set S.  Returns
+    (orbit, stab): orbit maps each translate W of U, in breadth-first order
+    from U, to a transversal element t_W with t_W.U = W (t_U is the
+    identity), and stab is the setwise stabilizer of U.
+
+    G.generators must generate G; every element is then a product of
+    generators (inverses are positive powers in a finite group), so the
+    walk reaches every translate.  By Schreier's lemma the elements
+    t_{sW}^-1 s t_W, over orbit sets W and generators s, generate the
+    stabilizer.  Cost: |orbit| * |generators| translates.
+    """
+    U = frozenset(U)
+    orbit = {U: G.identity}
+    queue = [U]
+    schreier = set()
+    for W in queue:
+        t = orbit[W]
+        for s in G.generators:
+            sW, st = translate(s, W), compose(s, t)
+            if sW in orbit:
+                schreier.add(compose(invert(orbit[sW]), st))
+            else:
+                orbit[sW] = st
+                queue.append(sW)
+    return orbit, subgroup_generated(G, schreier)
+
+
 def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
     """Check the equivariant-subset condition with a stabilizer witness.
 
@@ -254,19 +287,17 @@ def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
     every other translate of U is disjoint from U; act(p, x) applies the
     group element p to a point x of U.  Returns (ok, witness) where witness
     is F0 on success.
+
+    set_orbit gives F0 and the orbit; the translates p.U with p outside F0
+    are exactly the orbit sets other than U, so disjointness is one test
+    per orbit set.  G.generators must generate G.
     """
     U = frozenset(U)
     if not U:
         return True, frozenset([G.identity])
-    stab = set()
-    for p in G.elements:
-        pU = U if p == G.identity else frozenset(act(p, x) for x in U)
-        if pU == U:
-            stab.add(p)
-        elif pU & U:
-            return False, None
-    stab = frozenset(stab)
-    if not family.contains(stab, G):
+    orbit, stab = set_orbit(
+        U, G, lambda p, S: frozenset(act(p, x) for x in S))
+    if any(W & U for W in orbit if W != U) or not family.contains(stab, G):
         return False, None
     return True, stab
 

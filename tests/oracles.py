@@ -267,7 +267,8 @@ def verify_cover_definitional(members, space, alpha, family):
     definitions, on a pair space given by its parts.
 
     members is a list of sets of pairs.  Returns (order, first pair
-    that is not alpha-long or None, invariant, f_subsets).
+    that is not alpha-long or None, invariant, index of the first member
+    that is not an F-subset or None).
     """
     G = space.group
 
@@ -285,19 +286,70 @@ def verify_cover_definitional(members, space, alpha, family):
     pool = [set(m) for m in members]
     invariant = all({act(p, x) for x in m} in pool
                     for p in G.elements for m in members)
-    f_subsets = True
-    for m in members:
+    not_f = None
+    for idx, m in enumerate(members):
         m = set(m)
         stab = set()
+        meets = False
         for p in G.elements:
             pm = {act(p, x) for x in m}
             if pm == m:
                 stab.add(p)
             elif pm & m:
-                f_subsets = False
-        if m and not family.contains(frozenset(stab), G):
-            f_subsets = False
-    return order, not_long, invariant, f_subsets
+                meets = True
+        if meets or (m and not family.contains(frozenset(stab), G)):
+            not_f = idx
+            break
+    return order, not_long, invariant, not_f
+
+
+def greedy_cover_reference(space, alpha, basis):
+    """greedy_cover with one translate per group element: the subtraction,
+    the saturation by every element of the annotated subgroup, and the
+    members from every translate of the saturated set, annotated with the
+    first element (in G.elements order) reaching each new set.  No
+    precondition checks; basis is a list of BasisTriple.
+    """
+    from coarsecover.covers import Cover, CoverMember, cover_order
+    from coarsecover.symmetry import compose, invert
+
+    G = space.group
+    act_v, act_z = space.act_v, space.act_z
+
+    def translate(p, points):
+        return frozenset((act_v[p][v], act_z[p][z]) for v, z in points)
+
+    reduced = []
+    for i, t in enumerate(basis):
+        zset = set(t.zset)
+        for j in range(i):
+            for p in G.elements:
+                if space.dist[t.v][act_v[p][basis[j].v]] <= alpha:
+                    zset.difference_update(act_z[p][z] for z in reduced[j])
+        reduced.append(frozenset(zset))
+
+    members = []
+    seen_sets = set()
+    for i, t in enumerate(basis):
+        core = frozenset((w, z) for z in reduced[i] for w in space.v_points
+                         if (w, z) in space.pairs
+                         and space.dist[t.v][w] <= 2 * alpha)
+        saturated = frozenset().union(*(translate(a, core)
+                                        for a in t.subgroup))
+        if not saturated:
+            continue
+        first = True
+        for p in G.elements:
+            translated = translate(p, saturated)
+            if translated in seen_sets:
+                continue
+            seen_sets.add(translated)
+            stab = frozenset(compose(compose(p, a), invert(p))
+                             for a in t.subgroup)
+            members.append(CoverMember(translated, stab, first))
+            first = False
+    order = cover_order([m.points for m in members], space.pairs)
+    return Cover(tuple(members), alpha, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Property tests: the cover kernels against the brute-force oracles.
 
 Random metric sets have at most 10 points, integer or infinite distances,
-and either the trivial group or rotations of Z/n acting on the v-points.
+and either the trivial group, rotations of Z/n acting on the v-points, or
+the dihedral group of Z/n acting on the v-points and either fixing the
+z-points or moving z-points that are ordered pairs of vertices.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from coarsecover.corpus import rotation_group
+from coarsecover.corpus import dihedral_group, rotation_group
 from coarsecover.covers import (
     Cover,
     CoverMember,
     cover_order,
+    default_basis,
     doubling_check,
     fiber_basis,
     greedy_cover,
@@ -18,9 +21,10 @@ from coarsecover.covers import (
     verify_cover,
 )
 from coarsecover.graphs import INF
-from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY
+from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, \
+    SubgroupFamily, all_subgroups
 from oracles import cover_order_brute, doubling_scan_oracle, \
-    verify_cover_definitional
+    greedy_cover_reference, verify_cover_definitional
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -66,30 +70,43 @@ def test_cover_order_matches_brute_count(members, domain):
 
 
 @st.composite
-def pair_spaces(draw):
+def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
     """A pair space over Z/n, invariant under the drawn group.
 
-    Under rotations the metric depends on the cyclic gap only and the pair
-    set is a union of z-fibers, so both are invariant.
+    Under rotations and reflections the metric depends on the cyclic gap
+    only.  A group fixing the z-points admits a union of z-fibers.  A
+    dihedral group may also move the z-points: a z-point is then an ordered
+    pair of vertices, moved as cf_pair_space moves flow-line endpoints, and
+    the pair set is the union of the orbits of a few drawn pairs.
     """
-    n = draw(st.integers(1, 10))
-    cyclic = n >= 3 and draw(st.booleans())
-    if cyclic:
-        half = [0] + [draw(gaps) for _ in range(n // 2)]
-        dist = {v: {w: half[min((w - v) % n, (v - w) % n)] for w in range(n)}
-                for v in range(n)}
-        group = rotation_group(n)
-        act_v = {p: {v: p[v] for v in range(n)} for p in group.elements}
-        act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
-        zs = draw(st.sampled_from((("a",), ("b",), ("a", "b"))))
-        pairs = [(v, z) for v in range(n) for z in zs]
-    else:
+    n = draw(st.integers(1 if "trivial" in kinds else 3, 10))
+    kind = draw(st.sampled_from(kinds)) if n >= 3 else "trivial"
+    if kind == "trivial":
         d = draw(distance_tables(n))
         dist = {v: {w: d[v][w] for w in range(n)} for v in range(n)}
-        group = act_v = act_z = None
-        pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
-                                       st.sampled_from("ab")), min_size=1))
-    return pair_space(range(n), ("a", "b"), pairs, dist, group=group,
+        return pair_space(range(n), ("a", "b"), draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.sampled_from("ab")),
+            min_size=1)), dist)
+    half = [0] + [draw(gaps) for _ in range(n // 2)]
+    dist = {v: {w: half[min((w - v) % n, (v - w) % n)] for w in range(n)}
+            for v in range(n)}
+    group = (rotation_group if kind == "rotation" else dihedral_group)(n)
+    act_v = {p: {v: p[v] for v in range(n)} for p in group.elements}
+    if kind == "dihedral" and draw(st.booleans()):
+        vertex = st.integers(0, n - 1)
+        seeds = draw(st.lists(st.tuples(vertex, st.tuples(vertex, vertex)),
+                              min_size=1, max_size=3))
+        pairs = {(p[v], (p[a], p[b])) for v, (a, b) in seeds
+                 for p in group.elements}
+        z_points = tuple(sorted({z for _, z in pairs}))
+        act_z = {p: {z: (p[z[0]], p[z[1]]) for z in z_points}
+                 for p in group.elements}
+    else:
+        zs = draw(st.sampled_from((("a",), ("b",), ("a", "b"))))
+        pairs = [(v, z) for v in range(n) for z in zs]
+        z_points = ("a", "b")
+        act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
+    return pair_space(range(n), z_points, pairs, dist, group=group,
                       act_v=act_v, act_z=act_z)
 
 
@@ -102,23 +119,36 @@ def _members(space, sets):
 def _agrees(cover, space, alpha, family):
     rep = verify_cover(cover, space, alpha, family)
     sets = [m.points for m in cover.members]
-    order, not_long, invariant, f_subsets = verify_cover_definitional(
+    order, not_long, invariant, not_f = verify_cover_definitional(
         sets, space, alpha, family)
     assert rep.order == order
     assert rep.long == (not_long is None)
     if not_long is not None:
         assert ("not-long", not_long) in rep.failures
     assert rep.invariant == invariant
-    assert rep.f_subsets == f_subsets
-    assert rep.ok == (rep.long and invariant and f_subsets)
+    if not invariant:
+        (s,) = [p for kind, p in rep.failures if kind == "not-invariant"]
+        assert s in space.group.generators
+    assert rep.f_subsets == (not_f is None)
+    if not_f is not None:
+        assert ("not-f-subset", not_f) in rep.failures
+    assert rep.ok == (rep.long and invariant and not_f is None)
+
+
+@st.composite
+def families(draw, group):
+    """A fixed family, or an unvalidated list of subgroups of the group,
+    which need not be closed under conjugation."""
+    listed = st.lists(st.sampled_from(all_subgroups(group)), unique=True)
+    return draw(st.one_of(st.sampled_from((ALL_SUBGROUPS, TRIVIAL_ONLY)),
+                          listed.map(lambda hs: SubgroupFamily(
+                              "explicit-list", members=tuple(hs)))))
 
 
 @SETTINGS
-@given(pair_spaces(), st.integers(0, 3), st.sampled_from((ALL_SUBGROUPS,
-                                                          TRIVIAL_ONLY)),
-       st.data())
-def test_verify_cover_matches_definition_on_random_covers(space, alpha, family,
-                                                          data):
+@given(pair_spaces(), st.integers(0, 3), st.data())
+def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
+    family = data.draw(families(space.group))
     pairs = sorted(space.pairs)
     sets = data.draw(st.lists(st.sets(st.sampled_from(pairs), min_size=1),
                               max_size=5))
@@ -138,3 +168,14 @@ def test_verify_cover_matches_definition_on_greedy_covers(space, alpha,
     cover = greedy_cover(space, alpha, basis)
     for family in (ALL_SUBGROUPS, TRIVIAL_ONLY):
         _agrees(cover, space, alpha, family)
+
+
+@SETTINGS
+@given(pair_spaces(kinds=("rotation", "dihedral")), st.integers(0, 3),
+       st.booleans())
+def test_greedy_cover_matches_the_translate_per_element_reference(space, alpha,
+                                                                  fibers):
+    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
+    assert greedy_cover(space, alpha, basis) == \
+        greedy_cover_reference(space, alpha, basis)
+

@@ -4,6 +4,8 @@ import pytest
 
 from coarsecover.corpus import (
     cycle_graph,
+    cycle_reflection,
+    dihedral_group,
     path_graph,
     rotation_group,
 )
@@ -24,8 +26,9 @@ from coarsecover.covers import (
     verify_cover,
 )
 from coarsecover.graphs import INF, distance_matrix
-from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, trivial_group
-from oracles import separated_sets_brute
+from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
+    SubgroupFamily, compose, trivial_group
+from oracles import greedy_cover_reference, separated_sets_brute
 
 
 def line_metric(n):
@@ -342,6 +345,137 @@ class TestExtendCover:
         with pytest.raises(ValueError, match="not invariant"):
             extend_cover(Cover((member,), 1, 0), {0, 1, 2}, {0, 1, 2}, skew,
                          G, lambda p, x: p[x])
+
+
+def dihedral_space(n, seed=None):
+    """Z/n with the cyclic gap metric under its dihedral group.
+
+    With a seed pair (v, (a, b)) the pairs are its orbit, z-points being
+    ordered pairs of vertices; otherwise every vertex sits over one fixed
+    z-point.
+    """
+    G = dihedral_group(n)
+    g = cycle_graph(n)
+    dm = distance_matrix(g)
+    dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
+    act_v = {p: {v: p[v] for v in range(n)} for p in G.elements}
+    if seed:
+        v, (a, b) = seed
+        pairs = {(p[v], (p[a], p[b])) for p in G.elements}
+        z_points = tuple(sorted({z for _, z in pairs}))
+        act_z = {p: {z: (p[z[0]], p[z[1]]) for z in z_points}
+                 for p in G.elements}
+    else:
+        pairs = {(v, "z") for v in range(n)}
+        z_points = ("z",)
+        act_z = {p: {"z": "z"} for p in G.elements}
+    return pair_space(tuple(range(n)), z_points, pairs, dist, group=G,
+                      act_v=act_v, act_z=act_z)
+
+
+FREE = (0, (0, 1))  # its orbit under a dihedral group is free
+
+
+def singleton_cover(space, points):
+    """One member per point, annotated as one orbit with trivial
+    stabilizers; verify_cover must not read the annotations."""
+    triv = frozenset([space.group.identity])
+    members = tuple(CoverMember(frozenset([x]), triv, k == 0)
+                    for k, x in enumerate(points))
+    return Cover(members, 0, cover_order([m.points for m in members],
+                                         space.pairs))
+
+
+class TestOrbitWalks:
+    """Negative controls for the generator-only invariance check and the
+    orbit-wise F-subset check, and the annotations of greedy members."""
+
+    def test_members_annotated_with_the_first_element_of_each_coset(self):
+        # an orbit set's breadth-first transversal element is not always
+        # the first element of its coset here
+        sp = dihedral_space(5, (0, (2, 2)))
+        basis = default_basis(sp)
+        assert greedy_cover(sp, 0, basis) == \
+            greedy_cover_reference(sp, 0, basis)
+
+    def test_generators_must_generate(self):
+        sp = dihedral_space(6, FREE)
+        G = sp.group
+        short = GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
+                           G.word_length)
+        sp = pair_space(sp.v_points, sp.z_points, sp.pairs, sp.dist,
+                        group=short, act_v=sp.act_v, act_z=sp.act_z)
+        cov = singleton_cover(sp, sorted(sp.pairs))
+        for check in (sp.validate, lambda: greedy_cover(sp, 0),
+                      lambda: verify_cover(cov, sp, 0, ALL_SUBGROUPS)):
+            with pytest.raises(ValueError, match="generators do not generate"):
+                check()
+
+    def test_validate_rejects_an_action_off_the_generators(self):
+        sp = dihedral_space(6)
+        G = sp.group
+        r2 = compose(G.generators[0], G.generators[0])
+        act_v = dict(sp.act_v)
+        act_v[r2] = {v: v for v in sp.v_points}  # not r applied twice
+        bad = pair_space(sp.v_points, sp.z_points, sp.pairs, sp.dist,
+                         group=G, act_v=act_v, act_z=sp.act_z)
+        sp.validate()
+        with pytest.raises(ValueError, match="composition"):
+            bad.validate()
+
+    def test_free_orbit_of_singletons_passes(self):
+        sp = dihedral_space(6, FREE)
+        sp.validate()
+        rep = verify_cover(singleton_cover(sp, sorted(sp.pairs)), sp, 0,
+                           TRIVIAL_ONLY)
+        assert rep.ok and len(sp.pairs) == 12
+
+    def test_one_translate_removed(self):
+        sp = dihedral_space(6, FREE)
+        points = sorted(sp.pairs)
+        rep = verify_cover(singleton_cover(sp, points[:4] + points[5:]), sp,
+                           0, ALL_SUBGROUPS)
+        assert not rep.invariant and not rep.ok
+        (named,) = [p for kind, p in rep.failures if kind == "not-invariant"]
+        assert named in sp.group.generators
+
+    def test_rotation_orbit_alone_fails_on_the_reflection(self):
+        # invariant under the first generator, the rotation, only
+        sp = dihedral_space(6, FREE)
+        points = [(k, (k, (k + 1) % 6)) for k in range(6)]
+        rep = verify_cover(singleton_cover(sp, points), sp, 0, ALL_SUBGROUPS)
+        assert not rep.invariant
+        assert ("not-invariant", cycle_reflection(6)) in rep.failures
+
+    def test_member_meeting_its_translate_at_a_non_representative_slot(self):
+        sp = dihedral_space(6, FREE)
+        cov = singleton_cover(sp, sorted(sp.pairs))
+        r = sp.group.generators[0]
+        x = cov.members[5].points
+        overlapping = x | sp.translate(r, x)  # meets its r-translate
+        members = list(cov.members)
+        members[5] = CoverMember(overlapping, members[5].stabilizer, False)
+        order = cover_order([m.points for m in members], sp.pairs)
+        rep = verify_cover(Cover(tuple(members), 0, order), sp, 0,
+                           ALL_SUBGROUPS)
+        assert not rep.f_subsets
+        assert ("not-f-subset", 5) in rep.failures
+
+    def test_unclosed_family_fails_on_a_non_representative(self):
+        # Stab{(k, z)} = {e, v -> 2k - v}: the list holds the stabilizer of
+        # the first member only, so only the second member leaves it
+        sp = dihedral_space(6)
+        G = sp.group
+        fix0 = frozenset([G.identity, cycle_reflection(6)])
+        family = SubgroupFamily("explicit-list",
+                                members=(frozenset([G.identity]), fix0))
+        with pytest.raises(ValueError, match="conjugation"):
+            family.validate(G)
+        cov = singleton_cover(sp, [(v, "z") for v in range(6)])
+        rep = verify_cover(cov, sp, 0, family)
+        assert rep.long and rep.invariant and not rep.f_subsets
+        assert rep.failures == (("not-f-subset", 1),)
+        assert verify_cover(cov, sp, 0, ALL_SUBGROUPS).ok
 
 
 class TestDoublingOracleAgreement:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsecover.corpus import (
     cycle_graph,
@@ -22,6 +23,7 @@ from coarsecover.symmetry import (
     compose,
     is_F_subset,
     is_subgroup,
+    set_orbit,
     subdivided_group,
     subgroup_generated,
     trivial_group,
@@ -138,6 +140,43 @@ class TestFSubsets:
         G = rotation_group(3)
         ok, wit = is_F_subset(set(), G, TRIVIAL_ONLY, act_vertex)
         assert ok
+
+
+@st.composite
+def subsets_under_cycle_groups(draw):
+    """A vertex subset of a cycle, its rotation or dihedral group, and a
+    family of each of the four kinds (the explicit list unvalidated)."""
+    n = draw(st.integers(3, 9))
+    G = draw(st.sampled_from((rotation_group, dihedral_group)))(n)
+    U = draw(st.frozensets(st.integers(0, n - 1)))
+    subgroups = all_subgroups(G)
+    some = st.lists(st.sampled_from(subgroups), unique=True, max_size=3)
+    family = draw(st.one_of(
+        st.sampled_from((TRIVIAL_ONLY, ALL_SUBGROUPS)),
+        some.map(lambda hs: SubgroupFamily("explicit-list",
+                                           members=tuple(hs))),
+        some.map(lambda hs: SubgroupFamily("stabilizer-closed",
+                                           seeds=tuple(hs)))))
+    return U, G, family
+
+
+@settings(max_examples=150, deadline=None)
+@given(subsets_under_cycle_groups())
+def test_is_F_subset_matches_an_all_of_G_scan(case):
+    U, G, family = case
+    translates = {p: frozenset(p[x] for x in U) for p in G.elements}
+    stab = frozenset(p for p, pU in translates.items() if pU == U)
+    disjoint = all(not (pU & U) for p, pU in translates.items()
+                   if p not in stab)
+    ok = not U or (disjoint and family.contains(stab, G))
+    want = (ok, (stab if U else frozenset([G.identity])) if ok else None)
+    assert is_F_subset(U, G, family, act_vertex) == want
+
+    orbit, orbit_stab = set_orbit(
+        U, G, lambda p, S: frozenset(p[x] for x in S))
+    assert orbit_stab == stab
+    assert set(orbit) == set(translates.values())
+    assert all(translates[t] == W for W, t in orbit.items())
 
 
 class TestSubdividedAction:
