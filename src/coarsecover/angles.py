@@ -235,73 +235,49 @@ def dag_turns(dag: GeodesicDag, oracle: SmallnessOracle, at=None):
                     yield w, p, s, e1, e2
 
 
-def _forward_states(dag: GeodesicDag, oracle: SmallnessOracle):
-    """fwd[v] = set of predecessors p such that some small prefix ends p->v."""
-    order = sorted(dag.layer, key=lambda w: dag.layer[w])
-    fwd = {v: set() for v in dag.layer}
-    for u in order:
-        if u == dag.source:
-            for w in dag.succ[u]:
-                fwd[w].add(u)
-            continue
-        for prev in fwd[u]:
-            for w in dag.succ[u]:
-                if oracle.turn_ok(prev, u, w):
-                    fwd[w].add(u)
-    return fwd
+def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
+    """steps[v]: each p for which some small geodesic x -> v ends p -> v.
+
+    One sweep from x in BFS order.  Every prefix of a geodesic is a
+    geodesic, so a small geodesic x -> v ending p -> v is a small geodesic
+    x -> p followed by the step p -> v with a small turn at p; the step
+    out of x has no turn.  BFS order settles steps[p] before the steps out
+    of p are tried.  The sets are empty for v = x and for v unreachable
+    from x.
+    """
+    g, dx = index.graph, index.dist[x]
+    steps = [set() for _ in g.vertices]
+    for u in sorted((v for v in g.vertices if dx[v] is not INF),
+                    key=dx.__getitem__):
+        for w in g.neighbors(u):
+            if dx[w] == dx[u] + 1 and (u == x or any(
+                    oracle.turn_ok(p, u, w) for p in steps[u])):
+                steps[w].add(u)
+    return steps
 
 
-def _backward_states(dag: GeodesicDag, oracle: SmallnessOracle):
-    """bwd[v] = set of successors s such that some small suffix starts v->s."""
-    pred = dag.pred
-    order = sorted(dag.layer, key=lambda w: -dag.layer[w])
-    bwd = {v: set() for v in dag.layer}
-    for u in order:
-        if u == dag.target:
-            for p in pred[u]:
-                bwd[p].add(u)
-            continue
-        for nxt in bwd[u]:
-            for p in pred[u]:
-                if oracle.turn_ok(p, u, nxt):
-                    bwd[p].add(u)
-    return bwd
+def small_carriers(index: GeodesicIndex, oracle: SmallnessOracle,
+                   steps_a, steps_b, a, b):
+    """The vertices on small a -> b geodesics, from the sweeps of a and b.
 
-
-def exists_small_geodesic(dag: GeodesicDag, oracle: SmallnessOracle) -> bool:
-    if dag.length() <= 1:
-        return True
-    bwd = _backward_states(dag, oracle)
-    for w in dag.succ[dag.source]:
-        for nxt in bwd[w]:
-            if oracle.turn_ok(dag.source, w, nxt):
-                return True
-    return False
-
-
-def vertices_on_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle):
-    """Vertices lying on at least one small geodesic of the DAG."""
-    if dag.source == dag.target:
-        return frozenset([dag.source])
-    fwd = _forward_states(dag, oracle)
-    bwd = _backward_states(dag, oracle)
-    out = set()
-    if bwd[dag.source] or dag.length() == 1:
-        out.add(dag.source)
-        out.add(dag.target)
-    for v in dag.layer:
-        if v in (dag.source, dag.target):
-            continue
-        done = False
-        for p in fwd[v]:
-            if done:
-                break
-            for s in bwd[v]:
-                if oracle.turn_ok(p, v, s):
-                    out.add(v)
-                    done = True
-                    break
-    return frozenset(out)
+    An internal v qualifies exactly when d(a,v) + d(v,b) = d(a,b) and some
+    p in steps_a[v], s in steps_b[v] give turn_ok(p, v, s): reversed, a
+    small geodesic b -> v ending s -> v is a small one v -> b starting
+    v -> s, since angles are unordered, and the two halves meet at v with
+    distances that add up, so their concatenation is a small a -> b
+    geodesic; every small a -> b geodesic through v splits so.  A small
+    a -> b geodesic exists iff steps_a[b] is nonempty.
+    """
+    if a == b:
+        return frozenset([a])
+    if not steps_a[b]:
+        return frozenset()
+    da, db, total = index.dist[a], index.dist[b], index.dist[a][b]
+    return frozenset([a, b]) | frozenset(
+        v for v in index.graph.vertices
+        if v != a and v != b and da[v] + db[v] == total
+        and any(oracle.turn_ok(p, v, s)
+                for p in steps_a[v] for s in steps_b[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +285,12 @@ def vertices_on_small_geodesics(dag: GeodesicDag, oracle: SmallnessOracle):
 # ---------------------------------------------------------------------------
 
 
-def theta3(base, include_cone_completion: bool = True,
-           index: GeodesicIndex = None, pair_cap: int = 2_000_000) -> AngleSet:
+def theta3(base, index: GeodesicIndex = None,
+           pair_cap: int = 2_000_000) -> AngleSet:
     """All angles realized at a triangle corner avoided by the third side.
 
     For a subdivision, apexes run over original vertices and corners over
-    all subdivision vertices; the returned set pairs original edges.  With
-    include_cone_completion=False, cone vertices are not allowed as the two
-    far corners (they stand in for ideal points of larger models).
+    all subdivision vertices; the returned set pairs original edges.
     """
     if isinstance(base, Subdivision):
         sub, g, original = base, base.graph, base.original
@@ -327,8 +301,7 @@ def theta3(base, include_cone_completion: bool = True,
     if index is None:
         index = GeodesicIndex(g)
     dist = index.dist
-    corners = [p for p in g.vertices
-               if include_cone_completion or p not in g.cone_vertices]
+    corners = list(g.vertices)
     if len(corners) * len(corners) > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
 
@@ -545,9 +518,12 @@ def _angle_at(path, i):
     return canonical_angle(path[i - 1], path[i], path[i + 1])
 
 
+# the most geodesics a lemma enumerates between two sampled vertices
+_GEODESIC_CAP = 64
+
+
 def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
-                  trials: int, seed: int,
-                  geodesic_cap: int = 64) -> BatteryReport:
+                  trials: int, seed: int) -> BatteryReport:
     """Sample configurations satisfying the large-angle lemma hypotheses and
     assert the conclusions.
 
@@ -579,7 +555,7 @@ def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
         return [rng.choice(comp) for _ in range(k)]
 
     def all_geodesics(u, v):
-        return enumerate_geodesics(index.dag(u, v), geodesic_cap)
+        return enumerate_geodesics(index.dag(u, v), _GEODESIC_CAP)
 
     oracle_t3_2 = SmallnessOracle(g, t3_2)
 
@@ -740,7 +716,7 @@ def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
                 continue
             c.checked += 1
             c.nonvacuous += 1
-            if not exists_small_geodesic(index.dag(v, v2), oracle_t3_2):
+            if not small_steps(index, oracle_t3_2, v)[v2]:
                 c.violations.append(("between", xm, xp, v, v2))
 
     return BatteryReport(counters)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, dag_turns, \
-    exists_small_geodesic, k_fold_sum, trivial_only, _angle_from_edges
+    k_fold_sum, small_steps, trivial_only, _angle_from_edges
 from .covers import Cover, CoverMember, cover_order
-from .graphs import INF
 from .symmetry import GroupModel
 
 if TYPE_CHECKING:
@@ -57,7 +56,7 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     """
     index = inst.index
     gv0 = g[inst.v0]
-    if xi == apex or index.d(gv0, xi) is INF:
+    if xi == apex:
         return False
     oracle = SmallnessOracle(inst.sub, theta)
     if _sums is None:
@@ -101,12 +100,10 @@ def seed_theta0(inst: Instance, alpha) -> AngleSet:
     mids = set()
     for a in ball:
         for b in ball:
-            if index.d(a, b) is INF:
-                continue
             mids.update(index.geodesic_vertex_set(a, b))
     for a in ball:
         for w in mids:
-            if a == w or index.d(a, w) is INF:
+            if a == w:
                 continue
             angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
                           in dag_turns(index.dag(a, w), oracle))
@@ -139,16 +136,12 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
             certified = set()
             for ge in sub_group.elements:
                 gv0 = ge[v0]
-                if index.d(gv0, apex) is INF:
-                    continue
                 # clause one is shared by every endpoint of this element
                 if _turns_large(index.dag(gv0, apex), oracle, size):
                     continue
                 for xi in xi_set:
                     if xi == apex:
                         members.add((ge, xi))
-                        continue
-                    if index.d(gv0, xi) is INF:
                         continue
                     if _turns_large(index.dag(gv0, xi), oracle, size,
                                     at=apex):
@@ -166,8 +159,10 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
                     xi_set) -> dict:
     """Every eligible pair is widely cone-covered or flows small.
 
-    Vertex endpoints are tried under the covering clause first; the report
-    records which clause fired for each pair.
+    Vertex endpoints are tried under the covering clause first; the small
+    geodesics from a base translate are swept once, when some pair of it
+    first reaches the second clause.  The report records which clause fired
+    for each pair.
     """
     index, sub_group = inst.index, inst.sub_group
     oracle = SmallnessOracle(inst.sub, theta_out)
@@ -177,14 +172,15 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
     clause_counts = {"cone": 0, "small-geodesic": 0}
     for ge in sub_group.elements:
         gv0 = ge[inst.v0]
+        steps = None
         for xi in xi_set:
-            if index.d(gv0, xi) is INF:
-                continue
             need = {(h, xi) for h in balls[ge]}
             if any(need <= m for m in member_sets):
                 clause_counts["cone"] += 1
                 continue
-            if gv0 == xi or exists_small_geodesic(index.dag(gv0, xi), oracle):
+            if steps is None and gv0 != xi:
+                steps = small_steps(index, oracle, gv0)
+            if gv0 == xi or steps[xi]:
                 clause_counts["small-geodesic"] += 1
                 continue
             failures.append((sub_group.index_of(ge), xi))
@@ -206,19 +202,14 @@ def cone_sets_as_cover(cones, sub_group: GroupModel, domain) -> Cover:
     return Cover(tuple(members), None, order)
 
 
-def combined_cover(cone_cover_obj: Cover, flow_pullback: Cover, domain,
-                   cone_params=None, flow_params=None) -> Cover:
+def combined_cover(cone_cover_obj: Cover, flow_pullback: Cover,
+                   domain) -> Cover:
     """Union of the cone collection and the pulled-back flow cover.
 
     The cone side contributes at most three members at any point, so the
     order is bounded by the flow order plus three.  Both sides must be
-    built over the same group, base vertex and word scale; pass the
-    parameter triples to have that checked.
+    built over the same group, base vertex and word scale.
     """
-    if cone_params is not None and flow_params is not None \
-            and cone_params != flow_params:
-        raise ValueError("cone and flow covers built over different "
-                         "parameters: %r vs %r" % (cone_params, flow_params))
     members = tuple(cone_cover_obj.members) + tuple(flow_pullback.members)
     order = cover_order([m.points for m in members], domain)
     return Cover(members, flow_pullback.alpha, order)

@@ -10,7 +10,7 @@ original units, so every bound here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .angles import (
@@ -21,9 +21,10 @@ from .angles import (
     d_theta,
     dag_turns,
     k_fold_sum,
+    small_carriers,
+    small_steps,
     theta3,
     trivial_only,
-    vertices_on_small_geodesics,
     _angle_from_edges,
 )
 from .covers import (
@@ -37,7 +38,7 @@ from .covers import (
     minimal_doubling_constant,
     pair_space,
 )
-from .graphs import INF, GeodesicIndex, Subdivision, slimness_constant
+from .graphs import GeodesicIndex, Subdivision, slimness_constant
 from .symmetry import GroupModel, act_angle, trivial_group
 
 if TYPE_CHECKING:
@@ -56,8 +57,7 @@ class CoarseFlowSpace:
     group: GroupModel
     triples: frozenset
     index: GeodesicIndex
-    # (g v0, xi) -> the geodesic DAG and its small carriers, see _flow_line_data
-    line_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    lines: dict  # (xi-, xi+) -> the vertices on small xi- -> xi+ geodesics
 
     def fiber(self, xi_minus, xi_plus):
         return self.fibers.get((xi_minus, xi_plus), frozenset())
@@ -73,7 +73,9 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     subdivision and to be invariant under the group, which must act on the
     subdivided graph (default trivial); the endpoint set is saturated under
     the group so that the triple set is invariant.  Equal endpoint pairs
-    mean constant flow lines and are excluded.
+    mean constant flow lines and are excluded.  Each pair's line, the
+    vertices on its small geodesics, comes from one small-step sweep per
+    endpoint; its fiber is the delta'-ball around the line's midpoints.
     """
     g = sub.graph
     if not g.is_connected():
@@ -106,23 +108,26 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
     balls = {v: metric.ball(v, delta_prime) for v in sub.ve_vertices()}
+    steps = {x: small_steps(index, oracle, x) for x in endpoints}
+    lines = {}
     fibers = {}
     triples = set()
     for xm in endpoints:
         for xp in endpoints:
-            if xm == xp or index.d(xm, xp) is INF:
+            if xm == xp:
                 continue
-            dag = index.dag(xm, xp)
-            carriers = [v for v in vertices_on_small_geodesics(dag, oracle)
-                        if sub.is_midpoint(v)]
+            line = lines[(xm, xp)] = small_carriers(
+                index, oracle, steps[xm], steps[xp], xm, xp)
             fiber = set()
-            for v in carriers:
-                fiber |= balls[v]
+            for v in line:
+                if sub.is_midpoint(v):
+                    fiber |= balls[v]
             fibers[(xm, xp)] = frozenset(fiber)
             for v in fiber:
                 triples.add((v, xm, xp))
     return CoarseFlowSpace(sub, theta, delta, delta_prime, endpoints,
-                           fibers, metric, group, frozenset(triples), index)
+                           fibers, metric, group, frozenset(triples), index,
+                           lines)
 
 
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
@@ -188,16 +193,13 @@ def cover_cf(cf: CoarseFlowSpace, alpha_prime,
 # ---------------------------------------------------------------------------
 
 
-def _flow_line_data(cf: CoarseFlowSpace, gv0, xi):
-    """Layer map and small-carrier set of the geodesic DAG gv0 -> xi."""
-    cached = cf.line_cache.get((gv0, xi))
-    if cached is not None:
-        return cached
-    dag = cf.index.dag(gv0, xi)
-    oracle = SmallnessOracle(cf.sub, cf.theta)
-    carriers = vertices_on_small_geodesics(dag, oracle)
-    cf.line_cache[(gv0, xi)] = (dag, carriers)
-    return dag, carriers
+def _line(cf: CoarseFlowSpace, gv0, xi):
+    """The small carriers from gv0 to xi, two distinct endpoints of cf."""
+    line = cf.lines.get((gv0, xi))
+    if line is None:
+        raise ValueError("(%r, %r) is not a pair of distinct flow-space "
+                         "endpoints" % (gv0, xi))
+    return line
 
 
 def eligible_targets(cf: CoarseFlowSpace, v0, xi_set=None):
@@ -207,10 +209,7 @@ def eligible_targets(cf: CoarseFlowSpace, v0, xi_set=None):
     for g in cf.group.elements:
         gv0 = g[v0]
         for xi in xi_set:
-            if gv0 == xi or cf.index.d(gv0, xi) is INF:
-                continue
-            _, carriers = _flow_line_data(cf, gv0, xi)
-            if gv0 in carriers:
+            if gv0 != xi and _line(cf, gv0, xi):
                 out.append((g, xi))
     return tuple(out)
 
@@ -252,14 +251,14 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
         gv0 = g[v0]
         if gv0 == xi:
             raise ValueError("target (%r, %r) has a constant flow line" % (g, xi))
-        dag, carriers = _flow_line_data(cf, gv0, xi)
-        if gv0 not in carriers:
+        line = _line(cf, gv0, xi)
+        if not line:
             raise ValueError("target pair admits no small geodesic")
-        if dag.length() < 2 * tau:
+        d0 = cf.index.dist[gv0]
+        if d0[xi] < 2 * tau:
             tau_sets[(g, xi)] = None  # too short: excluded everywhere
         else:
-            tau_sets[(g, xi)] = frozenset(
-                v for v in carriers if dag.layer[v] == 2 * tau)
+            tau_sets[(g, xi)] = frozenset(v for v in line if d0[v] == 2 * tau)
     members = []
     seen = set()
     for m in cover.members:
@@ -345,7 +344,7 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     angles = set()
     for a in ball:
         for b in ball:
-            if a == b or index.d(a, b) is INF:
+            if a == b:
                 continue
             angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
                           in dag_turns(index.dag(a, b), oracle))

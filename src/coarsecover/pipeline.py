@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .angles import AngleSet, all_angles, theta3
 from .cones import cone_cover, cone_sets_as_cover, combined_cover, \
@@ -46,7 +45,7 @@ class Instance:
     Every cover is built from this one object: the graph, the lift of its
     group to the subdivision with the subdivision's geodesic index, the
     base vertex v0, the boundary surrogates standing in for ideal endpoints,
-    the corner size t3 and, computed on first use, the slimness delta.
+    the corner size t3 and the slimness delta of the graph.
     """
 
     graph: Graph
@@ -56,10 +55,7 @@ class Instance:
     v0: int
     boundary: tuple
     t3: AngleSet
-
-    @cached_property
-    def delta(self):
-        return slimness_constant(self.graph).delta
+    delta: int
 
     def cone_targets(self):
         """Endpoints of the cone sets: cone vertices and boundary surrogates."""
@@ -93,7 +89,7 @@ def build_instance(g: Graph, group: GroupModel = None) -> Instance:
     orbit = {p[v0] for p in sub_group.elements}
     boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
     return Instance(g, sub, index, sub_group, v0, boundary,
-                    theta3(sub, index=index))
+                    theta3(sub, index=index), slimness_constant(g).delta)
 
 
 @dataclass
@@ -189,12 +185,9 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
         pull = Cover((), alpha_prime, -1)
     artifacts["pullback"] = pull
 
-    domain = [(ge, xi) for ge in sub_group.elements for xi in xi_cone
-              if index.d(ge[v0], xi) is not INF]
+    domain = [(ge, xi) for ge in sub_group.elements for xi in xi_cone]
     cone_cov = cone_sets_as_cover(cones, sub_group, domain)
-    params = (len(sub_group), v0, alpha)
-    combined = combined_cover(cone_cov, pull, domain,
-                              cone_params=params, flow_params=params)
+    combined = combined_cover(cone_cov, pull, domain)
     artifacts["combined"] = combined
     order_ok = combined.order <= pull.order + 3
 
@@ -206,8 +199,6 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     for ge in sub_group.elements:
         gv0 = ge[v0]
         for xi in xi_cone:
-            if index.d(gv0, xi) is INF:
-                continue
             need = {(h, xi) for h in balls[ge]}
             if not any(need <= m for m in member_sets):
                 wide_failures.append((sub_group.index_of(ge), xi))

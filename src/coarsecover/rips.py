@@ -18,8 +18,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from .angles import AngleSet, SmallnessOracle, dag_turns, \
-    exists_small_geodesic, k_fold_sum
+from .angles import AngleSet, SmallnessOracle, dag_turns, k_fold_sum, \
+    small_steps
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
 
@@ -56,7 +56,12 @@ def _clique_complex(vertices, relation_pairs) -> SimplicialComplex:
 
 
 class SmallPairRelation:
-    """The symmetric relation 'joined by a small geodesic of length <= d'."""
+    """The symmetric relation 'joined by a small geodesic of length <= d'.
+
+    The vertices joined to u come from one small-step sweep from u, taken
+    on first use.  Reversing a small geodesic gives a small one, as angles
+    are unordered, so the sweep from either end decides a pair.
+    """
 
     def __init__(self, g: Graph, d, theta: AngleSet,
                  index: GeodesicIndex = None):
@@ -65,21 +70,18 @@ class SmallPairRelation:
         self.theta = theta
         self.index = index if index is not None else GeodesicIndex(g)
         self.oracle = SmallnessOracle(g, theta)
-        self._memo = {}
+        self._joined = {}  # u -> the vertices other than u joined to it
 
     def joined(self, u, v) -> bool:
         if u == v:
             return True
-        key = (u, v) if u < v else (v, u)
-        hit = self._memo.get(key)
-        if hit is None:
-            dd = self.index.d(u, v)
-            if dd is INF or dd > self.d:
-                hit = False
-            else:
-                hit = exists_small_geodesic(self.index.dag(*key), self.oracle)
-            self._memo[key] = hit
-        return hit
+        near = self._joined.get(u)
+        if near is None:
+            steps = small_steps(self.index, self.oracle, u)
+            du = self.index.dist[u]
+            near = self._joined[u] = frozenset(
+                w for w in self.graph.vertices if steps[w] and du[w] <= self.d)
+        return v in near
 
     def pairs(self, vertices):
         vs = sorted(vertices)
@@ -170,8 +172,7 @@ def _measure(index, large_at, v0, K):
 
 
 def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
-                        index: GeodesicIndex = None,
-                        move_cap=None) -> ContractionTrace:
+                        index: GeodesicIndex = None) -> ContractionTrace:
     """Fold a finite subcomplex down to its basepoint, validating each move.
 
     Hypotheses (checked): d >= 4 * delta with delta a positive integer
@@ -224,9 +225,8 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
 
     K = set(K0)
     moves = []
-    if move_cap is None:
-        alpha0 = max(index.d(v0, v) for v in K)
-        move_cap = 4 * len(K0) * (alpha0 + 2) + 16
+    alpha0 = max(index.d(v0, v) for v in K)
+    move_cap = 4 * len(K0) * (alpha0 + 2) + 16
     while True:
         alpha, beta, a, b = _measure(index, large_at, v0, K)
         if alpha == 0:

@@ -9,7 +9,6 @@ import heapq
 from functools import lru_cache
 from itertools import combinations, product
 
-from coarsecover.angles import SmallnessOracle, exists_small_geodesic
 from coarsecover.graphs import INF, GeodesicIndex, canon_edge, distance_matrix
 
 
@@ -91,14 +90,12 @@ def slimness_min_over_sides(g):
     return worst
 
 
-def theta3_brute(g, corners=None):
+def theta3_brute(g):
     """Corner angles of triangles whose third side avoids the corner,
-    by exhaustive triple and geodesic enumeration.  The far corners p, q
-    run over `corners` (default: every vertex)."""
+    by exhaustive triple and geodesic enumeration."""
     out = set()
     n = g.vertex_count
     dist = distance_matrix(g)
-    corners = range(n) if corners is None else sorted(corners)
     paths = {}
 
     def geodesics(u, v):
@@ -107,10 +104,10 @@ def theta3_brute(g, corners=None):
         return paths[u, v]
 
     for v in range(n):
-        for p in corners:
+        for p in range(n):
             if p == v or dist[v][p] is INF:
                 continue
-            for q in corners:
+            for q in range(n):
                 if q == v or dist[p][q] is INF:
                     continue
                 third = geodesics(p, q)
@@ -128,12 +125,12 @@ def theta3_brute(g, corners=None):
     return frozenset(out)
 
 
-def theta3_subdivision_brute(sub, corners=None):
+def theta3_subdivision_brute(sub):
     """theta3_brute on the subdivided graph itself, apexes kept at original
     vertices and midpoints translated back to the original edges."""
     n = sub.original.vertex_count
     out = set()
-    for (u, apex, w) in theta3_brute(sub.graph, corners):
+    for (u, apex, w) in theta3_brute(sub.graph):
         if apex >= n:
             continue  # midpoint apexes carry a single passable angle
         e1 = sub.edge_of_midpoint[u]
@@ -353,8 +350,8 @@ def greedy_cover_reference(space, alpha, basis):
 
 
 # ---------------------------------------------------------------------------
-# References built on the library's geodesic DAGs: the chain metric by its
-# definition, and the observer basis sets (finite shadows)
+# The chain metric by its definition, over geodesics found by DFS, and the
+# observer basis sets (finite shadows) on the library's geodesic DAGs
 # ---------------------------------------------------------------------------
 
 
@@ -364,7 +361,6 @@ def d_theta_definitional_oracle(sub, theta, index=None):
     Hop (w, w') is admitted whenever some small geodesic joins w and w',
     with weight equal to the graph distance.  Used to cross-check d_theta.
     """
-    oracle = SmallnessOracle(sub, theta)
     if index is None:
         index = GeodesicIndex(sub.graph)
     order = sub.ve_vertices()
@@ -374,7 +370,7 @@ def d_theta_definitional_oracle(sub, theta, index=None):
             dg = index.d(w, w2)
             if dg is INF:
                 continue
-            if exists_small_geodesic(index.dag(w, w2), oracle):
+            if theta_small_paths_brute(sub.graph, theta, w, w2, sub):
                 units = dg // 2
                 hops[w].append((w2, units))
                 hops[w2].append((w, units))

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from coarsecover.angles import (
@@ -10,14 +8,14 @@ from coarsecover.angles import (
     angle_sum,
     angleset_to_document,
     d_theta,
-    exists_small_geodesic,
     k_fold_sum,
     lemma_battery,
     load_angleset,
+    small_carriers,
+    small_steps,
     theta3,
     theta3_circuit_bound_check,
     trivial_only,
-    vertices_on_small_geodesics,
 )
 from coarsecover.corpus import (
     battery_graphs,
@@ -98,13 +96,6 @@ class TestTheta3:
     def test_invariant_under_group(self):
         t3 = theta3(C6)
         assert t3.is_invariant(dihedral_group(6))
-
-    def test_cone_completion_flag(self):
-        from coarsecover.graphs import make_graph
-        g = make_graph(6, cycle_graph(6).edges, cone_vertices=[3])
-        with_c = theta3(g, include_cone_completion=True)
-        without = theta3(g, include_cone_completion=False)
-        assert without.nontrivial <= with_c.nontrivial
 
     def test_subdivision_apexes_are_original(self):
         sub = barycentric_subdivision(C6)
@@ -206,20 +197,22 @@ class TestAngleSum:
 
 class TestSmallGeodesics:
     """Whether some geodesic between two vertices is small, read off the
-    geodesic DAG."""
+    small-step sweep from the first."""
 
     @staticmethod
     def small(g, theta, u, v):
-        return exists_small_geodesic(GeodesicIndex(g).dag(u, v),
-                                     SmallnessOracle(g, theta))
+        return bool(small_steps(GeodesicIndex(g), SmallnessOracle(g, theta),
+                                u)[v])
 
     def test_adjacent_always_small(self):
         assert self.small(C6, trivial_only(C6), 0, 1)
 
     def test_square_all_angles(self):
         c4 = cycle_graph(4)
-        oracle = SmallnessOracle(c4, all_angles(c4))
-        got = vertices_on_small_geodesics(GeodesicIndex(c4).dag(0, 2), oracle)
+        index, oracle = GeodesicIndex(c4), SmallnessOracle(c4, all_angles(c4))
+        steps = [small_steps(index, oracle, x) for x in (0, 2)]
+        assert steps[0][2] == {1, 3}
+        got = small_carriers(index, oracle, *steps, 0, 2)
         assert got == frozenset({0, 1, 2, 3})
 
     def test_square_trivial_only_empty(self):
@@ -227,18 +220,15 @@ class TestSmallGeodesics:
         assert not self.small(c4, trivial_only(c4), 0, 2)
 
     def test_against_brute(self):
-        rng = random.Random(11)
         for g in (C6, wedge_of_cycles(2, 4), complete_graph(4),
                   theta_graph(2, 2, 2)):
             t3 = theta3(g)
             for theta in (trivial_only(g), t3, all_angles(g)):
-                for _ in range(6):
-                    u = rng.randrange(g.vertex_count)
-                    v = rng.randrange(g.vertex_count)
-                    if u == v:
-                        continue
-                    assert self.small(g, theta, u, v) == bool(
-                        theta_small_paths_brute(g, theta, u, v))
+                for u in g.vertices:
+                    for v in g.vertices:
+                        if u != v:
+                            assert self.small(g, theta, u, v) == bool(
+                                theta_small_paths_brute(g, theta, u, v))
 
 
 class TestDTheta:
@@ -274,12 +264,12 @@ class TestDTheta:
         tm = d_theta(sub, t3)
         idx = GeodesicIndex(sub.graph)
         oracle = SmallnessOracle(sub, t3)
-        from coarsecover.angles import exists_small_geodesic
         for v in sub.ve_vertices():
+            steps = small_steps(idx, oracle, v)
             for w in sub.ve_vertices():
                 dg = idx.d(v, w) // 2
                 assert tm.d(v, w) >= dg
-                if v != w and exists_small_geodesic(idx.dag(v, w), oracle):
+                if steps[w]:
                     assert tm.d(v, w) == dg
 
     def test_matches_definitional_oracle(self):
@@ -377,21 +367,18 @@ class TestCaps:
 
 
 class TestCarrierSets:
-    def test_vertices_on_small_geodesics_matches_enumeration(self):
-        from coarsecover.angles import vertices_on_small_geodesics
+    def test_small_carriers_match_enumeration(self):
         from coarsecover.corpus import hypercube3
-        from coarsecover.graphs import GeodesicIndex
-        from oracles import theta_small_paths_brute
         for g in (cycle_graph(6), wedge_of_cycles(2, 4),
                   theta_graph(2, 2, 2), hypercube3()):
             idx = GeodesicIndex(g)
             for theta in (trivial_only(g), theta3(g), all_angles(g)):
                 oracle = SmallnessOracle(g, theta)
+                steps = [small_steps(idx, oracle, x) for x in g.vertices]
                 for u in g.vertices:
                     for v in g.vertices:
-                        if u == v:
-                            continue
-                        got = vertices_on_small_geodesics(idx.dag(u, v), oracle)
+                        got = small_carriers(idx, oracle, steps[u], steps[v],
+                                             u, v)
                         want = set()
                         for p in theta_small_paths_brute(g, theta, u, v):
                             want.update(p)

@@ -5,14 +5,18 @@ from coarsecover.angles import (
     all_angles,
     angle_set_from_triples,
     k_fold_sum,
+    small_steps,
     theta3,
     trivial_only,
 )
 from coarsecover.corpus import (
     cycle_graph,
+    cycle_reflection,
+    cyclic_rotation,
     path_graph,
     random_tree,
     spider,
+    spider_rotation,
     wedge_of_cycles,
 )
 from coarsecover.covers import Cover, CoverMember
@@ -131,6 +135,26 @@ class TestBuildCfTheta:
             for p in stab:
                 assert frozenset(p[v] for v in fiber) == fiber
 
+    @pytest.mark.parametrize("g, gens, triples", [
+        (cycle_graph(8), [cyclic_rotation(8), cycle_reflection(8)], None),
+        # the legs turn large everywhere but at the center
+        (spider(3, 3), [spider_rotation(3, 3)],
+         [(1, 0, 4), (1, 0, 7), (4, 0, 7)]),
+    ])
+    def test_lines_match_brute_carriers(self, g, gens, triples):
+        inst = build_instance(g, close_group(g, gens))
+        sub = inst.sub
+        theta = k_fold_sum(inst.t3, 2)
+        if triples is not None:
+            theta = theta.union(angle_set_from_triples(g, triples))
+        cf = build_cf_theta(sub, theta, inst.flow_endpoints(),
+                            group=inst.sub_group, index=inst.index)
+        ends = cf.endpoints
+        assert set(cf.lines) == {(a, b) for a in ends for b in ends if a != b}
+        for (a, b), line in cf.lines.items():
+            paths = theta_small_paths_brute(sub.graph, theta, a, b, sub)
+            assert line == frozenset(w for p in paths for w in p), (a, b)
+
 
 class TestDoubling:
     def test_tree_passes_d5(self):
@@ -238,6 +262,29 @@ class TestPullback:
         pull = pullback_cover(cf, Cover((full,), 1, 0), big_tau, targets, v0)
         assert not pull.members
 
+    @staticmethod
+    def two_ended_cf():
+        # a path whose flow space has only its two end midpoints as endpoints
+        g = path_graph(6)
+        sub = barycentric_subdivision(g)
+        ve = sub.ve_vertices()
+        return ve, build_cf_theta(sub, all_angles(g), (ve[0], ve[-1]))
+
+    def test_eligible_targets_reject_foreign_endpoints(self):
+        ve, cf = self.two_ended_cf()
+        with pytest.raises(ValueError, match="endpoints"):
+            eligible_targets(cf, ve[0], [ve[2]])
+        with pytest.raises(ValueError, match="endpoints"):
+            eligible_targets(cf, ve[2])
+
+    def test_pullback_rejects_foreign_endpoints(self):
+        ve, cf = self.two_ended_cf()
+        e, empty = cf.group.identity, Cover((), 1, -1)
+        with pytest.raises(ValueError, match="endpoints"):
+            pullback_cover(cf, empty, 0, [(e, ve[2])], ve[0])
+        with pytest.raises(ValueError, match="endpoints"):
+            pullback_cover(cf, empty, 0, [(e, ve[-1])], ve[2])
+
     def test_bad_tau_rejected(self):
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
@@ -303,16 +350,14 @@ class TestThetaForWideness:
         assert k_fold_sum(t3, 2) <= theta
         oracle = SmallnessOracle(sub, theta)
         ball = [p for p in Gs.elements if Gs.word_length[p] <= 1]
-        from coarsecover.angles import exists_small_geodesic
-        for xi in sub.ve_vertices():
-            for p in ball:
-                a = p[v0]
-                if a == xi:
-                    continue
+        for p in ball:
+            a = p[v0]
+            steps = small_steps(idx, oracle, a)
+            for xi in sub.ve_vertices():
                 # geodesics between ball translates and endpoints stay small
                 # whenever the base translate flows small (theta0 = corner
                 # size makes every cycle geodesic qualify)
-                assert exists_small_geodesic(idx.dag(a, xi), oracle)
+                assert a == xi or steps[xi]
 
 
 class TestEqualEndpoints:

@@ -1,5 +1,6 @@
 """Property tests: the geodesic-triangle kernels, the geodesic-DAG turn
-iterator and the small-geodesic scans against the brute-force oracles.
+iterator, the small-geodesic sweeps and the Rips pair relation built on
+them against the brute-force oracles.
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
@@ -11,10 +12,10 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
-    dag_turns, exists_small_geodesic, theta3, trivial_only, \
-    vertices_on_small_geodesics
+    dag_turns, small_carriers, small_steps, theta3, trivial_only
 from coarsecover.graphs import (
     INF,
+    GeodesicIndex,
     barycentric_subdivision,
     canon_edge,
     distance_matrix,
@@ -24,6 +25,7 @@ from coarsecover.graphs import (
     make_graph,
     slimness_constant,
 )
+from coarsecover.rips import SmallPairRelation
 from oracles import (
     all_simple_shortest_paths,
     theta3_brute,
@@ -51,10 +53,6 @@ def graphs(draw, max_n=9, max_extra=8, connected=False):
     return make_graph(n, edges, cones)
 
 
-def _corners(g):
-    return [p for p in g.vertices if p not in g.cone_vertices]
-
-
 @SETTINGS
 @given(graphs())
 def test_geodesic_counts_match_enumeration(g):
@@ -68,8 +66,6 @@ def test_geodesic_counts_match_enumeration(g):
 @given(graphs())
 def test_theta3_matches_brute(g):
     assert theta3(g).nontrivial == theta3_brute(g)
-    assert theta3(g, include_cone_completion=False).nontrivial == \
-        theta3_brute(g, _corners(g))
 
 
 @SETTINGS
@@ -77,8 +73,6 @@ def test_theta3_matches_brute(g):
 def test_theta3_on_subdivision_matches_brute(g):
     sub = barycentric_subdivision(g)
     assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
-    assert theta3(sub, include_cone_completion=False).nontrivial == \
-        theta3_subdivision_brute(sub, _corners(sub.graph))
 
 
 def _check_slimness(g):
@@ -161,19 +155,18 @@ def graphs_with_theta(draw, **kw):
 
 
 def _check_small_geodesics(g, theta, sub=None):
-    """The DAG scans against the theta-small geodesics found by DFS."""
+    """The small-step sweeps and the carriers built from them against the
+    theta-small geodesics found by DFS, on every ordered pair."""
     graph = g if sub is None else sub.graph
     oracle = SmallnessOracle(g if sub is None else sub, theta)
-    dist = distance_matrix(graph)
+    index = GeodesicIndex(graph)
+    steps = [small_steps(index, oracle, x) for x in graph.vertices]
     for u in graph.vertices:
         for v in graph.vertices:
-            if dist[u][v] is INF:
-                continue
-            dag = geodesic_dag(graph, u, v, dist)
             paths = theta_small_paths_brute(graph, theta, u, v, sub)
-            assert exists_small_geodesic(dag, oracle) == bool(paths)
-            assert vertices_on_small_geodesics(dag, oracle) == \
-                frozenset(w for p in paths for w in p)
+            assert steps[u][v] == {p[-2] for p in paths if len(p) > 1}
+            assert small_carriers(index, oracle, steps[u], steps[v], u, v) \
+                == frozenset(w for p in paths for w in p)
 
 
 @SETTINGS
@@ -187,3 +180,15 @@ def test_small_geodesic_scans_match_brute(case):
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
+
+
+@SETTINGS
+@given(graphs_with_theta(), st.integers(1, 4))
+def test_small_pair_relation_is_symmetric_and_matches_brute(case, d):
+    g, theta = case
+    rel = SmallPairRelation(g, d, theta)
+    for u in g.vertices:
+        for v in g.vertices:
+            paths = theta_small_paths_brute(g, theta, u, v)
+            want = bool(paths) and len(paths[0]) - 1 <= d
+            assert rel.joined(u, v) == rel.joined(v, u) == want, (u, v)
