@@ -25,6 +25,7 @@ from .graphs import (
     Graph,
     Subdivision,
     canon_edge,
+    circuits_through_edge,
     enumerate_geodesics,
     geodesic_counts,
     mandatory_vertices,
@@ -211,28 +212,42 @@ class SmallnessOracle:
         return self.sub.edge_of_midpoint[m]
 
 
-def dag_turns(dag: GeodesicDag, oracle: SmallnessOracle, at=None):
-    """The turns of the DAG's geodesics at checked internal vertices.
+def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
+                   at=None):
+    """The turns of the a -> b geodesics at checked internal vertices.
 
-    Yields (w, p, s, e1, e2) for each step pair p -> w -> s whose original
-    edges e1 and e2 differ, w in layer-map order; given at, only the turns
-    at that vertex.
+    A step pair p -> w -> s lies on some a -> b geodesic exactly when
+    d(a,w) + d(w,b) = d(a,b), d(a,p) = d(a,w) - 1 and d(s,b) = d(w,b) - 1,
+    so the distance rows of a and b decide every turn.  Yields
+    (w, p, s, e1, e2) with e1, e2 the original edges of the two steps, w
+    ascending, then p and s in neighbour order; given at, only the turns at
+    that vertex.  A disconnected pair is a ValueError.
     """
-    if at is None:
-        ws = dag.layer
-    elif at in dag.layer:
-        ws = (at,)
-    else:
-        return
-    for w in ws:
-        if w == dag.source or w == dag.target or not oracle.is_checked(w):
+    da, db = index.dist[a], index.dist[b]
+    total = da[b]
+    if total is INF:
+        raise ValueError("vertices %d and %d are disconnected" % (a, b))
+    g = index.graph
+    for w in g.vertices if at is None else (at,):
+        if w == a or w == b or da[w] + db[w] != total \
+                or not oracle.is_checked(w):
             continue
-        for p in dag.pred[w]:
-            e1 = oracle.step_edge(p, w)
-            for s in dag.succ[w]:
-                e2 = oracle.step_edge(w, s)
-                if e1 != e2:
+        nbrs = g.neighbors(w)
+        ss = [(s, oracle.step_edge(w, s)) for s in nbrs if db[s] == db[w] - 1]
+        for p in nbrs:
+            if da[p] == da[w] - 1:
+                e1 = oracle.step_edge(p, w)
+                for s, e2 in ss:
                     yield w, p, s, e1, e2
+
+
+def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
+    """Every angle at which some a -> b geodesic of the subdivision turns,
+    over the given (a, b) pairs, as an angle set of the original graph."""
+    oracle = SmallnessOracle(sub, trivial_only(sub.original))
+    return AngleSet(sub.original, frozenset(
+        _angle_from_edges(e1, e2) for a, b in pairs
+        for _, _, _, e1, e2 in geodesic_turns(index, oracle, a, b)))
 
 
 def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
@@ -365,7 +380,6 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
     raised to 1 when the measured slimness is 0 (trees are vacuous anyway,
     and graphs like K4 have slimness 0 with nontrivial theta3).
     """
-    from .graphs import circuits_through_edge
     delta_eff = max(1, int(delta))
     bound = 16 * delta_eff
     missing = []

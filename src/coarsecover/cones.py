@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .angles import AngleSet, SmallnessOracle, angle_sum, dag_turns, \
-    k_fold_sum, small_steps, trivial_only, _angle_from_edges
+from .angles import AngleSet, SmallnessOracle, angle_sum, geodesic_angles, \
+    geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order
 from .symmetry import GroupModel
 
@@ -23,27 +23,12 @@ if TYPE_CHECKING:
     from .pipeline import Instance
 
 
-def _turns_large(dag, oracle: SmallnessOracle, theta: AngleSet, at=None):
-    """True when some geodesic of the DAG turns theta-large, anywhere or,
-    given at, at that vertex."""
+def _turns_large(index, oracle: SmallnessOracle, theta: AngleSet, a, b,
+                 at=None):
+    """True when some a -> b geodesic turns theta-large, anywhere or, given
+    at, at that vertex."""
     return any(not theta.contains_edges(e1, e2)
-               for _, _, _, e1, e2 in dag_turns(dag, oracle, at))
-
-
-def _dag_reaches(dag, a, b):
-    if a == b:
-        return True
-    stack = [a]
-    seen = {a}
-    while stack:
-        u = stack.pop()
-        for w in dag.succ[u]:
-            if w == b:
-                return True
-            if w not in seen and dag.layer[w] <= dag.layer[b]:
-                seen.add(w)
-                stack.append(w)
-    return False
+               for _, _, _, e1, e2 in geodesic_turns(index, oracle, a, b, at))
 
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
@@ -52,7 +37,10 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
 
     Either some geodesic to xi turns (theta + doubled corner size)-large at
     the apex, or a single geodesic turns theta-large at the apex and twice-
-    corner-large at a strictly later internal vertex.
+    corner-large at a strictly later internal vertex.  A geodesic leaving
+    the apex at x can make the turn p -> w -> s exactly when x reaches p
+    along a geodesic, d(g v0, x) + d(x, p) = d(g v0, p); w then lies
+    beyond x.
     """
     index = inst.index
     gv0 = g[inst.v0]
@@ -64,21 +52,18 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
         big = angle_sum(theta, t3_2)
     else:
         t3_2, big = _sums
-    dag = index.dag(gv0, xi)
     large_apex_exits = set()
-    for _, _, s, e1, e2 in dag_turns(dag, oracle, at=apex):
+    for _, _, s, e1, e2 in geodesic_turns(index, oracle, gv0, xi, at=apex):
         if not big.contains_edges(e1, e2):
             return True
         if not theta.contains_edges(e1, e2):
             large_apex_exits.add(s)
     if not large_apex_exits:
         return False
-    apex_layer = dag.layer[apex]
-    for w, p, _, e1, e2 in dag_turns(dag, oracle):
-        if dag.layer[w] > apex_layer and not t3_2.contains_edges(e1, e2) \
-                and any(_dag_reaches(dag, x, p) for x in large_apex_exits):
-            return True
-    return False
+    d0 = index.dist[gv0]
+    return any(not t3_2.contains_edges(e1, e2) and any(
+        d0[x] + index.d(x, p) == d0[p] for x in large_apex_exits)
+        for _, p, _, e1, e2 in geodesic_turns(index, oracle, gv0, xi))
 
 
 @dataclass(frozen=True)
@@ -93,21 +78,14 @@ def seed_theta0(inst: Instance, alpha) -> AngleSet:
     """All angles on geodesics from a ball translate of the base point to a
     vertex on a geodesic between two other ball translates, saturated."""
     index, sub_group = inst.index, inst.sub_group
-    oracle = SmallnessOracle(inst.sub, trivial_only(inst.graph))
     ball = sorted({p[inst.v0] for p in sub_group.elements
                    if sub_group.word_length[p] <= alpha})
-    angles = set()
     mids = set()
     for a in ball:
         for b in ball:
             mids.update(index.geodesic_vertex_set(a, b))
-    for a in ball:
-        for w in mids:
-            if a == w:
-                continue
-            angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
-                          in dag_turns(index.dag(a, w), oracle))
-    return AngleSet(inst.graph, frozenset(angles)).saturate(sub_group)
+    pairs = [(a, w) for a in ball for w in mids]
+    return geodesic_angles(index, inst.sub, pairs).saturate(sub_group)
 
 
 def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
@@ -137,14 +115,13 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
             for ge in sub_group.elements:
                 gv0 = ge[v0]
                 # clause one is shared by every endpoint of this element
-                if _turns_large(index.dag(gv0, apex), oracle, size):
+                if _turns_large(index, oracle, size, gv0, apex):
                     continue
                 for xi in xi_set:
                     if xi == apex:
                         members.add((ge, xi))
                         continue
-                    if _turns_large(index.dag(gv0, xi), oracle, size,
-                                    at=apex):
+                    if _turns_large(index, oracle, size, gv0, xi, at=apex):
                         members.add((ge, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
                                                 _sums=sums[layer]):

@@ -19,13 +19,11 @@ from .angles import (
     ThetaMetric,
     angle_sum,
     d_theta,
-    dag_turns,
+    geodesic_angles,
     k_fold_sum,
     small_carriers,
     small_steps,
     theta3,
-    trivial_only,
-    _angle_from_edges,
 )
 from .covers import (
     Cover,
@@ -36,6 +34,7 @@ from .covers import (
     fiber_basis,
     greedy_cover,
     minimal_doubling_constant,
+    minimal_doubling_radius,
     pair_space,
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_constant
@@ -137,7 +136,6 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
     compute_tightest, the report also carries the tightest (D, R) actually
     realized across fibers, at the price of a scan per fiber.
     """
-    from .covers import minimal_doubling_radius
     R = 24 * cf.delta_prime + 12
     failures = []
     tightest_d = 0
@@ -337,18 +335,11 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     flow space hypothesis.  Its fitness is checked extensionally by the
     wideness scan, never assumed.
     """
-    index, sub_group = inst.index, inst.sub_group
-    oracle = SmallnessOracle(inst.sub, trivial_only(inst.graph))
+    sub_group = inst.sub_group
     ball = [p[inst.v0] for p in sub_group.elements
             if sub_group.word_length[p] <= alpha]
-    angles = set()
-    for a in ball:
-        for b in ball:
-            if a == b:
-                continue
-            angles.update(_angle_from_edges(e1, e2) for _, _, _, e1, e2
-                          in dag_turns(index.dag(a, b), oracle))
-    theta1 = AngleSet(inst.graph, frozenset(angles)).saturate(sub_group)
+    pairs = [(a, b) for a in ball for b in ball]
+    theta1 = geodesic_angles(inst.index, inst.sub, pairs).saturate(sub_group)
     t3_3 = k_fold_sum(inst.t3, 3)
     x = angle_sum(theta0.union(theta1), t3_3)
     out = angle_sum(theta1, angle_sum(x, x))

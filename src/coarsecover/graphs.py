@@ -243,16 +243,14 @@ def geodesic_counts(g: Graph, dist):
 class GeodesicDag:
     """All geodesics from source to target, as a layered DAG.
 
-    succ[u] lists the vertices w adjacent to u with
-    layer[w] = layer[u] + 1 lying on at least one geodesic; pred[w] lists
-    the vertices u with w in succ[u].  Both are sorted tuples.
+    succ[u] is the sorted tuple of the vertices w adjacent to u with
+    layer[w] = layer[u] + 1 lying on at least one geodesic.
     """
 
     source: int
     target: int
     layer: dict
     succ: dict
-    pred: dict
 
     def length(self):
         return self.layer[self.target]
@@ -282,16 +280,10 @@ def geodesic_dag(g: Graph, u, v, dist=None) -> GeodesicDag:
     for w in g.vertices:
         if du[w] is not INF and du[w] + dv[w] == total:
             layer[w] = du[w]
-    pred = {w: [] for w in layer}
-    # layer lists the vertices in increasing order, so pred comes out sorted
     for a in layer:
-        outs = tuple(sorted(b for b in g.neighbors(a)
-                            if b in layer and layer[b] == layer[a] + 1))
-        succ[a] = outs
-        for b in outs:
-            pred[b].append(a)
-    return GeodesicDag(u, v, layer, succ,
-                       {w: tuple(ps) for w, ps in pred.items()})
+        succ[a] = tuple(b for b in g.neighbors(a)
+                        if b in layer and layer[b] == layer[a] + 1)
+    return GeodesicDag(u, v, layer, succ)
 
 
 def enumerate_geodesics(dag: GeodesicDag, cap: int):
@@ -340,7 +332,12 @@ def geodesic_vertices(g: Graph, u, v, dist):
 
 
 class GeodesicIndex:
-    """Shared cache of distances and geodesic DAGs for one graph."""
+    """The distance matrix of one graph, with a cache of geodesic DAGs.
+
+    The rows dist[a] and dist[b] answer every question about the turns of
+    a -> b geodesics (angles.geodesic_turns); the DAGs are built only where
+    whole geodesics are enumerated, by the lemma battery.
+    """
 
     def __init__(self, g: Graph):
         self.graph = g

@@ -18,8 +18,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from .angles import AngleSet, SmallnessOracle, dag_turns, k_fold_sum, \
-    small_steps
+from .angles import AngleSet, SmallnessOracle, geodesic_turns, k_fold_sum, \
+    small_steps, theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
 
@@ -145,14 +145,12 @@ class ContractionError(RuntimeError):
 
 def _large_angle_vertices(index: GeodesicIndex, oracle: SmallnessOracle,
                           small: AngleSet, v0, v):
-    """Internal vertices through which some geodesic v0 -> v turns large."""
-    if v0 == v:
-        return {}
-    dag = index.dag(v0, v)
+    """Internal vertices through which some geodesic v0 -> v turns large,
+    each mapped to its distance from v0."""
     out = {}
-    for w, _, _, e1, e2 in dag_turns(dag, oracle):
+    for w, _, _, e1, e2 in geodesic_turns(index, oracle, v0, v):
         if w not in out and not small.contains_edges(e1, e2):
-            out[w] = dag.layer[w]
+            out[w] = index.d(v0, w)
     return out
 
 
@@ -185,7 +183,6 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     replacement vertex always lies on a geodesic from the basepoint to a
     vertex of the original subcomplex.
     """
-    from .angles import theta3
     if index is None:
         index = GeodesicIndex(g)
     delta_eff = max(1, int(delta))
@@ -236,9 +233,8 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if alpha >= beta + d:
             far = sorted(v for v in K if index.d(v0, v) == alpha)
             v = far[0]
-            dag = index.dag(v0, v)
-            layer_want = alpha - 2 * delta_eff
-            vt = min(w for w in dag.layer if dag.layer[w] == layer_want)
+            vt = min(w for w in index.geodesic_vertex_set(v0, v)
+                     if index.d(v0, w) == alpha - 2 * delta_eff)
             case = "far-fold"
         elif beta == 0:
             far = sorted(v for v in K if index.d(v0, v) == alpha)

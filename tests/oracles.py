@@ -9,6 +9,7 @@ import heapq
 from functools import lru_cache
 from itertools import combinations, product
 
+from coarsecover.angles import angle_sum, k_fold_sum
 from coarsecover.graphs import INF, GeodesicIndex, canon_edge, distance_matrix
 
 
@@ -207,6 +208,27 @@ def cone_member_brute(inst, g, xi, apex, theta):
     return any(not _turn_small(theta, path, path.index(apex), sub)
                for path in _geodesics(sub.graph, gv0, xi)
                if apex in path[1:-1])
+
+
+def interior_certificate_brute(inst, g, xi, apex, theta):
+    """Both conditions of the interior certificate, read off every geodesic
+    from g v0 to xi through the apex: it turns (theta + doubled corner
+    size)-large there, or it turns theta-large there and twice-corner-large
+    at a later internal vertex."""
+    sub, gv0 = inst.sub, g[inst.v0]
+    t3_2 = k_fold_sum(inst.t3, 2)
+    big = angle_sum(theta, t3_2)
+    for path in _geodesics(sub.graph, gv0, xi):
+        if apex not in path[1:-1]:
+            continue
+        i = path.index(apex)
+        if not _turn_small(big, path, i, sub):
+            return True
+        if not _turn_small(theta, path, i, sub) and any(
+                not _turn_small(t3_2, path, j, sub)
+                for j in range(i + 1, len(path) - 1)):
+            return True
+    return False
 
 
 def separated_sets_brute(points, dist_fn, alpha, size):

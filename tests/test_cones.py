@@ -1,6 +1,8 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import (
     all_angles,
@@ -27,9 +29,10 @@ from coarsecover.corpus import (
     wedge_of_cycles,
 )
 from coarsecover.covers import Cover, CoverMember
+from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group, compose
-from oracles import cone_member_brute
+from oracles import cone_member_brute, interior_certificate_brute
 
 
 def setup(g, gens=()):
@@ -200,6 +203,54 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
                 (ge, xi) for ge in inst.sub_group.elements for xi in xi_set
                 if cone_member_brute(inst, ge, xi, apex, size))
             assert got.get((apex, layer), frozenset()) == want, (apex, layer)
+
+
+@pytest.mark.parametrize("name, g, gens, mode", CONE_PARITY_CASES,
+                         ids=[c[0] for c in CONE_PARITY_CASES])
+def test_interior_certificates_match_the_definition(name, g, gens, mode):
+    """At each layer's size, the certificate of every pair and apex is
+    exactly its two conditions read off every geodesic."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    theta0 = seed_theta0(inst, 1)
+    if mode == "all":
+        theta0 = theta0.union(all_angles(g))
+    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    t3_2 = k_fold_sum(inst.t3, 2)
+    for k in (2, 5, 6):
+        size = k_fold_sum(x, k)
+        sums = (t3_2, angle_sum(size, t3_2))
+        for apex in inst.sub.v_vertices():
+            for ge in inst.sub_group.elements:
+                for xi in inst.cone_targets():
+                    assert interior_certificate(
+                        inst, ge, xi, apex, size, _sums=sums) == \
+                        interior_certificate_brute(inst, ge, xi, apex, size), \
+                        (k, apex, xi)
+
+
+@st.composite
+def graphs_with_sizes(draw):
+    """A connected graph on at most 7 vertices and a random size on it."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=4))
+    g = make_graph(n, edges)
+    angles = sorted(all_angles(g).nontrivial)
+    chosen = draw(st.sets(st.sampled_from(angles))) if angles else set()
+    return g, angle_set_from_triples(g, chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_sizes())
+def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
+    g, theta = gt
+    inst = build_instance(g)
+    e = inst.sub_group.identity
+    for apex in inst.sub.v_vertices():
+        for xi in inst.sub.graph.vertices:
+            assert interior_certificate(inst, e, xi, apex, theta) == \
+                interior_certificate_brute(inst, e, xi, apex, theta)
 
 
 class TestDichotomy:

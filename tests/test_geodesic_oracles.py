@@ -1,4 +1,4 @@
-"""Property tests: the geodesic-triangle kernels, the geodesic-DAG turn
+"""Property tests: the geodesic-triangle kernels, the geodesic turn
 iterator, the small-geodesic sweeps and the Rips pair relation built on
 them against the brute-force oracles.
 
@@ -9,10 +9,11 @@ cone vertices.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
-    dag_turns, small_carriers, small_steps, theta3, trivial_only
+    geodesic_turns, small_carriers, small_steps, theta3, trivial_only
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -97,8 +98,9 @@ def test_slimness_on_subdivision_matches_brute(g):
     _check_slimness(barycentric_subdivision(g).graph)
 
 
-def _check_dag_turns(g, sub=None):
-    """dag_turns against the turns read off every enumerated geodesic."""
+def _check_geodesic_turns(g, sub=None):
+    """geodesic_turns against the turns read off every enumerated geodesic,
+    in (w, p, s) order; a disconnected pair raises ValueError."""
     if sub is None:
         graph, oracle = g, SmallnessOracle(g, trivial_only(g))
 
@@ -109,15 +111,15 @@ def _check_dag_turns(g, sub=None):
 
         def step(a, b):
             return sub.edge_of_midpoint[a if sub.is_midpoint(a) else b]
-    dist = distance_matrix(graph)
+    index = GeodesicIndex(graph)
+    dist = index.dist
     for u in graph.vertices:
         for v in graph.vertices:
             if dist[u][v] is INF:
+                with pytest.raises(ValueError):
+                    list(geodesic_turns(index, oracle, u, v))
                 continue
             dag = geodesic_dag(graph, u, v, dist)
-            for w in dag.layer:
-                assert dag.pred[w] == tuple(sorted(
-                    a for a in dag.succ if w in dag.succ[a]))
             want = set()
             for path in enumerate_geodesics(dag, 10 ** 5):
                 for p, w, s in zip(path, path[1:], path[2:]):
@@ -125,24 +127,24 @@ def _check_dag_turns(g, sub=None):
                         e1, e2 = step(p, w), step(w, s)
                         if e1 != e2:
                             want.add((w, p, s, e1, e2))
-            got = list(dag_turns(dag, oracle))
-            assert len(got) == len(set(got))
+            got = list(geodesic_turns(index, oracle, u, v))
+            assert got == sorted(set(got))
             assert set(got) == want
             for at in graph.vertices:
-                assert list(dag_turns(dag, oracle, at=at)) == \
+                assert list(geodesic_turns(index, oracle, u, v, at=at)) == \
                     [t for t in got if t[0] == at]
 
 
 @SETTINGS
 @given(graphs())
-def test_dag_turns_match_enumerated_geodesics(g):
-    _check_dag_turns(g)
+def test_geodesic_turns_match_enumerated_geodesics(g):
+    _check_geodesic_turns(g)
 
 
 @SETTINGS
 @given(graphs())
-def test_dag_turns_on_subdivision_match_enumerated_geodesics(g):
-    _check_dag_turns(g, barycentric_subdivision(g))
+def test_geodesic_turns_on_subdivision_match_enumerated_geodesics(g):
+    _check_geodesic_turns(g, barycentric_subdivision(g))
 
 
 @st.composite

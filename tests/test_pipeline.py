@@ -1,14 +1,20 @@
 import pytest
 
+from coarsecover import graphs
+from coarsecover.angles import k_fold_sum, theta3
 from coarsecover.corpus import (
     cycle_graph,
+    grid_graph,
     path_graph,
+    pipeline_instances,
     random_tree,
+    rips_instances,
     spider,
     spider_rotation,
 )
-from coarsecover.graphs import make_graph
+from coarsecover.graphs import GeodesicIndex, make_graph, slimness_constant
 from coarsecover.pipeline import PipelineError, run_pipeline
+from coarsecover.rips import contract_subcomplex
 
 
 class TestPipeline:
@@ -57,3 +63,27 @@ class TestPipeline:
                     "flow_doubling", "flow_cover", "wideness_scan",
                     "combined"):
             assert key in res.stages
+
+
+def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
+    """Turn scans read distance rows: the pipeline under a group and the
+    contraction, through its angle, far and base folds, never build a
+    geodesic DAG."""
+    def refuse(*args):
+        raise AssertionError("a geodesic DAG was built")
+
+    monkeypatch.setattr(GeodesicIndex, "dag", refuse)
+    monkeypatch.setattr(graphs, "geodesic_dag", refuse)
+    name, g, gens, mode, alpha, tau = next(
+        c for c in pipeline_instances() if c[0] == "marked-cone-rot")
+    assert run_pipeline(g, gens, alpha=alpha, tau_max=tau,
+                        theta0_mode=mode).ok
+    tree = next(c for c in rips_instances() if c[0] == "tree")
+    # the ladder makes far folds, the tree angle folds
+    cases = set()
+    for g, d in (tree[1:], (grid_graph(2, 8), 4)):
+        theta = k_fold_sum(theta3(g), 7)
+        trace = contract_subcomplex(sorted(g.vertices), g, d, theta,
+                                    slimness_constant(g).delta)
+        cases |= {m.case for m in trace.moves}
+    assert cases == {"angle-fold", "far-fold", "base-fold"}
