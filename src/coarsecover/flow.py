@@ -75,6 +75,9 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     mean constant flow lines and are excluded.  Each pair's line, the
     vertices on its small geodesics, comes from one small-step sweep per
     endpoint; its fiber is the delta'-ball around the line's midpoints.
+    Each unordered pair is swept once and its line and fiber stored under
+    both orders: a reversed small geodesic is small, since angles are
+    unordered, so small_carriers is symmetric in its two ends.
     """
     g = sub.graph
     if not g.is_connected():
@@ -111,19 +114,17 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     lines = {}
     fibers = {}
     triples = set()
-    for xm in endpoints:
-        for xp in endpoints:
-            if xm == xp:
-                continue
-            line = lines[(xm, xp)] = small_carriers(
-                index, oracle, steps[xm], steps[xp], xm, xp)
-            fiber = set()
-            for v in line:
-                if sub.is_midpoint(v):
-                    fiber |= balls[v]
-            fibers[(xm, xp)] = frozenset(fiber)
+    for i, xm in enumerate(endpoints):
+        for xp in endpoints[i + 1:]:
+            line = small_carriers(index, oracle, steps[xm], steps[xp], xm, xp)
+            fiber = frozenset().union(
+                *(balls[v] for v in line if sub.is_midpoint(v)))
+            for key in ((xm, xp), (xp, xm)):
+                lines[key] = line
+                fibers[key] = fiber
             for v in fiber:
                 triples.add((v, xm, xp))
+                triples.add((v, xp, xm))
     return CoarseFlowSpace(sub, theta, delta, delta_prime, endpoints,
                            fibers, metric, group, frozenset(triples), index,
                            lines)
@@ -132,32 +133,60 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
     """Doubling certificates for every fiber in the chain metric.
 
-    The required constants are D = 5 and R = 24 * delta' + 12.  With
-    compute_tightest, the report also carries the tightest (D, R) actually
-    realized across fibers, at the price of a scan per fiber.
+    The required constants are D = 5 and R = 24 * delta' + 12.  Doubling is
+    hereditary: a violation in a fiber, D + 1 points pairwise farther than
+    some alpha >= R inside a 2 * alpha ball around a point of the fiber, is
+    a violation in every larger fiber, since all fibers share the chain
+    metric.  So each distinct fiber set gets a home, the first maximal set
+    under inclusion that contains it, largest first; every maximal set is
+    checked once, and a fiber is checked on its own only when its home
+    fails.  failures lists every failing fiber key, in key order, with its
+    own witness.  With compute_tightest, the report also carries the
+    tightest (D, R) realized across fibers; both grow with the fiber, so
+    they are maxima over the maximal sets.
     """
     R = 24 * cf.delta_prime + 12
+    keys = sorted(cf.fibers)
+    home = {}
+    maximal = []
+    for fiber in sorted(dict.fromkeys(cf.fibers[k] for k in keys),
+                        key=len, reverse=True):
+        home[fiber] = next((m for m in maximal if fiber <= m), fiber)
+        if home[fiber] is fiber:
+            maximal.append(fiber)
+    reports = {}
+
+    def check(fiber):
+        if fiber not in reports:
+            pts = sorted(fiber)
+            reports[fiber] = doubling_check(pts, cf.metric.d, 5, R,
+                                            cf.metric.submatrix(pts))
+        return reports[fiber]
+
     failures = []
-    tightest_d = 0
-    tightest_r = 0
-    for key in sorted(cf.fibers):
-        fiber = sorted(cf.fibers[key])
-        dist = cf.metric.submatrix(fiber)
-        rep = doubling_check(fiber, cf.metric.d, 5, R, dist)
-        if not rep.ok:
-            failures.append((key, rep.witness))
-        if compute_tightest and fiber:
+    for key in keys:
+        fiber = cf.fibers[key]
+        if not check(home[fiber]).ok:
+            rep = check(fiber)
+            if not rep.ok:
+                failures.append((key, rep.witness))
+    tightest_d = tightest_r = None
+    if compute_tightest:
+        tightest_d = tightest_r = 0
+        for fiber in maximal:
+            pts = sorted(fiber)
+            dist = cf.metric.submatrix(pts)
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, cf.metric.d, R, dist))
+                pts, cf.metric.d, R, dist))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, cf.metric.d, 5, dist))
+                pts, cf.metric.d, 5, dist))
     return {
         "ok": not failures,
         "D": 5,
         "R": R,
         "fibers": len(cf.fibers),
-        "tightest_D": tightest_d if compute_tightest else None,
-        "tightest_R": tightest_r if compute_tightest else None,
+        "tightest_D": tightest_d,
+        "tightest_R": tightest_r,
         "failures": failures,
     }
 

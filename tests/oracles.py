@@ -6,10 +6,13 @@ are slow and only ever run on small instances.
 """
 
 import heapq
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 from coarsecover.angles import angle_sum, k_fold_sum
+from coarsecover.covers import doubling_check, minimal_doubling_constant, \
+    minimal_doubling_radius
 from coarsecover.graphs import INF, GeodesicIndex, canon_edge, distance_matrix
 
 
@@ -272,6 +275,54 @@ def doubling_scan_oracle(points, dist_fn, D, R):
             if bad is not None:
                 return False, (alpha, center, tuple(bad))
     return True, None
+
+
+@dataclass(frozen=True)
+class StarMetric:
+    """The path metric among the leaves of a star, leaf a at length w[a].
+
+    A stand-in for the chain metric of a flow space, with the two methods
+    the doubling report reads.
+    """
+
+    w: tuple
+
+    def d(self, a, b):
+        return 0 if a == b else self.w[a] + self.w[b]
+
+    def submatrix(self, points):
+        return [[self.d(a, b) for b in points] for a in points]
+
+
+def cf_doubling_report_brute(cf, compute_tightest=False):
+    """flow.cf_doubling_report by one doubling check per fiber key.
+
+    Reads only cf.delta_prime, cf.fibers and cf.metric (d and submatrix).
+    """
+    R = 24 * cf.delta_prime + 12
+    failures = []
+    tightest_d = 0
+    tightest_r = 0
+    for key in sorted(cf.fibers):
+        fiber = sorted(cf.fibers[key])
+        dist = cf.metric.submatrix(fiber)
+        rep = doubling_check(fiber, cf.metric.d, 5, R, dist)
+        if not rep.ok:
+            failures.append((key, rep.witness))
+        if compute_tightest and fiber:
+            tightest_d = max(tightest_d, minimal_doubling_constant(
+                fiber, cf.metric.d, R, dist))
+            tightest_r = max(tightest_r, minimal_doubling_radius(
+                fiber, cf.metric.d, 5, dist))
+    return {
+        "ok": not failures,
+        "D": 5,
+        "R": R,
+        "fibers": len(cf.fibers),
+        "tightest_D": tightest_d if compute_tightest else None,
+        "tightest_R": tightest_r if compute_tightest else None,
+        "failures": failures,
+    }
 
 
 def cover_order_brute(member_sets, domain_points):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from coarsecover.angles import (
@@ -5,6 +7,7 @@ from coarsecover.angles import (
     all_angles,
     angle_set_from_triples,
     k_fold_sum,
+    small_carriers,
     small_steps,
     theta3,
     trivial_only,
@@ -13,13 +16,14 @@ from coarsecover.corpus import (
     cycle_graph,
     cycle_reflection,
     cyclic_rotation,
+    flow_graphs,
     path_graph,
     random_tree,
     spider,
     spider_rotation,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember
+from coarsecover.covers import Cover, CoverMember, doubling_check
 from coarsecover.flow import (
     ball_closed_targets,
     build_cf_theta,
@@ -34,7 +38,7 @@ from coarsecover.flow import (
 from coarsecover.graphs import barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
-from oracles import theta_small_paths_brute
+from oracles import StarMetric, theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):
@@ -156,7 +160,67 @@ class TestBuildCfTheta:
             assert line == frozenset(w for p in paths for w in p), (a, b)
 
 
+class TestFiberSymmetry:
+    @pytest.mark.parametrize("name, g, use_all", flow_graphs())
+    def test_corpus_fibers_are_symmetric(self, name, g, use_all):
+        # criterion 02's flow spaces
+        sub = barycentric_subdivision(g)
+        t3 = theta3(sub)
+        theta = all_angles(g) if use_all else k_fold_sum(t3, 2)
+        ve = sub.ve_vertices()
+        self.check(build_cf_theta(sub, theta, ve[::max(1, len(ve) // 8)][:10],
+                                  theta3_set=t3))
+
+    def test_group_instance_fibers_are_symmetric(self):
+        g = cycle_graph(8)
+        inst = build_instance(g, close_group(
+            g, [cyclic_rotation(8), cycle_reflection(8)]))
+        self.check(build_cf_theta(inst.sub, k_fold_sum(inst.t3, 2),
+                                  inst.sub.ve_vertices(),
+                                  group=inst.sub_group, index=inst.index))
+
+    @staticmethod
+    def check(cf):
+        for (a, b), fiber in cf.fibers.items():
+            assert fiber == cf.fibers[(b, a)]
+            assert cf.lines[(a, b)] == cf.lines[(b, a)]
+        # built on each ordered pair on its own
+        oracle = SmallnessOracle(cf.sub, cf.theta)
+        steps = {x: small_steps(cf.index, oracle, x) for x in cf.endpoints}
+        lines = {(a, b): small_carriers(cf.index, oracle, steps[a], steps[b],
+                                        a, b)
+                 for a in cf.endpoints for b in cf.endpoints if a != b}
+        fibers = {key: frozenset(v for w in line if cf.sub.is_midpoint(w)
+                                 for v in cf.metric.ball(w, cf.delta_prime))
+                  for key, line in lines.items()}
+        assert cf.lines == lines
+        assert cf.fibers == fibers
+        assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
+                              for v in fiber}
+
+
 class TestDoubling:
+    def test_planted_violation_lists_exactly_the_failing_fibers(self):
+        # six heavy leaves fail D = 5: pairwise 40 or more apart, far above
+        # R = 12, all within 31 of the light leaf 0; light leaves are at
+        # most 6 apart, so a fiber with at most four heavy leaves passes
+        metric = StarMetric((1, 20, 25, 30, 20, 25, 30, 2, 1, 2, 3, 1, 2))
+        failing = frozenset(range(8))
+        heavy = frozenset(range(1, 7))  # inside failing, fails on its own
+        light = frozenset((0, 1, 2, 3, 5))  # inside failing, passes
+        # larger than failing but not around it, and passes
+        wide = frozenset(range(13)) - {5, 6}
+        cf = SimpleNamespace(delta_prime=0, metric=metric, fibers={
+            (0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide})
+        rep = cf_doubling_report(cf)
+        assert rep["ok"] is False and rep["R"] == 12 and rep["fibers"] == 4
+        checks = {key: doubling_check(sorted(f), metric.d, 5, 12)
+                  for key, f in cf.fibers.items()}
+        assert [key for key in sorted(checks) if not checks[key].ok] == \
+            [(0, 1), (0, 2)]
+        assert rep["failures"] == [(key, checks[key].witness)
+                                   for key in ((0, 1), (0, 2))]
+
     def test_tree_passes_d5(self):
         g, sub, cf = tree_cf(30)
         rep = cf_doubling_report(cf)
