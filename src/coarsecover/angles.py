@@ -442,11 +442,6 @@ class ThetaMetric:
         return frozenset(self.order[i] for i, dv in enumerate(row)
                          if dv <= radius)
 
-    def submatrix(self, points):
-        """Dense distances among points, indexed by their position in it."""
-        idx = [self.pos[p] for p in points]
-        return [[row[j] for j in idx] for row in (self.dist[i] for i in idx)]
-
     def diameter(self):
         best = 0
         for row in self.dist:

@@ -27,6 +27,7 @@ from .flow import (
     ball_closed_targets,
     build_cf_theta,
     cf_doubling_report,
+    cf_pair_space,
     cover_cf,
     pullback_cover,
     wideness_scan,
@@ -284,7 +285,7 @@ def cmd_cf(args):
         rep = cf_doubling_report(cf, compute_tightest=True)
         _emit(args, "cf_doubling", rep)
         return 0 if rep["ok"] else 1
-    cover = cover_cf(cf, args.alpha)
+    cover = cover_cf(cf_pair_space(cf), args.alpha)
     if args.cf_cmd == "cover":
         _emit(args, "cf_cover", cover_to_document(cover, sub_group))
         return 0
@@ -349,7 +350,7 @@ def cmd_rips(args):
         _emit(args, "homology", {"betti": list(betti)})
         return 0
     if args.rips_cmd == "contract":
-        delta = slimness_constant(g).delta
+        delta = slimness_constant(g, index.dist).delta
         trace = contract_subcomplex(sorted(g.vertices), g, args.d, theta,
                                     delta, index=index)
         _emit(args, "trace", {

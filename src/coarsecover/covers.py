@@ -180,19 +180,17 @@ def _violating_set(pts, dist, size, R):
     return found[0] if found else None
 
 
-def doubling_check(points, dist_fn, D, R, dist=None) -> DoublingReport:
+def doubling_check(points, dist_fn, D, R) -> DoublingReport:
     """Verify the (D, R)-doubling property of a finite metric set.
 
     For every alpha >= R, every alpha-separated subset (pairwise distances
     strictly above alpha) of every closed 2*alpha ball centered at a point
     of the set must have at most D points.  Scanning scales is equivalent
-    to one subset search, see _violating_set.  dist, when given, is the
-    dense distance matrix of the sorted points and replaces dist_fn.
+    to one subset search, see _violating_set, on the distances dist_fn
+    gives among the sorted points.
     """
     pts = sorted(points)
-    if dist is None:
-        dist = _dense_distances(pts, dist_fn)
-    hit = _violating_set(pts, dist, D + 1, R)
+    hit = _violating_set(pts, _dense_distances(pts, dist_fn), D + 1, R)
     if hit is None:
         return DoublingReport(True, D, R)
     sel, sep, rad, center = hit
@@ -200,42 +198,44 @@ def doubling_check(points, dist_fn, D, R, dist=None) -> DoublingReport:
     return DoublingReport(False, D, R, (alpha, center, tuple(sel)))
 
 
-def minimal_doubling_constant(points, dist_fn, R, dist=None) -> int:
+def minimal_doubling_constant(points, dist_fn, R) -> int:
     """The smallest D for which the (D, R)-doubling property holds."""
     pts = sorted(points)
     if not pts:
         return 0
-    if dist is None:
-        dist = _dense_distances(pts, dist_fn)
+    dist = _dense_distances(pts, dist_fn)
     best = 1
     while _violating_set(pts, dist, best + 1, R) is not None:
         best += 1
     return best
 
 
-def minimal_doubling_radius(points, dist_fn, D, dist=None):
+def minimal_doubling_radius(points, dist_fn, D):
     """The smallest R for which the (D, R)-doubling property holds.
 
     The property only weakens as R grows, so a binary search over realized
     gaps finds the tightest passing threshold.
     """
     pts = sorted(points)
-    if dist is None:
-        dist = _dense_distances(pts, dist_fn)
+    dist = _dense_distances(pts, dist_fn)
     cands = [0]
     for i, row in enumerate(dist):
         for d in row[i + 1:]:
             if d is not INF:
                 cands.append(d)
     cands = sorted(set(cands))
+
+    def ok(R):
+        return _violating_set(pts, dist, D + 1, R) is None
+
     lo, hi = 0, len(cands) - 1
-    if doubling_check(pts, dist_fn, D, cands[lo], dist).ok:
+    if ok(cands[lo]):
         return cands[lo]
-    if not doubling_check(pts, dist_fn, D, cands[hi], dist).ok:
+    if not ok(cands[hi]):
         return INF
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if doubling_check(pts, dist_fn, D, cands[mid], dist).ok:
+        if ok(cands[mid]):
             hi = mid
         else:
             lo = mid

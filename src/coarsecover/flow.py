@@ -6,6 +6,10 @@ chain-metric distance delta' = delta + 1 of a midpoint on some small
 geodesic between the endpoints.  Endpoint surrogates are midpoint vertices
 standing in for ideal points; distances between midpoints are integers in
 original units, so every bound here is exact integer arithmetic.
+
+The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
+set of admitted v.  Both uses read them that way, the doubling report per
+fiber and the cover on the pair space whose z-fibers are these sets.
 """
 
 from __future__ import annotations
@@ -49,17 +53,22 @@ class CoarseFlowSpace:
     sub: Subdivision
     theta: AngleSet
     delta: int
-    delta_prime: int
     endpoints: tuple
-    fibers: dict
+    fibers: dict  # (xi-, xi+) -> the admitted midpoints v
     metric: ThetaMetric
     group: GroupModel
-    triples: frozenset
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> the vertices on small xi- -> xi+ geodesics
 
-    def fiber(self, xi_minus, xi_plus):
-        return self.fibers.get((xi_minus, xi_plus), frozenset())
+    @property
+    def delta_prime(self):
+        return self.delta + 1
+
+    @property
+    def triples(self):
+        """The points (v, xi-, xi+), read off the fibers."""
+        return frozenset((v, xm, xp) for (xm, xp), fiber in self.fibers.items()
+                         for v in fiber)
 
 
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
@@ -71,7 +80,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     Requires theta to contain the doubled triangle-corner size of the
     subdivision and to be invariant under the group, which must act on the
     subdivided graph (default trivial); the endpoint set is saturated under
-    the group so that the triple set is invariant.  Equal endpoint pairs
+    the group so that the point set is invariant.  Equal endpoint pairs
     mean constant flow lines and are excluded.  Each pair's line, the
     vertices on its small geodesics, comes from one small-step sweep per
     endpoint; its fiber is the delta'-ball around the line's midpoints.
@@ -94,7 +103,6 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
         raise ValueError("theta must contain the doubled corner size")
     if delta is None:
         delta = slimness_constant(sub.original).delta
-    delta_prime = delta + 1
     # invariance under each generator is invariance under the group
     if any(act_angle(p, t) not in theta.nontrivial
            for p in group.generators for t in theta.nontrivial):
@@ -109,11 +117,10 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
 
     metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
-    balls = {v: metric.ball(v, delta_prime) for v in sub.ve_vertices()}
+    balls = {v: metric.ball(v, delta + 1) for v in sub.ve_vertices()}
     steps = {x: small_steps(index, oracle, x) for x in endpoints}
     lines = {}
     fibers = {}
-    triples = set()
     for i, xm in enumerate(endpoints):
         for xp in endpoints[i + 1:]:
             line = small_carriers(index, oracle, steps[xm], steps[xp], xm, xp)
@@ -122,12 +129,8 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
             for key in ((xm, xp), (xp, xm)):
                 lines[key] = line
                 fibers[key] = fiber
-            for v in fiber:
-                triples.add((v, xm, xp))
-                triples.add((v, xp, xm))
-    return CoarseFlowSpace(sub, theta, delta, delta_prime, endpoints,
-                           fibers, metric, group, frozenset(triples), index,
-                           lines)
+    return CoarseFlowSpace(sub, theta, delta, endpoints, fibers, metric,
+                           group, index, lines)
 
 
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
@@ -158,9 +161,7 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
     def check(fiber):
         if fiber not in reports:
-            pts = sorted(fiber)
-            reports[fiber] = doubling_check(pts, cf.metric.d, 5, R,
-                                            cf.metric.submatrix(pts))
+            reports[fiber] = doubling_check(fiber, cf.metric.d, 5, R)
         return reports[fiber]
 
     failures = []
@@ -174,12 +175,10 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
     if compute_tightest:
         tightest_d = tightest_r = 0
         for fiber in maximal:
-            pts = sorted(fiber)
-            dist = cf.metric.submatrix(pts)
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                pts, cf.metric.d, R, dist))
+                fiber, cf.metric.d, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                pts, cf.metric.d, 5, dist))
+                fiber, cf.metric.d, 5))
     return {
         "ok": not failures,
         "D": 5,
@@ -192,26 +191,24 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
-    ve = cf.sub.ve_vertices()
+    """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
+    chain metric; its z-fibers are cf's fibers."""
+    ve = cf.metric.order  # the rows of cf.metric.dist, in ve_vertices order
     zs = tuple(sorted(cf.fibers))
-    dist = {v: dict(zip(ve, row))
-            for v, row in zip(ve, cf.metric.submatrix(ve))}
+    dist = {v: dict(zip(ve, row)) for v, row in zip(ve, cf.metric.dist)}
     act_v = {p: {v: p[v] for v in ve} for p in cf.group.elements}
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in zs} for p in cf.group.elements}
-    pairs = frozenset((v, (xm, xp)) for (v, xm, xp) in cf.triples)
+    pairs = frozenset((v, z) for z in zs for v in cf.fibers[z])
     return pair_space(ve, zs, pairs, dist, group=cf.group,
                       act_v=act_v, act_z=act_z)
 
 
-def cover_cf(cf: CoarseFlowSpace, alpha_prime,
-             space: PairSpace = None) -> Cover:
+def cover_cf(space: PairSpace, alpha_prime) -> Cover:
     """Long thin cover of the flow space, alpha'-long in the chain metric.
 
-    space, when given, is cf_pair_space(cf), built once by a caller that
-    also verifies the cover.
+    space is cf_pair_space(cf), built once by a caller that also verifies
+    the cover or pulls it back.
     """
-    if space is None:
-        space = cf_pair_space(cf)
     return greedy_cover(space, alpha_prime, fiber_basis(space, alpha_prime))
 
 

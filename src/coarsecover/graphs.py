@@ -42,7 +42,6 @@ class Graph:
     edges: frozenset
     cone_vertices: frozenset = frozenset()
     labels: dict = field(default_factory=dict, compare=False)
-    cone_adjacency_warning: bool = field(default=False, compare=False)
     _adj: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -108,11 +107,9 @@ class Graph:
         return self.vertex_count <= 1 or len(self.components()) == 1
 
 
-def make_graph(n, edges, cone_vertices=(), labels=None, warn_adjacent_cones=False):
+def make_graph(n, edges, cone_vertices=(), labels=None):
     es = frozenset(canon_edge(u, v) for (u, v) in edges)
-    g = Graph(n, es, frozenset(cone_vertices), dict(labels or {}),
-              cone_adjacency_warning=warn_adjacent_cones)
-    return g
+    return Graph(n, es, frozenset(cone_vertices), dict(labels or {}))
 
 
 def parse_document(document):
@@ -133,7 +130,8 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     ``cone_vertices`` (list), optional ``labels`` (map vertex -> string).
     When ``cone_vertices`` is absent, vertices of valency >= cone_threshold
     are marked as cone vertices.  Adjacent cone vertices are legal at load
-    time but recorded as a warning; cone and Rips operations refuse them.
+    time (cone_vertices_adjacent lists them); cone and Rips operations
+    refuse them.
     """
     doc = parse_document(document)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -176,10 +174,7 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     if not isinstance(labels, dict):
         raise GraphFormatError("'labels' must be an object")
     labels = {int(k): str(v) for k, v in labels.items()}
-    g = make_graph(n, edges, cones, labels)
-    if g.cone_vertices_adjacent():
-        g = make_graph(n, edges, cones, labels, warn_adjacent_cones=True)
-    return g
+    return make_graph(n, edges, cones, labels)
 
 
 def graph_to_document(g: Graph) -> dict:
@@ -251,12 +246,6 @@ class GeodesicDag:
     target: int
     layer: dict
     succ: dict
-
-    def length(self):
-        return self.layer[self.target]
-
-    def vertices(self):
-        return sorted(self.layer)
 
     def edges(self):
         for u in sorted(self.succ):
@@ -564,7 +553,7 @@ def barycentric_subdivision(g: Graph) -> Subdivision:
         edges.append((e[0], m))
         edges.append((e[1], m))
     sub = make_graph(n + len(mids), edges, cone_vertices=g.cone_vertices,
-                     labels=g.labels, warn_adjacent_cones=g.cone_adjacency_warning)
+                     labels=g.labels)
     classes = {v: "V" for v in range(n)}
     classes.update({m: "V_E" for m in mids.values()})
     inv = {m: e for e, m in mids.items()}

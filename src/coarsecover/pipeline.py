@@ -146,7 +146,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
                         group=sub_group, delta=delta, index=index,
                         theta3_set=t3)
     stages["flow_space"] = {"fibers": len(cf.fibers),
-                            "triples": len(cf.triples),
+                            "triples": sum(map(len, cf.fibers.values())),
                             "theta_cf": len(theta_cf)}
     artifacts["cf"] = cf
 
@@ -160,7 +160,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     reach = max(index.d(v0, p[v0]) for p in ball) // 2
     alpha_prime = reach + 2 * (delta + 1)
     space = cf_pair_space(cf)
-    flow_cover = cover_cf(cf, alpha_prime, space=space)
+    flow_cover = cover_cf(space, alpha_prime)
     flow_report = verify_cover(flow_cover, space, alpha_prime, ALL_SUBGROUPS)
     stages["flow_cover"] = {
         "alpha_prime": alpha_prime, "members": len(flow_cover),
@@ -197,7 +197,6 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     member_sets = combined.member_sets()
     wide_failures = []
     for ge in sub_group.elements:
-        gv0 = ge[v0]
         for xi in xi_cone:
             need = {(h, xi) for h in balls[ge]}
             if not any(need <= m for m in member_sets):

@@ -281,7 +281,7 @@ def doubling_scan_oracle(points, dist_fn, D, R):
 class StarMetric:
     """The path metric among the leaves of a star, leaf a at length w[a].
 
-    A stand-in for the chain metric of a flow space, with the two methods
+    A stand-in for the chain metric of a flow space, with the one method
     the doubling report reads.
     """
 
@@ -290,14 +290,11 @@ class StarMetric:
     def d(self, a, b):
         return 0 if a == b else self.w[a] + self.w[b]
 
-    def submatrix(self, points):
-        return [[self.d(a, b) for b in points] for a in points]
-
 
 def cf_doubling_report_brute(cf, compute_tightest=False):
     """flow.cf_doubling_report by one doubling check per fiber key.
 
-    Reads only cf.delta_prime, cf.fibers and cf.metric (d and submatrix).
+    Reads only cf.delta_prime, cf.fibers and cf.metric.d.
     """
     R = 24 * cf.delta_prime + 12
     failures = []
@@ -305,15 +302,14 @@ def cf_doubling_report_brute(cf, compute_tightest=False):
     tightest_r = 0
     for key in sorted(cf.fibers):
         fiber = sorted(cf.fibers[key])
-        dist = cf.metric.submatrix(fiber)
-        rep = doubling_check(fiber, cf.metric.d, 5, R, dist)
+        rep = doubling_check(fiber, cf.metric.d, 5, R)
         if not rep.ok:
             failures.append((key, rep.witness))
         if compute_tightest and fiber:
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, cf.metric.d, R, dist))
+                fiber, cf.metric.d, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, cf.metric.d, 5, dist))
+                fiber, cf.metric.d, 5))
     return {
         "ok": not failures,
         "D": 5,

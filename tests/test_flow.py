@@ -197,6 +197,11 @@ class TestFiberSymmetry:
         assert cf.fibers == fibers
         assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
                               for v in fiber}
+        space = cf_pair_space(cf)
+        assert space.pairs == {(v, key) for key, fiber in fibers.items()
+                               for v in fiber}
+        assert space.by_z == {key: fiber for key, fiber in fibers.items()
+                              if fiber}
 
 
 class TestDoubling:
@@ -245,7 +250,7 @@ class TestCoverCf:
     def test_diameter_cover_partitions(self):
         g, sub, cf = tree_cf(9)
         diam = cf.metric.diameter()
-        cov = cover_cf(cf, diam)
+        cov = cover_cf(cf_pair_space(cf), diam)
         assert cov.order == 0
         sets = cov.member_sets()
         for z in sorted(cf.fibers):
@@ -256,10 +261,11 @@ class TestCoverCf:
         g = cycle_graph(6)
         sub = barycentric_subdivision(g)
         cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices())
-        cov = cover_cf(cf, 1)
+        space = cf_pair_space(cf)
+        cov = cover_cf(space, 1)
         from coarsecover.covers import verify_cover
         from coarsecover.symmetry import ALL_SUBGROUPS
-        rep = verify_cover(cov, cf_pair_space(cf), 1, ALL_SUBGROUPS)
+        rep = verify_cover(cov, space, 1, ALL_SUBGROUPS)
         assert rep.ok
         assert cov.order <= 4
 
@@ -267,7 +273,7 @@ class TestCoverCf:
         g = path_graph(4)
         sub = barycentric_subdivision(g)
         cf = build_cf_theta(sub, all_angles(g), ())
-        cov = cover_cf(cf, 1)
+        cov = cover_cf(cf_pair_space(cf), 1)
         assert len(cov) == 0
 
 
@@ -287,7 +293,7 @@ class TestPullback:
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0)
-        cov = cover_cf(cf, 2)
+        cov = cover_cf(cf_pair_space(cf), 2)
         pull = pullback_cover(cf, cov, 0, targets, v0)
         sets = cov.member_sets()
         for i, m in enumerate(sets):
@@ -361,7 +367,7 @@ class TestPullback:
             g, sub, cf = tree_cf(10, seed=seed)
             v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
             targets = eligible_targets(cf, v0)
-            cov = cover_cf(cf, 3)
+            cov = cover_cf(cf_pair_space(cf), 3)
             for tau in (0, 1, 2):
                 pull = pullback_cover(cf, cov, tau, targets, v0)
                 assert pull.order <= cov.order
@@ -372,7 +378,7 @@ class TestWidenessScan:
         g, sub, cf = tree_cf(10, seed=7)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = ball_closed_targets(cf, v0, 0)
-        cov = cover_cf(cf, 2)
+        cov = cover_cf(cf_pair_space(cf), 2)
         scan = wideness_scan(cf, cov, 0, targets, range(0, 3), v0)
         assert scan.passing_tau == 0
 
@@ -397,7 +403,7 @@ class TestWidenessScan:
         boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
         targets = ball_closed_targets(cf, v0, 1, boundary)
         assert targets
-        cov = cover_cf(cf, 8)
+        cov = cover_cf(cf_pair_space(cf), 8)
         scan = wideness_scan(cf, cov, 1, targets, range(0, 6), v0)
         assert scan.ok
 

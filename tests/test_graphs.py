@@ -64,7 +64,7 @@ class TestLoadGraph:
     def test_adjacent_cones_warn_then_refuse(self):
         doc = {"vertices": 2, "edges": [[0, 1]], "cone_vertices": [0, 1]}
         g = load_graph(doc)
-        assert g.cone_adjacency_warning
+        assert g.cone_vertices_adjacent() == [(0, 1)]
         with pytest.raises(GraphFormatError, match="adjacent cone"):
             g.require_cone_separation()
 

@@ -39,6 +39,8 @@ class TestPipeline:
         assert res.ok
         assert res.stages["setup"]["group_order"] == 4
         assert res.stages["wideness_scan"]["targets"] > 0
+        assert res.stages["flow_space"]["triples"] == \
+            len(res.artifacts["cf"].triples)
 
     def test_marked_cone_vertex(self):
         g = make_graph(9, spider(2, 4).edges, cone_vertices=[0])
@@ -63,6 +65,8 @@ class TestPipeline:
                     "flow_doubling", "flow_cover", "wideness_scan",
                     "combined"):
             assert key in res.stages
+        assert res.stages["flow_space"]["triples"] == \
+            len(res.artifacts["cf"].triples)
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
