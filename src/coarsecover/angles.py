@@ -3,7 +3,9 @@
 An angle is an unordered pair of edges sharing a vertex (the apex), stored
 canonically as a triple (u, apex, w) listing the two far endpoints with
 u <= w.  Trivial angles (an edge paired with itself) are members of every
-angle set and are kept implicit.
+angle set and are kept implicit.  A step out of the apex starts an
+original edge; far_end names that edge's other end, so every turn of a
+path, on a graph or on its subdivision, is read as a canonical angle.
 
 A size for angles is a group-invariant angle set.  Geodesics all of whose
 internal angles lie in a size Theta are Theta-small; length <= 1 geodesics
@@ -59,17 +61,6 @@ class AngleSet:
         if u == w:
             return True
         return canonical_angle(u, apex, w) in self.nontrivial
-
-    def contains_edges(self, e1, e2) -> bool:
-        if e1 == e2:
-            return True
-        shared = set(e1) & set(e2)
-        if len(shared) != 1:
-            raise ValueError("edges %r, %r do not form an angle" % (e1, e2))
-        apex = shared.pop()
-        u = e1[0] if e1[1] == apex else e1[1]
-        w = e2[0] if e2[1] == apex else e2[1]
-        return self.contains(u, apex, w)
 
     def union(self, other) -> "AngleSet":
         self._check_base(other)
@@ -175,6 +166,13 @@ def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
 # ---------------------------------------------------------------------------
 
 
+def far_end(sub, apex, w):
+    """The other end of the original edge that the step apex -> w starts:
+    w itself on a plain graph (sub None), and on a subdivision, where w is
+    a midpoint, the far end of w's edge."""
+    return w if sub is None else sum(sub.edge_of_midpoint[w]) - apex
+
+
 class SmallnessOracle:
     """Turn-by-turn smallness test for paths in a graph or a subdivision."""
 
@@ -195,21 +193,11 @@ class SmallnessOracle:
         return self.sub is None or not self.sub.is_midpoint(v)
 
     def turn_ok(self, prev, cur, nxt) -> bool:
-        if self.sub is None:
-            return self.theta.contains_edges(canon_edge(prev, cur),
-                                             canon_edge(cur, nxt))
-        if self.sub.is_midpoint(cur):
+        sub = self.sub
+        if sub is not None and sub.is_midpoint(cur):
             return True
-        e1 = self.sub.edge_of_midpoint[prev]
-        e2 = self.sub.edge_of_midpoint[nxt]
-        return self.theta.contains_edges(e1, e2)
-
-    def step_edge(self, a, b):
-        """Original edge traversed by the step a -> b."""
-        if self.sub is None:
-            return canon_edge(a, b)
-        m = b if self.sub.is_midpoint(b) else a
-        return self.sub.edge_of_midpoint[m]
+        return self.theta.contains(far_end(sub, cur, prev), cur,
+                                   far_end(sub, cur, nxt))
 
 
 def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
@@ -219,26 +207,28 @@ def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
     A step pair p -> w -> s lies on some a -> b geodesic exactly when
     d(a,w) + d(w,b) = d(a,b), d(a,p) = d(a,w) - 1 and d(s,b) = d(w,b) - 1,
     so the distance rows of a and b decide every turn.  Yields
-    (w, p, s, e1, e2) with e1, e2 the original edges of the two steps, w
-    ascending, then p and s in neighbour order; given at, only the turns at
-    that vertex.  A disconnected pair is a ValueError.
+    (w, p, s, angle) with angle the canonical angle of the two steps'
+    original edges, w ascending, then p and s in neighbour order; given at,
+    only the turns at that vertex.  No angle is trivial: p = s would give
+    d(a,p) + d(p,b) = d(a,b) - 2, so a size theta holds the turn exactly
+    when angle is in theta.nontrivial.  A disconnected pair is a ValueError.
     """
     da, db = index.dist[a], index.dist[b]
     total = da[b]
     if total is INF:
         raise ValueError("vertices %d and %d are disconnected" % (a, b))
-    g = index.graph
+    g, sub = index.graph, oracle.sub
     for w in g.vertices if at is None else (at,):
         if w == a or w == b or da[w] + db[w] != total \
                 or not oracle.is_checked(w):
             continue
         nbrs = g.neighbors(w)
-        ss = [(s, oracle.step_edge(w, s)) for s in nbrs if db[s] == db[w] - 1]
+        ss = [(s, far_end(sub, w, s)) for s in nbrs if db[s] == db[w] - 1]
         for p in nbrs:
             if da[p] == da[w] - 1:
-                e1 = oracle.step_edge(p, w)
-                for s, e2 in ss:
-                    yield w, p, s, e1, e2
+                u = far_end(sub, w, p)
+                for s, x in ss:
+                    yield w, p, s, canonical_angle(u, w, x)
 
 
 def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
@@ -246,8 +236,8 @@ def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
     over the given (a, b) pairs, as an angle set of the original graph."""
     oracle = SmallnessOracle(sub, trivial_only(sub.original))
     return AngleSet(sub.original, frozenset(
-        _angle_from_edges(e1, e2) for a, b in pairs
-        for _, _, _, e1, e2 in geodesic_turns(index, oracle, a, b)))
+        angle for a, b in pairs
+        for *_, angle in geodesic_turns(index, oracle, a, b)))
 
 
 def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
@@ -320,11 +310,10 @@ def theta3(base, index: GeodesicIndex = None,
     if len(corners) * len(corners) > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
 
-    # The first steps from v toward p, as the far ends of original edges
-    # (a midpoint's other end).  Equal sets are one object, so they
-    # compare by identity.
-    far_ends = {v: [(w, w if sub is None else sum(sub.edge_of_midpoint[w]) - v)
-                    for w in g.neighbors(v)] for v in apexes}
+    # The first steps from v toward p, as the far ends of original edges.
+    # Equal sets are one object, so they compare by identity.
+    far_ends = {v: [(w, far_end(sub, v, w)) for w in g.neighbors(v)]
+                for v in apexes}
     interned = {}
 
     def first_steps(v, p):
@@ -363,14 +352,6 @@ def theta3(base, index: GeodesicIndex = None,
                     if x != y:
                         result.add(canonical_angle(x, v, y))
     return AngleSet(original, frozenset(result))
-
-
-def _angle_from_edges(e1, e2):
-    shared = set(e1) & set(e2)
-    apex = shared.pop()
-    u = e1[0] if e1[1] == apex else e1[1]
-    w = e2[0] if e2[1] == apex else e2[1]
-    return canonical_angle(u, apex, w)
 
 
 def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dict:
@@ -457,12 +438,11 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
     n = len(order)
     adj = {v: [] for v in order}
     for apex in sub.v_vertices():
-        mids = [m for m in sub.graph.neighbors(apex)]
+        mids = sub.graph.neighbors(apex)
+        ends = [far_end(sub, apex, m) for m in mids]
         for i in range(len(mids)):
-            e1 = sub.edge_of_midpoint[mids[i]]
             for j in range(i + 1, len(mids)):
-                e2 = sub.edge_of_midpoint[mids[j]]
-                if theta.contains_edges(e1, e2):
+                if theta.contains(ends[i], apex, ends[j]):
                     adj[mids[i]].append(mids[j])
                     adj[mids[j]].append(mids[i])
     rows = []

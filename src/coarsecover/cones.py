@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, geodesic_angles, \
     geodesic_turns, k_fold_sum, small_steps
-from .covers import Cover, CoverMember, cover_order
+from .covers import Cover, CoverMember, cover_order, wide_failures
 from .symmetry import GroupModel
 
 if TYPE_CHECKING:
@@ -27,8 +27,8 @@ def _turns_large(index, oracle: SmallnessOracle, theta: AngleSet, a, b,
                  at=None):
     """True when some a -> b geodesic turns theta-large, anywhere or, given
     at, at that vertex."""
-    return any(not theta.contains_edges(e1, e2)
-               for _, _, _, e1, e2 in geodesic_turns(index, oracle, a, b, at))
+    return any(angle not in theta.nontrivial
+               for *_, angle in geodesic_turns(index, oracle, a, b, at))
 
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
@@ -53,17 +53,17 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     else:
         t3_2, big = _sums
     large_apex_exits = set()
-    for _, _, s, e1, e2 in geodesic_turns(index, oracle, gv0, xi, at=apex):
-        if not big.contains_edges(e1, e2):
+    for _, _, s, angle in geodesic_turns(index, oracle, gv0, xi, at=apex):
+        if angle not in big.nontrivial:
             return True
-        if not theta.contains_edges(e1, e2):
+        if angle not in theta.nontrivial:
             large_apex_exits.add(s)
     if not large_apex_exits:
         return False
     d0 = index.dist[gv0]
-    return any(not t3_2.contains_edges(e1, e2) and any(
+    return any(angle not in t3_2.nontrivial and any(
         d0[x] + index.d(x, p) == d0[p] for x in large_apex_exits)
-        for _, p, _, e1, e2 in geodesic_turns(index, oracle, gv0, xi))
+        for _, p, _, angle in geodesic_turns(index, oracle, gv0, xi))
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def seed_theta0(inst: Instance, alpha) -> AngleSet:
     """All angles on geodesics from a ball translate of the base point to a
     vertex on a geodesic between two other ball translates, saturated."""
     index, sub_group = inst.index, inst.sub_group
-    ball = sorted({p[inst.v0] for p in sub_group.elements
-                   if sub_group.word_length[p] <= alpha})
+    ball = sorted({p[inst.v0] for p in sub_group.ball(alpha)})
     mids = set()
     for a in ball:
         for b in ball:
@@ -143,16 +142,16 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
     """
     index, sub_group = inst.index, inst.sub_group
     oracle = SmallnessOracle(inst.sub, theta_out)
-    member_sets = [c.members for c in cones]
-    balls = {ge: sub_group.ball(alpha, center=ge) for ge in sub_group.elements}
+    uncovered = set(wide_failures(
+        [c.members for c in cones], sub_group, alpha,
+        [(ge, xi) for ge in sub_group.elements for xi in xi_set]))
     failures = []
     clause_counts = {"cone": 0, "small-geodesic": 0}
     for ge in sub_group.elements:
         gv0 = ge[inst.v0]
         steps = None
         for xi in xi_set:
-            need = {(h, xi) for h in balls[ge]}
-            if any(need <= m for m in member_sets):
+            if (ge, xi) not in uncovered:
                 clause_counts["cone"] += 1
                 continue
             if steps is None and gv0 != xi:

@@ -276,6 +276,20 @@ def cover_order(member_sets, domain_points) -> int:
     return max((counts[x] for x in domain_points), default=0) - 1
 
 
+def wide_failures(member_sets, group: GroupModel, alpha, pairs):
+    """Yield, in input order, each pair (g, x) whose ball slice
+    {(h, x) : h in group.ball(alpha, center=g)} no member holds: the pairs
+    at which the members fail to be alpha-wide.  Each ball is computed
+    once per call."""
+    balls = {}
+    for g, x in pairs:
+        if g not in balls:
+            balls[g] = group.ball(alpha, center=g)
+        need = {(h, x) for h in balls[g]}
+        if not any(need <= m for m in member_sets):
+            yield g, x
+
+
 @dataclass(frozen=True)
 class BasisTriple:
     v: object

@@ -40,6 +40,7 @@ from .covers import (
     minimal_doubling_constant,
     minimal_doubling_radius,
     pair_space,
+    wide_failures,
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_constant
 from .symmetry import GroupModel, act_angle, trivial_group
@@ -246,13 +247,10 @@ def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set=None):
     translates; pairs violating that are dropped here rather than silently
     failing every scan.
     """
-    eligible = set(eligible_targets(cf, v0, xi_set))
-    G = cf.group
-    out = []
-    for (g, xi) in sorted(eligible, key=lambda t: (t[1], t[0])):
-        if all((h, xi) in eligible for h in G.ball(alpha, center=g)):
-            out.append((g, xi))
-    return tuple(out)
+    eligible = frozenset(eligible_targets(cf, v0, xi_set))
+    pairs = sorted(eligible, key=lambda t: (t[1], t[0]))
+    dropped = set(wide_failures([eligible], cf.group, alpha, pairs))
+    return tuple(t for t in pairs if t not in dropped)
 
 
 def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover:
@@ -308,6 +306,7 @@ class ScanReport:
     passing_tau: int
     checked: tuple
     witness: tuple  # failing (tau, pair) samples on exhaustion
+    cover: Cover  # the pullback at passing_tau, None on exhaustion
 
     @property
     def ok(self):
@@ -319,31 +318,22 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
     """Find the smallest tau making the pulled-back cover alpha-wide.
 
     For each tau: every target pair must have one pulled-back member
-    containing its whole word-metric ball slice.  On finite models the
-    scan may exhaust; that outcome is reported, not asserted away.
+    containing its whole word-metric ball slice; the first failing target
+    is the witness for that tau.  On finite models the scan may exhaust;
+    that outcome is reported, not asserted away.
     """
     G = cf.group
-    target_set = set(targets)
-    balls = {g: G.ball(alpha, center=g) for g in G.elements}
-    failures = []
-    for (g, xi) in targets:
-        if not {(h, xi) for h in balls[g]} <= target_set:
-            failures.append((None, (g, xi), "ball leaves eligible pairs"))
+    failures = [(None, t, "ball leaves eligible pairs")
+                for t in wide_failures([frozenset(targets)], G, alpha, targets)]
     if failures:
-        return ScanReport(None, tuple(tau_range), tuple(failures[:8]))
+        return ScanReport(None, tuple(tau_range), tuple(failures[:8]), None)
     for tau in tau_range:
         pull = pullback_cover(cf, cover, tau, targets, v0)
-        sets = pull.member_sets()
-        ok = True
-        for (g, xi) in targets:
-            need = {(h, xi) for h in balls[g]}
-            if not any(need <= m for m in sets):
-                ok = False
-                failures.append((tau, (g, xi), "no wide member"))
-                break
-        if ok:
-            return ScanReport(tau, tuple(tau_range), ())
-    return ScanReport(None, tuple(tau_range), tuple(failures[:8]))
+        bad = next(wide_failures(pull.member_sets(), G, alpha, targets), None)
+        if bad is None:
+            return ScanReport(tau, tuple(tau_range), (), pull)
+        failures.append((tau, bad, "no wide member"))
+    return ScanReport(None, tuple(tau_range), tuple(failures[:8]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +352,12 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     wideness scan, never assumed.
     """
     sub_group = inst.sub_group
-    ball = [p[inst.v0] for p in sub_group.elements
-            if sub_group.word_length[p] <= alpha]
+    ball = [p[inst.v0] for p in sub_group.ball(alpha)]
     pairs = [(a, b) for a in ball for b in ball]
     theta1 = geodesic_angles(inst.index, inst.sub, pairs).saturate(sub_group)
-    t3_3 = k_fold_sum(inst.t3, 3)
-    x = angle_sum(theta0.union(theta1), t3_3)
+    t3_2 = k_fold_sum(inst.t3, 2)
+    x = angle_sum(theta0.union(theta1), k_fold_sum(inst.t3, 3))
     out = angle_sum(theta1, angle_sum(x, x))
     out = out.union(angle_sum(theta0, x))
-    out = out.union(angle_sum(theta0, k_fold_sum(inst.t3, 2)))
-    out = out.union(k_fold_sum(inst.t3, 2))
-    return out
+    out = out.union(angle_sum(theta0, t3_2))
+    return out.union(t3_2)

@@ -311,15 +311,6 @@ def mandatory_vertices(dag: GeodesicDag) -> frozenset:
                      if from_source.get(v, 0) * to_target.get(v, 0) == total)
 
 
-def geodesic_vertices(g: Graph, u, v, dist):
-    """Vertices on at least one geodesic between u and v."""
-    du, dv = dist[u], dist[v]
-    total = du[v]
-    if total is INF:
-        raise ValueError("disconnected pair")
-    return [w for w in g.vertices if du[w] is not INF and du[w] + dv[w] == total]
-
-
 class GeodesicIndex:
     """The distance matrix of one graph, with a cache of geodesic DAGs.
 
@@ -345,7 +336,13 @@ class GeodesicIndex:
         return dag
 
     def geodesic_vertex_set(self, u, v):
-        return geodesic_vertices(self.graph, u, v, self.dist)
+        """Vertices on at least one geodesic between u and v."""
+        du, dv = self.dist[u], self.dist[v]
+        total = du[v]
+        if total is INF:
+            raise ValueError("disconnected pair")
+        return [w for w in self.graph.vertices
+                if du[w] is not INF and du[w] + dv[w] == total]
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from .angles import AngleSet, all_angles, theta3
 from .cones import cone_cover, cone_sets_as_cover, combined_cover, \
     dichotomy_check, seed_theta0
-from .covers import Cover, verify_cover
+from .covers import Cover, verify_cover, wide_failures
 from .flow import (
     ball_closed_targets,
     build_cf_theta,
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
-    pullback_cover,
     theta_for_wideness,
     wideness_scan,
 )
@@ -155,9 +154,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     if not doubling["ok"]:
         return result(False)
 
-    ball = [p for p in sub_group.elements
-            if sub_group.word_length[p] <= alpha]
-    reach = max(index.d(v0, p[v0]) for p in ball) // 2
+    reach = max(index.d(v0, p[v0]) for p in sub_group.ball(alpha)) // 2
     alpha_prime = reach + 2 * (delta + 1)
     space = cf_pair_space(cf)
     flow_cover = cover_cf(space, alpha_prime)
@@ -179,7 +176,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
                                    "witness": scan.witness[:2]}
         if not scan.ok:
             return result(False)
-        pull = pullback_cover(cf, flow_cover, scan.passing_tau, targets, v0)
+        pull = scan.cover
     else:
         stages["wideness_scan"] = {"targets": 0, "tau": None, "witness": ()}
         pull = Cover((), alpha_prime, -1)
@@ -192,21 +189,14 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     order_ok = combined.order <= pull.order + 3
 
     # final wideness: every eligible pair is fully ball-covered by a member
-    balls = {ge: sub_group.ball(alpha, center=ge)
-             for ge in sub_group.elements}
-    member_sets = combined.member_sets()
-    wide_failures = []
-    for ge in sub_group.elements:
-        for xi in xi_cone:
-            need = {(h, xi) for h in balls[ge]}
-            if not any(need <= m for m in member_sets):
-                wide_failures.append((sub_group.index_of(ge), xi))
+    missed = [(sub_group.index_of(ge), xi) for ge, xi in wide_failures(
+        combined.member_sets(), sub_group, alpha, domain)]
     stages["combined"] = {
         "members": len(combined), "order": combined.order,
         "flow_order": pull.order, "order_ok": order_ok,
-        "wide_failures": wide_failures[:4],
+        "wide_failures": missed[:4],
     }
-    return result(order_ok and not wide_failures)
+    return result(order_ok and not missed)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,8 @@ def _large_angle_vertices(index: GeodesicIndex, oracle: SmallnessOracle,
     """Internal vertices through which some geodesic v0 -> v turns large,
     each mapped to its distance from v0."""
     out = {}
-    for w, _, _, e1, e2 in geodesic_turns(index, oracle, v0, v):
-        if w not in out and not small.contains_edges(e1, e2):
+    for w, _, _, angle in geodesic_turns(index, oracle, v0, v):
+        if w not in out and angle not in small.nontrivial:
             out[w] = index.d(v0, w)
     return out
 
@@ -209,10 +209,8 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
             hit = large[v] = _large_angle_vertices(index, oracle, t3_2, v0, v)
         return hit
 
-    for u in K0:
-        for v in K0:
-            if index.d(u, v) is INF:
-                raise ValueError("subcomplex spans several components")
+    if any(index.d(v0, v) is INF for v in K0):
+        raise ValueError("subcomplex spans several components")
     L_verts = set()
     for u in K0:
         L_verts.add(u)
@@ -231,14 +229,12 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if len(moves) > move_cap:
             raise ContractionError("fold count exceeded cap; no progress")
         if alpha >= beta + d:
-            far = sorted(v for v in K if index.d(v0, v) == alpha)
-            v = far[0]
+            v = min(v for v in K if index.d(v0, v) == alpha)
             vt = min(w for w in index.geodesic_vertex_set(v0, v)
                      if index.d(v0, w) == alpha - 2 * delta_eff)
             case = "far-fold"
         elif beta == 0:
-            far = sorted(v for v in K if index.d(v0, v) == alpha)
-            v = far[0]
+            v = min(v for v in K if index.d(v0, v) == alpha)
             vt = v0
             case = "base-fold"
         else:

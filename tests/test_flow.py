@@ -381,6 +381,8 @@ class TestWidenessScan:
         cov = cover_cf(cf_pair_space(cf), 2)
         scan = wideness_scan(cf, cov, 0, targets, range(0, 3), v0)
         assert scan.passing_tau == 0
+        assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,
+                                            targets, v0)
 
     def test_shrunk_cover_reports_exhaustion(self):
         g, sub, cf = tree_cf(10)
@@ -389,6 +391,7 @@ class TestWidenessScan:
         empty = Cover((), 2, -1)
         scan = wideness_scan(cf, empty, 0, targets, range(0, 2), v0)
         assert not scan.ok and scan.witness
+        assert scan.cover is None
 
     def test_equivariant_cycle_scan(self):
         g = cycle_graph(12)
@@ -406,6 +409,8 @@ class TestWidenessScan:
         cov = cover_cf(cf_pair_space(cf), 8)
         scan = wideness_scan(cf, cov, 1, targets, range(0, 6), v0)
         assert scan.ok
+        assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,
+                                            targets, v0)
 
 
 class TestThetaForWideness:

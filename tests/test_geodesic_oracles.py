@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
-    geodesic_turns, small_carriers, small_steps, theta3, trivial_only
+    canonical_angle, geodesic_turns, small_carriers, small_steps, theta3, \
+    trivial_only
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -100,7 +101,9 @@ def test_slimness_on_subdivision_matches_brute(g):
 
 def _check_geodesic_turns(g, sub=None):
     """geodesic_turns against the turns read off every enumerated geodesic,
-    in (w, p, s) order; a disconnected pair raises ValueError."""
+    each with the canonical angle of its two original edges, in (w, p, s)
+    order.  No yielded angle has equal far ends, and a disconnected pair
+    raises ValueError."""
     if sub is None:
         graph, oracle = g, SmallnessOracle(g, trivial_only(g))
 
@@ -124,12 +127,12 @@ def _check_geodesic_turns(g, sub=None):
             for path in enumerate_geodesics(dag, 10 ** 5):
                 for p, w, s in zip(path, path[1:], path[2:]):
                     if sub is None or not sub.is_midpoint(w):
-                        e1, e2 = step(p, w), step(w, s)
-                        if e1 != e2:
-                            want.add((w, p, s, e1, e2))
+                        (x,), (y,) = set(step(p, w)) - {w}, set(step(w, s)) - {w}
+                        want.add((w, p, s, canonical_angle(x, w, y)))
             got = list(geodesic_turns(index, oracle, u, v))
             assert got == sorted(set(got))
             assert set(got) == want
+            assert all(x != y for *_, (x, _, y) in got)
             for at in graph.vertices:
                 assert list(geodesic_turns(index, oracle, u, v, at=at)) == \
                     [t for t in got if t[0] == at]

@@ -5,7 +5,9 @@ perfbench/workloads.py and perfbench/tracing.py are loaded as they stand
 smallest case of seed 1, once plainly and once inside a Tracer.  Both runs
 must pass the verdict's own checks and reproduce the digest recorded for
 that case, so a signature change that breaks the benchmark, or a deleted
-or renamed function that the tracer wraps, fails this suite too.
+or renamed function that the tracer wraps, fails this suite too.  Every
+seed-1 case also runs once plainly against its recorded digest, so a byte
+change in any benchmark case fails here before the benchmark runs.
 """
 
 import importlib.util
@@ -59,3 +61,15 @@ def test_smallest_case_traced_keeps_the_recorded_digest(name):
         return out
 
     _check_smallest_case(name, traced)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_seed_case_keeps_the_recorded_digest(name):
+    workload = workloads.WORKLOADS[name]
+    cases = workloads.seed_cases(workload, SEED)
+    expected = RECORDED[name][str(SEED)].split()
+    assert len(expected) == len(cases)
+    for case, want in zip(cases, expected):
+        out = workload.verdict(case)
+        assert workload.properties(case, out) == [], case.id
+        assert workloads.digest(workload.digest_text(out)) == want, case.id

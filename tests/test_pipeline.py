@@ -12,6 +12,7 @@ from coarsecover.corpus import (
     spider,
     spider_rotation,
 )
+from coarsecover.covers import wide_failures
 from coarsecover.graphs import GeodesicIndex, make_graph, slimness_constant
 from coarsecover.pipeline import PipelineError, run_pipeline
 from coarsecover.rips import contract_subcomplex
@@ -47,6 +48,25 @@ class TestPipeline:
         res = run_pipeline(g, alpha=1, tau_max=4, theta0_mode="all")
         assert res.ok
         assert res.stages["dichotomy"]["clauses"]["cone"] > 0
+
+    def test_combined_check_fails_without_a_wide_member(self):
+        """Negative control for the final wideness check: dropping the
+        members that hold one pair's ball slice makes that pair fail."""
+        alpha = 1
+        res = run_pipeline(spider(3, 5), [spider_rotation(3, 5)],
+                           alpha=alpha, tau_max=4)
+        assert res.ok
+        G = res.instance.sub_group
+        domain = [(ge, xi) for ge in G.elements
+                  for xi in res.instance.cone_targets()]
+        sets = res.artifacts["combined"].member_sets()
+        assert list(wide_failures(sets, G, alpha, domain)) == []
+        ge, xi = domain[-1]
+        need = {(h, xi) for h in G.ball(alpha, center=ge)}
+        assert len(need) > 1
+        kept = [m for m in sets if not need <= m]
+        assert len(kept) < len(sets)
+        assert (ge, xi) in wide_failures(kept, G, alpha, domain)
 
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
