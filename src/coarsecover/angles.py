@@ -189,9 +189,6 @@ class SmallnessOracle:
                 raise ValueError("theta must pair edges of this graph")
         self.theta = theta
 
-    def is_checked(self, v) -> bool:
-        return self.sub is None or not self.sub.is_midpoint(v)
-
     def turn_ok(self, prev, cur, nxt) -> bool:
         sub = self.sub
         if sub is not None and sub.is_midpoint(cur):
@@ -200,9 +197,9 @@ class SmallnessOracle:
                                    far_end(sub, cur, nxt))
 
 
-def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
-                   at=None):
-    """The turns of the a -> b geodesics at checked internal vertices.
+def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
+    """The turns of the a -> b geodesics at internal vertices, on a plain
+    graph (sub None) or on a subdivision, where only original vertices turn.
 
     A step pair p -> w -> s lies on some a -> b geodesic exactly when
     d(a,w) + d(w,b) = d(a,b), d(a,p) = d(a,w) - 1 and d(s,b) = d(w,b) - 1,
@@ -217,10 +214,10 @@ def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
     total = da[b]
     if total is INF:
         raise ValueError("vertices %d and %d are disconnected" % (a, b))
-    g, sub = index.graph, oracle.sub
+    g = index.graph
     for w in g.vertices if at is None else (at,):
         if w == a or w == b or da[w] + db[w] != total \
-                or not oracle.is_checked(w):
+                or sub is not None and sub.is_midpoint(w):
             continue
         nbrs = g.neighbors(w)
         ss = [(s, far_end(sub, w, s)) for s in nbrs if db[s] == db[w] - 1]
@@ -234,10 +231,9 @@ def geodesic_turns(index: GeodesicIndex, oracle: SmallnessOracle, a, b,
 def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
     """Every angle at which some a -> b geodesic of the subdivision turns,
     over the given (a, b) pairs, as an angle set of the original graph."""
-    oracle = SmallnessOracle(sub, trivial_only(sub.original))
     return AngleSet(sub.original, frozenset(
         angle for a, b in pairs
-        for *_, angle in geodesic_turns(index, oracle, a, b)))
+        for *_, angle in geodesic_turns(index, sub, a, b)))
 
 
 def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):

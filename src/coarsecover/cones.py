@@ -23,12 +23,11 @@ if TYPE_CHECKING:
     from .pipeline import Instance
 
 
-def _turns_large(index, oracle: SmallnessOracle, theta: AngleSet, a, b,
-                 at=None):
-    """True when some a -> b geodesic turns theta-large, anywhere or, given
-    at, at that vertex."""
+def _turns_large(index, sub, theta: AngleSet, a, b, at=None):
+    """True when some a -> b geodesic of the subdivision sub turns
+    theta-large, anywhere or, given at, at that vertex."""
     return any(angle not in theta.nontrivial
-               for *_, angle in geodesic_turns(index, oracle, a, b, at))
+               for *_, angle in geodesic_turns(index, sub, a, b, at))
 
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
@@ -46,14 +45,13 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     gv0 = g[inst.v0]
     if xi == apex:
         return False
-    oracle = SmallnessOracle(inst.sub, theta)
     if _sums is None:
         t3_2 = k_fold_sum(inst.t3, 2)
         big = angle_sum(theta, t3_2)
     else:
         t3_2, big = _sums
     large_apex_exits = set()
-    for _, _, s, angle in geodesic_turns(index, oracle, gv0, xi, at=apex):
+    for _, _, s, angle in geodesic_turns(index, inst.sub, gv0, xi, at=apex):
         if angle not in big.nontrivial:
             return True
         if angle not in theta.nontrivial:
@@ -63,7 +61,7 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     d0 = index.dist[gv0]
     return any(angle not in t3_2.nontrivial and any(
         d0[x] + index.d(x, p) == d0[p] for x in large_apex_exits)
-        for _, p, _, angle in geodesic_turns(index, oracle, gv0, xi))
+        for _, p, _, angle in geodesic_turns(index, inst.sub, gv0, xi))
 
 
 @dataclass(frozen=True)
@@ -108,19 +106,18 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     cones = []
     for apex in sub.v_vertices():
         for layer, size in sorted(layer_sizes.items()):
-            oracle = SmallnessOracle(sub, size)
             members = set()
             certified = set()
             for ge in sub_group.elements:
                 gv0 = ge[v0]
                 # clause one is shared by every endpoint of this element
-                if _turns_large(index, oracle, size, gv0, apex):
+                if _turns_large(index, sub, size, gv0, apex):
                     continue
                 for xi in xi_set:
                     if xi == apex:
                         members.add((ge, xi))
                         continue
-                    if _turns_large(index, oracle, size, gv0, xi, at=apex):
+                    if _turns_large(index, sub, size, gv0, xi, at=apex):
                         members.add((ge, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
                                                 _sums=sums[layer]):

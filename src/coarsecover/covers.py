@@ -1,8 +1,10 @@
 """Equivariant long thin covers of subspaces of V x Z with Z finite discrete.
 
 The ambient object is a PairSpace: a finite metric set of v-points (metric
-may take the value infinity), a finite discrete set of z-points, a set of
-admitted (v, z) pairs invariant under a finite group acting diagonally.
+may take the value infinity), a finite discrete set of z-points, and a set
+of admitted (v, z) pairs invariant under a finite group acting diagonally.
+The pairs are stored once, as the z-fibers V_z: each z-point maps to the
+v-points admitted over it.
 
 Because Z is finite and discrete, closures and boundaries are trivial and
 the greedy construction needs a single induction step: subtract earlier
@@ -24,37 +26,32 @@ from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
 
 @dataclass(frozen=True)
 class PairSpace:
-    """A finite G-invariant pair set X inside V x Z with a metric on V."""
+    """A finite G-invariant pair set X inside V x Z with a metric on V,
+    stored as its z-fibers V_z = {v : (v, z) in X}."""
 
     v_points: tuple
-    z_points: tuple
-    pairs: frozenset
+    fibers: dict  # every z-point -> V_z, empty fibers included
     dist: dict
     group: GroupModel
     act_v: dict
     act_z: dict
-    by_z: dict  # z -> V_z, filled by pair_space()
-    by_v: dict  # v -> Z_v, filled by pair_space()
+
+    @property
+    def pairs(self):
+        """The admitted pairs (v, z), read off the fibers."""
+        return frozenset(_points(self))
 
     def d(self, a, b):
         return self.dist[a][b]
 
-    def fiber_v(self, z):
-        """V_z, the v-points admitted over z."""
-        return self.by_z.get(z, frozenset())
-
     def fiber_z(self, v):
         """Z_v, the z-points admitted over v."""
-        return self.by_v.get(v, frozenset())
+        return frozenset(z for z, fiber in self.fibers.items() if v in fiber)
 
     def ball_v(self, v, alpha):
         """The v-points within alpha of v."""
         row = self.dist[v]
         return frozenset(w for w in self.v_points if row[w] <= alpha)
-
-    def pair_action(self):
-        act_v, act_z = self.act_v, self.act_z
-        return lambda p, pair: (act_v[p][pair[0]], act_z[p][pair[1]])
 
     def translate(self, p, points):
         """p applied to a set of pairs; the identity returns it unchanged."""
@@ -75,7 +72,7 @@ class PairSpace:
                     raise ValueError("metric not symmetric")
         G = self.group
         _check_generators(G)
-        maps = ((self.act_v, self.v_points), (self.act_z, self.z_points))
+        maps = ((self.act_v, self.v_points), (self.act_z, self.fibers))
         if any(act[G.identity][x] != x for act, xs in maps for x in xs):
             raise ValueError("the identity moves a point")
         for p in G.elements:
@@ -84,16 +81,20 @@ class PairSpace:
                 if any(act[sp][x] != act[s][act[p][x]]
                        for act, xs in maps for x in xs):
                     raise ValueError("the action does not respect composition")
-        act = self.pair_action()
         for s in G.generators:
-            av = self.act_v[s]
-            for pair in self.pairs:
-                if act(s, pair) not in self.pairs:
+            av, az = self.act_v[s], self.act_z[s]
+            for z, fiber in self.fibers.items():
+                if not {av[v] for v in fiber} <= self.fibers.get(az[z], set()):
                     raise ValueError("pair set is not group invariant")
             for v in self.v_points:
                 for w in self.v_points:
                     if self.dist[v][w] != self.dist[av[v]][av[w]]:
                         raise ValueError("metric is not group invariant")
+
+
+def _points(space: PairSpace):
+    """The pairs (v, z) of the space, fiber by fiber."""
+    return ((v, z) for z, fiber in space.fibers.items() for v in fiber)
 
 
 def _check_generators(G: GroupModel):
@@ -103,25 +104,19 @@ def _check_generators(G: GroupModel):
         raise ValueError("the group's generators do not generate its elements")
 
 
-def pair_space(v_points, z_points, pairs, dist, group=None,
-               act_v=None, act_z=None) -> PairSpace:
-    """Assemble a PairSpace; the trivial group is used when none is given."""
+def pair_space(v_points, fibers, dist, group=None, act_v=None,
+               act_z=None) -> PairSpace:
+    """Assemble a PairSpace from its z-fibers (each z-point -> the v-points
+    over it); the trivial group is used when none is given."""
     v_points = tuple(v_points)
-    z_points = tuple(z_points)
-    pairs = frozenset(pairs)
+    fibers = {z: frozenset(vs) for z, vs in fibers.items()}
     if group is None:
         group = trivial_group(make_graph(1, []))
     if act_v is None:
         act_v = {p: {v: v for v in v_points} for p in group.elements}
     if act_z is None:
-        act_z = {p: {z: z for z in z_points} for p in group.elements}
-    by_z, by_v = {}, {}
-    for v, z in pairs:
-        by_z.setdefault(z, set()).add(v)
-        by_v.setdefault(v, set()).add(z)
-    return PairSpace(v_points, z_points, pairs, dist, group, act_v, act_z,
-                     {z: frozenset(vs) for z, vs in by_z.items()},
-                     {v: frozenset(zs) for v, zs in by_v.items()})
+        act_z = {p: {z: z for z in fibers} for p in group.elements}
+    return PairSpace(v_points, fibers, dist, group, act_v, act_z)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +299,14 @@ class BasisError(ValueError):
 def default_basis(space: PairSpace):
     """One triple per orbit of admitted pairs: a singleton z-set with the
     stabilizer of the z-point.  Always satisfies the separation condition."""
-    act = space.pair_action()
     seen = set()
     triples = []
     for pair in sorted(space.pairs):
         if pair in seen:
             continue
-        orbit = {act(p, pair) for p in space.group.elements}
-        seen |= orbit
         v, z = pair
+        seen |= {(space.act_v[p][v], space.act_z[p][z])
+                 for p in space.group.elements}
         stab = frozenset(p for p in space.group.elements
                          if space.act_z[p][z] == z)
         triples.append(BasisTriple(v, frozenset([z]), stab))
@@ -400,7 +394,7 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
         basis = default_basis(space)
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not t.zset <= space.fiber_z(t.v):
+        if not all(t.v in space.fibers.get(z, ()) for z in t.zset):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -412,15 +406,18 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
                 if moved & t.zset and p not in t.subgroup:
                     raise BasisError(
                         "basis %d: element %r moves the block onto itself" % (i, p))
-    # precondition: translated basis blocks cover the pair set
-    covered = set()
+    # precondition: translated basis blocks cover every fiber
+    covered = {}  # z -> the v-points the translated blocks put over z
     for t in basis:
         for p in G.elements:
             pv, az = act_v[p][t.v], act_z[p]
-            covered.update((pv, az[z]) for z in t.zset)
-    if not space.pairs <= covered:
-        missing = sorted(space.pairs - covered)[:3]
-        raise BasisError("basis does not cover the pair set, e.g. %r" % (missing,))
+            for z in t.zset:
+                covered.setdefault(az[z], set()).add(pv)
+    missing = sorted((v, z) for z, fiber in space.fibers.items()
+                     for v in fiber - covered.get(z, set()))
+    if missing:
+        raise BasisError("basis does not cover the pair set, e.g. %r"
+                         % (missing[:3],))
 
     # greedy subtraction along earlier nearby translates
     reduced = []
@@ -445,7 +442,7 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
             continue
         ball = space.ball_v(t.v, 2 * alpha)
         core = frozenset((w, z) for z in reduced[i]
-                         for w in space.fiber_v(z) & ball)
+                         for w in space.fibers[z] & ball)
         saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
         if not saturated or saturated in seen_sets:
             continue
@@ -456,7 +453,7 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
         for k, (r, W) in enumerate(firsts):
             members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
                                        k == 0))
-    order = cover_order([m.points for m in members], space.pairs)
+    order = cover_order([m.points for m in members], _points(space))
     return Cover(tuple(members), alpha, order)
 
 
@@ -492,7 +489,7 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     _check_alpha(alpha)
     failures = []
     sets = cover.member_sets()
-    order = cover_order(sets, space.pairs)
+    order = cover_order(sets, _points(space))
 
     slices = {}  # z -> the v-sets of the members over z
     for m in sets:
@@ -501,10 +498,10 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
             over.setdefault(z, set()).add(v)
         for z, vs in over.items():
             slices.setdefault(z, []).append(vs)
-    balls = {v: space.ball_v(v, alpha) for v in space.by_v}
+    balls = {v: space.ball_v(v, alpha) for v in space.v_points}
     long_ok = True
-    for (v, z) in sorted(space.pairs):
-        needed = space.fiber_v(z) & balls[v]
+    for (v, z) in sorted(_points(space)):
+        needed = space.fibers[z] & balls[v]
         if not any(v in vs and needed <= vs for vs in slices.get(z, ())):
             long_ok = False
             failures.append(("not-long", (v, z)))

@@ -195,12 +195,11 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
     chain metric; its z-fibers are cf's fibers."""
     ve = cf.metric.order  # the rows of cf.metric.dist, in ve_vertices order
-    zs = tuple(sorted(cf.fibers))
     dist = {v: dict(zip(ve, row)) for v, row in zip(ve, cf.metric.dist)}
     act_v = {p: {v: p[v] for v in ve} for p in cf.group.elements}
-    act_z = {p: {z: (p[z[0]], p[z[1]]) for z in zs} for p in cf.group.elements}
-    pairs = frozenset((v, z) for z in zs for v in cf.fibers[z])
-    return pair_space(ve, zs, pairs, dist, group=cf.group,
+    act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
+             for p in cf.group.elements}
+    return pair_space(ve, cf.fibers, dist, group=cf.group,
                       act_v=act_v, act_z=act_z)
 
 

@@ -143,12 +143,11 @@ class ContractionError(RuntimeError):
     """A fold failed validation; this indicts the implementation."""
 
 
-def _large_angle_vertices(index: GeodesicIndex, oracle: SmallnessOracle,
-                          small: AngleSet, v0, v):
+def _large_angle_vertices(index: GeodesicIndex, small: AngleSet, v0, v):
     """Internal vertices through which some geodesic v0 -> v turns large,
     each mapped to its distance from v0."""
     out = {}
-    for w, _, _, angle in geodesic_turns(index, oracle, v0, v):
+    for w, _, _, angle in geodesic_turns(index, None, v0, v):
         if w not in out and angle not in small.nontrivial:
             out[w] = index.d(v0, w)
     return out
@@ -192,21 +191,20 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     if not k_fold_sum(t3, 7) <= theta:
         raise ValueError("theta must contain the sevenfold corner size")
     t3_2 = k_fold_sum(t3, 2)
-    oracle = SmallnessOracle(g, theta)
     rel = SmallPairRelation(g, d, theta, index)
 
     K0 = sorted(set(K_vertices))
     if not K0:
         raise ValueError("empty subcomplex")
     v0 = K0[0]
-    # the large-angle vertices of v depend only on v: v0, the index, the
-    # oracle and t3_2 are fixed for the whole contraction
+    # the large-angle vertices of v depend only on v: v0, the index and
+    # t3_2 are fixed for the whole contraction
     large = {}
 
     def large_at(v):
         hit = large.get(v)
         if hit is None:
-            hit = large[v] = _large_angle_vertices(index, oracle, t3_2, v0, v)
+            hit = large[v] = _large_angle_vertices(index, t3_2, v0, v)
         return hit
 
     if any(index.d(v0, v) is INF for v in K0):

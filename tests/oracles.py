@@ -321,6 +321,14 @@ def cf_doubling_report_brute(cf, compute_tightest=False):
     }
 
 
+def fibers_of(z_points, pairs):
+    """The z-fibers of a pair set: each z-point -> the v-points over it."""
+    fibers = {z: set() for z in z_points}
+    for v, z in pairs:
+        fibers[z].add(v)
+    return fibers
+
+
 def cover_order_brute(member_sets, domain_points):
     """Most members containing one domain point, less one; -1 when the
     domain is empty."""
@@ -341,11 +349,12 @@ def verify_cover_definitional(members, space, alpha, family):
     def act(p, pair):
         return (space.act_v[p][pair[0]], space.act_z[p][pair[1]])
 
-    order = cover_order_brute(members, space.pairs)
+    pairs = space.pairs
+    order = cover_order_brute(members, pairs)
     not_long = None
-    for (v, z) in sorted(space.pairs):
+    for (v, z) in sorted(pairs):
         needed = {(w, z) for w in space.v_points
-                  if space.dist[v][w] <= alpha and (w, z) in space.pairs}
+                  if space.dist[v][w] <= alpha and (w, z) in pairs}
         if not any(needed <= set(m) for m in members):
             not_long = (v, z)
             break
@@ -381,6 +390,7 @@ def greedy_cover_reference(space, alpha, basis):
 
     G = space.group
     act_v, act_z = space.act_v, space.act_z
+    pairs = space.pairs
 
     def translate(p, points):
         return frozenset((act_v[p][v], act_z[p][z]) for v, z in points)
@@ -398,7 +408,7 @@ def greedy_cover_reference(space, alpha, basis):
     seen_sets = set()
     for i, t in enumerate(basis):
         core = frozenset((w, z) for z in reduced[i] for w in space.v_points
-                         if (w, z) in space.pairs
+                         if (w, z) in pairs
                          and space.dist[t.v][w] <= 2 * alpha)
         saturated = frozenset().union(*(translate(a, core)
                                         for a in t.subgroup))
@@ -414,7 +424,7 @@ def greedy_cover_reference(space, alpha, basis):
                              for a in t.subgroup)
             members.append(CoverMember(translated, stab, first))
             first = False
-    order = cover_order([m.points for m in members], space.pairs)
+    order = cover_order([m.points for m in members], pairs)
     return Cover(tuple(members), alpha, order)
 
 

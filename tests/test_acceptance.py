@@ -48,6 +48,7 @@ from coarsecover.graphs import (
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
+from oracles import fibers_of
 
 
 def report(number, detail):
@@ -76,7 +77,7 @@ def _random_pair_space(rng):
             v, z = rng.randrange(n), rng.choice(zs)
             for p in G.elements:
                 pairs.add((p[v], act_z[p][z]))
-        sp = pair_space(tuple(range(n)), zs, frozenset(pairs), dist,
+        sp = pair_space(tuple(range(n)), fibers_of(zs, pairs), dist,
                         group=G, act_v=act_v, act_z=act_z)
         sp.validate()
         return sp
@@ -88,7 +89,7 @@ def _random_pair_space(rng):
         zs = tuple(range(rng.randrange(1, 4)))
         pairs = frozenset((v, z) for v in pts for z in zs
                           if rng.random() < 0.85)
-        return pair_space(pts, zs, pairs, dist)
+        return pair_space(pts, fibers_of(zs, pairs), dist)
     if kind == 1:
         # small grid chunk with the L1 metric
         rows, cols = rng.randrange(2, 5), rng.randrange(2, 5)
@@ -100,7 +101,7 @@ def _random_pair_space(rng):
         dist = {a: {b: l1(a, b) for b in pts} for a in pts}
         zs = ("z",)
         pairs = frozenset((v, "z") for v in pts if rng.random() < 0.9)
-        return pair_space(pts, zs, pairs, dist)
+        return pair_space(pts, fibers_of(zs, pairs), dist)
     # rotation action on a cycle, invariant pair set
     n = rng.choice((6, 8, 12))
     g = cycle_graph(n)
@@ -119,7 +120,7 @@ def _random_pair_space(rng):
             other = rng.randrange(n)
             for p in G.elements:
                 pairs.add((p[other], z))
-    return pair_space(tuple(range(n)), zs, frozenset(pairs), dist,
+    return pair_space(tuple(range(n)), fibers_of(zs, pairs), dist,
                       group=G, act_v=act_v, act_z=act_z)
 
 
@@ -132,13 +133,13 @@ def test_criterion_01_greedy_cover_order_bound():
         if not sp.pairs:
             continue
         ds = []
-        for z in sp.z_points:
-            fib = sorted(sp.fiber_v(z))
+        for fiber in sp.fibers.values():
+            fib = sorted(fiber)
             if fib:
                 ds.append(minimal_doubling_constant(fib, sp.d, 1))
         d_cert = max(ds)
-        for z in sp.z_points:
-            fib = sorted(sp.fiber_v(z))
+        for fiber in sp.fibers.values():
+            fib = sorted(fiber)
             if fib:
                 assert doubling_check(fib, sp.d, d_cert, 1).ok
         alpha = rng.choice((1, 2))

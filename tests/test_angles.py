@@ -284,7 +284,82 @@ class TestDTheta:
                         assert tm.d(v, w) == oracle[(v, w)]
 
 
+# lemma_battery(g, trivial_group(g), theta0(g), 600, seed).summary() for
+# every battery graph: (checked, nonvacuous) per lemma in name order, and no
+# violations
+BATTERY_THETA0 = {"trivial": trivial_only, "theta3": theta3}
+BATTERY_SUMMARIES = {
+    "c6": {
+        ("trivial", 0): ((116, 14), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("trivial", 1): ((116, 15), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 0): ((111, 12), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 1): ((122, 15), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+    },
+    "c5": {
+        ("trivial", 0): ((80, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("trivial", 1): ((74, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 0): ((87, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 1): ((74, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+    },
+    "k4": {
+        ("trivial", 0): ((80, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("trivial", 1): ((68, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 0): ((80, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 1): ((68, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+    },
+    "q3": {
+        ("trivial", 0): ((250, 88), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("trivial", 1): ((240, 87), (1, 1), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 0): ((248, 84), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 1): ((210, 71), (1, 1), (0, 0), (0, 0), (0, 0), (0, 0)),
+    },
+    "tree": {
+        ("trivial", 0): ((114, 0), (0, 0), (138, 138), (14, 14), (61, 61), (30, 30)),
+        ("trivial", 1): ((93, 0), (0, 0), (148, 148), (11, 11), (39, 39), (44, 44)),
+        ("theta3", 0): ((114, 0), (0, 0), (138, 138), (14, 14), (61, 61), (30, 30)),
+        ("theta3", 1): ((93, 0), (0, 0), (148, 148), (11, 11), (39, 39), (44, 44)),
+    },
+    "wedge": {
+        ("trivial", 0): ((125, 12), (0, 0), (39, 39), (6, 6), (16, 16), (9, 9)),
+        ("trivial", 1): ((124, 13), (0, 0), (27, 27), (5, 5), (18, 18), (8, 8)),
+        ("theta3", 0): ((136, 18), (0, 0), (35, 35), (19, 19), (16, 16), (10, 10)),
+        ("theta3", 1): ((132, 15), (0, 0), (29, 29), (14, 14), (15, 15), (7, 7)),
+    },
+    "theta": {
+        ("trivial", 0): ((107, 7), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("trivial", 1): ((95, 12), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 0): ((105, 9), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+        ("theta3", 1): ((95, 11), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+    },
+    "tail": {
+        ("trivial", 0): ((127, 15), (0, 0), (99, 99), (9, 9), (46, 46), (1, 1)),
+        ("trivial", 1): ((99, 10), (0, 0), (83, 83), (20, 20), (37, 37), (6, 6)),
+        ("theta3", 0): ((125, 13), (0, 0), (95, 95), (21, 21), (39, 39), (2, 2)),
+        ("theta3", 1): ((99, 11), (0, 0), (96, 96), (30, 30), (35, 35), (6, 6)),
+    },
+    "caterpillar": {
+        ("trivial", 0): ((89, 0), (0, 0), (124, 124), (21, 21), (73, 73), (0, 0)),
+        ("trivial", 1): ((84, 0), (0, 0), (145, 145), (33, 33), (59, 59), (0, 0)),
+        ("theta3", 0): ((89, 0), (0, 0), (124, 124), (21, 21), (73, 73), (0, 0)),
+        ("theta3", 1): ((84, 0), (0, 0), (145, 145), (33, 33), (59, 59), (0, 0)),
+    },
+}
+
+
 class TestLemmaBattery:
+    @pytest.mark.parametrize("name", list(BATTERY_SUMMARIES))
+    def test_summaries_pinned(self, name):
+        graphs = dict(battery_graphs())
+        assert list(graphs) == list(BATTERY_SUMMARIES)
+        g = graphs[name]
+        for (theta0, seed), counts in BATTERY_SUMMARIES[name].items():
+            rep = lemma_battery(g, trivial_group(g), BATTERY_THETA0[theta0](g),
+                                600, seed)
+            assert rep.summary() == {
+                lemma: {"checked": c, "nonvacuous": n, "violations": 0}
+                for lemma, (c, n) in zip(sorted(rep.lemmas), counts)
+            }, (theta0, seed)
+
     def test_tree_instance_clean(self):
         g = random_tree(10, seed=1)
         rep = lemma_battery(g, trivial_group(g), trivial_only(g), 300, seed=4)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import coarsecover
 from coarsecover.cli import main
 from coarsecover.corpus import cycle_graph, path_graph, spider, spider_rotation
 from coarsecover.graphs import graph_to_document
@@ -331,8 +332,11 @@ class TestSubcommands:
         assert json.loads(out)["ok"]
 
     def test_entry_point_installed(self):
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(coarsecover.__file__))
         proc = subprocess.run([sys.executable, "-m", "coarsecover.cli",
-                               "--help"], capture_output=True, text=True)
+                               "--help"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert "coarse flow" in proc.stdout
 

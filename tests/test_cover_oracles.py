@@ -23,7 +23,7 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, \
     SubgroupFamily, all_subgroups
-from oracles import cover_order_brute, doubling_scan_oracle, \
+from oracles import cover_order_brute, doubling_scan_oracle, fibers_of, \
     greedy_cover_reference, verify_cover_definitional
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -84,9 +84,9 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
     if kind == "trivial":
         d = draw(distance_tables(n))
         dist = {v: {w: d[v][w] for w in range(n)} for v in range(n)}
-        return pair_space(range(n), ("a", "b"), draw(st.sets(
+        return pair_space(range(n), fibers_of(("a", "b"), draw(st.sets(
             st.tuples(st.integers(0, n - 1), st.sampled_from("ab")),
-            min_size=1)), dist)
+            min_size=1))), dist)
     half = [0] + [draw(gaps) for _ in range(n // 2)]
     dist = {v: {w: half[min((w - v) % n, (v - w) % n)] for w in range(n)}
             for v in range(n)}
@@ -106,8 +106,8 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
         pairs = [(v, z) for v in range(n) for z in zs]
         z_points = ("a", "b")
         act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
-    return pair_space(range(n), z_points, pairs, dist, group=group,
-                      act_v=act_v, act_z=act_z)
+    return pair_space(range(n), fibers_of(z_points, pairs), dist,
+                      group=group, act_v=act_v, act_z=act_z)
 
 
 def _members(space, sets):

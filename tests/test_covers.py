@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,7 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF, distance_matrix
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, compose, trivial_group
-from oracles import greedy_cover_reference, separated_sets_brute
+from oracles import fibers_of, greedy_cover_reference, separated_sets_brute
 
 
 def line_metric(n):
@@ -90,8 +91,8 @@ def build_space(n_points, alpha=1, group=None, act_v=None, act_z=None,
             for v in range(n_points)}
     if pairs is None:
         pairs = [(v, z) for v in range(n_points) for z in z_points]
-    return pair_space(tuple(range(n_points)), z_points, pairs, dist,
-                      group=group, act_v=act_v, act_z=act_z)
+    return pair_space(tuple(range(n_points)), fibers_of(z_points, pairs),
+                      dist, group=group, act_v=act_v, act_z=act_z)
 
 
 class TestGreedyCover:
@@ -114,8 +115,8 @@ class TestGreedyCover:
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), ("z",), [(v, "z") for v in range(6)],
-                        dist, group=G, act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
+                        act_v=act_v, act_z=act_z)
         sp.validate()
         cov = greedy_cover(sp, 1)
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
@@ -152,8 +153,8 @@ class TestGreedyCover:
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), ("z",), [(v, "z") for v in range(6)],
-                        dist, group=G, act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
+                        act_v=act_v, act_z=act_z)
         bad = [BasisTriple(0, frozenset(["z"]), frozenset([G.identity]))]
         with pytest.raises(BasisError, match="moves the block"):
             greedy_cover(sp, 1, bad)
@@ -173,8 +174,8 @@ class TestGreedyCover:
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), ("z",), [(v, "z") for v in range(6)],
-                        dist, group=G, act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
+                        act_v=act_v, act_z=act_z)
         cov = greedy_cover(sp, 1, fiber_basis(sp, 1))
         rep = verify_cover(cov, sp, 1, TRIVIAL_ONLY)
         assert not rep.f_subsets
@@ -223,13 +224,13 @@ class TestRandomCorpus:
             sp = build_space(n, z_points=tuple("ab"[:rng.randrange(1, 3)]))
             pairs = frozenset((v, z) for (v, z) in sp.pairs
                               if rng.random() < 0.8 or v == 0)
-            sp = pair_space(sp.v_points, sp.z_points, pairs, sp.dist)
+            sp = pair_space(sp.v_points, fibers_of(sp.fibers, pairs), sp.dist)
             if not pairs:
                 continue
             alpha = rng.choice((1, 2))
             d_cert = 1
-            for z in sp.z_points:
-                fib = sorted(sp.fiber_v(z))
+            for fiber in sp.fibers.values():
+                fib = sorted(fiber)
                 if fib:
                     d_cert = max(d_cert, minimal_doubling_constant(
                         fib, lambda a, b: abs(a - b), 1))
@@ -369,8 +370,8 @@ def dihedral_space(n, seed=None):
         pairs = {(v, "z") for v in range(n)}
         z_points = ("z",)
         act_z = {p: {"z": "z"} for p in G.elements}
-    return pair_space(tuple(range(n)), z_points, pairs, dist, group=G,
-                      act_v=act_v, act_z=act_z)
+    return pair_space(tuple(range(n)), fibers_of(z_points, pairs), dist,
+                      group=G, act_v=act_v, act_z=act_z)
 
 
 FREE = (0, (0, 1))  # its orbit under a dihedral group is free
@@ -403,8 +404,8 @@ class TestOrbitWalks:
         G = sp.group
         short = GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
                            G.word_length)
-        sp = pair_space(sp.v_points, sp.z_points, sp.pairs, sp.dist,
-                        group=short, act_v=sp.act_v, act_z=sp.act_z)
+        sp = pair_space(sp.v_points, sp.fibers, sp.dist, group=short,
+                        act_v=sp.act_v, act_z=sp.act_z)
         cov = singleton_cover(sp, sorted(sp.pairs))
         for check in (sp.validate, lambda: greedy_cover(sp, 0),
                       lambda: verify_cover(cov, sp, 0, ALL_SUBGROUPS)):
@@ -417,8 +418,8 @@ class TestOrbitWalks:
         r2 = compose(G.generators[0], G.generators[0])
         act_v = dict(sp.act_v)
         act_v[r2] = {v: v for v in sp.v_points}  # not r applied twice
-        bad = pair_space(sp.v_points, sp.z_points, sp.pairs, sp.dist,
-                         group=G, act_v=act_v, act_z=sp.act_z)
+        bad = pair_space(sp.v_points, sp.fibers, sp.dist, group=G,
+                         act_v=act_v, act_z=sp.act_z)
         sp.validate()
         with pytest.raises(ValueError, match="composition"):
             bad.validate()
@@ -476,6 +477,44 @@ class TestOrbitWalks:
         assert rep.long and rep.invariant and not rep.f_subsets
         assert rep.failures == (("not-f-subset", 1),)
         assert verify_cover(cov, sp, 0, ALL_SUBGROUPS).ok
+
+
+def _plant(sp, defect):
+    """The dihedral space sp with one defect planted in a copy of a part."""
+    dist = {v: dict(row) for v, row in sp.dist.items()}
+    e = sp.group.identity
+    if defect == "missing-translate":
+        # (0, (0, 1)) leaves the free orbit; its translates stay
+        return replace(sp, fibers={**sp.fibers, (0, 1): frozenset()})
+    if defect == "identity-moves":
+        act_z = dict(sp.act_z)
+        act_z[e] = {**act_z[e], (0, 1): (1, 2)}
+        return replace(sp, act_z=act_z)
+    if defect == "metric-not-invariant":
+        dist[0][3] = dist[3][0] = 2  # no rotation keeps this shortcut
+    elif defect == "nonzero-diagonal":
+        dist[2][2] = 1
+    elif defect == "not-symmetric":
+        dist[0][1] = 2
+    return replace(sp, dist=dist)
+
+
+class TestValidateRejects:
+    """Negative controls: validate names each planted defect of a valid
+    pair space."""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("missing-translate", "pair set is not group invariant"),
+        ("identity-moves", "the identity moves a point"),
+        ("metric-not-invariant", "metric is not group invariant"),
+        ("nonzero-diagonal", "nonzero diagonal"),
+        ("not-symmetric", "not symmetric"),
+    ])
+    def test_planted_defect(self, defect, message):
+        sp = dihedral_space(6, FREE)
+        sp.validate()
+        with pytest.raises(ValueError, match=message):
+            _plant(sp, defect).validate()
 
 
 class TestDoublingOracleAgreement:

@@ -200,8 +200,8 @@ class TestFiberSymmetry:
         space = cf_pair_space(cf)
         assert space.pairs == {(v, key) for key, fiber in fibers.items()
                                for v in fiber}
-        assert space.by_z == {key: fiber for key, fiber in fibers.items()
-                              if fiber}
+        assert space.fibers == fibers
+        assert all(space.fibers[key] is cf.fibers[key] for key in fibers)
 
 
 class TestDoubling:

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
-    canonical_angle, geodesic_turns, small_carriers, small_steps, theta3, \
-    trivial_only
+    canonical_angle, geodesic_turns, small_carriers, small_steps, theta3
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -105,12 +104,12 @@ def _check_geodesic_turns(g, sub=None):
     order.  No yielded angle has equal far ends, and a disconnected pair
     raises ValueError."""
     if sub is None:
-        graph, oracle = g, SmallnessOracle(g, trivial_only(g))
+        graph = g
 
         def step(a, b):
             return canon_edge(a, b)
     else:
-        graph, oracle = sub.graph, SmallnessOracle(sub, trivial_only(g))
+        graph = sub.graph
 
         def step(a, b):
             return sub.edge_of_midpoint[a if sub.is_midpoint(a) else b]
@@ -120,7 +119,7 @@ def _check_geodesic_turns(g, sub=None):
         for v in graph.vertices:
             if dist[u][v] is INF:
                 with pytest.raises(ValueError):
-                    list(geodesic_turns(index, oracle, u, v))
+                    list(geodesic_turns(index, sub, u, v))
                 continue
             dag = geodesic_dag(graph, u, v, dist)
             want = set()
@@ -129,12 +128,12 @@ def _check_geodesic_turns(g, sub=None):
                     if sub is None or not sub.is_midpoint(w):
                         (x,), (y,) = set(step(p, w)) - {w}, set(step(w, s)) - {w}
                         want.add((w, p, s, canonical_angle(x, w, y)))
-            got = list(geodesic_turns(index, oracle, u, v))
+            got = list(geodesic_turns(index, sub, u, v))
             assert got == sorted(set(got))
             assert set(got) == want
             assert all(x != y for *_, (x, _, y) in got)
             for at in graph.vertices:
-                assert list(geodesic_turns(index, oracle, u, v, at=at)) == \
+                assert list(geodesic_turns(index, sub, u, v, at=at)) == \
                     [t for t in got if t[0] == at]
 
 

@@ -12,7 +12,7 @@ from coarsecover.corpus import (
     spider,
     spider_rotation,
 )
-from coarsecover.covers import wide_failures
+from coarsecover.covers import PairSpace, wide_failures
 from coarsecover.graphs import GeodesicIndex, make_graph, slimness_constant
 from coarsecover.pipeline import PipelineError, run_pipeline
 from coarsecover.rips import contract_subcomplex
@@ -87,6 +87,23 @@ class TestPipeline:
             assert key in res.stages
         assert res.stages["flow_space"]["triples"] == \
             len(res.artifacts["cf"].triples)
+
+
+def test_pipeline_never_builds_the_pair_set(monkeypatch):
+    """The flow cover and its verification read the pair space's fibers:
+    run_pipeline never derives PairSpace.pairs, on a tree or under a
+    group."""
+    def refuse(space):
+        raise AssertionError("the pair set was built")
+
+    monkeypatch.setattr(PairSpace, "pairs", property(refuse))
+    res = run_pipeline(random_tree(14, seed=5), alpha=1, tau_max=4,
+                       theta0_mode="all")
+    assert res.ok and res.stages["flow_cover"]["members"] > 0
+    name, g, gens, mode, alpha, tau = next(
+        c for c in pipeline_instances() if c[0] == "marked-cone-rot")
+    res = run_pipeline(g, gens, alpha=alpha, tau_max=tau, theta0_mode=mode)
+    assert res.ok and res.stages["flow_cover"]["members"] > 0
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):

@@ -207,9 +207,9 @@ class TestContraction:
         calls = []
         real = rips._large_angle_vertices
 
-        def counted(index, oracle, small, v0, v):
+        def counted(index, small, v0, v):
             calls.append(v)
-            return real(index, oracle, small, v0, v)
+            return real(index, small, v0, v)
 
         monkeypatch.setattr(rips, "_large_angle_vertices", counted)
         index, theta, delta = contraction_setup(g, None)
