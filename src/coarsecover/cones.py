@@ -23,13 +23,6 @@ if TYPE_CHECKING:
     from .pipeline import Instance
 
 
-def _turns_large(index, sub, theta: AngleSet, a, b, at=None):
-    """True when some a -> b geodesic of the subdivision sub turns
-    theta-large, anywhere or, given at, at that vertex."""
-    return any(angle not in theta.nontrivial
-               for *_, angle in geodesic_turns(index, sub, a, b, at))
-
-
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
                          _sums=None) -> bool:
     """Sufficient condition for the pair to sit in the cone set's interior.
@@ -103,21 +96,29 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     t3_2 = k_fold_sum(inst.t3, 2)
     sums = {layer: (t3_2, angle_sum(size, t3_2))
             for layer, size in layer_sizes.items()}
+
+    def large(size, *key):  # some geodesic of key turns size-large
+        if key not in turns:
+            turns[key] = frozenset(
+                angle for *_, angle in geodesic_turns(index, sub, *key))
+        return not turns[key] <= size.nontrivial
+
     cones = []
     for apex in sub.v_vertices():
+        turns = {}  # (gv0, target[, at]) -> the angles its geodesics turn
         for layer, size in sorted(layer_sizes.items()):
             members = set()
             certified = set()
             for ge in sub_group.elements:
                 gv0 = ge[v0]
                 # clause one is shared by every endpoint of this element
-                if _turns_large(index, sub, size, gv0, apex):
+                if large(size, gv0, apex):
                     continue
                 for xi in xi_set:
                     if xi == apex:
                         members.add((ge, xi))
                         continue
-                    if _turns_large(index, sub, size, gv0, xi, at=apex):
+                    if large(size, gv0, xi, apex):
                         members.add((ge, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
                                                 _sums=sums[layer]):

@@ -44,15 +44,6 @@ class PairSpace:
     def d(self, a, b):
         return self.dist[a][b]
 
-    def fiber_z(self, v):
-        """Z_v, the z-points admitted over v."""
-        return frozenset(z for z, fiber in self.fibers.items() if v in fiber)
-
-    def ball_v(self, v, alpha):
-        """The v-points within alpha of v."""
-        row = self.dist[v]
-        return frozenset(w for w in self.v_points if row[w] <= alpha)
-
     def translate(self, p, points):
         """p applied to a set of pairs; the identity returns it unchanged."""
         if p == self.group.identity:
@@ -319,8 +310,13 @@ def fiber_basis(space: PairSpace, alpha):
     The annotated subgroup is generated by every element moving the v-point
     at most 4*alpha while overlapping the fiber, which is exactly what the
     separation condition requires.  Coarser in the z-direction than the
-    default basis, which pullbacks along flows need.
+    default basis, which pullbacks along flows need.  The z-fibers Z_v
+    come from one pass over the fibers V_z.
     """
+    z_over = {}  # v -> Z_v, the z-points admitted over v
+    for z, vs in space.fibers.items():
+        for v in vs:
+            z_over.setdefault(v, set()).add(z)
     seen = set()
     triples = []
     for v in sorted(space.v_points):
@@ -328,15 +324,12 @@ def fiber_basis(space: PairSpace, alpha):
             continue
         orbit = {space.act_v[p][v] for p in space.group.elements}
         seen |= orbit
-        fiber = space.fiber_z(v)
-        if not fiber:
+        if v not in z_over:
             continue
-        gens = []
-        for p in space.group.elements:
-            if space.dist[space.act_v[p][v]][v] <= 4 * alpha:
-                moved = {space.act_z[p][z] for z in fiber}
-                if moved & fiber:
-                    gens.append(p)
+        fiber = frozenset(z_over[v])
+        gens = [p for p in space.group.elements
+                if space.dist[space.act_v[p][v]][v] <= 4 * alpha
+                and any(space.act_z[p][z] in fiber for z in fiber)]
         triples.append(BasisTriple(v, fiber, subgroup_generated(space.group, gens)))
     return triples
 
@@ -355,6 +348,8 @@ def _sifted_generators(G: GroupModel, H):
 def _saturate(space: PairSpace, core, gens):
     """The union of the translates a.core over the subgroup generated by
     gens: core closed point by point under gens."""
+    if not gens:
+        return core
     acts = [(space.act_v[s], space.act_z[s]) for s in gens]
     out, queue = set(core), list(core)
     for v, z in queue:  # the queue grows while it is walked
@@ -401,11 +396,11 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     # precondition: separation condition at scale 4*alpha
     for i, t in enumerate(basis):
         for p in G.elements:
-            if space.dist[act_v[p][t.v]][t.v] <= 4 * alpha:
-                moved = {act_z[p][z] for z in t.zset}
-                if moved & t.zset and p not in t.subgroup:
-                    raise BasisError(
-                        "basis %d: element %r moves the block onto itself" % (i, p))
+            if p in t.subgroup or space.dist[act_v[p][t.v]][t.v] > 4 * alpha:
+                continue
+            if any(act_z[p][z] in t.zset for z in t.zset):
+                raise BasisError(
+                    "basis %d: element %r moves the block onto itself" % (i, p))
     # precondition: translated basis blocks cover every fiber
     covered = {}  # z -> the v-points the translated blocks put over z
     for t in basis:
@@ -440,9 +435,9 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     for i, t in enumerate(basis):
         if not reduced[i]:
             continue
-        ball = space.ball_v(t.v, 2 * alpha)
-        core = frozenset((w, z) for z in reduced[i]
-                         for w in space.fibers[z] & ball)
+        row = space.dist[t.v]
+        core = frozenset((w, z) for z in reduced[i] for w in space.fibers[z]
+                         if row[w] <= 2 * alpha)
         saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
         if not saturated or saturated in seen_sets:
             continue
@@ -455,6 +450,20 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
                                        k == 0))
     order = cover_order([m.points for m in members], _points(space))
     return Cover(tuple(members), alpha, order)
+
+
+def _check_fiber(dist, fiber, slices, alpha):
+    """The order over one fiber and its v that are not long, ascending;
+    slices maps each member's v-set over the fiber to its multiplicity."""
+    order = max((sum(n for vs, n in slices.items() if v in vs)
+                 for v in fiber), default=0) - 1
+    bad = []
+    for v in fiber:
+        row = dist[v]
+        needed = {w for w in fiber if row[w] <= alpha}
+        if not any(v in vs and needed <= vs for vs in slices):
+            bad.append(v)
+    return order, sorted(bad)
 
 
 @dataclass(frozen=True)
@@ -471,10 +480,14 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:
     """Independent check of order, longness, invariance and F-subsetness.
 
-    Longness asks every pair (v, z) for a member holding all of X's pairs
-    over z within alpha of v.  That set contains (v, z) itself, so only
-    the members holding (v, z) need testing, and each is tested on its
-    slice over z.
+    Order and longness are read fiber by fiber off the members' slices
+    (v-sets) over each z-point, each slice counted with the members having
+    it.  Longness asks every pair (v, z) for a member holding all of X's
+    pairs over z within alpha of v; that set holds (v, z), so only slices
+    holding v are tested.  Both depend only on V_z and the counted slices
+    over z, so each distinct such key is checked once and its verdict
+    reused; the least pair (v, z) that is not long is reported.  An order
+    other than the stated cover.order fails.
 
     Invariance and F-subsetness walk the generators, which must generate
     the group (ValueError otherwise).  A generator maps the finite pool of
@@ -489,23 +502,27 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     _check_alpha(alpha)
     failures = []
     sets = cover.member_sets()
-    order = cover_order(sets, _points(space))
-
-    slices = {}  # z -> the v-sets of the members over z
+    slices = {}  # z -> {a member's v-set over z: the members having it}
     for m in sets:
         over = {}
         for v, z in m:
-            over.setdefault(z, set()).add(v)
+            over.setdefault(z, []).append(v)
         for z, vs in over.items():
-            slices.setdefault(z, []).append(vs)
-    balls = {v: space.ball_v(v, alpha) for v in space.v_points}
-    long_ok = True
-    for (v, z) in sorted(_points(space)):
-        needed = space.fibers[z] & balls[v]
-        if not any(v in vs and needed <= vs for vs in slices.get(z, ())):
-            long_ok = False
-            failures.append(("not-long", (v, z)))
-            break
+            slices.setdefault(z, Counter())[frozenset(vs)] += 1
+    order, least = -1, None
+    memo = {}  # (V_z, its slices) -> (order over z, the v not long over z)
+    for z, fiber in space.fibers.items():
+        held = slices.get(z, {})
+        key = (fiber, frozenset(held.items()))
+        if key not in memo:
+            memo[key] = _check_fiber(space.dist, fiber, held, alpha)
+        at, bad = memo[key]
+        order = max(order, at)
+        if bad and (least is None or (bad[0], z) < least):
+            least = (bad[0], z)
+    long_ok = least is None
+    if not long_ok:
+        failures.append(("not-long", least))
 
     G = space.group
     _check_generators(G)
@@ -534,8 +551,10 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
             failures.append(("not-f-subset", idx))
             break
 
-    return CoverReport(long_ok and inv_ok and f_ok, order, long_ok,
-                       inv_ok, f_ok, tuple(failures))
+    if order != cover.order:
+        failures.append(("order-mismatch", (cover.order, order)))
+    return CoverReport(long_ok and inv_ok and f_ok and order == cover.order,
+                       order, long_ok, inv_ok, f_ok, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,29 @@ def verify_cover_definitional(members, space, alpha, family):
     return order, not_long, invariant, not_f
 
 
+def fiber_basis_brute(space, alpha):
+    """fiber_basis with Z_v found by scanning every z-fiber for each v-point
+    and the overlap tested on the whole moved z-set."""
+    from coarsecover.covers import BasisTriple
+    from coarsecover.symmetry import subgroup_generated
+
+    G = space.group
+    seen = set()
+    triples = []
+    for v in sorted(space.v_points):
+        if v in seen:
+            continue
+        seen |= {space.act_v[p][v] for p in G.elements}
+        zset = frozenset(z for z, vs in space.fibers.items() if v in vs)
+        if not zset:
+            continue
+        gens = [p for p in G.elements
+                if space.dist[space.act_v[p][v]][v] <= 4 * alpha
+                and {space.act_z[p][z] for z in zset} & zset]
+        triples.append(BasisTriple(v, zset, subgroup_generated(G, gens)))
+    return triples
+
+
 def greedy_cover_reference(space, alpha, basis):
     """greedy_cover with one translate per group element: the subtraction,
     the saturation by every element of the annotated subgroup, and the

@@ -23,8 +23,9 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, \
     SubgroupFamily, all_subgroups
-from oracles import cover_order_brute, doubling_scan_oracle, fibers_of, \
-    greedy_cover_reference, verify_cover_definitional
+from oracles import cover_order_brute, doubling_scan_oracle, \
+    fiber_basis_brute, fibers_of, greedy_cover_reference, \
+    verify_cover_definitional
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -179,3 +180,19 @@ def test_greedy_cover_matches_the_translate_per_element_reference(space, alpha,
     assert greedy_cover(space, alpha, basis) == \
         greedy_cover_reference(space, alpha, basis)
 
+
+
+@SETTINGS
+@given(pair_spaces(), st.integers(0, 3), st.booleans())
+def test_greedy_cover_matches_the_reference_on_every_kind(space, alpha,
+                                                          fibers):
+    # the trivial kind is the path the tree-ladder pipelines take
+    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
+    assert greedy_cover(space, alpha, basis) == \
+        greedy_cover_reference(space, alpha, basis)
+
+
+@SETTINGS
+@given(pair_spaces(), st.integers(0, 3))
+def test_fiber_basis_matches_the_per_point_scan(space, alpha):
+    assert fiber_basis(space, alpha) == fiber_basis_brute(space, alpha)

@@ -29,7 +29,8 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF, distance_matrix
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, compose, trivial_group
-from oracles import fibers_of, greedy_cover_reference, separated_sets_brute
+from oracles import fibers_of, greedy_cover_reference, separated_sets_brute, \
+    verify_cover_definitional
 
 
 def line_metric(n):
@@ -214,6 +215,66 @@ class TestVerifyCover:
             verify_cover(cov, sp, -1, ALL_SUBGROUPS)
         with pytest.raises(ValueError, match="nonnegative"):
             greedy_cover(sp, -1)
+
+
+    def test_stated_order_must_match(self):
+        # negative control: the order is recounted and compared
+        sp = build_space(9)
+        cov = greedy_cover(sp, 1)
+        assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
+        rep = verify_cover(replace(cov, order=cov.order + 1), sp, 1,
+                           ALL_SUBGROUPS)
+        assert not rep.ok
+        assert rep.long and rep.invariant and rep.f_subsets
+        assert rep.order == cov.order
+        assert rep.failures == (("order-mismatch",
+                                 (cov.order + 1, cov.order)),)
+
+
+def cover_of(space, sets):
+    """A cover with the given member sets, its true order and unread
+    annotations."""
+    triv = frozenset([space.group.identity])
+    return Cover(tuple(CoverMember(frozenset(m), triv, True) for m in sets),
+                 0, cover_order(sets, space.pairs))
+
+
+def over(z, vs):
+    return {(v, z) for v in vs}
+
+
+class TestVerifyCoverPerFiber:
+    """verify_cover checks each distinct (fiber, slices) once; the fibers
+    below are equal, so only the slices over them tell them apart."""
+
+    def test_least_failing_pair_is_reported(self):
+        # both z-points fail at v = 1 and v = 2; "b" is walked first
+        sp = build_space(3, z_points=("b", "a"))
+        sets = [over("a", (0, 1)) | over("b", (0, 1)),
+                over("a", (2,)) | over("b", (2,))]
+        rep = verify_cover(cover_of(sp, sets), sp, 1, ALL_SUBGROUPS)
+        assert verify_cover_definitional(sets, sp, 1, ALL_SUBGROUPS)[1] \
+            == (1, "a")
+        assert rep.failures == (("not-long", (1, "a")),)
+
+    def test_equal_fibers_with_different_slices(self):
+        # "a" is long, "b" is not: a check keyed on the fiber alone
+        # would reuse the verdict of "a"
+        sp = build_space(3, z_points=("a", "b"))
+        sets = [over("a", (0, 1, 2)) | over("b", (0, 1)), over("b", (2,))]
+        rep = verify_cover(cover_of(sp, sets), sp, 1, ALL_SUBGROUPS)
+        assert not rep.long
+        assert rep.failures == (("not-long", (1, "b")),)
+
+    def test_equal_slices_with_different_multiplicities(self):
+        # two members agree over "b" only: the order is 1, read over "b"
+        sp = build_space(3, z_points=("a", "b"))
+        sets = [over("a", (0, 1, 2)) | over("b", (0, 1, 2)),
+                over("b", (0, 1, 2))]
+        cov = cover_of(sp, sets)
+        assert cov.order == 1
+        rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
+        assert rep.ok and rep.order == 1
 
 
 class TestRandomCorpus:
