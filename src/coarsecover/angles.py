@@ -25,12 +25,13 @@ from .graphs import (
     GeodesicDag,
     GeodesicIndex,
     Graph,
+    GraphFormatError,
     Subdivision,
     canon_edge,
     circuits_through_edge,
     enumerate_geodesics,
     geodesic_counts,
-    mandatory_vertices,
+    parse_document,
 )
 from .symmetry import GroupModel, act_angle
 
@@ -71,8 +72,9 @@ class AngleSet:
             raise ValueError("angle sets live on different graphs")
 
     def is_invariant(self, G: GroupModel) -> bool:
+        # invariance under each generator is invariance under the group
         return all(act_angle(p, t) in self.nontrivial
-                   for t in self.nontrivial for p in G.elements)
+                   for p in G.generators for t in self.nontrivial)
 
     def saturate(self, G: GroupModel) -> "AngleSet":
         closed = set()
@@ -109,9 +111,15 @@ def angle_set_from_triples(g: Graph, triples) -> AngleSet:
 
 
 def load_angleset(document, g: Graph) -> AngleSet:
-    """Angle set file: array of [u, apex, w] triples, trivial angles implicit."""
-    import json
-    doc = json.loads(document) if isinstance(document, str) else document
+    """Angle set file: array of [u, apex, w] triples, trivial angles
+    implicit.  Any other shape is a GraphFormatError."""
+    doc = parse_document(document)
+    if not isinstance(doc, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 3 and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in t)
+            for t in doc):
+        raise GraphFormatError("an angle set must be a list of [u, apex, w] "
+                               "integer triples")
     return angle_set_from_triples(g, [tuple(t) for t in doc])
 
 
@@ -179,12 +187,10 @@ class SmallnessOracle:
     def __init__(self, base, theta: AngleSet):
         if isinstance(base, Subdivision):
             self.sub = base
-            self.graph = base.graph
             if theta.graph != base.original:
                 raise ValueError("theta must pair edges of the original graph")
         else:
             self.sub = None
-            self.graph = base
             if theta.graph != base:
                 raise ValueError("theta must pair edges of this graph")
         self.theta = theta
@@ -405,33 +411,17 @@ class ThetaMetric:
     lies in theta.  Distances are in original units (integers, inf allowed).
     """
 
-    sub: Subdivision
-    theta: AngleSet
-    order: tuple
-    dist: tuple
-    pos: dict  # vertex -> its index in order, hence its row in dist
+    dist: dict  # midpoint -> {midpoint: distance}, both in ve_vertices order
 
     def d(self, w, w2):
-        return self.dist[self.pos[w]][self.pos[w2]]
+        return self.dist[w][w2]
 
     def ball(self, w, radius):
-        row = self.dist[self.pos[w]]
-        return frozenset(self.order[i] for i, dv in enumerate(row)
-                         if dv <= radius)
-
-    def diameter(self):
-        best = 0
-        for row in self.dist:
-            for dv in row:
-                if dv is not INF and dv > best:
-                    best = dv
-        return best
+        return frozenset(v for v, dv in self.dist[w].items() if dv <= radius)
 
 
 def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
     order = sub.ve_vertices()
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
     adj = {v: [] for v in order}
     for apex in sub.v_vertices():
         mids = sub.graph.neighbors(apex)
@@ -441,10 +431,10 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
                 if theta.contains(ends[i], apex, ends[j]):
                     adj[mids[i]].append(mids[j])
                     adj[mids[j]].append(mids[i])
-    rows = []
+    dist = {}
     for src in order:
-        row = [INF] * n
-        row[pos[src]] = 0
+        row = dist[src] = dict.fromkeys(order, INF)
+        row[src] = 0
         frontier = [src]
         d = 0
         while frontier:
@@ -452,12 +442,11 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
             nxt = []
             for u in frontier:
                 for w in adj[u]:
-                    if row[pos[w]] is INF:
-                        row[pos[w]] = d
+                    if row[w] is INF:
+                        row[w] = d
                         nxt.append(w)
             frontier = nxt
-        rows.append(tuple(row))
-    return ThetaMetric(sub, theta, order, tuple(rows), pos)
+    return ThetaMetric(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +496,8 @@ def _angle_at(path, i):
 _GEODESIC_CAP = 64
 
 
-def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
-                  trials: int, seed: int) -> BatteryReport:
+def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
+                  seed: int) -> BatteryReport:
     """Sample configurations satisfying the large-angle lemma hypotheses and
     assert the conclusions.
 
@@ -518,9 +507,8 @@ def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
     and configurations involving them are simply never sampled.
     """
     rng = random.Random(seed)
-    if not theta0.is_invariant(G):
-        raise ValueError("theta0 must be invariant under the supplied group")
     index = GeodesicIndex(g)
+    sigma = geodesic_counts(g, index.dist)
     t3 = theta3(g, index=index)
     x_pass = angle_sum(theta0, k_fold_sum(t3, 2))
     x_trans = angle_sum(theta0, k_fold_sum(t3, 3))
@@ -565,23 +553,22 @@ def lemma_battery(g: Graph, G: GroupModel, theta0: AngleSet,
                                              inits[i], inits[j]))
 
         elif which == 1:
-            # a t3-large internal angle forces every geodesic through it
+            # a t3-large internal angle forces every geodesic through it:
+            # w, on a geodesic, lies on all of them exactly when
+            # sigma(xm, w) * sigma(w, xp) = sigma(xm, xp)
             xm, xp = sample_vertices(2)
             if xm == xp:
                 continue
             c = counters["large_angles"]
-            dag = index.dag(xm, xp)
-            path = _random_geodesic(dag, rng)
-            mand = None
+            path = _random_geodesic(index.dag(xm, xp), rng)
             for i in range(1, len(path) - 1):
                 if t3.contains(*_angle_at(path, i)):
                     continue
                 c.checked += 1
                 c.nonvacuous += 1
-                if mand is None:
-                    mand = mandatory_vertices(dag)
-                if path[i] not in mand:
-                    c.violations.append(("large_angles", xm, xp, path[i]))
+                w = path[i]
+                if sigma[xm][w] * sigma[w][xp] != sigma[xm][xp]:
+                    c.violations.append(("large_angles", xm, xp, w))
 
         elif which == 2:
             # triangle with the large angle away from the opposite side

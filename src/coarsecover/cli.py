@@ -220,13 +220,20 @@ def cmd_pipeline(args):
 
 
 def _deep_tuple(x):
+    if isinstance(x, dict):
+        raise GraphFormatError("a cover point must not hold an object")
     return tuple(_deep_tuple(y) for y in x) if isinstance(x, list) else x
 
 
 def _cover_nerve_dot(doc) -> str:
     """Members as nodes, intersections as edges."""
-    sets = [frozenset(_deep_tuple(p) for p in m["points"])
-            for m in doc["members"]]
+    members = doc.get("members") if isinstance(doc, dict) else None
+    if not isinstance(members, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("points"), list)
+            for m in members):
+        raise GraphFormatError("a cover document must carry 'members', "
+                               "each with a 'points' list")
+    sets = [frozenset(_deep_tuple(p) for p in m["points"]) for m in members]
     lines = ["graph nerve {"]
     for i, s in enumerate(sets):
         lines.append('  m%d [label="m%d (%d)"];' % (i, i, len(s)))
@@ -239,8 +246,14 @@ def _cover_nerve_dot(doc) -> str:
 
 
 def _trace_dot(doc) -> str:
+    moves = doc.get("moves") if isinstance(doc, dict) else None
+    keys = {"vertex", "replacement", "case"}
+    if not isinstance(moves, list) or not all(
+            isinstance(m, dict) and keys <= m.keys() for m in moves):
+        raise GraphFormatError("a trace document must carry 'moves', each "
+                               "with 'vertex', 'replacement' and 'case'")
     lines = ["digraph trace {"]
-    for i, m in enumerate(doc["moves"]):
+    for i, m in enumerate(moves):
         lines.append('  s%d [label="%s -> %s (%s)"];'
                      % (i, m["vertex"], m["replacement"], m["case"]))
         if i:
@@ -368,9 +381,8 @@ def cmd_rips(args):
 
 def cmd_battery(args):
     g, _ = _read_graph(args)
-    group = trivial_group(g)
     theta0 = _theta_for(g, args.theta, lambda: theta3(g))
-    rep = lemma_battery(g, group, theta0, args.trials, args.seed)
+    rep = lemma_battery(g, theta0, args.trials, args.seed)
     _emit(args, "battery", {"ok": rep.ok, "total": rep.total_checked,
                             "lemmas": rep.summary()})
     return 0 if rep.ok else 1

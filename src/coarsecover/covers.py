@@ -31,10 +31,10 @@ class PairSpace:
 
     v_points: tuple
     fibers: dict  # every z-point -> V_z, empty fibers included
-    dist: dict
+    dist: dict  # v -> {w: d(v, w)}
     group: GroupModel
-    act_v: dict
-    act_z: dict
+    act_v: dict  # p -> its map on v-points, indexed by v-point
+    act_z: dict  # p -> {z: p z}
 
     @property
     def pairs(self):
@@ -118,8 +118,6 @@ def pair_space(v_points, fibers, dist, group=None, act_v=None,
 @dataclass(frozen=True)
 class DoublingReport:
     ok: bool
-    D: int
-    R: float
     witness: tuple = None  # (alpha, center, separated_points) on failure
 
 
@@ -178,10 +176,10 @@ def doubling_check(points, dist_fn, D, R) -> DoublingReport:
     pts = sorted(points)
     hit = _violating_set(pts, _dense_distances(pts, dist_fn), D + 1, R)
     if hit is None:
-        return DoublingReport(True, D, R)
+        return DoublingReport(True)
     sel, sep, rad, center = hit
     alpha = max(R, rad / 2)
-    return DoublingReport(False, D, R, (alpha, center, tuple(sel)))
+    return DoublingReport(False, (alpha, center, tuple(sel)))
 
 
 def minimal_doubling_constant(points, dist_fn, R) -> int:

@@ -43,7 +43,7 @@ from .covers import (
     wide_failures,
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_constant
-from .symmetry import GroupModel, act_angle, trivial_group
+from .symmetry import GroupModel, trivial_group
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -104,9 +104,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
         raise ValueError("theta must contain the doubled corner size")
     if delta is None:
         delta = slimness_constant(sub.original).delta
-    # invariance under each generator is invariance under the group
-    if any(act_angle(p, t) not in theta.nontrivial
-           for p in group.generators for t in theta.nontrivial):
+    if not theta.is_invariant(group):
         raise ValueError("theta is not invariant under the group")
     endpoints = set(endpoint_set)
     for v in endpoint_set:
@@ -193,14 +191,13 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
-    chain metric; its z-fibers are cf's fibers."""
-    ve = cf.metric.order  # the rows of cf.metric.dist, in ve_vertices order
-    dist = {v: dict(zip(ve, row)) for v, row in zip(ve, cf.metric.dist)}
-    act_v = {p: {v: p[v] for v in ve} for p in cf.group.elements}
+    chain metric's rows; its z-fibers are cf's fibers.  A group element acts
+    on the midpoints as the permutation it is."""
+    act_v = {p: p for p in cf.group.elements}
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
              for p in cf.group.elements}
-    return pair_space(ve, cf.fibers, dist, group=cf.group,
-                      act_v=act_v, act_z=act_z)
+    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric.dist,
+                      group=cf.group, act_v=act_v, act_z=act_z)
 
 
 def cover_cf(space: PairSpace, alpha_prime) -> Cover:
@@ -303,7 +300,6 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
 @dataclass(frozen=True)
 class ScanReport:
     passing_tau: int
-    checked: tuple
     witness: tuple  # failing (tau, pair) samples on exhaustion
     cover: Cover  # the pullback at passing_tau, None on exhaustion
 
@@ -325,14 +321,14 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
     failures = [(None, t, "ball leaves eligible pairs")
                 for t in wide_failures([frozenset(targets)], G, alpha, targets)]
     if failures:
-        return ScanReport(None, tuple(tau_range), tuple(failures[:8]), None)
+        return ScanReport(None, tuple(failures[:8]), None)
     for tau in tau_range:
         pull = pullback_cover(cf, cover, tau, targets, v0)
         bad = next(wide_failures(pull.member_sets(), G, alpha, targets), None)
         if bad is None:
-            return ScanReport(tau, tuple(tau_range), (), pull)
+            return ScanReport(tau, (), pull)
         failures.append((tau, bad, "no wide member"))
-    return ScanReport(None, tuple(tau_range), tuple(failures[:8]), None)
+    return ScanReport(None, tuple(failures[:8]), None)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class Graph:
     def neighbors(self, v):
         return self._adj[v]
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def has_edge(self, u, v):
         return canon_edge(u, v) in self.edges
 
@@ -295,22 +292,6 @@ def enumerate_geodesics(dag: GeodesicDag, cap: int):
     return out
 
 
-def mandatory_vertices(dag: GeodesicDag) -> frozenset:
-    """Vertices lying on every geodesic of the DAG (path-count argument)."""
-    from_source = {dag.source: 1}
-    for u in sorted(dag.layer, key=lambda x: dag.layer[x]):
-        for w in dag.succ[u]:
-            from_source[w] = from_source.get(w, 0) + from_source[u]
-    to_target = {dag.target: 1}
-    for u in sorted(dag.layer, key=lambda x: -dag.layer[x]):
-        if u == dag.target:
-            continue
-        to_target[u] = sum(to_target[w] for w in dag.succ[u])
-    total = from_source[dag.target]
-    return frozenset(v for v in dag.layer
-                     if from_source.get(v, 0) * to_target.get(v, 0) == total)
-
-
 class GeodesicIndex:
     """The distance matrix of one graph, with a cache of geodesic DAGs.
 
@@ -517,15 +498,14 @@ def fineness_profile(g: Graph, max_len: int) -> dict:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """First barycentric subdivision with vertex classes.
+    """First barycentric subdivision.
 
     The subdivided graph measures in half-units: two hops per original
     edge.  Original vertices keep their ids (class "V"); each original edge
-    e gets a midpoint vertex (class "V_E").
+    e gets a midpoint vertex (class "V_E"), which is_midpoint recognizes.
     """
 
     graph: Graph
-    classes: dict
     midpoint_of_edge: dict
     edge_of_midpoint: dict
     original: Graph
@@ -551,10 +531,8 @@ def barycentric_subdivision(g: Graph) -> Subdivision:
         edges.append((e[1], m))
     sub = make_graph(n + len(mids), edges, cone_vertices=g.cone_vertices,
                      labels=g.labels)
-    classes = {v: "V" for v in range(n)}
-    classes.update({m: "V_E" for m in mids.values()})
     inv = {m: e for e, m in mids.items()}
-    return Subdivision(sub, classes, dict(mids), inv, g)
+    return Subdivision(sub, dict(mids), inv, g)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .symmetry import ALL_SUBGROUPS, GroupModel, close_group, \
 class PipelineError(RuntimeError):
     def __init__(self, stage, message):
         super().__init__("stage %s: %s" % (stage, message))
-        self.stage = stage
 
 
 @dataclass(frozen=True)

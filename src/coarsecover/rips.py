@@ -67,7 +67,6 @@ class SmallPairRelation:
                  index: GeodesicIndex = None):
         self.graph = g
         self.d = d
-        self.theta = theta
         self.index = index if index is not None else GeodesicIndex(g)
         self.oracle = SmallnessOracle(g, theta)
         self._joined = {}  # u -> the vertices other than u joined to it

@@ -60,10 +60,6 @@ class GroupModel:
     def __len__(self):
         return len(self.elements)
 
-    def cayley_metric(self, a, b):
-        """Left-invariant word distance between elements a and b."""
-        return self.word_length[compose(invert(a), b)]
-
     def ball(self, alpha, center=None):
         """Elements within word distance alpha of center (default identity)."""
         if center is None:

@@ -282,8 +282,7 @@ def test_criterion_08_lemma_battery():
     total = 0
     nonvacuous = {}
     for name, g in battery_graphs():
-        rep = lemma_battery(g, trivial_group(g), theta3(g), 4800,
-                            seed=len(name) * 101)
+        rep = lemma_battery(g, theta3(g), 4800, seed=len(name) * 101)
         assert rep.ok, (name, {k: v.violations[:1]
                                for k, v in rep.lemmas.items() if v.violations})
         total += rep.total_checked

@@ -36,7 +36,6 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     slimness_constant,
 )
-from coarsecover.symmetry import trivial_group
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
     observer_set_all, observer_set_exists, theta3_brute, \
     theta3_subdivision_brute, theta_small_paths_brute
@@ -284,7 +283,7 @@ class TestDTheta:
                         assert tm.d(v, w) == oracle[(v, w)]
 
 
-# lemma_battery(g, trivial_group(g), theta0(g), 600, seed).summary() for
+# lemma_battery(g, theta0(g), 600, seed).summary() for
 # every battery graph: (checked, nonvacuous) per lemma in name order, and no
 # violations
 BATTERY_THETA0 = {"trivial": trivial_only, "theta3": theta3}
@@ -353,8 +352,7 @@ class TestLemmaBattery:
         assert list(graphs) == list(BATTERY_SUMMARIES)
         g = graphs[name]
         for (theta0, seed), counts in BATTERY_SUMMARIES[name].items():
-            rep = lemma_battery(g, trivial_group(g), BATTERY_THETA0[theta0](g),
-                                600, seed)
+            rep = lemma_battery(g, BATTERY_THETA0[theta0](g), 600, seed)
             assert rep.summary() == {
                 lemma: {"checked": c, "nonvacuous": n, "violations": 0}
                 for lemma, (c, n) in zip(sorted(rep.lemmas), counts)
@@ -362,25 +360,23 @@ class TestLemmaBattery:
 
     def test_tree_instance_clean(self):
         g = random_tree(10, seed=1)
-        rep = lemma_battery(g, trivial_group(g), trivial_only(g), 300, seed=4)
+        rep = lemma_battery(g, trivial_only(g), 300, seed=4)
         assert rep.ok
 
     def test_c6_thousand_trials(self):
-        rep = lemma_battery(C6, trivial_group(C6), trivial_only(C6), 1000,
-                            seed=0)
+        rep = lemma_battery(C6, trivial_only(C6), 1000, seed=0)
         assert rep.ok
         assert rep.lemmas["geodesic_2_gons"].nonvacuous >= 1
 
     def test_planted_large_angle_nonvacuous(self):
         g = wedge_of_cycles(2, 6)
-        rep = lemma_battery(g, trivial_group(g), trivial_only(g), 2500,
-                            seed=2)
+        rep = lemma_battery(g, trivial_only(g), 2500, seed=2)
         assert rep.ok
         assert rep.lemmas["large_angles"].nonvacuous >= 1
         assert rep.lemmas["large_angles_in_triangles"].nonvacuous >= 1
 
     def test_summary_shape(self):
-        rep = lemma_battery(C6, trivial_group(C6), theta3(C6), 200, seed=3)
+        rep = lemma_battery(C6, theta3(C6), 200, seed=3)
         assert rep.ok
         assert set(rep.summary()) == {
             "geodesic_2_gons", "large_angles",

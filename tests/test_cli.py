@@ -7,7 +7,8 @@ import pytest
 
 import coarsecover
 from coarsecover.cli import main
-from coarsecover.corpus import cycle_graph, path_graph, spider, spider_rotation
+from coarsecover.corpus import cycle_graph, grid_graph, path_graph, spider, \
+    spider_rotation
 from coarsecover.graphs import graph_to_document
 
 
@@ -228,6 +229,48 @@ class TestExportDot:
     def test_no_input_is_usage_error(self, capsys):
         code, _ = run_cli(["export-dot"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("g, dag, expected", [
+        (cycle_graph(6), "0,3",
+         "digraph dag {\n  0 -> 1;\n  0 -> 5;\n  1 -> 2;\n  2 -> 3;\n"
+         "  4 -> 3;\n  5 -> 4;\n}\n"),
+        (grid_graph(3, 3), "0,5",
+         "digraph dag {\n  0 -> 1;\n  0 -> 3;\n  1 -> 2;\n  1 -> 4;\n"
+         "  2 -> 5;\n  3 -> 4;\n  4 -> 5;\n}\n"),
+    ], ids=["cycle6", "grid3x3"])
+    def test_dag_output_is_pinned(self, tmp_graph, capsys, g, dag, expected):
+        code, out = run_cli(["export-dot", "--graph", tmp_graph(g),
+                             "--dag", dag], capsys)
+        assert code == 0 and out == expected
+
+
+# documents of the wrong shape: their readers must reject them as usage
+# errors, not let a TypeError or KeyError escape with exit 1
+MALFORMED_DOCUMENTS = {
+    "cover-without-members": ("--cover", {"alpha": 1}),
+    "cover-list": ("--cover", [1, 2]),
+    "cover-points-not-a-list": ("--cover", {"members": [{"points": 5}]}),
+    "cover-point-object": ("--cover", {"members": [{"points": [{"a": 1}]}]}),
+    "trace-move-missing-keys": ("--trace", {"moves": [{"vertex": 1}]}),
+    "theta-number": ("--theta", 5),
+    "theta-string-vertex": ("--theta", [["a", 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("flag, doc", MALFORMED_DOCUMENTS.values(),
+                         ids=MALFORMED_DOCUMENTS)
+def test_malformed_document_is_usage_error(tmp_graph, tmp_path, capsys, flag,
+                                           doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if flag == "--theta":
+        argv = ["rips", "build", "--graph", tmp_graph(cycle_graph(4)),
+                "--d", "2", "--theta", "file:%s" % path]
+    else:
+        argv = ["export-dot", flag, str(path)]
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 class TestRunConfig:

@@ -1,11 +1,12 @@
 """Fuzz test of the CLI exit-code contract.
 
-Whatever the graph, action and configuration documents hold, `analyze`
-and `pipeline` exit 0 (all checks pass), 1 (a verification failed, with a
-report whose ok is false) or 2 (usage or parse error, with an error
-report).  An exception escaping main would be exit 1 with a traceback and
-fails the test.  Documents have at most 6 vertices; about half of them
-are malformed.
+Whatever the graph, action, configuration, cover, trace and angle set
+documents hold, `analyze`, `pipeline`, `export-dot --cover/--trace` and
+`rips build --theta file:` exit 0 (all checks pass), 1 (a verification
+failed, with a report whose ok is false) or 2 (usage or parse error, with
+an error report).  An exception escaping main would be exit 1 with a
+traceback and fails the test.  Documents have at most 6 vertices; about
+half of them are malformed.
 """
 
 import io
@@ -82,11 +83,35 @@ def config_documents(draw, graph_path, action_path):
     return doc
 
 
+# documents for export-dot: any JSON value, or one close to the schema
+cover_documents = st.one_of(json_values, st.fixed_dictionaries({
+    "members": st.lists(st.dictionaries(st.sampled_from(["points", "x"]),
+                                        json_values, max_size=2),
+                        max_size=2)}))
+trace_documents = st.one_of(json_values, st.fixed_dictionaries({
+    "moves": st.lists(st.dictionaries(
+        st.sampled_from(["vertex", "replacement", "case"]), json_leaves,
+        max_size=3), max_size=2)}))
+angle_documents = st.one_of(json_values, st.lists(
+    st.lists(st.integers(-1, MAX_N), min_size=3, max_size=3), max_size=3))
+
+
 @st.composite
 def invocations(draw, tmp_dir):
     doc, autos = draw(graph_cases())
     files = {"g.json": doc}
-    cmd = draw(st.sampled_from(["analyze", "pipeline"]))
+    cmd = draw(st.sampled_from(["analyze", "pipeline"] * 2
+                               + ["export-dot", "rips"]))
+    if cmd == "export-dot":
+        flag, docs = draw(st.sampled_from([("--cover", cover_documents),
+                                           ("--trace", trace_documents)]))
+        return {"doc.json": draw(docs)}, [cmd, flag,
+                                          str(tmp_dir / "doc.json")]
+    if cmd == "rips":
+        files["theta.json"] = draw(angle_documents)
+        return files, ["rips", "build", "--graph", str(tmp_dir / "g.json"),
+                       "--d", "2",
+                       "--theta", "file:" + str(tmp_dir / "theta.json")]
     argv = [cmd, "--graph", str(tmp_dir / "g.json")]
     if cmd == "pipeline":
         action_path = None
@@ -108,7 +133,7 @@ def invocations(draw, tmp_dir):
 def test_cli_exit_codes_follow_contract(tmp_path_factory):
     tmp_dir = tmp_path_factory.mktemp("fuzz")
 
-    @settings(max_examples=120, deadline=None,
+    @settings(max_examples=180, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(invocations(tmp_dir))
     def check(case):
@@ -120,8 +145,10 @@ def test_cli_exit_codes_follow_contract(tmp_path_factory):
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(argv)
-        report = json.loads(out.getvalue())
         assert code in (0, 1, 2)
+        if argv[0] == "export-dot" and code != 2:
+            return  # DOT text, not a JSON report
+        report = json.loads(out.getvalue())
         if code == 2:
             assert "error" in report
         elif argv[0] == "pipeline":

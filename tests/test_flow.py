@@ -35,7 +35,7 @@ from coarsecover.flow import (
     theta_for_wideness,
     wideness_scan,
 )
-from coarsecover.graphs import barycentric_subdivision
+from coarsecover.graphs import INF, barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
 from oracles import StarMetric, theta_small_paths_brute
@@ -202,6 +202,7 @@ class TestFiberSymmetry:
                                for v in fiber}
         assert space.fibers == fibers
         assert all(space.fibers[key] is cf.fibers[key] for key in fibers)
+        assert space.dist is cf.metric.dist
 
 
 class TestDoubling:
@@ -249,7 +250,8 @@ class TestDoubling:
 class TestCoverCf:
     def test_diameter_cover_partitions(self):
         g, sub, cf = tree_cf(9)
-        diam = cf.metric.diameter()
+        diam = max(dv for row in cf.metric.dist.values()
+                   for dv in row.values() if dv is not INF)
         cov = cover_cf(cf_pair_space(cf), diam)
         assert cov.order == 0
         sets = cov.member_sets()

@@ -23,11 +23,11 @@ from coarsecover.graphs import (
     distance_matrix,
     enumerate_geodesics,
     fineness_profile,
+    geodesic_counts,
     geodesic_dag,
     graph_to_dot,
     load_graph,
     make_graph,
-    mandatory_vertices,
     slimness_constant,
 )
 from oracles import all_simple_shortest_paths, slimness_brute, \
@@ -169,11 +169,18 @@ class TestGeodesicDag:
             assert d[w][dag.target] == d[u][dag.target] - 1
 
     def test_mandatory_vertices(self):
+        # w lies on every u-v geodesic exactly when it lies on one and
+        # sigma(u, w) * sigma(w, v) = sigma(u, v)
+        def mandatory(g, u, v):
+            d = distance_matrix(g)
+            sigma = geodesic_counts(g, d)
+            return frozenset(w for w in g.vertices
+                             if d[u][w] + d[w][v] == d[u][v]
+                             and sigma[u][w] * sigma[w][v] == sigma[u][v])
+
         g = wedge_of_cycles(2, 6)  # 0 is a cut vertex
-        dag = geodesic_dag(g, 1, 6)
-        assert 0 in mandatory_vertices(dag)
-        dag2 = geodesic_dag(cycle_graph(6), 0, 3)
-        assert mandatory_vertices(dag2) == frozenset({0, 3})
+        assert 0 in mandatory(g, 1, 6)
+        assert mandatory(cycle_graph(6), 0, 3) == frozenset({0, 3})
 
 
 class TestSlimness:
@@ -232,14 +239,14 @@ class TestSubdivision:
     def test_single_edge(self):
         sub = barycentric_subdivision(path_graph(2))
         assert sub.graph.vertex_count == 3
-        assert sub.classes[2] == "V_E"
-        assert sub.graph.degree(2) == 2
+        assert sub.is_midpoint(2)
+        assert len(sub.graph.neighbors(2)) == 2
 
     def test_triangle_becomes_hexagon(self):
         sub = barycentric_subdivision(cycle_graph(3))
         assert sub.graph.vertex_count == 6
-        kinds = [sub.classes[v] for v in range(6)]
-        assert kinds.count("V") == 3 and kinds.count("V_E") == 3
+        kinds = [sub.is_midpoint(v) for v in range(6)]
+        assert kinds.count(False) == 3 and kinds.count(True) == 3
         d = distance_matrix(sub.graph)
         # hop diameter 3: opposite midpoints sit 1.5 original units apart
         assert max(x for row in d for x in row) == 3
@@ -247,7 +254,7 @@ class TestSubdivision:
     def test_star(self):
         sub = barycentric_subdivision(star_graph(3))
         assert sub.graph.vertex_count == 7
-        assert sum(1 for v, k in sub.classes.items() if k == "V_E") == 3
+        assert sum(1 for v in sub.graph.vertices if sub.is_midpoint(v)) == 3
 
     def test_distances_double_exactly(self):
         rng = random.Random(3)
@@ -266,7 +273,7 @@ class TestSubdivision:
     def test_midpoints_have_valency_two(self):
         sub = barycentric_subdivision(wedge_of_cycles(2, 6))
         for m in sub.ve_vertices():
-            assert sub.graph.degree(m) == 2
+            assert len(sub.graph.neighbors(m)) == 2
 
 
 class TestDot:

@@ -21,6 +21,7 @@ from coarsecover.symmetry import (
     all_subgroups,
     close_group,
     compose,
+    invert,
     is_F_subset,
     is_subgroup,
     set_orbit,
@@ -35,7 +36,7 @@ class TestCloseGroup:
         G = rotation_group(6)
         assert len(G) == 6
         r3 = tuple((i + 3) % 6 for i in range(6))
-        assert G.cayley_metric(G.identity, r3) == 3
+        assert G.word_length[r3] == 3
 
     def test_dihedral_twelve(self):
         assert len(dihedral_group(6)) == 12
@@ -54,8 +55,9 @@ class TestCloseGroup:
         for h in G.elements:
             for a in G.elements:
                 for b in G.elements:
-                    assert G.cayley_metric(a, b) == \
-                        G.cayley_metric(compose(h, a), compose(h, b))
+                    ha, hb = compose(h, a), compose(h, b)
+                    assert G.word_length[compose(invert(a), b)] == \
+                        G.word_length[compose(invert(ha), hb)]
 
     def test_cone_vertices_preserved(self):
         from coarsecover.graphs import make_graph
