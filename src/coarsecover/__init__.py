@@ -2,7 +2,8 @@
 
 Modules
 -------
-graphs    finite graphs, geodesic DAGs, slimness, circuits, subdivision
+graphs    finite graphs, distance rows and geodesics, slimness, circuits,
+          subdivision
 symmetry  automorphism groups, word metrics, families, equivariant subsets
 angles    angle sets, corner sizes, chain metrics, the lemma battery
 covers    pair spaces, doubling checks, greedy covers, metric extension
@@ -15,7 +16,6 @@ cli       command line front end
 
 from .graphs import (
     CapExceeded,
-    GeodesicDag,
     GeodesicIndex,
     Graph,
     GraphFormatError,
@@ -41,7 +41,6 @@ from .symmetry import (
 )
 from .angles import (
     AngleSet,
-    ThetaMetric,
     all_angles,
     angle_sum,
     d_theta,

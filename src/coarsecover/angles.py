@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .graphs import (
     INF,
     CapExceeded,
-    GeodesicDag,
     GeodesicIndex,
     Graph,
     GraphFormatError,
@@ -31,6 +30,7 @@ from .graphs import (
     circuits_through_edge,
     enumerate_geodesics,
     geodesic_counts,
+    geodesic_steps,
     parse_document,
 )
 from .symmetry import GroupModel, act_angle
@@ -400,9 +400,9 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaMetric:
-    """Chain metric on midpoint vertices of a subdivision.
+def d_theta(sub: Subdivision, theta: AngleSet) -> dict:
+    """Chain metric on midpoint vertices of a subdivision, as rows:
+    midpoint -> {midpoint: distance}, both in ve_vertices order.
 
     d(w, w') minimizes the summed graph length of chains of small-geodesic
     hops.  Any hop of length >= 2 passes an intermediate midpoint whose two
@@ -410,17 +410,6 @@ class ThetaMetric:
     metric of the graph on midpoints joining (e, e') whenever that angle
     lies in theta.  Distances are in original units (integers, inf allowed).
     """
-
-    dist: dict  # midpoint -> {midpoint: distance}, both in ve_vertices order
-
-    def d(self, w, w2):
-        return self.dist[w][w2]
-
-    def ball(self, w, radius):
-        return frozenset(v for v, dv in self.dist[w].items() if dv <= radius)
-
-
-def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
     order = sub.ve_vertices()
     adj = {v: [] for v in order}
     for apex in sub.v_vertices():
@@ -446,7 +435,7 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> ThetaMetric:
                         row[w] = d
                         nxt.append(w)
             frontier = nxt
-    return ThetaMetric(dist)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +470,10 @@ class BatteryReport:
         }
 
 
-def _random_geodesic(dag: GeodesicDag, rng):
-    path = [dag.source]
-    while path[-1] != dag.target:
-        path.append(rng.choice(dag.succ[path[-1]]))
+def _random_geodesic(index: GeodesicIndex, s, t, rng):
+    path = [s]
+    while path[-1] != t:
+        path.append(rng.choice(geodesic_steps(index, s, t, path[-1])))
     return path
 
 
@@ -528,7 +517,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
         return [rng.choice(comp) for _ in range(k)]
 
     def all_geodesics(u, v):
-        return enumerate_geodesics(index.dag(u, v), _GEODESIC_CAP)
+        return enumerate_geodesics(index, u, v, _GEODESIC_CAP)
 
     oracle_t3_2 = SmallnessOracle(g, t3_2)
 
@@ -541,8 +530,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if v == xi:
                 continue
             c = counters["geodesic_2_gons"]
-            dag = index.dag(v, xi)
-            inits = dag.succ[v]
+            inits = geodesic_steps(index, v, xi, v)
             for i in range(len(inits)):
                 for j in range(i, len(inits)):
                     c.checked += 1
@@ -560,7 +548,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if xm == xp:
                 continue
             c = counters["large_angles"]
-            path = _random_geodesic(index.dag(xm, xp), rng)
+            path = _random_geodesic(index, xm, xp, rng)
             for i in range(1, len(path) - 1):
                 if t3.contains(*_angle_at(path, i)):
                     continue
@@ -576,11 +564,11 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if len({xi, x1, x2}) < 2 or xi == x1:
                 continue
             c = counters["large_angles_in_triangles_no_c"]
-            c1 = _random_geodesic(index.dag(xi, x1), rng)
+            c1 = _random_geodesic(index, xi, x1, rng)
             if x1 == x2:
                 side = [x1]
             else:
-                side = _random_geodesic(index.dag(x1, x2), rng)
+                side = _random_geodesic(index, x1, x2, rng)
             side_set = set(side)
             for i in range(1, len(c1) - 1):
                 v = c1[i]
@@ -604,9 +592,9 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if len({xi, x1, x2}) < 3:
                 continue
             c = counters["tripod"]
-            cc = _random_geodesic(index.dag(x1, x2), rng)
-            c1 = _random_geodesic(index.dag(x1, xi), rng)
-            c2 = _random_geodesic(index.dag(x2, xi), rng)
+            cc = _random_geodesic(index, x1, x2, rng)
+            c1 = _random_geodesic(index, x1, xi, rng)
+            c2 = _random_geodesic(index, x2, xi, rng)
             for i in range(1, len(cc) - 1):
                 v = cc[i]
                 if v not in c1[1:-1] or v not in c2[1:-1]:
@@ -634,7 +622,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                     break
             if base_small is None:
                 continue
-            c1 = _random_geodesic(index.dag(x1, xi), rng)
+            c1 = _random_geodesic(index, x1, xi, rng)
             for i in range(1, len(c1) - 1):
                 v = c1[i]
                 if v == x2:
@@ -666,9 +654,8 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if xm == xp:
                 continue
             c = counters["geodesics_between_geodesics"]
-            dag = index.dag(xm, xp)
-            ca = _random_geodesic(dag, rng)
-            cb = _random_geodesic(dag, rng)
+            ca = _random_geodesic(index, xm, xp, rng)
+            cb = _random_geodesic(index, xm, xp, rng)
             union_edges = {canon_edge(a, b) for a, b in zip(ca, ca[1:])}
             union_edges |= {canon_edge(a, b) for a, b in zip(cb, cb[1:])}
             v = rng.choice(ca)

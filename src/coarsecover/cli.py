@@ -278,7 +278,7 @@ def cmd_export_dot(args):
         u, v = map(int, args.dag.split(","))
         if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
             raise GraphFormatError("--dag vertex out of range: %s" % args.dag)
-        sys.stdout.write(dag_to_dot(geodesic_dag(g, u, v)))
+        sys.stdout.write(dag_to_dot(geodesic_dag(GeodesicIndex(g), u, v)))
     else:
         sys.stdout.write(graph_to_dot(g))
     return 0

@@ -51,37 +51,6 @@ class PairSpace:
         av, az = self.act_v[p], self.act_z[p]
         return frozenset((av[v], az[z]) for v, z in points)
 
-    def validate(self):
-        """Check the metric, the action and their invariance.  An action
-        fixing points under the identity and composing with each generator
-        is a homomorphism, so invariance per generator is G-invariance."""
-        for v in self.v_points:
-            if self.dist[v][v] != 0:
-                raise ValueError("metric has nonzero diagonal")
-            for w in self.v_points:
-                if self.dist[v][w] != self.dist[w][v]:
-                    raise ValueError("metric not symmetric")
-        G = self.group
-        _check_generators(G)
-        maps = ((self.act_v, self.v_points), (self.act_z, self.fibers))
-        if any(act[G.identity][x] != x for act, xs in maps for x in xs):
-            raise ValueError("the identity moves a point")
-        for p in G.elements:
-            for s in G.generators:
-                sp = compose(s, p)
-                if any(act[sp][x] != act[s][act[p][x]]
-                       for act, xs in maps for x in xs):
-                    raise ValueError("the action does not respect composition")
-        for s in G.generators:
-            av, az = self.act_v[s], self.act_z[s]
-            for z, fiber in self.fibers.items():
-                if not {av[v] for v in fiber} <= self.fibers.get(az[z], set()):
-                    raise ValueError("pair set is not group invariant")
-            for v in self.v_points:
-                for w in self.v_points:
-                    if self.dist[v][w] != self.dist[av[v]][av[w]]:
-                        raise ValueError("metric is not group invariant")
-
 
 def _points(space: PairSpace):
     """The pairs (v, z) of the space, fiber by fiber."""

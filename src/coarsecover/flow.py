@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from .angles import (
     AngleSet,
     SmallnessOracle,
-    ThetaMetric,
     angle_sum,
     d_theta,
     geodesic_angles,
@@ -56,7 +55,7 @@ class CoarseFlowSpace:
     delta: int
     endpoints: tuple
     fibers: dict  # (xi-, xi+) -> the admitted midpoints v
-    metric: ThetaMetric
+    metric: dict  # the chain metric d_theta, midpoint -> {midpoint: distance}
     group: GroupModel
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> the vertices on small xi- -> xi+ geodesics
@@ -116,7 +115,8 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
 
     metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
-    balls = {v: metric.ball(v, delta + 1) for v in sub.ve_vertices()}
+    balls = {v: frozenset(w for w, dw in row.items() if dw <= delta + 1)
+             for v, row in metric.items()}
     steps = {x: small_steps(index, oracle, x) for x in endpoints}
     lines = {}
     fibers = {}
@@ -157,10 +157,14 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
         if home[fiber] is fiber:
             maximal.append(fiber)
     reports = {}
+    rows = cf.metric
+
+    def d(a, b):
+        return rows[a][b]
 
     def check(fiber):
         if fiber not in reports:
-            reports[fiber] = doubling_check(fiber, cf.metric.d, 5, R)
+            reports[fiber] = doubling_check(fiber, d, 5, R)
         return reports[fiber]
 
     failures = []
@@ -175,9 +179,9 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
         tightest_d = tightest_r = 0
         for fiber in maximal:
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, cf.metric.d, R))
+                fiber, d, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, cf.metric.d, 5))
+                fiber, d, 5))
     return {
         "ok": not failures,
         "D": 5,
@@ -196,7 +200,7 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     act_v = {p: p for p in cf.group.elements}
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
              for p in cf.group.elements}
-    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric.dist,
+    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric,
                       group=cf.group, act_v=act_v, act_z=act_z)
 
 

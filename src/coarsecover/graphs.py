@@ -231,90 +231,65 @@ def geodesic_counts(g: Graph, dist):
     return sigma
 
 
-@dataclass(frozen=True)
-class GeodesicDag:
-    """All geodesics from source to target, as a layered DAG.
-
-    succ[u] is the sorted tuple of the vertices w adjacent to u with
-    layer[w] = layer[u] + 1 lying on at least one geodesic.
-    """
-
-    source: int
-    target: int
-    layer: dict
-    succ: dict
-
-    def edges(self):
-        for u in sorted(self.succ):
-            for w in self.succ[u]:
-                yield (u, w)
+def geodesic_steps(index, s, t, u):
+    """The neighbours b of u, in neighbour order, for which u -> b is a
+    step of an s -> t geodesic: d(s,b) = d(s,u) + 1 and d(b,t) = d(u,t) - 1.
+    u must lie on an s -> t geodesic."""
+    ds, dt = index.dist[s], index.dist[t]
+    return [b for b in index.graph.neighbors(u)
+            if ds[b] == ds[u] + 1 and dt[b] == dt[u] - 1]
 
 
-def geodesic_dag(g: Graph, u, v, dist=None) -> GeodesicDag:
-    """The DAG of all geodesic edges from u to v.
-
-    An edge (a, b) is kept exactly when d(u,a) + 1 + d(b,v) = d(u,v).
-    """
-    du = dist[u] if dist is not None else _bfs(g, u)
-    dv = dist[v] if dist is not None else _bfs(g, v)
+def geodesic_dag(index, u, v):
+    """The edges (a, b) of all u -> v geodesics, a ascending, then b in
+    neighbour order.  A disconnected pair is a ValueError."""
+    du, dv = index.dist[u], index.dist[v]
     if du[v] is INF:
         raise ValueError("vertices %d and %d are disconnected" % (u, v))
-    total = du[v]
-    layer = {}
-    succ = {}
-    # A vertex is on some geodesic iff d(u,w) + d(w,v) = d(u,v).
-    for w in g.vertices:
-        if du[w] is not INF and du[w] + dv[w] == total:
-            layer[w] = du[w]
-    for a in layer:
-        succ[a] = tuple(b for b in g.neighbors(a)
-                        if b in layer and layer[b] == layer[a] + 1)
-    return GeodesicDag(u, v, layer, succ)
+    return tuple((a, b) for a in index.graph.vertices if du[a] + dv[a] == du[v]
+                 for b in geodesic_steps(index, u, v, a))
 
 
-def enumerate_geodesics(dag: GeodesicDag, cap: int):
-    """All maximal source-to-target paths of the DAG in lexicographic order."""
+def enumerate_geodesics(index, u, v, cap: int):
+    """All u -> v geodesics in lexicographic order; more than cap of them
+    is CapExceeded."""
     out = []
-    path = [dag.source]
+    path = [u]
 
-    def walk(u):
-        if u == dag.target:
+    def walk(a):
+        if a == v:
             if len(out) >= cap:
                 raise CapExceeded("more than %d geodesics" % cap)
             out.append(list(path))
             return
-        for w in dag.succ[u]:
-            path.append(w)
-            walk(w)
+        for b in geodesic_steps(index, u, v, a):
+            path.append(b)
+            walk(b)
             path.pop()
 
-    walk(dag.source)
+    walk(u)
     return out
 
 
 class GeodesicIndex:
-    """The distance matrix of one graph, with a cache of geodesic DAGs.
+    """The distance matrix of one graph.
 
-    The rows dist[a] and dist[b] answer every question about the turns of
-    a -> b geodesics (angles.geodesic_turns); the DAGs are built only where
-    whole geodesics are enumerated, by the lemma battery.
+    The rows dist[a] and dist[b] answer every question about the a -> b
+    geodesics: their steps (geodesic_steps) and their turns
+    (angles.geodesic_turns).
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.dist = distance_matrix(g)
-        self._dags = {}
 
     def d(self, u, v):
         return self.dist[u][v]
 
-    def dag(self, u, v) -> GeodesicDag:
-        key = (u, v)
-        dag = self._dags.get(key)
-        if dag is None:
-            dag = geodesic_dag(self.graph, u, v, self.dist)
-            self._dags[key] = dag
-        return dag
+    def dag(self, u, v):
+        # kept only because perfbench's tracer patches it by name; it goes
+        # with geodesic_dag's span in the benchmark revision (ROADMAP item 2)
+        return geodesic_dag(self, u, v)
 
     def geodesic_vertex_set(self, u, v):
         """Vertices on at least one geodesic between u and v."""
@@ -556,9 +531,9 @@ def graph_to_dot(g: Graph, name="g") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dag_to_dot(dag: GeodesicDag, name="dag") -> str:
+def dag_to_dot(edges, name="dag") -> str:
     lines = ["digraph %s {" % name]
-    for u, w in dag.edges():
+    for u, w in edges:
         lines.append("  %d -> %d;" % (u, w))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,19 +1,21 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's DAG machinery: plain DFS over the
-graph, exhaustive triangle enumeration, direct definitional scans.  They
-are slow and only ever run on small instances.
+These deliberately avoid the library's geodesic machinery: plain DFS
+over the graph, exhaustive triangle enumeration, direct definitional
+scans.  They are slow and only ever run on small instances.
 """
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 from coarsecover.angles import angle_sum, k_fold_sum
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
     minimal_doubling_radius
-from coarsecover.graphs import INF, GeodesicIndex, canon_edge, distance_matrix
+from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
+    distance_matrix
+from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
+    subgroup_generated
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -277,39 +279,38 @@ def doubling_scan_oracle(points, dist_fn, D, R):
     return True, None
 
 
-@dataclass(frozen=True)
-class StarMetric:
-    """The path metric among the leaves of a star, leaf a at length w[a].
-
-    A stand-in for the chain metric of a flow space, with the one method
-    the doubling report reads.
-    """
-
-    w: tuple
-
-    def d(self, a, b):
-        return 0 if a == b else self.w[a] + self.w[b]
+def star_metric(w):
+    """The path metric among the leaves of a star, leaf a at length w[a],
+    as rows a -> {b: d(a, b)}: a stand-in for the chain metric of a flow
+    space."""
+    leaves = range(len(w))
+    return {a: {b: 0 if a == b else w[a] + w[b] for b in leaves}
+            for a in leaves}
 
 
 def cf_doubling_report_brute(cf, compute_tightest=False):
     """flow.cf_doubling_report by one doubling check per fiber key.
 
-    Reads only cf.delta_prime, cf.fibers and cf.metric.d.
+    Reads only cf.delta_prime, cf.fibers and the rows cf.metric.
     """
     R = 24 * cf.delta_prime + 12
+
+    def d(a, b):
+        return cf.metric[a][b]
+
     failures = []
     tightest_d = 0
     tightest_r = 0
     for key in sorted(cf.fibers):
         fiber = sorted(cf.fibers[key])
-        rep = doubling_check(fiber, cf.metric.d, 5, R)
+        rep = doubling_check(fiber, d, 5, R)
         if not rep.ok:
             failures.append((key, rep.witness))
         if compute_tightest and fiber:
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, cf.metric.d, R))
+                fiber, d, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, cf.metric.d, 5))
+                fiber, d, 5))
     return {
         "ok": not failures,
         "D": 5,
@@ -453,7 +454,7 @@ def greedy_cover_reference(space, alpha, basis):
 
 # ---------------------------------------------------------------------------
 # The chain metric by its definition, over geodesics found by DFS, and the
-# observer basis sets (finite shadows) on the library's geodesic DAGs
+# observer basis sets (finite shadows) on the library's distance rows
 # ---------------------------------------------------------------------------
 
 
@@ -527,22 +528,100 @@ def observer_set_exists(g, xi, v0_set, index=None):
         if x2 == xi:
             out.add(x2)
             continue
-        if _reachable_avoiding(index.dag(xi, x2), avoid):
+        if _reachable_avoiding(index, xi, x2, avoid):
             out.add(x2)
     return frozenset(out)
 
 
-def _reachable_avoiding(dag, avoid):
-    if dag.source in avoid or dag.target in avoid:
+def _reachable_avoiding(index, s, t, avoid):
+    """Whether some s -> t geodesic misses avoid, by a search along the
+    steps u -> w with d(s,w) = d(s,u) + 1 and d(w,t) = d(u,t) - 1."""
+    if s in avoid or t in avoid:
         return False
-    stack = [dag.source]
-    seen = {dag.source}
+    ds, dt = index.dist[s], index.dist[t]
+    stack = [s]
+    seen = {s}
     while stack:
         u = stack.pop()
-        if u == dag.target:
+        if u == t:
             return True
-        for w in dag.succ[u]:
-            if w not in seen and w not in avoid:
+        for w in index.graph.neighbors(u):
+            if ds[w] == ds[u] + 1 and dt[w] == dt[u] - 1 \
+                    and w not in seen and w not in avoid:
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def validate_pair_space(space):
+    """Check the metric, the action and their invariance.  An action
+    fixing points under the identity and composing with each generator is
+    a homomorphism, so invariance per generator is G-invariance."""
+    for v in space.v_points:
+        if space.dist[v][v] != 0:
+            raise ValueError("metric has nonzero diagonal")
+        for w in space.v_points:
+            if space.dist[v][w] != space.dist[w][v]:
+                raise ValueError("metric not symmetric")
+    G = space.group
+    if subgroup_generated(G, G.generators) != frozenset(G.elements):
+        raise ValueError("the group's generators do not generate its elements")
+    maps = ((space.act_v, space.v_points), (space.act_z, space.fibers))
+    if any(act[G.identity][x] != x for act, xs in maps for x in xs):
+        raise ValueError("the identity moves a point")
+    for p in G.elements:
+        for s in G.generators:
+            sp = compose(s, p)
+            if any(act[sp][x] != act[s][act[p][x]]
+                   for act, xs in maps for x in xs):
+                raise ValueError("the action does not respect composition")
+    for s in G.generators:
+        av, az = space.act_v[s], space.act_z[s]
+        for z, fiber in space.fibers.items():
+            if not {av[v] for v in fiber} <= space.fibers.get(az[z], set()):
+                raise ValueError("pair set is not group invariant")
+        for v in space.v_points:
+            for w in space.v_points:
+                if space.dist[v][w] != space.dist[av[v]][av[w]]:
+                    raise ValueError("metric is not group invariant")
+
+
+def all_subgroups(G, cap=4096):
+    """Every subgroup of G, found by closing generated subsets."""
+    found = {frozenset([G.identity])}
+    frontier = [frozenset([G.identity])]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for x in G.elements:
+                if x in H:
+                    continue
+                H2 = subgroup_generated(G, list(H) + [x])
+                if H2 not in found:
+                    if len(found) >= cap:
+                        raise CapExceeded("subgroup lattice exceeds cap")
+                    found.add(H2)
+                    nxt.append(H2)
+        frontier = nxt
+    return sorted(found, key=lambda H: (len(H), sorted(H)))
+
+
+def validate_family(family, G):
+    """An explicit list must be closed under conjugation and under passing
+    to subgroups; the other kinds are closed by construction."""
+    if family.kind != "explicit-list":
+        return
+    listed = set(frozenset(H) for H in family.members)
+    for H in listed:
+        if not is_subgroup(G, H):
+            raise ValueError("family member is not a subgroup")
+        for g in G.elements:
+            if conjugate(g, H) not in listed:
+                raise ValueError("family not conjugation closed")
+    for H in listed:
+        elements = tuple(sorted(H))
+        sub_model = GroupModel(G.graph, elements, elements, G.identity,
+                               {h: 0 for h in H})
+        for K in all_subgroups(sub_model):
+            if K not in listed:
+                raise ValueError("family not closed under subgroups")

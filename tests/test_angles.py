@@ -237,13 +237,13 @@ class TestDTheta:
         idx = GeodesicIndex(sub.graph)
         for v in sub.ve_vertices():
             for w in sub.ve_vertices():
-                assert tm.d(v, w) == idx.d(v, w) // 2
+                assert tm[v][w] == idx.d(v, w) // 2
 
     def test_diagonal_zero(self):
         sub = barycentric_subdivision(C6)
         tm = d_theta(sub, trivial_only(C6))
         m = sub.ve_vertices()[0]
-        assert tm.d(m, m) == 0
+        assert tm[m][m] == 0
 
     def test_c4_trivial_only_disconnects(self):
         # every unit hop crosses a nontrivial angle, so nothing is joined
@@ -252,7 +252,7 @@ class TestDTheta:
         tm = d_theta(sub, trivial_only(c4))
         m01 = sub.midpoint_of_edge[(0, 1)]
         m23 = sub.midpoint_of_edge[(2, 3)]
-        assert tm.d(m01, m23) is INF
+        assert tm[m01][m23] is INF
         oracle = d_theta_definitional_oracle(sub, trivial_only(c4))
         assert oracle[(m01, m23)] is INF
 
@@ -267,9 +267,9 @@ class TestDTheta:
             steps = small_steps(idx, oracle, v)
             for w in sub.ve_vertices():
                 dg = idx.d(v, w) // 2
-                assert tm.d(v, w) >= dg
+                assert tm[v][w] >= dg
                 if steps[w]:
-                    assert tm.d(v, w) == dg
+                    assert tm[v][w] == dg
 
     def test_matches_definitional_oracle(self):
         for g in (cycle_graph(5), wedge_of_cycles(2, 4), path_graph(6),
@@ -280,7 +280,7 @@ class TestDTheta:
                 oracle = d_theta_definitional_oracle(sub, theta)
                 for v in sub.ve_vertices():
                     for w in sub.ve_vertices():
-                        assert tm.d(v, w) == oracle[(v, w)]
+                        assert tm[v][w] == oracle[(v, w)]
 
 
 # lemma_battery(g, theta0(g), 600, seed).summary() for

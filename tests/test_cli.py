@@ -9,7 +9,7 @@ import coarsecover
 from coarsecover.cli import main
 from coarsecover.corpus import cycle_graph, grid_graph, path_graph, spider, \
     spider_rotation
-from coarsecover.graphs import graph_to_document
+from coarsecover.graphs import graph_to_document, make_graph
 
 
 @pytest.fixture
@@ -208,6 +208,13 @@ class TestExportDot:
                             capsys)
         assert code == 2
         assert "out of range" in json.loads(out)["error"]
+
+    def test_dag_between_components_is_usage_error(self, tmp_graph, capsys):
+        g = make_graph(4, [(0, 1), (2, 3)])
+        code, out = run_cli(["export-dot", "--graph", tmp_graph(g),
+                             "--dag", "0,2"], capsys)
+        assert code == 2
+        assert "disconnected" in json.loads(out)["error"]
 
     def test_cover_nerve(self, tmp_graph, tmp_path, capsys):
         out_dir = tmp_path / "art"

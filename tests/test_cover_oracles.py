@@ -21,9 +21,8 @@ from coarsecover.covers import (
     verify_cover,
 )
 from coarsecover.graphs import INF
-from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, \
-    SubgroupFamily, all_subgroups
-from oracles import cover_order_brute, doubling_scan_oracle, \
+from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
+from oracles import all_subgroups, cover_order_brute, doubling_scan_oracle, \
     fiber_basis_brute, fibers_of, greedy_cover_reference, \
     verify_cover_definitional
 

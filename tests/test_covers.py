@@ -30,7 +30,7 @@ from coarsecover.graphs import INF, distance_matrix
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, compose, trivial_group
 from oracles import fibers_of, greedy_cover_reference, separated_sets_brute, \
-    verify_cover_definitional
+    validate_family, validate_pair_space, verify_cover_definitional
 
 
 def line_metric(n):
@@ -118,7 +118,7 @@ class TestGreedyCover:
         act_z = {p: {"z": "z"} for p in G.elements}
         sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
                         act_v=act_v, act_z=act_z)
-        sp.validate()
+        validate_pair_space(sp)
         cov = greedy_cover(sp, 1)
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
         assert rep.ok and rep.invariant and rep.f_subsets
@@ -468,7 +468,8 @@ class TestOrbitWalks:
         sp = pair_space(sp.v_points, sp.fibers, sp.dist, group=short,
                         act_v=sp.act_v, act_z=sp.act_z)
         cov = singleton_cover(sp, sorted(sp.pairs))
-        for check in (sp.validate, lambda: greedy_cover(sp, 0),
+        for check in (lambda: validate_pair_space(sp),
+                      lambda: greedy_cover(sp, 0),
                       lambda: verify_cover(cov, sp, 0, ALL_SUBGROUPS)):
             with pytest.raises(ValueError, match="generators do not generate"):
                 check()
@@ -481,13 +482,13 @@ class TestOrbitWalks:
         act_v[r2] = {v: v for v in sp.v_points}  # not r applied twice
         bad = pair_space(sp.v_points, sp.fibers, sp.dist, group=G,
                          act_v=act_v, act_z=sp.act_z)
-        sp.validate()
+        validate_pair_space(sp)
         with pytest.raises(ValueError, match="composition"):
-            bad.validate()
+            validate_pair_space(bad)
 
     def test_free_orbit_of_singletons_passes(self):
         sp = dihedral_space(6, FREE)
-        sp.validate()
+        validate_pair_space(sp)
         rep = verify_cover(singleton_cover(sp, sorted(sp.pairs)), sp, 0,
                            TRIVIAL_ONLY)
         assert rep.ok and len(sp.pairs) == 12
@@ -532,7 +533,7 @@ class TestOrbitWalks:
         family = SubgroupFamily("explicit-list",
                                 members=(frozenset([G.identity]), fix0))
         with pytest.raises(ValueError, match="conjugation"):
-            family.validate(G)
+            validate_family(family, G)
         cov = singleton_cover(sp, [(v, "z") for v in range(6)])
         rep = verify_cover(cov, sp, 0, family)
         assert rep.long and rep.invariant and not rep.f_subsets
@@ -561,8 +562,8 @@ def _plant(sp, defect):
 
 
 class TestValidateRejects:
-    """Negative controls: validate names each planted defect of a valid
-    pair space."""
+    """Negative controls: validate_pair_space names each planted defect of
+    a valid pair space."""
 
     @pytest.mark.parametrize("defect, message", [
         ("missing-translate", "pair set is not group invariant"),
@@ -573,9 +574,9 @@ class TestValidateRejects:
     ])
     def test_planted_defect(self, defect, message):
         sp = dihedral_space(6, FREE)
-        sp.validate()
+        validate_pair_space(sp)
         with pytest.raises(ValueError, match=message):
-            _plant(sp, defect).validate()
+            validate_pair_space(_plant(sp, defect))
 
 
 class TestDoublingOracleAgreement:

@@ -38,7 +38,7 @@ from coarsecover.flow import (
 from coarsecover.graphs import INF, barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
-from oracles import StarMetric, theta_small_paths_brute
+from oracles import star_metric, theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):
@@ -56,7 +56,7 @@ class TestBuildCfTheta:
             geo_mids = [w for w in idx.geodesic_vertex_set(xm, xp)
                         if sub.is_midpoint(w)]
             band = {v for v in sub.ve_vertices()
-                    if min(cf.metric.d(v, w) for w in geo_mids)
+                    if min(cf.metric[v][w] for w in geo_mids)
                     <= cf.delta_prime}
             assert fiber == band
 
@@ -121,7 +121,7 @@ class TestBuildCfTheta:
             assert smalls
             bound = 2 * cf.delta_prime + 1
             best = max(
-                min(min(cf.metric.d(v, w) for w in c if sub.is_midpoint(w))
+                min(min(cf.metric[v][w] for w in c if sub.is_midpoint(w))
                     for c in smalls)
                 for v in fiber)
             assert best <= bound
@@ -191,7 +191,8 @@ class TestFiberSymmetry:
                                         a, b)
                  for a in cf.endpoints for b in cf.endpoints if a != b}
         fibers = {key: frozenset(v for w in line if cf.sub.is_midpoint(w)
-                                 for v in cf.metric.ball(w, cf.delta_prime))
+                                 for v, dv in cf.metric[w].items()
+                                 if dv <= cf.delta_prime)
                   for key, line in lines.items()}
         assert cf.lines == lines
         assert cf.fibers == fibers
@@ -202,7 +203,7 @@ class TestFiberSymmetry:
                                for v in fiber}
         assert space.fibers == fibers
         assert all(space.fibers[key] is cf.fibers[key] for key in fibers)
-        assert space.dist is cf.metric.dist
+        assert space.dist is cf.metric
 
 
 class TestDoubling:
@@ -210,7 +211,7 @@ class TestDoubling:
         # six heavy leaves fail D = 5: pairwise 40 or more apart, far above
         # R = 12, all within 31 of the light leaf 0; light leaves are at
         # most 6 apart, so a fiber with at most four heavy leaves passes
-        metric = StarMetric((1, 20, 25, 30, 20, 25, 30, 2, 1, 2, 3, 1, 2))
+        metric = star_metric((1, 20, 25, 30, 20, 25, 30, 2, 1, 2, 3, 1, 2))
         failing = frozenset(range(8))
         heavy = frozenset(range(1, 7))  # inside failing, fails on its own
         light = frozenset((0, 1, 2, 3, 5))  # inside failing, passes
@@ -220,7 +221,8 @@ class TestDoubling:
             (0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide})
         rep = cf_doubling_report(cf)
         assert rep["ok"] is False and rep["R"] == 12 and rep["fibers"] == 4
-        checks = {key: doubling_check(sorted(f), metric.d, 5, 12)
+        checks = {key: doubling_check(sorted(f), lambda a, b: metric[a][b],
+                                      5, 12)
                   for key, f in cf.fibers.items()}
         assert [key for key in sorted(checks) if not checks[key].ok] == \
             [(0, 1), (0, 2)]
@@ -250,7 +252,7 @@ class TestDoubling:
 class TestCoverCf:
     def test_diameter_cover_partitions(self):
         g, sub, cf = tree_cf(9)
-        diam = max(dv for row in cf.metric.dist.values()
+        diam = max(dv for row in cf.metric.values()
                    for dv in row.values() if dv is not INF)
         cov = cover_cf(cf_pair_space(cf), diam)
         assert cov.order == 0
@@ -312,9 +314,9 @@ class TestPullback:
         v0 = sub.midpoint_of_edge[(0, 1)]
         xi = sub.midpoint_of_edge[(3, 4)]  # antipodal midpoint: two flow lines
         e = cf.group.identity
-        dag = cf.index.dag(v0, xi)
-        layer1 = [v for v in dag.layer
-                  if dag.layer[v] == 2 and sub.is_midpoint(v)]
+        idx = cf.index
+        layer1 = [v for v in idx.geodesic_vertex_set(v0, xi)
+                  if idx.d(v0, v) == 2 and sub.is_midpoint(v)]
         assert len(layer1) == 2
         taken = layer1[0]
         member = CoverMember(

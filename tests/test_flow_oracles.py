@@ -20,7 +20,7 @@ from coarsecover.angles import angle_set_from_triples, k_fold_sum
 from coarsecover.flow import build_cf_theta, cf_doubling_report
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
-from oracles import StarMetric, cf_doubling_report_brute
+from oracles import cf_doubling_report_brute, star_metric
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -54,7 +54,7 @@ def planted_flow_spaces(draw):
                             max_size=10)):
         base = draw(st.sampled_from(bases))
         fibers[key] = base - draw(st.frozensets(points, max_size=2))
-    return SimpleNamespace(delta_prime=0, fibers=fibers, metric=StarMetric(w))
+    return SimpleNamespace(delta_prime=0, fibers=fibers, metric=star_metric(w))
 
 
 @SETTINGS

@@ -20,9 +20,7 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     canon_edge,
     distance_matrix,
-    enumerate_geodesics,
     geodesic_counts,
-    geodesic_dag,
     make_graph,
     slimness_constant,
 )
@@ -99,10 +97,10 @@ def test_slimness_on_subdivision_matches_brute(g):
 
 
 def _check_geodesic_turns(g, sub=None):
-    """geodesic_turns against the turns read off every enumerated geodesic,
-    each with the canonical angle of its two original edges, in (w, p, s)
-    order.  No yielded angle has equal far ends, and a disconnected pair
-    raises ValueError."""
+    """geodesic_turns against the turns read off every geodesic that the
+    exhaustive DFS all_simple_shortest_paths finds, each with the canonical
+    angle of its two original edges, in (w, p, s) order.  No yielded angle
+    has equal far ends, and a disconnected pair raises ValueError."""
     if sub is None:
         graph = g
 
@@ -121,9 +119,8 @@ def _check_geodesic_turns(g, sub=None):
                 with pytest.raises(ValueError):
                     list(geodesic_turns(index, sub, u, v))
                 continue
-            dag = geodesic_dag(graph, u, v, dist)
             want = set()
-            for path in enumerate_geodesics(dag, 10 ** 5):
+            for path in all_simple_shortest_paths(graph, u, v):
                 for p, w, s in zip(path, path[1:], path[2:]):
                     if sub is None or not sub.is_midpoint(w):
                         (x,), (y,) = set(step(p, w)) - {w}, set(step(w, s)) - {w}

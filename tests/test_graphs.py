@@ -16,6 +16,7 @@ from coarsecover.corpus import (
 from coarsecover.graphs import (
     INF,
     CapExceeded,
+    GeodesicIndex,
     GraphFormatError,
     barycentric_subdivision,
     circuits_through_edge,
@@ -112,35 +113,32 @@ class TestDistances:
 
 class TestGeodesicDag:
     def test_square_two_paths(self):
-        dag = geodesic_dag(cycle_graph(4), 0, 2)
-        assert enumerate_geodesics(dag, 10) == [[0, 1, 2], [0, 3, 2]]
+        index = GeodesicIndex(cycle_graph(4))
+        assert enumerate_geodesics(index, 0, 2, 10) == [[0, 1, 2], [0, 3, 2]]
 
     def test_tree_single_path(self):
         g = random_tree(14, seed=2)
-        d = distance_matrix(g)
-        dag = geodesic_dag(g, 0, 13, d)
-        paths = enumerate_geodesics(dag, 5)
+        paths = enumerate_geodesics(GeodesicIndex(g), 0, 13, 5)
         assert len(paths) == 1
 
     def test_c6_two_geodesics(self):
-        dag = geodesic_dag(cycle_graph(6), 0, 3)
-        got = enumerate_geodesics(dag, 10)
+        got = enumerate_geodesics(GeodesicIndex(cycle_graph(6)), 0, 3, 10)
         assert got == all_simple_shortest_paths(cycle_graph(6), 0, 3)
         assert len(got) == 2
 
     def test_hypercube_six_paths(self):
-        dag = geodesic_dag(hypercube3(), 0, 7)
-        assert len(enumerate_geodesics(dag, 10)) == 6
+        index = GeodesicIndex(hypercube3())
+        assert len(enumerate_geodesics(index, 0, 7, 10)) == 6
 
     def test_cap_exceeded(self):
-        dag = geodesic_dag(hypercube3(), 0, 7)
+        index = GeodesicIndex(hypercube3())
         with pytest.raises(CapExceeded):
-            enumerate_geodesics(dag, 3)
+            enumerate_geodesics(index, 0, 7, 3)
 
     def test_disconnected_raises(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            geodesic_dag(g, 0, 2)
+            geodesic_dag(GeodesicIndex(g), 0, 2)
 
     def test_dag_matches_dfs_oracle(self):
         rng = random.Random(9)
@@ -149,24 +147,24 @@ class TestGeodesicDag:
             edges = {(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.45}
             g = make_graph(n, edges)
-            d = distance_matrix(g)
+            index = GeodesicIndex(g)
+            d = index.dist
             for u in range(n):
                 for v in range(n):
                     if u == v or d[u][v] is INF:
                         continue
-                    dag = geodesic_dag(g, u, v, d)
-                    got = enumerate_geodesics(dag, 10000)
+                    got = enumerate_geodesics(index, u, v, 10000)
                     assert got == all_simple_shortest_paths(g, u, v)
                     for path in got:
                         assert len(path) - 1 == d[u][v]
 
     def test_layer_invariant(self):
         g = wedge_of_cycles(2, 6)
-        d = distance_matrix(g)
-        dag = geodesic_dag(g, 1, 7, d)
-        for u, w in dag.edges():
-            assert dag.layer[w] == dag.layer[u] + 1
-            assert d[w][dag.target] == d[u][dag.target] - 1
+        index = GeodesicIndex(g)
+        d = index.dist
+        for u, w in geodesic_dag(index, 1, 7):
+            assert d[1][w] == d[1][u] + 1
+            assert d[w][7] == d[u][7] - 1
 
     def test_mandatory_vertices(self):
         # w lies on every u-v geodesic exactly when it lies on one and
@@ -282,5 +280,5 @@ class TestDot:
         assert "0 -- 1" in text and "doublecircle" in text
 
     def test_dag_dot(self):
-        text = dag_to_dot(geodesic_dag(cycle_graph(4), 0, 2))
+        text = dag_to_dot(geodesic_dag(GeodesicIndex(cycle_graph(4)), 0, 2))
         assert "0 -> 1" in text and "3 -> 2" in text

@@ -1,8 +1,9 @@
 import pytest
 
 from coarsecover import graphs
-from coarsecover.angles import k_fold_sum, theta3
+from coarsecover.angles import k_fold_sum, lemma_battery, theta3
 from coarsecover.corpus import (
+    battery_graphs,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -107,9 +108,9 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
-    """Turn scans read distance rows: the pipeline under a group and the
-    contraction, through its angle, far and base folds, never build a
-    geodesic DAG."""
+    """Geodesics are read off distance rows: the pipeline under a group,
+    the contraction, through its angle, far and base folds, and the lemma
+    battery on every battery graph never build a geodesic DAG."""
     def refuse(*args):
         raise AssertionError("a geodesic DAG was built")
 
@@ -128,3 +129,5 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
                                     slimness_constant(g).delta)
         cases |= {m.case for m in trace.moves}
     assert cases == {"angle-fold", "far-fold", "base-fold"}
+    for name, g in battery_graphs():
+        assert lemma_battery(g, theta3(g), 200, seed=1).ok, name
