@@ -2,8 +2,8 @@
 
 Modules
 -------
-graphs    finite graphs, distance rows and geodesics, slimness, circuits,
-          subdivision
+graphs    finite graphs, distance rows and geodesics, biconnected blocks,
+          slimness, circuits, subdivision
 symmetry  automorphism groups, word metrics, families, equivariant subsets
 angles    angle sets, corner sizes, chain metrics, the lemma battery
 covers    pair spaces, doubling checks, greedy covers, metric extension
@@ -29,6 +29,7 @@ from .graphs import (
     load_graph,
     make_graph,
     slimness_constant,
+    slimness_delta,
 )
 from .symmetry import (
     GroupModel,

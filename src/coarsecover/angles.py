@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     Subdivision,
+    biconnected_blocks,
     canon_edge,
     circuits_through_edge,
     enumerate_geodesics,
@@ -298,20 +299,40 @@ def theta3(base, index: GeodesicIndex = None,
 
     For a subdivision, apexes run over original vertices and corners over
     all subdivision vertices; the returned set pairs original edges.
+    pair_cap bounds the corner pairs of the whole graph.
+
+    The set is the union over the biconnected blocks of at least 3
+    vertices, each block measured on the global rows cut down to it (a
+    block of a subdivision is the subdivision of a block of the original
+    graph).  If the first steps from apex v toward corners p and q go into
+    different blocks, v is a cut vertex on every p-q geodesic and makes no
+    angle.  If both go into block B, the p-q geodesics pass the gates of p
+    and q in B and the counts sigma factor through them, so they avoid v
+    exactly when the geodesics between the gates do.  A bridge makes no
+    angle, but a triangle does.  This is an argument, not a proof; the
+    oracle tests check it against full geodesic enumeration on blocks
+    glued at cut vertices.
     """
     if isinstance(base, Subdivision):
         sub, g, original = base, base.graph, base.original
-        apexes = [v for v in g.vertices if not base.is_midpoint(v)]
     else:
         sub, g, original = None, base, base
-        apexes = list(g.vertices)
-    if index is None:
-        index = GeodesicIndex(g)
-    dist = index.dist
-    corners = list(g.vertices)
-    if len(corners) * len(corners) > pair_cap:
+    if g.vertex_count * g.vertex_count > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
+    blocks = [b for b in biconnected_blocks(original) if len(b[0]) >= 3]
+    if blocks and index is None:
+        index = GeodesicIndex(g)
+    result = set()
+    for vs, es in blocks:
+        corners = vs if sub is None else sorted(
+            vs + [sub.midpoint_of_edge[e] for e in es])
+        result |= _corner_angles(sub, g, index.dist, vs, corners)
+    return AngleSet(original, frozenset(result))
 
+
+def _corner_angles(sub, g, dist, apexes, corners):
+    """theta3's angles at the apexes of one block, with corners its
+    vertices in g."""
     # The first steps from v toward p, as the far ends of original edges.
     # Equal sets are one object, so they compare by identity.
     far_ends = {v: [(w, far_end(sub, v, w)) for w in g.neighbors(v)]
@@ -319,30 +340,27 @@ def theta3(base, index: GeodesicIndex = None,
     interned = {}
 
     def first_steps(v, p):
-        if dist[v][p] is INF:
-            return frozenset()
         d = dist[v][p] - 1
         steps = frozenset(x for w, x in far_ends[v] if dist[w][p] == d)
         return interned.setdefault(steps, steps)
 
     # The third side p-q avoids v unless v lies on every p-q geodesic, that
-    # is d(p,v) + d(v,q) = d(p,q) and sigma(p,v) * sigma(v,q) = sigma(p,q)
-    # (a q outside p's component passes too, as inf = inf and 0 = 0).  Per
-    # apex the test runs over the rows cut down to the corners, and the
+    # is d(p,v) + d(v,q) = d(p,q) and sigma(p,v) * sigma(v,q) = sigma(p,q).
+    # Per apex the test runs over the rows cut down to the corners, and the
     # corners are grouped by their first steps: each pair of groups counts
     # once, and a single first step paired with itself makes no angle.
-    sigma = geodesic_counts(g, dist)
-    dist_c = [[row[q] for q in corners] for row in dist]
-    sigma_c = [[row[q] for q in corners] for row in sigma]
+    sigma = geodesic_counts(g, dist, corners)
+    dist_c = {v: [dist[v][q] for q in corners] for v in corners}
+    sigma_c = {v: [sigma[v][q] for q in corners] for v in corners}
     result = set()
     for v in apexes:
         dv, dv_c, sv_c = dist[v], dist_c[v], sigma_c[v]
         steps = [first_steps(v, q) for q in corners]
         groups = set()
         for i, p in enumerate(corners):
-            dpv, spv = dv[p], sigma[p][v]
-            if p == v or dpv is INF:
+            if p == v:
                 continue
+            dpv, spv = dv[p], sigma[p][v]
             own = steps[i]
             bare = own if len(own) == 1 else None
             groups.update((own, s) for s in {s for s, a, b, x, y in zip(
@@ -353,7 +371,7 @@ def theta3(base, index: GeodesicIndex = None,
                 for y in s2:
                     if x != y:
                         result.add(canonical_angle(x, v, y))
-    return AngleSet(original, frozenset(result))
+    return result
 
 
 def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dict:

@@ -43,6 +43,7 @@ from .graphs import (
     load_graph,
     parse_document,
     slimness_constant,
+    slimness_delta,
 )
 from .pipeline import PipelineError, build_instance, cover_to_document, \
     report_json, run_pipeline
@@ -363,7 +364,7 @@ def cmd_rips(args):
         _emit(args, "homology", {"betti": list(betti)})
         return 0
     if args.rips_cmd == "contract":
-        delta = slimness_constant(g, index.dist).delta
+        delta = slimness_delta(g, index.dist)
         trace = contract_subcomplex(sorted(g.vertices), g, args.d, theta,
                                     delta, index=index)
         _emit(args, "trace", {

@@ -212,22 +212,27 @@ def distance_matrix(g: Graph):
     return [_bfs(g, s) for s in g.vertices]
 
 
-def geodesic_counts(g: Graph, dist):
+def geodesic_counts(g: Graph, dist, vertices=None):
     """sigma[s][w]: the number of s-w geodesics (0 when disconnected).
 
     One pass per source in BFS order sums the counts of the predecessors
     (Brandes, J. Math. Sociol. 25, 2001); counts are exact integers.
+    Given vertices, a block of g, only the rows and entries of its
+    vertices are counted, and the other rows are None: a geodesic between
+    two vertices of a block stays in the block, so every predecessor of w
+    toward s is in it.
     """
-    sigma = []
-    for s in g.vertices:
+    vs = g.vertices if vertices is None else vertices
+    sigma = [None] * g.vertex_count
+    for s in vs:
         ds = dist[s]
         row = [0] * g.vertex_count
         row[s] = 1
-        for w in sorted((w for w in g.vertices if ds[w] is not INF),
+        for w in sorted((w for w in vs if ds[w] is not INF),
                         key=ds.__getitem__)[1:]:
             dw = ds[w] - 1
             row[w] = sum(row[u] for u in g.neighbors(w) if ds[u] == dw)
-        sigma.append(row)
+        sigma[s] = row
     return sigma
 
 
@@ -332,6 +337,134 @@ def _maximin_columns(g: Graph, dist, x):
     return [array("H", col) for col in zip(*best)]
 
 
+class _DefectScan:
+    """The slimness defects of one connected graph, read off its maximin
+    columns.
+
+    The defect of v on side p-q of the triangle p, q, r is
+    min(m(p,r)[v], m(q,r)[v]): how far v stays from the adversarial sides
+    p-r and q-r.  Sets of third corners r are byte masks, byte r 0 or 1.
+    A defect on side p-q is at most d(p,q) // 2, so both scans take the
+    sides longest first and end at the first side too short to matter.
+    """
+
+    def __init__(self, g: Graph, dist):
+        n = self.n = g.vertex_count
+        self.dist = dist
+        self.cols = [_maximin_columns(g, dist, x) for x in range(n)]
+        self.corner = [1 << 8 * r for r in range(n)]
+        self.pairs = sorted(combinations(range(n), 2),
+                            key=lambda pq: -dist[pq[0]][pq[1]])
+
+    def above(self, t):
+        # byte r of above(t)[x][v] is 1 iff m(x, r)[v] > t
+        return [[int.from_bytes(bytes(map(t.__lt__, col)), "little")
+                 for col in xcols] for xcols in self.cols]
+
+    def side(self, p, q):
+        dp, dq = self.dist[p], self.dist[q]
+        return compress(range(self.n),
+                        map(eq, map(add, dp, dq), repeat(dp[q])))
+
+    def thirds(self, masks, p, q):
+        # the corners r for which some v on side p-q has a defect above the
+        # masks' threshold
+        mp, mq = masks[p], masks[q]
+        found = 0
+        for v in self.side(p, q):
+            found |= mp[v] & mq[v]
+        found &= ~(self.corner[p] | self.corner[q])
+        return [r for r in range(self.n) if found >> 8 * r & 1] if found else []
+
+    def delta(self, floor=0):
+        """The largest defect, or floor if no defect exceeds it."""
+        delta = floor
+        masks = self.above(delta)
+        for p, q in self.pairs:
+            if self.dist[p][q] <= 2 * delta + 1:
+                break
+            rs = self.thirds(masks, p, q)
+            if rs:
+                cp, cq = self.cols[p], self.cols[q]
+                delta = max(min(cp[v][r], cq[v][r])
+                            for v in self.side(p, q) for r in rs)
+                masks = self.above(delta)
+        return delta
+
+    def witness(self, delta):
+        """The least triple, in combinations order, with a side of defect
+        delta (the largest defect, at least 1); for one side p < q, the
+        least such triple has the least third corner."""
+        masks = self.above(delta - 1)
+        witness = None
+        for p, q in self.pairs:
+            if self.dist[p][q] < 2 * delta:
+                break
+            rs = self.thirds(masks, p, q)
+            if rs:
+                tri = tuple(sorted((p, q, rs[0])))
+                if witness is None or tri < witness:
+                    witness = tri
+        return witness
+
+
+def biconnected_blocks(g: Graph):
+    """The biconnected blocks of g, each as (vertices, edges) with the
+    vertices sorted and the edges canonical, in no fixed block order.  A
+    block is the subgraph its vertices induce; bridges are the 2-vertex
+    blocks, and an isolated vertex lies in none."""
+    # networkx loads with rips, after this module; loaded here first, it
+    # stays resident while the rest of the package compiles, which raises
+    # the peak RSS of a run from source by about 1.5 MB
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_edges_from(g.edges)
+    blocks = []
+    for es in nx.biconnected_component_edges(nxg):
+        es = [canon_edge(u, v) for u, v in es]
+        blocks.append((sorted({v for e in es for v in e}), es))
+    return blocks
+
+
+def _block_scans(g: Graph, dist):
+    """(dist, scans): a defect scan per block of more than 3 vertices,
+    largest first, on the block relabelled 0..k-1 with the distance rows
+    cut down to it; the rows are computed only if some block needs them.
+    A block of at most 3 vertices is an edge or a triangle, and has
+    slimness 0."""
+    if not g.is_connected():
+        raise ValueError("slimness requires a connected graph")
+    blocks = sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
+                    key=lambda b: -len(b[0]))
+    if blocks and dist is None:
+        dist = distance_matrix(g)
+    scans = []
+    for vs, es in blocks:
+        if len(vs) == g.vertex_count:
+            scans.append(_DefectScan(g, dist))
+            continue
+        local = {v: i for i, v in enumerate(vs)}
+        scans.append(_DefectScan(
+            make_graph(len(vs), [(local[u], local[v]) for u, v in es]),
+            [[dist[u][v] for v in vs] for u in vs]))
+    return dist, scans
+
+
+def _largest_defect(scans):
+    delta = 0
+    for scan in scans:
+        delta = scan.delta(delta)
+    return delta
+
+
+def slimness_delta(g: Graph, dist=None) -> int:
+    """The slimness constant of slimness_constant, without its witness:
+    the largest delta of the blocks of more than 3 vertices, and 0 if
+    there are none (see slimness_constant for why blocks suffice)."""
+    return _largest_defect(_block_scans(g, dist)[1])
+
+
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     """Minimal delta such that every geodesic triangle is delta-slim.
 
@@ -339,67 +472,22 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     geodesics maximizing the slimness defect are taken into account, so the
     result bounds all geodesic triangles of the graph.  The witness is the
     first triple, in combinations order, whose defect is delta.
+
+    delta is the largest delta of the biconnected blocks.  Every geodesic
+    between two vertices of a block stays in the block, so a block is an
+    isometric subgraph with the global distances, and a geodesic triangle
+    splits into a tripod along the block tree plus one triangle or bigon
+    in each block it crosses.  This is an argument, not a proof; the
+    oracle tests check it against full geodesic enumeration on blocks
+    glued at cut vertices.  The witness can span blocks, so it comes from
+    one scan of the whole graph at the known delta.
     """
-    if not g.is_connected():
-        raise ValueError("slimness requires a connected graph")
-    if dist is None:
-        dist = distance_matrix(g)
-    # The defect of v on side p-q of the triangle p, q, r is
-    # min(m(p,r)[v], m(q,r)[v]): how far v stays from the adversarial sides
-    # p-r and q-r.  Sets of third corners r are byte masks, byte r 0 or 1.
-    n = g.vertex_count
-    cols = [_maximin_columns(g, dist, x) for x in range(n)]
-    corner = [1 << 8 * r for r in range(n)]
-
-    def above(t):
-        # byte r of above(t)[x][v] is 1 iff m(x, r)[v] > t
-        return [[int.from_bytes(bytes(map(t.__lt__, col)), "little")
-                 for col in xcols] for xcols in cols]
-
-    def side(p, q):
-        dp, dq = dist[p], dist[q]
-        return compress(range(n), map(eq, map(add, dp, dq), repeat(dp[q])))
-
-    def thirds(masks, p, q):
-        # the corners r for which some v on side p-q has a defect above the
-        # masks' threshold
-        mp, mq = masks[p], masks[q]
-        found = 0
-        for v in side(p, q):
-            found |= mp[v] & mq[v]
-        found &= ~(corner[p] | corner[q])
-        return [r for r in range(n) if found >> 8 * r & 1] if found else []
-
-    # A defect on side p-q is at most d(p,q) // 2: sides are taken longest
-    # first, and the scan ends at the first side too short to raise delta.
-    pairs = sorted(combinations(range(n), 2),
-                   key=lambda pq: -dist[pq[0]][pq[1]])
-    delta = 0
-    masks = above(delta)
-    for p, q in pairs:
-        if dist[p][q] <= 2 * delta + 1:
-            break
-        rs = thirds(masks, p, q)
-        if rs:
-            cp, cq = cols[p], cols[q]
-            delta = max(min(cp[v][r], cq[v][r])
-                        for v in side(p, q) for r in rs)
-            masks = above(delta)
+    dist, scans = _block_scans(g, dist)
+    delta = _largest_defect(scans)
     if delta == 0:
         return SlimnessReport(0, (0, 0, 0))
-    # The witness is the least triple with a side of defect delta; for one
-    # side p < q, the least such triple has the least third corner.
-    masks = above(delta - 1)
-    witness = None
-    for p, q in pairs:
-        if dist[p][q] < 2 * delta:
-            break
-        rs = thirds(masks, p, q)
-        if rs:
-            tri = tuple(sorted((p, q, rs[0])))
-            if witness is None or tri < witness:
-                witness = tri
-    return SlimnessReport(delta, witness)
+    whole = scans[0] if scans[0].n == g.vertex_count else _DefectScan(g, dist)
+    return SlimnessReport(delta, whole.witness(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,16 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             theta3(C6, pair_cap=4)
 
+    def test_theta3_pair_cap_counts_every_corner(self):
+        # every block of a path is a bridge and makes no angle, but the cap
+        # still counts all 9 * 9 corner pairs of the subdivided P5
+        import pytest
+        from coarsecover.graphs import CapExceeded, barycentric_subdivision
+        sub = barycentric_subdivision(path_graph(5))
+        with pytest.raises(CapExceeded):
+            theta3(sub, pair_cap=80)
+        assert len(theta3(sub, pair_cap=81)) == 0
+
     def test_subdivision_matches_direct_brute(self):
         # run the raw triangle oracle on the subdivided graph itself, keep
         # apexes at original vertices, translate midpoints back to edges

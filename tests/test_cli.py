@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ import pytest
 
 import coarsecover
 from coarsecover.cli import main
-from coarsecover.corpus import cycle_graph, grid_graph, path_graph, spider, \
-    spider_rotation
-from coarsecover.graphs import graph_to_document, make_graph
+from coarsecover.corpus import barbell, cycle_graph, grid_graph, path_graph, \
+    spider, spider_rotation
+from coarsecover.graphs import biconnected_blocks, graph_to_document, \
+    make_graph
 
 
 @pytest.fixture
@@ -119,6 +121,63 @@ def test_negative_flag_is_usage_error(tmp_graph, capsys, argv, flag):
                         capsys)
     assert code == 2
     assert flag + " must be a nonnegative integer" in json.loads(out)["error"]
+
+
+def _c5_k4_path():
+    """Edge 0-1, a C5 on 2..6 hanging at 1 and a K4 on 7..10 at 0."""
+    k4 = [(u, v) for u in range(7, 11) for v in range(u + 1, 11)]
+    return make_graph(11, [(0, 1), (1, 2), (0, 7)] + k4
+                      + [(2 + i, 2 + (i + 1) % 5) for i in range(5)])
+
+
+MULTI_BLOCK = {
+    "barbell8-6": (barbell(8, 6), 8),
+    "c5-k4-path": (_c5_k4_path(), 6),
+}
+
+# sha256 of the stdout of analyze and of rips contract, and analyze's
+# delta and witness triangle
+PINS = {
+    "barbell8-6": (
+        "06e064f263ffa6961103c5ee072c4e4d51cd5a234ff1545694d9a42b99218041",
+        "4241a50ec439cbf4c5c070f0d3f7c94ef92212f83cf08a46a8411c013a1e76a6",
+        2, [0, 1, 4]),
+    "c5-k4-path": (
+        "701dc9871ee1513cb6470e52c2b9b3ca818c8dd680781c3a74b7aceee0aa09df",
+        "ccf8aa7f7d8f2bd75728baf0287572809c36a17fec1662b6e71c9c1e75df2531",
+        1, [0, 3, 5]),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestMultiBlockPins:
+    """analyze and rips contract on graphs of several blocks, pinned byte
+    for byte to the output of the whole-graph slimness and corner scans."""
+
+    @pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+    def test_analyze(self, tmp_graph, capsys, name):
+        g, _ = MULTI_BLOCK[name]
+        sha, _, delta, witness = PINS[name]
+        code, out = run_cli(["analyze", "--graph", tmp_graph(g)], capsys)
+        data = json.loads(out)
+        assert (code, data["delta"], data["witness_triangle"]) \
+            == (0, delta, witness)
+        assert _sha(out) == sha
+
+    def test_a_witness_spans_two_blocks(self):
+        g, _ = MULTI_BLOCK["c5-k4-path"]
+        witness = set(PINS["c5-k4-path"][3])
+        assert not any(witness <= set(vs) for vs, _ in biconnected_blocks(g))
+
+    @pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+    def test_rips_contract(self, tmp_graph, capsys, name):
+        g, d = MULTI_BLOCK[name]
+        code, out = run_cli(["rips", "contract", "--graph", tmp_graph(g),
+                             "--d", str(d)], capsys)
+        assert (code, _sha(out)) == (0, PINS[name][1])
 
 
 class TestPipelineCommand:

@@ -23,6 +23,7 @@ from coarsecover.graphs import (
     geodesic_counts,
     make_graph,
     slimness_constant,
+    slimness_delta,
 )
 from coarsecover.rips import SmallPairRelation
 from oracles import (
@@ -94,6 +95,49 @@ def test_slimness_matches_brute(g):
 @given(graphs(max_n=6, max_extra=4, connected=True))
 def test_slimness_on_subdivision_matches_brute(g):
     _check_slimness(barycentric_subdivision(g).graph)
+
+
+@st.composite
+def glued_blocks(draw, max_blocks=5, max_size=6):
+    """2 to max_blocks random blocks of 3 to max_size vertices, each a
+    cycle through its vertices plus random chords (triangles and K4 among
+    them).  Each block after the first hangs at a vertex drawn from the
+    graph so far, glued there or joined to it by a path of 1 or 2 edges;
+    the labels are shuffled, so cut vertices and block vertices mix."""
+    n, edges = 1, []
+    for k in range(draw(st.integers(2, max_blocks))):
+        size = draw(st.integers(3, max_size))
+        at = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(0, 2)) if k else 0):
+            edges.append((at, n))
+            at, n = n, n + 1
+        vs = [at] + list(range(n, n + size - 1))
+        n += size - 1
+        edges += [(vs[i - 1], vs[i]) for i in range(size)]
+        chords = [(vs[i], vs[j]) for i, j in combinations(range(size), 2)
+                  if 1 < j - i < size - 1]
+        if chords:
+            edges += draw(st.sets(st.sampled_from(chords)))
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=20, deadline=None)
+@given(glued_blocks())
+def test_glued_blocks_match_brute(g):
+    """Slimness is the largest delta of the blocks, and the corner size is
+    the union over the blocks of at least 3 vertices, triangles included;
+    the witness triple may span blocks."""
+    assert theta3(g).nontrivial == theta3_brute(g)
+    _check_slimness(g)
+    assert slimness_delta(g) == slimness_constant(g).delta
+
+
+@settings(max_examples=25, deadline=None)
+@given(glued_blocks(max_blocks=3, max_size=4))
+def test_glued_blocks_on_subdivision_match_brute(g):
+    sub = barycentric_subdivision(g)
+    assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
 
 
 def _check_geodesic_turns(g, sub=None):

@@ -24,6 +24,8 @@ ALLOWED = {
     "CoverReport.long": "a verdict of verify_cover, folded into ok",
     "CoverReport.invariant": "a verdict of verify_cover, folded into ok",
     "CoverReport.f_subsets": "a verdict of verify_cover, folded into ok",
+    "CoverReport.order": "the recounted order of verify_cover, compared "
+                         "with cover.order",
 }
 
 

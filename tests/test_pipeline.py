@@ -14,7 +14,9 @@ from coarsecover.corpus import (
     spider_rotation,
 )
 from coarsecover.covers import PairSpace, wide_failures
-from coarsecover.graphs import GeodesicIndex, make_graph, slimness_constant
+from coarsecover.flow import build_cf_theta
+from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
+    make_graph, slimness_constant, slimness_delta
 from coarsecover.pipeline import PipelineError, run_pipeline
 from coarsecover.rips import contract_subcomplex
 
@@ -131,3 +133,27 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
     assert cases == {"angle-fold", "far-fold", "base-fold"}
     for name, g in battery_graphs():
         assert lemma_battery(g, theta3(g), 200, seed=1).ok, name
+
+
+def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
+    """Slimness is measured block by block: on a tree the pipeline and the
+    flow space's slimness fallback compute no maximin column, and on a K4
+    glued to a long path the delta-only entry computes one per K4
+    vertex, on the K4 alone."""
+    columns = []
+    maximin_columns = graphs._maximin_columns
+
+    def spy(g, dist, x):
+        columns.append((g.vertex_count, x))
+        return maximin_columns(g, dist, x)
+
+    monkeypatch.setattr(graphs, "_maximin_columns", spy)
+    tree = random_tree(24, 5)
+    assert run_pipeline(tree).ok
+    sub = barycentric_subdivision(tree)
+    build_cf_theta(sub, k_fold_sum(theta3(sub), 2), sub.ve_vertices()[::6])
+    assert columns == []
+    k4_path = make_graph(24, [(u, v) for u in range(4) for v in range(u)]
+                         + [(v, v + 1) for v in range(3, 23)])
+    assert slimness_delta(k4_path) == 0
+    assert columns == [(4, x) for x in range(4)]
