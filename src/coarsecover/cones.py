@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, geodesic_angles, \
     geodesic_turns, k_fold_sum, small_steps
-from .covers import Cover, CoverMember, cover_order, wide_failures
+from .covers import Cover, CoverMember, cover_order, slices_of, wide_failures
 from .symmetry import GroupModel
 
 if TYPE_CHECKING:
@@ -141,7 +141,7 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
     index, sub_group = inst.index, inst.sub_group
     oracle = SmallnessOracle(inst.sub, theta_out)
     uncovered = set(wide_failures(
-        [c.members for c in cones], sub_group, alpha,
+        [slices_of(c.members) for c in cones], sub_group, alpha,
         [(ge, xi) for ge in sub_group.elements for xi in xi_set]))
     failures = []
     clause_counts = {"cone": 0, "small-geodesic": 0}
@@ -168,11 +168,12 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
 
 
 def cone_sets_as_cover(cones, sub_group: GroupModel, domain) -> Cover:
+    """The cone sets as cover members, slices with z = xi and v = g."""
     members = []
     for c in cones:
         stab = frozenset(p for p in sub_group.elements if p[c.apex] == c.apex)
-        members.append(CoverMember(c.members, stab, True))
-    order = cover_order([m.points for m in members], domain)
+        members.append(CoverMember(slices_of(c.members), stab, True))
+    order = cover_order([m.slices for m in members], slices_of(domain))
     return Cover(tuple(members), None, order)
 
 
@@ -185,5 +186,5 @@ def combined_cover(cone_cover_obj: Cover, flow_pullback: Cover,
     built over the same group, base vertex and word scale.
     """
     members = tuple(cone_cover_obj.members) + tuple(flow_pullback.members)
-    order = cover_order([m.points for m in members], domain)
+    order = cover_order([m.slices for m in members], slices_of(domain))
     return Cover(members, flow_pullback.alpha, order)

@@ -4,7 +4,9 @@ The ambient object is a PairSpace: a finite metric set of v-points (metric
 may take the value infinity), a finite discrete set of z-points, and a set
 of admitted (v, z) pairs invariant under a finite group acting diagonally.
 The pairs are stored once, as the z-fibers V_z: each z-point maps to the
-v-points admitted over it.
+v-points admitted over it.  A cover member has the same shape: its slices
+map each z-point it meets to its v-set over that point, so the cover is
+built, counted and verified slice by slice, one z-point at a time.
 
 Because Z is finite and discrete, closures and boundaries are trivial and
 the greedy construction needs a single induction step: subtract earlier
@@ -23,6 +25,8 @@ from .graphs import INF, make_graph
 from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
     is_subgroup, set_orbit, subgroup_generated, trivial_group
 
+_EMPTY = frozenset()
+
 
 @dataclass(frozen=True)
 class PairSpace:
@@ -36,25 +40,69 @@ class PairSpace:
     act_v: dict  # p -> its map on v-points, indexed by v-point
     act_z: dict  # p -> {z: p z}
 
-    @property
-    def pairs(self):
-        """The admitted pairs (v, z), read off the fibers."""
-        return frozenset(_points(self))
-
     def d(self, a, b):
         return self.dist[a][b]
 
-    def translate(self, p, points):
-        """p applied to a set of pairs; the identity returns it unchanged."""
-        if p == self.group.identity:
-            return frozenset(points)
-        av, az = self.act_v[p], self.act_z[p]
-        return frozenset((av[v], az[z]) for v, z in points)
+
+class Slices(dict):
+    """A set of pairs (v, z) as its slices {z: nonempty frozenset of v}.
+
+    Hashable, so it must not change once in use; equal slices are equal
+    pair sets.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
 
 
-def _points(space: PairSpace):
-    """The pairs (v, z) of the space, fiber by fiber."""
-    return ((v, z) for z, fiber in space.fibers.items() for v in fiber)
+def slices_of(pairs) -> Slices:
+    """The slices of a collection of pairs (v, z)."""
+    over = {}
+    for v, z in pairs:
+        over.setdefault(z, set()).add(v)
+    return Slices((z, frozenset(vs)) for z, vs in over.items())
+
+
+def _translator(space: PairSpace):
+    """A function applying a group element to slices; it maps each v-set
+    once per element, so translates of slices sharing a v-set share its
+    image."""
+    identity, act_v, act_z = space.group.identity, space.act_v, space.act_z
+    images = {}  # p -> {v-set: its image under p}
+
+    def translate(p, slices):
+        if p == identity:
+            return slices
+        image = images.setdefault(p, {})
+        av, az = act_v[p], act_z[p]
+        out = Slices()
+        for z, vs in slices.items():
+            ws = image.get(vs)
+            if ws is None:
+                ws = image[vs] = frozenset([av[v] for v in vs])
+            out[az[z]] = ws
+        return out
+
+    return translate
+
+
+def _z_fibers(space: PairSpace):
+    """Z_v for every admitted v-point: the z-points over it, read off one
+    pass over the distinct fibers V_z."""
+    classes = {}  # V_z -> the z-points it lies over
+    for z, fiber in space.fibers.items():
+        classes.setdefault(fiber, []).append(z)
+    z_over = {}
+    for fiber, zs in classes.items():
+        for v in fiber:
+            z_over.setdefault(v, set()).update(zs)
+    return z_over
 
 
 def _check_generators(G: GroupModel):
@@ -202,9 +250,14 @@ def minimal_doubling_radius(points, dist_fn, D):
 
 @dataclass(frozen=True)
 class CoverMember:
-    points: frozenset
+    slices: Slices  # z -> the member's v-set over z
     stabilizer: frozenset
     orbit_rep: bool
+
+    @property
+    def points(self):
+        """The member's pairs (v, z), derived from its slices."""
+        return frozenset((v, z) for z, vs in self.slices.items() for v in vs)
 
 
 @dataclass(frozen=True)
@@ -213,33 +266,56 @@ class Cover:
     alpha: float
     order: int
 
-    def member_sets(self):
-        return [m.points for m in self.members]
+    def member_slices(self):
+        return [m.slices for m in self.members]
 
     def __len__(self):
         return len(self.members)
 
 
-def cover_order(member_sets, domain_points) -> int:
-    """The most members sharing one domain point, less one (-1 when the
-    domain is empty)."""
+def _fiber_classes(member_slices, fibers):
+    """The z-points of fibers grouped by their key: V_z with the members'
+    slices over z, in member order.  Order and longness over z depend on
+    the key alone."""
+    held = {}  # z -> the members' slices over z
+    for slices in member_slices:
+        for z, vs in slices.items():
+            held.setdefault(z, []).append(vs)
+    classes = {}
+    for z, fiber in fibers.items():
+        classes.setdefault((fiber, tuple(held.get(z, ()))), []).append(z)
+    return classes
+
+
+def _fiber_order(fiber, held):
+    """The most of the slices held sharing one point of the fiber, less
+    one."""
     counts = Counter()
-    for m in member_sets:
-        counts.update(m)
-    return max((counts[x] for x in domain_points), default=0) - 1
+    for vs in held:
+        counts.update(vs)
+    return max((counts[v] for v in fiber), default=0) - 1
 
 
-def wide_failures(member_sets, group: GroupModel, alpha, pairs):
+def cover_order(member_slices, fibers) -> int:
+    """The most members sharing one point of the domain, less one (-1 when
+    the domain is empty); the domain is given by its fibers
+    {z: frozenset of v}, and the count is made once per fiber class."""
+    return max((_fiber_order(*key) for key in _fiber_classes(member_slices,
+                                                             fibers)),
+               default=-1)
+
+
+def wide_failures(member_slices, group: GroupModel, alpha, pairs):
     """Yield, in input order, each pair (g, x) whose ball slice
     {(h, x) : h in group.ball(alpha, center=g)} no member holds: the pairs
     at which the members fail to be alpha-wide.  Each ball is computed
-    once per call."""
+    once per call and tested against the members' slices over x."""
     balls = {}
     for g, x in pairs:
         if g not in balls:
-            balls[g] = group.ball(alpha, center=g)
-        need = {(h, x) for h in balls[g]}
-        if not any(need <= m for m in member_sets):
+            balls[g] = frozenset(group.ball(alpha, center=g))
+        ball = balls[g]
+        if not any(ball <= slices.get(x, _EMPTY) for slices in member_slices):
             yield g, x
 
 
@@ -254,36 +330,16 @@ class BasisError(ValueError):
     pass
 
 
-def default_basis(space: PairSpace):
-    """One triple per orbit of admitted pairs: a singleton z-set with the
-    stabilizer of the z-point.  Always satisfies the separation condition."""
-    seen = set()
-    triples = []
-    for pair in sorted(space.pairs):
-        if pair in seen:
-            continue
-        v, z = pair
-        seen |= {(space.act_v[p][v], space.act_z[p][z])
-                 for p in space.group.elements}
-        stab = frozenset(p for p in space.group.elements
-                         if space.act_z[p][z] == z)
-        triples.append(BasisTriple(v, frozenset([z]), stab))
-    return triples
-
-
 def fiber_basis(space: PairSpace, alpha):
     """One triple per orbit of v-points carrying the full z-fiber.
 
     The annotated subgroup is generated by every element moving the v-point
     at most 4*alpha while overlapping the fiber, which is exactly what the
-    separation condition requires.  Coarser in the z-direction than the
-    default basis, which pullbacks along flows need.  The z-fibers Z_v
-    come from one pass over the fibers V_z.
+    separation condition requires.  Coarser in the z-direction than one
+    triple per orbit of pairs, which pullbacks along flows need.  The
+    z-fibers Z_v come from one pass over the distinct fibers V_z.
     """
-    z_over = {}  # v -> Z_v, the z-points admitted over v
-    for z, vs in space.fibers.items():
-        for v in vs:
-            z_over.setdefault(v, set()).add(z)
+    z_over = _z_fibers(space)
     seen = set()
     triples = []
     for v in sorted(space.v_points):
@@ -314,18 +370,21 @@ def _sifted_generators(G: GroupModel, H):
 
 def _saturate(space: PairSpace, core, gens):
     """The union of the translates a.core over the subgroup generated by
-    gens: core closed point by point under gens."""
+    gens: core closed under gens, a batch of new v-points over one z-point
+    at a time, returned as slices."""
     if not gens:
         return core
     acts = [(space.act_v[s], space.act_z[s]) for s in gens]
-    out, queue = set(core), list(core)
-    for v, z in queue:  # the queue grows while it is walked
+    out = {z: set(vs) for z, vs in core.items()}
+    queue = list(core.items())
+    for z, vs in queue:  # the queue grows while it is walked
         for av, az in acts:
-            x = (av[v], az[z])
-            if x not in out:
-                out.add(x)
-                queue.append(x)
-    return frozenset(out)
+            over = out.setdefault(az[z], set())
+            new = {av[v] for v in vs} - over
+            if new:
+                over |= new
+                queue.append((az[z], new))
+    return Slices((z, frozenset(vs)) for z, vs in out.items())
 
 
 def _check_alpha(alpha):
@@ -335,13 +394,14 @@ def _check_alpha(alpha):
         raise ValueError("alpha must be nonnegative, got %r" % (alpha,))
 
 
-def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
+def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     """The packing-driven equivariant cover of the pair set.
 
     Basis z-sets are subtracted along earlier nearby translates, fattened to
     closed 2*alpha balls in the v-direction, intersected with the pair set
     and saturated.  Determinism: ties follow basis order and sorted group
-    elements.
+    elements.  A core slice V_z & ball(v_i, 2*alpha) depends on V_z only,
+    so it is built once per distinct fiber and basis point and shared.
 
     Each saturated set contributes its orbit, walked along the generators
     (which must generate the group); orbits are equal or disjoint.  The
@@ -351,12 +411,11 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
     _check_alpha(alpha)
     G = space.group
     _check_generators(G)
-    act_v, act_z = space.act_v, space.act_z
-    if basis is None:
-        basis = default_basis(space)
+    act_v, act_z, identity = space.act_v, space.act_z, G.identity
+    z_over = _z_fibers(space)
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not all(t.v in space.fibers.get(z, ()) for z in t.zset):
+        if not t.zset <= z_over.get(t.v, _EMPTY):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -369,14 +428,14 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
     # precondition: translated basis blocks cover every fiber
-    covered = {}  # z -> the v-points the translated blocks put over z
+    covered = {}  # v -> the z-points the translated blocks put v over
     for t in basis:
         for p in G.elements:
-            pv, az = act_v[p][t.v], act_z[p]
-            for z in t.zset:
-                covered.setdefault(az[z], set()).add(pv)
-    missing = sorted((v, z) for z, fiber in space.fibers.items()
-                     for v in fiber - covered.get(z, set()))
+            az = act_z[p]
+            covered.setdefault(act_v[p][t.v], set()).update(
+                t.zset if p == identity else [az[z] for z in t.zset])
+    missing = sorted((v, z) for v, zs in z_over.items()
+                     for z in zs - covered.get(v, _EMPTY))
     if missing:
         raise BasisError("basis does not cover the pair set, e.g. %r"
                          % (missing[:3],))
@@ -392,10 +451,14 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
             vj = basis[j].v
             for p in G.elements:
                 if row[act_v[p][vj]] <= alpha:
-                    az = act_z[p]
-                    zset.difference_update(az[z] for z in reduced[j])
+                    if p == identity:
+                        zset -= reduced[j]
+                    else:
+                        az = act_z[p]
+                        zset.difference_update([az[z] for z in reduced[j]])
         reduced.append(frozenset(zset))
 
+    translate = _translator(space)
     rank = {p: k for k, p in enumerate(G.elements)}
     members = []
     seen_sets = set()
@@ -403,34 +466,42 @@ def greedy_cover(space: PairSpace, alpha, basis=None) -> Cover:
         if not reduced[i]:
             continue
         row = space.dist[t.v]
-        core = frozenset((w, z) for z in reduced[i] for w in space.fibers[z]
-                         if row[w] <= 2 * alpha)
+        ball = frozenset(w for w in space.v_points if row[w] <= 2 * alpha)
+        cut = {}  # V_z -> V_z & ball, one object per distinct fiber
+        core = Slices()
+        for z in reduced[i]:
+            fiber = space.fibers[z]
+            if fiber not in cut:
+                cut[fiber] = fiber & ball
+            core[z] = cut[fiber]
         saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
-        if not saturated or saturated in seen_sets:
+        if saturated in seen_sets:
             continue
-        orbit, stab = set_orbit(saturated, G, space.translate)
+        orbit, stab = set_orbit(saturated, G, translate)
         seen_sets.update(orbit)
-        firsts = sorted((min(rank[compose(tw, h)] for h in stab), W)
-                        for W, tw in orbit.items())
+        firsts = sorted(((min(rank[compose(tw, h)] for h in stab), W)
+                         for W, tw in orbit.items()), key=lambda f: f[0])
         for k, (r, W) in enumerate(firsts):
             members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
                                        k == 0))
-    order = cover_order([m.points for m in members], _points(space))
+    order = cover_order([m.slices for m in members], space.fibers)
     return Cover(tuple(members), alpha, order)
 
 
-def _check_fiber(dist, fiber, slices, alpha):
-    """The order over one fiber and its v that are not long, ascending;
-    slices maps each member's v-set over the fiber to its multiplicity."""
-    order = max((sum(n for vs, n in slices.items() if v in vs)
-                 for v in fiber), default=0) - 1
+def _not_long(balls, fiber, held):
+    """The v of one fiber that are not long, ascending: no slice held
+    holds v and all of the fiber within alpha of v (balls[v])."""
     bad = []
     for v in fiber:
-        row = dist[v]
-        needed = {w for w in fiber if row[w] <= alpha}
-        if not any(v in vs and needed <= vs for vs in slices):
+        needed = fiber & balls[v]
+        if not any(v in vs and needed <= vs for vs in held):
             bad.append(v)
-    return order, sorted(bad)
+    return sorted(bad)
+
+
+def _meets(a, b):
+    """Whether the pair sets of two slices meet."""
+    return any(z in b and not vs.isdisjoint(b[z]) for z, vs in a.items())
 
 
 @dataclass(frozen=True)
@@ -448,13 +519,12 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     """Independent check of order, longness, invariance and F-subsetness.
 
     Order and longness are read fiber by fiber off the members' slices
-    (v-sets) over each z-point, each slice counted with the members having
-    it.  Longness asks every pair (v, z) for a member holding all of X's
-    pairs over z within alpha of v; that set holds (v, z), so only slices
-    holding v are tested.  Both depend only on V_z and the counted slices
-    over z, so each distinct such key is checked once and its verdict
-    reused; the least pair (v, z) that is not long is reported.  An order
-    other than the stated cover.order fails.
+    (v-sets) over each z-point.  Longness asks every pair (v, z) for a
+    member holding all of X's pairs over z within alpha of v; that set
+    holds (v, z), so only slices holding v are tested.  Both depend only on
+    V_z and the slices over z, so each distinct such key is checked once
+    and its verdict reused; the least pair (v, z) that is not long is
+    reported.  An order other than the stated cover.order fails.
 
     Invariance and F-subsetness walk the generators, which must generate
     the group (ValueError otherwise).  A generator maps the finite pool of
@@ -468,35 +538,28 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     """
     _check_alpha(alpha)
     failures = []
-    sets = cover.member_sets()
-    slices = {}  # z -> {a member's v-set over z: the members having it}
-    for m in sets:
-        over = {}
-        for v, z in m:
-            over.setdefault(z, []).append(v)
-        for z, vs in over.items():
-            slices.setdefault(z, Counter())[frozenset(vs)] += 1
+    sets = cover.member_slices()
+    balls = {}  # v -> the v-points within alpha of v
+    for v in space.v_points:
+        row = space.dist[v]
+        balls[v] = frozenset(w for w in space.v_points if row[w] <= alpha)
     order, least = -1, None
-    memo = {}  # (V_z, its slices) -> (order over z, the v not long over z)
-    for z, fiber in space.fibers.items():
-        held = slices.get(z, {})
-        key = (fiber, frozenset(held.items()))
-        if key not in memo:
-            memo[key] = _check_fiber(space.dist, fiber, held, alpha)
-        at, bad = memo[key]
-        order = max(order, at)
-        if bad and (least is None or (bad[0], z) < least):
-            least = (bad[0], z)
+    for (fiber, held), zs in _fiber_classes(sets, space.fibers).items():
+        order = max(order, _fiber_order(fiber, held))
+        bad = _not_long(balls, fiber, held)
+        if bad and (least is None or (bad[0], min(zs)) < least):
+            least = (bad[0], min(zs))
     long_ok = least is None
     if not long_ok:
         failures.append(("not-long", least))
 
     G = space.group
     _check_generators(G)
+    translate = _translator(space)
     inv_ok = True
     set_pool = set(sets)
     for s in G.generators:
-        if any(space.translate(s, m) not in set_pool for m in set_pool):
+        if any(translate(s, m) not in set_pool for m in set_pool):
             inv_ok = False
             failures.append(("not-invariant", s))
             break
@@ -509,8 +572,8 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
         if m in checked:
             ok = family.contains(conjugate(*checked[m]), G)
         else:
-            orbit, stab = set_orbit(m, G, space.translate)
-            ok = (not any(W & m for W in orbit if W != m)
+            orbit, stab = set_orbit(m, G, translate)
+            ok = (not any(_meets(W, m) for W in orbit if W != m)
                   and family.contains(stab, G))
             checked.update((W, (t, stab)) for W, t in orbit.items())
         if not ok:
@@ -552,15 +615,22 @@ def extend_open(U, X0, X, dist_fn):
 
 
 def extend_cover(cover: Cover, X0, X, dist_fn, G: GroupModel, act) -> Cover:
-    """Member-wise extension from X0 to X; order is preserved exactly."""
+    """Member-wise extension from X0 to X; order is preserved exactly.
+
+    X0 and X are sets of v-points.  Z is discrete, so a member is extended
+    slice by slice, each v-set along the metric of V.
+    """
+    X = frozenset(X)
     for p in G.elements:
         for x in X:
             for y in X:
                 if dist_fn(x, y) != dist_fn(act(p, x), act(p, y)):
                     raise ValueError("metric is not invariant under %r" % (p,))
     members = tuple(
-        CoverMember(extend_open(m.points, X0, X, dist_fn), m.stabilizer,
-                    m.orbit_rep)
+        CoverMember(Slices((z, extend_open(vs, X0, X, dist_fn))
+                           for z, vs in m.slices.items()),
+                    m.stabilizer, m.orbit_rep)
         for m in cover.members)
-    order = cover_order([m.points for m in members], X)
+    order = cover_order([m.slices for m in members],
+                        {z: X for m in members for z in m.slices})
     return Cover(members, cover.alpha, order)

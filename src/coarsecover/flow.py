@@ -32,6 +32,7 @@ from .covers import (
     Cover,
     CoverMember,
     PairSpace,
+    Slices,
     cover_order,
     doubling_check,
     fiber_basis,
@@ -39,10 +40,13 @@ from .covers import (
     minimal_doubling_constant,
     minimal_doubling_radius,
     pair_space,
+    slices_of,
     wide_failures,
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_delta
 from .symmetry import GroupModel, trivial_group
+
+_EMPTY = frozenset()
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -249,7 +253,7 @@ def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set=None):
     """
     eligible = frozenset(eligible_targets(cf, v0, xi_set))
     pairs = sorted(eligible, key=lambda t: (t[1], t[0]))
-    dropped = set(wide_failures([eligible], cf.group, alpha, pairs))
+    dropped = set(wide_failures([slices_of(eligible)], cf.group, alpha, pairs))
     return tuple(t for t in pairs if t not in dropped)
 
 
@@ -260,7 +264,8 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     from g v0 to xi has its midpoint vertex at distance tau in W's slice
     over (g v0, xi).  Pairs with flow lines shorter than tau are excluded
     from every pullback member.  Intersections commute with the operation,
-    so the order never grows.
+    so the order never grows.  A pulled-back member is held as slices with
+    z = xi and v = g.
     """
     if tau != int(tau) or tau < 0:
         raise ValueError("tau must be a nonnegative integer in original units")
@@ -268,7 +273,7 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     if not cf.sub.is_midpoint(v0):
         raise ValueError("base vertex must be a midpoint vertex")
     # layer 2*tau in the subdivision is distance tau in original units
-    tau_sets = {}
+    tau_sets = []  # (g, xi, the flow-space z-point, the midpoints at tau)
     for (g, xi) in targets:
         gv0 = g[v0]
         if gv0 == xi:
@@ -277,27 +282,22 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
         if not line:
             raise ValueError("target pair admits no small geodesic")
         d0 = cf.index.dist[gv0]
-        if d0[xi] < 2 * tau:
-            tau_sets[(g, xi)] = None  # too short: excluded everywhere
-        else:
-            tau_sets[(g, xi)] = frozenset(v for v in line if d0[v] == 2 * tau)
+        if d0[xi] >= 2 * tau:  # shorter lines are excluded everywhere
+            tau_sets.append((g, xi, (gv0, xi),
+                             frozenset(v for v in line if d0[v] == 2 * tau)))
     members = []
     seen = set()
     for m in cover.members:
-        pts = set()
-        for (g, xi) in targets:
-            tv = tau_sets[(g, xi)]
-            if tv is None:
-                continue
-            z = (g[v0], xi)
-            if all((v, z) in m.points for v in tv):
-                pts.add((g, xi))
-        pts = frozenset(pts)
-        if not pts or pts in seen:
+        over = {}
+        for g, xi, z, tv in tau_sets:
+            if tv <= m.slices.get(z, _EMPTY):
+                over.setdefault(xi, set()).add(g)
+        pulled = Slices((xi, frozenset(gs)) for xi, gs in over.items())
+        if not pulled or pulled in seen:
             continue
-        seen.add(pts)
-        members.append(CoverMember(pts, m.stabilizer, m.orbit_rep))
-    order = cover_order([m.points for m in members], targets)
+        seen.add(pulled)
+        members.append(CoverMember(pulled, m.stabilizer, m.orbit_rep))
+    order = cover_order([m.slices for m in members], slices_of(targets))
     return Cover(tuple(members), cover.alpha, order)
 
 
@@ -322,13 +322,14 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
     that outcome is reported, not asserted away.
     """
     G = cf.group
-    failures = [(None, t, "ball leaves eligible pairs")
-                for t in wide_failures([frozenset(targets)], G, alpha, targets)]
+    failures = [(None, t, "ball leaves eligible pairs") for t in
+                wide_failures([slices_of(targets)], G, alpha, targets)]
     if failures:
         return ScanReport(None, tuple(failures[:8]), None)
     for tau in tau_range:
         pull = pullback_cover(cf, cover, tau, targets, v0)
-        bad = next(wide_failures(pull.member_sets(), G, alpha, targets), None)
+        bad = next(wide_failures(pull.member_slices(), G, alpha, targets),
+                   None)
         if bad is None:
             return ScanReport(tau, (), pull)
         failures.append((tau, bad, "no wide member"))

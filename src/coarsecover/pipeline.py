@@ -189,7 +189,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
 
     # final wideness: every eligible pair is fully ball-covered by a member
     missed = [(sub_group.index_of(ge), xi) for ge, xi in wide_failures(
-        combined.member_sets(), sub_group, alpha, domain)]
+        combined.member_slices(), sub_group, alpha, domain)]
     stages["combined"] = {
         "members": len(combined), "order": combined.order,
         "flow_order": pull.order, "order_ok": order_ok,

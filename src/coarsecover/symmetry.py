@@ -135,6 +135,8 @@ def subgroup_generated(G: GroupModel, seed) -> frozenset:
     for s in seed:
         if s not in G.word_length:
             raise ValueError("seed element not in group")
+    if len(set(seed)) == len(G.elements):
+        return frozenset(G.elements)
     gens = seed + [invert(s) for s in seed]
     while frontier:
         nxt = []
@@ -152,6 +154,8 @@ def is_subgroup(G: GroupModel, subset) -> bool:
     sub = frozenset(subset)
     if G.identity not in sub:
         return False
+    if len(sub) == len(G.elements) and all(a in G.word_length for a in sub):
+        return True  # the whole group
     for a in sub:
         if invert(a) not in sub:
             return False
@@ -212,10 +216,12 @@ ALL_SUBGROUPS = SubgroupFamily("all-subgroups")
 def set_orbit(U, G: GroupModel, translate):
     """The orbit of the set U, walked along the generators of G.
 
-    translate(p, S) applies the group element p to a set S.  Returns
-    (orbit, stab): orbit maps each translate W of U, in breadth-first order
-    from U, to a transversal element t_W with t_W.U = W (t_U is the
-    identity), and stab is the setwise stabilizer of U.
+    translate(p, S) applies the group element p to a set S; U and its
+    translates are hashable (frozensets, or the Slices of cover members).
+    Returns (orbit, stab): orbit maps each translate W of U, in
+    breadth-first order from U, to a transversal element t_W with
+    t_W.U = W (t_U is the identity), and stab is the setwise stabilizer of
+    U.
 
     G.generators must generate G; every element is then a product of
     generators (inverses are positive powers in a finite group), so the
@@ -223,7 +229,6 @@ def set_orbit(U, G: GroupModel, translate):
     t_{sW}^-1 s t_W, over orbit sets W and generators s, generate the
     stabilizer.  Cost: |orbit| * |generators| translates.
     """
-    U = frozenset(U)
     orbit = {U: G.identity}
     queue = [U]
     schreier = set()

@@ -330,6 +330,31 @@ def fibers_of(z_points, pairs):
     return fibers
 
 
+def pairs_of(space):
+    """The admitted pairs (v, z) of a pair space, read off its fibers."""
+    return frozenset((v, z) for z, fiber in space.fibers.items()
+                     for v in fiber)
+
+
+def default_basis(space):
+    """One triple per orbit of admitted pairs: a singleton z-set with the
+    stabilizer of the z-point.  Always satisfies the separation condition."""
+    from coarsecover.covers import BasisTriple
+
+    seen = set()
+    triples = []
+    for pair in sorted(pairs_of(space)):
+        if pair in seen:
+            continue
+        v, z = pair
+        seen |= {(space.act_v[p][v], space.act_z[p][z])
+                 for p in space.group.elements}
+        stab = frozenset(p for p in space.group.elements
+                         if space.act_z[p][z] == z)
+        triples.append(BasisTriple(v, frozenset([z]), stab))
+    return triples
+
+
 def cover_order_brute(member_sets, domain_points):
     """Most members containing one domain point, less one; -1 when the
     domain is empty."""
@@ -350,7 +375,7 @@ def verify_cover_definitional(members, space, alpha, family):
     def act(p, pair):
         return (space.act_v[p][pair[0]], space.act_z[p][pair[1]])
 
-    pairs = space.pairs
+    pairs = pairs_of(space)
     order = cover_order_brute(members, pairs)
     not_long = None
     for (v, z) in sorted(pairs):
@@ -407,14 +432,15 @@ def greedy_cover_reference(space, alpha, basis):
     the saturation by every element of the annotated subgroup, and the
     members from every translate of the saturated set, annotated with the
     first element (in G.elements order) reaching each new set.  No
-    precondition checks; basis is a list of BasisTriple.
+    precondition checks; basis is a list of BasisTriple.  The sets are
+    sets of pairs; only the returned members hold them as slices.
     """
-    from coarsecover.covers import Cover, CoverMember, cover_order
+    from coarsecover.covers import Cover, CoverMember, Slices
     from coarsecover.symmetry import compose, invert
 
     G = space.group
     act_v, act_z = space.act_v, space.act_z
-    pairs = space.pairs
+    pairs = pairs_of(space)
 
     def translate(p, points):
         return frozenset((act_v[p][v], act_z[p][z]) for v, z in points)
@@ -446,10 +472,16 @@ def greedy_cover_reference(space, alpha, basis):
             seen_sets.add(translated)
             stab = frozenset(compose(compose(p, a), invert(p))
                              for a in t.subgroup)
-            members.append(CoverMember(translated, stab, first))
+            members.append((translated, stab, first))
             first = False
-    order = cover_order([m.points for m in members], pairs)
-    return Cover(tuple(members), alpha, order)
+    order = cover_order_brute([m for m, _, _ in members], pairs)
+
+    def as_slices(m):
+        over = fibers_of({z for _, z in m}, m)
+        return Slices((z, frozenset(vs)) for z, vs in over.items())
+
+    return Cover(tuple(CoverMember(as_slices(m), stab, first)
+                       for m, stab, first in members), alpha, order)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from coarsecover.covers import (
     greedy_cover,
     minimal_doubling_constant,
     pair_space,
+    slices_of,
     verify_cover,
 )
 from coarsecover.flow import build_cf_theta, cf_doubling_report
@@ -48,7 +49,8 @@ from coarsecover.graphs import (
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
-from oracles import fibers_of, validate_pair_space
+from oracles import default_basis, fibers_of, pairs_of, \
+    validate_pair_space
 
 
 def report(number, detail):
@@ -130,7 +132,7 @@ def test_criterion_01_greedy_cover_order_bound():
     instances = 0
     while instances < 100:
         sp = _random_pair_space(rng)
-        if not sp.pairs:
+        if not pairs_of(sp):
             continue
         ds = []
         for fiber in sp.fibers.values():
@@ -143,7 +145,7 @@ def test_criterion_01_greedy_cover_order_bound():
             if fib:
                 assert doubling_check(fib, sp.d, d_cert, 1).ok
         alpha = rng.choice((1, 2))
-        cov = greedy_cover(sp, alpha)
+        cov = greedy_cover(sp, alpha, default_basis(sp))
         assert cov.order <= d_cert - 1, (instances, cov.order, d_cert)
         rep = verify_cover(cov, sp, alpha, ALL_SUBGROUPS)
         assert rep.ok
@@ -268,10 +270,11 @@ def test_criterion_07_extension_identities():
         assert x0 & up == u
         assert extend_open(u & v, x0, pts, d) == up & vp
         members = tuple(
-            CoverMember(frozenset(p for p in x0 if rng.random() < 0.5),
+            CoverMember(slices_of((p, 0) for p in x0 if rng.random() < 0.5),
                         frozenset([G.identity]), True)
             for _ in range(rng.randrange(1, 4)))
-        cov = Cover(members, 1, cover_order([m.points for m in members], x0))
+        cov = Cover(members, 1, cover_order([m.slices for m in members],
+                                            {0: x0}))
         ext = extend_cover(cov, x0, pts, d, G, lambda p, x: x)
         assert ext.order == cov.order
         checked += 1

@@ -28,7 +28,7 @@ from coarsecover.corpus import (
     triangle_caterpillar,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember
+from coarsecover.covers import Cover, CoverMember, slices_of
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group, compose
@@ -283,17 +283,18 @@ class TestCombined:
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
         dom = [((0,), "x")]
-        flow = Cover((CoverMember(frozenset(dom), frozenset([Gs.identity]),
+        flow = Cover((CoverMember(slices_of(dom), frozenset([Gs.identity]),
                                   True),), 1, 0)
         empty = Cover((), None, -1)
         out = combined_cover(empty, flow, dom)
-        assert out.member_sets() == flow.member_sets()
+        assert out.member_slices() == flow.member_slices()
         assert out.order == 0
 
     def test_order_is_additive_at_worst(self):
-        dom = list(range(10))
-        def mk(points):
-            return CoverMember(frozenset(points), frozenset(), True)
+        dom = [(g, "xi") for g in range(10)]
+        def mk(gs):
+            return CoverMember(slices_of((g, "xi") for g in gs), frozenset(),
+                               True)
         flow = Cover(tuple(mk(range(10)) for _ in range(5)), 1, 4)
         cone = Cover(tuple(mk(range(10)) for _ in range(3)), None, 2)
         out = combined_cover(cone, flow, dom)

@@ -13,18 +13,18 @@ from coarsecover.covers import (
     Cover,
     CoverMember,
     cover_order,
-    default_basis,
     doubling_check,
     fiber_basis,
     greedy_cover,
     pair_space,
+    slices_of,
     verify_cover,
 )
 from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
-from oracles import all_subgroups, cover_order_brute, doubling_scan_oracle, \
-    fiber_basis_brute, fibers_of, greedy_cover_reference, \
-    verify_cover_definitional
+from oracles import all_subgroups, cover_order_brute, default_basis, \
+    doubling_scan_oracle, fiber_basis_brute, fibers_of, \
+    greedy_cover_reference, pairs_of, verify_cover_definitional
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -66,7 +66,12 @@ def test_doubling_check_matches_scan_oracle(points_dist, D, R):
 @given(st.lists(st.frozensets(st.integers(0, 12)), max_size=8),
        st.frozensets(st.integers(0, 12)))
 def test_cover_order_matches_brute_count(members, domain):
-    assert cover_order(members, domain) == cover_order_brute(members, domain)
+    # the points of a plain set sit over one z-point
+    def over_one(points):
+        return slices_of((x, 0) for x in points)
+
+    assert cover_order([over_one(m) for m in members], {0: domain}) == \
+        cover_order_brute(members, domain)
 
 
 @st.composite
@@ -112,8 +117,9 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
 
 def _members(space, sets):
     stab = frozenset([space.group.identity])
-    return Cover(tuple(CoverMember(frozenset(s), stab, True) for s in sets), 0,
-                 cover_order(sets, space.pairs))
+    members = tuple(CoverMember(slices_of(s), stab, True) for s in sets)
+    return Cover(members, 0, cover_order([m.slices for m in members],
+                                         space.fibers))
 
 
 def _agrees(cover, space, alpha, family):
@@ -149,7 +155,7 @@ def families(draw, group):
 @given(pair_spaces(), st.integers(0, 3), st.data())
 def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
     family = data.draw(families(space.group))
-    pairs = sorted(space.pairs)
+    pairs = sorted(pairs_of(space))
     sets = data.draw(st.lists(st.sets(st.sampled_from(pairs), min_size=1),
                               max_size=5))
     if data.draw(st.booleans()):
@@ -164,7 +170,7 @@ def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
 @given(pair_spaces(), st.integers(0, 3), st.booleans())
 def test_verify_cover_matches_definition_on_greedy_covers(space, alpha,
                                                           fibers):
-    basis = fiber_basis(space, alpha) if fibers else None
+    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
     cover = greedy_cover(space, alpha, basis)
     for family in (ALL_SUBGROUPS, TRIVIAL_ONLY):
         _agrees(cover, space, alpha, family)

@@ -16,7 +16,6 @@ from coarsecover.covers import (
     Cover,
     CoverMember,
     cover_order,
-    default_basis,
     doubling_check,
     extend_cover,
     extend_open,
@@ -24,13 +23,15 @@ from coarsecover.covers import (
     greedy_cover,
     minimal_doubling_constant,
     pair_space,
+    slices_of,
     verify_cover,
 )
 from coarsecover.graphs import INF, distance_matrix
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
-    SubgroupFamily, compose, trivial_group
-from oracles import fibers_of, greedy_cover_reference, separated_sets_brute, \
-    validate_family, validate_pair_space, verify_cover_definitional
+    SubgroupFamily, close_group, compose, trivial_group
+from oracles import default_basis, fibers_of, greedy_cover_reference, \
+    pairs_of, separated_sets_brute, validate_family, validate_pair_space, \
+    verify_cover_definitional
 
 
 def line_metric(n):
@@ -99,12 +100,12 @@ def build_space(n_points, alpha=1, group=None, act_v=None, act_z=None,
 class TestGreedyCover:
     def test_single_point(self):
         sp = build_space(1)
-        cov = greedy_cover(sp, 2)
+        cov = greedy_cover(sp, 2, default_basis(sp))
         assert len(cov) == 1 and cov.order == 0
 
     def test_line_order_bound(self):
         sp = build_space(9)
-        cov = greedy_cover(sp, 1)
+        cov = greedy_cover(sp, 1, default_basis(sp))
         assert cov.order <= 4
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
         assert rep.ok and rep.order == cov.order
@@ -119,7 +120,7 @@ class TestGreedyCover:
         sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
                         act_v=act_v, act_z=act_z)
         validate_pair_space(sp)
-        cov = greedy_cover(sp, 1)
+        cov = greedy_cover(sp, 1, default_basis(sp))
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
         assert rep.ok and rep.invariant and rep.f_subsets
 
@@ -185,18 +186,18 @@ class TestGreedyCover:
 class TestVerifyCover:
     def test_whole_space_cover(self):
         sp = build_space(5)
-        member = CoverMember(frozenset(sp.pairs), frozenset([sp.group.identity]),
-                             True)
+        member = CoverMember(slices_of(pairs_of(sp)),
+                             frozenset([sp.group.identity]), True)
         cov = Cover((member,), 99, 0)
         rep = verify_cover(cov, sp, 99, ALL_SUBGROUPS)
         assert rep.ok and rep.order == 0
 
     def test_deleted_member_breaks_longness(self):
         sp = build_space(9)
-        cov = greedy_cover(sp, 1)
+        cov = greedy_cover(sp, 1, default_basis(sp))
         kept = cov.members[:2] + cov.members[3:]  # drop the middle member
         pruned = Cover(kept, cov.alpha,
-                       cover_order([m.points for m in kept], sp.pairs))
+                       cover_order([m.slices for m in kept], sp.fibers))
         rep = verify_cover(pruned, sp, 1, ALL_SUBGROUPS)
         assert not rep.long
         assert any(kind == "not-long" for kind, _ in rep.failures)
@@ -206,7 +207,7 @@ class TestVerifyCover:
         # one member misses (1, z) and (2, z); at alpha = -1 every needed
         # set would be empty and the check would pass it
         sp = build_space(3)
-        member = CoverMember(frozenset([(0, "z")]),
+        member = CoverMember(slices_of([(0, "z")]),
                              frozenset([sp.group.identity]), True)
         cov = Cover((member,), 0, 0)
         rep = verify_cover(cov, sp, 0, ALL_SUBGROUPS)
@@ -214,13 +215,13 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="nonnegative"):
             verify_cover(cov, sp, -1, ALL_SUBGROUPS)
         with pytest.raises(ValueError, match="nonnegative"):
-            greedy_cover(sp, -1)
+            greedy_cover(sp, -1, default_basis(sp))
 
 
     def test_stated_order_must_match(self):
         # negative control: the order is recounted and compared
         sp = build_space(9)
-        cov = greedy_cover(sp, 1)
+        cov = greedy_cover(sp, 1, default_basis(sp))
         assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
         rep = verify_cover(replace(cov, order=cov.order + 1), sp, 1,
                            ALL_SUBGROUPS)
@@ -235,8 +236,9 @@ def cover_of(space, sets):
     """A cover with the given member sets, its true order and unread
     annotations."""
     triv = frozenset([space.group.identity])
-    return Cover(tuple(CoverMember(frozenset(m), triv, True) for m in sets),
-                 0, cover_order(sets, space.pairs))
+    members = tuple(CoverMember(slices_of(m), triv, True) for m in sets)
+    return Cover(members, 0, cover_order([m.slices for m in members],
+                                         space.fibers))
 
 
 def over(z, vs):
@@ -283,7 +285,7 @@ class TestRandomCorpus:
         for trial in range(25):
             n = rng.randrange(5, 14)
             sp = build_space(n, z_points=tuple("ab"[:rng.randrange(1, 3)]))
-            pairs = frozenset((v, z) for (v, z) in sp.pairs
+            pairs = frozenset((v, z) for (v, z) in pairs_of(sp)
                               if rng.random() < 0.8 or v == 0)
             sp = pair_space(sp.v_points, fibers_of(sp.fibers, pairs), sp.dist)
             if not pairs:
@@ -295,7 +297,7 @@ class TestRandomCorpus:
                 if fib:
                     d_cert = max(d_cert, minimal_doubling_constant(
                         fib, lambda a, b: abs(a - b), 1))
-            cov = greedy_cover(sp, alpha)
+            cov = greedy_cover(sp, alpha, default_basis(sp))
             assert cov.order <= d_cert - 1
             rep = verify_cover(cov, sp, alpha, ALL_SUBGROUPS)
             assert rep.ok
@@ -352,11 +354,21 @@ class TestExtendOpen:
             extend_open({3}, {0, 1}, range(4), line_metric(4))
 
 
+def plain_member(points, G):
+    """A member over a plain metric set: its points sit over one z-point."""
+    return CoverMember(slices_of((x, 0) for x in points),
+                       frozenset([G.identity]), True)
+
+
+def plain_points(member):
+    return {x for x, _ in member.points}
+
+
 class TestExtendCover:
     def test_singleton(self):
         g = path_graph(1)
         G = trivial_group(g)
-        member = CoverMember(frozenset({0, 1}), frozenset([G.identity]), True)
+        member = plain_member({0, 1}, G)
         cov = Cover((member,), 1, 0)
         out = extend_cover(cov, {0, 1}, {0, 1, 2, 3}, line_metric(4), G,
                            lambda p, x: x)
@@ -365,13 +377,14 @@ class TestExtendCover:
     def test_disjoint_members_stay_disjoint(self):
         g = path_graph(1)
         G = trivial_group(g)
-        m1 = CoverMember(frozenset({0}), frozenset([G.identity]), True)
-        m2 = CoverMember(frozenset({9}), frozenset([G.identity]), True)
+        m1 = plain_member({0}, G)
+        m2 = plain_member({9}, G)
         cov = Cover((m1, m2), 1, 0)
         out = extend_cover(cov, {0, 9}, range(10), line_metric(10), G,
                            lambda p, x: x)
         assert out.order == 0
-        assert not (out.members[0].points & out.members[1].points)
+        assert not (plain_points(out.members[0])
+                    & plain_points(out.members[1]))
 
     def test_order_preserved_randomized(self):
         g = path_graph(1)
@@ -386,24 +399,24 @@ class TestExtendCover:
             members = []
             for _ in range(rng.randrange(1, 4)):
                 u = frozenset(p for p in x0 if rng.random() < 0.5)
-                members.append(CoverMember(u, frozenset([G.identity]), True))
+                members.append(plain_member(u, G))
             cov = Cover(tuple(members), 1,
-                        cover_order([m.points for m in members], x0))
+                        cover_order([m.slices for m in members],
+                                    {0: frozenset(x0)}))
             out = extend_cover(cov, x0, pts, line_metric(n), G,
                                lambda p, x: x)
             assert out.order == cov.order
             for before, after in zip(cov.members, out.members):
-                assert after.points & set(x0) == before.points
+                assert plain_points(after) & set(x0) == plain_points(before)
 
     def test_non_invariant_metric_rejected(self):
         g = cycle_graph(3)
-        from coarsecover.symmetry import close_group
         G = close_group(g, [(1, 2, 0)])
 
         def skew(a, b):
             return abs(2 ** a - 2 ** b)
 
-        member = CoverMember(frozenset({0}), frozenset([G.identity]), True)
+        member = plain_member({0}, G)
         with pytest.raises(ValueError, match="not invariant"):
             extend_cover(Cover((member,), 1, 0), {0, 1, 2}, {0, 1, 2}, skew,
                          G, lambda p, x: p[x])
@@ -442,10 +455,10 @@ def singleton_cover(space, points):
     """One member per point, annotated as one orbit with trivial
     stabilizers; verify_cover must not read the annotations."""
     triv = frozenset([space.group.identity])
-    members = tuple(CoverMember(frozenset([x]), triv, k == 0)
+    members = tuple(CoverMember(slices_of([x]), triv, k == 0)
                     for k, x in enumerate(points))
-    return Cover(members, 0, cover_order([m.points for m in members],
-                                         space.pairs))
+    return Cover(members, 0, cover_order([m.slices for m in members],
+                                         space.fibers))
 
 
 class TestOrbitWalks:
@@ -460,6 +473,29 @@ class TestOrbitWalks:
         assert greedy_cover(sp, 0, basis) == \
             greedy_cover_reference(sp, 0, basis)
 
+    def test_equal_fibers_keep_their_own_core_slices_under_a_group(self):
+        # every fiber is {0, 1}, but the swap s carries the first block's
+        # z1 to z3, so the second block keeps z2 and loses z3: whether a
+        # z-point keeps its core slice is not read off its fiber here
+        G = close_group(path_graph(2), [(1, 0)])
+        e, s = G.identity, G.generators[0]
+        swap = {"z1": "z3", "z3": "z1", "z2": "z4", "z4": "z2"}
+        sp = pair_space((0, 1), {z: (0, 1) for z in swap},
+                        {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}, group=G,
+                        act_v={p: {0: 0, 1: 1} for p in G.elements},
+                        act_z={e: {z: z for z in swap}, s: swap})
+        validate_pair_space(sp)
+        triv = frozenset([e])
+        basis = [BasisTriple(1, frozenset(["z1"]), triv),
+                 BasisTriple(0, frozenset(["z2", "z3"]), triv),
+                 BasisTriple(1, frozenset(["z2"]), triv)]
+        cov = greedy_cover(sp, 1, basis)
+        assert cov == greedy_cover_reference(sp, 1, basis)
+        both = frozenset([0, 1])
+        assert cov.member_slices() == [{"z1": both}, {"z3": both},
+                                       {"z2": both}, {"z4": both}]
+        assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
+
     def test_generators_must_generate(self):
         sp = dihedral_space(6, FREE)
         G = sp.group
@@ -467,9 +503,9 @@ class TestOrbitWalks:
                            G.word_length)
         sp = pair_space(sp.v_points, sp.fibers, sp.dist, group=short,
                         act_v=sp.act_v, act_z=sp.act_z)
-        cov = singleton_cover(sp, sorted(sp.pairs))
+        cov = singleton_cover(sp, sorted(pairs_of(sp)))
         for check in (lambda: validate_pair_space(sp),
-                      lambda: greedy_cover(sp, 0),
+                      lambda: greedy_cover(sp, 0, default_basis(sp)),
                       lambda: verify_cover(cov, sp, 0, ALL_SUBGROUPS)):
             with pytest.raises(ValueError, match="generators do not generate"):
                 check()
@@ -489,13 +525,13 @@ class TestOrbitWalks:
     def test_free_orbit_of_singletons_passes(self):
         sp = dihedral_space(6, FREE)
         validate_pair_space(sp)
-        rep = verify_cover(singleton_cover(sp, sorted(sp.pairs)), sp, 0,
+        rep = verify_cover(singleton_cover(sp, sorted(pairs_of(sp))), sp, 0,
                            TRIVIAL_ONLY)
-        assert rep.ok and len(sp.pairs) == 12
+        assert rep.ok and len(pairs_of(sp)) == 12
 
     def test_one_translate_removed(self):
         sp = dihedral_space(6, FREE)
-        points = sorted(sp.pairs)
+        points = sorted(pairs_of(sp))
         rep = verify_cover(singleton_cover(sp, points[:4] + points[5:]), sp,
                            0, ALL_SUBGROUPS)
         assert not rep.invariant and not rep.ok
@@ -512,13 +548,15 @@ class TestOrbitWalks:
 
     def test_member_meeting_its_translate_at_a_non_representative_slot(self):
         sp = dihedral_space(6, FREE)
-        cov = singleton_cover(sp, sorted(sp.pairs))
+        cov = singleton_cover(sp, sorted(pairs_of(sp)))
         r = sp.group.generators[0]
         x = cov.members[5].points
-        overlapping = x | sp.translate(r, x)  # meets its r-translate
+        moved = {(sp.act_v[r][v], sp.act_z[r][z]) for v, z in x}
+        overlapping = x | moved  # meets its r-translate
         members = list(cov.members)
-        members[5] = CoverMember(overlapping, members[5].stabilizer, False)
-        order = cover_order([m.points for m in members], sp.pairs)
+        members[5] = CoverMember(slices_of(overlapping), members[5].stabilizer,
+                                 False)
+        order = cover_order([m.slices for m in members], sp.fibers)
         rep = verify_cover(Cover(tuple(members), 0, order), sp, 0,
                            ALL_SUBGROUPS)
         assert not rep.f_subsets

@@ -23,7 +23,8 @@ from coarsecover.corpus import (
     spider_rotation,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember, doubling_check
+from coarsecover.covers import Cover, CoverMember, doubling_check, \
+    slices_of
 from coarsecover.flow import (
     ball_closed_targets,
     build_cf_theta,
@@ -38,7 +39,7 @@ from coarsecover.flow import (
 from coarsecover.graphs import INF, barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
-from oracles import star_metric, theta_small_paths_brute
+from oracles import pairs_of, star_metric, theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):
@@ -199,8 +200,8 @@ class TestFiberSymmetry:
         assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
                               for v in fiber}
         space = cf_pair_space(cf)
-        assert space.pairs == {(v, key) for key, fiber in fibers.items()
-                               for v in fiber}
+        assert pairs_of(space) == {(v, key) for key, fiber in fibers.items()
+                                   for v in fiber}
         assert space.fibers == fibers
         assert all(space.fibers[key] is cf.fibers[key] for key in fibers)
         assert space.dist is cf.metric
@@ -256,7 +257,7 @@ class TestCoverCf:
                    for dv in row.values() if dv is not INF)
         cov = cover_cf(cf_pair_space(cf), diam)
         assert cov.order == 0
-        sets = cov.member_sets()
+        sets = [m.points for m in cov.members]
         for z in sorted(cf.fibers):
             for v in cf.fibers[z]:
                 assert sum(1 for m in sets if (v, z) in m) == 1
@@ -286,12 +287,12 @@ class TestPullback:
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0)
-        member = CoverMember(frozenset((v, z) for (v, *z_) in []) |
-                             frozenset((v, (a, b)) for (v, a, b) in cf.triples),
-                             frozenset([cf.group.identity]), True)
+        member = CoverMember(
+            slices_of((v, (a, b)) for (v, a, b) in cf.triples),
+            frozenset([cf.group.identity]), True)
         cov = Cover((member,), 1, 0)
         pull = pullback_cover(cf, cov, 0, targets, v0)
-        assert pull.member_sets() == [frozenset(targets)]
+        assert [m.points for m in pull.members] == [frozenset(targets)]
 
     def test_tree_tau_zero_is_evaluation_at_base(self):
         g, sub, cf = tree_cf(8)
@@ -299,7 +300,7 @@ class TestPullback:
         targets = eligible_targets(cf, v0)
         cov = cover_cf(cf_pair_space(cf), 2)
         pull = pullback_cover(cf, cov, 0, targets, v0)
-        sets = cov.member_sets()
+        sets = [m.points for m in cov.members]
         for i, m in enumerate(sets):
             pulled = {(gg, xi) for (gg, xi) in targets
                       if (gg[v0], (gg[v0], xi)) in m}
@@ -320,17 +321,17 @@ class TestPullback:
         assert len(layer1) == 2
         taken = layer1[0]
         member = CoverMember(
-            frozenset((v, (a, b)) for (v, a, b) in cf.triples
+            slices_of((v, (a, b)) for (v, a, b) in cf.triples
                       if v != layer1[1]),
             frozenset([e]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
-        assert all((e, xi) not in m for m in pull.member_sets())
+        assert all((e, xi) not in m.points for m in pull.members)
 
     def test_short_flow_lines_excluded(self):
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0)
-        full = CoverMember(frozenset((v, (a, b)) for (v, a, b) in cf.triples),
+        full = CoverMember(slices_of((v, (a, b)) for (v, a, b) in cf.triples),
                            frozenset([cf.group.identity]), True)
         big_tau = 1 + max(cf.index.d(g_[v0], xi) // 2 for (g_, xi) in targets)
         pull = pullback_cover(cf, Cover((full,), 1, 0), big_tau, targets, v0)

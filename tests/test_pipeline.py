@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from coarsecover import graphs
@@ -13,7 +15,7 @@ from coarsecover.corpus import (
     spider,
     spider_rotation,
 )
-from coarsecover.covers import PairSpace, wide_failures
+from coarsecover.covers import CoverMember, PairSpace, Slices, wide_failures
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
     make_graph, slimness_constant, slimness_delta
@@ -62,12 +64,12 @@ class TestPipeline:
         G = res.instance.sub_group
         domain = [(ge, xi) for ge in G.elements
                   for xi in res.instance.cone_targets()]
-        sets = res.artifacts["combined"].member_sets()
+        sets = res.artifacts["combined"].member_slices()
         assert list(wide_failures(sets, G, alpha, domain)) == []
         ge, xi = domain[-1]
-        need = {(h, xi) for h in G.ball(alpha, center=ge)}
+        need = frozenset(G.ball(alpha, center=ge))
         assert len(need) > 1
-        kept = [m for m in sets if not need <= m]
+        kept = [m for m in sets if not need <= m.get(xi, frozenset())]
         assert len(kept) < len(sets)
         assert (ge, xi) in wide_failures(kept, G, alpha, domain)
 
@@ -93,20 +95,32 @@ class TestPipeline:
 
 
 def test_pipeline_never_builds_the_pair_set(monkeypatch):
-    """The flow cover and its verification read the pair space's fibers:
-    run_pipeline never derives PairSpace.pairs, on a tree or under a
-    group."""
-    def refuse(space):
-        raise AssertionError("the pair set was built")
+    """The flow cover, its verification, the pullback and the combined
+    cover read fibers and slices: a pair space has no pair set, and
+    run_pipeline never derives a member's pairs (v, z), on a tree or under
+    a group.  Every member it keeps holds slices {z: frozenset of v}."""
+    def refuse(member):
+        raise AssertionError("a member's pairs were built")
 
-    monkeypatch.setattr(PairSpace, "pairs", property(refuse))
-    res = run_pipeline(random_tree(14, seed=5), alpha=1, tau_max=4,
-                       theta0_mode="all")
-    assert res.ok and res.stages["flow_cover"]["members"] > 0
+    assert not hasattr(PairSpace, "pairs")
+    assert [f.name for f in fields(CoverMember)] == \
+        ["slices", "stabilizer", "orbit_rep"]
+    monkeypatch.setattr(CoverMember, "points", property(refuse))
     name, g, gens, mode, alpha, tau = next(
         c for c in pipeline_instances() if c[0] == "marked-cone-rot")
-    res = run_pipeline(g, gens, alpha=alpha, tau_max=tau, theta0_mode=mode)
-    assert res.ok and res.stages["flow_cover"]["members"] > 0
+    for res in (run_pipeline(random_tree(14, seed=5), alpha=1, tau_max=4,
+                             theta0_mode="all"),
+                run_pipeline(g, gens, alpha=alpha, tau_max=tau,
+                             theta0_mode=mode)):
+        assert res.ok and res.stages["flow_cover"]["members"] > 0
+        fibers = res.artifacts["cf"].fibers
+        for m in res.artifacts["flow_cover"].members:
+            assert isinstance(m.slices, Slices) and m.slices
+            assert all(vs and vs <= fibers[z] for z, vs in m.slices.items())
+        group = set(res.instance.sub_group.elements)
+        for m in res.artifacts["combined"].members:
+            assert isinstance(m.slices, Slices)
+            assert all(vs and vs <= group for vs in m.slices.values())
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
