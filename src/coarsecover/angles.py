@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import and_
 
 from .graphs import (
     INF,
@@ -183,25 +185,47 @@ def far_end(sub, apex, w):
 
 
 class SmallnessOracle:
-    """Turn-by-turn smallness test for paths in a graph or a subdivision."""
+    """The small turns of a graph or a subdivision, as neighbour bitmasks.
+
+    exits[v][i] has bit j when the turn from the i-th to the j-th
+    neighbour of v (in neighbors(v) order) is small: the turn is trivial
+    (i = j), or the canonical angle of the two steps' original edges, read
+    through far_end, is in theta.nontrivial.  At a midpoint of a
+    subdivision every bit is set, as its one angle never counts against
+    smallness.  links[v][j] is (w, the bit of v among w's neighbours) for
+    the j-th neighbour w of v, so a step v -> w is recorded at w without a
+    search.  Every turn is decided here, once; the sweeps only combine
+    masks.
+    """
 
     def __init__(self, base, theta: AngleSet):
         if isinstance(base, Subdivision):
-            self.sub = base
+            sub, g = base, base.graph
             if theta.graph != base.original:
                 raise ValueError("theta must pair edges of the original graph")
         else:
-            self.sub = None
+            sub, g = None, base
             if theta.graph != base:
                 raise ValueError("theta must pair edges of this graph")
-        self.theta = theta
-
-    def turn_ok(self, prev, cur, nxt) -> bool:
-        sub = self.sub
-        if sub is not None and sub.is_midpoint(cur):
-            return True
-        return self.theta.contains(far_end(sub, cur, prev), cur,
-                                   far_end(sub, cur, nxt))
+        adj = [g.neighbors(v) for v in g.vertices]
+        # every turn at a midpoint is small, and a trivial turn anywhere;
+        # then each angle of theta sets its two bits at its apex
+        self.exits = exits = [[(1 << len(nbrs)) - 1] * len(nbrs)
+                              for nbrs in adj]
+        pos = {}
+        for v in g.vertices if sub is None else sub.v_vertices():
+            pos[v] = {far_end(sub, v, w): j for j, w in enumerate(adj[v])}
+            exits[v] = [1 << j for j in range(len(adj[v]))]
+        for u, v, x in theta.nontrivial:
+            i, j = pos[v][u], pos[v][x]
+            exits[v][i] |= 1 << j
+            exits[v][j] |= 1 << i
+        # w ascending appends to links[v] in neighbors(v) order, which is
+        # sorted
+        self.links = links = [[] for _ in adj]
+        for w, nbrs in enumerate(adj):
+            for j, v in enumerate(nbrs):
+                links[v].append((w, 1 << j))
 
 
 def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
@@ -244,48 +268,69 @@ def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
 
 
 def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
-    """steps[v]: each p for which some small geodesic x -> v ends p -> v.
+    """(into, reach): the last steps of the small geodesics from x, and
+    the steps that may follow them, as neighbour bitmasks per vertex.
 
-    One sweep from x in BFS order.  Every prefix of a geodesic is a
-    geodesic, so a small geodesic x -> v ending p -> v is a small geodesic
-    x -> p followed by the step p -> v with a small turn at p; the step
-    out of x has no turn.  BFS order settles steps[p] before the steps out
-    of p are tried.  The sets are empty for v = x and for v unreachable
-    from x.
+    into[v] has bit i when some small geodesic x -> v ends with the step
+    from v's i-th neighbour; reach[v] is the OR of oracle.exits[v][i] over
+    those i, the steps out of v that some small geodesic x -> v turns into
+    smally, with every bit set at x, where nothing turns.  One sweep from x
+    in BFS order.  Every prefix of a geodesic is a geodesic, so a small
+    geodesic x -> w ending v -> w is a small geodesic x -> v followed by
+    the step v -> w with a small turn at v, which is the bit of w in
+    reach[v].  BFS order settles into[v], and so reach[v], before the
+    steps out of v are tried.  into[v] is 0 for v = x and for v
+    unreachable from x; a small geodesic x -> v exists exactly when
+    into[v] is nonzero.
     """
     g, dx = index.graph, index.dist[x]
-    steps = [set() for _ in g.vertices]
-    for u in sorted((v for v in g.vertices if dx[v] is not INF),
-                    key=dx.__getitem__):
-        for w in g.neighbors(u):
-            if dx[w] == dx[u] + 1 and (u == x or any(
-                    oracle.turn_ok(p, u, w) for p in steps[u])):
-                steps[w].add(u)
-    return steps
+    exits, links = oracle.exits, oracle.links
+    into = [0] * g.vertex_count
+    reach = [0] * g.vertex_count
+    reach[x] = (1 << len(exits[x])) - 1
+    layer, d = [x], 1
+    while layer:
+        reached = []
+        for u in layer:
+            r = reach[u]
+            for w, bit in links[u]:
+                if r & 1 and dx[w] == d:
+                    if not into[w]:
+                        reached.append(w)
+                    into[w] |= bit
+                r >>= 1
+        for w in reached:
+            m, ex, r = into[w], exits[w], 0
+            while m:
+                low = m & -m
+                r |= ex[low.bit_length() - 1]
+                m ^= low
+            reach[w] = r
+        layer, d = reached, d + 1
+    return into, reach
 
 
-def small_carriers(index: GeodesicIndex, oracle: SmallnessOracle,
-                   steps_a, steps_b, a, b):
+def small_carriers(index: GeodesicIndex, steps_a, steps_b, a, b):
     """The vertices on small a -> b geodesics, from the sweeps of a and b.
 
-    An internal v qualifies exactly when d(a,v) + d(v,b) = d(a,b) and some
-    p in steps_a[v], s in steps_b[v] give turn_ok(p, v, s): reversed, a
-    small geodesic b -> v ending s -> v is a small one v -> b starting
-    v -> s, since angles are unordered, and the two halves meet at v with
-    distances that add up, so their concatenation is a small a -> b
-    geodesic; every small a -> b geodesic through v splits so.  A small
-    a -> b geodesic exists iff steps_a[b] is nonempty.
+    An internal v qualifies exactly when d(a,v) + d(v,b) = d(a,b) and
+    reach_a[v] & into_b[v] is nonzero, that is some small geodesic a -> v
+    ending p -> v and some small b -> v ending s -> v make a small turn
+    p -> v -> s: reversed, a small geodesic b -> v ending s -> v is a small
+    one v -> b starting v -> s, since angles are unordered, and the two
+    halves meet at v with distances that add up, so their concatenation
+    is a small a -> b geodesic; every small a -> b geodesic through v
+    splits so.  A small a -> b geodesic exists iff into_a[b] is nonzero.
     """
     if a == b:
         return frozenset([a])
-    if not steps_a[b]:
+    (into_a, reach_a), (into_b, _) = steps_a, steps_b
+    if not into_a[b]:
         return frozenset()
     da, db, total = index.dist[a], index.dist[b], index.dist[a][b]
-    return frozenset([a, b]) | frozenset(
-        v for v in index.graph.vertices
-        if v != a and v != b and da[v] + db[v] == total
-        and any(oracle.turn_ok(p, v, s)
-                for p in steps_a[v] for s in steps_b[v]))
+    return frozenset([a, b]).union(
+        v for v in compress(index.graph.vertices, map(and_, reach_a, into_b))
+        if da[v] + db[v] == total)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +738,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                 continue
             c.checked += 1
             c.nonvacuous += 1
-            if not small_steps(index, oracle_t3_2, v)[v2]:
+            if not small_steps(index, oracle_t3_2, v)[0][v2]:
                 c.violations.append(("between", xm, xp, v, v2))
 
     return BatteryReport(counters)

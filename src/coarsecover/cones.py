@@ -147,14 +147,14 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
     clause_counts = {"cone": 0, "small-geodesic": 0}
     for ge in sub_group.elements:
         gv0 = ge[inst.v0]
-        steps = None
+        into = None
         for xi in xi_set:
             if (ge, xi) not in uncovered:
                 clause_counts["cone"] += 1
                 continue
-            if steps is None and gv0 != xi:
-                steps = small_steps(index, oracle, gv0)
-            if gv0 == xi or steps[xi]:
+            if into is None and gv0 != xi:
+                into = small_steps(index, oracle, gv0)[0]
+            if gv0 == xi or into[xi]:
                 clause_counts["small-geodesic"] += 1
                 continue
             failures.append((sub_group.index_of(ge), xi))

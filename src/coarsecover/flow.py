@@ -126,7 +126,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     fibers = {}
     for i, xm in enumerate(endpoints):
         for xp in endpoints[i + 1:]:
-            line = small_carriers(index, oracle, steps[xm], steps[xp], xm, xp)
+            line = small_carriers(index, steps[xm], steps[xp], xm, xp)
             fiber = frozenset().union(
                 *(balls[v] for v in line if sub.is_midpoint(v)))
             for key in ((xm, xp), (xp, xm)):

@@ -412,18 +412,47 @@ def biconnected_blocks(g: Graph):
     """The biconnected blocks of g, each as (vertices, edges) with the
     vertices sorted and the edges canonical, in no fixed block order.  A
     block is the subgraph its vertices induce; bridges are the 2-vertex
-    blocks, and an isolated vertex lies in none."""
-    # networkx loads with rips, after this module; loaded here first, it
-    # stays resident while the rest of the package compiles, which raises
-    # the peak RSS of a run from source by about 1.5 MB
-    import networkx as nx
+    blocks, and an isolated vertex lies in none.
 
-    nxg = nx.Graph()
-    nxg.add_edges_from(g.edges)
+    One iterative Hopcroft-Tarjan pass: a depth-first search keeps the
+    edges it has seen on a stack, and when a child u of p has low(u) >=
+    disc(p), no edge below u reaches above p, so the edges from the tree
+    edge p-u up are one block.
+    """
+    adj = g._adj
+    disc = [0] * g.vertex_count  # discovery time from 1; 0 is unvisited
+    low = [0] * g.vertex_count
     blocks = []
-    for es in nx.biconnected_component_edges(nxg):
-        es = [canon_edge(u, v) for u, v in es]
-        blocks.append((sorted({v for e in es for v in e}), es))
+    clock = 0
+    for root in g.vertices:
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        edges = []
+        # (vertex, parent, neighbours left, edges seen before its tree edge)
+        stack = [(root, -1, iter(adj[root]), 0)]
+        while stack:
+            u, parent, rest, mark = stack[-1]
+            for w in rest:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, u, iter(adj[w]), len(edges)))
+                    edges.append(canon_edge(u, w))
+                    break
+                if w != parent and disc[w] < disc[u]:
+                    edges.append(canon_edge(u, w))
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    es = edges[mark:]
+                    del edges[mark:]
+                    blocks.append((sorted({v for e in es for v in e}), es))
     return blocks
 
 

@@ -76,10 +76,10 @@ class SmallPairRelation:
             return True
         near = self._joined.get(u)
         if near is None:
-            steps = small_steps(self.index, self.oracle, u)
+            into = small_steps(self.index, self.oracle, u)[0]
             du = self.index.dist[u]
             near = self._joined[u] = frozenset(
-                w for w in self.graph.vertices if steps[w] and du[w] <= self.d)
+                w for w in self.graph.vertices if into[w] and du[w] <= self.d)
         return v in near
 
     def pairs(self, vertices):

@@ -192,6 +192,12 @@ def theta_small_paths_brute(g, theta, u, v, sub=None):
                    for i in range(1, len(path) - 1))]
 
 
+def mask_neighbours(g, v, mask):
+    """The neighbours of v whose bits are set in a neighbour bitmask of v,
+    such as small_steps' into[v]: bit i stands for g.neighbors(v)[i]."""
+    return {w for i, w in enumerate(g.neighbors(v)) if mask >> i & 1}
+
+
 @lru_cache(maxsize=8192)
 def _geodesics(g, u, v):
     """all_simple_shortest_paths, memoized; callers must not mutate it."""

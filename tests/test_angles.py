@@ -37,7 +37,7 @@ from coarsecover.graphs import (
     slimness_constant,
 )
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
-    observer_set_all, observer_set_exists, theta3_brute, \
+    mask_neighbours, observer_set_all, observer_set_exists, theta3_brute, \
     theta3_subdivision_brute, theta_small_paths_brute
 
 C6 = cycle_graph(6)
@@ -201,7 +201,7 @@ class TestSmallGeodesics:
     @staticmethod
     def small(g, theta, u, v):
         return bool(small_steps(GeodesicIndex(g), SmallnessOracle(g, theta),
-                                u)[v])
+                                u)[0][v])
 
     def test_adjacent_always_small(self):
         assert self.small(C6, trivial_only(C6), 0, 1)
@@ -210,8 +210,8 @@ class TestSmallGeodesics:
         c4 = cycle_graph(4)
         index, oracle = GeodesicIndex(c4), SmallnessOracle(c4, all_angles(c4))
         steps = [small_steps(index, oracle, x) for x in (0, 2)]
-        assert steps[0][2] == {1, 3}
-        got = small_carriers(index, oracle, *steps, 0, 2)
+        assert mask_neighbours(c4, 2, steps[0][0][2]) == {1, 3}
+        got = small_carriers(index, *steps, 0, 2)
         assert got == frozenset({0, 1, 2, 3})
 
     def test_square_trivial_only_empty(self):
@@ -264,11 +264,11 @@ class TestDTheta:
         idx = GeodesicIndex(sub.graph)
         oracle = SmallnessOracle(sub, t3)
         for v in sub.ve_vertices():
-            steps = small_steps(idx, oracle, v)
+            into, _ = small_steps(idx, oracle, v)
             for w in sub.ve_vertices():
                 dg = idx.d(v, w) // 2
                 assert tm[v][w] >= dg
-                if steps[w]:
+                if into[w]:
                     assert tm[v][w] == dg
 
     def test_matches_definitional_oracle(self):
@@ -458,8 +458,7 @@ class TestCarrierSets:
                 steps = [small_steps(idx, oracle, x) for x in g.vertices]
                 for u in g.vertices:
                     for v in g.vertices:
-                        got = small_carriers(idx, oracle, steps[u], steps[v],
-                                             u, v)
+                        got = small_carriers(idx, steps[u], steps[v], u, v)
                         want = set()
                         for p in theta_small_paths_brute(g, theta, u, v):
                             want.update(p)

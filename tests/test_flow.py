@@ -188,8 +188,7 @@ class TestFiberSymmetry:
         # built on each ordered pair on its own
         oracle = SmallnessOracle(cf.sub, cf.theta)
         steps = {x: small_steps(cf.index, oracle, x) for x in cf.endpoints}
-        lines = {(a, b): small_carriers(cf.index, oracle, steps[a], steps[b],
-                                        a, b)
+        lines = {(a, b): small_carriers(cf.index, steps[a], steps[b], a, b)
                  for a in cf.endpoints for b in cf.endpoints if a != b}
         fibers = {key: frozenset(v for w in line if cf.sub.is_midpoint(w)
                                  for v, dv in cf.metric[w].items()
@@ -432,12 +431,12 @@ class TestThetaForWideness:
         ball = [p for p in Gs.elements if Gs.word_length[p] <= 1]
         for p in ball:
             a = p[v0]
-            steps = small_steps(idx, oracle, a)
+            into, _ = small_steps(idx, oracle, a)
             for xi in sub.ve_vertices():
                 # geodesics between ball translates and endpoints stay small
                 # whenever the base translate flows small (theta0 = corner
                 # size makes every cycle geodesic qualify)
-                assert a == xi or steps[xi]
+                assert a == xi or into[xi]
 
 
 class TestEqualEndpoints:

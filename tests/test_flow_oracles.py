@@ -14,7 +14,7 @@ so failing and passing fibers nest inside each other.
 from itertools import combinations
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import angle_set_from_triples, k_fold_sum
 from coarsecover.flow import build_cf_theta, cf_doubling_report
@@ -23,6 +23,17 @@ from coarsecover.pipeline import build_instance
 from oracles import cf_doubling_report_brute, star_metric
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+# one light point and six heavy ones: the seven points fail (the heavy six
+# are pairwise 40 apart, within 2 * 12 of the light one), four points pass
+PLANTED_W = (1, 20, 20, 20, 20, 20, 20)
+ALL_FAIL = SimpleNamespace(
+    delta_prime=0, metric=star_metric(PLANTED_W),
+    fibers={(0, 1): frozenset(range(7)), (1, 0): frozenset(range(7))})
+SOME_FAIL = SimpleNamespace(
+    delta_prime=0, metric=star_metric(PLANTED_W),
+    fibers={(0, 1): frozenset(range(7)), (1, 0): frozenset(range(4)),
+            (2, 3): frozenset(range(1, 7))})
 
 
 @st.composite
@@ -69,6 +80,8 @@ def test_report_matches_per_fiber_checks_on_planted_violations():
 
     @SETTINGS
     @given(planted_flow_spaces(), st.booleans())
+    @example(ALL_FAIL, False)
+    @example(SOME_FAIL, True)
     def check(cf, tightest):
         want = cf_doubling_report_brute(cf, tightest)
         assert cf_doubling_report(cf, tightest) == want

@@ -1,23 +1,29 @@
-"""Property tests: the geodesic-triangle kernels, the geodesic turn
-iterator, the small-geodesic sweeps and the Rips pair relation built on
-them against the brute-force oracles.
+"""Property tests: the geodesic-triangle kernels, the block decomposition,
+the geodesic turn iterator, the small-geodesic sweeps and the Rips pair
+relation built on them against the brute-force oracles (networkx's for the
+blocks).
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
-cone vertices.
+cone vertices.  The sweeps also run on explicit graphs with a hub of
+degree 12 or more.
 """
 
+import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
     canonical_angle, geodesic_turns, small_carriers, small_steps, theta3
+from coarsecover.corpus import star_graph
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
     barycentric_subdivision,
+    biconnected_blocks,
     canon_edge,
     distance_matrix,
     geodesic_counts,
@@ -28,6 +34,7 @@ from coarsecover.graphs import (
 from coarsecover.rips import SmallPairRelation
 from oracles import (
     all_simple_shortest_paths,
+    mask_neighbours,
     theta3_brute,
     theta3_subdivision_brute,
     theta_small_paths_brute,
@@ -140,6 +147,26 @@ def test_glued_blocks_on_subdivision_match_brute(g):
     assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
 
 
+def _blocks(pairs):
+    """Blocks as comparable values: (vertices, edges), both sorted."""
+    return sorted((sorted({v for e in es for v in e}), sorted(es))
+                  for es in pairs)
+
+
+@SETTINGS
+@given(st.one_of(graphs(max_n=12, max_extra=12), glued_blocks()))
+def test_biconnected_blocks_match_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_edges_from(g.edges)
+    want = _blocks([canon_edge(u, v) for u, v in es]
+                   for es in nx.biconnected_component_edges(nxg))
+    blocks = biconnected_blocks(g)
+    assert _blocks(es for _, es in blocks) == want
+    for vs, es in blocks:
+        assert vs == sorted({v for e in es for v in e})
+        assert all(e == canon_edge(*e) for e in es)
+
+
 def _check_geodesic_turns(g, sub=None):
     """geodesic_turns against the turns read off every geodesic that the
     exhaustive DFS all_simple_shortest_paths finds, each with the canonical
@@ -209,19 +236,43 @@ def _check_small_geodesics(g, theta, sub=None):
     for u in graph.vertices:
         for v in graph.vertices:
             paths = theta_small_paths_brute(graph, theta, u, v, sub)
-            assert steps[u][v] == {p[-2] for p in paths if len(p) > 1}
-            assert small_carriers(index, oracle, steps[u], steps[v], u, v) \
+            assert mask_neighbours(graph, v, steps[u][0][v]) \
+                == {p[-2] for p in paths if len(p) > 1}
+            assert small_carriers(index, steps[u], steps[v], u, v) \
                 == frozenset(w for p in paths for w in p)
+
+
+def _wide(g, seed):
+    """g with a seeded random half of its angles as the size."""
+    angles = sorted(all_angles(g).nontrivial)
+    return g, AngleSet(g, frozenset(
+        random.Random(seed).sample(angles, len(angles) // 2)))
+
+
+# a hub 0 of degree 13 (wheel) or 12 (star): the masks at the hub are wider
+# than a byte, which the random graphs above never reach
+WIDE = [_wide(g, seed) for seed in (0, 1) for g in (
+    make_graph(14, [(0, i) for i in range(1, 14)]
+               + [(i, i % 13 + 1) for i in range(1, 14)]),
+    star_graph(12))]
+
+
+def wide_examples(test):
+    for case in WIDE:
+        test = example(case)(test)
+    return test
 
 
 @SETTINGS
 @given(graphs_with_theta())
+@wide_examples
 def test_small_geodesic_scans_match_brute(case):
     _check_small_geodesics(*case)
 
 
 @SETTINGS
 @given(graphs_with_theta(max_n=6, max_extra=4))
+@wide_examples
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
