@@ -313,14 +313,15 @@ def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
 def small_carriers(index: GeodesicIndex, steps_a, steps_b, a, b):
     """The vertices on small a -> b geodesics, from the sweeps of a and b.
 
-    An internal v qualifies exactly when d(a,v) + d(v,b) = d(a,b) and
-    reach_a[v] & into_b[v] is nonzero, that is some small geodesic a -> v
-    ending p -> v and some small b -> v ending s -> v make a small turn
-    p -> v -> s: reversed, a small geodesic b -> v ending s -> v is a small
-    one v -> b starting v -> s, since angles are unordered, and the two
-    halves meet at v with distances that add up, so their concatenation
-    is a small a -> b geodesic; every small a -> b geodesic through v
-    splits so.  A small a -> b geodesic exists iff into_a[b] is nonzero.
+    Angles are unordered, so a reversed small geodesic is small, and the
+    carriers are symmetric in a and b.  An internal v qualifies exactly
+    when d(a,v) + d(v,b) = d(a,b) and reach_a[v] & into_b[v] is nonzero,
+    that is some small geodesic a -> v ending p -> v and some small b -> v
+    ending s -> v make a small turn p -> v -> s: reversed, the second is a
+    small v -> b starting v -> s, and the two halves meet at v with
+    distances that add up, so their concatenation is a small a -> b
+    geodesic; every small a -> b geodesic through v splits so.  A small
+    a -> b geodesic exists iff into_a[b] is nonzero.
     """
     if a == b:
         return frozenset([a])
@@ -347,16 +348,14 @@ def theta3(base, index: GeodesicIndex = None,
     pair_cap bounds the corner pairs of the whole graph.
 
     The set is the union over the biconnected blocks of at least 3
-    vertices, each block measured on the global rows cut down to it (a
-    block of a subdivision is the subdivision of a block of the original
-    graph).  If the first steps from apex v toward corners p and q go into
+    vertices, each block measured on the global rows cut down to it (see
+    biconnected_blocks; a block of a subdivision is the subdivision of a
+    block of the original graph).  If the first steps from apex v toward corners p and q go into
     different blocks, v is a cut vertex on every p-q geodesic and makes no
     angle.  If both go into block B, the p-q geodesics pass the gates of p
     and q in B and the counts sigma factor through them, so they avoid v
     exactly when the geodesics between the gates do.  A bridge makes no
-    angle, but a triangle does.  This is an argument, not a proof; the
-    oracle tests check it against full geodesic enumeration on blocks
-    glued at cut vertices.
+    angle, but a triangle does.
     """
     if isinstance(base, Subdivision):
         sub, g, original = base, base.graph, base.original

@@ -22,7 +22,7 @@ from .angles import (
     theta3_circuit_bound_check,
     trivial_only,
 )
-from .cones import cone_cover, dichotomy_check, seed_theta0
+from .cones import cone_cover, dichotomy_check
 from .flow import (
     ball_closed_targets,
     build_cf_theta,
@@ -46,7 +46,7 @@ from .graphs import (
     slimness_delta,
 )
 from .pipeline import PipelineError, build_instance, cover_to_document, \
-    report_json, run_pipeline
+    report_json, run_pipeline, select_theta0
 from .rips import build_rips, complex_stats, contract_subcomplex, \
     homology_oracle
 from .symmetry import close_group, trivial_group
@@ -127,10 +127,6 @@ def _read_model(args):
     return g, close_group(g, [tuple(p) for p in perms])
 
 
-def _read_instance(args):
-    return build_instance(*_read_model(args))
-
-
 def _theta_for(g, spec_text, corner):
     """The size named by spec_text; tfold:k sums k copies of the corner
     size that the zero-argument function corner returns."""
@@ -149,7 +145,7 @@ def _theta_for(g, spec_text, corner):
 
 def _emit(args, name, data):
     text = report_json(data)
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, name + ".json"), "w") as fh:
             fh.write(text + "\n")
@@ -180,7 +176,7 @@ def cmd_analyze(args):
                 "max_needed": circ["max_circuit_needed"],
             },
         })
-    print(report_json(report))
+    _emit(args, "analyze", report)
     return 0
 
 
@@ -286,7 +282,7 @@ def cmd_export_dot(args):
 
 
 def cmd_cf(args):
-    inst = _read_instance(args)
+    inst = build_instance(*_read_model(args))
     sub_group, v0, boundary = inst.sub_group, inst.v0, inst.boundary
     theta = _theta_for(inst.graph, args.theta, lambda: inst.t3)
     cf = build_cf_theta(inst.sub, theta, inst.flow_endpoints(),
@@ -319,11 +315,9 @@ def cmd_cf(args):
 
 
 def cmd_cone(args):
-    inst = _read_instance(args)
+    inst = build_instance(*_read_model(args))
     sub_group, xi = inst.sub_group, inst.cone_targets()
-    theta0 = seed_theta0(inst, args.alpha)
-    if args.theta0_mode == "all":
-        theta0 = theta0.union(all_angles(inst.graph))
+    theta0 = select_theta0(inst, args.alpha, args.theta0_mode)
     cones, theta_out = cone_cover(inst, theta0, xi)
     if args.cone_cmd == "build":
         data = [{
@@ -418,7 +412,6 @@ def build_parser():
 
     p = sub.add_parser("export-dot", help="graph, DAG, cover nerve or trace")
     p.add_argument("--graph")
-    p.add_argument("--out")
     p.add_argument("--dag", help="u,v for the geodesic DAG between u and v")
     p.add_argument("--cover", help="cover artifact file; emits its nerve")
     p.add_argument("--trace", help="contraction trace file")

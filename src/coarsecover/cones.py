@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
-                         _sums=None) -> bool:
+                         sums) -> bool:
     """Sufficient condition for the pair to sit in the cone set's interior.
 
     Either some geodesic to xi turns (theta + doubled corner size)-large at
@@ -32,17 +32,13 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     corner-large at a strictly later internal vertex.  A geodesic leaving
     the apex at x can make the turn p -> w -> s exactly when x reaches p
     along a geodesic, d(g v0, x) + d(x, p) = d(g v0, p); w then lies
-    beyond x.
+    beyond x.  sums is (t3_2, theta + t3_2), t3_2 the doubled corner size.
     """
     index = inst.index
     gv0 = g[inst.v0]
     if xi == apex:
         return False
-    if _sums is None:
-        t3_2 = k_fold_sum(inst.t3, 2)
-        big = angle_sum(theta, t3_2)
-    else:
-        t3_2, big = _sums
+    t3_2, big = sums
     large_apex_exits = set()
     for _, _, s, angle in geodesic_turns(index, inst.sub, gv0, xi, at=apex):
         if angle not in big.nontrivial:
@@ -53,7 +49,7 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
         return False
     d0 = index.dist[gv0]
     return any(angle not in t3_2.nontrivial and any(
-        d0[x] + index.d(x, p) == d0[p] for x in large_apex_exits)
+        d0[x] + index.dist[x][p] == d0[p] for x in large_apex_exits)
         for _, p, _, angle in geodesic_turns(index, inst.sub, gv0, xi))
 
 
@@ -121,7 +117,7 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
                     if large(size, gv0, xi, apex):
                         members.add((ge, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
-                                                _sums=sums[layer]):
+                                                sums[layer]):
                             certified.add((ge, xi))
             if members:
                 cones.append(ConeSet(apex, layer, frozenset(members),

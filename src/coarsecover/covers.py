@@ -9,11 +9,9 @@ map each z-point it meets to its v-set over that point, so the cover is
 built, counted and verified slice by slice, one z-point at a time.
 
 Because Z is finite and discrete, closures and boundaries are trivial and
-the greedy construction needs a single induction step: subtract earlier
-basis sets along nearby translates, fatten in the v-direction, saturate by
-the annotated subgroup and by the whole group.  The order of the result is
-bounded by D - 1 whenever every z-fiber of the pair set has the
-(D, R)-doubling property and alpha >= R.
+the greedy construction (greedy_cover) needs a single induction step.  The
+order of the result is bounded by D - 1 whenever every z-fiber of the pair
+set has the (D, R)-doubling property and alpha >= R.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import INF, make_graph
+from .graphs import INF
 from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
-    is_subgroup, set_orbit, subgroup_generated, trivial_group
+    is_subgroup, set_orbit, subgroup_generated
 
 _EMPTY = frozenset()
 
@@ -36,12 +34,8 @@ class PairSpace:
     v_points: tuple
     fibers: dict  # every z-point -> V_z, empty fibers included
     dist: dict  # v -> {w: d(v, w)}
-    group: GroupModel
-    act_v: dict  # p -> its map on v-points, indexed by v-point
+    group: GroupModel  # p acts on the v-points as the permutation it is
     act_z: dict  # p -> {z: p z}
-
-    def d(self, a, b):
-        return self.dist[a][b]
 
 
 class Slices(dict):
@@ -73,19 +67,19 @@ def _translator(space: PairSpace):
     """A function applying a group element to slices; it maps each v-set
     once per element, so translates of slices sharing a v-set share its
     image."""
-    identity, act_v, act_z = space.group.identity, space.act_v, space.act_z
+    identity, act_z = space.group.identity, space.act_z
     images = {}  # p -> {v-set: its image under p}
 
     def translate(p, slices):
         if p == identity:
             return slices
         image = images.setdefault(p, {})
-        av, az = act_v[p], act_z[p]
+        az = act_z[p]
         out = Slices()
         for z, vs in slices.items():
             ws = image.get(vs)
             if ws is None:
-                ws = image[vs] = frozenset([av[v] for v in vs])
+                ws = image[vs] = frozenset([p[v] for v in vs])
             out[az[z]] = ws
         return out
 
@@ -112,19 +106,13 @@ def _check_generators(G: GroupModel):
         raise ValueError("the group's generators do not generate its elements")
 
 
-def pair_space(v_points, fibers, dist, group=None, act_v=None,
-               act_z=None) -> PairSpace:
+def pair_space(v_points, fibers, dist, group: GroupModel,
+               act_z) -> PairSpace:
     """Assemble a PairSpace from its z-fibers (each z-point -> the v-points
-    over it); the trivial group is used when none is given."""
-    v_points = tuple(v_points)
-    fibers = {z: frozenset(vs) for z, vs in fibers.items()}
-    if group is None:
-        group = trivial_group(make_graph(1, []))
-    if act_v is None:
-        act_v = {p: {v: v for v in v_points} for p in group.elements}
-    if act_z is None:
-        act_z = {p: {z: z for z in fibers} for p in group.elements}
-    return PairSpace(v_points, fibers, dist, group, act_v, act_z)
+    over it)."""
+    return PairSpace(tuple(v_points),
+                     {z: frozenset(vs) for z, vs in fibers.items()}, dist,
+                     group, act_z)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +333,12 @@ def fiber_basis(space: PairSpace, alpha):
     for v in sorted(space.v_points):
         if v in seen:
             continue
-        orbit = {space.act_v[p][v] for p in space.group.elements}
-        seen |= orbit
+        seen.update(p[v] for p in space.group.elements)
         if v not in z_over:
             continue
         fiber = frozenset(z_over[v])
         gens = [p for p in space.group.elements
-                if space.dist[space.act_v[p][v]][v] <= 4 * alpha
+                if space.dist[p[v]][v] <= 4 * alpha
                 and any(space.act_z[p][z] in fiber for z in fiber)]
         triples.append(BasisTriple(v, fiber, subgroup_generated(space.group, gens)))
     return triples
@@ -374,13 +361,13 @@ def _saturate(space: PairSpace, core, gens):
     at a time, returned as slices."""
     if not gens:
         return core
-    acts = [(space.act_v[s], space.act_z[s]) for s in gens]
+    acts = [(s, space.act_z[s]) for s in gens]
     out = {z: set(vs) for z, vs in core.items()}
     queue = list(core.items())
     for z, vs in queue:  # the queue grows while it is walked
-        for av, az in acts:
+        for s, az in acts:
             over = out.setdefault(az[z], set())
-            new = {av[v] for v in vs} - over
+            new = {s[v] for v in vs} - over
             if new:
                 over |= new
                 queue.append((az[z], new))
@@ -411,7 +398,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     _check_alpha(alpha)
     G = space.group
     _check_generators(G)
-    act_v, act_z, identity = space.act_v, space.act_z, G.identity
+    act_z, identity = space.act_z, G.identity
     z_over = _z_fibers(space)
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
@@ -422,7 +409,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     # precondition: separation condition at scale 4*alpha
     for i, t in enumerate(basis):
         for p in G.elements:
-            if p in t.subgroup or space.dist[act_v[p][t.v]][t.v] > 4 * alpha:
+            if p in t.subgroup or space.dist[p[t.v]][t.v] > 4 * alpha:
                 continue
             if any(act_z[p][z] in t.zset for z in t.zset):
                 raise BasisError(
@@ -432,7 +419,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     for t in basis:
         for p in G.elements:
             az = act_z[p]
-            covered.setdefault(act_v[p][t.v], set()).update(
+            covered.setdefault(p[t.v], set()).update(
                 t.zset if p == identity else [az[z] for z in t.zset])
     missing = sorted((v, z) for v, zs in z_over.items()
                      for z in zs - covered.get(v, _EMPTY))
@@ -450,7 +437,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
                 continue
             vj = basis[j].v
             for p in G.elements:
-                if row[act_v[p][vj]] <= alpha:
+                if row[p[vj]] <= alpha:
                     if p == identity:
                         zset -= reduced[j]
                     else:
@@ -518,23 +505,21 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:
     """Independent check of order, longness, invariance and F-subsetness.
 
-    Order and longness are read fiber by fiber off the members' slices
-    (v-sets) over each z-point.  Longness asks every pair (v, z) for a
-    member holding all of X's pairs over z within alpha of v; that set
-    holds (v, z), so only slices holding v are tested.  Both depend only on
-    V_z and the slices over z, so each distinct such key is checked once
-    and its verdict reused; the least pair (v, z) that is not long is
-    reported.  An order other than the stated cover.order fails.
+    Order and longness are checked once per fiber class (_fiber_classes).
+    Longness asks every pair (v, z) for a member holding all of X's pairs
+    over z within alpha of v; that set holds (v, z), so only slices holding
+    v are tested.  The least pair (v, z) that is not long is reported, and
+    an order other than the stated cover.order fails.
 
-    Invariance and F-subsetness walk the generators, which must generate
-    the group (ValueError otherwise).  A generator maps the finite pool of
-    member sets injectively, so a pool each generator maps into itself is
-    G-invariant.  The first member m of each orbit, in cover order, gets
-    the check of is_F_subset on the orbit set_orbit walks.  It transfers
-    to m' = g.m: m' meets h.m' exactly when m meets (g^-1 h g).m, and
-    Stab(m') = g Stab(m) g^-1 is tested against the family directly, which
-    need not be closed under conjugation.  Failures name the first failing
-    generator or member; the members' annotations are not read.
+    Invariance and F-subsetness walk the generators, which must generate the
+    group.  A generator maps the finite pool of member sets injectively, so
+    a pool each generator maps into itself is G-invariant.  The first member
+    m of each orbit, in cover order, gets the check of is_F_subset on the
+    orbit set_orbit walks.  It transfers to m' = g.m: m' meets h.m' exactly
+    when m meets (g^-1 h g).m, and Stab(m') = g Stab(m) g^-1 is tested
+    against the family directly, which need not be closed under conjugation.
+    Failures name the first failing generator or member; the members'
+    annotations are not read.
     """
     _check_alpha(alpha)
     failures = []

@@ -89,8 +89,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     vertices on its small geodesics, comes from one small-step sweep per
     endpoint; its fiber is the delta'-ball around the line's midpoints.
     Each unordered pair is swept once and its line and fiber stored under
-    both orders: a reversed small geodesic is small, since angles are
-    unordered, so small_carriers is symmetric in its two ends.
+    both orders, since small_carriers is symmetric in its two ends.
     """
     g = sub.graph
     if not g.is_connected():
@@ -163,12 +162,12 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
     reports = {}
     rows = cf.metric
 
-    def d(a, b):
+    def chain(a, b):
         return rows[a][b]
 
     def check(fiber):
         if fiber not in reports:
-            reports[fiber] = doubling_check(fiber, d, 5, R)
+            reports[fiber] = doubling_check(fiber, chain, 5, R)
         return reports[fiber]
 
     failures = []
@@ -183,9 +182,9 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
         tightest_d = tightest_r = 0
         for fiber in maximal:
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, d, R))
+                fiber, chain, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, d, 5))
+                fiber, chain, 5))
     return {
         "ok": not failures,
         "D": 5,
@@ -199,13 +198,11 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
-    chain metric's rows; its z-fibers are cf's fibers.  A group element acts
-    on the midpoints as the permutation it is."""
-    act_v = {p: p for p in cf.group.elements}
+    chain metric's rows; its z-fibers are cf's fibers."""
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
              for p in cf.group.elements}
-    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric,
-                      group=cf.group, act_v=act_v, act_z=act_z)
+    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric, cf.group,
+                      act_z)
 
 
 def cover_cf(space: PairSpace, alpha_prime) -> Cover:
@@ -231,9 +228,9 @@ def _line(cf: CoarseFlowSpace, gv0, xi):
     return line
 
 
-def eligible_targets(cf: CoarseFlowSpace, v0, xi_set=None):
-    """Pairs (g, xi) admitting a nonconstant small geodesic from g v0 to xi."""
-    xi_set = cf.endpoints if xi_set is None else tuple(xi_set)
+def eligible_targets(cf: CoarseFlowSpace, v0, xi_set):
+    """Pairs (g, xi), xi in xi_set, admitting a nonconstant small geodesic
+    from g v0 to xi."""
     out = []
     for g in cf.group.elements:
         gv0 = g[v0]
@@ -243,7 +240,7 @@ def eligible_targets(cf: CoarseFlowSpace, v0, xi_set=None):
     return tuple(out)
 
 
-def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set=None):
+def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set):
     """Eligible pairs whose whole word-metric ball stays eligible.
 
     Ideal endpoints of the infinite picture are never orbit points of the

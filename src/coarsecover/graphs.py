@@ -218,9 +218,8 @@ def geodesic_counts(g: Graph, dist, vertices=None):
     One pass per source in BFS order sums the counts of the predecessors
     (Brandes, J. Math. Sociol. 25, 2001); counts are exact integers.
     Given vertices, a block of g, only the rows and entries of its
-    vertices are counted, and the other rows are None: a geodesic between
-    two vertices of a block stays in the block, so every predecessor of w
-    toward s is in it.
+    vertices are counted, and the other rows are None: every predecessor
+    of w toward s is in the block (see biconnected_blocks).
     """
     vs = g.vertices if vertices is None else vertices
     sigma = [None] * g.vertex_count
@@ -287,9 +286,6 @@ class GeodesicIndex:
     def __init__(self, g: Graph):
         self.graph = g
         self.dist = distance_matrix(g)
-
-    def d(self, u, v):
-        return self.dist[u][v]
 
     def dag(self, u, v):
         # kept only because perfbench's tracer patches it by name; it goes
@@ -414,6 +410,13 @@ def biconnected_blocks(g: Graph):
     block is the subgraph its vertices induce; bridges are the 2-vertex
     blocks, and an isolated vertex lies in none.
 
+    Every geodesic between two vertices of a block stays in the block, so
+    a block is an isometric subgraph with the global distances, and
+    slimness_constant, theta3 and geodesic_counts work block by block on
+    the global rows cut down to it.  Their block arguments are arguments,
+    not proofs; the oracle tests check them against full geodesic
+    enumeration on blocks glued at cut vertices.
+
     One iterative Hopcroft-Tarjan pass: a depth-first search keeps the
     edges it has seen on a stack, and when a child u of p has low(u) >=
     disc(p), no edge below u reaches above p, so the edges from the tree
@@ -502,14 +505,11 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     result bounds all geodesic triangles of the graph.  The witness is the
     first triple, in combinations order, whose defect is delta.
 
-    delta is the largest delta of the biconnected blocks.  Every geodesic
-    between two vertices of a block stays in the block, so a block is an
-    isometric subgraph with the global distances, and a geodesic triangle
-    splits into a tripod along the block tree plus one triangle or bigon
-    in each block it crosses.  This is an argument, not a proof; the
-    oracle tests check it against full geodesic enumeration on blocks
-    glued at cut vertices.  The witness can span blocks, so it comes from
-    one scan of the whole graph at the known delta.
+    delta is the largest delta of the biconnected blocks, which are
+    isometric (see biconnected_blocks): a geodesic triangle splits into a
+    tripod along the block tree plus one triangle or bigon in each block
+    it crosses.  The witness can span blocks, so it comes from one scan of
+    the whole graph at the known delta.
     """
     dist, scans = _block_scans(g, dist)
     delta = _largest_defect(scans)

@@ -90,6 +90,16 @@ def build_instance(g: Graph, group: GroupModel = None) -> Instance:
                     theta3(sub, index=index), slimness_delta(g))
 
 
+def select_theta0(inst: Instance, alpha, mode) -> AngleSet:
+    """seed_theta0 under mode 'seed'; under mode 'all' its union with every
+    angle, which routes every boundary direction through the flow branch
+    (any size containing the seed is legal)."""
+    if mode not in ("seed", "all"):
+        raise ValueError("theta0_mode must be 'seed' or 'all'")
+    theta0 = seed_theta0(inst, alpha)
+    return theta0.union(all_angles(inst.graph)) if mode == "all" else theta0
+
+
 @dataclass
 class PipelineResult:
     ok: bool
@@ -121,13 +131,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     }
     stages["theta3"] = {"nontrivial": len(t3)}
 
-    theta0 = seed_theta0(inst, alpha)
-    if theta0_mode == "all":
-        # any size containing the seed is legal; the saturated choice routes
-        # every boundary direction through the flow branch
-        theta0 = theta0.union(all_angles(g))
-    elif theta0_mode != "seed":
-        raise ValueError("theta0_mode must be 'seed' or 'all'")
+    theta0 = select_theta0(inst, alpha, theta0_mode)
     xi_cone = inst.cone_targets()
     cones, theta_out = cone_cover(inst, theta0, xi_cone)
     stages["cone"] = {"cone_sets": len(cones), "theta_out": len(theta_out),
@@ -153,7 +157,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
     if not doubling["ok"]:
         return result(False)
 
-    reach = max(index.d(v0, p[v0]) for p in sub_group.ball(alpha)) // 2
+    reach = max(index.dist[v0][p[v0]] for p in sub_group.ball(alpha)) // 2
     alpha_prime = reach + 2 * (delta + 1)
     space = cf_pair_space(cf)
     flow_cover = cover_cf(space, alpha_prime)

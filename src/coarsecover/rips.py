@@ -59,15 +59,14 @@ class SmallPairRelation:
     """The symmetric relation 'joined by a small geodesic of length <= d'.
 
     The vertices joined to u come from one small-step sweep from u, taken
-    on first use.  Reversing a small geodesic gives a small one, as angles
-    are unordered, so the sweep from either end decides a pair.
+    on first use; the sweep from either end decides a pair, since a
+    reversed small geodesic is small (see angles.small_carriers).
     """
 
-    def __init__(self, g: Graph, d, theta: AngleSet,
-                 index: GeodesicIndex = None):
+    def __init__(self, g: Graph, d, theta: AngleSet, index: GeodesicIndex):
         self.graph = g
         self.d = d
-        self.index = index if index is not None else GeodesicIndex(g)
+        self.index = index
         self.oracle = SmallnessOracle(g, theta)
         self._joined = {}  # u -> the vertices other than u joined to it
 
@@ -89,7 +88,7 @@ class SmallPairRelation:
 
 
 def build_rips(g: Graph, d, theta: AngleSet,
-               index: GeodesicIndex = None) -> SimplicialComplex:
+               index: GeodesicIndex) -> SimplicialComplex:
     """The relative Rips complex at scale d for the given size for angles."""
     g.require_cone_separation()
     rel = SmallPairRelation(g, d, theta, index)
@@ -148,13 +147,13 @@ def _large_angle_vertices(index: GeodesicIndex, small: AngleSet, v0, v):
     out = {}
     for w, _, _, angle in geodesic_turns(index, None, v0, v):
         if w not in out and angle not in small.nontrivial:
-            out[w] = index.d(v0, w)
+            out[w] = index.dist[v0][w]
     return out
 
 
-def _measure(index, large_at, v0, K):
-    alpha = max(index.d(v0, v) for v in K)
-    a = sum(1 for v in K if index.d(v0, v) == alpha)
+def _measure(d0, large_at, K):
+    alpha = max(d0[v] for v in K)
+    a = sum(1 for v in K if d0[v] == alpha)
     beta = 0
     b = 0
     for v in K:
@@ -168,7 +167,7 @@ def _measure(index, large_at, v0, K):
 
 
 def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
-                        index: GeodesicIndex = None) -> ContractionTrace:
+                        index: GeodesicIndex) -> ContractionTrace:
     """Fold a finite subcomplex down to its basepoint, validating each move.
 
     Hypotheses (checked): d >= 4 * delta with delta a positive integer
@@ -181,8 +180,6 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     replacement vertex always lies on a geodesic from the basepoint to a
     vertex of the original subcomplex.
     """
-    if index is None:
-        index = GeodesicIndex(g)
     delta_eff = max(1, int(delta))
     if d < 4 * delta_eff:
         raise ValueError("need d >= 4 * delta (delta taken as %d)" % delta_eff)
@@ -196,6 +193,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     if not K0:
         raise ValueError("empty subcomplex")
     v0 = K0[0]
+    d0 = index.dist[v0]
     # the large-angle vertices of v depend only on v: v0, the index and
     # t3_2 are fixed for the whole contraction
     large = {}
@@ -206,7 +204,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
             hit = large[v] = _large_angle_vertices(index, t3_2, v0, v)
         return hit
 
-    if any(index.d(v0, v) is INF for v in K0):
+    if any(d0[v] is INF for v in K0):
         raise ValueError("subcomplex spans several components")
     L_verts = set()
     for u in K0:
@@ -217,21 +215,21 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
 
     K = set(K0)
     moves = []
-    alpha0 = max(index.d(v0, v) for v in K)
-    move_cap = 4 * len(K0) * (alpha0 + 2) + 16
+    measure = _measure(d0, large_at, K)
+    move_cap = 4 * len(K0) * (measure[0] + 2) + 16
     while True:
-        alpha, beta, a, b = _measure(index, large_at, v0, K)
+        alpha, beta, a, b = measure
         if alpha == 0:
             break
         if len(moves) > move_cap:
             raise ContractionError("fold count exceeded cap; no progress")
         if alpha >= beta + d:
-            v = min(v for v in K if index.d(v0, v) == alpha)
+            v = min(v for v in K if d0[v] == alpha)
             vt = min(w for w in index.geodesic_vertex_set(v0, v)
-                     if index.d(v0, w) == alpha - 2 * delta_eff)
+                     if d0[w] == alpha - 2 * delta_eff)
             case = "far-fold"
         elif beta == 0:
-            v = min(v for v in K if index.d(v0, v) == alpha)
+            v = min(v for v in K if d0[v] == alpha)
             vt = v0
             case = "base-fold"
         else:
@@ -260,14 +258,14 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if vt not in L_verts:
             raise ContractionError("replacement %r leaves the span" % (vt,))
         K_next = (K - {v}) | {vt}
-        m_next = _measure(index, large_at, v0, K_next)
+        m_next = _measure(d0, large_at, K_next)
         before = (alpha + beta, a + b)
         after = (m_next[0] + m_next[1], m_next[2] + m_next[3])
         if not after < before:
             raise ContractionError(
                 "measure did not decrease: %r -> %r" % (before, after))
         moves.append(Move(v, vt, case, before, after))
-        K = K_next
+        K, measure = K_next, m_next
     if K != {v0}:
         raise ContractionError("terminated away from the basepoint")
     return ContractionTrace(tuple(moves), v0, v0)
@@ -335,7 +333,7 @@ def _pivot_rows_mod_p(columns, cleared):
     return pivots.keys()
 
 
-def homology_oracle(P: SimplicialComplex, max_dim=None, cap=200000):
+def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     """Betti numbers over the rationals by exact boundary-matrix ranks.
 
     The ranks are first taken over F_p, p = 2**31 - 1.  For every integer
@@ -353,8 +351,6 @@ def homology_oracle(P: SimplicialComplex, max_dim=None, cap=200000):
     """
     sims = P.all_simplices(cap)
     dim = P.dimension
-    if max_dim is None:
-        max_dim = max(dim, 0)
     by_dim = {}
     for s in sims:
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))

@@ -11,11 +11,11 @@ from itertools import combinations, product
 
 from coarsecover.angles import angle_sum, k_fold_sum
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
-    minimal_doubling_radius
+    minimal_doubling_radius, pair_space
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
-    distance_matrix
+    distance_matrix, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
-    subgroup_generated
+    subgroup_generated, trivial_group
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -336,6 +336,15 @@ def fibers_of(z_points, pairs):
     return fibers
 
 
+def trivial_pair_space(v_points, fibers, dist):
+    """A pair space under the trivial group, whose identity permutation
+    fixes every v-point (the v-points are nonnegative integers)."""
+    v_points = tuple(v_points)
+    G = trivial_group(make_graph(max(v_points, default=0) + 1, []))
+    return pair_space(v_points, fibers, dist, G,
+                      {G.identity: {z: z for z in fibers}})
+
+
 def pairs_of(space):
     """The admitted pairs (v, z) of a pair space, read off its fibers."""
     return frozenset((v, z) for z, fiber in space.fibers.items()
@@ -353,7 +362,7 @@ def default_basis(space):
         if pair in seen:
             continue
         v, z = pair
-        seen |= {(space.act_v[p][v], space.act_z[p][z])
+        seen |= {(p[v], space.act_z[p][z])
                  for p in space.group.elements}
         stab = frozenset(p for p in space.group.elements
                          if space.act_z[p][z] == z)
@@ -379,7 +388,7 @@ def verify_cover_definitional(members, space, alpha, family):
     G = space.group
 
     def act(p, pair):
-        return (space.act_v[p][pair[0]], space.act_z[p][pair[1]])
+        return (p[pair[0]], space.act_z[p][pair[1]])
 
     pairs = pairs_of(space)
     order = cover_order_brute(members, pairs)
@@ -422,12 +431,12 @@ def fiber_basis_brute(space, alpha):
     for v in sorted(space.v_points):
         if v in seen:
             continue
-        seen |= {space.act_v[p][v] for p in G.elements}
+        seen |= {p[v] for p in G.elements}
         zset = frozenset(z for z, vs in space.fibers.items() if v in vs)
         if not zset:
             continue
         gens = [p for p in G.elements
-                if space.dist[space.act_v[p][v]][v] <= 4 * alpha
+                if space.dist[p[v]][v] <= 4 * alpha
                 and {space.act_z[p][z] for z in zset} & zset]
         triples.append(BasisTriple(v, zset, subgroup_generated(G, gens)))
     return triples
@@ -445,18 +454,18 @@ def greedy_cover_reference(space, alpha, basis):
     from coarsecover.symmetry import compose, invert
 
     G = space.group
-    act_v, act_z = space.act_v, space.act_z
+    act_z = space.act_z
     pairs = pairs_of(space)
 
     def translate(p, points):
-        return frozenset((act_v[p][v], act_z[p][z]) for v, z in points)
+        return frozenset((p[v], act_z[p][z]) for v, z in points)
 
     reduced = []
     for i, t in enumerate(basis):
         zset = set(t.zset)
         for j in range(i):
             for p in G.elements:
-                if space.dist[t.v][act_v[p][basis[j].v]] <= alpha:
+                if space.dist[t.v][p[basis[j].v]] <= alpha:
                     zset.difference_update(act_z[p][z] for z in reduced[j])
         reduced.append(frozenset(zset))
 
@@ -508,7 +517,7 @@ def d_theta_definitional_oracle(sub, theta, index=None):
     hops = {w: [] for w in order}
     for i, w in enumerate(order):
         for w2 in order[i + 1:]:
-            dg = index.d(w, w2)
+            dg = index.dist[w][w2]
             if dg is INF:
                 continue
             if theta_small_paths_brute(sub.graph, theta, w, w2, sub):
@@ -544,7 +553,7 @@ def observer_set_all(g, xi, v0_set, index=None):
     avoid = frozenset(v0_set) - {xi}
     out = set()
     for x2 in g.vertices:
-        if index.d(xi, x2) is INF:
+        if index.dist[xi][x2] is INF:
             continue
         if x2 == xi:
             out.add(x2)
@@ -561,7 +570,7 @@ def observer_set_exists(g, xi, v0_set, index=None):
     avoid = frozenset(v0_set) - {xi}
     out = set()
     for x2 in g.vertices:
-        if index.d(xi, x2) is INF:
+        if index.dist[xi][x2] is INF:
             continue
         if x2 == xi:
             out.add(x2)
@@ -592,9 +601,10 @@ def _reachable_avoiding(index, s, t, avoid):
 
 
 def validate_pair_space(space):
-    """Check the metric, the action and their invariance.  An action
-    fixing points under the identity and composing with each generator is
-    a homomorphism, so invariance per generator is G-invariance."""
+    """Check the metric, the action and their invariance.  Elements act on
+    v-points as the permutations they are; an action on z-points fixing
+    them under the identity and composing with each generator is a
+    homomorphism, so invariance per generator is G-invariance."""
     for v in space.v_points:
         if space.dist[v][v] != 0:
             raise ValueError("metric has nonzero diagonal")
@@ -604,23 +614,22 @@ def validate_pair_space(space):
     G = space.group
     if subgroup_generated(G, G.generators) != frozenset(G.elements):
         raise ValueError("the group's generators do not generate its elements")
-    maps = ((space.act_v, space.v_points), (space.act_z, space.fibers))
-    if any(act[G.identity][x] != x for act, xs in maps for x in xs):
+    act = space.act_z
+    if any(act[G.identity][z] != z for z in space.fibers):
         raise ValueError("the identity moves a point")
     for p in G.elements:
         for s in G.generators:
             sp = compose(s, p)
-            if any(act[sp][x] != act[s][act[p][x]]
-                   for act, xs in maps for x in xs):
+            if any(act[sp][z] != act[s][act[p][z]] for z in space.fibers):
                 raise ValueError("the action does not respect composition")
     for s in G.generators:
-        av, az = space.act_v[s], space.act_z[s]
+        az = act[s]
         for z, fiber in space.fibers.items():
-            if not {av[v] for v in fiber} <= space.fibers.get(az[z], set()):
+            if not {s[v] for v in fiber} <= space.fibers.get(az[z], set()):
                 raise ValueError("pair set is not group invariant")
         for v in space.v_points:
             for w in space.v_points:
-                if space.dist[v][w] != space.dist[av[v]][av[w]]:
+                if space.dist[v][w] != space.dist[s[v]][s[w]]:
                     raise ValueError("metric is not group invariant")
 
 

@@ -237,7 +237,7 @@ class TestDTheta:
         idx = GeodesicIndex(sub.graph)
         for v in sub.ve_vertices():
             for w in sub.ve_vertices():
-                assert tm[v][w] == idx.d(v, w) // 2
+                assert tm[v][w] == idx.dist[v][w] // 2
 
     def test_diagonal_zero(self):
         sub = barycentric_subdivision(C6)
@@ -266,7 +266,7 @@ class TestDTheta:
         for v in sub.ve_vertices():
             into, _ = small_steps(idx, oracle, v)
             for w in sub.ve_vertices():
-                dg = idx.d(v, w) // 2
+                dg = idx.dist[v][w] // 2
                 assert tm[v][w] >= dg
                 if into[w]:
                     assert tm[v][w] == dg

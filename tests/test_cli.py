@@ -53,6 +53,14 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", "--graph", str(p)], capsys)
         assert code == 2
 
+    def test_out_writes_the_report_file(self, tmp_graph, tmp_path, capsys):
+        gpath = tmp_graph(cycle_graph(6))
+        _, printed = run_cli(["analyze", "--graph", gpath], capsys)
+        code, out = run_cli(["analyze", "--graph", gpath,
+                             "--out", str(tmp_path / "art")], capsys)
+        assert code == 0 and out == ""
+        assert (tmp_path / "art" / "analyze.json").read_text() == printed
+
     def test_non_integer_edge_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"vertices": 2, "edges": [["a", 1]]}))
@@ -295,6 +303,14 @@ class TestExportDot:
     def test_no_input_is_usage_error(self, capsys):
         code, _ = run_cli(["export-dot"], capsys)
         assert code == 2
+
+    def test_out_is_not_an_option(self, tmp_graph, tmp_path, capsys):
+        # the DOT text always goes to stdout
+        with pytest.raises(SystemExit) as exit_:
+            main(["export-dot", "--graph", tmp_graph(cycle_graph(4)),
+                  "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("g, dag, expected", [
         (cycle_graph(6), "0,3",

@@ -30,7 +30,7 @@ from coarsecover.corpus import (
 )
 from coarsecover.covers import Cover, CoverMember, slices_of
 from coarsecover.graphs import make_graph
-from coarsecover.pipeline import build_instance
+from coarsecover.pipeline import build_instance, select_theta0
 from coarsecover.symmetry import close_group, compose
 from oracles import cone_member_brute, interior_certificate_brute
 
@@ -38,6 +38,12 @@ from oracles import cone_member_brute, interior_certificate_brute
 def setup(g, gens=()):
     inst = build_instance(g, close_group(g, gens) if gens else None)
     return inst, inst.sub, inst.sub_group, inst.v0
+
+
+def corner_sums(inst, theta):
+    """interior_certificate's sums for the size theta."""
+    t3_2 = k_fold_sum(inst.t3, 2)
+    return t3_2, angle_sum(theta, t3_2)
 
 
 class TestVplus:
@@ -81,7 +87,8 @@ class TestInteriorCertificate:
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]
         # the crossing angle at the cut vertex avoids theta + 2 corners
-        assert interior_certificate(inst, e, xi, 0, theta)
+        assert interior_certificate(inst, e, xi, 0, theta,
+                                    corner_sums(inst, theta))
 
     def test_second_condition_with_two_large_turns(self):
         g = triangle_caterpillar(6, [1, 3])
@@ -93,14 +100,17 @@ class TestInteriorCertificate:
         # spine angle at apex 1 is theta-large but (theta + 2 corners)-small,
         # and the spine angle at 3 on the same flow line is twice-corner-large
         assert cone_member_brute(inst, e, xi, 1, theta)
-        assert interior_certificate(inst, e, xi, 1, theta)
+        assert interior_certificate(inst, e, xi, 1, theta,
+                                    corner_sums(inst, theta))
 
     def test_no_geodesic_no_certificate(self):
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(3, 4)]
-        assert not interior_certificate(inst, e, xi, 2, all_angles(g))
+        theta = all_angles(g)
+        assert not interior_certificate(inst, e, xi, 2, theta,
+                                        corner_sums(inst, theta))
 
 
 def build_cones(g, gens=(), alpha=1, theta0=None):
@@ -189,9 +199,7 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
     """Each layer's member set is exactly the pairs meeting both clauses
     of the cone-set definition at that layer's size."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
-    theta0 = seed_theta0(inst, 1)
-    if mode == "all":
-        theta0 = theta0.union(all_angles(g))
+    theta0 = select_theta0(inst, 1, mode)
     xi_set = inst.cone_targets()
     cones, _ = cone_cover(inst, theta0, xi_set)
     x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
@@ -211,19 +219,15 @@ def test_interior_certificates_match_the_definition(name, g, gens, mode):
     """At each layer's size, the certificate of every pair and apex is
     exactly its two conditions read off every geodesic."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
-    theta0 = seed_theta0(inst, 1)
-    if mode == "all":
-        theta0 = theta0.union(all_angles(g))
-    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    t3_2 = k_fold_sum(inst.t3, 2)
+    x = angle_sum(select_theta0(inst, 1, mode), k_fold_sum(inst.t3, 3))
     for k in (2, 5, 6):
         size = k_fold_sum(x, k)
-        sums = (t3_2, angle_sum(size, t3_2))
+        sums = corner_sums(inst, size)
         for apex in inst.sub.v_vertices():
             for ge in inst.sub_group.elements:
                 for xi in inst.cone_targets():
                     assert interior_certificate(
-                        inst, ge, xi, apex, size, _sums=sums) == \
+                        inst, ge, xi, apex, size, sums) == \
                         interior_certificate_brute(inst, ge, xi, apex, size), \
                         (k, apex, xi)
 
@@ -247,9 +251,10 @@ def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
     g, theta = gt
     inst = build_instance(g)
     e = inst.sub_group.identity
+    sums = corner_sums(inst, theta)
     for apex in inst.sub.v_vertices():
         for xi in inst.sub.graph.vertices:
-            assert interior_certificate(inst, e, xi, apex, theta) == \
+            assert interior_certificate(inst, e, xi, apex, theta, sums) == \
                 interior_certificate_brute(inst, e, xi, apex, theta)
 
 

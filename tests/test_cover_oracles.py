@@ -24,7 +24,8 @@ from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
 from oracles import all_subgroups, cover_order_brute, default_basis, \
     doubling_scan_oracle, fiber_basis_brute, fibers_of, \
-    greedy_cover_reference, pairs_of, verify_cover_definitional
+    greedy_cover_reference, pairs_of, trivial_pair_space, \
+    verify_cover_definitional
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -89,14 +90,13 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
     if kind == "trivial":
         d = draw(distance_tables(n))
         dist = {v: {w: d[v][w] for w in range(n)} for v in range(n)}
-        return pair_space(range(n), fibers_of(("a", "b"), draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.sampled_from("ab")),
-            min_size=1))), dist)
+        return trivial_pair_space(range(n), fibers_of(("a", "b"), draw(
+            st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("ab")),
+                    min_size=1))), dist)
     half = [0] + [draw(gaps) for _ in range(n // 2)]
     dist = {v: {w: half[min((w - v) % n, (v - w) % n)] for w in range(n)}
             for v in range(n)}
     group = (rotation_group if kind == "rotation" else dihedral_group)(n)
-    act_v = {p: {v: p[v] for v in range(n)} for p in group.elements}
     if kind == "dihedral" and draw(st.booleans()):
         vertex = st.integers(0, n - 1)
         seeds = draw(st.lists(st.tuples(vertex, st.tuples(vertex, vertex)),
@@ -111,8 +111,8 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
         pairs = [(v, z) for v in range(n) for z in zs]
         z_points = ("a", "b")
         act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
-    return pair_space(range(n), fibers_of(z_points, pairs), dist,
-                      group=group, act_v=act_v, act_z=act_z)
+    return pair_space(range(n), fibers_of(z_points, pairs), dist, group,
+                      act_z)
 
 
 def _members(space, sets):
@@ -160,8 +160,7 @@ def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
                               max_size=5))
     if data.draw(st.booleans()):
         # saturate under the group, so invariance can hold
-        sets = list({frozenset((space.act_v[p][v], space.act_z[p][z])
-                               for v, z in s)
+        sets = list({frozenset((p[v], space.act_z[p][z]) for v, z in s)
                      for s in sets for p in space.group.elements})
     _agrees(_members(space, sets), space, alpha, family)
 

@@ -26,12 +26,12 @@ from coarsecover.covers import (
     slices_of,
     verify_cover,
 )
-from coarsecover.graphs import INF, distance_matrix
+from coarsecover.graphs import INF, distance_matrix, make_graph
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, close_group, compose, trivial_group
 from oracles import default_basis, fibers_of, greedy_cover_reference, \
-    pairs_of, separated_sets_brute, validate_family, validate_pair_space, \
-    verify_cover_definitional
+    pairs_of, separated_sets_brute, trivial_pair_space, validate_family, \
+    validate_pair_space, verify_cover_definitional
 
 
 def line_metric(n):
@@ -87,14 +87,13 @@ class TestDoubling:
         assert rep.ok
 
 
-def build_space(n_points, alpha=1, group=None, act_v=None, act_z=None,
-                z_points=("z",), pairs=None):
+def build_space(n_points, alpha=1, z_points=("z",), pairs=None):
     dist = {v: {w: abs(v - w) for w in range(n_points)}
             for v in range(n_points)}
     if pairs is None:
         pairs = [(v, z) for v in range(n_points) for z in z_points]
-    return pair_space(tuple(range(n_points)), fibers_of(z_points, pairs),
-                      dist, group=group, act_v=act_v, act_z=act_z)
+    return trivial_pair_space(range(n_points), fibers_of(z_points, pairs),
+                              dist)
 
 
 class TestGreedyCover:
@@ -115,10 +114,8 @@ class TestGreedyCover:
         G = rotation_group(6)
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
-        act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
-                        act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
         validate_pair_space(sp)
         cov = greedy_cover(sp, 1, default_basis(sp))
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
@@ -153,10 +150,8 @@ class TestGreedyCover:
         G = rotation_group(6)
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
-        act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
-                        act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
         bad = [BasisTriple(0, frozenset(["z"]), frozenset([G.identity]))]
         with pytest.raises(BasisError, match="moves the block"):
             greedy_cover(sp, 1, bad)
@@ -174,10 +169,8 @@ class TestGreedyCover:
         G = rotation_group(6)
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
-        act_v = {p: {v: p[v] for v in range(6)} for p in G.elements}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, group=G,
-                        act_v=act_v, act_z=act_z)
+        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
         cov = greedy_cover(sp, 1, fiber_basis(sp, 1))
         rep = verify_cover(cov, sp, 1, TRIVIAL_ONLY)
         assert not rep.f_subsets
@@ -287,7 +280,8 @@ class TestRandomCorpus:
             sp = build_space(n, z_points=tuple("ab"[:rng.randrange(1, 3)]))
             pairs = frozenset((v, z) for (v, z) in pairs_of(sp)
                               if rng.random() < 0.8 or v == 0)
-            sp = pair_space(sp.v_points, fibers_of(sp.fibers, pairs), sp.dist)
+            sp = trivial_pair_space(sp.v_points, fibers_of(sp.fibers, pairs),
+                                    sp.dist)
             if not pairs:
                 continue
             alpha = rng.choice((1, 2))
@@ -433,7 +427,6 @@ def dihedral_space(n, seed=None):
     g = cycle_graph(n)
     dm = distance_matrix(g)
     dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
-    act_v = {p: {v: p[v] for v in range(n)} for p in G.elements}
     if seed:
         v, (a, b) = seed
         pairs = {(p[v], (p[a], p[b])) for p in G.elements}
@@ -444,8 +437,8 @@ def dihedral_space(n, seed=None):
         pairs = {(v, "z") for v in range(n)}
         z_points = ("z",)
         act_z = {p: {"z": "z"} for p in G.elements}
-    return pair_space(tuple(range(n)), fibers_of(z_points, pairs), dist,
-                      group=G, act_v=act_v, act_z=act_z)
+    return pair_space(tuple(range(n)), fibers_of(z_points, pairs), dist, G,
+                      act_z)
 
 
 FREE = (0, (0, 1))  # its orbit under a dihedral group is free
@@ -476,14 +469,14 @@ class TestOrbitWalks:
     def test_equal_fibers_keep_their_own_core_slices_under_a_group(self):
         # every fiber is {0, 1}, but the swap s carries the first block's
         # z1 to z3, so the second block keeps z2 and loses z3: whether a
-        # z-point keeps its core slice is not read off its fiber here
-        G = close_group(path_graph(2), [(1, 0)])
+        # z-point keeps its core slice is not read off its fiber here; s
+        # swaps the vertices 2 and 3 and fixes the v-points 0 and 1
+        G = close_group(make_graph(4, [(2, 3)]), [(0, 1, 3, 2)])
         e, s = G.identity, G.generators[0]
         swap = {"z1": "z3", "z3": "z1", "z2": "z4", "z4": "z2"}
         sp = pair_space((0, 1), {z: (0, 1) for z in swap},
-                        {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}, group=G,
-                        act_v={p: {0: 0, 1: 1} for p in G.elements},
-                        act_z={e: {z: z for z in swap}, s: swap})
+                        {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}, G,
+                        {e: {z: z for z in swap}, s: swap})
         validate_pair_space(sp)
         triv = frozenset([e])
         basis = [BasisTriple(1, frozenset(["z1"]), triv),
@@ -501,8 +494,7 @@ class TestOrbitWalks:
         G = sp.group
         short = GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
                            G.word_length)
-        sp = pair_space(sp.v_points, sp.fibers, sp.dist, group=short,
-                        act_v=sp.act_v, act_z=sp.act_z)
+        sp = pair_space(sp.v_points, sp.fibers, sp.dist, short, sp.act_z)
         cov = singleton_cover(sp, sorted(pairs_of(sp)))
         for check in (lambda: validate_pair_space(sp),
                       lambda: greedy_cover(sp, 0, default_basis(sp)),
@@ -511,13 +503,12 @@ class TestOrbitWalks:
                 check()
 
     def test_validate_rejects_an_action_off_the_generators(self):
-        sp = dihedral_space(6)
+        sp = dihedral_space(6, FREE)
         G = sp.group
         r2 = compose(G.generators[0], G.generators[0])
-        act_v = dict(sp.act_v)
-        act_v[r2] = {v: v for v in sp.v_points}  # not r applied twice
-        bad = pair_space(sp.v_points, sp.fibers, sp.dist, group=G,
-                         act_v=act_v, act_z=sp.act_z)
+        act_z = dict(sp.act_z)
+        act_z[r2] = {z: z for z in sp.fibers}  # not r applied twice
+        bad = pair_space(sp.v_points, sp.fibers, sp.dist, G, act_z)
         validate_pair_space(sp)
         with pytest.raises(ValueError, match="composition"):
             validate_pair_space(bad)
@@ -551,7 +542,7 @@ class TestOrbitWalks:
         cov = singleton_cover(sp, sorted(pairs_of(sp)))
         r = sp.group.generators[0]
         x = cov.members[5].points
-        moved = {(sp.act_v[r][v], sp.act_z[r][z]) for v, z in x}
+        moved = {(r[v], sp.act_z[r][z]) for v, z in x}
         overlapping = x | moved  # meets its r-translate
         members = list(cov.members)
         members[5] = CoverMember(slices_of(overlapping), members[5].stabilizer,

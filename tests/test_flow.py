@@ -285,7 +285,7 @@ class TestPullback:
     def test_everything_member_pulls_to_all_eligible(self):
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        targets = eligible_targets(cf, v0)
+        targets = eligible_targets(cf, v0, cf.endpoints)
         member = CoverMember(
             slices_of((v, (a, b)) for (v, a, b) in cf.triples),
             frozenset([cf.group.identity]), True)
@@ -296,7 +296,7 @@ class TestPullback:
     def test_tree_tau_zero_is_evaluation_at_base(self):
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        targets = eligible_targets(cf, v0)
+        targets = eligible_targets(cf, v0, cf.endpoints)
         cov = cover_cf(cf_pair_space(cf), 2)
         pull = pullback_cover(cf, cov, 0, targets, v0)
         sets = [m.points for m in cov.members]
@@ -316,7 +316,7 @@ class TestPullback:
         e = cf.group.identity
         idx = cf.index
         layer1 = [v for v in idx.geodesic_vertex_set(v0, xi)
-                  if idx.d(v0, v) == 2 and sub.is_midpoint(v)]
+                  if idx.dist[v0][v] == 2 and sub.is_midpoint(v)]
         assert len(layer1) == 2
         taken = layer1[0]
         member = CoverMember(
@@ -329,10 +329,11 @@ class TestPullback:
     def test_short_flow_lines_excluded(self):
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        targets = eligible_targets(cf, v0)
+        targets = eligible_targets(cf, v0, cf.endpoints)
         full = CoverMember(slices_of((v, (a, b)) for (v, a, b) in cf.triples),
                            frozenset([cf.group.identity]), True)
-        big_tau = 1 + max(cf.index.d(g_[v0], xi) // 2 for (g_, xi) in targets)
+        big_tau = 1 + max(cf.index.dist[g_[v0]][xi] // 2
+                          for (g_, xi) in targets)
         pull = pullback_cover(cf, Cover((full,), 1, 0), big_tau, targets, v0)
         assert not pull.members
 
@@ -349,7 +350,7 @@ class TestPullback:
         with pytest.raises(ValueError, match="endpoints"):
             eligible_targets(cf, ve[0], [ve[2]])
         with pytest.raises(ValueError, match="endpoints"):
-            eligible_targets(cf, ve[2])
+            eligible_targets(cf, ve[2], cf.endpoints)
 
     def test_pullback_rejects_foreign_endpoints(self):
         ve, cf = self.two_ended_cf()
@@ -364,13 +365,13 @@ class TestPullback:
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         with pytest.raises(ValueError, match="tau"):
             pullback_cover(cf, Cover((), 1, -1), 0.5,
-                           eligible_targets(cf, v0), v0)
+                           eligible_targets(cf, v0, cf.endpoints), v0)
 
     def test_order_never_grows(self):
         for seed in (1, 4):
             g, sub, cf = tree_cf(10, seed=seed)
             v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-            targets = eligible_targets(cf, v0)
+            targets = eligible_targets(cf, v0, cf.endpoints)
             cov = cover_cf(cf_pair_space(cf), 3)
             for tau in (0, 1, 2):
                 pull = pullback_cover(cf, cov, tau, targets, v0)
@@ -381,7 +382,7 @@ class TestWidenessScan:
     def test_trivial_group_passes_at_zero(self):
         g, sub, cf = tree_cf(10, seed=7)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        targets = ball_closed_targets(cf, v0, 0)
+        targets = ball_closed_targets(cf, v0, 0, cf.endpoints)
         cov = cover_cf(cf_pair_space(cf), 2)
         scan = wideness_scan(cf, cov, 0, targets, range(0, 3), v0)
         assert scan.passing_tau == 0
@@ -391,7 +392,7 @@ class TestWidenessScan:
     def test_shrunk_cover_reports_exhaustion(self):
         g, sub, cf = tree_cf(10)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        targets = ball_closed_targets(cf, v0, 0)
+        targets = ball_closed_targets(cf, v0, 0, cf.endpoints)
         empty = Cover((), 2, -1)
         scan = wideness_scan(cf, empty, 0, targets, range(0, 2), v0)
         assert not scan.ok and scan.witness

@@ -282,7 +282,7 @@ def test_small_geodesic_scans_on_subdivision_match_brute(case):
 @given(graphs_with_theta(), st.integers(1, 4))
 def test_small_pair_relation_is_symmetric_and_matches_brute(case, d):
     g, theta = case
-    rel = SmallPairRelation(g, d, theta)
+    rel = SmallPairRelation(g, d, theta, GeodesicIndex(g))
     for u in g.vertices:
         for v in g.vertices:
             paths = theta_small_paths_brute(g, theta, u, v)

@@ -1,4 +1,4 @@
-"""No function, method or field in src/ that only tests read.
+"""No function, method, field or fallback in src/ that only tests reach.
 
 An AST scan lists the module-level functions and the methods of
 src/coarsecover (corpus.py, the seeded instance generators, aside), the
@@ -8,6 +8,9 @@ src/coarsecover or perfbench/ (perfbench's own test_*.py files aside), a
 method or field when an attribute of that name is loaded there.  Names are matched by spelling, not by type, so a
 dead field sharing its name with a live attribute of another class (graph,
 theta) escapes the scan; what it does flag is unread outside tests.
+
+A second scan flags a parameter that defaults to None although every call
+in those program files passes it: its None branch runs only in tests.
 """
 
 import ast
@@ -26,6 +29,18 @@ ALLOWED = {
     "CoverReport.f_subsets": "a verdict of verify_cover, folded into ok",
     "CoverReport.order": "the recounted order of verify_cover, compared "
                          "with cover.order",
+}
+
+
+# parameters defaulting to None that every program call passes, each kept
+# for a reason
+ALLOWED_DEFAULTS = {
+    "build_cf_theta.index": "the README example builds a flow space "
+                            "without an index",
+    "build_cf_theta.theta3_set": "the README example builds a flow space "
+                                 "without the corner size",
+    "build_instance.group": "run_pipeline forwards its own group, None "
+                            "for the trivial group",
 }
 
 
@@ -90,3 +105,99 @@ def test_src_holds_nothing_only_tests_read():
 def test_allowlist_names_exist():
     functions, members = definitions()
     assert set(ALLOWED) <= set(functions) | set(members)
+
+
+def _flagged(src):
+    """fallbacks_only_tests_reach on the files src and perfbench's."""
+    bench = [p for p in (ROOT / "perfbench").glob("*.py")
+             if not p.name.startswith("test_")]
+    return fallbacks_only_tests_reach(src, [*src, *bench])
+
+
+def none_defaults(paths):
+    """name -> [(parameter, position or None if keyword-only)] for each
+    parameter defaulting to None of the module-level functions, methods
+    and classes (their __init__) defined in the given files; a method's
+    positions leave self out."""
+    found = {}
+
+    def scan(name, fn, skip):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        params = [(p.arg, i - skip) for i, (p, d) in
+                  enumerate(zip(positional, defaults))
+                  if isinstance(d, ast.Constant) and d.value is None]
+        params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if isinstance(d, ast.Constant) and d.value is None]
+        if params:
+            found.setdefault(name, []).extend(params)
+
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                scan(node.name, node, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        scan(node.name if item.name == "__init__"
+                             else item.name, item, 1)
+    return found
+
+
+def calls(paths):
+    """name -> the calls of a function, method or class of that name."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call, param, position):
+    """Whether the call gives the parameter: by keyword, by enough
+    positional arguments, or possibly through * or ** unpacking."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def fallbacks_only_tests_reach(src, paths):
+    """"name.parameter" of every parameter of src defaulting to None that
+    at least one call in paths reaches and every such call passes."""
+    by_name = calls(paths)
+    return sorted(
+        "%s.%s" % (name, param)
+        for name, params in none_defaults(src).items()
+        for param, position in params
+        if by_name.get(name) and all(_passes(c, param, position)
+                                     for c in by_name[name]))
+
+
+def test_no_none_default_that_every_program_call_passes():
+    flagged = [f for f in _flagged(sorted(SRC.glob("*.py")))
+               if f not in ALLOWED_DEFAULTS]
+    assert not flagged, "None fallbacks reached only by tests: %s" % \
+        ", ".join(flagged)
+
+
+def test_default_allowlist_names_exist():
+    assert set(ALLOWED_DEFAULTS) <= set(_flagged(sorted(SRC.glob("*.py"))))
+
+
+def test_a_restored_fallback_is_flagged(tmp_path):
+    # build_rips with its index optional again, every caller passing one
+    text = (SRC / "rips.py").read_text()
+    mutant = text.replace("index: GeodesicIndex) -> SimplicialComplex:",
+                          "index: GeodesicIndex = None) -> SimplicialComplex:")
+    assert mutant != text
+    (tmp_path / "rips.py").write_text(mutant)
+    src = [tmp_path / "rips.py" if p.name == "rips.py" else p
+           for p in sorted(SRC.glob("*.py"))]
+    assert "build_rips.index" in _flagged(src)

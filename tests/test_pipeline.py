@@ -142,7 +142,8 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
     for g, d in (tree[1:], (grid_graph(2, 8), 4)):
         theta = k_fold_sum(theta3(g), 7)
         trace = contract_subcomplex(sorted(g.vertices), g, d, theta,
-                                    slimness_constant(g).delta)
+                                    slimness_constant(g).delta,
+                                    GeodesicIndex(g))
         cases |= {m.case for m in trace.moves}
     assert cases == {"angle-fold", "far-fold", "base-fold"}
     for name, g in battery_graphs():

@@ -28,22 +28,22 @@ from coarsecover.rips import (
 class TestBuildRips:
     def test_scale_one_is_clique_complex(self):
         g = cycle_graph(6)
-        P = build_rips(g, 1, trivial_only(g))
+        P = build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
         assert sorted(sorted(s) for s in P.maximal_simplices) == \
             [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
         k4 = complete_graph(4)
-        Pk = build_rips(k4, 1, trivial_only(k4))
+        Pk = build_rips(k4, 1, trivial_only(k4), GeodesicIndex(k4))
         assert Pk.maximal_simplices == (frozenset({0, 1, 2, 3}),)
 
     def test_tree_at_diameter_is_one_simplex(self):
         g = random_tree(8, seed=1)
-        P = build_rips(g, 10, all_angles(g))
+        P = build_rips(g, 10, all_angles(g), GeodesicIndex(g))
         assert len(P.maximal_simplices) == 1
         assert P.dimension == 7
 
     def test_c6_scale_two(self):
         g = cycle_graph(6)
-        P = build_rips(g, 2, all_angles(g))
+        P = build_rips(g, 2, all_angles(g), GeodesicIndex(g))
         got = sorted(sorted(s) for s in P.maximal_simplices)
         assert got == [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5],
                        [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
@@ -51,9 +51,9 @@ class TestBuildRips:
     def test_monotone_in_scale_and_size(self):
         g = wedge_of_cycles(2, 5)
         t3 = theta3(g)
-        small = build_rips(g, 2, t3)
-        bigger_d = build_rips(g, 3, t3)
-        bigger_t = build_rips(g, 2, all_angles(g))
+        small = build_rips(g, 2, t3, GeodesicIndex(g))
+        bigger_d = build_rips(g, 3, t3, GeodesicIndex(g))
+        bigger_t = build_rips(g, 2, all_angles(g), GeodesicIndex(g))
         s0 = small.all_simplices()
         assert s0 <= bigger_d.all_simplices()
         assert s0 <= bigger_t.all_simplices()
@@ -61,12 +61,13 @@ class TestBuildRips:
     def test_adjacent_cone_vertices_refused(self):
         g = make_graph(3, [(0, 1), (1, 2)], cone_vertices=[0, 1])
         with pytest.raises(Exception, match="adjacent cone"):
-            build_rips(g, 1, trivial_only(g))
+            build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
 
 
 class TestStats:
     def test_single_simplex(self):
-        P = build_rips(path_graph(3), 4, all_angles(path_graph(3)))
+        g = path_graph(3)
+        P = build_rips(g, 4, all_angles(g), GeodesicIndex(g))
         st = complex_stats(P)
         assert st["dimension"] == 2
         assert st["simplices_by_dim"] == {0: 3, 1: 3, 2: 1}
@@ -78,29 +79,30 @@ class TestStats:
 
     def test_c6_scale_two_dimension(self):
         g = cycle_graph(6)
-        st = complex_stats(build_rips(g, 2, all_angles(g)))
+        st = complex_stats(build_rips(g, 2, all_angles(g), GeodesicIndex(g)))
         assert st["dimension"] == 2
         assert st["simplices_by_dim"][2] == 8
 
 
 class TestHomology:
     def test_single_simplex(self):
-        P = build_rips(path_graph(4), 5, all_angles(path_graph(4)))
+        g = path_graph(4)
+        P = build_rips(g, 5, all_angles(g), GeodesicIndex(g))
         assert homology_oracle(P, 3) == (1, 0, 0, 0)
 
     def test_circle(self):
         g = cycle_graph(6)
-        P = build_rips(g, 1, trivial_only(g))
+        P = build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
         assert homology_oracle(P, 1) == (1, 1)
 
     def test_c6_scale_two_is_a_sphere(self):
         g = cycle_graph(6)
-        P = build_rips(g, 2, all_angles(g))
+        P = build_rips(g, 2, all_angles(g), GeodesicIndex(g))
         assert homology_oracle(P, 2) == (1, 0, 1)
 
     def test_two_circles(self):
         g = wedge_of_cycles(2, 6)
-        P = build_rips(g, 1, trivial_only(g))
+        P = build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
         assert homology_oracle(P, 2) == (1, 2, 0)
 
 
@@ -248,7 +250,7 @@ class TestHomologyExactness:
     def test_torus_like_band(self):
         # two disjoint circles wedge-free: independent cycles add up
         g = wedge_of_cycles(3, 5)
-        P = build_rips(g, 1, trivial_only(g))
+        P = build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
         assert homology_oracle(P, 1) == (1, 3)
 
 
@@ -316,7 +318,8 @@ class TestCaps:
         import pytest
         from coarsecover.graphs import CapExceeded
         g = random_tree(25, seed=5)
-        P = build_rips(g, 30, all_angles(g))  # one simplex on 25 vertices
+        # one simplex on 25 vertices
+        P = build_rips(g, 30, all_angles(g), GeodesicIndex(g))
         with pytest.raises(CapExceeded):
             P.all_simplices(cap=1000)
         with pytest.raises(CapExceeded):
