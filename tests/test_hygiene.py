@@ -107,13 +107,6 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= set(functions) | set(members)
 
 
-def _flagged(src):
-    """fallbacks_only_tests_reach on the files src and perfbench's."""
-    bench = [p for p in (ROOT / "perfbench").glob("*.py")
-             if not p.name.startswith("test_")]
-    return fallbacks_only_tests_reach(src, [*src, *bench])
-
-
 def none_defaults(paths):
     """name -> [(parameter, position or None if keyword-only)] for each
     parameter defaulting to None of the module-level functions, methods
@@ -178,6 +171,13 @@ def fallbacks_only_tests_reach(src, paths):
         for param, position in params
         if by_name.get(name) and all(_passes(c, param, position)
                                      for c in by_name[name]))
+
+
+def _flagged(src):
+    """fallbacks_only_tests_reach on the files src and perfbench's."""
+    bench = [p for p in (ROOT / "perfbench").glob("*.py")
+             if not p.name.startswith("test_")]
+    return fallbacks_only_tests_reach(src, [*src, *bench])
 
 
 def test_no_none_default_that_every_program_call_passes():
