@@ -24,7 +24,6 @@ from .graphs import (
     barycentric_subdivision,
     circuits_through_edge,
     distance_matrix,
-    enumerate_geodesics,
     geodesic_dag,
     load_graph,
     make_graph,

@@ -28,12 +28,11 @@ from .graphs import (
     Graph,
     GraphFormatError,
     Subdivision,
+    bfs_row,
     biconnected_blocks,
-    canon_edge,
-    circuits_through_edge,
-    enumerate_geodesics,
     geodesic_counts,
     geodesic_steps,
+    make_graph,
     parse_document,
 )
 from .symmetry import GroupModel, act_angle
@@ -424,29 +423,25 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
     Hyperbolicity constants are positive integers by convention, so delta is
     raised to 1 when the measured slimness is 0 (trees are vacuous anyway,
     and graphs like K4 have slimness 0 with nontrivial theta3).
+
+    A circuit through the angle (u, apex, w) is the two edges at the apex
+    closed by a u-w path avoiding the apex, so the shortest one has length
+    2 + d(u, w) in g with the apex removed: one BFS row per (apex, u).
     """
     delta_eff = max(1, int(delta))
     bound = 16 * delta_eff
     missing = []
     max_needed = 0
-    circuits_cache = {}
+    rows = {}  # (apex, u) -> the distances from u in g without the apex
     for (u, apex, w) in sorted(theta3set.nontrivial):
-        e = canon_edge(u, apex)
-        circs = circuits_cache.get(e)
-        if circs is None:
-            circs = circuits_cache[e] = circuits_through_edge(g, e, bound)
-        best = None
-        for circ in circs:
-            k = len(circ)
-            i = circ.index(apex)
-            nbrs = {circ[i - 1], circ[(i + 1) % k]}
-            if nbrs == {u, w}:
-                if best is None or k < best:
-                    best = k
-        if best is None:
+        if (apex, u) not in rows:
+            rows[apex, u] = bfs_row(make_graph(
+                g.vertex_count, [e for e in g.edges if apex not in e]), u)
+        length = 2 + rows[apex, u][w]
+        if length > bound:
             missing.append((u, apex, w))
         else:
-            max_needed = max(max_needed, best)
+            max_needed = max(max_needed, length)
     return {
         "ok": not missing,
         "bound": bound,
@@ -543,8 +538,12 @@ def _angle_at(path, i):
     return canonical_angle(path[i - 1], path[i], path[i + 1])
 
 
-# the most geodesics a lemma enumerates between two sampled vertices
-_GEODESIC_CAP = 64
+def _joined_inside(index: GeodesicIndex, paths, v, v2):
+    """Whether some v -> v2 geodesic uses only edges of the given paths: a
+    BFS over those edges reaches v2 at the distance of the graph."""
+    inside = make_graph(index.graph.vertex_count,
+                        [e for path in paths for e in zip(path, path[1:])])
+    return bfs_row(inside, v)[v2] == index.dist[v][v2]
 
 
 def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
@@ -555,11 +554,15 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     Conclusions are theorems for any hyperbolic graph, so a violation
     indicts the theta3 or geodesic machinery, not the sampled instance.
     All corners are vertices; endpoints on rays have no finite counterpart
-    and configurations involving them are simply never sampled.
+    and configurations involving them are simply never sampled.  Every
+    question about all the geodesics between two vertices is read off
+    their distance rows and counts, and a failing configuration is
+    recorded once per conclusion it breaks.
     """
     rng = random.Random(seed)
     index = GeodesicIndex(g)
-    sigma = geodesic_counts(g, index.dist)
+    dist = index.dist
+    sigma = geodesic_counts(g, dist)
     t3 = theta3(g, index=index)
     x_pass = angle_sum(theta0, k_fold_sum(t3, 2))
     x_trans = angle_sum(theta0, k_fold_sum(t3, 3))
@@ -570,7 +573,11 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     counters = {name: LemmaCounter() for name in (
         "geodesic_2_gons", "large_angles", "large_angles_in_triangles_no_c",
         "tripod", "large_angles_in_triangles", "geodesics_between_geodesics")}
-    comps = [sorted(c) for c in g.components() if len(c) >= 2]
+    # the components of at least 2 vertices, in the order of their least
+    # vertices
+    comps = [c for c in sorted({tuple(v for v, d in enumerate(row)
+                                      if d is not INF) for row in dist})
+             if len(c) >= 2]
     if not comps:
         return BatteryReport(counters)
 
@@ -578,10 +585,25 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
         comp = comps[rng.randrange(len(comps))]
         return [rng.choice(comp) for _ in range(k)]
 
-    def all_geodesics(u, v):
-        return enumerate_geodesics(index, u, v, _GEODESIC_CAP)
+    def on_every_geodesic(v, a, b):
+        # v is on some a -> b geodesic, and on all of them exactly when
+        # sigma(a, v) * sigma(v, b) = sigma(a, b)
+        return (dist[a][v] + dist[v][b] == dist[a][b]
+                and sigma[a][v] * sigma[v][b] == sigma[a][b])
 
+    def angles_at(v, a, b):
+        # the angles at v of the a -> b geodesics through v
+        return {angle for *_, angle in geodesic_turns(index, None, a, b, at=v)}
+
+    oracle_theta0 = SmallnessOracle(g, theta0)
     oracle_t3_2 = SmallnessOracle(g, t3_2)
+    sweeps = {}  # (oracle, source) -> the into masks of its small_steps
+
+    def small_geodesic(oracle, a, b):
+        # whether some oracle-small a -> b geodesic exists
+        if (oracle, a) not in sweeps:
+            sweeps[oracle, a] = small_steps(index, oracle, a)[0]
+        return sweeps[oracle, a][b]
 
     for _ in range(trials):
         which = rng.randrange(6)
@@ -603,9 +625,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                                              inits[i], inits[j]))
 
         elif which == 1:
-            # a t3-large internal angle forces every geodesic through it:
-            # w, on a geodesic, lies on all of them exactly when
-            # sigma(xm, w) * sigma(w, xp) = sigma(xm, xp)
+            # a t3-large internal angle forces every geodesic through it
             xm, xp = sample_vertices(2)
             if xm == xp:
                 continue
@@ -616,9 +636,8 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                     continue
                 c.checked += 1
                 c.nonvacuous += 1
-                w = path[i]
-                if sigma[xm][w] * sigma[w][xp] != sigma[xm][xp]:
-                    c.violations.append(("large_angles", xm, xp, w))
+                if not on_every_geodesic(path[i], xm, xp):
+                    c.violations.append(("large_angles", xm, xp, path[i]))
 
         elif which == 2:
             # triangle with the large angle away from the opposite side
@@ -627,26 +646,19 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                 continue
             c = counters["large_angles_in_triangles_no_c"]
             c1 = _random_geodesic(index, xi, x1, rng)
-            if x1 == x2:
-                side = [x1]
-            else:
-                side = _random_geodesic(index, x1, x2, rng)
-            side_set = set(side)
+            side = set(_random_geodesic(index, x1, x2, rng))
             for i in range(1, len(c1) - 1):
                 v = c1[i]
-                if v in side_set or x2 == v:
+                if v in side or x2 == v:
                     continue
                 if x_pass.contains(*_angle_at(c1, i)):
                     continue
                 c.checked += 1
                 c.nonvacuous += 1
-                for c2 in all_geodesics(x2, xi):
-                    if v not in c2[1:-1]:
-                        c.violations.append(("no_c_pass", xi, x1, x2, v))
-                        continue
-                    k = c2.index(v)
-                    if theta0.contains(*_angle_at(c2, k)):
-                        c.violations.append(("no_c_angle", xi, x1, x2, v))
+                if not on_every_geodesic(v, x2, xi):
+                    c.violations.append(("no_c_pass", xi, x1, x2, v))
+                if angles_at(v, x2, xi) & theta0.nontrivial:
+                    c.violations.append(("no_c_angle", xi, x1, x2, v))
 
         elif which == 3:
             # tripod: large middle angle forces a large angle on a leg
@@ -676,13 +688,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if len({x1, x2, xi}) < 3:
                 continue
             c = counters["large_angles_in_triangles"]
-            base_small = None
-            for cand in all_geodesics(x1, x2):
-                if all(theta0.contains(*_angle_at(cand, i))
-                       for i in range(1, len(cand) - 1)):
-                    base_small = cand
-                    break
-            if base_small is None:
+            if not small_geodesic(oracle_theta0, x1, x2):
                 continue
             c1 = _random_geodesic(index, x1, xi, rng)
             for i in range(1, len(c1) - 1):
@@ -694,21 +700,17 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                     continue
                 c.checked += 1
                 c.nonvacuous += 1
-                geos2 = all_geodesics(x2, xi)
-                for c2 in geos2:
-                    if v not in c2:
-                        c.violations.append(("lait_pass", x1, x2, xi, v))
+                if not on_every_geodesic(v, x2, xi):
+                    c.violations.append(("lait_pass", x1, x2, xi, v))
                 if x_trans.contains(*a1):
                     continue
-                for c2 in geos2:
-                    if v not in c2[1:-1]:
-                        continue
-                    a2 = _angle_at(c2, c2.index(v))
-                    for th, th_x in transfer_pairs:
-                        if th.contains(*a1) and not th_x.contains(*a2):
-                            c.violations.append(("lait_small", x1, x2, xi, v))
-                        if not th_x.contains(*a1) and th.contains(*a2):
-                            c.violations.append(("lait_large", x1, x2, xi, v))
+                a2s = angles_at(v, x2, xi)
+                if any(th.contains(*a1) and not a2s <= th_x.nontrivial
+                       for th, th_x in transfer_pairs):
+                    c.violations.append(("lait_small", x1, x2, xi, v))
+                if any(not th_x.contains(*a1) and a2s & th.nontrivial
+                       for th, th_x in transfer_pairs):
+                    c.violations.append(("lait_large", x1, x2, xi, v))
 
         else:
             # points on a 2-gon not joined inside it: a 2*t3-small connector
@@ -718,26 +720,13 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             c = counters["geodesics_between_geodesics"]
             ca = _random_geodesic(index, xm, xp, rng)
             cb = _random_geodesic(index, xm, xp, rng)
-            union_edges = {canon_edge(a, b) for a, b in zip(ca, ca[1:])}
-            union_edges |= {canon_edge(a, b) for a, b in zip(cb, cb[1:])}
             v = rng.choice(ca)
             v2 = rng.choice(cb)
-            if v == v2:
-                continue
-            contained = False
-            try:
-                for geo in all_geodesics(v, v2):
-                    if all(canon_edge(a, b) in union_edges
-                           for a, b in zip(geo, geo[1:])):
-                        contained = True
-                        break
-            except CapExceeded:
-                continue
-            if contained:
+            if v == v2 or _joined_inside(index, (ca, cb), v, v2):
                 continue
             c.checked += 1
             c.nonvacuous += 1
-            if not small_steps(index, oracle_t3_2, v)[0][v2]:
+            if not small_geodesic(oracle_t3_2, v, v2):
                 c.violations.append(("between", xm, xp, v, v2))
 
     return BatteryReport(counters)

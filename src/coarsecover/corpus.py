@@ -177,6 +177,11 @@ def battery_graphs():
         ("theta", theta_graph(2, 2, 3)),
         ("tail", cycle_with_tail(6, 3)),
         ("caterpillar", triangle_caterpillar(6, [1, 3])),
+        # three triangles on 4-7, one on 2-7 and a tail 4-0-3: with theta0
+        # trivial, theta0 + theta3 has 20 angles and theta0 + 2*theta3 22
+        ("book", make_graph(8, [(0, 3), (0, 4), (1, 2), (1, 7), (2, 4),
+                                (2, 7), (4, 5), (4, 6), (4, 7), (5, 7),
+                                (6, 7)])),
     ]
 
 

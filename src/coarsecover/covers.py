@@ -86,19 +86,6 @@ def _translator(space: PairSpace):
     return translate
 
 
-def _z_fibers(space: PairSpace):
-    """Z_v for every admitted v-point: the z-points over it, read off one
-    pass over the distinct fibers V_z."""
-    classes = {}  # V_z -> the z-points it lies over
-    for z, fiber in space.fibers.items():
-        classes.setdefault(fiber, []).append(z)
-    z_over = {}
-    for fiber, zs in classes.items():
-        for v in fiber:
-            z_over.setdefault(v, set()).update(zs)
-    return z_over
-
-
 def _check_generators(G: GroupModel):
     """Raise ValueError unless G.generators generate G.elements; the orbit
     walks of this module reach the whole group only along generators."""
@@ -327,7 +314,13 @@ def fiber_basis(space: PairSpace, alpha):
     triple per orbit of pairs, which pullbacks along flows need.  The
     z-fibers Z_v come from one pass over the distinct fibers V_z.
     """
-    z_over = _z_fibers(space)
+    classes = {}  # V_z -> the z-points it lies over
+    for z, fiber in space.fibers.items():
+        classes.setdefault(fiber, []).append(z)
+    z_over = {}
+    for fiber, zs in classes.items():
+        for v in fiber:
+            z_over.setdefault(v, set()).update(zs)
     seen = set()
     triples = []
     for v in sorted(space.v_points):
@@ -398,11 +391,19 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     _check_alpha(alpha)
     G = space.group
     _check_generators(G)
-    act_z, identity = space.act_z, G.identity
-    z_over = _z_fibers(space)
+    act_z, identity, fibers = space.act_z, G.identity, space.fibers
+    blocks = {}  # v -> the z-points of the basis blocks at v
+    for t in basis:
+        blocks.setdefault(t.v, set()).update(t.zset)
+    # the pairs of the pair set that the blocks hold: all of the blocks'
+    # pairs exactly when each block lies in the pair set
+    held = sum(z in blocks.get(v, _EMPTY)
+               for z, fiber in fibers.items() for v in fiber)
+    inside = held == sum(map(len, blocks.values()))
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not t.zset <= z_over.get(t.v, _EMPTY):
+        if not inside and not all(t.v in fibers.get(z, _EMPTY)
+                                  for z in t.zset):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -414,18 +415,20 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             if any(act_z[p][z] in t.zset for z in t.zset):
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
-    # precondition: translated basis blocks cover every fiber
-    covered = {}  # v -> the z-points the translated blocks put v over
-    for t in basis:
-        for p in G.elements:
-            az = act_z[p]
-            covered.setdefault(p[t.v], set()).update(
-                t.zset if p == identity else [az[z] for z in t.zset])
-    missing = sorted((v, z) for v, zs in z_over.items()
-                     for z in zs - covered.get(v, _EMPTY))
-    if missing:
-        raise BasisError("basis does not cover the pair set, e.g. %r"
-                         % (missing[:3],))
+    # precondition: translated basis blocks cover every fiber, as the
+    # untranslated ones do when they hold every pair
+    if held < sum(map(len, fibers.values())):
+        covered = {}  # v -> the z-points the translated blocks put v over
+        for t in basis:
+            for p in G.elements:
+                az = act_z[p]
+                covered.setdefault(p[t.v], set()).update(
+                    t.zset if p == identity else [az[z] for z in t.zset])
+        missing = sorted((v, z) for z, fiber in fibers.items() for v in fiber
+                         if z not in covered.get(v, _EMPTY))
+        if missing:
+            raise BasisError("basis does not cover the pair set, e.g. %r"
+                             % (missing[:3],))
 
     # greedy subtraction along earlier nearby translates
     reduced = []
@@ -457,7 +460,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         cut = {}  # V_z -> V_z & ball, one object per distinct fiber
         core = Slices()
         for z in reduced[i]:
-            fiber = space.fibers[z]
+            fiber = fibers[z]
             if fiber not in cut:
                 cut[fiber] = fiber & ball
             core[z] = cut[fiber]
@@ -471,7 +474,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         for k, (r, W) in enumerate(firsts):
             members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
                                        k == 0))
-    order = cover_order([m.slices for m in members], space.fibers)
+    order = cover_order([m.slices for m in members], fibers)
     return Cover(tuple(members), alpha, order)
 
 

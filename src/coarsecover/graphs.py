@@ -82,26 +82,8 @@ class Graph:
         if bad:
             raise GraphFormatError("adjacent cone vertices: %s" % (bad,))
 
-    def components(self):
-        seen = set()
-        comps = []
-        for s in self.vertices:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
     def is_connected(self):
-        return self.vertex_count <= 1 or len(self.components()) == 1
+        return self.vertex_count <= 1 or INF not in bfs_row(self, 0)
 
 
 def make_graph(n, edges, cone_vertices=(), labels=None):
@@ -190,7 +172,8 @@ def graph_to_document(g: Graph) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bfs(g: Graph, source):
+def bfs_row(g: Graph, source):
+    """The hop distances from source; unreachable vertices map to math.inf."""
     dist = [INF] * g.vertex_count
     dist[source] = 0
     frontier = [source]
@@ -209,7 +192,7 @@ def _bfs(g: Graph, source):
 
 def distance_matrix(g: Graph):
     """All-pairs hop distances; disconnected pairs map to math.inf."""
-    return [_bfs(g, s) for s in g.vertices]
+    return [bfs_row(g, s) for s in g.vertices]
 
 
 def geodesic_counts(g: Graph, dist, vertices=None):
@@ -252,27 +235,6 @@ def geodesic_dag(index, u, v):
         raise ValueError("vertices %d and %d are disconnected" % (u, v))
     return tuple((a, b) for a in index.graph.vertices if du[a] + dv[a] == du[v]
                  for b in geodesic_steps(index, u, v, a))
-
-
-def enumerate_geodesics(index, u, v, cap: int):
-    """All u -> v geodesics in lexicographic order; more than cap of them
-    is CapExceeded."""
-    out = []
-    path = [u]
-
-    def walk(a):
-        if a == v:
-            if len(out) >= cap:
-                raise CapExceeded("more than %d geodesics" % cap)
-            out.append(list(path))
-            return
-        for b in geodesic_steps(index, u, v, a):
-            path.append(b)
-            walk(b)
-            path.pop()
-
-    walk(u)
-    return out
 
 
 class GeodesicIndex:

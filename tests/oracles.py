@@ -13,7 +13,7 @@ from coarsecover.angles import angle_sum, k_fold_sum
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
     minimal_doubling_radius, pair_space
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
-    distance_matrix, make_graph
+    circuits_through_edge, distance_matrix, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
     subgroup_generated, trivial_group
 
@@ -672,3 +672,32 @@ def validate_family(family, G):
         for K in all_subgroups(sub_model):
             if K not in listed:
                 raise ValueError("family not closed under subgroups")
+
+
+def theta3_circuit_bound_brute(g, theta3set, delta):
+    """theta3_circuit_bound_check by listing every circuit of length at
+    most 16 * max(1, delta) through each angle's first edge and keeping the
+    shortest whose two edges at the apex are the angle's."""
+    delta_eff = max(1, int(delta))
+    bound = 16 * delta_eff
+    missing = []
+    max_needed = 0
+    for (u, apex, w) in sorted(theta3set.nontrivial):
+        best = None
+        for circ in circuits_through_edge(g, (u, apex), bound):
+            k = len(circ)
+            i = circ.index(apex)
+            if {circ[i - 1], circ[(i + 1) % k]} == {u, w}:
+                best = k if best is None else min(best, k)
+        if best is None:
+            missing.append((u, apex, w))
+        else:
+            max_needed = max(max_needed, best)
+    return {
+        "ok": not missing,
+        "bound": bound,
+        "delta_effective": delta_eff,
+        "max_circuit_needed": max_needed,
+        "missing": missing,
+        "angles_checked": len(theta3set.nontrivial),
+    }

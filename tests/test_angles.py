@@ -1,5 +1,6 @@
 import pytest
 
+from coarsecover import angles
 from coarsecover.angles import (
     SmallnessOracle,
     all_angles,
@@ -128,6 +129,15 @@ class TestCircuitBound:
             delta = slimness_constant(g).delta
             rep = theta3_circuit_bound_check(g, theta3(g), delta)
             assert rep["ok"], name
+
+    def test_long_cycle_misses_every_angle(self):
+        # negative control: the one circuit of C20 is longer than 16
+        c20 = cycle_graph(20)
+        t3 = theta3(c20)
+        rep = theta3_circuit_bound_check(c20, t3, 1)
+        assert len(t3) == 20
+        assert not rep["ok"] and rep["max_circuit_needed"] == 0
+        assert rep["missing"] == sorted(t3.nontrivial)
 
 
 class TestAngleSum:
@@ -342,6 +352,12 @@ BATTERY_SUMMARIES = {
         ("theta3", 0): ((89, 0), (0, 0), (124, 124), (21, 21), (73, 73), (0, 0)),
         ("theta3", 1): ((84, 0), (0, 0), (145, 145), (33, 33), (59, 59), (0, 0)),
     },
+    "book": {
+        ("trivial", 0): ((120, 16), (1, 1), (67, 67), (7, 7), (25, 25), (0, 0)),
+        ("trivial", 1): ((109, 16), (1, 1), (53, 53), (12, 12), (24, 24), (1, 1)),
+        ("theta3", 0): ((122, 16), (1, 1), (65, 65), (11, 11), (25, 25), (0, 0)),
+        ("theta3", 1): ((106, 16), (1, 1), (56, 56), (20, 20), (20, 20), (1, 1)),
+    },
 }
 
 
@@ -374,6 +390,15 @@ class TestLemmaBattery:
         assert rep.ok
         assert rep.lemmas["large_angles"].nonvacuous >= 1
         assert rep.lemmas["large_angles_in_triangles"].nonvacuous >= 1
+
+    def test_trivial_corner_size_is_caught(self, monkeypatch):
+        # with theta3 trivial every turn of C6 counts as large, and the
+        # row reads must then find the conclusions false
+        monkeypatch.setattr(angles, "theta3",
+                            lambda g, index: trivial_only(g))
+        rep = lemma_battery(C6, trivial_only(C6), 600, seed=0)
+        assert rep.lemmas["large_angles_in_triangles_no_c"].violations
+        assert rep.lemmas["large_angles_in_triangles"].violations
 
     def test_summary_shape(self):
         rep = lemma_battery(C6, theta3(C6), 200, seed=3)

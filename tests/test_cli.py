@@ -43,6 +43,18 @@ class TestAnalyze:
                             capsys)
         assert json.loads(out)["delta"] == 0
 
+    def test_grid_report_is_pinned(self, tmp_graph, capsys):
+        # the shortest circuit through each theta3 angle is read off one
+        # BFS row; the digest is of the report that listing every circuit
+        # of length up to 16 * delta = 64 printed
+        code, out = run_cli(["analyze", "--graph", tmp_graph(grid_graph(5, 5))],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["theta3_circuit_bound"] == {
+            "bound": 64, "max_needed": 6, "ok": True}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d080c9b1edc928517035e11610e414ad91991d4842ef433189fed25c0993adac")
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _ = run_cli(["analyze", "--graph", "/nonexistent.json"], capsys)
         assert code == 2
@@ -455,6 +467,16 @@ class TestSubcommands:
                              "--trials", "200", "--seed", "1"], capsys)
         assert code == 0
         assert json.loads(out)["ok"]
+
+    def test_battery_on_a_grid_with_many_geodesics(self, tmp_graph, capsys):
+        # corners of the 5x5 grid are joined by 70 geodesics; the battery
+        # reads them off distance rows and counts, not a list of paths
+        code, out = run_cli(["battery", "--graph", tmp_graph(grid_graph(5, 5))],
+                            capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["total"] > 0
+        assert all(c["violations"] == 0 for c in data["lemmas"].values())
 
     def test_entry_point_installed(self):
         # the child imports the package under test, installed or not

@@ -145,6 +145,29 @@ class TestGreedyCover:
         with pytest.raises(BasisError, match="cover"):
             greedy_cover(sp, 1, basis)
 
+    def test_basis_uncovered_pairs_are_listed_sorted(self):
+        sp = build_space(5, z_points=("a", "b"),
+                         pairs=[(v, z) for v in range(5) for z in "ab"
+                                if (v, z) != (3, "b")])
+        basis = [t for t in default_basis(sp) if t.v not in (1, 4)]
+        with pytest.raises(BasisError) as err:
+            greedy_cover(sp, 1, basis)
+        assert str(err.value) == ("basis does not cover the pair set, e.g. "
+                                  "[(1, 'a'), (1, 'b'), (4, 'a')]")
+
+    def test_basis_blocks_must_sit_inside_the_fibers(self):
+        sp = build_space(5, z_points=("a", "b"),
+                         pairs=[(v, z) for v in range(5) for z in "ab"
+                                if (v, z) != (3, "b")])
+        identity = frozenset([sp.group.identity])
+        for zset in ("ab", "c"):
+            bad = default_basis(sp) + [BasisTriple(3, frozenset(zset),
+                                                   identity)]
+            with pytest.raises(BasisError) as err:
+                greedy_cover(sp, 1, bad)
+            assert str(err.value) == \
+                "basis 9: z-set leaves the fiber of 3", zset
+
     def test_basis_separation_condition(self):
         g = cycle_graph(6)
         G = rotation_group(6)

@@ -1,7 +1,7 @@
 """Property tests: the geodesic-triangle kernels, the block decomposition,
-the geodesic turn iterator, the small-geodesic sweeps and the Rips pair
-relation built on them against the brute-force oracles (networkx's for the
-blocks).
+the geodesic turn iterator, the small-geodesic sweeps, the Rips pair
+relation, the theta3 circuit bound and the lemma battery's connector test
+built on them against the brute-force oracles (networkx's for the blocks).
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
@@ -16,9 +16,10 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsecover.angles import AngleSet, SmallnessOracle, all_angles, \
-    canonical_angle, geodesic_turns, small_carriers, small_steps, theta3
-from coarsecover.corpus import star_graph
+from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
+    all_angles, canonical_angle, geodesic_turns, small_carriers, small_steps, \
+    theta3, theta3_circuit_bound_check
+from coarsecover.corpus import cycle_graph, star_graph
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -36,6 +37,7 @@ from oracles import (
     all_simple_shortest_paths,
     mask_neighbours,
     theta3_brute,
+    theta3_circuit_bound_brute,
     theta3_subdivision_brute,
     theta_small_paths_brute,
     triangle_defects_brute,
@@ -215,6 +217,65 @@ def test_geodesic_turns_match_enumerated_geodesics(g):
 @given(graphs())
 def test_geodesic_turns_on_subdivision_match_enumerated_geodesics(g):
     _check_geodesic_turns(g, barycentric_subdivision(g))
+
+
+@st.composite
+def long_circuits(draw):
+    """A cycle of 17 to 22 vertices with up to two chords and one pendant
+    vertex: the circuits through its angles fall on both sides of the
+    bound 16 that delta 0 or 1 sets, and the pendant edge's angles have
+    none."""
+    n = draw(st.integers(17, 22))
+    edges = {canon_edge(i, (i + 1) % n) for i in range(n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=2))
+    edges.add((draw(st.integers(0, n - 1)), n))
+    return make_graph(n + 1, edges)
+
+
+def _c20_with_chord():
+    return make_graph(21, [(i, (i + 1) % 20) for i in range(20)]
+                      + [(0, 10), (0, 20)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(graphs(connected=True), long_circuits()), st.integers(0, 2))
+@example(_c20_with_chord(), 1)
+@example(cycle_graph(20), 1)
+def test_circuit_bound_matches_circuit_enumeration(g, delta):
+    for theta in (theta3(g), all_angles(g)):
+        assert theta3_circuit_bound_check(g, theta, delta) \
+            == theta3_circuit_bound_brute(g, theta, delta)
+
+
+def test_circuit_bound_finds_long_and_absent_circuits():
+    # C20 with the chord 0-10 and the pendant edge 0-20: angles on either
+    # 11-circuit pass, the angle 1-0-19 needs a circuit of 20 > 16 and the
+    # pendant's angles have no circuit at all
+    g = _c20_with_chord()
+    rep = theta3_circuit_bound_check(g, all_angles(g), 1)
+    assert rep == theta3_circuit_bound_brute(g, all_angles(g), 1)
+    assert rep["max_circuit_needed"] == 11
+    assert {(1, 0, 19), (1, 0, 20), (10, 0, 20)} <= set(rep["missing"])
+    assert (0, 1, 2) not in rep["missing"]
+
+
+@SETTINGS
+@given(graphs(connected=True), st.data())
+def test_joined_inside_matches_enumerated_geodesics(g, data):
+    """Whether some v -> v2 geodesic stays on the edges of two xm -> xp
+    geodesics ca and cb, as the battery's union-edge BFS decides it and as
+    every enumerated v -> v2 geodesic shows it."""
+    xm, xp = (data.draw(st.integers(0, g.vertex_count - 1)) for _ in "ab")
+    geodesics = all_simple_shortest_paths(g, xm, xp)
+    ca, cb = (data.draw(st.sampled_from(geodesics)) for _ in "ab")
+    inside = {canon_edge(a, b) for c in (ca, cb) for a, b in zip(c, c[1:])}
+    index = GeodesicIndex(g)
+    for v in ca:
+        for v2 in cb:
+            want = any(all(canon_edge(a, b) in inside for a, b in zip(p, p[1:]))
+                       for p in all_simple_shortest_paths(g, v, v2))
+            assert _joined_inside(index, (ca, cb), v, v2) == want
 
 
 @st.composite

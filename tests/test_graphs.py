@@ -15,17 +15,16 @@ from coarsecover.corpus import (
 )
 from coarsecover.graphs import (
     INF,
-    CapExceeded,
     GeodesicIndex,
     GraphFormatError,
     barycentric_subdivision,
     circuits_through_edge,
     dag_to_dot,
     distance_matrix,
-    enumerate_geodesics,
     fineness_profile,
     geodesic_counts,
     geodesic_dag,
+    geodesic_steps,
     graph_to_dot,
     load_graph,
     make_graph,
@@ -111,29 +110,42 @@ class TestDistances:
                         assert abs(d[u][w] - d[v][w]) <= d[u][v]
 
 
+def next_vertices(paths, u):
+    """The vertices that follow u on the given paths, ascending."""
+    return sorted({p[p.index(u) + 1] for p in paths if u in p[:-1]})
+
+
 class TestGeodesicDag:
+    """geodesic_steps against the next vertices of every geodesic that
+    all_simple_shortest_paths enumerates."""
+
     def test_square_two_paths(self):
-        index = GeodesicIndex(cycle_graph(4))
-        assert enumerate_geodesics(index, 0, 2, 10) == [[0, 1, 2], [0, 3, 2]]
+        g = cycle_graph(4)
+        index = GeodesicIndex(g)
+        assert geodesic_steps(index, 0, 2, 0) == [1, 3] \
+            == next_vertices(all_simple_shortest_paths(g, 0, 2), 0)
+        assert geodesic_steps(index, 0, 2, 1) == [2]
 
     def test_tree_single_path(self):
         g = random_tree(14, seed=2)
-        paths = enumerate_geodesics(GeodesicIndex(g), 0, 13, 5)
-        assert len(paths) == 1
+        index = GeodesicIndex(g)
+        [path] = all_simple_shortest_paths(g, 0, 13)
+        for u, w in zip(path, path[1:]):
+            assert geodesic_steps(index, 0, 13, u) == [w]
 
     def test_c6_two_geodesics(self):
-        got = enumerate_geodesics(GeodesicIndex(cycle_graph(6)), 0, 3, 10)
-        assert got == all_simple_shortest_paths(cycle_graph(6), 0, 3)
-        assert len(got) == 2
+        g = cycle_graph(6)
+        index = GeodesicIndex(g)
+        paths = all_simple_shortest_paths(g, 0, 3)
+        assert len(paths) == 2 == geodesic_counts(g, index.dist)[0][3]
+        assert geodesic_steps(index, 0, 3, 0) == [1, 5] \
+            == next_vertices(paths, 0)
 
     def test_hypercube_six_paths(self):
-        index = GeodesicIndex(hypercube3())
-        assert len(enumerate_geodesics(index, 0, 7, 10)) == 6
-
-    def test_cap_exceeded(self):
-        index = GeodesicIndex(hypercube3())
-        with pytest.raises(CapExceeded):
-            enumerate_geodesics(index, 0, 7, 3)
+        g = hypercube3()
+        index = GeodesicIndex(g)
+        assert geodesic_counts(g, index.dist)[0][7] == 6
+        assert geodesic_steps(index, 0, 7, 0) == [1, 2, 4]
 
     def test_disconnected_raises(self):
         g = make_graph(4, [(0, 1), (2, 3)])
@@ -149,14 +161,14 @@ class TestGeodesicDag:
             g = make_graph(n, edges)
             index = GeodesicIndex(g)
             d = index.dist
-            for u in range(n):
-                for v in range(n):
-                    if u == v or d[u][v] is INF:
+            for s in range(n):
+                for t in range(n):
+                    if s == t or d[s][t] is INF:
                         continue
-                    got = enumerate_geodesics(index, u, v, 10000)
-                    assert got == all_simple_shortest_paths(g, u, v)
-                    for path in got:
-                        assert len(path) - 1 == d[u][v]
+                    paths = all_simple_shortest_paths(g, s, t)
+                    for u in {u for p in paths for u in p[:-1]}:
+                        assert geodesic_steps(index, s, t, u) \
+                            == next_vertices(paths, u)
 
     def test_layer_invariant(self):
         g = wedge_of_cycles(2, 6)
