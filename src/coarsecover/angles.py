@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from operator import and_
 
@@ -424,9 +425,8 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
     raised to 1 when the measured slimness is 0 (trees are vacuous anyway,
     and graphs like K4 have slimness 0 with nontrivial theta3).
 
-    A circuit through the angle (u, apex, w) is the two edges at the apex
-    closed by a u-w path avoiding the apex, so the shortest one has length
-    2 + d(u, w) in g with the apex removed: one BFS row per (apex, u).
+    The shortest circuit through (u, apex, w) has length 2 + d(u, w) in g
+    without the apex: one BFS row per (apex, u).
     """
     delta_eff = max(1, int(delta))
     bound = 16 * delta_eff
@@ -554,10 +554,9 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     Conclusions are theorems for any hyperbolic graph, so a violation
     indicts the theta3 or geodesic machinery, not the sampled instance.
     All corners are vertices; endpoints on rays have no finite counterpart
-    and configurations involving them are simply never sampled.  Every
-    question about all the geodesics between two vertices is read off
-    their distance rows and counts, and a failing configuration is
-    recorded once per conclusion it breaks.
+    and configurations involving them are simply never sampled.  Questions
+    about all geodesics are read off distance rows and counts; a failing
+    configuration is recorded once per conclusion it breaks.
     """
     rng = random.Random(seed)
     index = GeodesicIndex(g)
@@ -573,11 +572,9 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     counters = {name: LemmaCounter() for name in (
         "geodesic_2_gons", "large_angles", "large_angles_in_triangles_no_c",
         "tripod", "large_angles_in_triangles", "geodesics_between_geodesics")}
-    # the components of at least 2 vertices, in the order of their least
-    # vertices
-    comps = [c for c in sorted({tuple(v for v, d in enumerate(row)
-                                      if d is not INF) for row in dist})
-             if len(c) >= 2]
+    # the components of 2 or more vertices, ordered by their least vertex
+    comps = sorted(c for c in {tuple(v for v, d in enumerate(row) if d < INF)
+                               for row in dist} if len(c) > 1)
     if not comps:
         return BatteryReport(counters)
 
@@ -586,8 +583,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
         return [rng.choice(comp) for _ in range(k)]
 
     def on_every_geodesic(v, a, b):
-        # v is on some a -> b geodesic, and on all of them exactly when
-        # sigma(a, v) * sigma(v, b) = sigma(a, b)
+        # sigma(a, v) * sigma(v, b) = sigma(a, b) puts v on every geodesic
         return (dist[a][v] + dist[v][b] == dist[a][b]
                 and sigma[a][v] * sigma[v][b] == sigma[a][b])
 
@@ -597,13 +593,11 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
 
     oracle_theta0 = SmallnessOracle(g, theta0)
     oracle_t3_2 = SmallnessOracle(g, t3_2)
-    sweeps = {}  # (oracle, source) -> the into masks of its small_steps
 
-    def small_geodesic(oracle, a, b):
-        # whether some oracle-small a -> b geodesic exists
-        if (oracle, a) not in sweeps:
-            sweeps[oracle, a] = small_steps(index, oracle, a)[0]
-        return sweeps[oracle, a][b]
+    @cache
+    def small_into(oracle, a):
+        # into[b] is nonzero when some oracle-small a -> b geodesic exists
+        return small_steps(index, oracle, a)[0]
 
     for _ in range(trials):
         which = rng.randrange(6)
@@ -688,7 +682,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
             if len({x1, x2, xi}) < 3:
                 continue
             c = counters["large_angles_in_triangles"]
-            if not small_geodesic(oracle_theta0, x1, x2):
+            if not small_into(oracle_theta0, x1)[x2]:
                 continue
             c1 = _random_geodesic(index, x1, xi, rng)
             for i in range(1, len(c1) - 1):
@@ -726,7 +720,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
                 continue
             c.checked += 1
             c.nonvacuous += 1
-            if not small_geodesic(oracle_t3_2, v, v2):
+            if not small_into(oracle_t3_2, v)[v2]:
                 c.violations.append(("between", xm, xp, v, v2))
 
     return BatteryReport(counters)

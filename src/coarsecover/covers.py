@@ -395,15 +395,14 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     blocks = {}  # v -> the z-points of the basis blocks at v
     for t in basis:
         blocks.setdefault(t.v, set()).update(t.zset)
-    # the pairs of the pair set that the blocks hold: all of the blocks'
-    # pairs exactly when each block lies in the pair set
+    # the pairs of the pair set that the blocks hold: all of theirs exactly
+    # when each block lies in it, and all of its when they cover it
     held = sum(z in blocks.get(v, _EMPTY)
                for z, fiber in fibers.items() for v in fiber)
     inside = held == sum(map(len, blocks.values()))
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not inside and not all(t.v in fibers.get(z, _EMPTY)
-                                  for z in t.zset):
+        if not inside and not all(t.v in fibers.get(z, ()) for z in t.zset):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -415,8 +414,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             if any(act_z[p][z] in t.zset for z in t.zset):
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
-    # precondition: translated basis blocks cover every fiber, as the
-    # untranslated ones do when they hold every pair
+    # precondition: translated basis blocks cover every fiber
     if held < sum(map(len, fibers.values())):
         covered = {}  # v -> the z-points the translated blocks put v over
         for t in basis:
