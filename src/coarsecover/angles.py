@@ -432,11 +432,14 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
     bound = 16 * delta_eff
     missing = []
     max_needed = 0
-    rows = {}  # (apex, u) -> the distances from u in g without the apex
+    cut = {}  # apex -> g without the apex's edges
+    rows = {}  # (apex, u) -> the distances from u in cut[apex]
     for (u, apex, w) in sorted(theta3set.nontrivial):
         if (apex, u) not in rows:
-            rows[apex, u] = bfs_row(make_graph(
-                g.vertex_count, [e for e in g.edges if apex not in e]), u)
+            if apex not in cut:
+                cut[apex] = make_graph(
+                    g.vertex_count, [e for e in g.edges if apex not in e])
+            rows[apex, u] = bfs_row(cut[apex], u)
         length = 2 + rows[apex, u][w]
         if length > bound:
             missing.append((u, apex, w))

@@ -392,17 +392,9 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     G = space.group
     _check_generators(G)
     act_z, identity, fibers = space.act_z, G.identity, space.fibers
-    blocks = {}  # v -> the z-points of the basis blocks at v
-    for t in basis:
-        blocks.setdefault(t.v, set()).update(t.zset)
-    # the pairs of the pair set that the blocks hold: all of theirs exactly
-    # when each block lies in it, and all of its when they cover it
-    held = sum(z in blocks.get(v, _EMPTY)
-               for z, fiber in fibers.items() for v in fiber)
-    inside = held == sum(map(len, blocks.values()))
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not inside and not all(t.v in fibers.get(z, ()) for z in t.zset):
+        if not all(t.v in fibers.get(z, ()) for z in t.zset):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -415,18 +407,17 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
     # precondition: translated basis blocks cover every fiber
-    if held < sum(map(len, fibers.values())):
-        covered = {}  # v -> the z-points the translated blocks put v over
-        for t in basis:
-            for p in G.elements:
-                az = act_z[p]
-                covered.setdefault(p[t.v], set()).update(
-                    t.zset if p == identity else [az[z] for z in t.zset])
-        missing = sorted((v, z) for z, fiber in fibers.items() for v in fiber
-                         if z not in covered.get(v, _EMPTY))
-        if missing:
-            raise BasisError("basis does not cover the pair set, e.g. %r"
-                             % (missing[:3],))
+    covered = {}  # v -> the z-points the translated blocks put v over
+    for t in basis:
+        for p in G.elements:
+            az = act_z[p]
+            covered.setdefault(p[t.v], set()).update(
+                t.zset if p == identity else [az[z] for z in t.zset])
+    missing = sorted((v, z) for z, fiber in fibers.items() for v in fiber
+                     if z not in covered.get(v, _EMPTY))
+    if missing:
+        raise BasisError("basis does not cover the pair set, e.g. %r"
+                         % (missing[:3],))
 
     # greedy subtraction along earlier nearby translates
     reduced = []
