@@ -498,6 +498,31 @@ def _canonical_circuit(cycle):
     return best
 
 
+def _closing_paths(g: Graph, u, v, max_len: int):
+    """The simple paths from v, avoiding u, of at most max_len - 1 vertices
+    that end at a neighbor of u other than v.
+
+    With u each closes one embedded cycle through the edge uv, and each
+    such cycle of length <= max_len is closed by exactly one of them: the
+    cycle without the edge.  Depth-first, one tuple per path.
+    """
+    path, on_path = [v], {v}
+    stack = [iter(g.neighbors(v))]
+    while stack:
+        for x in stack[-1]:
+            if x == u:
+                if len(path) > 1:
+                    yield tuple(path)
+            elif x not in on_path and len(path) < max_len - 1:
+                path.append(x)
+                on_path.add(x)
+                stack.append(iter(g.neighbors(x)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+
+
 def circuits_through_edge(g: Graph, e, max_len: int):
     """All embedded cycles of length <= max_len containing the edge e.
 
@@ -507,39 +532,17 @@ def circuits_through_edge(g: Graph, e, max_len: int):
     u, v = canon_edge(*e)
     if (u, v) not in g.edges:
         raise ValueError("edge %r not in graph" % ((u, v),))
-    if max_len < 3:
-        return []
-    found = set()
-    # simple paths from v back to u of length <= max_len - 1, avoiding e
-    path = [v]
-    on_path = {v}
-
-    def walk(w):
-        if len(path) > max_len - 1:
-            return
-        for x in g.neighbors(w):
-            if x == u and w != v:
-                found.add(_canonical_circuit(tuple(path) + (u,)))
-                continue
-            if x in on_path or x == u:
-                continue
-            path.append(x)
-            on_path.add(x)
-            walk(x)
-            on_path.discard(x)
-            path.pop()
-
-    walk(v)
-    return sorted(found)
+    return sorted(_canonical_circuit(p + (u,))
+                  for p in _closing_paths(g, u, v, max_len))
 
 
 def fineness_profile(g: Graph, max_len: int) -> dict:
     """Max number of circuits of each length <= max_len through any edge."""
     per_len = {k: 0 for k in range(3, max_len + 1)}
-    for e in sorted(g.edges):
+    for u, v in sorted(g.edges):
         counts = {}
-        for circ in circuits_through_edge(g, e, max_len):
-            counts[len(circ)] = counts.get(len(circ), 0) + 1
+        for p in _closing_paths(g, u, v, max_len):
+            counts[len(p) + 1] = counts.get(len(p) + 1, 0) + 1
         for k, c in counts.items():
             per_len[k] = max(per_len[k], c)
     return per_len

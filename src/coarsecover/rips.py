@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import networkx as nx
-
 from .angles import AngleSet, SmallnessOracle, geodesic_turns, k_fold_sum, \
     small_steps, theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
@@ -46,13 +44,44 @@ class SimplicialComplex:
         return out
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(nbr, R, P, X, out):
+    """Bron-Kerbosch with Tomita's pivot on neighbour bitmasks: append to
+    out every maximal clique that extends R by vertices of P and meets no
+    vertex of X.  The pivot u in P | X has the most neighbours in P; each
+    such clique holds u or a non-neighbour of u, else u would extend it,
+    so only the vertices of P - nbr[u] are branched on."""
+    if not P:
+        if not X:
+            out.append(R)
+        return
+    u = max(_bits(P | X), key=lambda i: (P & nbr[i]).bit_count())
+    for i in _bits(P & ~nbr[u]):
+        _maximal_cliques(nbr, R | 1 << i, P & nbr[i], X & nbr[i], out)
+        P &= ~(1 << i)
+        X |= 1 << i
+
+
 def _clique_complex(vertices, relation_pairs) -> SimplicialComplex:
-    G = nx.Graph()
-    G.add_nodes_from(vertices)
-    G.add_edges_from(relation_pairs)
-    maximal = sorted((frozenset(c) for c in nx.find_cliques(G)),
+    vs = sorted(vertices)
+    bit = {v: i for i, v in enumerate(vs)}
+    nbr = [0] * len(vs)
+    for u, v in relation_pairs:
+        nbr[bit[u]] |= 1 << bit[v]
+        nbr[bit[v]] |= 1 << bit[u]
+    masks = []
+    if vs:  # with no vertex, the empty set would count as a maximal clique
+        _maximal_cliques(nbr, 0, (1 << len(vs)) - 1, 0, masks)
+    maximal = sorted((frozenset(vs[i] for i in _bits(m)) for m in masks),
                      key=lambda s: sorted(s))
-    return SimplicialComplex(tuple(sorted(vertices)), tuple(maximal))
+    return SimplicialComplex(tuple(vs), tuple(maximal))
 
 
 class SmallPairRelation:
@@ -68,23 +97,25 @@ class SmallPairRelation:
         self.d = d
         self.index = index
         self.oracle = SmallnessOracle(g, theta)
-        self._joined = {}  # u -> the vertices other than u joined to it
+        self._near = {}  # u -> the vertices other than u joined to it
 
-    def joined(self, u, v) -> bool:
-        if u == v:
-            return True
-        near = self._joined.get(u)
+    def near(self, u) -> frozenset:
+        """The vertices other than u joined to u."""
+        near = self._near.get(u)
         if near is None:
             into = small_steps(self.index, self.oracle, u)[0]
             du = self.index.dist[u]
-            near = self._joined[u] = frozenset(
+            near = self._near[u] = frozenset(
                 w for w in self.graph.vertices if into[w] and du[w] <= self.d)
-        return v in near
+        return near
+
+    def joined(self, u, v) -> bool:
+        return u == v or v in self.near(u)
 
     def pairs(self, vertices):
         vs = sorted(vertices)
-        return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
-                if self.joined(u, v)]
+        return [(u, v) for u in vs
+                for v in sorted(self.near(u).intersection(vs)) if u < v]
 
 
 def build_rips(g: Graph, d, theta: AngleSet,
@@ -151,19 +182,49 @@ def _large_angle_vertices(index: GeodesicIndex, small: AngleSet, v0, v):
     return out
 
 
-def _measure(d0, large_at, K):
-    alpha = max(d0[v] for v in K)
-    a = sum(1 for v in K if d0[v] == alpha)
-    beta = 0
-    b = 0
-    for v in K:
-        bw = large_at(v)
-        best = max(bw.values(), default=0)
-        if best > beta:
-            beta, b = best, 1
-        elif best == beta and best > 0:
-            b += 1
-    return alpha, beta, a, b
+def _in_span(dist, K0, w):
+    """Whether w is in K0 or on a geodesic between two vertices of K0."""
+    dw = dist[w]
+    return w in K0 or any(dw[u] + dw[v] == dist[u][v]
+                          for u, v in combinations(K0, 2))
+
+
+class _FoldMeasure:
+    """The measure (alpha, beta, a, b) of a vertex set K, kept as folds
+    change K.
+
+    alpha is the largest distance from v0 over K and a the number of
+    vertices of K at it; beta is the largest large-angle depth over K and
+    b the number of vertices of K at it, 0 when beta is 0.  Both are read
+    off counters over K, of the distances and of the depths, and a fold
+    changes one entry of each per vertex it moves.
+    """
+
+    def __init__(self, d0, depth, K):
+        self.d0, self.depth = d0, depth
+        self.at_dist, self.at_depth = {}, {}
+        for v in K:
+            self._count(v, 1)
+
+    def _count(self, v, step):
+        for counter, key in ((self.at_dist, self.d0[v]),
+                             (self.at_depth, self.depth(v))):
+            n = counter.get(key, 0) + step
+            if n:
+                counter[key] = n
+            else:
+                del counter[key]
+
+    def fold(self, v, vt, K):
+        """Count the fold of v in K to vt, before K itself changes."""
+        self._count(v, -1)
+        if vt not in K:
+            self._count(vt, 1)
+
+    def value(self):
+        alpha, beta = max(self.at_dist), max(self.at_depth)
+        return (alpha, beta, self.at_dist[alpha],
+                self.at_depth[beta] if beta else 0)
 
 
 def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
@@ -173,12 +234,15 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     Hypotheses (checked): d >= 4 * delta with delta a positive integer
     hyperbolicity constant (slimness 0 is raised to 1, matching the standing
     convention that the constant is positive), and theta contains the
-    sevenfold corner size.  Every fold (v -> v~) is validated against the
-    three clauses: a small short geodesic joins v and v~; neighbors of v in
-    the pair relation are neighbors of v~; the recomputed measure
-    (alpha + beta, a + b) strictly decreases lexicographically.  The
-    replacement vertex always lies on a geodesic from the basepoint to a
-    vertex of the original subcomplex.
+    sevenfold corner size.  Every fold (v -> v~) is validated against
+    four clauses: a small short geodesic joins v and v~; the neighbors of
+    v in K under the pair relation are neighbors of v~, a difference of
+    near sets; v~ lies in the span of the original subcomplex K0, tested
+    per vertex: v~ is in K0 or on a geodesic between two of its vertices;
+    and the measure (alpha + beta, a + b) of the folded K strictly
+    decreases lexicographically.  The measure is kept by _FoldMeasure as
+    K changes, not rescanned, but every move still compares it before and
+    after.
     """
     delta_eff = max(1, int(delta))
     if d < 4 * delta_eff:
@@ -196,7 +260,7 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     d0 = index.dist[v0]
     # the large-angle vertices of v depend only on v: v0, the index and
     # t3_2 are fixed for the whole contraction
-    large = {}
+    large, depths = {}, {}
 
     def large_at(v):
         hit = large.get(v)
@@ -204,23 +268,21 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
             hit = large[v] = _large_angle_vertices(index, t3_2, v0, v)
         return hit
 
+    def depth(v):
+        hit = depths.get(v)
+        if hit is None:
+            hit = depths[v] = max(large_at(v).values(), default=0)
+        return hit
+
     if any(d0[v] is INF for v in K0):
         raise ValueError("subcomplex spans several components")
-    L_verts = set()
-    for u in K0:
-        L_verts.add(u)
-        for v in K0:
-            if u < v:
-                L_verts.update(index.geodesic_vertex_set(u, v))
 
     K = set(K0)
     moves = []
-    measure = _measure(d0, large_at, K)
-    move_cap = 4 * len(K0) * (measure[0] + 2) + 16
-    while True:
-        alpha, beta, a, b = measure
-        if alpha == 0:
-            break
+    measure = _FoldMeasure(d0, depth, K)
+    alpha, beta, a, b = measure.value()
+    move_cap = 4 * len(K0) * (alpha + 2) + 16
+    while alpha:
         if len(moves) > move_cap:
             raise ContractionError("fold count exceeded cap; no progress")
         if alpha >= beta + d:
@@ -233,16 +295,10 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
             vt = v0
             case = "base-fold"
         else:
-            v = None
-            for cand in sorted(K):
-                bw = large_at(cand)
-                wits = sorted(w for w, dw in bw.items() if dw == beta)
-                if wits:
-                    v = cand
-                    vt = wits[0]
-                    break
+            v = min((c for c in K if depth(c) == beta), default=None)
             if v is None:
                 raise ContractionError("no witness for the recorded beta")
+            vt = min(w for w, dw in large_at(v).items() if dw == beta)
             case = "angle-fold"
 
         # clause validation
@@ -251,21 +307,23 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if not rel.joined(v, vt):
             raise ContractionError("fold %r -> %r: no small short geodesic"
                                    % (v, vt))
-        for u in K:
-            if u != v and rel.joined(v, u) and not rel.joined(vt, u):
-                raise ContractionError(
-                    "fold %r -> %r drops the neighbor %r" % (v, vt, u))
-        if vt not in L_verts:
+        dropped = (K & rel.near(v)) - rel.near(vt) - {vt}
+        if dropped:
+            raise ContractionError("fold %r -> %r drops the neighbor %r"
+                                   % (v, vt, min(dropped)))
+        if not _in_span(index.dist, K0, vt):
             raise ContractionError("replacement %r leaves the span" % (vt,))
-        K_next = (K - {v}) | {vt}
-        m_next = _measure(d0, large_at, K_next)
+        measure.fold(v, vt, K)
+        K.discard(v)
+        K.add(vt)
+        m_next = measure.value()
         before = (alpha + beta, a + b)
         after = (m_next[0] + m_next[1], m_next[2] + m_next[3])
         if not after < before:
             raise ContractionError(
                 "measure did not decrease: %r -> %r" % (before, after))
         moves.append(Move(v, vt, case, before, after))
-        K, measure = K_next, m_next
+        alpha, beta, a, b = m_next
     if K != {v0}:
         raise ContractionError("terminated away from the basepoint")
     return ContractionTrace(tuple(moves), v0, v0)

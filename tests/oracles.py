@@ -701,3 +701,22 @@ def theta3_circuit_bound_brute(g, theta3set, delta):
         "missing": missing,
         "angles_checked": len(theta3set.nontrivial),
     }
+
+
+def contraction_measure(d0, large_at, K):
+    """The measure (alpha, beta, a, b) of contract_subcomplex, rescanned
+    over all of K: alpha the largest distance from the basepoint and a the
+    number of vertices of K at it, beta the largest large-angle depth and
+    b the number of vertices of K at it (0 when beta is 0)."""
+    alpha = max(d0[v] for v in K)
+    a = sum(1 for v in K if d0[v] == alpha)
+    beta = 0
+    b = 0
+    for v in K:
+        bw = large_at(v)
+        best = max(bw.values(), default=0)
+        if best > beta:
+            beta, b = best, 1
+        elif best == beta and best > 0:
+            b += 1
+    return alpha, beta, a, b

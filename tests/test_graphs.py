@@ -1,6 +1,8 @@
 import json
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from coarsecover.corpus import (
@@ -15,6 +17,7 @@ from coarsecover.corpus import (
 )
 from coarsecover.graphs import (
     INF,
+    _canonical_circuit,
     GeodesicIndex,
     GraphFormatError,
     barycentric_subdivision,
@@ -243,6 +246,30 @@ class TestCircuits:
     def test_fineness_profile(self):
         prof = fineness_profile(complete_graph(4), 4)
         assert prof[3] == 2 and prof[4] == 2
+
+    def test_circuits_and_fineness_match_networkx(self):
+        # with no dedup set, each circuit through an edge must still be
+        # listed once; the profile counts the same circuits by length
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            g = make_graph(n, [e for e in combinations(range(n), 2)
+                               if rng.random() < 0.45])
+            max_len = rng.randint(3, 8)
+            cycles = [tuple(c) for c in nx.simple_cycles(
+                nx.Graph(list(g.edges)), length_bound=max_len)
+                if len(c) >= 3]
+            want_profile = dict.fromkeys(range(3, max_len + 1), 0)
+            for u, v in sorted(g.edges):
+                want = sorted(_canonical_circuit(c) for c in cycles
+                              if any({c[i - 1], c[i]} == {u, v}
+                                     for i in range(len(c))))
+                got = circuits_through_edge(g, (u, v), max_len)
+                assert got == want and len(set(got)) == len(got)
+                for k in range(3, max_len + 1):
+                    want_profile[k] = max(want_profile[k], sum(
+                        1 for c in got if len(c) == k))
+            assert fineness_profile(g, max_len) == want_profile
 
 
 class TestSubdivision:

@@ -14,6 +14,9 @@ in those program files passes it: its None branch runs only in tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +32,8 @@ ALLOWED = {
     "CoverReport.f_subsets": "a verdict of verify_cover, folded into ok",
     "CoverReport.order": "the recounted order of verify_cover, compared "
                          "with cover.order",
+    "circuits_through_edge": "the public circuit listing; fineness_profile "
+                             "counts the paths of the same walk unlisted",
 }
 
 
@@ -201,3 +206,25 @@ def test_a_restored_fallback_is_flagged(tmp_path):
     src = [tmp_path / "rips.py" if p.name == "rips.py" else p
            for p in sorted(SRC.glob("*.py"))]
     assert "build_rips.index" in _flagged(src)
+
+
+def test_the_library_does_not_load_networkx():
+    # networkx is a test dependency, the oracle for blocks and cliques: no
+    # program file imports it, and importing the package loads none of it
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "networkx" for m in modules), \
+                path.name
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coarsecover; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

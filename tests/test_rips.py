@@ -1,14 +1,17 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsecover import rips
 from coarsecover.angles import all_angles, k_fold_sum, theta3, trivial_only
 from coarsecover.corpus import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     random_tree,
     rips_instances,
@@ -20,9 +23,11 @@ from coarsecover.rips import (
     build_rips,
     complex_stats,
     contract_subcomplex,
+    ContractionError,
     homology_oracle,
     SimplicialComplex,
 )
+from oracles import contraction_measure
 
 
 class TestBuildRips:
@@ -62,6 +67,39 @@ class TestBuildRips:
         g = make_graph(3, [(0, 1), (1, 2)], cone_vertices=[0, 1])
         with pytest.raises(Exception, match="adjacent cone"):
             build_rips(g, 1, trivial_only(g), GeodesicIndex(g))
+
+
+@st.composite
+def labelled_graphs(draw, max_n=12):
+    """(vertices, edges): up to max_n vertices with sparse distinct labels,
+    so the bit positions of the clique masks are not the labels."""
+    vertices = sorted(draw(st.sets(st.integers(0, 40), max_size=max_n)))
+    pairs = list(combinations(vertices, 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    return vertices, edges
+
+
+class TestCliques:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs())
+    @example(([], []))
+    @example(([3, 7, 9], []))
+    @example((list(range(6)), list(combinations(range(6), 2))))
+    @example((list(range(7)), [(i, (i + 1) % 7) for i in range(7)]))
+    def test_maximal_cliques_match_networkx(self, case):
+        vertices, edges = case
+        G = nx.Graph()
+        G.add_nodes_from(vertices)
+        G.add_edges_from(edges)
+        want = sorted((frozenset(c) for c in nx.find_cliques(G)),
+                      key=lambda s: sorted(s))
+        P = rips._clique_complex(vertices, edges)
+        assert P.vertices == tuple(vertices)
+        assert P.maximal_simplices == tuple(want)
+
+    def test_empty_vertex_set_has_no_simplex(self):
+        P = rips._clique_complex([], [])
+        assert P.maximal_simplices == () and P.dimension == -1
 
 
 class TestStats:
@@ -235,6 +273,129 @@ class TestContraction:
         trace = contract_subcomplex(K, g, d, theta, delta, index=index)
         for m in trace.moves:
             assert m.replacement in span
+
+
+@st.composite
+def subcomplexes(draw, proper=False):
+    """(g, K0, extra, all_sizes): a connected graph on up to 10 vertices, a
+    vertex set (a proper one when asked, else the whole set half the time),
+    the scale above 4 * delta and whether theta is every angle."""
+    n = draw(st.integers(2 if proper else 1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(combinations(range(n), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=5))
+    if not proper and draw(st.booleans()):
+        K0 = list(range(n))
+    else:
+        K0 = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                 max_size=n - 1 if proper else n)))
+    return (make_graph(n, edges), K0, draw(st.integers(0, 2)),
+            draw(st.booleans()))
+
+
+class TestContractionClauses:
+    @settings(max_examples=100, deadline=None)
+    @given(subcomplexes())
+    @example((grid_graph(2, 8), list(range(16)), 0, False))
+    @example((wedge_of_cycles(2, 6), [1, 4, 8], 0, False))
+    def test_fold_measure_matches_the_rescan(self, case):
+        # the kept measure against oracles.contraction_measure, which
+        # rescans K, on every move; the trace's sums must be the rescan's
+        g, K0, extra, all_sizes = case
+        index = GeodesicIndex(g)
+        t3 = theta3(g, index=index)
+        theta = all_angles(g) if all_sizes else k_fold_sum(t3, 7)
+        delta = slimness_constant(g, index.dist).delta
+        trace = contract_subcomplex(K0, g, 4 * max(1, delta) + extra, theta,
+                                    delta, index=index)
+        t3_2 = k_fold_sum(t3, 2)
+        v0 = K0[0]
+        d0 = index.dist[v0]
+
+        def large_at(v):
+            return rips._large_angle_vertices(index, t3_2, v0, v)
+
+        K = set(K0)
+        measure = rips._FoldMeasure(
+            d0, lambda v: max(large_at(v).values(), default=0), K)
+        want = contraction_measure(d0, large_at, K)
+        for m in trace.moves:
+            assert measure.value() == want
+            assert m.measure_before == (want[0] + want[1], want[2] + want[3])
+            measure.fold(m.vertex, m.replacement, K)
+            K = (K - {m.vertex}) | {m.replacement}
+            want = contraction_measure(d0, large_at, K)
+            assert m.measure_after == (want[0] + want[1], want[2] + want[3])
+        assert measure.value() == want
+        assert K == {v0} and want[0] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(subcomplexes(proper=True))
+    def test_span_predicate_is_the_geodesic_hull(self, case):
+        g, K0, _, _ = case
+        index = GeodesicIndex(g)
+        hull = set(K0)
+        for u, v in combinations(K0, 2):
+            hull.update(index.geodesic_vertex_set(u, v))
+        assert {w for w in g.vertices
+                if rips._in_span(index.dist, K0, w)} == hull
+
+    @staticmethod
+    def _witness_moved(monkeypatch, old, new):
+        # every large-angle witness old is reported as new instead, so an
+        # angle-fold onto old is forced onto new
+        real = rips._large_angle_vertices
+
+        def moved(index, small, v0, v):
+            return {new if w == old else w: dw
+                    for w, dw in real(index, small, v0, v).items()}
+
+        monkeypatch.setattr(rips, "_large_angle_vertices", moved)
+
+    def test_replacement_off_the_hull_is_refused(self, monkeypatch):
+        # the star 0-1-2, 1-3: K0 = {0, 2} folds 2 -> 1 at the angle at 1;
+        # forced onto the leaf 3, the fold keeps 2's neighbors (d = 4 joins
+        # every pair) and only the span clause can refuse it
+        g = make_graph(4, [(0, 1), (1, 2), (1, 3)])
+        index = GeodesicIndex(g)
+        trace = contract_subcomplex([0, 2], g, 4, all_angles(g), 0,
+                                    index=index)
+        assert (trace.moves[0].vertex, trace.moves[0].replacement) == (2, 1)
+        self._witness_moved(monkeypatch, 1, 3)
+        with pytest.raises(ContractionError,
+                           match="replacement 3 leaves the span"):
+            contract_subcomplex([0, 2], g, 4, all_angles(g), 0, index=index)
+
+    def test_dropped_neighbor_is_named(self, monkeypatch):
+        # on the path 0..8 at d = 4, K0 = {0, 2, 4} folds 4 -> 3; forced
+        # onto 8, the fold loses 4's neighbors 0 and 2, and the smallest
+        # is named
+        g = path_graph(9)
+        index = GeodesicIndex(g)
+        trace = contract_subcomplex([0, 2, 4], g, 4, all_angles(g), 0,
+                                    index=index)
+        assert (trace.moves[0].vertex, trace.moves[0].replacement) == (4, 3)
+        self._witness_moved(monkeypatch, 3, 8)
+        with pytest.raises(ContractionError,
+                           match="fold 4 -> 8 drops the neighbor 0$"):
+            contract_subcomplex([0, 2, 4], g, 4, all_angles(g), 0,
+                                index=index)
+
+    def test_fold_back_up_is_refused(self, monkeypatch):
+        # on the path 0..5 at d = 4, K0 = {0, 3} folds 3 -> 2 -> 1 -> 0;
+        # with the witness 1 moved to 3 the second fold sends 2 back to 3,
+        # which keeps every other clause and raises the measure
+        g = path_graph(6)
+        index = GeodesicIndex(g)
+        trace = contract_subcomplex([0, 3], g, 4, all_angles(g), 0,
+                                    index=index)
+        assert [(m.vertex, m.replacement) for m in trace.moves] == \
+            [(3, 2), (2, 1), (1, 0)]
+        self._witness_moved(monkeypatch, 1, 3)
+        with pytest.raises(ContractionError, match=re.escape(
+                "measure did not decrease: (3, 2) -> (5, 2)")):
+            contract_subcomplex([0, 3], g, 4, all_angles(g), 0, index=index)
 
 
 class TestHomologyExactness:
