@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress
+from itertools import combinations, compress
 from operator import and_
 
 from .graphs import (
@@ -468,34 +468,21 @@ def d_theta(sub: Subdivision, theta: AngleSet) -> dict:
     hops.  Any hop of length >= 2 passes an intermediate midpoint whose two
     halves are again small, so unit hops suffice: the metric is the path
     metric of the graph on midpoints joining (e, e') whenever that angle
-    lies in theta.  Distances are in original units (integers, inf allowed).
+    lies in theta, numbered in ve_vertices order, and each row is a
+    bfs_row of it.  Distances are in original units (integers, inf
+    allowed).
     """
     order = sub.ve_vertices()
-    adj = {v: [] for v in order}
+    pos = {m: i for i, m in enumerate(order)}
+    hops = []
     for apex in sub.v_vertices():
-        mids = sub.graph.neighbors(apex)
-        ends = [far_end(sub, apex, m) for m in mids]
-        for i in range(len(mids)):
-            for j in range(i + 1, len(mids)):
-                if theta.contains(ends[i], apex, ends[j]):
-                    adj[mids[i]].append(mids[j])
-                    adj[mids[j]].append(mids[i])
-    dist = {}
-    for src in order:
-        row = dist[src] = dict.fromkeys(order, INF)
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if row[w] is INF:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return dist
+        steps = [(pos[m], far_end(sub, apex, m))
+                 for m in sub.graph.neighbors(apex)]
+        hops += [(i, j) for (i, u), (j, w) in combinations(steps, 2)
+                 if theta.contains(u, apex, w)]
+    hop_graph = make_graph(len(order), hops)
+    return {m: dict(zip(order, bfs_row(hop_graph, i)))
+            for i, m in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------

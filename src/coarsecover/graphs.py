@@ -106,7 +106,8 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     """Parse a graph document (JSON text or dict).
 
     Schema: ``vertices`` (int), ``edges`` (list of [u, v]), optional
-    ``cone_vertices`` (list), optional ``labels`` (map vertex -> string).
+    ``cone_vertices`` (list), optional ``labels`` (map from the decimal id
+    of a vertex to a string).
     When ``cone_vertices`` is absent, vertices of valency >= cone_threshold
     are marked as cone vertices.  Adjacent cone vertices are legal at load
     time (cone_vertices_adjacent lists them); cone and Rips operations
@@ -152,8 +153,14 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
     labels = doc.get("labels") or {}
     if not isinstance(labels, dict):
         raise GraphFormatError("'labels' must be an object")
-    labels = {int(k): str(v) for k, v in labels.items()}
-    return make_graph(n, edges, cones, labels)
+    ids = {str(v): v for v in range(n)} if labels else {}
+    for k, label in labels.items():
+        if str(k) not in ids:
+            raise GraphFormatError("label key %r names no vertex" % (k,))
+        if not isinstance(label, str):
+            raise GraphFormatError("label of vertex %s must be a string" % k)
+    return make_graph(n, edges, cones,
+                      {ids[str(k)]: label for k, label in labels.items()})
 
 
 def graph_to_document(g: Graph) -> dict:
@@ -174,6 +181,7 @@ def graph_to_document(g: Graph) -> dict:
 
 def bfs_row(g: Graph, source):
     """The hop distances from source; unreachable vertices map to math.inf."""
+    adj = g._adj
     dist = [INF] * g.vertex_count
     dist[source] = 0
     frontier = [source]
@@ -182,7 +190,7 @@ def bfs_row(g: Graph, source):
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if dist[w] is INF:
                     dist[w] = d
                     nxt.append(w)

@@ -5,15 +5,18 @@ of length at most d, so the complex is the clique complex of that pair
 relation and is stored by maximal simplices.  The contraction walks a
 finite subcomplex down to a single vertex by validated vertex folds; Betti
 numbers over the rationals give the independent contractibility check.
-Those are computed first over the prime field F_p, p = 2**31 - 1, with
-clearing; an F_p answer of (1, 0, ..., 0) certifies the rational one, and
-every other complex falls back to exact elimination over the rationals.
+Those are computed first over the prime field F_p, p = 2**31 - 1; an F_p
+answer of (1, 0, ..., 0) certifies the rational one, and every other
+complex falls back to exact elimination over the rationals.  Both passes
+run the one sparse reduction, top dimension down with clearing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .angles import AngleSet, SmallnessOracle, geodesic_turns, k_fold_sum, \
@@ -32,15 +35,23 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.maximal_simplices) - 1
 
-    def all_simplices(self, cap=200000):
-        out = set()
+    def faces(self, cap=200000):
+        """Each dimension k mapped to the sorted list of the sorted
+        (k+1)-tuples spanning a simplex; more than cap distinct simplices
+        raise CapExceeded, before a maximal simplex with more than cap
+        faces is expanded."""
+        seen = set()
         for m in self.maximal_simplices:
+            if (1 << len(m)) - 1 > cap:
+                raise CapExceeded("more than %d simplices" % cap)
             ms = sorted(m)
             for k in range(1, len(ms) + 1):
-                for c in combinations(ms, k):
-                    out.add(frozenset(c))
-                    if len(out) > cap:
-                        raise CapExceeded("more than %d simplices" % cap)
+                seen.update(combinations(ms, k))
+            if len(seen) > cap:
+                raise CapExceeded("more than %d simplices" % cap)
+        out = {}
+        for s in sorted(seen):
+            out.setdefault(len(s) - 1, []).append(s)
         return out
 
 
@@ -69,13 +80,13 @@ def _maximal_cliques(nbr, R, P, X, out):
         X |= 1 << i
 
 
-def _clique_complex(vertices, relation_pairs) -> SimplicialComplex:
+def _clique_complex(vertices, near) -> SimplicialComplex:
+    """The clique complex on vertices of a symmetric relation, given as
+    near(v), the vertices other than v related to v (any vertex outside
+    vertices is ignored)."""
     vs = sorted(vertices)
     bit = {v: i for i, v in enumerate(vs)}
-    nbr = [0] * len(vs)
-    for u, v in relation_pairs:
-        nbr[bit[u]] |= 1 << bit[v]
-        nbr[bit[v]] |= 1 << bit[u]
+    nbr = [sum(1 << bit[w] for w in near(v) if w in bit) for v in vs]
     masks = []
     if vs:  # with no vertex, the empty set would count as a maximal clique
         _maximal_cliques(nbr, 0, (1 << len(vs)) - 1, 0, masks)
@@ -112,38 +123,28 @@ class SmallPairRelation:
     def joined(self, u, v) -> bool:
         return u == v or v in self.near(u)
 
-    def pairs(self, vertices):
-        vs = sorted(vertices)
-        return [(u, v) for u in vs
-                for v in sorted(self.near(u).intersection(vs)) if u < v]
-
 
 def build_rips(g: Graph, d, theta: AngleSet,
                index: GeodesicIndex) -> SimplicialComplex:
     """The relative Rips complex at scale d for the given size for angles."""
     g.require_cone_separation()
     rel = SmallPairRelation(g, d, theta, index)
-    return _clique_complex(list(g.vertices), rel.pairs(g.vertices))
+    return _clique_complex(g.vertices, rel.near)
 
 
 def complex_stats(P: SimplicialComplex, cap=200000) -> dict:
     """Dimension, simplex counts per dimension, and the largest number of
-    simplices strictly containing any single simplex."""
-    sims = P.all_simplices(cap)
-    counts = {}
-    for s in sims:
-        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
-    coface = {s: 0 for s in sims}
-    for s in sims:
-        ms = sorted(s)
-        for k in range(1, len(ms)):
-            for c in combinations(ms, k):
-                coface[frozenset(c)] += 1
+    simplices strictly containing any single simplex.  A simplex strictly
+    containing s contains each vertex of s and is not that vertex, so the
+    largest count is reached at a vertex: the simplices holding it, less
+    the vertex itself."""
+    faces = P.faces(cap)
+    holding = Counter(v for ss in faces.values() for s in ss for v in s)
     return {
         "dimension": P.dimension,
-        "simplices_by_dim": dict(sorted(counts.items())),
-        "total_simplices": len(sims),
-        "max_coface_count": max(coface.values(), default=0),
+        "simplices_by_dim": {k: len(ss) for k, ss in sorted(faces.items())},
+        "total_simplices": sum(map(len, faces.values())),
+        "max_coface_count": max(holding.values(), default=1) - 1,
     }
 
 
@@ -231,19 +232,20 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
                         index: GeodesicIndex) -> ContractionTrace:
     """Fold a finite subcomplex down to its basepoint, validating each move.
 
-    Hypotheses (checked): d >= 4 * delta with delta a positive integer
-    hyperbolicity constant (slimness 0 is raised to 1, matching the standing
-    convention that the constant is positive), and theta contains the
-    sevenfold corner size.  Every fold (v -> v~) is validated against
-    four clauses: a small short geodesic joins v and v~; the neighbors of
-    v in K under the pair relation are neighbors of v~, a difference of
-    near sets; v~ lies in the span of the original subcomplex K0, tested
-    per vertex: v~ is in K0 or on a geodesic between two of its vertices;
-    and the measure (alpha + beta, a + b) of the folded K strictly
-    decreases lexicographically.  The measure is kept by _FoldMeasure as
-    K changes, not rescanned, but every move still compares it before and
-    after.
+    Hypotheses (checked): no two cone vertices are adjacent, d >= 4 * delta
+    with delta a positive integer hyperbolicity constant (slimness 0 is
+    raised to 1, matching the standing convention that the constant is
+    positive), and theta contains the sevenfold corner size.  Every fold
+    (v -> v~) is validated against four clauses: a small short geodesic
+    joins v and v~; the neighbors of v in K under the pair relation are
+    neighbors of v~, a difference of near sets; v~ lies in the span of the
+    original subcomplex K0, tested per vertex: v~ is in K0 or on a geodesic
+    between two of its vertices; and the measure (alpha + beta, a + b) of
+    the folded K strictly decreases lexicographically.  The measure is kept
+    by _FoldMeasure as K changes, not rescanned, but every move still
+    compares it before and after.
     """
+    g.require_cone_separation()
     delta_eff = max(1, int(delta))
     if d < 4 * delta_eff:
         raise ValueError("need d >= 4 * delta (delta taken as %d)" % delta_eff)
@@ -260,19 +262,13 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     d0 = index.dist[v0]
     # the large-angle vertices of v depend only on v: v0, the index and
     # t3_2 are fixed for the whole contraction
-    large, depths = {}, {}
-
+    @cache
     def large_at(v):
-        hit = large.get(v)
-        if hit is None:
-            hit = large[v] = _large_angle_vertices(index, t3_2, v0, v)
-        return hit
+        return _large_angle_vertices(index, t3_2, v0, v)
 
+    @cache
     def depth(v):
-        hit = depths.get(v)
-        if hit is None:
-            hit = depths[v] = max(large_at(v).values(), default=0)
-        return hit
+        return max(large_at(v).values(), default=0)
 
     if any(d0[v] is INF for v in K0):
         raise ValueError("subcomplex spans several components")
@@ -337,32 +333,9 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
 _P = 2**31 - 1
 
 
-def _rank(columns):
-    """Rank of a sparse matrix given as columns {row: Fraction}."""
-    pivots = {}
-    rank = 0
-    for col in columns:
-        col = dict(col)
-        while col:
-            r = min(col)
-            if r in pivots:
-                p = pivots[r]
-                factor = col[r] / p[r]
-                for rr, vv in p.items():
-                    nv = col.get(rr, Fraction(0)) - factor * vv
-                    if nv:
-                        col[rr] = nv
-                    else:
-                        col.pop(rr, None)
-            else:
-                pivots[r] = col
-                rank += 1
-                break
-    return rank
-
-
-def _pivot_rows_mod_p(columns, cleared):
-    """Pivot rows of a sparse integer matrix reduced over F_p.
+def _pivot_rows(columns, cleared, p):
+    """Pivot rows of a sparse integer matrix reduced over F_p, or over the
+    rationals when p is 0.
 
     Columns are {row: int}; those whose index is in cleared are skipped.
     Each column is reduced on its largest row index, so a reduced column
@@ -373,17 +346,20 @@ def _pivot_rows_mod_p(columns, cleared):
     for j, col in enumerate(columns):
         if j in cleared:
             continue
-        col = {r: v % _P for r, v in col.items()}
+        col = {r: v % p if p else Fraction(v) for r, v in col.items()}
         while col:
             r = max(col)
             piv = pivots.get(r)
             if piv is None:
-                inv = pow(col[r], -1, _P)
-                pivots[r] = {rr: vv * inv % _P for rr, vv in col.items()}
+                inv = pow(col[r], -1, p) if p else 1 / col[r]
+                pivots[r] = {rr: vv * inv % p if p else vv * inv
+                             for rr, vv in col.items()}
                 break
             f = col[r]
             for rr, vv in piv.items():
-                nv = (col.get(rr, 0) - f * vv) % _P
+                nv = col.get(rr, 0) - f * vv
+                if p:
+                    nv %= p
                 if nv:
                     col[rr] = nv
                 else:
@@ -402,43 +378,35 @@ def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     including that of the empty complex, is recomputed by exact elimination
     over the rationals.
 
-    The F_p ranks are reduced from the top dimension down with clearing: a
-    reduced column of the boundary of (k+1)-chains with pivot row i is a
-    k-cycle whose largest simplex is i, so column i of the boundary of
-    k-chains depends on earlier columns and is skipped.
+    Both passes reduce from dimension max_dim + 1, the highest rank a Betti
+    number up to max_dim reads (above the dimension of P the boundary maps
+    have no columns), down with clearing: a reduced column of the
+    boundary of (k+1)-chains with pivot row i is a k-cycle whose largest
+    simplex is i, so column i of the boundary of k-chains depends on
+    earlier columns and is skipped.  That holds over any field.
     """
-    sims = P.all_simplices(cap)
-    dim = P.dimension
-    by_dim = {}
-    for s in sims:
-        by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
-    for k in by_dim:
-        by_dim[k].sort()
-    pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in by_dim.items()}
-    columns = {}
+    faces = P.faces(cap)
+    pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in faces.items()}
 
+    @cache
     def boundary_columns(k):
         # columns of the boundary map from k-chains to (k-1)-chains
-        if k not in columns:
-            lower = pos.get(k - 1, {})
-            columns[k] = [{lower[s[:j] + s[j + 1:]]: -1 if j % 2 else 1
-                           for j in range(len(s))}
-                          for s in by_dim.get(k, [])]
-        return columns[k]
+        lower = pos.get(k - 1, {})
+        return [{lower[s[:j] + s[j + 1:]]: -1 if j % 2 else 1
+                 for j in range(len(s))}
+                for s in faces.get(k, [])]
 
-    def betti(ranks):
-        return tuple(len(by_dim.get(k, [])) - ranks.get(k, 0)
+    def betti(p):
+        ranks = {}
+        cleared = ()
+        for k in range(max_dim + 1, 0, -1):
+            pivot_rows = _pivot_rows(boundary_columns(k), cleared, p)
+            ranks[k] = len(pivot_rows)
+            cleared = set(pivot_rows)
+        return tuple(len(faces.get(k, [])) - ranks.get(k, 0)
                      - ranks.get(k + 1, 0) for k in range(max_dim + 1))
 
-    ranks = {}
-    cleared = ()
-    for k in range(min(dim, max_dim + 1), 0, -1):
-        pivot_rows = _pivot_rows_mod_p(boundary_columns(k), cleared)
-        ranks[k] = len(pivot_rows)
-        cleared = set(pivot_rows)
     acyclic = (1,) + (0,) * max_dim
-    if betti(ranks) == acyclic:
+    if betti(_P) == acyclic:
         return acyclic
-    return betti({k: _rank([{r: Fraction(v) for r, v in col.items()}
-                            for col in boundary_columns(k)])
-                  for k in range(1, dim + 2)})
+    return betti(0)

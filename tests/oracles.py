@@ -6,6 +6,7 @@ scans.  They are slow and only ever run on small instances.
 """
 
 import heapq
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -720,3 +721,51 @@ def contraction_measure(d0, large_at, K):
         elif best == beta and best > 0:
             b += 1
     return alpha, beta, a, b
+
+
+def rational_rank(columns):
+    """Rank of a sparse matrix given as columns {row: Fraction}, by plain
+    elimination on the smallest row: no clearing, no modular pass."""
+    pivots = {}
+    rank = 0
+    for col in columns:
+        col = dict(col)
+        while col:
+            r = min(col)
+            if r in pivots:
+                p = pivots[r]
+                factor = col[r] / p[r]
+                for rr, vv in p.items():
+                    nv = col.get(rr, Fraction(0)) - factor * vv
+                    if nv:
+                        col[rr] = nv
+                    else:
+                        col.pop(rr, None)
+            else:
+                pivots[r] = col
+                rank += 1
+                break
+    return rank
+
+
+def complex_stats_brute(P):
+    """complex_stats by enumeration: every face of every maximal simplex,
+    and for each simplex a count of the simplices strictly containing it,
+    taken over every proper face of every simplex."""
+    sims = {frozenset(c) for m in P.maximal_simplices
+            for k in range(1, len(m) + 1) for c in combinations(sorted(m), k)}
+    counts = {}
+    for s in sims:
+        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
+    coface = {s: 0 for s in sims}
+    for s in sims:
+        ms = sorted(s)
+        for k in range(1, len(ms)):
+            for c in combinations(ms, k):
+                coface[frozenset(c)] += 1
+    return {
+        "dimension": P.dimension,
+        "simplices_by_dim": dict(sorted(counts.items())),
+        "total_simplices": len(sims),
+        "max_coface_count": max(coface.values(), default=0),
+    }

@@ -9,7 +9,7 @@ import pytest
 import coarsecover
 from coarsecover.cli import main
 from coarsecover.corpus import barbell, cycle_graph, grid_graph, path_graph, \
-    spider, spider_rotation
+    spider, spider_rotation, triangle_caterpillar, wedge_of_cycles
 from coarsecover.graphs import biconnected_blocks, graph_to_document, \
     make_graph
 
@@ -89,11 +89,21 @@ class TestAnalyze:
          "'cone_vertices' must be"),
         ("graph", {"vertices": 3, "edges": [[0, 1]], "cone_vertices": ["a"]},
          "'cone_vertices' must be"),
+        ("graph", {"vertices": 3, "edges": [[0, 1], [1, 2]],
+                   "labels": {"7": "x"}}, "label key '7' names no vertex"),
+        ("graph", {"vertices": 3, "edges": [[0, 1], [1, 2]],
+                   "labels": {"a": "x"}}, "label key 'a' names no vertex"),
+        ("graph", {"vertices": 3, "edges": [[0, 1], [1, 2]],
+                   "labels": {"01": "x"}}, "label key '01' names no vertex"),
+        ("graph", {"vertices": 3, "edges": [[0, 1], [1, 2]],
+                   "labels": {"0": 5}}, "label of vertex 0 must be a string"),
         ("action", {"a": 5}, "must be a list of integer lists"),
         ("action", {"a": [5]}, "must be a list of integer lists"),
         ("config", {"alpha": "x"}, "'alpha' must be"),
     ], ids=["labels-list", "vertices-bool", "edge-out-of-range",
-            "cone-vertices-int", "cone-vertex-str", "action-int",
+            "cone-vertices-int", "cone-vertex-str", "label-key-out-of-range",
+            "label-key-str", "label-key-not-canonical", "label-value-int",
+            "action-int",
             "action-entry-int", "config-alpha-str"])
     def test_malformed_fields_are_usage_errors(self, tmp_path, tmp_graph,
                                                capsys, kind, doc, message):
@@ -198,6 +208,70 @@ class TestMultiBlockPins:
         code, out = run_cli(["rips", "contract", "--graph", tmp_graph(g),
                              "--d", str(d)], capsys)
         assert (code, _sha(out)) == (0, PINS[name][1])
+
+
+# sha256 of the stdout of rips build and of rips homology
+RIPS_PINS = {
+    "c10-d1": (
+        cycle_graph(10), ["--d", "1", "--theta", "trivial"],
+        "420cecb26e5b30a0f23c14ddef9ead9ab37bbb369a8d9f62b08a97744cc4c4b0",
+        "2ba670db061c02a0eb361926f5a255113fafa7a53691d31d917a30ccaa53a1e8"),
+    "wedge2x5-d2": (
+        wedge_of_cycles(2, 5), ["--d", "2", "--theta", "trivial"],
+        "89291a711c817b49d55b4ff1018bd5ea9c6ef179a8df733cfbeeee0fa9b75ea6",
+        "f017da8961e30c3be2ee179abe8bfafe48243a8ab3526ca67596ff5b58fd5b5f"),
+    "wedge2x6-d6": (
+        wedge_of_cycles(2, 6), ["--d", "6"],
+        "2a58dd8347df9c32bbdf4531de2ad1f4705d6bded091cba1b4a0cf2e286ba7d3",
+        "c05bbcb38f39b2660768018a37b088b3c1020005ab971902b6e821fe98abf0d2"),
+    "caterpillar8-d4": (
+        triangle_caterpillar(8, [2, 5]), ["--d", "4"],
+        "90db1a04eaef81271caa55f4a75f97e2c4e598497b1931b076ae1926b12be645",
+        "c05bbcb38f39b2660768018a37b088b3c1020005ab971902b6e821fe98abf0d2"),
+}
+
+
+class TestRipsPins:
+    """rips build and rips homology pinned byte for byte.  Two circles
+    give non-acyclic Betti numbers, so the rational pass answers; the
+    two 5-simplices on a shared vertex give max_coface_count 62."""
+
+    @pytest.mark.parametrize("name", sorted(RIPS_PINS))
+    def test_build(self, tmp_graph, capsys, name):
+        g, flags, sha, _ = RIPS_PINS[name]
+        code, out = run_cli(["rips", "build", "--graph", tmp_graph(g)]
+                            + flags, capsys)
+        assert (code, _sha(out)) == (0, sha)
+
+    @pytest.mark.parametrize("name", sorted(RIPS_PINS))
+    def test_homology(self, tmp_graph, capsys, name):
+        g, flags, _, sha = RIPS_PINS[name]
+        code, out = run_cli(["rips", "homology", "--graph", tmp_graph(g)]
+                            + flags, capsys)
+        assert (code, _sha(out)) == (0, sha)
+
+    def test_readings(self, tmp_graph, capsys):
+        g, flags, _, _ = RIPS_PINS["wedge2x6-d6"]
+        _, out = run_cli(["rips", "build", "--graph", tmp_graph(g)] + flags,
+                         capsys)
+        assert json.loads(out)["stats"]["max_coface_count"] == 62
+        for name, betti in (("c10-d1", [1, 1, 0, 0]),
+                            ("wedge2x5-d2", [1, 2, 0, 0])):
+            g, flags, _, _ = RIPS_PINS[name]
+            _, out = run_cli(["rips", "homology", "--graph", tmp_graph(g)]
+                             + flags, capsys)
+            assert json.loads(out)["betti"] == betti
+
+
+@pytest.mark.parametrize("rips_cmd", ["build", "contract", "homology"])
+def test_adjacent_cone_vertices_are_usage_errors(tmp_path, capsys, rips_cmd):
+    p = tmp_path / "cones.json"
+    p.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                             "cone_vertices": [1, 2]}))
+    code, out = run_cli(["rips", rips_cmd, "--graph", str(p), "--d", "4"],
+                        capsys)
+    assert code == 2
+    assert "adjacent cone vertices" in json.loads(out)["error"]
 
 
 class TestPipelineCommand:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coarsecover import rips
 from coarsecover.angles import all_angles, k_fold_sum, theta3, trivial_only
@@ -18,7 +18,8 @@ from coarsecover.corpus import (
     triangle_caterpillar,
     wedge_of_cycles,
 )
-from coarsecover.graphs import GeodesicIndex, make_graph, slimness_constant
+from coarsecover.graphs import CapExceeded, GeodesicIndex, make_graph, \
+    slimness_constant
 from coarsecover.rips import (
     build_rips,
     complex_stats,
@@ -27,7 +28,20 @@ from coarsecover.rips import (
     homology_oracle,
     SimplicialComplex,
 )
-from oracles import contraction_measure
+from oracles import complex_stats_brute, contraction_measure, rational_rank
+
+
+def near_map(edges):
+    """near(v) for the relation given by an edge list."""
+    near = {}
+    for u, v in edges:
+        near.setdefault(u, set()).add(v)
+        near.setdefault(v, set()).add(u)
+    return lambda v: near.get(v, ())
+
+
+def simplex_set(P):
+    return {s for ss in P.faces().values() for s in ss}
 
 
 class TestBuildRips:
@@ -59,9 +73,9 @@ class TestBuildRips:
         small = build_rips(g, 2, t3, GeodesicIndex(g))
         bigger_d = build_rips(g, 3, t3, GeodesicIndex(g))
         bigger_t = build_rips(g, 2, all_angles(g), GeodesicIndex(g))
-        s0 = small.all_simplices()
-        assert s0 <= bigger_d.all_simplices()
-        assert s0 <= bigger_t.all_simplices()
+        s0 = simplex_set(small)
+        assert s0 <= simplex_set(bigger_d)
+        assert s0 <= simplex_set(bigger_t)
 
     def test_adjacent_cone_vertices_refused(self):
         g = make_graph(3, [(0, 1), (1, 2)], cone_vertices=[0, 1])
@@ -93,12 +107,28 @@ class TestCliques:
         G.add_edges_from(edges)
         want = sorted((frozenset(c) for c in nx.find_cliques(G)),
                       key=lambda s: sorted(s))
-        P = rips._clique_complex(vertices, edges)
+        P = rips._clique_complex(vertices, near_map(edges))
         assert P.vertices == tuple(vertices)
         assert P.maximal_simplices == tuple(want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_graphs(), st.data())
+    def test_near_sets_are_cut_to_the_vertex_set(self, case, data):
+        # the relation reaches past the vertex set; the complex is that of
+        # the induced subgraph
+        vertices, edges = case
+        kept = sorted(data.draw(st.sets(st.sampled_from(vertices)))
+                      if vertices else [])
+        G = nx.Graph(edges)
+        G.add_nodes_from(vertices)
+        H = G.subgraph(kept)
+        want = sorted((frozenset(c) for c in nx.find_cliques(H)),
+                      key=lambda s: sorted(s))
+        P = rips._clique_complex(kept, near_map(edges))
+        assert P.maximal_simplices == tuple(want)
+
     def test_empty_vertex_set_has_no_simplex(self):
-        P = rips._clique_complex([], [])
+        P = rips._clique_complex([], near_map([]))
         assert P.maximal_simplices == () and P.dimension == -1
 
 
@@ -234,8 +264,8 @@ class TestContraction:
         for m in trace.moves[:6]:
             union_vs = sorted(current | {m.replacement})
             after_vs = sorted((current - {m.vertex}) | {m.replacement})
-            cu = _clique_complex(union_vs, rel.pairs(union_vs))
-            ca = _clique_complex(after_vs, rel.pairs(after_vs))
+            cu = _clique_complex(union_vs, rel.near)
+            ca = _clique_complex(after_vs, rel.near)
             dim = max(cu.dimension, 0)
             assert homology_oracle(cu, dim) == homology_oracle(ca, dim)
             current = (current - {m.vertex}) | {m.replacement}
@@ -417,14 +447,12 @@ class TestHomologyExactness:
 
 def rational_betti(P, max_dim):
     """Betti numbers from Fraction elimination alone."""
-    by_dim = {}
-    for s in sorted(tuple(sorted(s)) for s in P.all_simplices()):
-        by_dim.setdefault(len(s) - 1, []).append(s)
+    by_dim = P.faces()
     ranks = {}
     for k, ss in by_dim.items():
         if k > 0:
             lower = {f: i for i, f in enumerate(by_dim[k - 1])}
-            ranks[k] = rips._rank(
+            ranks[k] = rational_rank(
                 [{lower[s[:j] + s[j + 1:]]: Fraction(-1 if j % 2 else 1)
                   for j in range(len(s))} for s in ss])
     return tuple(len(by_dim.get(k, [])) - ranks.get(k, 0)
@@ -441,7 +469,7 @@ def flag_complexes(draw):
     if draw(st.booleans()):
         # a cone over the rest: contractible, so the fast path answers
         edges += [(0, v) for v in range(1, n)]
-    P = rips._clique_complex(range(n), edges)
+    P = rips._clique_complex(range(n), near_map(edges))
     return P, draw(st.integers(0, P.dimension + 1))
 
 
@@ -450,13 +478,14 @@ def test_homology_matches_the_rational_reference(monkeypatch):
     # so the F_p Betti numbers equal the rational ones and the fast path
     # must answer exactly the acyclic complexes
     fallbacks = []
-    real_rank = rips._rank
+    real_pivot_rows = rips._pivot_rows
 
-    def counted(columns):
-        fallbacks.append(1)
-        return real_rank(columns)
+    def counted(columns, cleared, p):
+        if p == 0:
+            fallbacks.append(1)
+        return real_pivot_rows(columns, cleared, p)
 
-    monkeypatch.setattr(rips, "_rank", counted)
+    monkeypatch.setattr(rips, "_pivot_rows", counted)
     seen = set()
 
     @settings(max_examples=150, deadline=None)
@@ -474,14 +503,43 @@ def test_homology_matches_the_rational_reference(monkeypatch):
     assert seen == {True, False}
 
 
+@st.composite
+def unequal_complexes(draw):
+    """Complexes on up to 8 vertices given by maximal simplices of unequal
+    sizes; not flag complexes in general."""
+    drawn = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1),
+                          min_size=2, max_size=5))
+    maximal = {s for s in drawn if not any(s < t for t in drawn)}
+    assume(len({len(s) for s in maximal}) > 1)
+    return SimplicialComplex(tuple(sorted(frozenset().union(*maximal))),
+                             tuple(sorted(maximal, key=sorted)))
+
+
+class TestStatsParity:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(flag_complexes().map(lambda case: case[0]),
+                     unequal_complexes()))
+    @example(SimplicialComplex((), ()))
+    def test_stats_match_the_enumeration(self, P):
+        assert complex_stats(P) == complex_stats_brute(P)
+
+    def test_cap_counts_distinct_simplices(self):
+        # three triangles in a strip share edges: 15 distinct simplices,
+        # 7 in each triangle, so only the union can pass the cap
+        P = SimplicialComplex(tuple(range(5)), (
+            frozenset({0, 1, 2}), frozenset({1, 2, 3}), frozenset({2, 3, 4})))
+        assert complex_stats_brute(P)["total_simplices"] == 15
+        assert sum(map(len, P.faces(cap=15).values())) == 15
+        with pytest.raises(CapExceeded, match="more than 14 simplices"):
+            P.faces(cap=14)
+
+
 class TestCaps:
     def test_simplex_expansion_cap(self):
-        import pytest
-        from coarsecover.graphs import CapExceeded
         g = random_tree(25, seed=5)
         # one simplex on 25 vertices
         P = build_rips(g, 30, all_angles(g), GeodesicIndex(g))
         with pytest.raises(CapExceeded):
-            P.all_simplices(cap=1000)
+            P.faces(cap=1000)
         with pytest.raises(CapExceeded):
             homology_oracle(P, 2, cap=1000)
