@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .angles import AngleSet, SmallnessOracle, angle_sum, geodesic_angles, \
     geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order, slices_of, wide_failures
-from .symmetry import GroupModel
+from .symmetry import GroupModel, compose
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -79,50 +79,101 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
 
     Layers use sizes 2X, 5X and 6X where X pads theta0 with three corner
     summands; the returned companion size is 6X.  Each layer has order 0,
-    so the collection has order at most 2.
+    so the collection has order at most 2.  Sets come apex ascending, then
+    layer; an empty set is left out.
+
+    theta0 must be invariant under the lifted group and xi_set closed
+    under it, or ValueError.  Then every layer size is invariant, since
+    theta3 is, and a group element p carries geodesics to geodesics and
+    their turns to turns, with distances kept.  So the cone set of p.a at
+    a layer is {(p g, p xi)} over the cone set of a, and so are its
+    certified pairs: only the first apex of each orbit is built, and the
+    other apexes of the orbit get its translates.  Each (g v0, target)
+    pair's turns are read in one pass, grouped by turning vertex.
     """
     inst.graph.require_cone_separation()
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
+    if not theta0.is_invariant(sub_group):
+        raise ValueError("theta0 is not invariant under the group")
+    targets = frozenset(xi_set)
+    if any(p[xi] not in targets for p in sub_group.generators
+           for xi in xi_set):
+        raise ValueError("the cone targets are not invariant under the group")
     x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    powers = {1: x}
-    for k in (2, 3, 4, 5, 6):
-        powers[k] = angle_sum(powers[k - 1], x)
-    layer_sizes = {1: powers[2], 2: powers[5], 3: powers[6]}
-    theta_out = powers[6]
+    powers = [x]  # powers[k - 1] is the sum of k copies of X
+    while len(powers) < 6:
+        nxt = angle_sum(powers[-1], x)
+        if nxt.nontrivial == powers[-1].nontrivial:
+            # a sum that adds nothing leaves every later sum equal too
+            powers += powers[-1:] * (6 - len(powers))
+        else:
+            powers.append(nxt)
+    layer_sizes = ((1, powers[1]), (2, powers[4]), (3, powers[5]))
+    # equal sizes are built once: a size's angles -> the size
+    distinct = {size.nontrivial: size for _, size in layer_sizes}
     t3_2 = k_fold_sum(inst.t3, 2)
-    sums = {layer: (t3_2, angle_sum(size, t3_2))
-            for layer, size in layer_sizes.items()}
+    sums = {key: (t3_2, angle_sum(size, t3_2))  # interior_certificate's sums
+            for key, size in distinct.items()}
 
-    def large(size, *key):  # some geodesic of key turns size-large
-        if key not in turns:
-            turns[key] = frozenset(
-                angle for *_, angle in geodesic_turns(index, sub, *key))
-        return not turns[key] <= size.nontrivial
+    turns = {}  # (gv0, target) -> {w: the angles its geodesics turn at w}
 
+    def turns_of(gv0, target):
+        at = turns.get((gv0, target))
+        if at is None:
+            at = turns[gv0, target] = {}
+            for w, _, _, angle in geodesic_turns(index, sub, gv0, target):
+                at.setdefault(w, set()).add(angle)
+        return at
+
+    def build(apex, size):
+        allowed = size.nontrivial
+        members = set()
+        certified = set()
+        for ge in sub_group.elements:
+            gv0 = ge[v0]
+            if not all(angles <= allowed
+                       for angles in turns_of(gv0, apex).values()):
+                continue
+            for xi in xi_set:
+                if xi == apex:
+                    members.add((ge, xi))
+                    continue
+                angles = turns_of(gv0, xi).get(apex)
+                if angles and not angles <= allowed:
+                    members.add((ge, xi))
+                    if interior_certificate(inst, ge, xi, apex, size,
+                                            sums[allowed]):
+                        certified.add((ge, xi))
+        return frozenset(members), frozenset(certified)
+
+    products = {}  # p -> {g: p g}, filled as translates need them
+
+    def translate(p, pairs):  # {(p g, p xi)} over the pairs (g, xi)
+        left = products.setdefault(p, {})
+        out = set()
+        for ge, xi in pairs:
+            pg = left.get(ge)
+            if pg is None:
+                pg = left[ge] = compose(p, ge)
+            out.add((pg, p[xi]))
+        return frozenset(out)
+
+    layers = {}  # apex -> {a layer size's angles: (members, certified)}
     cones = []
     for apex in sub.v_vertices():
-        turns = {}  # (gv0, target[, at]) -> the angles its geodesics turn
-        for layer, size in sorted(layer_sizes.items()):
-            members = set()
-            certified = set()
-            for ge in sub_group.elements:
-                gv0 = ge[v0]
-                # clause one is shared by every endpoint of this element
-                if large(size, gv0, apex):
-                    continue
-                for xi in xi_set:
-                    if xi == apex:
-                        members.add((ge, xi))
-                        continue
-                    if large(size, gv0, xi, apex):
-                        members.add((ge, xi))
-                        if interior_certificate(inst, ge, xi, apex, size,
-                                                sums[layer]):
-                            certified.add((ge, xi))
+        if apex not in layers:
+            built = layers[apex] = {key: build(apex, size)
+                                    for key, size in distinct.items()}
+            for p in sub_group.elements:
+                if p[apex] not in layers:
+                    layers[p[apex]] = {
+                        key: (translate(p, members), translate(p, certified))
+                        for key, (members, certified) in built.items()}
+        for layer, size in layer_sizes:
+            members, certified = layers[apex][size.nontrivial]
             if members:
-                cones.append(ConeSet(apex, layer, frozenset(members),
-                                     frozenset(certified)))
-    return cones, theta_out
+                cones.append(ConeSet(apex, layer, members, certified))
+    return cones, powers[5]
 
 
 def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,

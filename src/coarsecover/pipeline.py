@@ -91,13 +91,14 @@ def build_instance(g: Graph, group: GroupModel = None) -> Instance:
 
 
 def select_theta0(inst: Instance, alpha, mode) -> AngleSet:
-    """seed_theta0 under mode 'seed'; under mode 'all' its union with every
-    angle, which routes every boundary direction through the flow branch
-    (any size containing the seed is legal)."""
+    """seed_theta0 under mode 'seed'; under mode 'all' every angle, which
+    routes every boundary direction through the flow branch (any size
+    containing the seed is legal, and every angle contains it)."""
     if mode not in ("seed", "all"):
         raise ValueError("theta0_mode must be 'seed' or 'all'")
-    theta0 = seed_theta0(inst, alpha)
-    return theta0.union(all_angles(inst.graph)) if mode == "all" else theta0
+    if mode == "all":
+        return all_angles(inst.graph)
+    return seed_theta0(inst, alpha)
 
 
 @dataclass

@@ -6,17 +6,34 @@ scans.  They are slow and only ever run on small instances.
 """
 
 import heapq
+import importlib.util
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
-from coarsecover.angles import angle_sum, k_fold_sum
+from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum
+from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
     minimal_doubling_radius, pair_space
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
     circuits_through_edge, distance_matrix, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
     subgroup_generated, trivial_group
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py as it stands, loaded once per process."""
+    key = "perfbench_" + name
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            key, Path(__file__).resolve().parent.parent / "perfbench"
+            / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -241,6 +258,47 @@ def interior_certificate_brute(inst, g, xi, apex, theta):
                 for j in range(i + 1, len(path) - 1)):
             return True
     return False
+
+
+def cone_cover_per_apex(inst, theta0, xi_set):
+    """cone_cover built apex by apex and element by element, with no group
+    translation: every pair's turns are read again at every apex."""
+    inst.graph.require_cone_separation()
+    sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
+    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    powers = {1: x}
+    for k in (2, 3, 4, 5, 6):
+        powers[k] = angle_sum(powers[k - 1], x)
+    layer_sizes = {1: powers[2], 2: powers[5], 3: powers[6]}
+    t3_2 = k_fold_sum(inst.t3, 2)
+    sums = {layer: (t3_2, angle_sum(size, t3_2))
+            for layer, size in layer_sizes.items()}
+
+    def large(size, *key):  # some geodesic of key turns size-large
+        return not {angle for *_, angle in geodesic_turns(index, sub, *key)} \
+            <= size.nontrivial
+
+    cones = []
+    for apex in sub.v_vertices():
+        for layer, size in sorted(layer_sizes.items()):
+            members = set()
+            certified = set()
+            for ge in sub_group.elements:
+                gv0 = ge[v0]
+                if large(size, gv0, apex):
+                    continue
+                for xi in xi_set:
+                    if xi == apex:
+                        members.add((ge, xi))
+                    elif large(size, gv0, xi, apex):
+                        members.add((ge, xi))
+                        if interior_certificate(inst, ge, xi, apex, size,
+                                                sums[layer]):
+                            certified.add((ge, xi))
+            if members:
+                cones.append(ConeSet(apex, layer, frozenset(members),
+                                     frozenset(certified)))
+    return cones, powers[6]
 
 
 def separated_sets_brute(points, dist_fn, alpha, size):

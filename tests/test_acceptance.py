@@ -241,7 +241,6 @@ def test_criterion_06_rips_contractibility():
             assert m.measure_after < m.measure_before
         total_moves += len(trace.moves)
         P = build_rips(g, d, theta, index=index)
-        sims = P.faces(cap=5000)
         betti = homology_oracle(P, max(P.dimension, 0), cap=5000)
         assert betti[0] == 1 and all(b == 0 for b in betti[1:]), (name, betti)
     elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import combinations
 
@@ -20,6 +21,9 @@ from coarsecover.cones import (
     seed_theta0,
 )
 from coarsecover.corpus import (
+    cycle_graph,
+    cycle_reflection,
+    cyclic_rotation,
     path_graph,
     pipeline_instances,
     random_tree,
@@ -32,7 +36,10 @@ from coarsecover.covers import Cover, CoverMember, slices_of
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance, select_theta0
 from coarsecover.symmetry import close_group, compose
-from oracles import cone_member_brute, interior_certificate_brute
+from oracles import cone_cover_per_apex, cone_member_brute, \
+    interior_certificate_brute, perfbench_module
+
+workloads = perfbench_module("workloads")
 
 
 def setup(g, gens=()):
@@ -182,12 +189,27 @@ class TestConeCover:
         assert got == expect
 
 
+def leg_reflection(legs, leg_len):
+    """The automorphism of spider(legs, leg_len) taking leg j to leg -j."""
+    return (0,) + tuple(1 + (-j) % legs * leg_len + i
+                        for j in range(legs) for i in range(leg_len))
+
+
 CONE_PARITY_CASES = [
     ("path5", path_graph(5), [], "seed"),
     ("tree9", random_tree(9, seed=8), [], "seed"),
     ("wedge2-4", wedge_of_cycles(2, 4), [], "seed"),
     ("caterpillar6", triangle_caterpillar(6, [1, 3]), [], "seed"),
     ("spider3-3-rot", spider(3, 3), [spider_rotation(3, 3)], "seed"),
+    # no cone set on a cycle: everything turns small
+    ("c8-dihedral", cycle_graph(8), [cyclic_rotation(8), cycle_reflection(8)],
+     "seed"),
+    # the reflection fixes the first leg: apexes with stabilisers of order
+    # 2 and 6, and translates by reflections
+    ("spider3-3-dihedral", spider(3, 3),
+     [spider_rotation(3, 3), leg_reflection(3, 3)], "seed"),
+    ("spider3-4-rot-relabelled", *workloads.relabelled(
+        random.Random(1), spider(3, 4), [spider_rotation(3, 4)]), "seed"),
 ] + [(name, g, gens, mode)
      for name, g, gens, mode, _alpha, _tau in pipeline_instances()
      if g.vertex_count <= 16]
@@ -197,20 +219,62 @@ CONE_PARITY_CASES = [
                          ids=[c[0] for c in CONE_PARITY_CASES])
 def test_cone_layers_match_the_definition(name, g, gens, mode):
     """Each layer's member set is exactly the pairs meeting both clauses
-    of the cone-set definition at that layer's size."""
+    of the cone-set definition at that layer's size, and its certified
+    pairs are exactly the members meeting the interior certificate."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
     theta0 = select_theta0(inst, 1, mode)
     xi_set = inst.cone_targets()
     cones, _ = cone_cover(inst, theta0, xi_set)
     x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    got = {(c.apex, c.layer): c.members for c in cones}
+    got = {(c.apex, c.layer): c for c in cones}
     for apex in inst.sub.v_vertices():
         for layer, k in ((1, 2), (2, 5), (3, 6)):
             size = k_fold_sum(x, k)
             want = frozenset(
                 (ge, xi) for ge in inst.sub_group.elements for xi in xi_set
                 if cone_member_brute(inst, ge, xi, apex, size))
-            assert got.get((apex, layer), frozenset()) == want, (apex, layer)
+            c = got.get((apex, layer))
+            assert (c.members if c else frozenset()) == want, (apex, layer)
+            if c:
+                assert c.certified_interior == frozenset(
+                    (ge, xi) for ge, xi in c.members
+                    if interior_certificate_brute(inst, ge, xi, apex, size)), \
+                    (apex, layer)
+
+
+C16_DIHEDRAL = next(c for c in workloads.seed_cases(
+    workloads.WORKLOADS["equivariant"], 1) if c.id == "c16-dihedral-0")
+PER_APEX_CASES = CONE_PARITY_CASES + [
+    ("c16-dihedral-0", C16_DIHEDRAL.graph, C16_DIHEDRAL.generators,
+     C16_DIHEDRAL.theta0_mode)]
+
+
+@pytest.mark.parametrize("name, g, gens, mode", PER_APEX_CASES,
+                         ids=[c[0] for c in PER_APEX_CASES])
+def test_cone_cover_matches_the_per_apex_construction(name, g, gens, mode):
+    """Building one apex per orbit and translating it gives the same list,
+    in the same order, with the same companion size, as building every
+    apex and every group element on its own."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    theta0 = select_theta0(inst, 1, mode)
+    xi_set = inst.cone_targets()
+    assert cone_cover(inst, theta0, xi_set) == \
+        cone_cover_per_apex(inst, theta0, xi_set)
+
+
+def test_cone_cover_refuses_a_size_or_targets_the_group_moves():
+    g = spider(3, 3)
+    inst = build_instance(g, close_group(g, [spider_rotation(3, 3)]))
+    theta0 = seed_theta0(inst, 1)
+    xi_set = inst.cone_targets()
+    assert cone_cover(inst, theta0, xi_set)[0]
+    # the rotation takes the turn at the first leg's inner vertex elsewhere
+    with pytest.raises(ValueError, match="theta0 is not invariant"):
+        cone_cover(inst, angle_set_from_triples(g, [(0, 1, 2)]), xi_set)
+    moved = next(xi for xi in xi_set
+                 if inst.sub_group.generators[0][xi] != xi)
+    with pytest.raises(ValueError, match="targets are not invariant"):
+        cone_cover(inst, theta0, (moved,))
 
 
 @pytest.mark.parametrize("name, g, gens, mode", CONE_PARITY_CASES,

@@ -10,28 +10,18 @@ seed-1 case also runs once plainly against its recorded digest, so a byte
 change in any benchmark case fails here before the benchmark runs.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import perfbench_module
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_" + name, PERFBENCH / (name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
-tracing = _load("tracing")
+workloads = perfbench_module("workloads")
+tracing = perfbench_module("tracing")
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
 
 

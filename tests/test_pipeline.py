@@ -3,7 +3,8 @@ from dataclasses import fields
 import pytest
 
 from coarsecover import graphs
-from coarsecover.angles import k_fold_sum, lemma_battery, theta3
+from coarsecover.angles import all_angles, k_fold_sum, lemma_battery, theta3
+from coarsecover.cones import seed_theta0
 from coarsecover.corpus import (
     battery_graphs,
     cycle_graph,
@@ -19,8 +20,10 @@ from coarsecover.covers import CoverMember, PairSpace, Slices, wide_failures
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
     make_graph, slimness_constant, slimness_delta
-from coarsecover.pipeline import PipelineError, run_pipeline
+from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
+    select_theta0
 from coarsecover.rips import contract_subcomplex
+from coarsecover.symmetry import close_group
 
 
 class TestPipeline:
@@ -81,6 +84,17 @@ class TestPipeline:
     def test_bad_theta0_mode(self):
         with pytest.raises(ValueError, match="theta0_mode"):
             run_pipeline(path_graph(4), theta0_mode="bogus")
+
+    @pytest.mark.parametrize("case", pipeline_instances(),
+                             ids=[c[0] for c in pipeline_instances()])
+    def test_theta0_mode_all_is_every_angle(self, case):
+        """Mode 'all' gives every angle without the seed, which every angle
+        contains, so the union the mode stands for is every angle."""
+        name, g, gens, mode, alpha, tau = case
+        inst = build_instance(g, close_group(g, gens) if gens else None)
+        theta0 = select_theta0(inst, 1, "all")
+        assert theta0 == all_angles(g)
+        assert seed_theta0(inst, 1) <= theta0
 
     def test_stage_reports_are_complete(self):
         res = run_pipeline(random_tree(10, seed=4), theta0_mode="all",
