@@ -3,10 +3,11 @@
 The ambient object is a PairSpace: a finite metric set of v-points (metric
 may take the value infinity), a finite discrete set of z-points, and a set
 of admitted (v, z) pairs invariant under a finite group acting diagonally.
-The pairs are stored once, as the z-fibers V_z: each z-point maps to the
-v-points admitted over it.  A cover member has the same shape: its slices
-map each z-point it meets to its v-set over that point, so the cover is
-built, counted and verified slice by slice, one z-point at a time.
+The pairs are stored as the z-fibers V_z, each z-point -> the v-points
+over it, and indexed by Z_v, each v-point -> the z-points over it.  A cover
+member has the shape of the fibers: its slices map each z-point it meets to
+its v-set over that point, so the cover is built, counted and verified
+slice by slice, one z-point at a time.
 
 Because Z is finite and discrete, closures and boundaries are trivial and
 the greedy construction (greedy_cover) needs a single induction step.  The
@@ -36,6 +37,7 @@ class PairSpace:
     dist: dict  # v -> {w: d(v, w)}
     group: GroupModel  # p acts on the v-points as the permutation it is
     act_z: dict  # p -> {z: p z}
+    z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}
 
 
 class Slices(dict):
@@ -96,10 +98,18 @@ def _check_generators(G: GroupModel):
 def pair_space(v_points, fibers, dist, group: GroupModel,
                act_z) -> PairSpace:
     """Assemble a PairSpace from its z-fibers (each z-point -> the v-points
-    over it)."""
-    return PairSpace(tuple(v_points),
-                     {z: frozenset(vs) for z, vs in fibers.items()}, dist,
-                     group, act_z)
+    over it).  Z_v comes from one pass over the distinct fibers: each V_z
+    adds all the z-points it lies over to Z_v of each of its v-points."""
+    fibers = {z: frozenset(vs) for z, vs in fibers.items()}
+    classes = {}  # V_z -> the z-points it lies over
+    for z, fiber in fibers.items():
+        classes.setdefault(fiber, []).append(z)
+    z_over = {}
+    for fiber, zs in classes.items():
+        for v in fiber:
+            z_over.setdefault(v, set()).update(zs)
+    return PairSpace(tuple(v_points), fibers, dist, group, act_z,
+                     {v: frozenset(zs) for v, zs in z_over.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +322,17 @@ def fiber_basis(space: PairSpace, alpha):
     at most 4*alpha while overlapping the fiber, which is exactly what the
     separation condition requires.  Coarser in the z-direction than one
     triple per orbit of pairs, which pullbacks along flows need.  The
-    z-fibers Z_v come from one pass over the distinct fibers V_z.
+    z-set of v is Z_v, read off space.z_over.
     """
-    classes = {}  # V_z -> the z-points it lies over
-    for z, fiber in space.fibers.items():
-        classes.setdefault(fiber, []).append(z)
-    z_over = {}
-    for fiber, zs in classes.items():
-        for v in fiber:
-            z_over.setdefault(v, set()).update(zs)
     seen = set()
     triples = []
     for v in sorted(space.v_points):
         if v in seen:
             continue
         seen.update(p[v] for p in space.group.elements)
-        if v not in z_over:
+        fiber = space.z_over.get(v)
+        if fiber is None:
             continue
-        fiber = frozenset(z_over[v])
         gens = [p for p in space.group.elements
                 if space.dist[p[v]][v] <= 4 * alpha
                 and any(space.act_z[p][z] in fiber for z in fiber)]
@@ -391,10 +394,10 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     _check_alpha(alpha)
     G = space.group
     _check_generators(G)
-    act_z, identity, fibers = space.act_z, G.identity, space.fibers
+    act_z, identity, z_over = space.act_z, G.identity, space.z_over
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
-        if not all(t.v in fibers.get(z, ()) for z in t.zset):
+        if not t.zset <= z_over.get(t.v, _EMPTY):
             raise BasisError("basis %d: z-set leaves the fiber of %r" % (i, t.v))
         if not is_subgroup(G, t.subgroup):
             raise BasisError("basis %d: annotation is not a subgroup" % i)
@@ -413,8 +416,8 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             az = act_z[p]
             covered.setdefault(p[t.v], set()).update(
                 t.zset if p == identity else [az[z] for z in t.zset])
-    missing = sorted((v, z) for z, fiber in fibers.items() for v in fiber
-                     if z not in covered.get(v, _EMPTY))
+    missing = sorted((v, z) for v, zs in z_over.items()
+                     for z in zs - covered.get(v, _EMPTY))
     if missing:
         raise BasisError("basis does not cover the pair set, e.g. %r"
                          % (missing[:3],))
@@ -449,7 +452,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         cut = {}  # V_z -> V_z & ball, one object per distinct fiber
         core = Slices()
         for z in reduced[i]:
-            fiber = fibers[z]
+            fiber = space.fibers[z]
             if fiber not in cut:
                 cut[fiber] = fiber & ball
             core[z] = cut[fiber]
@@ -463,7 +466,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         for k, (r, W) in enumerate(firsts):
             members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
                                        k == 0))
-    order = cover_order([m.slices for m in members], fibers)
+    order = cover_order([m.slices for m in members], space.fibers)
     return Cover(tuple(members), alpha, order)
 
 
@@ -486,7 +489,6 @@ def _meets(a, b):
 @dataclass(frozen=True)
 class CoverReport:
     ok: bool
-    order: int
     long: bool
     invariant: bool
     f_subsets: bool
@@ -561,7 +563,7 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     if order != cover.order:
         failures.append(("order-mismatch", (cover.order, order)))
     return CoverReport(long_ok and inv_ok and f_ok and order == cover.order,
-                       order, long_ok, inv_ok, f_ok, tuple(failures))
+                       long_ok, inv_ok, f_ok, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .angles import (
     k_fold_sum,
     small_carriers,
     small_steps,
-    theta3,
 )
 from .covers import (
     Cover,
@@ -76,16 +75,17 @@ class CoarseFlowSpace:
 
 
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
-                   group: GroupModel = None, delta: int = None,
-                   index: GeodesicIndex = None,
-                   theta3_set: AngleSet = None) -> CoarseFlowSpace:
+                   group: GroupModel = None, delta: int = None, *,
+                   index: GeodesicIndex,
+                   theta3_set: AngleSet) -> CoarseFlowSpace:
     """Materialize the coarse flow space over ordered endpoint pairs.
 
     Requires theta to contain the doubled triangle-corner size of the
     subdivision and to be invariant under the group, which must act on the
     subdivided graph (default trivial); the endpoint set is saturated under
-    the group so that the point set is invariant.  Equal endpoint pairs
-    mean constant flow lines and are excluded.  Each pair's line, the
+    the group so that the point set is invariant; index and theta3_set are
+    the subdivision's, as pipeline.Instance holds them.  Equal endpoint
+    pairs mean constant flow lines and are excluded.  Each pair's line, the
     vertices on its small geodesics, comes from one small-step sweep per
     endpoint; its fiber is the delta'-ball around the line's midpoints.
     Each unordered pair is swept once and its line and fiber stored under
@@ -98,10 +98,6 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
         group = trivial_group(g)
     elif group.graph != g:
         raise ValueError("the group must act on the subdivided graph")
-    if index is None:
-        index = GeodesicIndex(g)
-    if theta3_set is None:
-        theta3_set = theta3(sub, index=index)
     if not k_fold_sum(theta3_set, 2) <= theta:
         raise ValueError("theta must contain the doubled corner size")
     if delta is None:

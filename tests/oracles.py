@@ -13,10 +13,11 @@ from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
-from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum
+from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum, theta3
 from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
     minimal_doubling_radius, pair_space
+from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
     circuits_through_edge, distance_matrix, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
@@ -34,6 +35,17 @@ def perfbench_module(name):
         sys.modules[key] = module  # its dataclasses look their module up
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+def flow_space(sub, theta, endpoints, *, index=None, theta3_set=None, **kw):
+    """build_cf_theta, with the subdivision's geodesic index and theta3
+    built here unless given."""
+    if index is None:
+        index = GeodesicIndex(sub.graph)
+    if theta3_set is None:
+        theta3_set = theta3(sub, index=index)
+    return build_cf_theta(sub, theta, endpoints, index=index,
+                          theta3_set=theta3_set, **kw)
 
 
 def all_simple_shortest_paths(g, u, v):

@@ -49,7 +49,7 @@ from coarsecover.graphs import (
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
-from oracles import default_basis, fibers_of, pairs_of, \
+from oracles import default_basis, fibers_of, flow_space, pairs_of, \
     trivial_pair_space, validate_pair_space
 
 
@@ -302,7 +302,7 @@ def test_criterion_09_tree_sanity():
         assert slimness_constant(g).delta == 0
         assert len(theta3(g)) == 0
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices())
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         idx = cf.index
         for (xm, xp), fiber in cf.fibers.items():
             mids = [w for w in idx.geodesic_vertex_set(xm, xp)

@@ -127,7 +127,8 @@ def _agrees(cover, space, alpha, family):
     sets = [m.points for m in cover.members]
     order, not_long, invariant, not_f = verify_cover_definitional(
         sets, space, alpha, family)
-    assert rep.order == order
+    assert cover.order == order
+    assert not any(kind == "order-mismatch" for kind, _ in rep.failures)
     assert rep.long == (not_long is None)
     if not_long is not None:
         assert ("not-long", not_long) in rep.failures
@@ -194,6 +195,15 @@ def test_greedy_cover_matches_the_reference_on_every_kind(space, alpha,
     basis = fiber_basis(space, alpha) if fibers else default_basis(space)
     assert greedy_cover(space, alpha, basis) == \
         greedy_cover_reference(space, alpha, basis)
+
+
+@SETTINGS
+@given(pair_spaces())
+def test_z_over_is_the_z_points_over_each_v_point(space):
+    # keyed by exactly the v-points lying in some fiber
+    pairs = pairs_of(space)
+    assert space.z_over == {v: frozenset(z for w, z in pairs if w == v)
+                            for v, _ in pairs}
 
 
 @SETTINGS

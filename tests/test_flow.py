@@ -27,7 +27,6 @@ from coarsecover.covers import Cover, CoverMember, doubling_check, \
     slices_of
 from coarsecover.flow import (
     ball_closed_targets,
-    build_cf_theta,
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
@@ -39,14 +38,15 @@ from coarsecover.flow import (
 from coarsecover.graphs import INF, barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
-from oracles import pairs_of, star_metric, theta_small_paths_brute
+from oracles import flow_space, pairs_of, star_metric, \
+    theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):
     g = path_graph(n) if seed is None else random_tree(n, seed=seed)
     sub = barycentric_subdivision(g)
     theta = all_angles(g)
-    return g, sub, build_cf_theta(sub, theta, sub.ve_vertices())
+    return g, sub, flow_space(sub, theta, sub.ve_vertices())
 
 
 class TestBuildCfTheta:
@@ -64,7 +64,7 @@ class TestBuildCfTheta:
     def test_empty_endpoint_set(self):
         g = path_graph(5)
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), ())
+        cf = flow_space(sub, all_angles(g), ())
         assert cf.triples == frozenset()
 
     def test_blocked_direction_gives_empty_fiber(self):
@@ -74,35 +74,35 @@ class TestBuildCfTheta:
         center_angles = [(1, 0, 4), (1, 0, 7), (4, 0, 7)]
         theta = angle_set_from_triples(g, center_angles)
         tips = [sub.midpoint_of_edge[(2, 3)], sub.midpoint_of_edge[(5, 6)]]
-        cf = build_cf_theta(sub, theta, tips)
+        cf = flow_space(sub, theta, tips)
         assert all(not f for f in cf.fibers.values())
 
     def test_theta_hypothesis_checked(self):
         g = cycle_graph(4)  # every angle is a corner angle here
         sub = barycentric_subdivision(g)
         with pytest.raises(ValueError, match="corner size"):
-            build_cf_theta(sub, trivial_only(g), sub.ve_vertices())
+            flow_space(sub, trivial_only(g), sub.ve_vertices())
 
     def test_non_midpoint_endpoint_rejected(self):
         g = path_graph(4)
         sub = barycentric_subdivision(g)
         with pytest.raises(ValueError, match="midpoint"):
-            build_cf_theta(sub, all_angles(g), (0,))
+            flow_space(sub, all_angles(g), (0,))
 
     def test_unlifted_group_rejected(self):
         g = cycle_graph(12)
         G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
         sub = barycentric_subdivision(g)
         with pytest.raises(ValueError, match="subdivided graph"):
-            build_cf_theta(sub, all_angles(g), sub.ve_vertices(), group=G)
+            flow_space(sub, all_angles(g), sub.ve_vertices(), group=G)
 
     def test_equivariance_of_fibers(self):
         g = cycle_graph(12)
         inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
                                                       for i in range(12))]))
         sub = inst.sub
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(),
-                            group=inst.sub_group)
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices(),
+                        group=inst.sub_group)
         for p in cf.group.elements:
             for (v, xm, xp) in cf.triples:
                 assert (p[v], p[xm], p[xp]) in cf.triples
@@ -114,7 +114,7 @@ class TestBuildCfTheta:
         sub = barycentric_subdivision(g)
         t3 = theta3(sub)
         theta = k_fold_sum(t3, 2).union(all_angles(g))
-        cf = build_cf_theta(sub, theta, sub.ve_vertices())
+        cf = flow_space(sub, theta, sub.ve_vertices())
         for (xm, xp), fiber in cf.fibers.items():
             if not fiber:
                 continue
@@ -132,8 +132,8 @@ class TestBuildCfTheta:
         inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
                                                       for i in range(12))]))
         sub = inst.sub
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices(),
-                            group=inst.sub_group)
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices(),
+                        group=inst.sub_group)
         for (xm, xp), fiber in list(cf.fibers.items())[:20]:
             stab = [p for p in cf.group.elements
                     if (p[xm], p[xp]) == (xm, xp)]
@@ -152,8 +152,9 @@ class TestBuildCfTheta:
         theta = k_fold_sum(inst.t3, 2)
         if triples is not None:
             theta = theta.union(angle_set_from_triples(g, triples))
-        cf = build_cf_theta(sub, theta, inst.flow_endpoints(),
-                            group=inst.sub_group, index=inst.index)
+        cf = flow_space(sub, theta, inst.flow_endpoints(),
+                        group=inst.sub_group, index=inst.index,
+                        theta3_set=inst.t3)
         ends = cf.endpoints
         assert set(cf.lines) == {(a, b) for a in ends for b in ends if a != b}
         for (a, b), line in cf.lines.items():
@@ -169,16 +170,17 @@ class TestFiberSymmetry:
         t3 = theta3(sub)
         theta = all_angles(g) if use_all else k_fold_sum(t3, 2)
         ve = sub.ve_vertices()
-        self.check(build_cf_theta(sub, theta, ve[::max(1, len(ve) // 8)][:10],
-                                  theta3_set=t3))
+        self.check(flow_space(sub, theta, ve[::max(1, len(ve) // 8)][:10],
+                              theta3_set=t3))
 
     def test_group_instance_fibers_are_symmetric(self):
         g = cycle_graph(8)
         inst = build_instance(g, close_group(
             g, [cyclic_rotation(8), cycle_reflection(8)]))
-        self.check(build_cf_theta(inst.sub, k_fold_sum(inst.t3, 2),
-                                  inst.sub.ve_vertices(),
-                                  group=inst.sub_group, index=inst.index))
+        self.check(flow_space(inst.sub, k_fold_sum(inst.t3, 2),
+                              inst.sub.ve_vertices(),
+                              group=inst.sub_group, index=inst.index,
+                              theta3_set=inst.t3))
 
     @staticmethod
     def check(cf):
@@ -244,7 +246,7 @@ class TestDoubling:
     def test_single_point_fiber(self):
         g = path_graph(3)
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices())
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         rep = cf_doubling_report(cf)
         assert rep["ok"]
 
@@ -264,7 +266,7 @@ class TestCoverCf:
     def test_c6_cover_verified(self):
         g = cycle_graph(6)
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices())
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         space = cf_pair_space(cf)
         cov = cover_cf(space, 1)
         from coarsecover.covers import verify_cover
@@ -276,7 +278,7 @@ class TestCoverCf:
     def test_empty_flow_space(self):
         g = path_graph(4)
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), ())
+        cf = flow_space(sub, all_angles(g), ())
         cov = cover_cf(cf_pair_space(cf), 1)
         assert len(cov) == 0
 
@@ -310,7 +312,7 @@ class TestPullback:
         # two small geodesics, a member holding only one tau-vertex
         g = cycle_graph(6)
         sub = barycentric_subdivision(g)
-        cf = build_cf_theta(sub, all_angles(g), sub.ve_vertices())
+        cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         v0 = sub.midpoint_of_edge[(0, 1)]
         xi = sub.midpoint_of_edge[(3, 4)]  # antipodal midpoint: two flow lines
         e = cf.group.identity
@@ -343,7 +345,7 @@ class TestPullback:
         g = path_graph(6)
         sub = barycentric_subdivision(g)
         ve = sub.ve_vertices()
-        return ve, build_cf_theta(sub, all_angles(g), (ve[0], ve[-1]))
+        return ve, flow_space(sub, all_angles(g), (ve[0], ve[-1]))
 
     def test_eligible_targets_reject_foreign_endpoints(self):
         ve, cf = self.two_ended_cf()
@@ -407,7 +409,7 @@ class TestWidenessScan:
         theta = all_angles(g)
         orbit = {p[v0] for p in Gs.elements}
         endpoints = tuple(sorted(set(sub.ve_vertices())))
-        cf = build_cf_theta(sub, theta, endpoints, group=Gs, index=idx)
+        cf = flow_space(sub, theta, endpoints, group=Gs, index=idx)
         boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
         targets = ball_closed_targets(cf, v0, 1, boundary)
         assert targets
@@ -445,7 +447,7 @@ class TestEqualEndpoints:
         g = path_graph(20)
         sub = barycentric_subdivision(g)
         ve = sub.ve_vertices()
-        cf = build_cf_theta(sub, all_angles(g), (ve[0], ve[-1]))
+        cf = flow_space(sub, all_angles(g), (ve[0], ve[-1]))
         rep = cf_doubling_report(cf, compute_tightest=True)
         assert rep["ok"]
         assert 1 <= rep["tightest_D"] <= 5

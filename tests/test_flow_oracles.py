@@ -49,7 +49,8 @@ def flow_spaces(draw):
     extra = draw(st.sets(st.sampled_from(corners))) if corners else ()
     theta = k_fold_sum(inst.t3, 2).union(angle_set_from_triples(g, extra))
     ends = draw(st.sets(st.sampled_from(inst.sub.ve_vertices()), max_size=5))
-    return build_cf_theta(inst.sub, theta, ends)
+    return build_cf_theta(inst.sub, theta, ends, index=inst.index,
+                          theta3_set=inst.t3)
 
 
 @st.composite

@@ -30,8 +30,6 @@ ALLOWED = {
     "CoverReport.long": "a verdict of verify_cover, folded into ok",
     "CoverReport.invariant": "a verdict of verify_cover, folded into ok",
     "CoverReport.f_subsets": "a verdict of verify_cover, folded into ok",
-    "CoverReport.order": "the recounted order of verify_cover, compared "
-                         "with cover.order",
     "circuits_through_edge": "the public circuit listing; fineness_profile "
                              "counts the paths of the same walk unlisted",
 }
@@ -40,10 +38,6 @@ ALLOWED = {
 # parameters defaulting to None that every program call passes, each kept
 # for a reason
 ALLOWED_DEFAULTS = {
-    "build_cf_theta.index": "the README example builds a flow space "
-                            "without an index",
-    "build_cf_theta.theta3_set": "the README example builds a flow space "
-                                 "without the corner size",
     "build_instance.group": "run_pipeline forwards its own group, None "
                             "for the trivial group",
 }

@@ -180,7 +180,10 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
     tree = random_tree(24, 5)
     assert run_pipeline(tree).ok
     sub = barycentric_subdivision(tree)
-    build_cf_theta(sub, k_fold_sum(theta3(sub), 2), sub.ve_vertices()[::6])
+    index = GeodesicIndex(sub.graph)
+    t3 = theta3(sub, index=index)
+    build_cf_theta(sub, k_fold_sum(t3, 2), sub.ve_vertices()[::6],
+                   index=index, theta3_set=t3)
     assert columns == []
     k4_path = make_graph(24, [(u, v) for u in range(4) for v in range(u)]
                          + [(v, v + 1) for v in range(3, 23)])
