@@ -23,7 +23,6 @@ from .graphs import (
     Subdivision,
     barycentric_subdivision,
     circuits_through_edge,
-    distance_matrix,
     geodesic_dag,
     load_graph,
     make_graph,

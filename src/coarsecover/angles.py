@@ -563,8 +563,8 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
         "geodesic_2_gons", "large_angles", "large_angles_in_triangles_no_c",
         "tripod", "large_angles_in_triangles", "geodesics_between_geodesics")}
     # the components of 2 or more vertices, ordered by their least vertex
-    comps = sorted(c for c in {tuple(v for v, d in enumerate(row) if d < INF)
-                               for row in dist} if len(c) > 1)
+    comps = sorted(c for c in {tuple(v for v, d in enumerate(dist[u]) if d < INF)
+                               for u in g.vertices} if len(c) > 1)
     if not comps:
         return BatteryReport(counters)
 

@@ -198,9 +198,19 @@ def bfs_row(g: Graph, source):
     return dist
 
 
-def distance_matrix(g: Graph):
-    """All-pairs hop distances; disconnected pairs map to math.inf."""
-    return [bfs_row(g, s) for s in g.vertices]
+class _DistanceRows(dict):
+    """Hop distance rows by source vertex, each one bfs_row run on first
+    read; iterating raises TypeError, as it would see only rows filled."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+
+    def __missing__(self, source):
+        row = self[source] = bfs_row(self.graph, source)
+        return row
+
+    def __iter__(self):
+        raise TypeError("distance rows are read by vertex, not iterated")
 
 
 def geodesic_counts(g: Graph, dist, vertices=None):
@@ -246,7 +256,7 @@ def geodesic_dag(index, u, v):
 
 
 class GeodesicIndex:
-    """The distance matrix of one graph.
+    """The distance rows of one graph, dist[u] filled on first read.
 
     The rows dist[a] and dist[b] answer every question about the a -> b
     geodesics: their steps (geodesic_steps) and their turns
@@ -255,11 +265,10 @@ class GeodesicIndex:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.dist = distance_matrix(g)
+        self.dist = _DistanceRows(g)
 
     def dag(self, u, v):
-        # kept only because perfbench's tracer patches it by name; it goes
-        # with geodesic_dag's span in the benchmark revision (ROADMAP item 2)
+        # perfbench's tracer patches it by name (ROADMAP item 2)
         return geodesic_dag(self, u, v)
 
     def geodesic_vertex_set(self, u, v):
@@ -432,15 +441,14 @@ def biconnected_blocks(g: Graph):
 def _block_scans(g: Graph, dist):
     """(dist, scans): a defect scan per block of more than 3 vertices,
     largest first, on the block relabelled 0..k-1 with the distance rows
-    cut down to it; the rows are computed only if some block needs them.
-    A block of at most 3 vertices is an edge or a triangle, and has
-    slimness 0."""
+    cut down to it.  Given no rows, it fills them on first read, so only
+    the rows of vertices in such blocks are computed.  A block of at most
+    3 vertices is an edge or a triangle, and has slimness 0."""
     if not g.is_connected():
         raise ValueError("slimness requires a connected graph")
     blocks = sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
                     key=lambda b: -len(b[0]))
-    if blocks and dist is None:
-        dist = distance_matrix(g)
+    dist = _DistanceRows(g) if dist is None else dist
     scans = []
     for vs, es in blocks:
         if len(vs) == g.vertex_count:

@@ -18,8 +18,8 @@ from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import doubling_check, minimal_doubling_constant, \
     minimal_doubling_radius, pair_space
 from coarsecover.flow import build_cf_theta
-from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, canon_edge, \
-    circuits_through_edge, distance_matrix, make_graph
+from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, bfs_row, \
+    canon_edge, circuits_through_edge, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
     subgroup_generated, trivial_group
 
@@ -46,6 +46,13 @@ def flow_space(sub, theta, endpoints, *, index=None, theta3_set=None, **kw):
         theta3_set = theta3(sub, index=index)
     return build_cf_theta(sub, theta, endpoints, index=index,
                           theta3_set=theta3_set, **kw)
+
+
+def distance_matrix(g):
+    """All-pairs hop distances, one bfs_row per vertex, all computed up
+    front; disconnected pairs map to math.inf.  The eager reference for
+    GeodesicIndex's rows, which are filled on first read."""
+    return [bfs_row(g, s) for s in g.vertices]
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -672,10 +679,16 @@ def _reachable_avoiding(index, s, t, avoid):
 
 
 def validate_pair_space(space):
-    """Check the metric, the action and their invariance.  Elements act on
-    v-points as the permutations they are; an action on z-points fixing
-    them under the identity and composing with each generator is a
+    """Check the fiber index, the metric, the action and their invariance.
+    z_over must be Z_v = {z : v in V_z} of the stored fibers, which
+    dataclasses.replace(space, fibers=...) would leave stale.  Elements
+    act on v-points as the permutations they are; an action on z-points
+    fixing them under the identity and composing with each generator is a
     homomorphism, so invariance per generator is G-invariance."""
+    z_over = {v: frozenset(z for z, f in space.fibers.items() if v in f)
+              for fiber in space.fibers.values() for v in fiber}
+    if space.z_over != z_over:
+        raise ValueError("z_over is not the Z_v grouping of the fibers")
     for v in space.v_points:
         if space.dist[v][v] != 0:
             raise ValueError("metric has nonzero diagonal")

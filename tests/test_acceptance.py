@@ -43,14 +43,13 @@ from coarsecover.flow import build_cf_theta, cf_doubling_report
 from coarsecover.graphs import (
     GeodesicIndex,
     barycentric_subdivision,
-    distance_matrix,
     slimness_constant,
 )
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
-from oracles import default_basis, fibers_of, flow_space, pairs_of, \
-    trivial_pair_space, validate_pair_space
+from oracles import default_basis, distance_matrix, fibers_of, flow_space, \
+    pairs_of, trivial_pair_space, validate_pair_space
 
 
 def report(number, detail):

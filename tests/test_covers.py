@@ -26,12 +26,13 @@ from coarsecover.covers import (
     slices_of,
     verify_cover,
 )
-from coarsecover.graphs import INF, distance_matrix, make_graph
+from coarsecover.graphs import INF, make_graph
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, close_group, compose, trivial_group
-from oracles import default_basis, fibers_of, greedy_cover_reference, \
-    pairs_of, separated_sets_brute, trivial_pair_space, validate_family, \
-    validate_pair_space, verify_cover_definitional
+from oracles import default_basis, distance_matrix, fibers_of, \
+    greedy_cover_reference, pairs_of, separated_sets_brute, \
+    trivial_pair_space, validate_family, validate_pair_space, \
+    verify_cover_definitional
 
 
 def line_metric(n):
@@ -613,8 +614,14 @@ def _plant(sp, defect):
     dist = {v: dict(row) for v, row in sp.dist.items()}
     e = sp.group.identity
     if defect == "missing-translate":
-        # (0, (0, 1)) leaves the free orbit; its translates stay
-        return replace(sp, fibers={**sp.fibers, (0, 1): frozenset()})
+        # (0, (0, 1)) leaves the free orbit; its translates stay.  Rebuilt
+        # through pair_space, so that z_over matches the fibers.
+        return pair_space(sp.v_points, {**sp.fibers, (0, 1): frozenset()},
+                          sp.dist, sp.group, sp.act_z)
+    if defect == "stale-index":
+        # the fibers are intact; Z_0 has lost (0, 1)
+        return replace(sp, z_over={**sp.z_over,
+                                   0: sp.z_over[0] - {(0, 1)}})
     if defect == "identity-moves":
         act_z = dict(sp.act_z)
         act_z[e] = {**act_z[e], (0, 1): (1, 2)}
@@ -634,6 +641,7 @@ class TestValidateRejects:
 
     @pytest.mark.parametrize("defect, message", [
         ("missing-translate", "pair set is not group invariant"),
+        ("stale-index", "z_over is not the Z_v grouping"),
         ("identity-moves", "the identity moves a point"),
         ("metric-not-invariant", "metric is not group invariant"),
         ("nonzero-diagonal", "nonzero diagonal"),

@@ -35,7 +35,8 @@ from coarsecover.flow import (
     theta_for_wideness,
     wideness_scan,
 )
-from coarsecover.graphs import INF, barycentric_subdivision
+from coarsecover import graphs
+from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance
 from coarsecover.symmetry import close_group
 from oracles import flow_space, pairs_of, star_metric, \
@@ -60,6 +61,26 @@ class TestBuildCfTheta:
                     if min(cf.metric[v][w] for w in geo_mids)
                     <= cf.delta_prime}
             assert fiber == band
+
+    def test_fills_only_the_endpoint_rows(self, monkeypatch):
+        # a flow line reads the rows of its two endpoints alone; the other
+        # two BFS are the connectivity checks of build_cf_theta and of the
+        # block scan of slimness_delta
+        g = path_graph(40)
+        sub = barycentric_subdivision(g)
+        ends = [sub.ve_vertices()[0], sub.ve_vertices()[-1]]
+        sources, bfs_row = [], graphs.bfs_row
+
+        def counted(h, source):
+            sources.append(source)
+            return bfs_row(h, source)
+
+        monkeypatch.setattr(graphs, "bfs_row", counted)
+        index = GeodesicIndex(sub.graph)
+        assert sources == []
+        flow_space(sub, all_angles(g), ends, index=index)
+        assert sorted(index.dist.keys()) == ends
+        assert len(sources) == 4 < sub.graph.vertex_count
 
     def test_empty_endpoint_set(self):
         g = path_graph(5)

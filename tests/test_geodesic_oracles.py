@@ -26,7 +26,6 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     biconnected_blocks,
     canon_edge,
-    distance_matrix,
     geodesic_counts,
     make_graph,
     slimness_constant,
@@ -35,6 +34,7 @@ from coarsecover.graphs import (
 from coarsecover.rips import SmallPairRelation
 from oracles import (
     all_simple_shortest_paths,
+    distance_matrix,
     mask_neighbours,
     theta3_brute,
     theta3_circuit_bound_brute,
@@ -69,6 +69,25 @@ def test_geodesic_counts_match_enumeration(g):
     for s in g.vertices:
         for w in g.vertices:
             assert sigma[s][w] == len(all_simple_shortest_paths(g, s, w))
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_rows_filled_on_first_read_match_the_eager_reference(g, data):
+    reference = distance_matrix(g)
+    index = GeodesicIndex(g)
+    for u in data.draw(st.permutations(list(g.vertices))):
+        row = index.dist[u]
+        assert row == reference[u]
+        assert [d is INF for d in row] == [d is INF for d in reference[u]]
+    with pytest.raises(TypeError):
+        for _ in index.dist:
+            pass
+    if g.is_connected():
+        assert slimness_delta(g) == slimness_delta(g, reference)
+    else:
+        with pytest.raises(ValueError, match="connected"):
+            slimness_delta(g)
 
 
 @SETTINGS

@@ -23,7 +23,6 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     circuits_through_edge,
     dag_to_dot,
-    distance_matrix,
     fineness_profile,
     geodesic_counts,
     geodesic_dag,
@@ -33,8 +32,8 @@ from coarsecover.graphs import (
     make_graph,
     slimness_constant,
 )
-from oracles import all_simple_shortest_paths, slimness_brute, \
-    slimness_min_over_sides
+from oracles import all_simple_shortest_paths, distance_matrix, \
+    slimness_brute, slimness_min_over_sides
 
 
 class TestLoadGraph:
