@@ -80,11 +80,8 @@ class AngleSet:
                    for p in G.generators for t in self.nontrivial)
 
     def saturate(self, G: GroupModel) -> "AngleSet":
-        closed = set()
-        for t in self.nontrivial:
-            for p in G.elements:
-                closed.add(act_angle(p, t))
-        return AngleSet(self.graph, frozenset(closed))
+        return AngleSet(self.graph, frozenset(
+            act_angle(p, t) for t in self.nontrivial for p in G.elements))
 
     def __len__(self):
         return len(self.nontrivial)
@@ -339,13 +336,17 @@ def small_carriers(index: GeodesicIndex, steps_a, steps_b, a, b):
 # ---------------------------------------------------------------------------
 
 
-def theta3(base, index: GeodesicIndex = None,
-           pair_cap: int = 2_000_000) -> AngleSet:
+def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
+           group: GroupModel = None) -> AngleSet:
     """All angles realized at a triangle corner avoided by the third side.
 
     For a subdivision, apexes run over original vertices and corners over
     all subdivision vertices; the returned set pairs original edges.
-    pair_cap bounds the corner pairs of the whole graph.
+    pair_cap bounds the corner pairs of the whole graph.  Given a group
+    acting on the original graph, apexes run over the least vertex of each
+    orbit and the result is closed under the group: automorphisms preserve
+    distances and geodesic counts, so the angles at p.v are the p-images
+    of the angles at v.
 
     The set is the union over the biconnected blocks of at least 3
     vertices, each block measured on the global rows cut down to it (see
@@ -361,6 +362,8 @@ def theta3(base, index: GeodesicIndex = None,
         sub, g, original = base, base.graph, base.original
     else:
         sub, g, original = None, base, base
+    if group is not None and group.graph != original:
+        raise ValueError("the group must act on the original graph")
     if g.vertex_count * g.vertex_count > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
     blocks = [b for b in biconnected_blocks(original) if len(b[0]) >= 3]
@@ -370,8 +373,11 @@ def theta3(base, index: GeodesicIndex = None,
     for vs, es in blocks:
         corners = vs if sub is None else sorted(
             vs + [sub.midpoint_of_edge[e] for e in es])
-        result |= _corner_angles(sub, g, index.dist, vs, corners)
-    return AngleSet(original, frozenset(result))
+        apexes = vs if group is None else [
+            v for v in vs if all(p[v] >= v for p in group.elements)]
+        result |= _corner_angles(sub, g, index.dist, apexes, corners)
+    t3 = AngleSet(original, frozenset(result))
+    return t3 if group is None else t3.saturate(group)
 
 
 def _corner_angles(sub, g, dist, apexes, corners):

@@ -275,6 +275,8 @@ def _fiber_classes(member_slices, fibers):
 def _fiber_order(fiber, held):
     """The most of the slices held sharing one point of the fiber, less
     one."""
+    if len(held) == 1:
+        return -1 if fiber.isdisjoint(held[0]) else 0
     counts = Counter()
     for vs in held:
         counts.update(vs)
@@ -377,6 +379,20 @@ def _check_alpha(alpha):
         raise ValueError("alpha must be nonnegative, got %r" % (alpha,))
 
 
+def _uncovered(space: PairSpace, basis, at):
+    """The pairs (v, z), v in at, that no translated basis block holds;
+    a translate p.t holds pairs over p.t.v alone."""
+    G, covered = space.group, {}  # v -> the z-points translates put v over
+    for t in basis:
+        for p in G.elements:
+            if p[t.v] in at:
+                az = space.act_z[p]
+                covered.setdefault(p[t.v], set()).update(
+                    t.zset if p == G.identity else [az[z] for z in t.zset])
+    return sorted((v, z) for v in at
+                  for z in space.z_over[v] - covered.get(v, _EMPTY))
+
+
 def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     """The packing-driven equivariant cover of the pair set.
 
@@ -385,6 +401,10 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     and saturated.  Determinism: ties follow basis order and sorted group
     elements.  A core slice V_z & ball(v_i, 2*alpha) depends on V_z only,
     so it is built once per distinct fiber and basis point and shared.
+
+    Coverage is checked at the least v-point of each orbit, and a gap is
+    reported from a scan of every v-point: the pair set and the translated
+    blocks are G-invariant, so a gap at (v, z) gives one at each p.(v, z).
 
     Each saturated set contributes its orbit, walked along the generators
     (which must generate the group); orbits are equal or disjoint.  The
@@ -410,17 +430,11 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
     # precondition: translated basis blocks cover every fiber
-    covered = {}  # v -> the z-points the translated blocks put v over
-    for t in basis:
-        for p in G.elements:
-            az = act_z[p]
-            covered.setdefault(p[t.v], set()).update(
-                t.zset if p == identity else [az[z] for z in t.zset])
-    missing = sorted((v, z) for v, zs in z_over.items()
-                     for z in zs - covered.get(v, _EMPTY))
-    if missing:
+    reps = z_over if len(G) == 1 else {
+        v for v in z_over if all(p[v] >= v for p in G.elements)}
+    if _uncovered(space, basis, reps):
         raise BasisError("basis does not cover the pair set, e.g. %r"
-                         % (missing[:3],))
+                         % (_uncovered(space, basis, z_over)[:3],))
 
     # greedy subtraction along earlier nearby translates
     reduced = []
@@ -470,12 +484,16 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     return Cover(tuple(members), alpha, order)
 
 
-def _not_long(balls, fiber, held):
-    """The v of one fiber that are not long, ascending: no slice held
-    holds v and all of the fiber within alpha of v (balls[v])."""
+def _not_long(dist, alpha, fiber, held):
+    """The v of one fiber that are not long, ascending: (v, z) is long when
+    a slice held holds the fiber's points within alpha of v, v among them,
+    as a slice holding the whole fiber does."""
+    if any(fiber <= vs for vs in held):
+        return []
     bad = []
     for v in fiber:
-        needed = fiber & balls[v]
+        row = dist[v]
+        needed = {w for w in fiber if row[w] <= alpha}
         if not any(v in vs and needed <= vs for vs in held):
             bad.append(v)
     return sorted(bad)
@@ -499,10 +517,8 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:
     """Independent check of order, longness, invariance and F-subsetness.
 
-    Order and longness are checked once per fiber class (_fiber_classes).
-    Longness asks every pair (v, z) for a member holding all of X's pairs
-    over z within alpha of v; that set holds (v, z), so only slices holding
-    v are tested.  The least pair (v, z) that is not long is reported, and
+    Order and longness are checked once per fiber class (_fiber_classes,
+    _not_long).  The least pair (v, z) that is not long is reported, and
     an order other than the stated cover.order fails.
 
     Invariance and F-subsetness walk the generators, which must generate the
@@ -518,14 +534,10 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     _check_alpha(alpha)
     failures = []
     sets = cover.member_slices()
-    balls = {}  # v -> the v-points within alpha of v
-    for v in space.v_points:
-        row = space.dist[v]
-        balls[v] = frozenset(w for w in space.v_points if row[w] <= alpha)
     order, least = -1, None
     for (fiber, held), zs in _fiber_classes(sets, space.fibers).items():
         order = max(order, _fiber_order(fiber, held))
-        bad = _not_long(balls, fiber, held)
+        bad = _not_long(space.dist, alpha, fiber, held)
         if bad and (least is None or (bad[0], min(zs)) < least):
             least = (bad[0], min(zs))
     long_ok = least is None

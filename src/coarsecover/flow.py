@@ -194,7 +194,9 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
-    chain metric's rows; its z-fibers are cf's fibers."""
+    chain metric's rows; its z-fibers are cf's fibers.  act_z is whole: in
+    the equivariant benchmark every element moves every v-point at most 4
+    alpha', so fiber_basis and the separation check read every row."""
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
              for p in cf.group.elements}
     return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric, cf.group,

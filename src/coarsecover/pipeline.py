@@ -87,7 +87,7 @@ def build_instance(g: Graph, group: GroupModel = None) -> Instance:
     orbit = {p[v0] for p in sub_group.elements}
     boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
     return Instance(g, sub, index, sub_group, v0, boundary,
-                    theta3(sub, index=index), slimness_delta(g))
+                    theta3(sub, index, group=group), slimness_delta(g))
 
 
 def select_theta0(inst: Instance, alpha, mode) -> AngleSet:

@@ -29,8 +29,8 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF, make_graph
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, close_group, compose, trivial_group
-from oracles import default_basis, distance_matrix, fibers_of, \
-    greedy_cover_reference, pairs_of, separated_sets_brute, \
+from oracles import cover_order_brute, default_basis, distance_matrix, \
+    fibers_of, greedy_cover_reference, pairs_of, separated_sets_brute, \
     trivial_pair_space, validate_family, validate_pair_space, \
     verify_cover_definitional
 
@@ -300,6 +300,28 @@ class TestVerifyCoverPerFiber:
         assert not rep.long
         assert rep.failures == (("not-long", (1, "b")),)
 
+    def test_two_slices_neither_holding_the_fiber(self):
+        # negative control for the class shortcuts: both slices meet the
+        # fiber {0, ..., 4} and neither holds it, and at alpha 1 only
+        # v = 2 has its neighbours split between them
+        sp = build_space(5, z_points=("a",))
+        sets = [over("a", (0, 1, 2)), over("a", (2, 3, 4))]
+        cov = cover_of(sp, sets)
+        assert cov.order == 1
+        rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
+        assert verify_cover_definitional(sets, sp, 1, ALL_SUBGROUPS)[1] \
+            == (2, "a")
+        assert rep.failures == (("not-long", (2, "a")),)
+
+    def test_one_slice_missing_its_fiber_adds_no_order(self):
+        # over "b" the one slice held misses the fiber {0}, and nothing is
+        # held over "a": no point is shared, so the order is -1
+        sp = build_space(3, z_points=("a", "b"),
+                         pairs=[(0, "a"), (1, "a"), (0, "b")])
+        for sets, order in (([{(1, "b")}], -1), ([{(0, "b")}], 0)):
+            assert cover_order([slices_of(m) for m in sets], sp.fibers) \
+                == cover_order_brute(sets, pairs_of(sp)) == order
+
     def test_equal_slices_with_different_multiplicities(self):
         # two members agree over "b" only: the order is 1, read over "b"
         sp = build_space(3, z_points=("a", "b"))
@@ -455,10 +477,10 @@ class TestExtendCover:
                          G, lambda p, x: p[x])
 
 
-def dihedral_space(n, seed=None):
+def dihedral_space(n, *seeds):
     """Z/n with the cyclic gap metric under its dihedral group.
 
-    With a seed pair (v, (a, b)) the pairs are its orbit, z-points being
+    With seed pairs (v, (a, b)) the pairs are their orbits, z-points being
     ordered pairs of vertices; otherwise every vertex sits over one fixed
     z-point.
     """
@@ -466,9 +488,9 @@ def dihedral_space(n, seed=None):
     g = cycle_graph(n)
     dm = distance_matrix(g)
     dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
-    if seed:
-        v, (a, b) = seed
-        pairs = {(p[v], (p[a], p[b])) for p in G.elements}
+    if seeds:
+        pairs = {(p[v], (p[a], p[b])) for v, (a, b) in seeds
+                 for p in G.elements}
         z_points = tuple(sorted({z for _, z in pairs}))
         act_z = {p: {z: (p[z[0]], p[z[1]]) for z in z_points}
                  for p in G.elements}
@@ -527,6 +549,26 @@ class TestOrbitWalks:
         assert cov.member_slices() == [{"z1": both}, {"z3": both},
                                        {"z2": both}, {"z4": both}]
         assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
+
+    def test_uncovered_pairs_listed_over_every_v_point(self):
+        # two orbits of pairs, one basis triple each; dropping one leaves
+        # its whole orbit uncovered.  The check runs at the representative
+        # v = 0, the message lists the least pairs over every v-point, as a
+        # scan of every translate of every block finds them
+        sp = dihedral_space(6, FREE, (0, (0, 3)))
+        validate_pair_space(sp)
+        basis = default_basis(sp)
+        assert len(basis) == 2
+        greedy_cover(sp, 1, basis)
+        for kept in ([basis[0]], [basis[1]]):
+            covered = {(p[t.v], sp.act_z[p][z]) for t in kept
+                       for p in sp.group.elements for z in t.zset}
+            missing = sorted(pairs_of(sp) - covered)
+            assert any(v != 0 for v, _ in missing[:3])
+            with pytest.raises(BasisError) as err:
+                greedy_cover(sp, 1, kept)
+            assert str(err.value) == \
+                "basis does not cover the pair set, e.g. %r" % (missing[:3],)
 
     def test_generators_must_generate(self):
         sp = dihedral_space(6, FREE)

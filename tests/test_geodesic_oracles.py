@@ -1,7 +1,8 @@
 """Property tests: the geodesic-triangle kernels, the block decomposition,
 the geodesic turn iterator, the small-geodesic sweeps, the Rips pair
 relation, the theta3 circuit bound and the lemma battery's connector test
-built on them against the brute-force oracles (networkx's for the blocks).
+built on them against the brute-force oracles (networkx's for the blocks),
+and theta3 under a group against theta3 with every apex.
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
 when connectivity is required) plus a few extra edges, with up to two
@@ -10,7 +11,7 @@ degree 12 or more.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
     all_angles, canonical_angle, geodesic_turns, small_carriers, small_steps, \
     theta3, theta3_circuit_bound_check
-from coarsecover.corpus import cycle_graph, star_graph
+from coarsecover.corpus import cycle_graph, dihedral_group, star_graph
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -32,6 +33,7 @@ from coarsecover.graphs import (
     slimness_delta,
 )
 from coarsecover.rips import SmallPairRelation
+from coarsecover.symmetry import close_group, is_automorphism
 from oracles import (
     all_simple_shortest_paths,
     distance_matrix,
@@ -101,6 +103,32 @@ def test_theta3_matches_brute(g):
 def test_theta3_on_subdivision_matches_brute(g):
     sub = barycentric_subdivision(g)
     assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(max_n=7, max_extra=5),
+                 st.integers(3, 7).map(cycle_graph)), st.data())
+def test_theta3_with_a_group_matches_without(g, data):
+    """Under a group closed from some of the graph's automorphisms, theta3
+    runs its apexes at orbit representatives and closes the result; it
+    equals theta3 with every apex, on the graph and on its subdivision."""
+    autos = [p for p in permutations(g.vertices) if is_automorphism(g, p)]
+    G = close_group(g, data.draw(st.lists(st.sampled_from(autos),
+                                          max_size=2)))
+    sub = barycentric_subdivision(g)
+    assert theta3(g, group=G) == theta3(g)
+    assert theta3(sub, group=G) == theta3(sub)
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_theta3_with_a_dihedral_group_matches_without(n):
+    g = cycle_graph(n)
+    G = dihedral_group(n)
+    assert theta3(g, group=G) == theta3(g)
+    sub = barycentric_subdivision(g)
+    assert theta3(sub, group=G) == theta3(sub)
+    with pytest.raises(ValueError, match="original graph"):
+        theta3(sub, group=dihedral_group(n + 1))
 
 
 def _check_slimness(g):

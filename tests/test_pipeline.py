@@ -2,12 +2,13 @@ from dataclasses import fields
 
 import pytest
 
-from coarsecover import graphs
+from coarsecover import angles, graphs
 from coarsecover.angles import all_angles, k_fold_sum, lemma_battery, theta3
 from coarsecover.cones import seed_theta0
 from coarsecover.corpus import (
     battery_graphs,
     cycle_graph,
+    dihedral_group,
     grid_graph,
     path_graph,
     pipeline_instances,
@@ -189,3 +190,23 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
                          + [(v, v + 1) for v in range(3, 23)])
     assert slimness_delta(k4_path) == 0
     assert columns == [(4, x) for x in range(4)]
+
+
+def test_theta3_runs_one_apex_per_orbit(monkeypatch):
+    """Under the dihedral group of the 20-cycle, theta3 runs its apex loop
+    at the one orbit representative, vertex 0; with no group, at all 20
+    vertices.  The corner size is the same."""
+    apexes = []
+    corner_angles = angles._corner_angles
+
+    def spy(sub, g, dist, block_apexes, corners):
+        apexes.extend(block_apexes)
+        return corner_angles(sub, g, dist, block_apexes, corners)
+
+    monkeypatch.setattr(angles, "_corner_angles", spy)
+    g = cycle_graph(20)
+    t3 = build_instance(g, dihedral_group(20)).t3
+    assert apexes == [0]
+    apexes.clear()
+    assert build_instance(g).t3 == t3
+    assert apexes == list(range(20))
