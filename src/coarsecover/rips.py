@@ -5,10 +5,10 @@ of length at most d, so the complex is the clique complex of that pair
 relation and is stored by maximal simplices.  The contraction walks a
 finite subcomplex down to a single vertex by validated vertex folds; Betti
 numbers over the rationals give the independent contractibility check.
-Those are computed first over the prime field F_p, p = 2**31 - 1; an F_p
-answer of (1, 0, ..., 0) certifies the rational one, and every other
-complex falls back to exact elimination over the rationals.  Both passes
-run the one sparse reduction, top dimension down with clearing.
+Three certificates run in turn: a strong collapse of the maximal simplices
+to one vertex; ranks over the prime field F_p, p = 2**31 - 1, whose answer
+(1, 0, ..., 0) certifies the rational one; exact elimination over the
+rationals.  Both rank passes run one sparse reduction, top down with clearing.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .angles import AngleSet, SmallnessOracle, geodesic_turns, k_fold_sum, \
     small_steps, theta3
@@ -367,16 +368,48 @@ def _pivot_rows(columns, cleared, p):
     return pivots.keys()
 
 
+def _strongly_collapsible(P):
+    """Whether P strong-collapses to one vertex (Barmak and Minian, Strong
+    homotopy types, nerves and collapses, Discrete Comput. Geom. 47, 2012).
+
+    A vertex v is dominated when every maximal simplex holding v holds some
+    w != v.  Sending v to w is then a simplicial retraction onto P - v
+    contiguous to the identity, as each simplex and its image lie in one
+    maximal simplex: P - v is a deformation retract of P, with the same
+    Betti numbers over every field.  The maximal simplices of P - v are
+    those without v and each s - v that no other contains.  The core left
+    when no vertex is dominated is unique up to isomorphism, so the order
+    of removal does not change whether it is a single vertex.
+    """
+    bit = {v: i for i, v in enumerate(set().union(*P.maximal_simplices))}
+    masks = {sum(1 << bit[v] for v in s) for s in P.maximal_simplices}
+    left, todo = len(bit), set(bit.values())
+    while todo:
+        v = todo.pop()
+        held = [m for m in masks if m >> v & 1]
+        if reduce(and_, held) == 1 << v:
+            continue
+        masks.difference_update(held)
+        for m in held:
+            m ^= 1 << v
+            if not any(m & t == m for t in masks):
+                masks.add(m)
+        todo.update(_bits(reduce(or_, held) & ~(1 << v)))
+        left -= 1
+    return left == 1
+
+
 def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     """Betti numbers over the rationals by exact boundary-matrix ranks.
 
-    The ranks are first taken over F_p, p = 2**31 - 1.  For every integer
-    matrix the rank over F_p is at most the rank over Q, so every F_p Betti
-    number is at least the rational one.  When the F_p Betti numbers are
-    (1, 0, ..., 0) the rational ones are therefore the same, since b_0 >= 1
-    on a nonempty complex, and they are returned.  Any other answer,
-    including that of the empty complex, is recomputed by exact elimination
-    over the rationals.
+    A complex that strong-collapses to a vertex is answered after the face
+    listing and its cap, with no boundary matrix.  Otherwise the ranks are
+    first taken over F_p, p = 2**31 - 1.  For every integer matrix the rank
+    over F_p is at most the rank over Q, so every F_p Betti number is at
+    least the rational one.  When the F_p Betti numbers are (1, 0, ..., 0)
+    the rational ones are therefore the same, since b_0 >= 1 on a nonempty
+    complex, and they are returned.  Any other answer, including that of
+    the empty complex, is recomputed by exact elimination over Q.
 
     Both passes reduce from dimension max_dim + 1, the highest rank a Betti
     number up to max_dim reads (above the dimension of P the boundary maps
@@ -386,6 +419,9 @@ def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     earlier columns and is skipped.  That holds over any field.
     """
     faces = P.faces(cap)
+    acyclic = (1,) + (0,) * max_dim
+    if max_dim >= 0 and _strongly_collapsible(P):
+        return acyclic
     pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in faces.items()}
 
     @cache
@@ -406,7 +442,6 @@ def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
         return tuple(len(faces.get(k, [])) - ranks.get(k, 0)
                      - ranks.get(k + 1, 0) for k in range(max_dim + 1))
 
-    acyclic = (1,) + (0,) * max_dim
     if betti(_P) == acyclic:
         return acyclic
     return betti(0)

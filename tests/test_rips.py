@@ -428,15 +428,33 @@ class TestContractionClauses:
             contract_subcomplex([0, 3], g, 4, all_angles(g), 0, index=index)
 
 
+def record_fields(monkeypatch):
+    """Patch rips._pivot_rows to record the field p of every call; the
+    list it returns fills as the reduction runs."""
+    fields = []
+    real_pivot_rows = rips._pivot_rows
+
+    def counted(columns, cleared, p):
+        fields.append(p)
+        return real_pivot_rows(columns, cleared, p)
+
+    monkeypatch.setattr(rips, "_pivot_rows", counted)
+    return fields
+
+
 class TestHomologyExactness:
-    def test_projective_plane_over_the_rationals(self):
+    def test_projective_plane_over_the_rationals(self, monkeypatch):
         # closed nonorientable surface: mod-2 ranks would report a onefold
         # first Betti number, the rational ranks must not
         faces = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
                  (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
         P = SimplicialComplex(tuple(range(6)),
                               tuple(frozenset(f) for f in faces))
+        # acyclic but not contractible, so no strong collapse answers it:
+        # the F_p pass must, with no rational fallback
+        fields = record_fields(monkeypatch)
         assert homology_oracle(P, 2) == (1, 0, 0)
+        assert set(fields) == {rips._P}
 
     def test_torus_like_band(self):
         # two disjoint circles wedge-free: independent cycles add up
@@ -474,8 +492,19 @@ def flag_complexes(draw):
 
 
 def test_homology_matches_the_rational_reference(monkeypatch):
+    check_rational_reference(monkeypatch)
+
+
+def test_homology_matches_the_rational_reference_without_collapse(
+        monkeypatch):
+    # the F_p pass alone must then answer every acyclic complex
+    monkeypatch.setattr(rips, "_strongly_collapsible", lambda P: False)
+    check_rational_reference(monkeypatch)
+
+
+def check_rational_reference(monkeypatch):
     # p = 2**31 - 1 divides no torsion order of a flag complex this small,
-    # so the F_p Betti numbers equal the rational ones and the fast path
+    # so the F_p Betti numbers equal the rational ones and the fast paths
     # must answer exactly the acyclic complexes
     fallbacks = []
     real_pivot_rows = rips._pivot_rows
@@ -513,6 +542,56 @@ def unequal_complexes(draw):
     assume(len({len(s) for s in maximal}) > 1)
     return SimplicialComplex(tuple(sorted(frozenset().union(*maximal))),
                              tuple(sorted(maximal, key=sorted)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unequal_complexes(), st.data())
+def test_homology_off_flag_complexes_matches_the_rational_reference(P, data):
+    max_dim = data.draw(st.integers(-1, P.dimension + 1))
+    assert homology_oracle(P, max_dim) == rational_betti(P, max_dim)
+
+
+def complex_of(*maximal, vertices=None):
+    """The complex with the given maximal simplices, on their union unless
+    vertices are given."""
+    if vertices is None:
+        vertices = sorted(set().union(*maximal))
+    return SimplicialComplex(tuple(vertices),
+                             tuple(frozenset(s) for s in maximal))
+
+
+OCTAHEDRON = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+class TestStrongCollapse:
+    @pytest.mark.parametrize("P, max_dim, want, collapses", [
+        (complex_of((0, 1, 2)), -1, (), True),
+        (complex_of((0, 1), (1, 2)), 1, (1, 0), True),
+        (complex_of((0, 1, 2), (0, 2, 3), (0, 3, 1)), 2, (1, 0, 0), True),
+        (complex_of(vertices=(0,)), 1, (0, 0), False),
+        (complex_of(), 1, (0, 0), False),
+        (complex_of(), -1, (), False),
+        (complex_of((0, 1), (2, 3)), 1, (2, 0), False),
+        (complex_of((0, 1), (1, 2), (0, 2)), 1, (1, 1), False),
+        (complex_of(*OCTAHEDRON), 2, (1, 0, 1), False),
+    ], ids=["simplex-below-0", "path", "cone-on-circle", "lone-vertex",
+            "empty", "empty-below-0", "two-edges", "hollow-triangle",
+            "octahedron"])
+    def test_pins(self, P, max_dim, want, collapses):
+        assert rips._strongly_collapsible(P) == collapses
+        assert homology_oracle(P, max_dim) == want
+        assert rational_betti(P, max_dim) == want
+
+    def test_criterion_06_complexes_need_no_reduction(self, monkeypatch):
+        fields = record_fields(monkeypatch)
+        for name, g, d in rips_instances():
+            index = GeodesicIndex(g)
+            theta = k_fold_sum(theta3(g, index=index), 7)
+            P = build_rips(g, d, theta, index=index)
+            max_dim = max(P.dimension, 0)
+            assert homology_oracle(P, max_dim, cap=5000) == \
+                (1,) + (0,) * max_dim, name
+        assert fields == []
 
 
 class TestStatsParity:
