@@ -288,8 +288,22 @@ class GeodesicIndex:
 
 @dataclass(frozen=True)
 class SlimnessReport:
+    """delta, and witness_triangle found on each read: the first triple, in
+    combinations order, of defect delta, or (0, 0, 0) at delta 0.  It can
+    span blocks, so it comes from a whole-graph scan: the block scan when
+    the graph is one block, else a new one."""
+
     delta: int
-    witness_triangle: tuple
+    graph: Graph = field(repr=False, compare=False)
+    dist: object = field(repr=False, compare=False)
+    whole: object = field(repr=False, compare=False)  # _DefectScan or None
+
+    @property
+    def witness_triangle(self):
+        if self.delta == 0:
+            return (0, 0, 0)
+        return (self.whole or _DefectScan(self.graph, self.dist)).witness(
+            self.delta)
 
 
 def _maximin_columns(g: Graph, dist, x):
@@ -371,16 +385,13 @@ class _DefectScan:
         delta (the largest defect, at least 1); for one side p < q, the
         least such triple has the least third corner."""
         masks = self.above(delta - 1)
-        witness = None
+        triples = []
         for p, q in self.pairs:
             if self.dist[p][q] < 2 * delta:
                 break
-            rs = self.thirds(masks, p, q)
-            if rs:
-                tri = tuple(sorted((p, q, rs[0])))
-                if witness is None or tri < witness:
-                    witness = tri
-        return witness
+            triples += [tuple(sorted((p, q, r)))
+                        for r in self.thirds(masks, p, q)[:1]]
+        return min(triples)
 
 
 def biconnected_blocks(g: Graph):
@@ -439,11 +450,12 @@ def biconnected_blocks(g: Graph):
 
 
 def _block_scans(g: Graph, dist):
-    """(dist, scans): a defect scan per block of more than 3 vertices,
-    largest first, on the block relabelled 0..k-1 with the distance rows
-    cut down to it.  Given no rows, it fills them on first read, so only
-    the rows of vertices in such blocks are computed.  A block of at most
-    3 vertices is an edge or a triangle, and has slimness 0."""
+    """(dist, scans, delta): a defect scan per block of more than 3
+    vertices, largest first, on the block relabelled 0..k-1 with the rows
+    cut down to it, and their largest delta, 0 with none.  Given no rows,
+    it fills them on first read, so only the rows of vertices in such
+    blocks are computed.  A block of at most 3 vertices, an edge or a
+    triangle, has slimness 0."""
     if not g.is_connected():
         raise ValueError("slimness requires a connected graph")
     blocks = sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
@@ -458,21 +470,15 @@ def _block_scans(g: Graph, dist):
         scans.append(_DefectScan(
             make_graph(len(vs), [(local[u], local[v]) for u, v in es]),
             [[dist[u][v] for v in vs] for u in vs]))
-    return dist, scans
-
-
-def _largest_defect(scans):
     delta = 0
     for scan in scans:
         delta = scan.delta(delta)
-    return delta
+    return dist, scans, delta
 
 
 def slimness_delta(g: Graph, dist=None) -> int:
-    """The slimness constant of slimness_constant, without its witness:
-    the largest delta of the blocks of more than 3 vertices, and 0 if
-    there are none (see slimness_constant for why blocks suffice)."""
-    return _largest_defect(_block_scans(g, dist)[1])
+    """The delta of slimness_constant, with no report (see _block_scans)."""
+    return _block_scans(g, dist)[2]
 
 
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
@@ -480,21 +486,16 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
 
     Sides are chosen adversarially: for each vertex triple the three side
     geodesics maximizing the slimness defect are taken into account, so the
-    result bounds all geodesic triangles of the graph.  The witness is the
-    first triple, in combinations order, whose defect is delta.
+    result bounds all geodesic triangles of the graph.
 
     delta is the largest delta of the biconnected blocks, which are
     isometric (see biconnected_blocks): a geodesic triangle splits into a
     tripod along the block tree plus one triangle or bigon in each block
-    it crosses.  The witness can span blocks, so it comes from one scan of
-    the whole graph at the known delta.
+    it crosses.
     """
-    dist, scans = _block_scans(g, dist)
-    delta = _largest_defect(scans)
-    if delta == 0:
-        return SlimnessReport(0, (0, 0, 0))
-    whole = scans[0] if scans[0].n == g.vertex_count else _DefectScan(g, dist)
-    return SlimnessReport(delta, whole.witness(delta))
+    dist, scans, delta = _block_scans(g, dist)
+    whole = scans[0] if scans and scans[0].n == g.vertex_count else None
+    return SlimnessReport(delta, g, dist, whole)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,8 @@ A vertex set spans a simplex when every pair is joined by a small geodesic
 of length at most d, so the complex is the clique complex of that pair
 relation and is stored by maximal simplices.  The contraction walks a
 finite subcomplex down to a single vertex by validated vertex folds; Betti
-numbers over the rationals give the independent contractibility check.
-Three certificates run in turn: a strong collapse of the maximal simplices
-to one vertex; ranks over the prime field F_p, p = 2**31 - 1, whose answer
-(1, 0, ..., 0) certifies the rational one; exact elimination over the
-rationals.  Both rank passes run one sparse reduction, top down with clearing.
+numbers over the rationals give the independent contractibility check
+(homology_oracle).
 """
 
 from __future__ import annotations
@@ -16,11 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations
-from operator import and_, or_
 
-from .angles import AngleSet, SmallnessOracle, geodesic_turns, k_fold_sum, \
+from .angles import AngleSet, SmallnessOracle, canonical_angle, k_fold_sum, \
     small_steps, theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
@@ -36,20 +32,27 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.maximal_simplices) - 1
 
+    def check_face_cap(self, cap):
+        """Raise CapExceeded past cap distinct simplices, counted as the
+        nonempty submasks of each maximal simplex's vertex bitmask, at the
+        first simplex past the cap."""
+        bit = {v: i for i, v in
+               enumerate(set().union(*self.maximal_simplices))}
+        masks = set()
+        for m in self.maximal_simplices:
+            top = sub = sum(1 << bit[v] for v in m)
+            while sub:
+                masks.add(sub)
+                if len(masks) > cap:
+                    raise CapExceeded("more than %d simplices" % cap)
+                sub = (sub - 1) & top
+
     def faces(self, cap=200000):
         """Each dimension k mapped to the sorted list of the sorted
-        (k+1)-tuples spanning a simplex; more than cap distinct simplices
-        raise CapExceeded, before a maximal simplex with more than cap
-        faces is expanded."""
-        seen = set()
-        for m in self.maximal_simplices:
-            if (1 << len(m)) - 1 > cap:
-                raise CapExceeded("more than %d simplices" % cap)
-            ms = sorted(m)
-            for k in range(1, len(ms) + 1):
-                seen.update(combinations(ms, k))
-            if len(seen) > cap:
-                raise CapExceeded("more than %d simplices" % cap)
+        (k+1)-tuples spanning a simplex, after check_face_cap(cap)."""
+        self.check_face_cap(cap)
+        seen = {s for m in self.maximal_simplices for k in range(1, len(m) + 1)
+                for s in combinations(sorted(m), k)}
         out = {}
         for s in sorted(seen):
             out.setdefault(len(s) - 1, []).append(s)
@@ -174,14 +177,31 @@ class ContractionError(RuntimeError):
     """A fold failed validation; this indicts the implementation."""
 
 
-def _large_angle_vertices(index: GeodesicIndex, small: AngleSet, v0, v):
-    """Internal vertices through which some geodesic v0 -> v turns large,
-    each mapped to its distance from v0."""
-    out = {}
-    for w, _, _, angle in geodesic_turns(index, None, v0, v):
-        if w not in out and angle not in small.nontrivial:
-            out[w] = index.dist[v0][w]
-    return out
+def _large_turn_depths(index: GeodesicIndex, small: AngleSet, v0):
+    """(depth, witness): for each v reachable from v0, the largest distance
+    from v0 of a vertex where some geodesic v0 -> v turns outside small,
+    and the least vertex at it; 0 and None when there is none.
+
+    One sweep from v0 in BFS order.  The geodesics v0 -> v are those
+    v0 -> u, u a predecessor of v (one step closer to v0), followed by
+    u -> v.  So u gives v its own pair, or (d(v0, u), u) when some turn
+    p -> u -> v, p a predecessor of u, is large: u lies deeper than the
+    turns before it.  v's pair is the largest its predecessors give, the
+    greater depth and at equal depth the lesser vertex.
+    """
+    g, d0 = index.graph, index.dist[v0]
+    depth, witness = [0] * g.vertex_count, [None] * g.vertex_count
+    preds = {v0: ()}
+    for v in sorted((v for v in g.vertices if d0[v] is not INF),
+                    key=d0.__getitem__)[1:]:
+        ps = preds[v] = [u for u in g.neighbors(v) if d0[u] == d0[v] - 1]
+        for u in ps:
+            large = any(canonical_angle(p, u, v) not in small.nontrivial
+                        for p in preds[u])
+            du, wu = (d0[u], u) if large else (depth[u], witness[u])
+            if du > depth[v] or du == depth[v] and du and wu < witness[v]:
+                depth[v], witness[v] = du, wu
+    return depth, witness
 
 
 def _in_span(dist, K0, w):
@@ -261,22 +281,13 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         raise ValueError("empty subcomplex")
     v0 = K0[0]
     d0 = index.dist[v0]
-    # the large-angle vertices of v depend only on v: v0, the index and
-    # t3_2 are fixed for the whole contraction
-    @cache
-    def large_at(v):
-        return _large_angle_vertices(index, t3_2, v0, v)
-
-    @cache
-    def depth(v):
-        return max(large_at(v).values(), default=0)
-
     if any(d0[v] is INF for v in K0):
         raise ValueError("subcomplex spans several components")
+    depth, witness = _large_turn_depths(index, t3_2, v0)
 
     K = set(K0)
     moves = []
-    measure = _FoldMeasure(d0, depth, K)
+    measure = _FoldMeasure(d0, depth.__getitem__, K)
     alpha, beta, a, b = measure.value()
     move_cap = 4 * len(K0) * (alpha + 2) + 16
     while alpha:
@@ -292,10 +303,10 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
             vt = v0
             case = "base-fold"
         else:
-            v = min((c for c in K if depth(c) == beta), default=None)
+            v = min((c for c in K if depth[c] == beta), default=None)
             if v is None:
                 raise ContractionError("no witness for the recorded beta")
-            vt = min(w for w, dw in large_at(v).items() if dw == beta)
+            vt = witness[v]
             case = "angle-fold"
 
         # clause validation
@@ -381,20 +392,26 @@ def _strongly_collapsible(P):
     when no vertex is dominated is unique up to isomorphism, so the order
     of removal does not change whether it is a single vertex.
     """
-    bit = {v: i for i, v in enumerate(set().union(*P.maximal_simplices))}
-    masks = {sum(1 << bit[v] for v in s) for s in P.maximal_simplices}
-    left, todo = len(bit), set(bit.values())
+    holding = {}  # each vertex -> the maximal simplices holding it
+    for m in map(frozenset, P.maximal_simplices):
+        for v in m:
+            holding.setdefault(v, set()).add(m)
+    left, todo = len(holding), set(holding)
     while todo:
         v = todo.pop()
-        held = [m for m in masks if m >> v & 1]
-        if reduce(and_, held) == 1 << v:
+        held = list(holding[v])
+        if frozenset.intersection(*held) == {v}:
             continue
-        masks.difference_update(held)
+        around = frozenset.union(*held)
+        for w in around:
+            holding[w].difference_update(held)
         for m in held:
-            m ^= 1 << v
-            if not any(m & t == m for t in masks):
-                masks.add(m)
-        todo.update(_bits(reduce(or_, held) & ~(1 << v)))
+            m = m - {v}
+            # a simplex holding m holds its least vertex
+            if not any(m <= t for t in holding[min(m)]):
+                for w in m:
+                    holding[w].add(m)
+        todo.update(around - {v})
         left -= 1
     return left == 1
 
@@ -403,13 +420,14 @@ def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     """Betti numbers over the rationals by exact boundary-matrix ranks.
 
     A complex that strong-collapses to a vertex is answered after the face
-    listing and its cap, with no boundary matrix.  Otherwise the ranks are
-    first taken over F_p, p = 2**31 - 1.  For every integer matrix the rank
-    over F_p is at most the rank over Q, so every F_p Betti number is at
-    least the rational one.  When the F_p Betti numbers are (1, 0, ..., 0)
-    the rational ones are therefore the same, since b_0 >= 1 on a nonempty
-    complex, and they are returned.  Any other answer, including that of
-    the empty complex, is recomputed by exact elimination over Q.
+    cap, with no face listing and no boundary matrix.  Otherwise the faces
+    are listed and the ranks are first taken over F_p, p = 2**31 - 1.  For
+    every integer matrix the rank over F_p is at most the rank over Q, so
+    every F_p Betti number is at least the rational one.  When the F_p Betti
+    numbers are (1, 0, ..., 0) the rational ones are therefore the same,
+    since b_0 >= 1 on a nonempty complex, and they are returned.  Any other
+    answer, including that of the empty complex, is recomputed by exact
+    elimination over Q.
 
     Both passes reduce from dimension max_dim + 1, the highest rank a Betti
     number up to max_dim reads (above the dimension of P the boundary maps
@@ -418,10 +436,11 @@ def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
     simplex is i, so column i of the boundary of k-chains depends on
     earlier columns and is skipped.  That holds over any field.
     """
-    faces = P.faces(cap)
+    P.check_face_cap(cap)
     acyclic = (1,) + (0,) * max_dim
     if max_dim >= 0 and _strongly_collapsible(P):
         return acyclic
+    faces = P.faces(cap)
     pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in faces.items()}
 
     @cache

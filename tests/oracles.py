@@ -787,6 +787,17 @@ def theta3_circuit_bound_brute(g, theta3set, delta):
     }
 
 
+def large_angle_vertices(index, small, v0, v):
+    """Internal vertices through which some geodesic v0 -> v turns outside
+    small, each mapped to its distance from v0: every turn of every
+    geodesic, scanned for this v alone."""
+    out = {}
+    for w, _, _, angle in geodesic_turns(index, None, v0, v):
+        if w not in out and angle not in small.nontrivial:
+            out[w] = index.dist[v0][w]
+    return out
+
+
 def contraction_measure(d0, large_at, K):
     """The measure (alpha, beta, a, b) of contract_subcomplex, rescanned
     over all of K: alpha the largest distance from the basepoint and a the

@@ -5,7 +5,9 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from coarsecover import graphs
 from coarsecover.corpus import (
+    barbell,
     complete_graph,
     cycle_graph,
     hypercube3,
@@ -221,6 +223,39 @@ class TestSlimness:
         # favourable sides can do strictly better than adversarial ones
         g = cycle_graph(4)
         assert slimness_min_over_sides(g) <= slimness_constant(g).delta
+
+    @staticmethod
+    def _record_columns(monkeypatch):
+        # the (vertex count, source) of every maximin sweep
+        columns = []
+        maximin_columns = graphs._maximin_columns
+
+        def spy(g, dist, x):
+            columns.append((g.vertex_count, x))
+            return maximin_columns(g, dist, x)
+
+        monkeypatch.setattr(graphs, "_maximin_columns", spy)
+        return columns
+
+    def test_witness_is_found_when_read(self, monkeypatch):
+        # the barbell's blocks of more than 3 vertices are its two C8s: the
+        # delta sweeps those alone, and the witness, which may span blocks,
+        # sweeps the whole graph on each read
+        columns = self._record_columns(monkeypatch)
+        g = barbell(8, 6)
+        rep = slimness_constant(g)
+        assert rep.delta == 2
+        assert columns == [(8, x) for x in range(8)] * 2
+        del columns[:]
+        assert rep.witness_triangle == (0, 1, 4)
+        assert columns == [(21, x) for x in range(21)]
+
+    def test_one_block_witness_reads_the_block_scan(self, monkeypatch):
+        columns = self._record_columns(monkeypatch)
+        rep = slimness_constant(cycle_graph(6))
+        assert columns == [(6, x) for x in range(6)]
+        assert (rep.delta, rep.witness_triangle) == (1, (0, 1, 3))
+        assert columns == [(6, x) for x in range(6)]
 
 
 class TestCircuits:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coarsecover import rips
-from coarsecover.angles import all_angles, k_fold_sum, theta3, trivial_only
+from coarsecover.angles import AngleSet, all_angles, k_fold_sum, theta3, \
+    trivial_only
 from coarsecover.corpus import (
     complete_graph,
     cycle_graph,
@@ -28,7 +29,8 @@ from coarsecover.rips import (
     homology_oracle,
     SimplicialComplex,
 )
-from oracles import complex_stats_brute, contraction_measure, rational_rank
+from oracles import complex_stats_brute, contraction_measure, \
+    large_angle_vertices, rational_rank
 
 
 def near_map(edges):
@@ -273,20 +275,20 @@ class TestContraction:
     @pytest.mark.parametrize("g", [wedge_of_cycles(2, 6),
                                    triangle_caterpillar(8, [2, 5])],
                              ids=["wedge2-6", "caterpillar8"])
-    def test_large_angle_vertices_once_per_vertex(self, monkeypatch, g):
+    def test_one_depth_sweep_per_contraction(self, monkeypatch, g):
         calls = []
-        real = rips._large_angle_vertices
+        real = rips._large_turn_depths
 
-        def counted(index, small, v0, v):
-            calls.append(v)
-            return real(index, small, v0, v)
+        def counted(index, small, v0):
+            calls.append(v0)
+            return real(index, small, v0)
 
-        monkeypatch.setattr(rips, "_large_angle_vertices", counted)
+        monkeypatch.setattr(rips, "_large_turn_depths", counted)
         index, theta, delta = contraction_setup(g, None)
         trace = contract_subcomplex(sorted(g.vertices), g, 4 * max(1, delta),
                                     theta, delta, index=index)
         assert trace.moves
-        assert len(calls) == len(set(calls))
+        assert calls == [0]
 
     def test_replacements_stay_in_span(self):
         g = wedge_of_cycles(2, 6)
@@ -344,11 +346,11 @@ class TestContractionClauses:
         d0 = index.dist[v0]
 
         def large_at(v):
-            return rips._large_angle_vertices(index, t3_2, v0, v)
+            return large_angle_vertices(index, t3_2, v0, v)
 
         K = set(K0)
-        measure = rips._FoldMeasure(
-            d0, lambda v: max(large_at(v).values(), default=0), K)
+        depth, _ = rips._large_turn_depths(index, t3_2, v0)
+        measure = rips._FoldMeasure(d0, depth.__getitem__, K)
         want = contraction_measure(d0, large_at, K)
         for m in trace.moves:
             assert measure.value() == want
@@ -359,6 +361,34 @@ class TestContractionClauses:
             assert m.measure_after == (want[0] + want[1], want[2] + want[3])
         assert measure.value() == want
         assert K == {v0} and want[0] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(subcomplexes(), st.data())
+    def test_depth_sweep_matches_the_per_vertex_scan(self, case, data):
+        # for every vertex v, the sweep's (depth, witness) is the largest
+        # distance and the least vertex at it of the reference's per-vertex
+        # scan, under each size: the graph's angles (every turn small), the
+        # contraction's twofold and the sevenfold corner size, the trivial
+        # angles (every turn large) and a drawn set of angles, which can
+        # hold one turn at a vertex and not another
+        g, K0, _, _ = case
+        index = GeodesicIndex(g)
+        t3 = theta3(g, index=index)
+        v0 = K0[0]
+        angles = sorted(all_angles(g).nontrivial)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(angles),
+                                  max_size=len(angles)))
+        drawn = [t for t, k in zip(angles, keep) if k]
+        for small in (all_angles(g), k_fold_sum(t3, 2), k_fold_sum(t3, 7),
+                      trivial_only(g), AngleSet(g, frozenset(drawn))):
+            depth, witness = rips._large_turn_depths(index, small, v0)
+            for v in g.vertices:
+                large = large_angle_vertices(index, small, v0, v)
+                beta = max(large.values(), default=0)
+                assert depth[v] == beta
+                assert witness[v] == min(
+                    (w for w, dw in large.items() if dw == beta),
+                    default=None)
 
     @settings(max_examples=100, deadline=None)
     @given(subcomplexes(proper=True))
@@ -375,13 +405,13 @@ class TestContractionClauses:
     def _witness_moved(monkeypatch, old, new):
         # every large-angle witness old is reported as new instead, so an
         # angle-fold onto old is forced onto new
-        real = rips._large_angle_vertices
+        real = rips._large_turn_depths
 
-        def moved(index, small, v0, v):
-            return {new if w == old else w: dw
-                    for w, dw in real(index, small, v0, v).items()}
+        def moved(index, small, v0):
+            depth, witness = real(index, small, v0)
+            return depth, [new if w == old else w for w in witness]
 
-        monkeypatch.setattr(rips, "_large_angle_vertices", moved)
+        monkeypatch.setattr(rips, "_large_turn_depths", moved)
 
     def test_replacement_off_the_hull_is_refused(self, monkeypatch):
         # the star 0-1-2, 1-3: K0 = {0, 2} folds 2 -> 1 at the angle at 1;
