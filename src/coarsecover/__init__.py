@@ -27,7 +27,6 @@ from .graphs import (
     load_graph,
     make_graph,
     slimness_constant,
-    slimness_delta,
 )
 from .symmetry import (
     GroupModel,

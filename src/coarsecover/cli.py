@@ -43,7 +43,6 @@ from .graphs import (
     load_graph,
     parse_document,
     slimness_constant,
-    slimness_delta,
 )
 from .pipeline import PipelineError, build_instance, cover_to_document, \
     report_json, run_pipeline, select_theta0
@@ -358,7 +357,7 @@ def cmd_rips(args):
         _emit(args, "homology", {"betti": list(betti)})
         return 0
     if args.rips_cmd == "contract":
-        delta = slimness_delta(g, index.dist)
+        delta = slimness_constant(g, index.dist).delta
         trace = contract_subcomplex(sorted(g.vertices), g, args.d, theta,
                                     delta, index=index)
         _emit(args, "trace", {

@@ -42,7 +42,7 @@ from .covers import (
     slices_of,
     wide_failures,
 )
-from .graphs import GeodesicIndex, Subdivision, slimness_delta
+from .graphs import GeodesicIndex, Subdivision, slimness_constant
 from .symmetry import GroupModel, trivial_group
 
 _EMPTY = frozenset()
@@ -101,7 +101,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     if not k_fold_sum(theta3_set, 2) <= theta:
         raise ValueError("theta must contain the doubled corner size")
     if delta is None:
-        delta = slimness_delta(sub.original)
+        delta = slimness_constant(sub.original).delta
     if not theta.is_invariant(group):
         raise ValueError("theta is not invariant under the group")
     endpoints = set(endpoint_set)

@@ -290,20 +290,17 @@ class GeodesicIndex:
 class SlimnessReport:
     """delta, and witness_triangle found on each read: the first triple, in
     combinations order, of defect delta, or (0, 0, 0) at delta 0.  It can
-    span blocks, so it comes from a whole-graph scan: the block scan when
-    the graph is one block, else a new one."""
+    span blocks, so each read runs a new whole-graph scan."""
 
     delta: int
     graph: Graph = field(repr=False, compare=False)
     dist: object = field(repr=False, compare=False)
-    whole: object = field(repr=False, compare=False)  # _DefectScan or None
 
     @property
     def witness_triangle(self):
         if self.delta == 0:
             return (0, 0, 0)
-        return (self.whole or _DefectScan(self.graph, self.dist)).witness(
-            self.delta)
+        return _DefectScan(self.graph, self.dist).witness(self.delta)
 
 
 def _maximin_columns(g: Graph, dist, x):
@@ -449,38 +446,6 @@ def biconnected_blocks(g: Graph):
     return blocks
 
 
-def _block_scans(g: Graph, dist):
-    """(dist, scans, delta): a defect scan per block of more than 3
-    vertices, largest first, on the block relabelled 0..k-1 with the rows
-    cut down to it, and their largest delta, 0 with none.  Given no rows,
-    it fills them on first read, so only the rows of vertices in such
-    blocks are computed.  A block of at most 3 vertices, an edge or a
-    triangle, has slimness 0."""
-    if not g.is_connected():
-        raise ValueError("slimness requires a connected graph")
-    blocks = sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
-                    key=lambda b: -len(b[0]))
-    dist = _DistanceRows(g) if dist is None else dist
-    scans = []
-    for vs, es in blocks:
-        if len(vs) == g.vertex_count:
-            scans.append(_DefectScan(g, dist))
-            continue
-        local = {v: i for i, v in enumerate(vs)}
-        scans.append(_DefectScan(
-            make_graph(len(vs), [(local[u], local[v]) for u, v in es]),
-            [[dist[u][v] for v in vs] for u in vs]))
-    delta = 0
-    for scan in scans:
-        delta = scan.delta(delta)
-    return dist, scans, delta
-
-
-def slimness_delta(g: Graph, dist=None) -> int:
-    """The delta of slimness_constant, with no report (see _block_scans)."""
-    return _block_scans(g, dist)[2]
-
-
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     """Minimal delta such that every geodesic triangle is delta-slim.
 
@@ -491,11 +456,23 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     delta is the largest delta of the biconnected blocks, which are
     isometric (see biconnected_blocks): a geodesic triangle splits into a
     tripod along the block tree plus one triangle or bigon in each block
-    it crosses.
+    it crosses.  A block of at most 3 vertices, an edge or a triangle, has
+    slimness 0; the others are scanned one at a time, largest first, each
+    relabelled 0..k-1 with the rows cut down to it and the running maximum
+    as the floor.  Given no rows, it fills them on first read, so only the
+    rows of vertices in such blocks are computed.
     """
-    dist, scans, delta = _block_scans(g, dist)
-    whole = scans[0] if scans and scans[0].n == g.vertex_count else None
-    return SlimnessReport(delta, g, dist, whole)
+    if not g.is_connected():
+        raise ValueError("slimness requires a connected graph")
+    dist = _DistanceRows(g) if dist is None else dist
+    delta = 0
+    for vs, es in sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
+                         key=lambda b: -len(b[0])):
+        local = {v: i for i, v in enumerate(vs)}
+        block = make_graph(len(vs), [(local[u], local[v]) for u, v in es])
+        delta = _DefectScan(block, [[dist[u][v] for v in vs] for u in vs]
+                            ).delta(delta)
+    return SlimnessReport(delta, g, dist)
 
 
 # ---------------------------------------------------------------------------

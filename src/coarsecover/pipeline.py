@@ -26,7 +26,7 @@ from .flow import (
     wideness_scan,
 )
 from .graphs import GeodesicIndex, Graph, INF, Subdivision, \
-    barycentric_subdivision, slimness_delta
+    barycentric_subdivision, slimness_constant
 from .symmetry import ALL_SUBGROUPS, GroupModel, close_group, \
     subdivided_group, trivial_group
 
@@ -87,7 +87,8 @@ def build_instance(g: Graph, group: GroupModel = None) -> Instance:
     orbit = {p[v0] for p in sub_group.elements}
     boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
     return Instance(g, sub, index, sub_group, v0, boundary,
-                    theta3(sub, index, group=group), slimness_delta(g))
+                    theta3(sub, index, group=group),
+                    slimness_constant(g).delta)
 
 
 def select_theta0(inst: Instance, alpha, mode) -> AngleSet:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .angles import AngleSet, SmallnessOracle, canonical_angle, k_fold_sum, \
@@ -32,12 +31,13 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.maximal_simplices) - 1
 
-    def check_face_cap(self, cap):
-        """Raise CapExceeded past cap distinct simplices, counted as the
-        nonempty submasks of each maximal simplex's vertex bitmask, at the
-        first simplex past the cap."""
-        bit = {v: i for i, v in
-               enumerate(set().union(*self.maximal_simplices))}
+    def face_masks(self, cap):
+        """(vs, masks): the sorted vertices of the maximal simplices, and
+        every simplex once as the mask of its vertices' positions in vs,
+        enumerated as the nonempty submasks of each maximal simplex's mask.
+        CapExceeded is raised at the first simplex past cap."""
+        vs = sorted(set().union(*self.maximal_simplices))
+        bit = {v: i for i, v in enumerate(vs)}
         masks = set()
         for m in self.maximal_simplices:
             top = sub = sum(1 << bit[v] for v in m)
@@ -46,17 +46,21 @@ class SimplicialComplex:
                 if len(masks) > cap:
                     raise CapExceeded("more than %d simplices" % cap)
                 sub = (sub - 1) & top
+        return vs, masks
+
+    def check_face_cap(self, cap):
+        """Raise CapExceeded past cap distinct simplices."""
+        self.face_masks(cap)
 
     def faces(self, cap=200000):
         """Each dimension k mapped to the sorted list of the sorted
-        (k+1)-tuples spanning a simplex, after check_face_cap(cap)."""
-        self.check_face_cap(cap)
-        seen = {s for m in self.maximal_simplices for k in range(1, len(m) + 1)
-                for s in combinations(sorted(m), k)}
+        (k+1)-tuples spanning a simplex, read off face_masks(cap)."""
+        vs, masks = self.face_masks(cap)
         out = {}
-        for s in sorted(seen):
-            out.setdefault(len(s) - 1, []).append(s)
-        return out
+        for m in masks:
+            out.setdefault(m.bit_count() - 1, []).append(
+                tuple(vs[i] for i in _bits(m)))
+        return {k: sorted(ss) for k, ss in sorted(out.items())}
 
 
 def _bits(mask):
@@ -141,13 +145,15 @@ def complex_stats(P: SimplicialComplex, cap=200000) -> dict:
     simplices strictly containing any single simplex.  A simplex strictly
     containing s contains each vertex of s and is not that vertex, so the
     largest count is reached at a vertex: the simplices holding it, less
-    the vertex itself."""
-    faces = P.faces(cap)
-    holding = Counter(v for ss in faces.values() for s in ss for v in s)
+    the vertex itself.  Both counts are read off face_masks(cap), by bit
+    count and by bit."""
+    masks = P.face_masks(cap)[1]
+    by_dim = Counter(m.bit_count() - 1 for m in masks)
+    holding = Counter(i for m in masks for i in _bits(m))
     return {
         "dimension": P.dimension,
-        "simplices_by_dim": {k: len(ss) for k, ss in sorted(faces.items())},
-        "total_simplices": sum(map(len, faces.values())),
+        "simplices_by_dim": dict(sorted(by_dim.items())),
+        "total_simplices": len(masks),
         "max_coface_count": max(holding.values(), default=1) - 1,
     }
 
@@ -342,41 +348,27 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
 # ---------------------------------------------------------------------------
 
 
-_P = 2**31 - 1
-
-
-def _pivot_rows(columns, cleared, p):
-    """Pivot rows of a sparse integer matrix reduced over F_p, or over the
-    rationals when p is 0.
-
-    Columns are {row: int}; those whose index is in cleared are skipped.
-    Each column is reduced on its largest row index, so a reduced column
-    is a combination of the original ones whose largest row is its pivot.
-    The number of pivot rows is the rank of the columns not skipped.
-    """
+def _rank(columns):
+    """The rank over the rationals of a sparse integer matrix given as
+    columns {row: int}.  Each column is reduced on its largest row until
+    that row is new, and the rank is the number of rows so reached."""
     pivots = {}
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        col = {r: v % p if p else Fraction(v) for r, v in col.items()}
+    for col in columns:
+        col = {r: Fraction(v) for r, v in col.items()}
         while col:
             r = max(col)
             piv = pivots.get(r)
             if piv is None:
-                inv = pow(col[r], -1, p) if p else 1 / col[r]
-                pivots[r] = {rr: vv * inv % p if p else vv * inv
-                             for rr, vv in col.items()}
+                pivots[r] = {rr: vv / col[r] for rr, vv in col.items()}
                 break
             f = col[r]
             for rr, vv in piv.items():
                 nv = col.get(rr, 0) - f * vv
-                if p:
-                    nv %= p
                 if nv:
                     col[rr] = nv
                 else:
                     del col[rr]
-    return pivots.keys()
+    return len(pivots)
 
 
 def _strongly_collapsible(P):
@@ -417,50 +409,23 @@ def _strongly_collapsible(P):
 
 
 def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
-    """Betti numbers over the rationals by exact boundary-matrix ranks.
+    """The rational Betti numbers b_0, ..., b_max_dim of P, after
+    check_face_cap(cap).
 
-    A complex that strong-collapses to a vertex is answered after the face
-    cap, with no face listing and no boundary matrix.  Otherwise the faces
-    are listed and the ranks are first taken over F_p, p = 2**31 - 1.  For
-    every integer matrix the rank over F_p is at most the rank over Q, so
-    every F_p Betti number is at least the rational one.  When the F_p Betti
-    numbers are (1, 0, ..., 0) the rational ones are therefore the same,
-    since b_0 >= 1 on a nonempty complex, and they are returned.  Any other
-    answer, including that of the empty complex, is recomputed by exact
-    elimination over Q.
-
-    Both passes reduce from dimension max_dim + 1, the highest rank a Betti
-    number up to max_dim reads (above the dimension of P the boundary maps
-    have no columns), down with clearing: a reduced column of the
-    boundary of (k+1)-chains with pivot row i is a k-cycle whose largest
-    simplex is i, so column i of the boundary of k-chains depends on
-    earlier columns and is skipped.  That holds over any field.
+    A complex that strong-collapses to a vertex has those of a point, found
+    with no face listing and no boundary matrix.  Any other is answered by
+    one exact rank over the rationals per boundary map, from dimension
+    max_dim + 1, the highest a Betti number up to max_dim reads, down.
     """
     P.check_face_cap(cap)
-    acyclic = (1,) + (0,) * max_dim
     if max_dim >= 0 and _strongly_collapsible(P):
-        return acyclic
+        return (1,) + (0,) * max_dim
     faces = P.faces(cap)
-    pos = {k: {s: i for i, s in enumerate(ss)} for k, ss in faces.items()}
-
-    @cache
-    def boundary_columns(k):
-        # columns of the boundary map from k-chains to (k-1)-chains
-        lower = pos.get(k - 1, {})
-        return [{lower[s[:j] + s[j + 1:]]: -1 if j % 2 else 1
-                 for j in range(len(s))}
-                for s in faces.get(k, [])]
-
-    def betti(p):
-        ranks = {}
-        cleared = ()
-        for k in range(max_dim + 1, 0, -1):
-            pivot_rows = _pivot_rows(boundary_columns(k), cleared, p)
-            ranks[k] = len(pivot_rows)
-            cleared = set(pivot_rows)
-        return tuple(len(faces.get(k, [])) - ranks.get(k, 0)
-                     - ranks.get(k + 1, 0) for k in range(max_dim + 1))
-
-    if betti(_P) == acyclic:
-        return acyclic
-    return betti(0)
+    rank = {0: 0}
+    for k in range(max_dim + 1, 0, -1):
+        lower = {s: i for i, s in enumerate(faces.get(k - 1, []))}
+        rank[k] = _rank([{lower[s[:j] + s[j + 1:]]: -1 if j % 2 else 1
+                          for j in range(len(s))}
+                         for s in faces.get(k, [])])
+    return tuple(len(faces.get(k, [])) - rank[k] - rank[k + 1]
+                 for k in range(max_dim + 1))

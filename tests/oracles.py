@@ -819,7 +819,7 @@ def contraction_measure(d0, large_at, K):
 
 def rational_rank(columns):
     """Rank of a sparse matrix given as columns {row: Fraction}, by plain
-    elimination on the smallest row: no clearing, no modular pass."""
+    elimination on the smallest row (rips._rank reduces on the largest)."""
     pivots = {}
     rank = 0
     for col in columns:

@@ -64,8 +64,8 @@ class TestBuildCfTheta:
 
     def test_fills_only_the_endpoint_rows(self, monkeypatch):
         # a flow line reads the rows of its two endpoints alone; the other
-        # two BFS are the connectivity checks of build_cf_theta and of the
-        # block scan of slimness_delta
+        # two BFS are the connectivity checks of build_cf_theta and of
+        # slimness_constant
         g = path_graph(40)
         sub = barycentric_subdivision(g)
         ends = [sub.ve_vertices()[0], sub.ve_vertices()[-1]]

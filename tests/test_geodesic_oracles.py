@@ -30,7 +30,6 @@ from coarsecover.graphs import (
     geodesic_counts,
     make_graph,
     slimness_constant,
-    slimness_delta,
 )
 from coarsecover.rips import SmallPairRelation
 from coarsecover.symmetry import close_group, is_automorphism
@@ -86,10 +85,11 @@ def test_rows_filled_on_first_read_match_the_eager_reference(g, data):
         for _ in index.dist:
             pass
     if g.is_connected():
-        assert slimness_delta(g) == slimness_delta(g, reference)
+        assert slimness_constant(g).delta == \
+            slimness_constant(g, reference).delta
     else:
         with pytest.raises(ValueError, match="connected"):
-            slimness_delta(g)
+            slimness_constant(g)
 
 
 @SETTINGS
@@ -186,7 +186,6 @@ def test_glued_blocks_match_brute(g):
     the witness triple may span blocks."""
     assert theta3(g).nontrivial == theta3_brute(g)
     _check_slimness(g)
-    assert slimness_delta(g) == slimness_constant(g).delta
 
 
 @settings(max_examples=25, deadline=None)

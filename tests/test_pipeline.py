@@ -20,7 +20,7 @@ from coarsecover.corpus import (
 from coarsecover.covers import CoverMember, PairSpace, Slices, wide_failures
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
-    make_graph, slimness_constant, slimness_delta
+    make_graph, slimness_constant
 from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
     select_theta0
 from coarsecover.rips import contract_subcomplex
@@ -168,8 +168,8 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
 def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
     """Slimness is measured block by block: on a tree the pipeline and the
     flow space's slimness fallback compute no maximin column, and on a K4
-    glued to a long path the delta-only entry computes one per K4
-    vertex, on the K4 alone."""
+    glued to a long path the delta computes one per K4 vertex, on the K4
+    alone."""
     columns = []
     maximin_columns = graphs._maximin_columns
 
@@ -188,7 +188,7 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
     assert columns == []
     k4_path = make_graph(24, [(u, v) for u in range(4) for v in range(u)]
                          + [(v, v + 1) for v in range(3, 23)])
-    assert slimness_delta(k4_path) == 0
+    assert slimness_constant(k4_path).delta == 0
     assert columns == [(4, x) for x in range(4)]
 
 

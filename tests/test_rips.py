@@ -4,7 +4,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsecover import rips
 from coarsecover.angles import AngleSet, all_angles, k_fold_sum, theta3, \
@@ -458,18 +458,18 @@ class TestContractionClauses:
             contract_subcomplex([0, 3], g, 4, all_angles(g), 0, index=index)
 
 
-def record_fields(monkeypatch):
-    """Patch rips._pivot_rows to record the field p of every call; the
-    list it returns fills as the reduction runs."""
-    fields = []
-    real_pivot_rows = rips._pivot_rows
+def count_ranks(monkeypatch):
+    """Patch rips._rank, the rational rank, to count its calls; the list it
+    returns gains one entry per call."""
+    calls = []
+    real_rank = rips._rank
 
-    def counted(columns, cleared, p):
-        fields.append(p)
-        return real_pivot_rows(columns, cleared, p)
+    def counted(columns):
+        calls.append(1)
+        return real_rank(columns)
 
-    monkeypatch.setattr(rips, "_pivot_rows", counted)
-    return fields
+    monkeypatch.setattr(rips, "_rank", counted)
+    return calls
 
 
 class TestHomologyExactness:
@@ -481,10 +481,10 @@ class TestHomologyExactness:
         P = SimplicialComplex(tuple(range(6)),
                               tuple(frozenset(f) for f in faces))
         # acyclic but not contractible, so no strong collapse answers it:
-        # the F_p pass must, with no rational fallback
-        fields = record_fields(monkeypatch)
+        # the rational ranks must
+        ranks = count_ranks(monkeypatch)
         assert homology_oracle(P, 2) == (1, 0, 0)
-        assert set(fields) == {rips._P}
+        assert ranks
 
     def test_torus_like_band(self):
         # two disjoint circles wedge-free: independent cycles add up
@@ -527,24 +527,14 @@ def test_homology_matches_the_rational_reference(monkeypatch):
 
 def test_homology_matches_the_rational_reference_without_collapse(
         monkeypatch):
-    # the F_p pass alone must then answer every acyclic complex
+    # the rational ranks alone must then answer every complex
     monkeypatch.setattr(rips, "_strongly_collapsible", lambda P: False)
     check_rational_reference(monkeypatch)
 
 
 def check_rational_reference(monkeypatch):
-    # p = 2**31 - 1 divides no torsion order of a flag complex this small,
-    # so the F_p Betti numbers equal the rational ones and the fast paths
-    # must answer exactly the acyclic complexes
-    fallbacks = []
-    real_pivot_rows = rips._pivot_rows
-
-    def counted(columns, cleared, p):
-        if p == 0:
-            fallbacks.append(1)
-        return real_pivot_rows(columns, cleared, p)
-
-    monkeypatch.setattr(rips, "_pivot_rows", counted)
+    # the ranks run exactly when the strong collapse does not answer
+    ranks = count_ranks(monkeypatch)
     seen = set()
 
     @settings(max_examples=150, deadline=None)
@@ -552,11 +542,10 @@ def check_rational_reference(monkeypatch):
     def check(case):
         P, max_dim = case
         want = rational_betti(P, max_dim)
-        before = len(fallbacks)
+        before = len(ranks)
         assert homology_oracle(P, max_dim) == want
-        acyclic = want == (1,) + (0,) * max_dim
-        assert (len(fallbacks) == before) == acyclic
-        seen.add(acyclic)
+        assert (len(ranks) == before) == rips._strongly_collapsible(P)
+        seen.add(want == (1,) + (0,) * max_dim)
 
     check()
     assert seen == {True, False}
@@ -564,12 +553,24 @@ def check_rational_reference(monkeypatch):
 
 @st.composite
 def unequal_complexes(draw):
-    """Complexes on up to 8 vertices given by maximal simplices of unequal
-    sizes; not flag complexes in general."""
-    drawn = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1),
-                          min_size=2, max_size=5))
+    """Complexes on up to 8 vertices given by 2 to 5 maximal simplices of
+    unequal sizes; not flag complexes in general.  L, the first k of a
+    vertex order, and a smaller S holding the next vertex are incomparable,
+    and each of up to 3 further sets loses a vertex of L and one of S, so
+    no set drawn strictly holds L or S: both stay maximal.  Sets are drawn
+    as lists, since sets of distinct draws from 8 values are often
+    rejected."""
+    vertex = st.integers(0, 7)
+    order = draw(st.permutations(range(8)))
+    k = draw(st.integers(2, 7))
+    L = frozenset(order[:k])
+    S = frozenset([order[k]]
+                  + draw(st.lists(st.sampled_from(order), max_size=k - 2)))
+    drawn = [L, S]
+    for f in draw(st.lists(st.lists(vertex, min_size=1), max_size=3)):
+        drawn.append(frozenset(f) - {draw(st.sampled_from(sorted(L))),
+                                     draw(st.sampled_from(sorted(S)))})
     maximal = {s for s in drawn if not any(s < t for t in drawn)}
-    assume(len({len(s) for s in maximal}) > 1)
     return SimplicialComplex(tuple(sorted(frozenset().union(*maximal))),
                              tuple(sorted(maximal, key=sorted)))
 
@@ -613,7 +614,7 @@ class TestStrongCollapse:
         assert rational_betti(P, max_dim) == want
 
     def test_criterion_06_complexes_need_no_reduction(self, monkeypatch):
-        fields = record_fields(monkeypatch)
+        ranks = count_ranks(monkeypatch)
         for name, g, d in rips_instances():
             index = GeodesicIndex(g)
             theta = k_fold_sum(theta3(g, index=index), 7)
@@ -621,7 +622,7 @@ class TestStrongCollapse:
             max_dim = max(P.dimension, 0)
             assert homology_oracle(P, max_dim, cap=5000) == \
                 (1,) + (0,) * max_dim, name
-        assert fields == []
+        assert ranks == []
 
 
 class TestStatsParity:
