@@ -3,10 +3,10 @@
 Modules
 -------
 graphs    finite graphs, distance rows and geodesics, biconnected blocks,
-          slimness, circuits, subdivision
+          slimness, fineness, subdivision
 symmetry  automorphism groups, word metrics, families, equivariant subsets
 angles    angle sets, corner sizes, chain metrics, the lemma battery
-covers    pair spaces, doubling checks, greedy covers, metric extension
+covers    pair spaces, doubling checks, greedy covers and their verification
 flow      coarse flow spaces, their covers, pullbacks and wideness scans
 cones     cone-point covers and the covering dichotomy
 rips      relative Rips complexes, contraction traces, rational homology
@@ -22,7 +22,6 @@ from .graphs import (
     SlimnessReport,
     Subdivision,
     barycentric_subdivision,
-    circuits_through_edge,
     geodesic_dag,
     load_graph,
     make_graph,
@@ -52,8 +51,6 @@ from .covers import (
     Cover,
     PairSpace,
     doubling_check,
-    extend_cover,
-    extend_open,
     greedy_cover,
     minimal_doubling_constant,
     pair_space,

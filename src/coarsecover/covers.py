@@ -119,8 +119,11 @@ def pair_space(v_points, fibers, dist, group: GroupModel,
 
 @dataclass(frozen=True)
 class DoublingReport:
-    ok: bool
     witness: tuple = None  # (alpha, center, separated_points) on failure
+
+    @property
+    def ok(self):
+        return self.witness is None
 
 
 def _dense_distances(points, dist_fn):
@@ -178,10 +181,10 @@ def doubling_check(points, dist_fn, D, R) -> DoublingReport:
     pts = sorted(points)
     hit = _violating_set(pts, _dense_distances(pts, dist_fn), D + 1, R)
     if hit is None:
-        return DoublingReport(True)
+        return DoublingReport()
     sel, sep, rad, center = hit
     alpha = max(R, rad / 2)
-    return DoublingReport(False, (alpha, center, tuple(sel)))
+    return DoublingReport((alpha, center, tuple(sel)))
 
 
 def minimal_doubling_constant(points, dist_fn, R) -> int:
@@ -506,11 +509,11 @@ def _meets(a, b):
 
 @dataclass(frozen=True)
 class CoverReport:
-    ok: bool
-    long: bool
-    invariant: bool
-    f_subsets: bool
-    failures: tuple
+    failures: tuple  # (kind, detail), at most one of each kind
+
+    @property
+    def ok(self):
+        return not self.failures
 
 
 def verify_cover(cover: Cover, space: PairSpace, alpha,
@@ -540,22 +543,18 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
         bad = _not_long(space.dist, alpha, fiber, held)
         if bad and (least is None or (bad[0], min(zs)) < least):
             least = (bad[0], min(zs))
-    long_ok = least is None
-    if not long_ok:
+    if least is not None:
         failures.append(("not-long", least))
 
     G = space.group
     _check_generators(G)
     translate = _translator(space)
-    inv_ok = True
     set_pool = set(sets)
     for s in G.generators:
         if any(translate(s, m) not in set_pool for m in set_pool):
-            inv_ok = False
             failures.append(("not-invariant", s))
             break
 
-    f_ok = True
     checked = {}  # translate of a checked member -> (t, member's stabilizer)
     for idx, m in enumerate(sets):
         if not m:
@@ -568,60 +567,9 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
                   and family.contains(stab, G))
             checked.update((W, (t, stab)) for W, t in orbit.items())
         if not ok:
-            f_ok = False
             failures.append(("not-f-subset", idx))
             break
 
     if order != cover.order:
         failures.append(("order-mismatch", (cover.order, order)))
-    return CoverReport(long_ok and inv_ok and f_ok and order == cover.order,
-                       long_ok, inv_ok, f_ok, tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Metric extension of open sets and covers
-# ---------------------------------------------------------------------------
-
-
-def extend_open(U, X0, X, dist_fn):
-    """U+ = points of X strictly closer to U than to the rest of X0.
-
-    Distances to the empty set are infinite, and an infinite distance never
-    wins the strict comparison, so points infinitely far from everything
-    stay outside.  Restricting U+ to X0 recovers U, and the construction
-    commutes with intersections.
-    """
-    U = frozenset(U)
-    X0 = frozenset(X0)
-    if not U <= X0:
-        raise ValueError("U must be a subset of X0")
-    comp = X0 - U
-    out = set()
-    for x in X:
-        du = min((dist_fn(x, u) for u in U), default=INF)
-        dc = min((dist_fn(x, c) for c in comp), default=INF)
-        if du < dc:
-            out.add(x)
-    return frozenset(out)
-
-
-def extend_cover(cover: Cover, X0, X, dist_fn, G: GroupModel, act) -> Cover:
-    """Member-wise extension from X0 to X; order is preserved exactly.
-
-    X0 and X are sets of v-points.  Z is discrete, so a member is extended
-    slice by slice, each v-set along the metric of V.
-    """
-    X = frozenset(X)
-    for p in G.elements:
-        for x in X:
-            for y in X:
-                if dist_fn(x, y) != dist_fn(act(p, x), act(p, y)):
-                    raise ValueError("metric is not invariant under %r" % (p,))
-    members = tuple(
-        CoverMember(Slices((z, extend_open(vs, X0, X, dist_fn))
-                           for z, vs in m.slices.items()),
-                    m.stabilizer, m.orbit_rep)
-        for m in cover.members)
-    order = cover_order([m.slices for m in members],
-                        {z: X for m in members for z in m.slices})
-    return Cover(members, cover.alpha, order)
+    return CoverReport(tuple(failures))

@@ -54,7 +54,6 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class CoarseFlowSpace:
     sub: Subdivision
-    theta: AngleSet
     delta: int
     endpoints: tuple
     fibers: dict  # (xi-, xi+) -> the admitted midpoints v
@@ -127,7 +126,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
             for key in ((xm, xp), (xp, xm)):
                 lines[key] = line
                 fibers[key] = fiber
-    return CoarseFlowSpace(sub, theta, delta, endpoints, fibers, metric,
+    return CoarseFlowSpace(sub, delta, endpoints, fibers, metric,
                            group, index, lines)
 
 

@@ -163,17 +163,6 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
                       {ids[str(k)]: label for k, label in labels.items()})
 
 
-def graph_to_document(g: Graph) -> dict:
-    doc = {
-        "vertices": g.vertex_count,
-        "edges": [list(e) for e in sorted(g.edges)],
-        "cone_vertices": sorted(g.cone_vertices),
-    }
-    if g.labels:
-        doc["labels"] = {str(k): v for k, v in sorted(g.labels.items())}
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Distances and geodesics
 # ---------------------------------------------------------------------------
@@ -480,18 +469,6 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_circuit(cycle):
-    """Minimal rotation of the lexicographically smaller orientation."""
-    best = None
-    k = len(cycle)
-    for seq in (cycle, cycle[::-1]):
-        for i in range(k):
-            rot = tuple(seq[(i + j) % k] for j in range(k))
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def _closing_paths(g: Graph, u, v, max_len: int):
     """The simple paths from v, avoiding u, of at most max_len - 1 vertices
     that end at a neighbor of u other than v.
@@ -515,19 +492,6 @@ def _closing_paths(g: Graph, u, v, max_len: int):
         else:
             stack.pop()
             on_path.discard(path.pop())
-
-
-def circuits_through_edge(g: Graph, e, max_len: int):
-    """All embedded cycles of length <= max_len containing the edge e.
-
-    Each circuit is reported once, canonicalized by minimal rotation of its
-    lexicographically smaller orientation.
-    """
-    u, v = canon_edge(*e)
-    if (u, v) not in g.edges:
-        raise ValueError("edge %r not in graph" % ((u, v),))
-    return sorted(_canonical_circuit(p + (u,))
-                  for p in _closing_paths(g, u, v, max_len))
 
 
 def fineness_profile(g: Graph, max_len: int) -> dict:
@@ -591,8 +555,8 @@ def barycentric_subdivision(g: Graph) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 
-def graph_to_dot(g: Graph, name="g") -> str:
-    lines = ["graph %s {" % name]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph g {"]
     for v in g.vertices:
         attrs = []
         if v in g.cone_vertices:
@@ -607,8 +571,8 @@ def graph_to_dot(g: Graph, name="g") -> str:
     return "\n".join(lines) + "\n"
 
 
-def dag_to_dot(edges, name="dag") -> str:
-    lines = ["digraph %s {" % name]
+def dag_to_dot(edges) -> str:
+    lines = ["digraph dag {"]
     for u, w in edges:
         lines.append("  %d -> %d;" % (u, w))
     lines.append("}")

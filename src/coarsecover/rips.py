@@ -19,6 +19,8 @@ from .angles import AngleSet, SmallnessOracle, canonical_angle, k_fold_sum, \
     small_steps, theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
+FACE_CAP = 200000  # the most distinct simplices a face enumeration holds
+
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -48,11 +50,7 @@ class SimplicialComplex:
                 sub = (sub - 1) & top
         return vs, masks
 
-    def check_face_cap(self, cap):
-        """Raise CapExceeded past cap distinct simplices."""
-        self.face_masks(cap)
-
-    def faces(self, cap=200000):
+    def faces(self, cap=FACE_CAP):
         """Each dimension k mapped to the sorted list of the sorted
         (k+1)-tuples spanning a simplex, read off face_masks(cap)."""
         vs, masks = self.face_masks(cap)
@@ -140,14 +138,14 @@ def build_rips(g: Graph, d, theta: AngleSet,
     return _clique_complex(g.vertices, rel.near)
 
 
-def complex_stats(P: SimplicialComplex, cap=200000) -> dict:
+def complex_stats(P: SimplicialComplex) -> dict:
     """Dimension, simplex counts per dimension, and the largest number of
     simplices strictly containing any single simplex.  A simplex strictly
     containing s contains each vertex of s and is not that vertex, so the
     largest count is reached at a vertex: the simplices holding it, less
-    the vertex itself.  Both counts are read off face_masks(cap), by bit
-    count and by bit."""
-    masks = P.face_masks(cap)[1]
+    the vertex itself.  Both counts are read off face_masks(FACE_CAP), by
+    bit count and by bit."""
+    masks = P.face_masks(FACE_CAP)[1]
     by_dim = Counter(m.bit_count() - 1 for m in masks)
     holding = Counter(i for m in masks for i in _bits(m))
     return {
@@ -408,16 +406,16 @@ def _strongly_collapsible(P):
     return left == 1
 
 
-def homology_oracle(P: SimplicialComplex, max_dim, cap=200000):
+def homology_oracle(P: SimplicialComplex, max_dim, cap=FACE_CAP):
     """The rational Betti numbers b_0, ..., b_max_dim of P, after
-    check_face_cap(cap).
+    face_masks(cap) checks the face cap.
 
     A complex that strong-collapses to a vertex has those of a point, found
     with no face listing and no boundary matrix.  Any other is answered by
     one exact rank over the rationals per boundary map, from dimension
     max_dim + 1, the highest a Betti number up to max_dim reads, down.
     """
-    P.check_face_cap(cap)
+    P.face_masks(cap)
     if max_dim >= 0 and _strongly_collapsible(P):
         return (1,) + (0,) * max_dim
     faces = P.faces(cap)

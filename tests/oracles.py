@@ -15,11 +15,12 @@ from pathlib import Path
 
 from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum, theta3
 from coarsecover.cones import ConeSet, interior_certificate
-from coarsecover.covers import doubling_check, minimal_doubling_constant, \
-    minimal_doubling_radius, pair_space
+from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
+    doubling_check, minimal_doubling_constant, minimal_doubling_radius, \
+    pair_space
 from coarsecover.flow import build_cf_theta
-from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, bfs_row, \
-    canon_edge, circuits_through_edge, make_graph
+from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
+    _closing_paths, bfs_row, canon_edge, make_graph
 from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
     subgroup_generated, trivial_group
 
@@ -53,6 +54,17 @@ def distance_matrix(g):
     front; disconnected pairs map to math.inf.  The eager reference for
     GeodesicIndex's rows, which are filled on first read."""
     return [bfs_row(g, s) for s in g.vertices]
+
+
+def graph_to_document(g: Graph) -> dict:
+    doc = {
+        "vertices": g.vertex_count,
+        "edges": [list(e) for e in sorted(g.edges)],
+        "cone_vertices": sorted(g.cone_vertices),
+    }
+    if g.labels:
+        doc["labels"] = {str(k): v for k, v in sorted(g.labels.items())}
+    return doc
 
 
 def all_simple_shortest_paths(g, u, v):
@@ -577,6 +589,60 @@ def greedy_cover_reference(space, alpha, basis):
                        for m, stab, first in members), alpha, order)
 
 
+def failed(report):
+    """The failure kinds of a CoverReport, as a set."""
+    return {kind for kind, _ in report.failures}
+
+
+# ---------------------------------------------------------------------------
+# Metric extension of open sets and covers
+# ---------------------------------------------------------------------------
+
+
+def extend_open(U, X0, X, dist_fn):
+    """U+ = points of X strictly closer to U than to the rest of X0.
+
+    Distances to the empty set are infinite, and an infinite distance never
+    wins the strict comparison, so points infinitely far from everything
+    stay outside.  Restricting U+ to X0 recovers U, and the construction
+    commutes with intersections.
+    """
+    U = frozenset(U)
+    X0 = frozenset(X0)
+    if not U <= X0:
+        raise ValueError("U must be a subset of X0")
+    comp = X0 - U
+    out = set()
+    for x in X:
+        du = min((dist_fn(x, u) for u in U), default=INF)
+        dc = min((dist_fn(x, c) for c in comp), default=INF)
+        if du < dc:
+            out.add(x)
+    return frozenset(out)
+
+
+def extend_cover(cover: Cover, X0, X, dist_fn, G: GroupModel, act) -> Cover:
+    """Member-wise extension from X0 to X; order is preserved exactly.
+
+    X0 and X are sets of v-points.  Z is discrete, so a member is extended
+    slice by slice, each v-set along the metric of V.
+    """
+    X = frozenset(X)
+    for p in G.elements:
+        for x in X:
+            for y in X:
+                if dist_fn(x, y) != dist_fn(act(p, x), act(p, y)):
+                    raise ValueError("metric is not invariant under %r" % (p,))
+    members = tuple(
+        CoverMember(Slices((z, extend_open(vs, X0, X, dist_fn))
+                           for z, vs in m.slices.items()),
+                    m.stabilizer, m.orbit_rep)
+        for m in cover.members)
+    order = cover_order([m.slices for m in members],
+                        {z: X for m in members for z in m.slices})
+    return Cover(members, cover.alpha, order)
+
+
 # ---------------------------------------------------------------------------
 # The chain metric by its definition, over geodesics found by DFS, and the
 # observer basis sets (finite shadows) on the library's distance rows
@@ -756,6 +822,31 @@ def validate_family(family, G):
         for K in all_subgroups(sub_model):
             if K not in listed:
                 raise ValueError("family not closed under subgroups")
+
+
+def _canonical_circuit(cycle):
+    """Minimal rotation of the lexicographically smaller orientation."""
+    best = None
+    k = len(cycle)
+    for seq in (cycle, cycle[::-1]):
+        for i in range(k):
+            rot = tuple(seq[(i + j) % k] for j in range(k))
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def circuits_through_edge(g: Graph, e, max_len: int):
+    """All embedded cycles of length <= max_len containing the edge e.
+
+    Each circuit is reported once, canonicalized by minimal rotation of its
+    lexicographically smaller orientation.
+    """
+    u, v = canon_edge(*e)
+    if (u, v) not in g.edges:
+        raise ValueError("edge %r not in graph" % ((u, v),))
+    return sorted(_canonical_circuit(p + (u,))
+                  for p in _closing_paths(g, u, v, max_len))
 
 
 def theta3_circuit_bound_brute(g, theta3set, delta):

@@ -31,8 +31,6 @@ from coarsecover.covers import (
     CoverMember,
     cover_order,
     doubling_check,
-    extend_cover,
-    extend_open,
     greedy_cover,
     minimal_doubling_constant,
     pair_space,
@@ -48,8 +46,9 @@ from coarsecover.graphs import (
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
-from oracles import default_basis, distance_matrix, fibers_of, flow_space, \
-    pairs_of, trivial_pair_space, validate_pair_space
+from oracles import default_basis, distance_matrix, extend_cover, \
+    extend_open, fibers_of, flow_space, pairs_of, trivial_pair_space, \
+    validate_pair_space
 
 
 def report(number, detail):

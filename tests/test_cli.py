@@ -10,8 +10,8 @@ import coarsecover
 from coarsecover.cli import main
 from coarsecover.corpus import barbell, cycle_graph, grid_graph, path_graph, \
     spider, spider_rotation, triangle_caterpillar, wedge_of_cycles
-from coarsecover.graphs import biconnected_blocks, graph_to_document, \
-    make_graph
+from coarsecover.graphs import biconnected_blocks, make_graph
+from oracles import graph_to_document
 
 
 @pytest.fixture

@@ -22,7 +22,8 @@ import pytest
 
 from coarsecover.cli import main
 from coarsecover.corpus import path_graph, random_tree, spider, spider_rotation
-from coarsecover.graphs import graph_to_document, make_graph
+from coarsecover.graphs import make_graph
+from oracles import graph_to_document
 
 GRAPHS = {
     "path8": (path_graph(8), None),

@@ -23,7 +23,7 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
 from oracles import all_subgroups, cover_order_brute, default_basis, \
-    doubling_scan_oracle, fiber_basis_brute, fibers_of, \
+    doubling_scan_oracle, failed, fiber_basis_brute, fibers_of, \
     greedy_cover_reference, pairs_of, trivial_pair_space, \
     verify_cover_definitional
 
@@ -124,22 +124,23 @@ def _members(space, sets):
 
 def _agrees(cover, space, alpha, family):
     rep = verify_cover(cover, space, alpha, family)
+    kinds = failed(rep)
     sets = [m.points for m in cover.members]
     order, not_long, invariant, not_f = verify_cover_definitional(
         sets, space, alpha, family)
     assert cover.order == order
-    assert not any(kind == "order-mismatch" for kind, _ in rep.failures)
-    assert rep.long == (not_long is None)
+    assert "order-mismatch" not in kinds
+    assert ("not-long" not in kinds) == (not_long is None)
     if not_long is not None:
         assert ("not-long", not_long) in rep.failures
-    assert rep.invariant == invariant
+    assert ("not-invariant" not in kinds) == invariant
     if not invariant:
         (s,) = [p for kind, p in rep.failures if kind == "not-invariant"]
         assert s in space.group.generators
-    assert rep.f_subsets == (not_f is None)
+    assert ("not-f-subset" not in kinds) == (not_f is None)
     if not_f is not None:
         assert ("not-f-subset", not_f) in rep.failures
-    assert rep.ok == (rep.long and invariant and not_f is None)
+    assert rep.ok == (not_long is None and invariant and not_f is None)
 
 
 @st.composite

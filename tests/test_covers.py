@@ -17,8 +17,6 @@ from coarsecover.covers import (
     CoverMember,
     cover_order,
     doubling_check,
-    extend_cover,
-    extend_open,
     fiber_basis,
     greedy_cover,
     minimal_doubling_constant,
@@ -30,9 +28,9 @@ from coarsecover.graphs import INF, make_graph
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, close_group, compose, trivial_group
 from oracles import cover_order_brute, default_basis, distance_matrix, \
-    fibers_of, greedy_cover_reference, pairs_of, separated_sets_brute, \
-    trivial_pair_space, validate_family, validate_pair_space, \
-    verify_cover_definitional
+    extend_cover, extend_open, failed, fibers_of, greedy_cover_reference, \
+    pairs_of, separated_sets_brute, trivial_pair_space, validate_family, \
+    validate_pair_space, verify_cover_definitional
 
 
 def line_metric(n):
@@ -120,7 +118,7 @@ class TestGreedyCover:
         validate_pair_space(sp)
         cov = greedy_cover(sp, 1, default_basis(sp))
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
-        assert rep.ok and rep.invariant and rep.f_subsets
+        assert failed(rep) == set()
 
     def test_determinism(self):
         sp = build_space(9)
@@ -213,7 +211,7 @@ class TestGreedyCover:
         sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
         cov = greedy_cover(sp, 1, fiber_basis(sp, 1))
         rep = verify_cover(cov, sp, 1, TRIVIAL_ONLY)
-        assert not rep.f_subsets
+        assert "not-f-subset" in failed(rep)
 
 
 class TestVerifyCover:
@@ -232,8 +230,7 @@ class TestVerifyCover:
         pruned = Cover(kept, cov.alpha,
                        cover_order([m.slices for m in kept], sp.fibers))
         rep = verify_cover(pruned, sp, 1, ALL_SUBGROUPS)
-        assert not rep.long
-        assert any(kind == "not-long" for kind, _ in rep.failures)
+        assert "not-long" in failed(rep)
 
 
     def test_negative_alpha_rejected(self):
@@ -244,7 +241,7 @@ class TestVerifyCover:
                              frozenset([sp.group.identity]), True)
         cov = Cover((member,), 0, 0)
         rep = verify_cover(cov, sp, 0, ALL_SUBGROUPS)
-        assert not rep.ok and not rep.long
+        assert "not-long" in failed(rep)
         with pytest.raises(ValueError, match="nonnegative"):
             verify_cover(cov, sp, -1, ALL_SUBGROUPS)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -259,7 +256,7 @@ class TestVerifyCover:
         rep = verify_cover(replace(cov, order=cov.order + 1), sp, 1,
                            ALL_SUBGROUPS)
         assert not rep.ok
-        assert rep.long and rep.invariant and rep.f_subsets
+        assert failed(rep) == {"order-mismatch"}
         assert rep.failures == (("order-mismatch",
                                  (cov.order + 1, cov.order)),)
 
@@ -297,7 +294,7 @@ class TestVerifyCoverPerFiber:
         sp = build_space(3, z_points=("a", "b"))
         sets = [over("a", (0, 1, 2)) | over("b", (0, 1)), over("b", (2,))]
         rep = verify_cover(cover_of(sp, sets), sp, 1, ALL_SUBGROUPS)
-        assert not rep.long
+        assert failed(rep) == {"not-long"}
         assert rep.failures == (("not-long", (1, "b")),)
 
     def test_two_slices_neither_holding_the_fiber(self):
@@ -606,7 +603,7 @@ class TestOrbitWalks:
         points = sorted(pairs_of(sp))
         rep = verify_cover(singleton_cover(sp, points[:4] + points[5:]), sp,
                            0, ALL_SUBGROUPS)
-        assert not rep.invariant and not rep.ok
+        assert "not-invariant" in failed(rep)
         (named,) = [p for kind, p in rep.failures if kind == "not-invariant"]
         assert named in sp.group.generators
 
@@ -615,7 +612,7 @@ class TestOrbitWalks:
         sp = dihedral_space(6, FREE)
         points = [(k, (k, (k + 1) % 6)) for k in range(6)]
         rep = verify_cover(singleton_cover(sp, points), sp, 0, ALL_SUBGROUPS)
-        assert not rep.invariant
+        assert "not-invariant" in failed(rep)
         assert ("not-invariant", cycle_reflection(6)) in rep.failures
 
     def test_member_meeting_its_translate_at_a_non_representative_slot(self):
@@ -631,7 +628,7 @@ class TestOrbitWalks:
         order = cover_order([m.slices for m in members], sp.fibers)
         rep = verify_cover(Cover(tuple(members), 0, order), sp, 0,
                            ALL_SUBGROUPS)
-        assert not rep.f_subsets
+        assert "not-f-subset" in failed(rep)
         assert ("not-f-subset", 5) in rep.failures
 
     def test_unclosed_family_fails_on_a_non_representative(self):
@@ -646,7 +643,7 @@ class TestOrbitWalks:
             validate_family(family, G)
         cov = singleton_cover(sp, [(v, "z") for v in range(6)])
         rep = verify_cover(cov, sp, 0, family)
-        assert rep.long and rep.invariant and not rep.f_subsets
+        assert failed(rep) == {"not-f-subset"}
         assert rep.failures == (("not-f-subset", 1),)
         assert verify_cover(cov, sp, 0, ALL_SUBGROUPS).ok
 

@@ -23,8 +23,8 @@ from coarsecover.corpus import (
     spider_rotation,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember, doubling_check, \
-    slices_of
+from coarsecover.covers import Cover, CoverMember, cover_order, \
+    doubling_check, slices_of, verify_cover
 from coarsecover.flow import (
     ball_closed_targets,
     cf_doubling_report,
@@ -37,9 +37,9 @@ from coarsecover.flow import (
 )
 from coarsecover import graphs
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
-from coarsecover.pipeline import build_instance
-from coarsecover.symmetry import close_group
-from oracles import flow_space, pairs_of, star_metric, \
+from coarsecover.pipeline import build_instance, run_pipeline
+from coarsecover.symmetry import ALL_SUBGROUPS, close_group
+from oracles import failed, flow_space, pairs_of, star_metric, \
     theta_small_paths_brute
 
 
@@ -192,24 +192,24 @@ class TestFiberSymmetry:
         theta = all_angles(g) if use_all else k_fold_sum(t3, 2)
         ve = sub.ve_vertices()
         self.check(flow_space(sub, theta, ve[::max(1, len(ve) // 8)][:10],
-                              theta3_set=t3))
+                              theta3_set=t3), theta)
 
     def test_group_instance_fibers_are_symmetric(self):
         g = cycle_graph(8)
         inst = build_instance(g, close_group(
             g, [cyclic_rotation(8), cycle_reflection(8)]))
-        self.check(flow_space(inst.sub, k_fold_sum(inst.t3, 2),
-                              inst.sub.ve_vertices(),
+        theta = k_fold_sum(inst.t3, 2)
+        self.check(flow_space(inst.sub, theta, inst.sub.ve_vertices(),
                               group=inst.sub_group, index=inst.index,
-                              theta3_set=inst.t3))
+                              theta3_set=inst.t3), theta)
 
     @staticmethod
-    def check(cf):
+    def check(cf, theta):
         for (a, b), fiber in cf.fibers.items():
             assert fiber == cf.fibers[(b, a)]
             assert cf.lines[(a, b)] == cf.lines[(b, a)]
         # built on each ordered pair on its own
-        oracle = SmallnessOracle(cf.sub, cf.theta)
+        oracle = SmallnessOracle(cf.sub, theta)
         steps = {x: small_steps(cf.index, oracle, x) for x in cf.endpoints}
         lines = {(a, b): small_carriers(cf.index, steps[a], steps[b], a, b)
                  for a in cf.endpoints for b in cf.endpoints if a != b}
@@ -420,6 +420,34 @@ class TestWidenessScan:
         scan = wideness_scan(cf, empty, 0, targets, range(0, 2), v0)
         assert not scan.ok and scan.witness
         assert scan.cover is None
+
+    def test_dropping_one_flow_cover_member(self):
+        # the pipeline's 9-member flow cover of path_graph(10): dropping
+        # member 0 breaks longness and wideness at every tau, members 3-6
+        # longness alone, and members 1, 2, 7 and 8 are redundant
+        res = run_pipeline(path_graph(10), alpha=1, tau_max=4,
+                           theta0_mode="all")
+        inst, cf = res.instance, res.artifacts["cf"]
+        cov = res.artifacts["flow_cover"]
+        space = cf_pair_space(cf)
+        targets = ball_closed_targets(cf, inst.v0, 1, inst.boundary)
+        assert len(cov) == 9 and len(targets) == 8
+        outcomes = []
+        for i in range(len(cov)):
+            kept = cov.members[:i] + cov.members[i + 1:]
+            pruned = Cover(kept, cov.alpha, cover_order(
+                [m.slices for m in kept], space.fibers))
+            rep = verify_cover(pruned, space, cov.alpha, ALL_SUBGROUPS)
+            scan = wideness_scan(cf, pruned, 1, targets, range(0, 5),
+                                 inst.v0)
+            outcomes.append((failed(rep), scan.passing_tau,
+                             {why for _, _, why in scan.witness}))
+        long_only = ({"not-long"}, 0, set())
+        redundant = (set(), 0, set())
+        assert outcomes == [({"not-long"}, None, {"no wide member"}),
+                            redundant, redundant,
+                            long_only, long_only, long_only, long_only,
+                            redundant, redundant]
 
     def test_equivariant_cycle_scan(self):
         g = cycle_graph(12)

@@ -19,11 +19,9 @@ from coarsecover.corpus import (
 )
 from coarsecover.graphs import (
     INF,
-    _canonical_circuit,
     GeodesicIndex,
     GraphFormatError,
     barycentric_subdivision,
-    circuits_through_edge,
     dag_to_dot,
     fineness_profile,
     geodesic_counts,
@@ -34,7 +32,8 @@ from coarsecover.graphs import (
     make_graph,
     slimness_constant,
 )
-from oracles import all_simple_shortest_paths, distance_matrix, \
+from oracles import _canonical_circuit, all_simple_shortest_paths, \
+    circuits_through_edge, distance_matrix, graph_to_document, \
     slimness_brute, slimness_min_over_sides
 
 
@@ -73,7 +72,6 @@ class TestLoadGraph:
             g.require_cone_separation()
 
     def test_roundtrip(self):
-        from coarsecover.graphs import graph_to_document
         g = load_graph({"vertices": 4, "edges": [[0, 1], [2, 3]],
                         "labels": {"0": "a"}})
         doc = graph_to_document(g)

@@ -5,9 +5,12 @@ src/coarsecover (corpus.py, the seeded instance generators, aside), the
 fields of its dataclasses and the attributes that plain classes set in
 __init__.  A function counts as read when its name is loaded anywhere in
 src/coarsecover or perfbench/ (perfbench's own test_*.py files aside), a
-method or field when an attribute of that name is loaded there.  Names are matched by spelling, not by type, so a
-dead field sharing its name with a live attribute of another class (graph,
-theta) escapes the scan; what it does flag is unread outside tests.
+method or field when an attribute of that name is loaded there.  An
+attribute loaded on the name args, the argparse namespace of cli.py, is an
+option and not a read, so args.theta does not keep a field theta alive.
+Names are matched by spelling, not by type, so a dead field sharing its
+name with a live attribute of another class (graph, delta) escapes the
+scan; what it does flag is unread outside tests.
 
 A second scan flags a parameter that defaults to None although every call
 in those program files passes it: its None branch runs only in tests.
@@ -25,13 +28,6 @@ SRC = ROOT / "src" / "coarsecover"
 # read only by tests, each for a reason
 ALLOWED = {
     "is_F_subset": "perfbench's tracer wraps it by name",
-    "extend_cover": "acceptance criterion 07 checks the extension identities",
-    "graph_to_document": "the writer of the schema that load_graph reads",
-    "CoverReport.long": "a verdict of verify_cover, folded into ok",
-    "CoverReport.invariant": "a verdict of verify_cover, folded into ok",
-    "CoverReport.f_subsets": "a verdict of verify_cover, folded into ok",
-    "circuits_through_edge": "the public circuit listing; fineness_profile "
-                             "counts the paths of the same walk unlisted",
 }
 
 
@@ -48,10 +44,11 @@ def _is_dataclass(cls):
                == "dataclass" for d in cls.decorator_list)
 
 
-def definitions():
-    """(functions, members): name -> file, and "Class.name" -> file."""
+def definitions(src):
+    """(functions, members) defined in the files src: name -> file, and
+    "Class.name" -> file."""
     functions, members = {}, {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in src:
         if path.name == "corpus.py":
             continue
         for node in ast.parse(path.read_text()).body:
@@ -76,33 +73,53 @@ def definitions():
 
 
 def loads(paths):
-    """The names and the attribute names loaded in the given files."""
+    """The names and the attribute names loaded in the given files, the
+    attributes of args, the command line options, left out."""
     names, attrs = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
+                    and isinstance(node.ctx, ast.Load) \
+                    and getattr(node.value, "id", None) != "args":
                 attrs.add(node.attr)
     return names, attrs
 
 
-def test_src_holds_nothing_only_tests_read():
-    functions, members = definitions()
+def unread(src):
+    """The functions and members defined in src that no file of src or
+    of perfbench reads, ALLOWED aside."""
+    functions, members = definitions(src)
     bench = [p for p in (ROOT / "perfbench").glob("*.py")
              if not p.name.startswith("test_")]
-    names, attrs = loads([*SRC.glob("*.py"), *bench])
-    unread = sorted(
+    names, attrs = loads([*src, *bench])
+    return sorted(
         ["%s (%s)" % (f, where) for f, where in functions.items()
          if f not in names | attrs and f not in ALLOWED]
         + ["%s (%s)" % (m, where) for m, where in members.items()
            if m.split(".")[1] not in attrs and m not in ALLOWED])
-    assert not unread, "read by no program file: %s" % ", ".join(unread)
+
+
+def test_src_holds_nothing_only_tests_read():
+    found = unread(sorted(SRC.glob("*.py")))
+    assert not found, "read by no program file: %s" % ", ".join(found)
+
+
+def test_a_restored_dead_field_is_flagged(tmp_path):
+    # CoarseFlowSpace.theta again, which only the options' args.theta spells
+    text = (SRC / "flow.py").read_text()
+    mutant = text.replace("    sub: Subdivision\n",
+                          "    sub: Subdivision\n    theta: AngleSet\n", 1)
+    assert mutant != text
+    (tmp_path / "flow.py").write_text(mutant)
+    src = [tmp_path / "flow.py" if p.name == "flow.py" else p
+           for p in sorted(SRC.glob("*.py"))]
+    assert "CoarseFlowSpace.theta (flow.py)" in unread(src)
 
 
 def test_allowlist_names_exist():
-    functions, members = definitions()
+    functions, members = definitions(sorted(SRC.glob("*.py")))
     assert set(ALLOWED) <= set(functions) | set(members)
 
 
