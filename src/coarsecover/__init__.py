@@ -62,6 +62,7 @@ from .flow import (
     cf_doubling_report,
     cover_cf,
     eligible_targets,
+    expand_cover,
     pullback_cover,
     theta_for_wideness,
     wideness_scan,

@@ -29,6 +29,7 @@ from .flow import (
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
+    expand_cover,
     pullback_cover,
     wideness_scan,
 )
@@ -294,7 +295,7 @@ def cmd_cf(args):
         rep = cf_doubling_report(cf, compute_tightest=True)
         _emit(args, "cf_doubling", rep)
         return 0 if rep["ok"] else 1
-    cover = cover_cf(cf_pair_space(cf), args.alpha)
+    cover = expand_cover(cf, cover_cf(cf_pair_space(cf), args.alpha))
     if args.cf_cmd == "cover":
         _emit(args, "cf_cover", cover_to_document(cover, sub_group))
         return 0

@@ -9,7 +9,8 @@ original units, so every bound here is exact integer arithmetic.
 
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
 set of admitted v.  Both uses read them that way, the doubling report per
-fiber and the cover on the pair space whose z-fibers are these sets.
+fiber and the cover on the pair space whose z-fibers are these sets, one
+z-point per distinct fiber.
 """
 
 from __future__ import annotations
@@ -192,13 +193,29 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
 
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
-    """The flow space as pairs (v, (xi-, xi+)) over the midpoints, with the
-    chain metric's rows; its z-fibers are cf's fibers.  act_z is whole: in
-    the equivariant benchmark every element moves every v-point at most 4
-    alpha', so fiber_basis and the separation check read every row."""
-    act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
+    """The flow space as a pair space over the midpoints, with the chain
+    metric's rows.  Its z-points are the classes of endpoint pairs with
+    equal fibers: a class is named by its least pair and carries that
+    pair's fiber, and act_z[p] maps the class of z to the class of p.z,
+    well defined since fibers are equivariant, V_{p.z} = p.V_z.
+
+    Nothing is lost against one z-point per pair.  fiber_basis's Z_v is a
+    union of whole classes, and subtraction along translates, the cores
+    (which read V_z alone), saturation and the orbit walk each keep a set
+    a union of whole classes.  So every member of the flow cover is
+    constant on each class, and its order, longness, invariance and
+    F-subset verdicts are the same on classes as on pairs; as a class is
+    named by its least pair, so is the least failing (v, z) of a not-long
+    failure.  expand_cover places a class cover on the endpoint pairs.
+    """
+    names = {}  # fiber -> the least endpoint pair over it
+    for z, fiber in cf.fibers.items():
+        if z < names.setdefault(fiber, z):
+            names[fiber] = z
+    fibers = {r: fiber for fiber, r in names.items()}
+    act_z = {p: {r: names[cf.fibers[p[r[0]], p[r[1]]]] for r in fibers}
              for p in cf.group.elements}
-    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric, cf.group,
+    return pair_space(cf.sub.ve_vertices(), fibers, cf.metric, cf.group,
                       act_z)
 
 
@@ -206,9 +223,23 @@ def cover_cf(space: PairSpace, alpha_prime) -> Cover:
     """Long thin cover of the flow space, alpha'-long in the chain metric.
 
     space is cf_pair_space(cf), built once by a caller that also verifies
-    the cover or pulls it back.
+    the cover; the cover is on its fiber classes, see expand_cover.
     """
     return greedy_cover(space, alpha_prime, fiber_basis(space, alpha_prime))
+
+
+def expand_cover(cf: CoarseFlowSpace, cover: Cover) -> Cover:
+    """A cover on cf_pair_space(cf)'s fiber classes as a cover on endpoint
+    pairs: each member's slice over a class is placed on every pair of the
+    class.  Order, stabilizers and orbit_rep flags carry over."""
+    pairs = {}  # fiber -> the endpoint pairs over it
+    for z, fiber in cf.fibers.items():
+        pairs.setdefault(fiber, []).append(z)
+    return Cover(tuple(
+        CoverMember(Slices((z, vs) for r, vs in m.slices.items()
+                           for z in pairs[cf.fibers[r]]),
+                    m.stabilizer, m.orbit_rep)
+        for m in cover.members), cover.alpha, cover.order)
 
 
 # ---------------------------------------------------------------------------

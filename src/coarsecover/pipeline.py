@@ -22,6 +22,7 @@ from .flow import (
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
+    expand_cover,
     theta_for_wideness,
     wideness_scan,
 )
@@ -168,6 +169,7 @@ def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
         "alpha_prime": alpha_prime, "members": len(flow_cover),
         "order": flow_cover.order, "verified": flow_report.ok,
     }
+    flow_cover = expand_cover(cf, flow_cover)
     artifacts["flow_cover"] = flow_cover
     if not flow_report.ok:
         return result(False)

@@ -50,7 +50,7 @@ class SimplicialComplex:
                 sub = (sub - 1) & top
         return vs, masks
 
-    def faces(self, cap=FACE_CAP):
+    def faces(self, cap):
         """Each dimension k mapped to the sorted list of the sorted
         (k+1)-tuples spanning a simplex, read off face_masks(cap)."""
         vs, masks = self.face_masks(cap)

@@ -435,6 +435,16 @@ def trivial_pair_space(v_points, fibers, dist):
                       {G.identity: {z: z for z in fibers}})
 
 
+def endpoint_pair_space(cf):
+    """The flow space as a pair space with one z-point per ordered endpoint
+    pair, whose z-fibers are cf's fibers: the reference for
+    cf_pair_space's fiber classes."""
+    act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
+             for p in cf.group.elements}
+    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric, cf.group,
+                      act_z)
+
+
 def pairs_of(space):
     """The admitted pairs (v, z) of a pair space, read off its fibers."""
     return frozenset((v, z) for z, fiber in space.fibers.items()

@@ -34,7 +34,8 @@ from coarsecover.corpus import (
 )
 from coarsecover.covers import Cover, CoverMember, slices_of
 from coarsecover.graphs import make_graph
-from coarsecover.pipeline import build_instance, select_theta0
+from coarsecover.pipeline import build_instance, run_pipeline, \
+    select_theta0
 from coarsecover.symmetry import close_group, compose
 from oracles import cone_cover_per_apex, cone_member_brute, \
     interior_certificate_brute, perfbench_module
@@ -368,3 +369,24 @@ class TestCombined:
         cone = Cover(tuple(mk(range(10)) for _ in range(3)), None, 2)
         out = combined_cover(cone, flow, dom)
         assert out.order == 7 <= flow.order + 3
+
+    def test_cone_sets_of_order_three_break_the_bound(self):
+        # negative control: on spider-rot the pullback is empty and the
+        # cone sets meet in at most three, order 2 = pull.order + 3; one
+        # more cone member holding every cone pair makes both orders 3
+        _, g, gens, mode, alpha, tau_max = next(
+            case for case in pipeline_instances() if case[0] == "spider-rot")
+        res = run_pipeline(g, gens, alpha=alpha, tau_max=tau_max,
+                           theta0_mode=mode)
+        inst, pull = res.instance, res.artifacts["pullback"]
+        Gs, xi = inst.sub_group, inst.cone_targets()
+        domain = [(ge, x) for ge in Gs.elements for x in xi]
+        cones, _ = cone_cover(inst, select_theta0(inst, alpha, mode), xi)
+        assert res.ok and not pull.members
+        assert res.artifacts["combined"].order == 2 == pull.order + 3
+        union = replace(cones[0], members=frozenset().union(
+            *(c.members for c in cones)))
+        cone_cov = cone_sets_as_cover(list(cones) + [union], Gs, domain)
+        combined = combined_cover(cone_cov, pull, domain)
+        assert cone_cov.order == combined.order == 3
+        assert not combined.order <= pull.order + 3

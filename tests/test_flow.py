@@ -24,13 +24,14 @@ from coarsecover.corpus import (
     wedge_of_cycles,
 )
 from coarsecover.covers import Cover, CoverMember, cover_order, \
-    doubling_check, slices_of, verify_cover
+    doubling_check, fiber_basis, greedy_cover, slices_of, verify_cover
 from coarsecover.flow import (
     ball_closed_targets,
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
     eligible_targets,
+    expand_cover,
     pullback_cover,
     theta_for_wideness,
     wideness_scan,
@@ -39,7 +40,7 @@ from coarsecover import graphs
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group
-from oracles import failed, flow_space, pairs_of, star_metric, \
+from oracles import endpoint_pair_space, failed, flow_space, star_metric, \
     theta_small_paths_brute
 
 
@@ -221,11 +222,17 @@ class TestFiberSymmetry:
         assert cf.fibers == fibers
         assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
                               for v in fiber}
+        # one z-point per fiber class, named by its least pair
         space = cf_pair_space(cf)
-        assert pairs_of(space) == {(v, key) for key, fiber in fibers.items()
-                                   for v in fiber}
-        assert space.fibers == fibers
-        assert all(space.fibers[key] is cf.fibers[key] for key in fibers)
+        names = {}
+        for key in sorted(fibers):
+            names.setdefault(fibers[key], key)
+        assert space.fibers == {r: f for f, r in names.items()}
+        assert all(fibers[key] == space.fibers[names[fibers[key]]]
+                   for key in fibers)
+        assert space.act_z == {
+            p: {r: names[fibers[p[r[0]], p[r[1]]]] for r in space.fibers}
+            for p in cf.group.elements}
         assert space.dist is cf.metric
 
 
@@ -277,7 +284,7 @@ class TestCoverCf:
         g, sub, cf = tree_cf(9)
         diam = max(dv for row in cf.metric.values()
                    for dv in row.values() if dv is not INF)
-        cov = cover_cf(cf_pair_space(cf), diam)
+        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), diam))
         assert cov.order == 0
         sets = [m.points for m in cov.members]
         for z in sorted(cf.fibers):
@@ -290,18 +297,74 @@ class TestCoverCf:
         cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         space = cf_pair_space(cf)
         cov = cover_cf(space, 1)
-        from coarsecover.covers import verify_cover
-        from coarsecover.symmetry import ALL_SUBGROUPS
-        rep = verify_cover(cov, space, 1, ALL_SUBGROUPS)
-        assert rep.ok
+        assert verify_cover(cov, space, 1, ALL_SUBGROUPS).ok
+        assert verify_cover(expand_cover(cf, cov), endpoint_pair_space(cf),
+                            1, ALL_SUBGROUPS).ok
         assert cov.order <= 4
 
     def test_empty_flow_space(self):
         g = path_graph(4)
         sub = barycentric_subdivision(g)
         cf = flow_space(sub, all_angles(g), ())
-        cov = cover_cf(cf_pair_space(cf), 1)
-        assert len(cov) == 0
+        space = cf_pair_space(cf)
+        assert space.fibers == {}
+        cov = expand_cover(cf, cover_cf(space, 1))
+        assert len(cov) == 0 and cov.order == -1
+
+
+class TestFiberClassParity:
+    """The flow cover built on fiber classes, expanded to endpoint pairs,
+    is the cover built on one z-point per pair, and verify_cover reports
+    the same failures on both spaces."""
+
+    CASES = {
+        "trivial-path": (path_graph(9), (), "all"),
+        "trivial-tree": (random_tree(10, seed=5), (), "all"),
+        "dihedral-cycle": (cycle_graph(12),
+                           (cyclic_rotation(12), cycle_reflection(12)),
+                           "seed"),
+        "quarter-turn-cycle": (cycle_graph(12),
+                               (tuple((i + 3) % 12 for i in range(12)),),
+                               "all"),
+        "rotated-spider": (spider(3, 4), (spider_rotation(3, 4),), "all"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_expanded_cover_and_reports_match_the_pair_space(self, name):
+        g, gens, mode = self.CASES[name]
+        res = run_pipeline(g, gens, alpha=1, tau_max=4, theta0_mode=mode)
+        cf = res.artifacts["cf"]
+        space, ref = cf_pair_space(cf), endpoint_pair_space(cf)
+        assert len(space.fibers) < len(ref.fibers)
+        pipeline_ap = res.stages["flow_cover"]["alpha_prime"]
+        for ap in (1, pipeline_ap):
+            classes = cover_cf(space, ap)
+            cov = expand_cover(cf, classes)
+            assert cov == greedy_cover(ref, ap, fiber_basis(ref, ap))
+            if ap == pipeline_ap:
+                assert cov == res.artifacts["flow_cover"]
+            self.check_reports(classes, space, cov, ref, ap)
+
+    @staticmethod
+    def check_reports(classes, space, cov, ref, ap):
+        """The same failures on the cover, on every cover with one member
+        dropped (stated order recounted on the pairs) and on the cover
+        with its order plus one."""
+        def failures(order, drop=None):
+            out = [verify_cover(Cover(tuple(m for i, m in enumerate(c.members)
+                                            if i != drop), ap, order),
+                                sp, ap, ALL_SUBGROUPS).failures
+                   for c, sp in ((classes, space), (cov, ref))]
+            assert out[0] == out[1]
+            return out[0]
+
+        assert failures(cov.order) == ()
+        assert failures(cov.order + 1) == (
+            ("order-mismatch", (cov.order + 1, cov.order)),)
+        dropped = [failures(cover_order([m.slices for i, m in enumerate(
+            cov.members) if i != k], ref.fibers), drop=k)
+            for k in range(len(cov))]
+        assert any(dropped)
 
 
 class TestPullback:
@@ -320,7 +383,7 @@ class TestPullback:
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
-        cov = cover_cf(cf_pair_space(cf), 2)
+        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 2))
         pull = pullback_cover(cf, cov, 0, targets, v0)
         sets = [m.points for m in cov.members]
         for i, m in enumerate(sets):
@@ -395,7 +458,7 @@ class TestPullback:
             g, sub, cf = tree_cf(10, seed=seed)
             v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
             targets = eligible_targets(cf, v0, cf.endpoints)
-            cov = cover_cf(cf_pair_space(cf), 3)
+            cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 3))
             for tau in (0, 1, 2):
                 pull = pullback_cover(cf, cov, tau, targets, v0)
                 assert pull.order <= cov.order
@@ -406,7 +469,7 @@ class TestWidenessScan:
         g, sub, cf = tree_cf(10, seed=7)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = ball_closed_targets(cf, v0, 0, cf.endpoints)
-        cov = cover_cf(cf_pair_space(cf), 2)
+        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 2))
         scan = wideness_scan(cf, cov, 0, targets, range(0, 3), v0)
         assert scan.passing_tau == 0
         assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,
@@ -429,7 +492,7 @@ class TestWidenessScan:
                            theta0_mode="all")
         inst, cf = res.instance, res.artifacts["cf"]
         cov = res.artifacts["flow_cover"]
-        space = cf_pair_space(cf)
+        space = endpoint_pair_space(cf)
         targets = ball_closed_targets(cf, inst.v0, 1, inst.boundary)
         assert len(cov) == 9 and len(targets) == 8
         outcomes = []
@@ -462,7 +525,7 @@ class TestWidenessScan:
         boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
         targets = ball_closed_targets(cf, v0, 1, boundary)
         assert targets
-        cov = cover_cf(cf_pair_space(cf), 8)
+        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 8))
         scan = wideness_scan(cf, cov, 1, targets, range(0, 6), v0)
         assert scan.ok
         assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,

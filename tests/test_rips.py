@@ -26,6 +26,7 @@ from coarsecover.rips import (
     complex_stats,
     contract_subcomplex,
     ContractionError,
+    FACE_CAP,
     homology_oracle,
     SimplicialComplex,
 )
@@ -43,7 +44,7 @@ def near_map(edges):
 
 
 def simplex_set(P):
-    return {s for ss in P.faces().values() for s in ss}
+    return {s for ss in P.faces(FACE_CAP).values() for s in ss}
 
 
 class TestBuildRips:
@@ -495,7 +496,7 @@ class TestHomologyExactness:
 
 def rational_betti(P, max_dim):
     """Betti numbers from Fraction elimination alone."""
-    by_dim = P.faces()
+    by_dim = P.faces(FACE_CAP)
     ranks = {}
     for k, ss in by_dim.items():
         if k > 0:
