@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .angles import (
     all_angles,
@@ -34,6 +35,7 @@ from .flow import (
     wideness_scan,
 )
 from .graphs import (
+    DEFAULT_CONE_THRESHOLD,
     CapExceeded,
     GeodesicIndex,
     GraphFormatError,
@@ -50,9 +52,6 @@ from .pipeline import PipelineError, build_instance, cover_to_document, \
 from .rips import build_rips, complex_stats, contract_subcomplex, \
     homology_oracle
 from .symmetry import close_group, trivial_group
-
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -388,7 +387,8 @@ def build_parser():
         prog="coarsecover",
         description="long thin covers, coarse flow spaces and relative Rips "
                     "complexes on finite graph models")
-    ap.add_argument("--cone-threshold", type=int, default=8,
+    ap.add_argument("--cone-threshold", type=int,
+                    default=DEFAULT_CONE_THRESHOLD,
                     help="valency threshold marking cone vertices when the "
                          "graph file does not list them")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -98,16 +98,12 @@ def _check_generators(G: GroupModel):
 def pair_space(v_points, fibers, dist, group: GroupModel,
                act_z) -> PairSpace:
     """Assemble a PairSpace from its z-fibers (each z-point -> the v-points
-    over it).  Z_v comes from one pass over the distinct fibers: each V_z
-    adds all the z-points it lies over to Z_v of each of its v-points."""
+    over it), with Z_v read off them."""
     fibers = {z: frozenset(vs) for z, vs in fibers.items()}
-    classes = {}  # V_z -> the z-points it lies over
-    for z, fiber in fibers.items():
-        classes.setdefault(fiber, []).append(z)
     z_over = {}
-    for fiber, zs in classes.items():
+    for z, fiber in fibers.items():
         for v in fiber:
-            z_over.setdefault(v, set()).update(zs)
+            z_over.setdefault(v, set()).add(z)
     return PairSpace(tuple(v_points), fibers, dist, group, act_z,
                      {v: frozenset(zs) for v, zs in z_over.items()})
 
@@ -261,18 +257,14 @@ class Cover:
         return len(self.members)
 
 
-def _fiber_classes(member_slices, fibers):
-    """The z-points of fibers grouped by their key: V_z with the members'
-    slices over z, in member order.  Order and longness over z depend on
-    the key alone."""
-    held = {}  # z -> the members' slices over z
+def _held(member_slices):
+    """Each z-point some member meets -> the members' slices over it, in
+    member order."""
+    held = {}
     for slices in member_slices:
         for z, vs in slices.items():
             held.setdefault(z, []).append(vs)
-    classes = {}
-    for z, fiber in fibers.items():
-        classes.setdefault((fiber, tuple(held.get(z, ()))), []).append(z)
-    return classes
+    return held
 
 
 def _fiber_order(fiber, held):
@@ -289,10 +281,10 @@ def _fiber_order(fiber, held):
 def cover_order(member_slices, fibers) -> int:
     """The most members sharing one point of the domain, less one (-1 when
     the domain is empty); the domain is given by its fibers
-    {z: frozenset of v}, and the count is made once per fiber class."""
-    return max((_fiber_order(*key) for key in _fiber_classes(member_slices,
-                                                             fibers)),
-               default=-1)
+    {z: frozenset of v}, and the count is made one z-point at a time."""
+    held = _held(member_slices)
+    return max((_fiber_order(fiber, held.get(z, ()))
+                for z, fiber in fibers.items()), default=-1)
 
 
 def wide_failures(member_slices, group: GroupModel, alpha, pairs):
@@ -402,8 +394,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     Basis z-sets are subtracted along earlier nearby translates, fattened to
     closed 2*alpha balls in the v-direction, intersected with the pair set
     and saturated.  Determinism: ties follow basis order and sorted group
-    elements.  A core slice V_z & ball(v_i, 2*alpha) depends on V_z only,
-    so it is built once per distinct fiber and basis point and shared.
+    elements.
 
     Coverage is checked at the least v-point of each orbit, and a gap is
     reported from a scan of every v-point: the pair set and the translated
@@ -466,13 +457,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             continue
         row = space.dist[t.v]
         ball = frozenset(w for w in space.v_points if row[w] <= 2 * alpha)
-        cut = {}  # V_z -> V_z & ball, one object per distinct fiber
-        core = Slices()
-        for z in reduced[i]:
-            fiber = space.fibers[z]
-            if fiber not in cut:
-                cut[fiber] = fiber & ball
-            core[z] = cut[fiber]
+        core = Slices((z, space.fibers[z] & ball) for z in reduced[i])
         saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
         if saturated in seen_sets:
             continue
@@ -520,9 +505,10 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
                  family: SubgroupFamily) -> CoverReport:
     """Independent check of order, longness, invariance and F-subsetness.
 
-    Order and longness are checked once per fiber class (_fiber_classes,
-    _not_long).  The least pair (v, z) that is not long is reported, and
-    an order other than the stated cover.order fails.
+    Order and longness are checked one z-point at a time, on the members'
+    slices over it (_fiber_order, _not_long).  The least pair (v, z) that
+    is not long is reported, and an order other than the stated
+    cover.order fails.
 
     Invariance and F-subsetness walk the generators, which must generate the
     group.  A generator maps the finite pool of member sets injectively, so
@@ -537,12 +523,14 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     _check_alpha(alpha)
     failures = []
     sets = cover.member_slices()
+    held = _held(sets)
     order, least = -1, None
-    for (fiber, held), zs in _fiber_classes(sets, space.fibers).items():
-        order = max(order, _fiber_order(fiber, held))
-        bad = _not_long(space.dist, alpha, fiber, held)
-        if bad and (least is None or (bad[0], min(zs)) < least):
-            least = (bad[0], min(zs))
+    for z, fiber in space.fibers.items():
+        over = held.get(z, ())
+        order = max(order, _fiber_order(fiber, over))
+        bad = _not_long(space.dist, alpha, fiber, over)
+        if bad and (least is None or (bad[0], z) < least):
+            least = (bad[0], z)
     if least is not None:
         failures.append(("not-long", least))
 

@@ -131,7 +131,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
                            group, index, lines)
 
 
-def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest=False) -> dict:
+def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     """Doubling certificates for every fiber in the chain metric.
 
     The required constants are D = 5 and R = 24 * delta' + 12.  Doubling is

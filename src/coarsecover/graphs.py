@@ -351,7 +351,7 @@ class _DefectScan:
         found &= ~(self.corner[p] | self.corner[q])
         return [r for r in range(self.n) if found >> 8 * r & 1] if found else []
 
-    def delta(self, floor=0):
+    def delta(self, floor):
         """The largest defect, or floor if no defect exceeds it."""
         delta = floor
         masks = self.above(delta)

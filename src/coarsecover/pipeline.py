@@ -114,9 +114,8 @@ class PipelineResult:
         return {"ok": self.ok, "stages": self.stages}
 
 
-def run_pipeline(g: Graph, generators=(), alpha=1, tau_max=8,
-                 group: GroupModel = None,
-                 theta0_mode="seed") -> PipelineResult:
+def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
+                 group: GroupModel = None) -> PipelineResult:
     stages = {}
     artifacts = {}
     if group is None and generators:

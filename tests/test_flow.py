@@ -23,7 +23,7 @@ from coarsecover.corpus import (
     spider_rotation,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember, cover_order, \
+from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     doubling_check, fiber_basis, greedy_cover, slices_of, verify_cover
 from coarsecover.flow import (
     ball_closed_targets,
@@ -39,7 +39,7 @@ from coarsecover.flow import (
 from coarsecover import graphs
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline
-from coarsecover.symmetry import ALL_SUBGROUPS, close_group
+from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
 from oracles import endpoint_pair_space, failed, flow_space, star_metric, \
     theta_small_paths_brute
 
@@ -249,7 +249,7 @@ class TestDoubling:
         wide = frozenset(range(13)) - {5, 6}
         cf = SimpleNamespace(delta_prime=0, metric=metric, fibers={
             (0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide})
-        rep = cf_doubling_report(cf)
+        rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"] is False and rep["R"] == 12 and rep["fibers"] == 4
         checks = {key: doubling_check(sorted(f), lambda a, b: metric[a][b],
                                       5, 12)
@@ -261,7 +261,7 @@ class TestDoubling:
 
     def test_tree_passes_d5(self):
         g, sub, cf = tree_cf(30)
-        rep = cf_doubling_report(cf)
+        rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"]
         assert rep["R"] == 24 * cf.delta_prime + 12
 
@@ -275,7 +275,7 @@ class TestDoubling:
         g = path_graph(3)
         sub = barycentric_subdivision(g)
         cf = flow_space(sub, all_angles(g), sub.ve_vertices())
-        rep = cf_doubling_report(cf)
+        rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"]
 
 
@@ -365,6 +365,58 @@ class TestFiberClassParity:
             cov.members) if i != k], ref.fibers), drop=k)
             for k in range(len(cov))]
         assert any(dropped)
+
+    @pytest.fixture(scope="class")
+    def spider_covers(self):
+        """The rotated spider's flow cover at alpha' = 1, as (cover, space)
+        on the class space and, expanded, on the endpoint pair space."""
+        g, gens, mode = self.CASES["rotated-spider"]
+        res = run_pipeline(g, gens, alpha=1, tau_max=4, theta0_mode=mode)
+        cf = res.artifacts["cf"]
+        space = cf_pair_space(cf)
+        classes = cover_cf(space, 1)
+        assert len(classes) == 8
+        return [(classes, space),
+                (expand_cover(cf, classes), endpoint_pair_space(cf))]
+
+    @staticmethod
+    def recounted(members, space):
+        return verify_cover(Cover(members, 1, cover_order(
+            [m.slices for m in members], space.fibers)), space, 1,
+            ALL_SUBGROUPS).failures
+
+    def test_dropping_a_member_fails_longness_or_invariance(self,
+                                                            spider_covers):
+        """Negative control: the failure kinds of each cover with one
+        member dropped, its order recounted, on both spaces."""
+        expected = [{"not-long"}, set()] \
+            + [{"not-long", "not-invariant"}] * 3 + [{"not-invariant"}] * 3
+        reports = [[self.recounted(c.members[:k] + c.members[k + 1:], sp)
+                    for k in range(len(c))] for c, sp in spider_covers]
+        assert reports[0] == reports[1]
+        assert [{kind for kind, _ in f} for f in reports[0]] == expected
+
+    def test_an_orbit_of_overlapping_members_fails_f_subset(self,
+                                                           spider_covers):
+        """Negative control: adding the orbit of m2 | s.m2, s the generator,
+        keeps the cover invariant and long but makes it no F-subset."""
+        reports = []
+        for c, sp in spider_covers:
+            (s,) = sp.group.generators
+
+            def translate(p, slices):
+                return Slices((sp.act_z[p][z], frozenset(p[v] for v in vs))
+                              for z, vs in slices.items())
+
+            m2 = c.members[2].slices
+            sm2 = translate(s, m2)
+            union = Slices((z, m2.get(z, frozenset()) | sm2.get(z, frozenset()))
+                           for z in {*m2, *sm2})
+            orbit, stab = set_orbit(union, sp.group, translate)
+            reports.append(self.recounted(c.members + tuple(
+                CoverMember(W, stab, False) for W in orbit), sp))
+        assert reports[0] == reports[1]
+        assert [kind for kind, _ in reports[0]] == ["not-f-subset"]
 
 
 class TestPullback:

@@ -12,8 +12,8 @@ Names are matched by spelling, not by type, so a dead field sharing its
 name with a live attribute of another class (graph, delta) escapes the
 scan; what it does flag is unread outside tests.
 
-A second scan flags a parameter that defaults to None although every call
-in those program files passes it: its None branch runs only in tests.
+A second scan flags a parameter with a default although every call in
+those program files passes it: its default is used only in tests.
 """
 
 import ast
@@ -31,11 +31,13 @@ ALLOWED = {
 }
 
 
-# parameters defaulting to None that every program call passes, each kept
-# for a reason
+# parameters with a default that every program call passes, each kept for
+# a reason
 ALLOWED_DEFAULTS = {
     "build_instance.group": "run_pipeline forwards its own group, None "
                             "for the trivial group",
+    "load_graph.cone_threshold": "the one home of DEFAULT_CONE_THRESHOLD, "
+                                 "which the command line option also reads",
 }
 
 
@@ -123,22 +125,21 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= set(functions) | set(members)
 
 
-def none_defaults(paths):
+def defaults(paths):
     """name -> [(parameter, position or None if keyword-only)] for each
-    parameter defaulting to None of the module-level functions, methods
-    and classes (their __init__) defined in the given files; a method's
+    parameter with a default of the module-level functions, methods and
+    classes (their __init__) defined in the given files; a method's
     positions leave self out."""
     found = {}
 
     def scan(name, fn, skip):
         a = fn.args
         positional = a.posonlyargs + a.args
-        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        given = [None] * (len(positional) - len(a.defaults)) + a.defaults
         params = [(p.arg, i - skip) for i, (p, d) in
-                  enumerate(zip(positional, defaults))
-                  if isinstance(d, ast.Constant) and d.value is None]
+                  enumerate(zip(positional, given)) if d is not None]
         params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                   if isinstance(d, ast.Constant) and d.value is None]
+                   if d is not None]
         if params:
             found.setdefault(name, []).extend(params)
 
@@ -178,12 +179,12 @@ def _passes(call, param, position):
 
 
 def fallbacks_only_tests_reach(src, paths):
-    """"name.parameter" of every parameter of src defaulting to None that
-    at least one call in paths reaches and every such call passes."""
+    """"name.parameter" of every parameter of src with a default that at
+    least one call in paths reaches and every such call passes."""
     by_name = calls(paths)
     return sorted(
         "%s.%s" % (name, param)
-        for name, params in none_defaults(src).items()
+        for name, params in defaults(src).items()
         for param, position in params
         if by_name.get(name) and all(_passes(c, param, position)
                                      for c in by_name[name]))
@@ -196,10 +197,10 @@ def _flagged(src):
     return fallbacks_only_tests_reach(src, [*src, *bench])
 
 
-def test_no_none_default_that_every_program_call_passes():
+def test_no_default_that_every_program_call_passes():
     flagged = [f for f in _flagged(sorted(SRC.glob("*.py")))
                if f not in ALLOWED_DEFAULTS]
-    assert not flagged, "None fallbacks reached only by tests: %s" % \
+    assert not flagged, "defaults reached only by tests: %s" % \
         ", ".join(flagged)
 
 
@@ -217,6 +218,19 @@ def test_a_restored_fallback_is_flagged(tmp_path):
     src = [tmp_path / "rips.py" if p.name == "rips.py" else p
            for p in sorted(SRC.glob("*.py"))]
     assert "build_rips.index" in _flagged(src)
+
+
+def test_a_restored_constant_default_is_flagged(tmp_path):
+    # the slimness scan's floor defaulting to 0 again, its one call
+    # passing it
+    text = (SRC / "graphs.py").read_text()
+    mutant = text.replace("    def delta(self, floor):",
+                          "    def delta(self, floor=0):")
+    assert mutant != text
+    (tmp_path / "graphs.py").write_text(mutant)
+    src = [tmp_path / "graphs.py" if p.name == "graphs.py" else p
+           for p in sorted(SRC.glob("*.py"))]
+    assert "delta.floor" in _flagged(src)
 
 
 def test_the_library_does_not_load_networkx():

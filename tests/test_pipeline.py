@@ -38,14 +38,14 @@ class TestPipeline:
 
     def test_spider_cone_dominated(self):
         res = run_pipeline(spider(3, 5), [spider_rotation(3, 5)], alpha=1,
-                           tau_max=4)
+                           tau_max=4, theta0_mode="seed")
         assert res.ok
         assert res.stages["dichotomy"]["clauses"]["cone"] > 0
 
     def test_equivariant_cycle(self):
         res = run_pipeline(cycle_graph(12),
                            [tuple((i + 3) % 12 for i in range(12))],
-                           alpha=1, tau_max=6)
+                           alpha=1, tau_max=6, theta0_mode="seed")
         assert res.ok
         assert res.stages["setup"]["group_order"] == 4
         assert res.stages["wideness_scan"]["targets"] > 0
@@ -63,7 +63,7 @@ class TestPipeline:
         members that hold one pair's ball slice makes that pair fail."""
         alpha = 1
         res = run_pipeline(spider(3, 5), [spider_rotation(3, 5)],
-                           alpha=alpha, tau_max=4)
+                           alpha=alpha, tau_max=4, theta0_mode="seed")
         assert res.ok
         G = res.instance.sub_group
         domain = [(ge, xi) for ge in G.elements
@@ -80,11 +80,12 @@ class TestPipeline:
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(PipelineError, match="disconnected"):
-            run_pipeline(g)
+            run_pipeline(g, alpha=1, tau_max=8, theta0_mode="seed")
 
     def test_bad_theta0_mode(self):
         with pytest.raises(ValueError, match="theta0_mode"):
-            run_pipeline(path_graph(4), theta0_mode="bogus")
+            run_pipeline(path_graph(4), alpha=1, tau_max=8,
+                         theta0_mode="bogus")
 
     @pytest.mark.parametrize("case", pipeline_instances(),
                              ids=[c[0] for c in pipeline_instances()])
@@ -98,8 +99,8 @@ class TestPipeline:
         assert seed_theta0(inst, 1) <= theta0
 
     def test_stage_reports_are_complete(self):
-        res = run_pipeline(random_tree(10, seed=4), theta0_mode="all",
-                           tau_max=3)
+        res = run_pipeline(random_tree(10, seed=4), alpha=1, tau_max=3,
+                           theta0_mode="all")
         assert res.ok
         for key in ("setup", "theta3", "cone", "dichotomy", "flow_space",
                     "flow_doubling", "flow_cover", "wideness_scan",
@@ -179,7 +180,7 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
 
     monkeypatch.setattr(graphs, "_maximin_columns", spy)
     tree = random_tree(24, 5)
-    assert run_pipeline(tree).ok
+    assert run_pipeline(tree, alpha=1, tau_max=8, theta0_mode="seed").ok
     sub = barycentric_subdivision(tree)
     index = GeodesicIndex(sub.graph)
     t3 = theta3(sub, index=index)
