@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, compress
-from operator import and_
+from operator import or_
 
 from .graphs import (
     INF,
@@ -307,28 +307,52 @@ def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
     return into, reach
 
 
-def small_carriers(index: GeodesicIndex, steps_a, steps_b, a, b):
-    """The vertices on small a -> b geodesics, from the sweeps of a and b.
+def small_lines(index: GeodesicIndex, oracle: SmallnessOracle, a, targets):
+    """For each b in targets other than a, the frozenset of vertices on
+    small a -> b geodesics (empty when there is none).
 
-    Angles are unordered, so a reversed small geodesic is small, and the
-    carriers are symmetric in a and b.  An internal v qualifies exactly
-    when d(a,v) + d(v,b) = d(a,b) and reach_a[v] & into_b[v] is nonzero,
-    that is some small geodesic a -> v ending p -> v and some small b -> v
-    ending s -> v make a small turn p -> v -> s: reversed, the second is a
-    small v -> b starting v -> s, and the two halves meet at v with
-    distances that add up, so their concatenation is a small a -> b
-    geodesic; every small a -> b geodesic through v splits so.  A small
-    a -> b geodesic exists iff into_a[b] is nonzero.
+    One sweep from a in BFS order.  A small geodesic a -> w ending v -> w
+    is a small geodesic a -> v, ending some u -> v, followed by the step
+    v -> w with a small turn u -> v -> w (every prefix of a geodesic is a
+    geodesic), and every such concatenation is one.  So the bitmask of
+    the vertices on small a -> w geodesics ending v -> w is w's bit or'ed
+    with the masks of the steps u -> v turning smally into w, the step
+    a -> w holding a and w; BFS order settles every step into v before the
+    steps out of v.  The line of b is the union over the steps into b.
+    Angles are unordered, so a reversed small geodesic is small and the
+    line of (a, b) is the line of (b, a).
     """
-    if a == b:
-        return frozenset([a])
-    (into_a, reach_a), (into_b, _) = steps_a, steps_b
-    if not into_a[b]:
-        return frozenset()
-    da, db, total = index.dist[a], index.dist[b], index.dist[a][b]
-    return frozenset([a, b]).union(
-        v for v in compress(index.graph.vertices, map(and_, reach_a, into_b))
-        if da[v] + db[v] == total)
+    da, exits, links = index.dist[a], oracle.exits, oracle.links
+    # ends[w] lists (the bit of v among w's neighbours, the mask) per step
+    # v -> w; exits are symmetric, so exits[v][j] has the bits of the steps
+    # into v turning smally into v's j-th step, and -1 admits every step
+    ends = [None] * len(exits)
+    ends[a] = [(-1, 1 << a)]
+    layer, d = [a], 1
+    while layer:
+        reached = []
+        for v in layer:
+            steps = ends[v]
+            for (w, bit), x in zip(links[v], exits[v]):
+                if da[w] == d:
+                    m = 0
+                    for ub, um in steps:
+                        if x & ub:
+                            m |= um
+                    if m:
+                        if ends[w] is None:
+                            ends[w] = []
+                            reached.append(w)
+                        ends[w].append((bit, m | 1 << w))
+        layer, d = reached, d + 1
+    vertices, digits = range(len(exits)), bytes.maketrans(b"01", b"\0\1")
+    lines = {}
+    for b in targets:
+        if b != a:
+            m = reduce(or_, (mb for _, mb in ends[b] or ()), 0)
+            lines[b] = frozenset(compress(
+                vertices, bin(m)[:1:-1].encode().translate(digits)))
+    return lines
 
 
 # ---------------------------------------------------------------------------

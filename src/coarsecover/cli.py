@@ -400,14 +400,20 @@ def build_parser():
             p.add_argument("--action", help="JSON file of named generator lists")
             p.add_argument("--action-name")
 
+    def settings(p, tau_max=True):
+        """The pipeline settings, with RunConfig's defaults."""
+        p.add_argument("--alpha", type=int, default=RunConfig.alpha)
+        if tau_max:
+            p.add_argument("--tau-max", type=int, default=RunConfig.tau_max)
+        p.add_argument("--theta0-mode", choices=("seed", "all"),
+                       default=RunConfig.theta0_mode)
+
     p = sub.add_parser("analyze", help="distances, slimness, fineness, corner sizes")
     common(p, action=False)
 
     p = sub.add_parser("pipeline", help="full covering chain with verification")
     common(p)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--tau-max", type=int, default=8)
-    p.add_argument("--theta0-mode", choices=("seed", "all"), default="seed")
+    settings(p)
     p.add_argument("--config", help="JSON run configuration overriding flags")
 
     p = sub.add_parser("export-dot", help="graph, DAG, cover nerve or trace")
@@ -428,15 +434,12 @@ def build_parser():
     p = sub.add_parser("cone", help="cone cover operations")
     p.add_argument("cone_cmd", choices=("build", "dichotomy"))
     common(p)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--theta0-mode", choices=("seed", "all"), default="seed")
+    settings(p, tau_max=False)
 
     p = sub.add_parser("cover", help="combined cover")
     p.add_argument("cover_cmd", choices=("combine",))
     common(p)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--tau-max", type=int, default=8)
-    p.add_argument("--theta0-mode", choices=("seed", "all"), default="seed")
+    settings(p)
 
     p = sub.add_parser("rips", help="relative Rips complex operations")
     p.add_argument("rips_cmd", choices=("build", "contract", "homology"))

@@ -127,6 +127,23 @@ def _dense_distances(points, dist_fn):
     return [[dist_fn(a, b) for b in points] for a in points]
 
 
+def _far_core(dist, k, R):
+    """The positions of the k-core of the far graph, whose edges join
+    positions more than R apart, ascending.  A position with fewer than k
+    far neighbours left is in no k + 1 pairwise far positions; peeling it
+    lowers its neighbours' counts (Batagelj and Zaversnik's peel)."""
+    far = [[j for j, d in enumerate(row) if d > R and j != i]
+           for i, row in enumerate(dist)]
+    deg = list(map(len, far))
+    low = [i for i, n in enumerate(deg) if n < k]
+    while low:
+        for j in far[low.pop()]:
+            deg[j] -= 1
+            if deg[j] == k - 1:
+                low.append(j)
+    return [i for i, n in enumerate(deg) if n >= k]
+
+
 def _violating_set(pts, dist, size, R):
     """A size-subset with pairwise gaps above R fitting a ball of radius
     strictly below twice its minimum gap, or None.
@@ -137,7 +154,10 @@ def _violating_set(pts, dist, size, R):
     inside a 2*alpha ball.  The search prunes on the coupling: adding
     points only shrinks the gap and grows the radius.  Each node keeps the
     positions still more than R from every selected point, and the
-    distance from each center to its farthest selected point.
+    distance from each center to its farthest selected point.  The
+    points of such a set are pairwise far, so the search selects only
+    positions of the far graph's (size - 1)-core; the centers still range
+    over every point.
     """
     found = []
 
@@ -161,7 +181,7 @@ def _violating_set(pts, dist, size, R):
             if found:
                 return
 
-    rec(range(len(pts)), [], INF, [0] * len(pts))
+    rec(_far_core(dist, size - 1, R), [], INF, [0] * len(pts))
     return found[0] if found else None
 
 

@@ -25,8 +25,7 @@ from .angles import (
     d_theta,
     geodesic_angles,
     k_fold_sum,
-    small_carriers,
-    small_steps,
+    small_lines,
 )
 from .covers import (
     Cover,
@@ -86,10 +85,10 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     the group so that the point set is invariant; index and theta3_set are
     the subdivision's, as pipeline.Instance holds them.  Equal endpoint
     pairs mean constant flow lines and are excluded.  Each pair's line, the
-    vertices on its small geodesics, comes from one small-step sweep per
-    endpoint; its fiber is the delta'-ball around the line's midpoints.
-    Each unordered pair is swept once and its line and fiber stored under
-    both orders, since small_carriers is symmetric in its two ends.
+    vertices on its small geodesics, comes from small_lines' sweep from
+    the pair's lesser end; its fiber is the delta'-ball around the line's
+    midpoints.  Each unordered pair is built once and its line and fiber
+    stored under both orders, since a line is symmetric in its two ends.
     """
     g = sub.graph
     if not g.is_connected():
@@ -114,16 +113,15 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
 
     metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
-    balls = {v: frozenset(w for w, dw in row.items() if dw <= delta + 1)
-             for v, row in metric.items()}
-    steps = {x: small_steps(index, oracle, x) for x in endpoints}
+    balls = [_EMPTY] * g.vertex_count
+    for v, row in metric.items():
+        balls[v] = frozenset(w for w, dw in row.items() if dw <= delta + 1)
     lines = {}
     fibers = {}
     for i, xm in enumerate(endpoints):
-        for xp in endpoints[i + 1:]:
-            line = small_carriers(index, steps[xm], steps[xp], xm, xp)
-            fiber = frozenset().union(
-                *(balls[v] for v in line if sub.is_midpoint(v)))
+        for xp, line in small_lines(index, oracle, xm,
+                                    endpoints[i + 1:]).items():
+            fiber = _EMPTY.union(*map(balls.__getitem__, line))
             for key in ((xm, xp), (xp, xm)):
                 lines[key] = line
                 fibers[key] = fiber
@@ -147,11 +145,10 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     they are maxima over the maximal sets.
     """
     R = 24 * cf.delta_prime + 12
-    keys = sorted(cf.fibers)
     home = {}
     maximal = []
-    for fiber in sorted(dict.fromkeys(cf.fibers[k] for k in keys),
-                        key=len, reverse=True):
+    for fiber in sorted(dict.fromkeys(cf.fibers.values()), key=len,
+                        reverse=True):
         home[fiber] = next((m for m in maximal if fiber <= m), fiber)
         if home[fiber] is fiber:
             maximal.append(fiber)
@@ -166,13 +163,12 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
             reports[fiber] = doubling_check(fiber, chain, 5, R)
         return reports[fiber]
 
+    bad = {fiber for fiber in home
+           if not check(home[fiber]).ok and not check(fiber).ok}
     failures = []
-    for key in keys:
-        fiber = cf.fibers[key]
-        if not check(home[fiber]).ok:
-            rep = check(fiber)
-            if not rep.ok:
-                failures.append((key, rep.witness))
+    if bad:
+        failures = [(key, reports[fiber].witness)
+                    for key, fiber in sorted(cf.fibers.items()) if fiber in bad]
     tightest_d = tightest_r = None
     if compute_tightest:
         tightest_d = tightest_r = 0

@@ -106,7 +106,7 @@ class SmallPairRelation:
 
     The vertices joined to u come from one small-step sweep from u, taken
     on first use; the sweep from either end decides a pair, since a
-    reversed small geodesic is small (see angles.small_carriers).
+    reversed small geodesic is small (see angles.small_lines).
     """
 
     def __init__(self, g: Graph, d, theta: AngleSet, index: GeodesicIndex):

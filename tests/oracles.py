@@ -10,7 +10,8 @@ import importlib.util
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from operator import and_
 from pathlib import Path
 
 from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum, theta3
@@ -247,6 +248,32 @@ def mask_neighbours(g, v, mask):
     return {w for i, w in enumerate(g.neighbors(v)) if mask >> i & 1}
 
 
+def small_carriers(index, steps_a, steps_b, a, b):
+    """The vertices on small a -> b geodesics, from the small_steps sweeps
+    of a and b, by one scan of every vertex: the reference for
+    angles.small_lines.
+
+    Angles are unordered, so a reversed small geodesic is small, and the
+    carriers are symmetric in a and b.  An internal v qualifies exactly
+    when d(a,v) + d(v,b) = d(a,b) and reach_a[v] & into_b[v] is nonzero,
+    that is some small geodesic a -> v ending p -> v and some small b -> v
+    ending s -> v make a small turn p -> v -> s: reversed, the second is a
+    small v -> b starting v -> s, and the two halves meet at v with
+    distances that add up, so their concatenation is a small a -> b
+    geodesic; every small a -> b geodesic through v splits so.  A small
+    a -> b geodesic exists iff into_a[b] is nonzero.
+    """
+    if a == b:
+        return frozenset([a])
+    (into_a, reach_a), (into_b, _) = steps_a, steps_b
+    if not into_a[b]:
+        return frozenset()
+    da, db, total = index.dist[a], index.dist[b], index.dist[a][b]
+    return frozenset([a, b]).union(
+        v for v in compress(index.graph.vertices, map(and_, reach_a, into_b))
+        if da[v] + db[v] == total)
+
+
 @lru_cache(maxsize=8192)
 def _geodesics(g, u, v):
     """all_simple_shortest_paths, memoized; callers must not mutate it."""
@@ -337,6 +364,35 @@ def separated_sets_brute(points, dist_fn, alpha, size):
     pts = sorted(points)
     return [list(s) for s in combinations(pts, size)
             if all(dist_fn(a, b) > alpha for a, b in combinations(s, 2))]
+
+
+def violating_set_unpruned(pts, dist, size, R):
+    """covers._violating_set with its subset search over every point, not
+    only the far graph's core: the reference for the pruned search."""
+    found = []
+
+    def rec(cands, sel, sep, radii):
+        if sel:
+            rad = min(radii)
+            if rad >= 2 * sep:
+                return
+            if len(sel) == size:
+                center = pts[radii.index(rad)]
+                found.append(([pts[i] for i in sel], sep, rad, center))
+                return
+        need = size - len(sel)
+        for k, i in enumerate(cands):
+            if len(cands) - k < need:
+                return
+            row = dist[i]
+            nsep = min([sep] + [row[j] for j in sel])
+            rec([j for j in cands[k + 1:] if row[j] > R], sel + [i], nsep,
+                list(map(max, radii, row)))
+            if found:
+                return
+
+    rec(range(len(pts)), [], INF, [0] * len(pts))
+    return found[0] if found else None
 
 
 def doubling_scan_oracle(points, dist_fn, D, R):

@@ -12,7 +12,7 @@ from coarsecover.angles import (
     k_fold_sum,
     lemma_battery,
     load_angleset,
-    small_carriers,
+    small_lines,
     small_steps,
     theta3,
     theta3_circuit_bound_check,
@@ -38,8 +38,8 @@ from coarsecover.graphs import (
     slimness_constant,
 )
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
-    mask_neighbours, observer_set_all, observer_set_exists, theta3_brute, \
-    theta3_subdivision_brute, theta_small_paths_brute
+    mask_neighbours, observer_set_all, observer_set_exists, small_carriers, \
+    theta3_brute, theta3_subdivision_brute, theta_small_paths_brute
 
 C6 = cycle_graph(6)
 
@@ -482,9 +482,13 @@ class TestCarrierSets:
                 oracle = SmallnessOracle(g, theta)
                 steps = [small_steps(idx, oracle, x) for x in g.vertices]
                 for u in g.vertices:
+                    lines = small_lines(idx, oracle, u, g.vertices)
+                    assert u not in lines
                     for v in g.vertices:
                         got = small_carriers(idx, steps[u], steps[v], u, v)
                         want = set()
                         for p in theta_small_paths_brute(g, theta, u, v):
                             want.update(p)
                         assert got == frozenset(want), (u, v)
+                        if v != u:
+                            assert lines[v] == got, (u, v)

@@ -6,12 +6,15 @@ the dihedral group of Z/n acting on the v-points and either fixing the
 z-points or moving z-points that are ordered pairs of vertices.
 """
 
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.corpus import dihedral_group, rotation_group
 from coarsecover.covers import (
     Cover,
     CoverMember,
+    _violating_set,
     cover_order,
     doubling_check,
     fiber_basis,
@@ -25,7 +28,7 @@ from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
 from oracles import all_subgroups, cover_order_brute, default_basis, \
     doubling_scan_oracle, failed, fiber_basis_brute, fibers_of, \
     greedy_cover_reference, pairs_of, trivial_pair_space, \
-    verify_cover_definitional
+    verify_cover_definitional, violating_set_unpruned
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -61,6 +64,34 @@ def test_doubling_check_matches_scan_oracle(points_dist, D, R):
         assert alpha >= R and len(sep) == D + 1
         assert all(d[center][p] <= 2 * alpha for p in sep)
         assert all(d[a][b] > alpha for a in sep for b in sep if a != b)
+
+
+@st.composite
+def planted_tables(draw):
+    """A distance table on 1 to 10 points; in about half of those with 7
+    or more, six points are pairwise 9 to 12 apart and a seventh is 4 or
+    5 from each of them, so the far graph has a non-empty core and the
+    least radius is at a point outside it."""
+    n = draw(st.integers(1, 10))
+    d = draw(distance_tables(n))
+    if n >= 7 and draw(st.booleans()):
+        *six, hub = draw(st.permutations(range(n)))[:7]
+        for a, b in combinations(six, 2):
+            d[a][b] = d[b][a] = draw(st.integers(9, 12))
+        for a in six:
+            d[a][hub] = d[hub][a] = draw(st.integers(4, 5))
+    return d
+
+
+@SETTINGS
+@given(planted_tables(), st.integers(1, 7),
+       st.sampled_from((0, 1, 2, 3.5, 5, 8)))
+def test_core_search_matches_the_unpruned_search(d, size, R):
+    """The search over the far graph's core finds the same set, gap,
+    radius and centre as the search over every point."""
+    pts = list(range(len(d)))
+    assert _violating_set(pts, d, size, R) \
+        == violating_set_unpruned(pts, d, size, R)
 
 
 @SETTINGS

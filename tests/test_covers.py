@@ -15,6 +15,8 @@ from coarsecover.covers import (
     BasisTriple,
     Cover,
     CoverMember,
+    _far_core,
+    _violating_set,
     cover_order,
     doubling_check,
     fiber_basis,
@@ -30,7 +32,7 @@ from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
 from oracles import cover_order_brute, default_basis, distance_matrix, \
     extend_cover, extend_open, failed, fibers_of, greedy_cover_reference, \
     pairs_of, separated_sets_brute, trivial_pair_space, validate_family, \
-    validate_pair_space, verify_cover_definitional
+    validate_pair_space, verify_cover_definitional, violating_set_unpruned
 
 
 def line_metric(n):
@@ -84,6 +86,19 @@ class TestDoubling:
             return abs(a - b)
         rep = doubling_check(range(6), d, 3, 1)
         assert rep.ok
+
+    def test_peeling_one_point_drops_its_neighbour_from_the_core(self):
+        # far pairs (10 apart): the triangle 0-1-2 and the path 2-3-4;
+        # 3 has two far neighbours, but peeling 4 leaves it one; the
+        # centre of the least radius, 4, is outside the core
+        far = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)}
+        d = [[0 if i == j else 10 if (min(i, j), max(i, j)) in far else 1
+              for j in range(5)] for i in range(5)]
+        assert sum(x > 5 for x in d[3]) == 2
+        assert _far_core(d, 2, 5) == [0, 1, 2]
+        assert _violating_set(list(range(5)), d, 3, 5) \
+            == violating_set_unpruned(list(range(5)), d, 3, 5) \
+            == ([0, 1, 2], 10, 1, 4)
 
 
 def build_space(n_points, alpha=1, z_points=("z",), pairs=None):

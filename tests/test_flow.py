@@ -7,7 +7,6 @@ from coarsecover.angles import (
     all_angles,
     angle_set_from_triples,
     k_fold_sum,
-    small_carriers,
     small_steps,
     theta3,
     trivial_only,
@@ -40,8 +39,8 @@ from coarsecover import graphs
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
-from oracles import endpoint_pair_space, failed, flow_space, star_metric, \
-    theta_small_paths_brute
+from oracles import endpoint_pair_space, failed, flow_space, \
+    small_carriers, star_metric, theta_small_paths_brute
 
 
 def tree_cf(n=12, seed=None):

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
-    all_angles, canonical_angle, geodesic_turns, small_carriers, small_steps, \
-    theta3, theta3_circuit_bound_check
-from coarsecover.corpus import cycle_graph, dihedral_group, star_graph
+    all_angles, canonical_angle, geodesic_turns, k_fold_sum, small_lines, \
+    small_steps, theta3, theta3_circuit_bound_check
+from coarsecover.corpus import cycle_graph, dihedral_group, grid_graph, \
+    spider, spider_rotation, star_graph
+from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import (
     INF,
     GeodesicIndex,
@@ -31,12 +33,14 @@ from coarsecover.graphs import (
     make_graph,
     slimness_constant,
 )
+from coarsecover.pipeline import build_instance
 from coarsecover.rips import SmallPairRelation
 from coarsecover.symmetry import close_group, is_automorphism
 from oracles import (
     all_simple_shortest_paths,
     distance_matrix,
     mask_neighbours,
+    small_carriers,
     theta3_brute,
     theta3_circuit_bound_brute,
     theta3_subdivision_brute,
@@ -130,6 +134,30 @@ def test_theta3_with_a_dihedral_group_matches_without(n):
     with pytest.raises(ValueError, match="original graph"):
         theta3(sub, group=dihedral_group(n + 1))
 
+
+@pytest.mark.parametrize("g, gens", [
+    (spider(3, 3), [spider_rotation(3, 3)]),
+    (grid_graph(3, 3), []),
+], ids=["rotated-spider", "grid-3x3"])
+def test_flow_lines_match_the_per_pair_reference(g, gens):
+    """build_cf_theta sweeps from the lesser end of each unordered pair;
+    its lines equal the carriers built pair by pair from both ends, under
+    the least size it admits, under every angle, and under that size
+    joined with every angle not at vertex 0 (the spider's centre; on the
+    grid every size it admits is every angle)."""
+    inst = build_instance(g, close_group(g, gens))
+    index = inst.index
+    least, every = k_fold_sum(inst.t3, 2), all_angles(g)
+    for theta in (least, every, least.union(AngleSet(g, frozenset(
+            a for a in every.nontrivial if a[1] != 0)))):
+        cf = build_cf_theta(inst.sub, theta, inst.sub.ve_vertices(),
+                            group=inst.sub_group, index=index,
+                            theta3_set=inst.t3)
+        oracle = SmallnessOracle(inst.sub, theta)
+        steps = {x: small_steps(index, oracle, x) for x in cf.endpoints}
+        assert cf.lines == {
+            (a, b): small_carriers(index, steps[a], steps[b], a, b)
+            for a in cf.endpoints for b in cf.endpoints if a != b}
 
 def _check_slimness(g):
     rep = slimness_constant(g)
@@ -334,19 +362,25 @@ def graphs_with_theta(draw, **kw):
 
 
 def _check_small_geodesics(g, theta, sub=None):
-    """The small-step sweeps and the carriers built from them against the
-    theta-small geodesics found by DFS, on every ordered pair."""
+    """The small-step sweeps, the carriers built from them and the lines
+    of the sweep from each vertex against the theta-small geodesics found
+    by DFS, on every ordered pair."""
     graph = g if sub is None else sub.graph
     oracle = SmallnessOracle(g if sub is None else sub, theta)
     index = GeodesicIndex(graph)
     steps = [small_steps(index, oracle, x) for x in graph.vertices]
     for u in graph.vertices:
+        lines = small_lines(index, oracle, u,
+                            [v for v in graph.vertices if v != u])
         for v in graph.vertices:
             paths = theta_small_paths_brute(graph, theta, u, v, sub)
             assert mask_neighbours(graph, v, steps[u][0][v]) \
                 == {p[-2] for p in paths if len(p) > 1}
+            carriers = frozenset(w for p in paths for w in p)
             assert small_carriers(index, steps[u], steps[v], u, v) \
-                == frozenset(w for p in paths for w in p)
+                == carriers
+            if v != u:
+                assert lines[v] == carriers
 
 
 def _wide(g, seed):
