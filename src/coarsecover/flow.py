@@ -8,9 +8,9 @@ standing in for ideal points; distances between midpoints are integers in
 original units, so every bound here is exact integer arithmetic.
 
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
-set of admitted v.  Both uses read them that way, the doubling report per
-fiber and the cover on the pair space whose z-fibers are these sets, one
-z-point per distinct fiber.
+set of admitted v.  The doubling report checks their union, and each
+distinct fiber only when the union fails; the cover works on the pair
+space whose z-fibers are these sets, one z-point per distinct fiber.
 """
 
 from __future__ import annotations
@@ -135,44 +135,32 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     The required constants are D = 5 and R = 24 * delta' + 12.  Doubling is
     hereditary: a violation in a fiber, D + 1 points pairwise farther than
     some alpha >= R inside a 2 * alpha ball around a point of the fiber, is
-    a violation in every larger fiber, since all fibers share the chain
-    metric.  So each distinct fiber set gets a home, the first maximal set
-    under inclusion that contains it, largest first; every maximal set is
-    checked once, and a fiber is checked on its own only when its home
-    fails.  failures lists every failing fiber key, in key order, with its
-    own witness.  With compute_tightest, the report also carries the
-    tightest (D, R) realized across fibers; both grow with the fiber, so
-    they are maxima over the maximal sets.
+    a violation in every larger set, since all fibers share the chain
+    metric.  So one passing check of the union of the fibers certifies
+    every fiber; only when the union fails is each distinct fiber checked,
+    and failures lists every failing fiber key, in key order, with its own
+    witness.  With compute_tightest, the report also carries the tightest
+    (D, R) realized across fibers; both grow with the fiber, so they are
+    maxima over the fibers maximal under inclusion.
     """
     R = 24 * cf.delta_prime + 12
-    home = {}
-    maximal = []
-    for fiber in sorted(dict.fromkeys(cf.fibers.values()), key=len,
-                        reverse=True):
-        home[fiber] = next((m for m in maximal if fiber <= m), fiber)
-        if home[fiber] is fiber:
-            maximal.append(fiber)
-    reports = {}
     rows = cf.metric
 
     def chain(a, b):
         return rows[a][b]
 
-    def check(fiber):
-        if fiber not in reports:
-            reports[fiber] = doubling_check(fiber, chain, 5, R)
-        return reports[fiber]
-
-    bad = {fiber for fiber in home
-           if not check(home[fiber]).ok and not check(fiber).ok}
+    distinct = set(cf.fibers.values())
     failures = []
-    if bad:
+    if not doubling_check(_EMPTY.union(*distinct), chain, 5, R).ok:
+        reports = {fiber: doubling_check(fiber, chain, 5, R)
+                   for fiber in distinct}
         failures = [(key, reports[fiber].witness)
-                    for key, fiber in sorted(cf.fibers.items()) if fiber in bad]
+                    for key, fiber in sorted(cf.fibers.items())
+                    if not reports[fiber].ok]
     tightest_d = tightest_r = None
     if compute_tightest:
         tightest_d = tightest_r = 0
-        for fiber in maximal:
+        for fiber in [f for f in distinct if not any(f < m for m in distinct)]:
             tightest_d = max(tightest_d, minimal_doubling_constant(
                 fiber, chain, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(

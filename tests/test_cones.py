@@ -33,6 +33,7 @@ from coarsecover.corpus import (
     wedge_of_cycles,
 )
 from coarsecover.covers import Cover, CoverMember, slices_of
+from coarsecover import pipeline
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
@@ -370,10 +371,11 @@ class TestCombined:
         out = combined_cover(cone, flow, dom)
         assert out.order == 7 <= flow.order + 3
 
-    def test_cone_sets_of_order_three_break_the_bound(self):
+    def test_cone_sets_of_order_three_break_the_bound(self, monkeypatch):
         # negative control: on spider-rot the pullback is empty and the
         # cone sets meet in at most three, order 2 = pull.order + 3; one
-        # more cone member holding every cone pair makes both orders 3
+        # more cone member holding every cone pair makes both orders 3,
+        # and run_pipeline's own combined-order check then fails
         _, g, gens, mode, alpha, tau_max = next(
             case for case in pipeline_instances() if case[0] == "spider-rot")
         res = run_pipeline(g, gens, alpha=alpha, tau_max=tau_max,
@@ -390,3 +392,14 @@ class TestCombined:
         combined = combined_cover(cone_cov, pull, domain)
         assert cone_cov.order == combined.order == 3
         assert not combined.order <= pull.order + 3
+
+        def with_union(*args):
+            sets, theta_out = cone_cover(*args)
+            return list(sets) + [union], theta_out
+
+        monkeypatch.setattr(pipeline, "cone_cover", with_union)
+        bad = run_pipeline(g, gens, alpha=alpha, tau_max=tau_max,
+                           theta0_mode=mode)
+        stage = bad.stages["combined"]
+        assert not bad.ok and not stage["order_ok"]
+        assert stage["order"] == stage["flow_order"] + 4

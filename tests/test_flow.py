@@ -22,6 +22,7 @@ from coarsecover.corpus import (
     spider_rotation,
     wedge_of_cycles,
 )
+from coarsecover import flow, graphs
 from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     doubling_check, fiber_basis, greedy_cover, slices_of, verify_cover
 from coarsecover.flow import (
@@ -35,7 +36,6 @@ from coarsecover.flow import (
     theta_for_wideness,
     wideness_scan,
 )
-from coarsecover import graphs
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
@@ -48,6 +48,18 @@ def tree_cf(n=12, seed=None):
     sub = barycentric_subdivision(g)
     theta = all_angles(g)
     return g, sub, flow_space(sub, theta, sub.ve_vertices())
+
+
+def count_doubling_checks(monkeypatch):
+    """Record the point set of every doubling check the flow layer runs."""
+    checked = []
+
+    def counted(points, *args):
+        checked.append(frozenset(points))
+        return doubling_check(points, *args)
+
+    monkeypatch.setattr(flow, "doubling_check", counted)
+    return checked
 
 
 class TestBuildCfTheta:
@@ -258,11 +270,28 @@ class TestDoubling:
         assert rep["failures"] == [(key, checks[key].witness)
                                    for key in ((0, 1), (0, 2))]
 
-    def test_tree_passes_d5(self):
+    def test_fibers_pass_though_their_union_fails(self, monkeypatch):
+        # each fiber holds three heavy leaves and passes; their union
+        # holds all six within 31 of leaf 0 and fails, so the report
+        # checks both fibers on their own and finds no failure
+        metric = star_metric((1, 20, 25, 30, 20, 25, 30))
+        fibers = {(0, 1): frozenset((0, 1, 2, 3)),
+                  (1, 0): frozenset((0, 4, 5, 6))}
+        cf = SimpleNamespace(delta_prime=0, metric=metric, fibers=fibers)
+        checked = count_doubling_checks(monkeypatch)
+        rep = cf_doubling_report(cf, compute_tightest=False)
+        assert rep["ok"] is True and rep["failures"] == []
+        assert len(checked) == 3 and checked[0] == frozenset(range(7))
+        assert set(checked[1:]) == set(fibers.values())
+
+    def test_tree_passes_d5(self, monkeypatch):
         g, sub, cf = tree_cf(30)
+        checked = count_doubling_checks(monkeypatch)
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"]
         assert rep["R"] == 24 * cf.delta_prime + 12
+        # the union passes, so it is the only set checked
+        assert checked == [frozenset().union(*cf.fibers.values())]
 
     def test_tightest_constants(self):
         g, sub, cf = tree_cf(12)
