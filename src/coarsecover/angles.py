@@ -355,6 +355,45 @@ def small_lines(index: GeodesicIndex, oracle: SmallnessOracle, a, targets):
     return lines
 
 
+def cone_sweep(index: GeodesicIndex, oracle: SmallnessOracle, x, targets):
+    """(clean, large): clean[v] is True when every x -> v geodesic is
+    small; large[a] has bit y, for y in the bitmask targets, when some
+    x -> y geodesic turns large at a.  A sweep from x in BFS order, and one
+    back unless targets is 0.  Every prefix of a geodesic is one, so v is
+    clean exactly when each predecessor u of v (one step nearer x) is clean
+    and turns smally into v from each of its own predecessors, the bits
+    pm[u]: pm[u] & ~exits[u][j] == 0 for v u's j-th neighbour.  desc[s] has
+    the targets y with d(x, y) = d(x, s) + d(s, y); large[a] ORs desc[s]
+    over the successors s of a into which some predecessor turn is large.
+    """
+    dx, exits, links = index.dist[x], oracle.exits, oracle.links
+    pm, desc, large = [0] * len(exits), [0] * len(exits), [0] * len(exits)
+    clean = [True] * len(exits)
+    layers, layer = [], [x]
+    while layer:
+        layers.append(layer)
+        reached, d = [], len(layers)
+        for u in layer:
+            p, ok = pm[u], clean[u]
+            for (w, bit), ex in zip(links[u], exits[u]):
+                if dx[w] == d:
+                    if not pm[w]:
+                        reached.append(w)
+                    pm[w] |= bit
+                    clean[w] &= ok and not p & ~ex
+        layer = reached
+    while targets and layers:
+        for a in layers.pop():
+            m, p = 1 << a & targets, pm[a]
+            for (s, _), ex in zip(links[a], exits[a]):
+                if dx[s] == len(layers) + 1:
+                    m |= desc[s]
+                    if p & ~ex:
+                        large[a] |= desc[s]
+            desc[a] = m
+    return clean, large
+
+
 # ---------------------------------------------------------------------------
 # Theta^(3): angles seen at triangle corners whose opposite side misses them
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ separately instead of inventing a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import TYPE_CHECKING
 
-from .angles import AngleSet, SmallnessOracle, angle_sum, geodesic_angles, \
-    geodesic_turns, k_fold_sum, small_steps
+from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
+    geodesic_angles, geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order, slices_of, wide_failures
 from .symmetry import GroupModel, compose
 
@@ -88,8 +89,8 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     their turns to turns, with distances kept.  So the cone set of p.a at
     a layer is {(p g, p xi)} over the cone set of a, and so are its
     certified pairs: only the first apex of each orbit is built, and the
-    other apexes of the orbit get its translates.  Each (g v0, target)
-    pair's turns are read in one pass, grouped by turning vertex.
+    other apexes of the orbit get its translates.  One cone_sweep per
+    (g v0, size) gives both clauses: clean[apex] and bit xi of large[apex].
     """
     inst.graph.require_cone_separation()
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
@@ -111,38 +112,28 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     layer_sizes = ((1, powers[1]), (2, powers[4]), (3, powers[5]))
     # equal sizes are built once: a size's angles -> the size
     distinct = {size.nontrivial: size for _, size in layer_sizes}
-    t3_2 = k_fold_sum(inst.t3, 2)
-    sums = {key: (t3_2, angle_sum(size, t3_2))  # interior_certificate's sums
-            for key, size in distinct.items()}
+    oracles = {key: SmallnessOracle(sub, size)
+               for key, size in distinct.items()}
+    sweep = cache(partial(cone_sweep, index,  # (oracle, g v0) -> sweep
+                          targets=sum(1 << xi for xi in targets)))
+    sums = {}  # a size's angles -> interior_certificate's sums, on first need
 
-    turns = {}  # (gv0, target) -> {w: the angles its geodesics turn at w}
-
-    def turns_of(gv0, target):
-        at = turns.get((gv0, target))
-        if at is None:
-            at = turns[gv0, target] = {}
-            for w, _, _, angle in geodesic_turns(index, sub, gv0, target):
-                at.setdefault(w, set()).add(angle)
-        return at
-
-    def build(apex, size):
-        allowed = size.nontrivial
-        members = set()
-        certified = set()
+    def build(apex, key, size):
+        members, certified = set(), set()
         for ge in sub_group.elements:
-            gv0 = ge[v0]
-            if not all(angles <= allowed
-                       for angles in turns_of(gv0, apex).values()):
+            clean, large = sweep(oracles[key], ge[v0])
+            if not clean[apex]:
                 continue
             for xi in xi_set:
                 if xi == apex:
                     members.add((ge, xi))
-                    continue
-                angles = turns_of(gv0, xi).get(apex)
-                if angles and not angles <= allowed:
+                elif large[apex] >> xi & 1:
                     members.add((ge, xi))
+                    if key not in sums:
+                        t3_2 = k_fold_sum(inst.t3, 2)
+                        sums[key] = t3_2, angle_sum(size, t3_2)
                     if interior_certificate(inst, ge, xi, apex, size,
-                                            sums[allowed]):
+                                            sums[key]):
                         certified.add((ge, xi))
         return frozenset(members), frozenset(certified)
 
@@ -162,7 +153,7 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     cones = []
     for apex in sub.v_vertices():
         if apex not in layers:
-            built = layers[apex] = {key: build(apex, size)
+            built = layers[apex] = {key: build(apex, key, size)
                                     for key, size in distinct.items()}
             for p in sub_group.elements:
                 if p[apex] not in layers:

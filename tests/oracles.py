@@ -359,6 +359,21 @@ def cone_cover_per_apex(inst, theta0, xi_set):
     return cones, powers[6]
 
 
+def cone_sweep_reference(index, sub, theta, x):
+    """angles.cone_sweep read off one geodesic_turns scan per target y:
+    y is clean when no x -> y geodesic turns outside theta, and bit y of
+    large[w] is set when some x -> y geodesic turns outside theta at w."""
+    clean = [False] * index.graph.vertex_count
+    large = [0] * index.graph.vertex_count
+    for y in index.graph.vertices:
+        turns = list(geodesic_turns(index, sub, x, y))
+        clean[y] = all(angle in theta.nontrivial for *_, angle in turns)
+        for w, _, _, angle in turns:
+            if angle not in theta.nontrivial:
+                large[w] |= 1 << y
+    return clean, large
+
+
 def separated_sets_brute(points, dist_fn, alpha, size):
     """All size-subsets pairwise farther than alpha."""
     pts = sorted(points)

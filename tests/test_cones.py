@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsecover.angles import (
+    SmallnessOracle,
     all_angles,
     angle_set_from_triples,
     angle_sum,
+    cone_sweep,
     k_fold_sum,
     trivial_only,
 )
+from coarsecover import cones as cones_module
 from coarsecover.cones import (
     cone_cover,
     cone_sets_as_cover,
@@ -34,12 +37,13 @@ from coarsecover.corpus import (
 )
 from coarsecover.covers import Cover, CoverMember, slices_of
 from coarsecover import pipeline
-from coarsecover.graphs import make_graph
+from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
+    make_graph
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import close_group, compose
 from oracles import cone_cover_per_apex, cone_member_brute, \
-    interior_certificate_brute, perfbench_module
+    cone_sweep_reference, interior_certificate_brute, perfbench_module
 
 workloads = perfbench_module("workloads")
 
@@ -111,6 +115,21 @@ class TestInteriorCertificate:
         assert cone_member_brute(inst, e, xi, 1, theta)
         assert interior_certificate(inst, e, xi, 1, theta,
                                     corner_sums(inst, theta))
+
+    def test_the_apex_turn_is_not_a_later_turn(self):
+        # the reach clause decides here (hypothesis's shrunk case for the
+        # mutant that drops it): the one geodesic from v0, the midpoint of
+        # (0, 1), to 3 turns (1, 0, 3) at the apex 0, theta-large and
+        # twice-corner-large, but no original vertex lies beyond the apex
+        g = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)])
+        inst, sub, Gs, v0 = setup(g)
+        theta = angle_set_from_triples(g, [(2, 0, 3)])
+        e = Gs.identity
+        assert sub.edge_of_midpoint[v0] == (0, 1)
+        assert cone_member_brute(inst, e, 3, 0, theta)
+        assert not interior_certificate_brute(inst, e, 3, 0, theta)
+        assert not interior_certificate(inst, e, 3, 0, theta,
+                                        corner_sums(inst, theta))
 
     def test_no_geodesic_no_certificate(self):
         g = path_graph(5)
@@ -322,6 +341,67 @@ def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
         for xi in inst.sub.graph.vertices:
             assert interior_certificate(inst, e, xi, apex, theta, sums) == \
                 interior_certificate_brute(inst, e, xi, apex, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_sizes(), st.booleans(), st.randoms())
+def test_cone_sweep_matches_a_turn_scan_per_target(gt, subdivided, rng):
+    """clean and large of the sweep from every source agree, at every
+    vertex and apex, with geodesic_turns read target by target, on the
+    graph or on its subdivision, for every target and for a random mask
+    of targets."""
+    g, theta = gt
+    sub = barycentric_subdivision(g) if subdivided else None
+    index = GeodesicIndex(sub.graph if sub else g)
+    oracle = SmallnessOracle(sub or g, theta)
+    every = (1 << index.graph.vertex_count) - 1
+    for x in index.graph.vertices:
+        clean, large = cone_sweep_reference(index, sub, theta, x)
+        assert cone_sweep(index, oracle, x, every) == (clean, large), x
+        mask = rng.getrandbits(index.graph.vertex_count)
+        assert cone_sweep(index, oracle, x, mask) == \
+            (clean, [m & mask for m in large]), (x, mask)
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call cone_cover makes to cones.name."""
+    calls, real = [], getattr(cones_module, name)
+
+    def wrapped(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cones_module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("g, gens, mode", [
+    (random_tree(12, seed=3), [], "all"),
+    (spider(3, 4), [spider_rotation(3, 4)], "seed")],
+    ids=["tree12-all", "spider3-4-rot-seed"])
+def test_cone_cover_sweeps_once_per_base_translate_and_size(
+        monkeypatch, g, gens, mode):
+    """One cone_sweep per (distinct g v0, distinct layer size).  Under
+    theta0 all no pair turns large, so no geodesic is scanned and no
+    certificate sums (the doubled corner size) are formed."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    theta0 = select_theta0(inst, 1, mode)
+    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    sizes = {k_fold_sum(x, k).nontrivial for k in (2, 5, 6)}
+    bases = {ge[inst.v0] for ge in inst.sub_group.elements}
+    sweeps = spy(monkeypatch, "cone_sweep")
+    turns = spy(monkeypatch, "geodesic_turns")
+    folds = spy(monkeypatch, "k_fold_sum")
+    cones, _ = cone_cover(inst, theta0, inst.cone_targets())
+    assert {gv0 for _, _, gv0 in sweeps} == bases
+    assert len({(gv0, id(oracle)) for _, oracle, gv0 in sweeps}) == \
+        len(sweeps) == len(bases) * len(sizes)
+    if mode == "all":
+        assert not turns
+        assert [k for _, k in folds] == [3]
+        assert not any(c.certified_interior for c in cones)
+    else:
+        assert any(c.certified_interior for c in cones)
 
 
 class TestDichotomy:

@@ -8,7 +8,8 @@ Stand-in flow spaces carry random fibers over a star metric, d(a, b) =
 w(a) + w(b) with weights in {1, 2, 3, 20, 25, 30}, and R = 12: six points
 pairwise farther than R fit a ball around a light point, so fibers with
 enough heavy points fail.  Their fibers are near-copies of a few base sets,
-so failing and passing fibers nest inside each other.
+so failing and passing fibers nest inside each other, or sets of at most
+five points, which pass however heavy, while their union may fail.
 """
 
 from itertools import combinations
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import angle_set_from_triples, k_fold_sum
+from coarsecover.covers import doubling_check
 from coarsecover.flow import build_cf_theta, cf_doubling_report
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
@@ -34,6 +36,11 @@ SOME_FAIL = SimpleNamespace(
     delta_prime=0, metric=star_metric(PLANTED_W),
     fibers={(0, 1): frozenset(range(7)), (1, 0): frozenset(range(4)),
             (2, 3): frozenset(range(1, 7))})
+# each fiber holds three heavy points and passes; the union holds six and
+# fails
+UNION_FAILS = SimpleNamespace(
+    delta_prime=0, metric=star_metric((1, 20, 25, 30, 20, 25, 30)),
+    fibers={(0, 1): frozenset(range(4)), (1, 0): frozenset((0, 4, 5, 6))})
 
 
 @st.composite
@@ -61,11 +68,15 @@ def planted_flow_spaces(draw):
     everything = frozenset(range(len(w)))
     bases = [everything - draw(st.frozensets(points, max_size=4))
              for _ in range(draw(st.integers(1, 3)))]
+    small = draw(st.booleans())
     fibers = {}
     for key in draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                             max_size=10)):
-        base = draw(st.sampled_from(bases))
-        fibers[key] = base - draw(st.frozensets(points, max_size=2))
+        if small:
+            fibers[key] = draw(st.frozensets(points, max_size=5))
+        else:
+            base = draw(st.sampled_from(bases))
+            fibers[key] = base - draw(st.frozensets(points, max_size=2))
     return SimpleNamespace(delta_prime=0, fibers=fibers, metric=star_metric(w))
 
 
@@ -83,13 +94,20 @@ def test_report_matches_per_fiber_checks_on_planted_violations():
     @given(planted_flow_spaces(), st.booleans())
     @example(ALL_FAIL, False)
     @example(SOME_FAIL, True)
+    @example(UNION_FAILS, False)
     def check(cf, tightest):
         want = cf_doubling_report_brute(cf, tightest)
         assert cf_doubling_report(cf, tightest) == want
-        outcomes.append((want["ok"], len(want["failures"]), want["fibers"]))
+        union = frozenset().union(*cf.fibers.values())
+        union_ok = doubling_check(union, lambda a, b: cf.metric[a][b], 5,
+                                  12).ok
+        outcomes.append((want["ok"], len(want["failures"]), want["fibers"],
+                         union_ok))
 
     check()
-    # the parity must have been tested on failing reports, and on reports
-    # where passing fibers sit beside failing ones
-    assert any(not ok for ok, _, _ in outcomes)
-    assert any(0 < failed < fibers for _, failed, fibers in outcomes)
+    # the parity must have been tested on failing reports, on reports
+    # where passing fibers sit beside failing ones, and on passing reports
+    # whose union fails
+    assert any(not ok for ok, _, _, _ in outcomes)
+    assert any(0 < failed < fibers for _, failed, fibers, _ in outcomes)
+    assert any(ok and not union_ok for ok, _, _, union_ok in outcomes)
