@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import combinations, compress
-from operator import or_
+from functools import cache
+from itertools import combinations
 
 from .graphs import (
     INF,
@@ -135,6 +134,11 @@ def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
     """
     a._check_base(b)
     g = a.graph
+    every = sum(len(nb) * (len(nb) - 1) // 2
+                for nb in map(g.neighbors, g.vertices))
+    for s in (a, b):
+        if len(s) == every:
+            return s  # every angle of g, and a sum holds no more
     out = set(a.nontrivial) | set(b.nontrivial)
     by_apex_a = {}
     for (u, apex, w) in a.nontrivial:
@@ -307,52 +311,56 @@ def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
     return into, reach
 
 
-def small_lines(index: GeodesicIndex, oracle: SmallnessOracle, a, targets):
-    """For each b in targets other than a, the frozenset of vertices on
-    small a -> b geodesics (empty when there is none).
+def small_lines(index: GeodesicIndex, oracle: SmallnessOracle, a, targets,
+                weight):
+    """For each b in targets other than a, the OR of weight[w] over the
+    vertices w on small a -> b geodesics (0 when there is none); with
+    weight[w] = 1 << w it is the bitmask of those vertices.
 
-    One sweep from a in BFS order.  A small geodesic a -> w ending v -> w
-    is a small geodesic a -> v, ending some u -> v, followed by the step
-    v -> w with a small turn u -> v -> w (every prefix of a geodesic is a
-    geodesic), and every such concatenation is one.  So the bitmask of
-    the vertices on small a -> w geodesics ending v -> w is w's bit or'ed
-    with the masks of the steps u -> v turning smally into w, the step
-    a -> w holding a and w; BFS order settles every step into v before the
-    steps out of v.  The line of b is the union over the steps into b.
-    Angles are unordered, so a reversed small geodesic is small and the
-    line of (a, b) is the line of (b, a).
+    One sweep from a in BFS order, out to the farthest target.  A small
+    geodesic a -> w ending v -> w is a small geodesic a -> v, ending some
+    u -> v, followed by the step v -> w with a small turn u -> v -> w
+    (every prefix of a geodesic is a geodesic), and every such
+    concatenation is one.  So the set of the vertices on small a -> w
+    geodesics ending v -> w is {w} joined with the sets of the steps
+    u -> v turning smally into w, the step a -> w holding a and w; BFS
+    order settles every step into v before the steps out of v.  The line
+    of b is the union over the steps into b, and a step v -> w into which
+    every step u -> v turns smally carries v's whole line.  OR distributes
+    over these unions, so each step carries the OR of the weights of its
+    set in place of the set.  Angles are unordered, so a reversed small
+    geodesic is small and the line of (a, b) is the line of (b, a).
     """
     da, exits, links = index.dist[a], oracle.exits, oracle.links
-    # ends[w] lists (the bit of v among w's neighbours, the mask) per step
-    # v -> w; exits are symmetric, so exits[v][j] has the bits of the steps
-    # into v turning smally into v's j-th step, and -1 admits every step
-    ends = [None] * len(exits)
-    ends[a] = [(-1, 1 << a)]
-    layer, d = [a], 1
-    while layer:
+    # ends[w] maps the bit of v among w's neighbours to the OR of the step
+    # v -> w, into[w] ORs those bits and line[w] those ORs; exits are
+    # symmetric, so exits[v][j] has the bits of the steps into v turning
+    # smally into v's j-th step, and -1 admits every step
+    ends, into, line = [None] * len(exits), [0] * len(exits), [0] * len(exits)
+    ends[a], into[a] = {-1: weight[a]}, -1
+    layer, d, far = [a], 1, max((da[b] for b in targets), default=0)
+    while layer and d <= far:
         reached = []
         for v in layer:
-            steps = ends[v]
+            steps, iv, lv = ends[v], into[v], line[v]
             for (w, bit), x in zip(links[v], exits[v]):
-                if da[w] == d:
-                    m = 0
-                    for ub, um in steps:
-                        if x & ub:
-                            m |= um
-                    if m:
-                        if ends[w] is None:
-                            ends[w] = []
-                            reached.append(w)
-                        ends[w].append((bit, m | 1 << w))
+                if da[w] == d and x & iv:
+                    m = weight[w]
+                    if iv & ~x:  # some step into v turns largely into w
+                        for ub, um in steps.items():
+                            if x & ub:
+                                m |= um
+                    else:
+                        m |= lv
+                    if into[w]:
+                        ends[w][bit] = m
+                    else:
+                        ends[w] = {bit: m}
+                        reached.append(w)
+                    into[w] |= bit
+                    line[w] |= m
         layer, d = reached, d + 1
-    vertices, digits = range(len(exits)), bytes.maketrans(b"01", b"\0\1")
-    lines = {}
-    for b in targets:
-        if b != a:
-            m = reduce(or_, (mb for _, mb in ends[b] or ()), 0)
-            lines[b] = frozenset(compress(
-                vertices, bin(m)[:1:-1].encode().translate(digits)))
-    return lines
+    return {b: line[b] for b in targets if b != a}
 
 
 def cone_sweep(index: GeodesicIndex, oracle: SmallnessOracle, x, targets):

@@ -16,6 +16,7 @@ space whose z-fibers are these sets, one z-point per distinct fiber.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import TYPE_CHECKING
 
 from .angles import (
@@ -46,6 +47,7 @@ from .graphs import GeodesicIndex, Subdivision, slimness_constant
 from .symmetry import GroupModel, trivial_group
 
 _EMPTY = frozenset()
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -60,7 +62,7 @@ class CoarseFlowSpace:
     metric: dict  # the chain metric d_theta, midpoint -> {midpoint: distance}
     group: GroupModel
     index: GeodesicIndex
-    lines: dict  # (xi-, xi+) -> the vertices on small xi- -> xi+ geodesics
+    lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
 
     @property
     def delta_prime(self):
@@ -71,6 +73,12 @@ class CoarseFlowSpace:
         """The points (v, xi-, xi+), read off the fibers."""
         return frozenset((v, xm, xp) for (xm, xp), fiber in self.fibers.items()
                          for v in fiber)
+
+
+def _vertices(mask):
+    """The frozenset of the vertices whose bits are set in mask."""
+    return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(
+        _DIGITS)))
 
 
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
@@ -85,10 +93,15 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     the group so that the point set is invariant; index and theta3_set are
     the subdivision's, as pipeline.Instance holds them.  Equal endpoint
     pairs mean constant flow lines and are excluded.  Each pair's line, the
-    vertices on its small geodesics, comes from small_lines' sweep from
-    the pair's lesser end; its fiber is the delta'-ball around the line's
-    midpoints.  Each unordered pair is built once and its line and fiber
-    stored under both orders, since a line is symmetric in its two ends.
+    vertices on its small geodesics, and its fiber, the delta'-ball around
+    the line's midpoints, come from one small_lines sweep from the pair's
+    lesser end: with n vertices, the weight of v is v's bit joined with
+    the bitmask of v's delta'-ball shifted by n (no ball at an original
+    vertex), so the low n bits of a target's OR are its line and the rest
+    its fiber.  Lines are kept as bitmasks; each distinct fiber is decoded
+    once, so equal fibers are one frozenset.  Each unordered pair is built
+    once and its line and fiber stored under both orders, since a line is
+    symmetric in its two ends.
     """
     g = sub.graph
     if not g.is_connected():
@@ -113,18 +126,22 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
 
     metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
-    balls = [_EMPTY] * g.vertex_count
+    n = g.vertex_count
+    weight = [1 << v for v in g.vertices]
     for v, row in metric.items():
-        balls[v] = frozenset(w for w, dw in row.items() if dw <= delta + 1)
+        ball = sum(1 << w for w, dw in row.items() if dw <= delta + 1)
+        weight[v] |= ball << n
     lines = {}
     fibers = {}
+    decoded = {}  # fiber bitmask -> the fiber
     for i, xm in enumerate(endpoints):
-        for xp, line in small_lines(index, oracle, xm,
-                                    endpoints[i + 1:]).items():
-            fiber = _EMPTY.union(*map(balls.__getitem__, line))
-            for key in ((xm, xp), (xp, xm)):
-                lines[key] = line
-                fibers[key] = fiber
+        for xp, m in small_lines(index, oracle, xm, endpoints[i + 1:],
+                                 weight).items():
+            f = m >> n
+            if f not in decoded:
+                decoded[f] = _vertices(f)
+            lines[xm, xp] = lines[xp, xm] = m & (1 << n) - 1
+            fibers[xm, xp] = fibers[xp, xm] = decoded[f]
     return CoarseFlowSpace(sub, delta, endpoints, fibers, metric,
                            group, index, lines)
 
@@ -232,7 +249,8 @@ def expand_cover(cf: CoarseFlowSpace, cover: Cover) -> Cover:
 
 
 def _line(cf: CoarseFlowSpace, gv0, xi):
-    """The small carriers from gv0 to xi, two distinct endpoints of cf."""
+    """The bitmask of the small carriers from gv0 to xi, two distinct
+    endpoints of cf."""
     line = cf.lines.get((gv0, xi))
     if line is None:
         raise ValueError("(%r, %r) is not a pair of distinct flow-space "
@@ -283,6 +301,7 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
         raise ValueError("base vertex must be a midpoint vertex")
     # layer 2*tau in the subdivision is distance tau in original units
     tau_sets = []  # (g, xi, the flow-space z-point, the midpoints at tau)
+    spheres = {}  # g v0 -> the vertices at 2 tau from it
     for (g, xi) in targets:
         gv0 = g[v0]
         if gv0 == xi:
@@ -292,8 +311,10 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
             raise ValueError("target pair admits no small geodesic")
         d0 = cf.index.dist[gv0]
         if d0[xi] >= 2 * tau:  # shorter lines are excluded everywhere
-            tau_sets.append((g, xi, (gv0, xi),
-                             frozenset(v for v in line if d0[v] == 2 * tau)))
+            if gv0 not in spheres:
+                spheres[gv0] = [v for v, dv in enumerate(d0) if dv == 2 * tau]
+            tau_sets.append((g, xi, (gv0, xi), frozenset(
+                v for v in spheres[gv0] if line >> v & 1)))
     members = []
     seen = set()
     for m in cover.members:

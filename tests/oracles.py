@@ -248,6 +248,13 @@ def mask_neighbours(g, v, mask):
     return {w for i, w in enumerate(g.neighbors(v)) if mask >> i & 1}
 
 
+def mask_vertices(mask):
+    """The vertices whose bits are set in a vertex bitmask, such as a line
+    of angles.small_lines under the weights 1 << v, or a line of
+    CoarseFlowSpace.lines."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def small_carriers(index, steps_a, steps_b, a, b):
     """The vertices on small a -> b geodesics, from the small_steps sweeps
     of a and b, by one scan of every vertex: the reference for

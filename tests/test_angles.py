@@ -1,3 +1,7 @@
+import random
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from coarsecover import angles
@@ -38,8 +42,9 @@ from coarsecover.graphs import (
     slimness_constant,
 )
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
-    mask_neighbours, observer_set_all, observer_set_exists, small_carriers, \
-    theta3_brute, theta3_subdivision_brute, theta_small_paths_brute
+    mask_neighbours, mask_vertices, observer_set_all, observer_set_exists, \
+    small_carriers, theta3_brute, theta3_subdivision_brute, \
+    theta_small_paths_brute
 
 C6 = cycle_graph(6)
 
@@ -478,12 +483,16 @@ class TestCarrierSets:
         for g in (cycle_graph(6), wedge_of_cycles(2, 4),
                   theta_graph(2, 2, 2), hypercube3()):
             idx = GeodesicIndex(g)
+            rng = random.Random(g.vertex_count)
+            weight = [rng.randrange(1 << 16) for _ in g.vertices]
             for theta in (trivial_only(g), theta3(g), all_angles(g)):
                 oracle = SmallnessOracle(g, theta)
                 steps = [small_steps(idx, oracle, x) for x in g.vertices]
                 for u in g.vertices:
-                    lines = small_lines(idx, oracle, u, g.vertices)
-                    assert u not in lines
+                    lines = small_lines(idx, oracle, u, g.vertices,
+                                        [1 << v for v in g.vertices])
+                    ors = small_lines(idx, oracle, u, g.vertices, weight)
+                    assert u not in lines and u not in ors
                     for v in g.vertices:
                         got = small_carriers(idx, steps[u], steps[v], u, v)
                         want = set()
@@ -491,4 +500,6 @@ class TestCarrierSets:
                             want.update(p)
                         assert got == frozenset(want), (u, v)
                         if v != u:
-                            assert lines[v] == got, (u, v)
+                            assert mask_vertices(lines[v]) == got, (u, v)
+                            assert ors[v] == reduce(
+                                or_, (weight[w] for w in want), 0), (u, v)

@@ -1,7 +1,7 @@
 """Property tests: the geodesic-triangle kernels, the block decomposition,
-the geodesic turn iterator, the small-geodesic sweeps, the Rips pair
-relation, the theta3 circuit bound and the lemma battery's connector test
-built on them against the brute-force oracles (networkx's for the blocks),
+the geodesic turn iterator, the small-geodesic sweeps, angle sums, the
+Rips pair relation, the theta3 circuit bound and the lemma battery's
+connector test built on them against the brute-force oracles (networkx's for the blocks),
 and theta3 under a group against theta3 with every apex.
 
 Random graphs have at most 9 vertices: a random forest (a spanning tree
@@ -11,14 +11,16 @@ degree 12 or more.
 """
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
-    all_angles, canonical_angle, geodesic_turns, k_fold_sum, small_lines, \
+    all_angles, angle_sum, canonical_angle, geodesic_turns, k_fold_sum, small_lines, \
     small_steps, theta3, theta3_circuit_bound_check
 from coarsecover.corpus import cycle_graph, dihedral_group, grid_graph, \
     spider, spider_rotation, star_graph
@@ -38,8 +40,10 @@ from coarsecover.rips import SmallPairRelation
 from coarsecover.symmetry import close_group, is_automorphism
 from oracles import (
     all_simple_shortest_paths,
+    angle_sum_brute,
     distance_matrix,
     mask_neighbours,
+    mask_vertices,
     small_carriers,
     theta3_brute,
     theta3_circuit_bound_brute,
@@ -155,7 +159,7 @@ def test_flow_lines_match_the_per_pair_reference(g, gens):
                             theta3_set=inst.t3)
         oracle = SmallnessOracle(inst.sub, theta)
         steps = {x: small_steps(index, oracle, x) for x in cf.endpoints}
-        assert cf.lines == {
+        assert {key: mask_vertices(m) for key, m in cf.lines.items()} == {
             (a, b): small_carriers(index, steps[a], steps[b], a, b)
             for a in cf.endpoints for b in cf.endpoints if a != b}
 
@@ -364,14 +368,21 @@ def graphs_with_theta(draw, **kw):
 def _check_small_geodesics(g, theta, sub=None):
     """The small-step sweeps, the carriers built from them and the lines
     of the sweep from each vertex against the theta-small geodesics found
-    by DFS, on every ordered pair."""
+    by DFS, on every ordered pair.  The sweep runs twice: under the
+    weights 1 << v its lines are the carriers' bitmasks, and under random
+    weights, half of them 0, each line is the OR of its carriers'
+    weights."""
     graph = g if sub is None else sub.graph
     oracle = SmallnessOracle(g if sub is None else sub, theta)
     index = GeodesicIndex(graph)
     steps = [small_steps(index, oracle, x) for x in graph.vertices]
+    rng = random.Random(graph.vertex_count)
+    weight = [rng.choice((0, rng.randrange(1 << 12))) for _ in graph.vertices]
     for u in graph.vertices:
-        lines = small_lines(index, oracle, u,
-                            [v for v in graph.vertices if v != u])
+        others = [v for v in graph.vertices if v != u]
+        lines = small_lines(index, oracle, u, others,
+                            [1 << v for v in graph.vertices])
+        ors = small_lines(index, oracle, u, others, weight)
         for v in graph.vertices:
             paths = theta_small_paths_brute(graph, theta, u, v, sub)
             assert mask_neighbours(graph, v, steps[u][0][v]) \
@@ -380,7 +391,9 @@ def _check_small_geodesics(g, theta, sub=None):
             assert small_carriers(index, steps[u], steps[v], u, v) \
                 == carriers
             if v != u:
-                assert lines[v] == carriers
+                assert mask_vertices(lines[v]) == carriers
+                assert ors[v] == reduce(
+                    or_, (weight[w] for w in carriers), 0), (u, v)
 
 
 def _wide(g, seed):
@@ -417,6 +430,24 @@ def test_small_geodesic_scans_match_brute(case):
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
+
+
+@SETTINGS
+@given(graphs_with_theta())
+def test_angle_sum_matches_brute_and_keeps_every_angle(case):
+    """angle_sum on a random size and its complement against the
+    definitional composition; a sum whose summands hold every angle
+    between them is every angle."""
+    g, theta = case
+    every = all_angles(g)
+    rest = AngleSet(g, every.nontrivial - theta.nontrivial)
+    for a, b in ((theta, theta), (theta, rest), (every, theta),
+                 (theta, every)):
+        assert angle_sum(a, b).nontrivial == angle_sum_brute(
+            a.nontrivial, b.nontrivial)
+    for a, b in ((theta, rest), (rest, theta), (every, theta),
+                 (theta, every), (every, every)):
+        assert angle_sum(a, b) == every
 
 
 @SETTINGS
