@@ -12,13 +12,13 @@ separately instead of inventing a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
     geodesic_angles, geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order, slices_of, wide_failures
-from .symmetry import GroupModel, compose
+from .flow import _vertices
+from .symmetry import GroupModel, invert
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -85,12 +85,14 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
 
     theta0 must be invariant under the lifted group and xi_set closed
     under it, or ValueError.  Then every layer size is invariant, since
-    theta3 is, and a group element p carries geodesics to geodesics and
-    their turns to turns, with distances kept.  So the cone set of p.a at
-    a layer is {(p g, p xi)} over the cone set of a, and so are its
-    certified pairs: only the first apex of each orbit is built, and the
-    other apexes of the orbit get its translates.  One cone_sweep per
-    (g v0, size) gives both clauses: clean[apex] and bit xi of large[apex].
+    theta3 is, and g^-1 carries the g v0 -> a and g v0 -> xi geodesics to
+    the v0 -> g^-1 a and v0 -> g^-1 xi ones, turns to turns.  So (g, xi) is
+    in the cone set at a, or certified there, exactly when (e, g^-1 xi) is
+    at g^-1 a.  The base row of an original vertex b holds the targets y
+    with (e, y) in the cone set at b, and the cone set at g b holds (g, g y)
+    for each y of it.  One cone_sweep from v0 per distinct size reads every
+    row: clean[b] and (y == b or bit y of large[b]).  Certificates are
+    checked at the identity only; an empty row adds nothing.
     """
     inst.graph.require_cone_separation()
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
@@ -112,58 +114,32 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     layer_sizes = ((1, powers[1]), (2, powers[4]), (3, powers[5]))
     # equal sizes are built once: a size's angles -> the size
     distinct = {size.nontrivial: size for _, size in layer_sizes}
-    oracles = {key: SmallnessOracle(sub, size)
-               for key, size in distinct.items()}
-    sweep = cache(partial(cone_sweep, index,  # (oracle, g v0) -> sweep
-                          targets=sum(1 << xi for xi in targets)))
-    sums = {}  # a size's angles -> interior_certificate's sums, on first need
-
-    def build(apex, key, size):
-        members, certified = set(), set()
-        for ge in sub_group.elements:
-            clean, large = sweep(oracles[key], ge[v0])
-            if not clean[apex]:
+    e, mask = sub_group.identity, sum(1 << xi for xi in targets)
+    built = {}  # (a size's angles, apex) -> (members, certified)
+    for key, size in distinct.items():
+        clean, large = cone_sweep(index, SmallnessOracle(sub, size), v0, mask)
+        sums = None  # interior_certificate's sums, on first need
+        for b in sub.v_vertices():
+            # b's base row: the targets y with (e, y) in the cone set at b
+            row = _vertices(large[b] | 1 << b & mask) if clean[b] else ()
+            if not row:
                 continue
-            for xi in xi_set:
-                if xi == apex:
-                    members.add((ge, xi))
-                elif large[apex] >> xi & 1:
-                    members.add((ge, xi))
-                    if key not in sums:
-                        t3_2 = k_fold_sum(inst.t3, 2)
-                        sums[key] = t3_2, angle_sum(size, t3_2)
-                    if interior_certificate(inst, ge, xi, apex, size,
-                                            sums[key]):
-                        certified.add((ge, xi))
-        return frozenset(members), frozenset(certified)
-
-    products = {}  # p -> {g: p g}, filled as translates need them
-
-    def translate(p, pairs):  # {(p g, p xi)} over the pairs (g, xi)
-        left = products.setdefault(p, {})
-        out = set()
-        for ge, xi in pairs:
-            pg = left.get(ge)
-            if pg is None:
-                pg = left[ge] = compose(p, ge)
-            out.add((pg, p[xi]))
-        return frozenset(out)
-
-    layers = {}  # apex -> {a layer size's angles: (members, certified)}
+            if large[b] and sums is None:
+                t3_2 = k_fold_sum(inst.t3, 2)
+                sums = t3_2, angle_sum(size, t3_2)
+            certified = [y for y in row if y != b and interior_certificate(
+                inst, e, y, b, size, sums)]
+            for ge in sub_group.elements:
+                members, certs = built.setdefault((key, ge[b]), (set(), set()))
+                members.update((ge, ge[y]) for y in row)
+                certs.update((ge, ge[y]) for y in certified)
     cones = []
     for apex in sub.v_vertices():
-        if apex not in layers:
-            built = layers[apex] = {key: build(apex, key, size)
-                                    for key, size in distinct.items()}
-            for p in sub_group.elements:
-                if p[apex] not in layers:
-                    layers[p[apex]] = {
-                        key: (translate(p, members), translate(p, certified))
-                        for key, (members, certified) in built.items()}
         for layer, size in layer_sizes:
-            members, certified = layers[apex][size.nontrivial]
+            members, certified = built.get((size.nontrivial, apex), ((), ()))
             if members:
-                cones.append(ConeSet(apex, layer, members, certified))
+                cones.append(ConeSet(apex, layer, frozenset(members),
+                                     frozenset(certified)))
     return cones, powers[5]
 
 
@@ -171,36 +147,31 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
                     xi_set) -> dict:
     """Every eligible pair is widely cone-covered or flows small.
 
-    Vertex endpoints are tried under the covering clause first; the small
-    geodesics from a base translate are swept once, when some pair of it
-    first reaches the second clause.  The report records which clause fired
-    for each pair.
+    Vertex endpoints are tried under the covering clause first.  theta_out
+    is cone_cover's invariant size, so a small g v0 -> xi geodesic exists
+    exactly when a small v0 -> g^-1 xi one does: the small geodesics from v0
+    are swept once, when a pair first reaches the second clause.  The report
+    records which clause fired for each pair.
     """
-    index, sub_group = inst.index, inst.sub_group
-    oracle = SmallnessOracle(inst.sub, theta_out)
-    uncovered = set(wide_failures(
-        [slices_of(c.members) for c in cones], sub_group, alpha,
-        [(ge, xi) for ge in sub_group.elements for xi in xi_set]))
-    failures = []
-    clause_counts = {"cone": 0, "small-geodesic": 0}
-    for ge in sub_group.elements:
-        gv0 = ge[inst.v0]
-        into = None
-        for xi in xi_set:
-            if (ge, xi) not in uncovered:
-                clause_counts["cone"] += 1
-                continue
-            if into is None and gv0 != xi:
-                into = small_steps(index, oracle, gv0)[0]
-            if gv0 == xi or into[xi]:
-                clause_counts["small-geodesic"] += 1
-                continue
+    sub_group, v0 = inst.sub_group, inst.v0
+    pairs = [(ge, xi) for ge in sub_group.elements for xi in xi_set]
+    into, last, small, failures = None, None, 0, []
+    for ge, xi in wide_failures([slices_of(c.members) for c in cones],
+                                sub_group, alpha, pairs):
+        if ge is not last:  # g^-1 once per element reaching this clause
+            last, back = ge, invert(ge)
+        if into is None:
+            into = small_steps(inst.index,
+                               SmallnessOracle(inst.sub, theta_out), v0)[0]
+        if ge[v0] == xi or into[back[xi]]:
+            small += 1
+        else:
             failures.append((sub_group.index_of(ge), xi))
     return {
         "ok": not failures,
-        "clauses": clause_counts,
-        "pairs_checked": clause_counts["cone"] + clause_counts["small-geodesic"]
-        + len(failures),
+        "clauses": {"cone": len(pairs) - small - len(failures),
+                    "small-geodesic": small},
+        "pairs_checked": len(pairs),
         "failures": failures,
     }
 

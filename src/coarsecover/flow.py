@@ -377,13 +377,16 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
 
     Realized as a search: saturate all angles on geodesics among ball
     translates of the base vertex, then pad with composition room.  The
-    result also contains the doubled corner size, so it is ready for the
-    flow space hypothesis.  Its fitness is checked extensionally by the
-    wideness scan, never assumed.
+    p v0 -> q v0 geodesics are p applied to the v0 -> p^-1 q v0 ones, and
+    p^-1 q runs over ball(2 alpha) as p, q run over ball(alpha), the word
+    metric's generators being closed under inverses: after saturation the
+    pairs (v0, r v0), r in ball(2 alpha), give the same angles.  The result
+    also contains the doubled corner size, so it is ready for the flow
+    space hypothesis.  Its fitness is checked extensionally by the wideness
+    scan, never assumed.
     """
-    sub_group = inst.sub_group
-    ball = [p[inst.v0] for p in sub_group.ball(alpha)]
-    pairs = [(a, b) for a in ball for b in ball]
+    sub_group, v0 = inst.sub_group, inst.v0
+    pairs = [(v0, p[v0]) for p in sub_group.ball(2 * alpha)]
     theta1 = geodesic_angles(inst.index, inst.sub, pairs).saturate(sub_group)
     t3_2 = k_fold_sum(inst.t3, 2)
     x = angle_sum(theta0.union(theta1), k_fold_sum(inst.t3, 3))

@@ -12,6 +12,7 @@ from coarsecover.angles import (
     angle_sum,
     cone_sweep,
     k_fold_sum,
+    small_steps,
     trivial_only,
 )
 from coarsecover import cones as cones_module
@@ -35,7 +36,7 @@ from coarsecover.corpus import (
     triangle_caterpillar,
     wedge_of_cycles,
 )
-from coarsecover.covers import Cover, CoverMember, slices_of
+from coarsecover.covers import Cover, CoverMember, slices_of, wide_failures
 from coarsecover import pipeline
 from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
     make_graph
@@ -241,26 +242,31 @@ CONE_PARITY_CASES = [
 def test_cone_layers_match_the_definition(name, g, gens, mode):
     """Each layer's member set is exactly the pairs meeting both clauses
     of the cone-set definition at that layer's size, and its certified
-    pairs are exactly the members meeting the interior certificate."""
+    pairs are exactly the members meeting the interior certificate, at
+    alpha 0 and 1.  At alpha 0 the seeded theta0 is smallest, so the most
+    pairs turn large."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
-    theta0 = select_theta0(inst, 1, mode)
     xi_set = inst.cone_targets()
-    cones, _ = cone_cover(inst, theta0, xi_set)
-    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    got = {(c.apex, c.layer): c for c in cones}
-    for apex in inst.sub.v_vertices():
-        for layer, k in ((1, 2), (2, 5), (3, 6)):
-            size = k_fold_sum(x, k)
-            want = frozenset(
-                (ge, xi) for ge in inst.sub_group.elements for xi in xi_set
-                if cone_member_brute(inst, ge, xi, apex, size))
-            c = got.get((apex, layer))
-            assert (c.members if c else frozenset()) == want, (apex, layer)
-            if c:
-                assert c.certified_interior == frozenset(
-                    (ge, xi) for ge, xi in c.members
-                    if interior_certificate_brute(inst, ge, xi, apex, size)), \
-                    (apex, layer)
+    for alpha in (0, 1):
+        theta0 = select_theta0(inst, alpha, mode)
+        cones, _ = cone_cover(inst, theta0, xi_set)
+        x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+        got = {(c.apex, c.layer): c for c in cones}
+        for apex in inst.sub.v_vertices():
+            for layer, k in ((1, 2), (2, 5), (3, 6)):
+                size = k_fold_sum(x, k)
+                want = frozenset(
+                    (ge, xi) for ge in inst.sub_group.elements
+                    for xi in xi_set
+                    if cone_member_brute(inst, ge, xi, apex, size))
+                c = got.get((apex, layer))
+                assert (c.members if c else frozenset()) == want, \
+                    (alpha, apex, layer)
+                if c:
+                    assert c.certified_interior == frozenset(
+                        (ge, xi) for ge, xi in c.members
+                        if interior_certificate_brute(
+                            inst, ge, xi, apex, size)), (alpha, apex, layer)
 
 
 C16_DIHEDRAL = next(c for c in workloads.seed_cases(
@@ -273,14 +279,16 @@ PER_APEX_CASES = CONE_PARITY_CASES + [
 @pytest.mark.parametrize("name, g, gens, mode", PER_APEX_CASES,
                          ids=[c[0] for c in PER_APEX_CASES])
 def test_cone_cover_matches_the_per_apex_construction(name, g, gens, mode):
-    """Building one apex per orbit and translating it gives the same list,
-    in the same order, with the same companion size, as building every
-    apex and every group element on its own."""
+    """Reading each vertex's base row from v0 and translating it by every
+    group element gives the same list, in the same order, with the same
+    companion size, as building every apex and every group element on its
+    own, at alpha 0 and 1."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
-    theta0 = select_theta0(inst, 1, mode)
     xi_set = inst.cone_targets()
-    assert cone_cover(inst, theta0, xi_set) == \
-        cone_cover_per_apex(inst, theta0, xi_set)
+    for alpha in (0, 1):
+        theta0 = select_theta0(inst, alpha, mode)
+        assert cone_cover(inst, theta0, xi_set) == \
+            cone_cover_per_apex(inst, theta0, xi_set), alpha
 
 
 def test_cone_cover_refuses_a_size_or_targets_the_group_moves():
@@ -364,7 +372,7 @@ def test_cone_sweep_matches_a_turn_scan_per_target(gt, subdivided, rng):
 
 
 def spy(monkeypatch, name):
-    """Record the arguments of every call cone_cover makes to cones.name."""
+    """Record the arguments of every call the cones module makes to name."""
     calls, real = [], getattr(cones_module, name)
 
     def wrapped(*args, **kw):
@@ -379,29 +387,64 @@ def spy(monkeypatch, name):
     (random_tree(12, seed=3), [], "all"),
     (spider(3, 4), [spider_rotation(3, 4)], "seed")],
     ids=["tree12-all", "spider3-4-rot-seed"])
-def test_cone_cover_sweeps_once_per_base_translate_and_size(
-        monkeypatch, g, gens, mode):
-    """One cone_sweep per (distinct g v0, distinct layer size).  Under
-    theta0 all no pair turns large, so no geodesic is scanned and no
-    certificate sums (the doubled corner size) are formed."""
+def test_cone_cover_sweeps_once_per_size_from_v0(monkeypatch, g, gens, mode):
+    """One cone_sweep per distinct layer size, every one from v0, and
+    certificates checked at the identity only.  Under theta0 all no pair
+    turns large, so no geodesic is scanned and no certificate sums (the
+    doubled corner size) are formed."""
     inst = build_instance(g, close_group(g, gens) if gens else None)
     theta0 = select_theta0(inst, 1, mode)
     x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    sizes = {k_fold_sum(x, k).nontrivial for k in (2, 5, 6)}
-    bases = {ge[inst.v0] for ge in inst.sub_group.elements}
+    sizes = {size.nontrivial: size
+             for size in (k_fold_sum(x, k) for k in (2, 5, 6))}
+    exits = [SmallnessOracle(inst.sub, size).exits for size in sizes.values()]
     sweeps = spy(monkeypatch, "cone_sweep")
     turns = spy(monkeypatch, "geodesic_turns")
     folds = spy(monkeypatch, "k_fold_sum")
+    certs = spy(monkeypatch, "interior_certificate")
     cones, _ = cone_cover(inst, theta0, inst.cone_targets())
-    assert {gv0 for _, _, gv0 in sweeps} == bases
-    assert len({(gv0, id(oracle)) for _, oracle, gv0 in sweeps}) == \
-        len(sweeps) == len(bases) * len(sizes)
+    assert [src for _, _, src, _ in sweeps] == [inst.v0] * len(sizes)
+    assert sorted(oracle.exits for _, oracle, _, _ in sweeps) == sorted(exits)
+    assert {args[1] for args in certs} <= {inst.sub_group.identity}
     if mode == "all":
         assert not turns
+        assert not certs
         assert [k for _, k in folds] == [3]
         assert not any(c.certified_interior for c in cones)
     else:
+        assert certs
         assert any(c.certified_interior for c in cones)
+
+
+@pytest.mark.parametrize("name, g, gens, mode", CONE_PARITY_CASES,
+                         ids=[c[0] for c in CONE_PARITY_CASES])
+def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
+                                                 mode):
+    """With every other cone set left out, or all of them, each pair the
+    kept sets do not cover passes exactly when a sweep from its own g v0
+    finds a small geodesic to xi, and fails in order otherwise; a call
+    sweeps at most once, from v0.  Every midpoint is a target, so a sweep
+    read at g xi in place of g^-1 xi changes some verdict."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    elements, v0 = inst.sub_group.elements, inst.v0
+    xi_set = tuple(sorted(set(g.cone_vertices) | set(inst.sub.ve_vertices())))
+    cones, theta_out = cone_cover(inst, select_theta0(inst, 1, mode), xi_set)
+    oracle = SmallnessOracle(inst.sub, theta_out)
+    for kept in (cones[::2], []):
+        sweeps = spy(monkeypatch, "small_steps")
+        rep = dichotomy_check(inst, theta_out, 1, kept, xi_set)
+        assert [src for _, _, src in sweeps] in ([], [v0])
+        uncovered = list(wide_failures(
+            [slices_of(c.members) for c in kept], inst.sub_group, 1,
+            [(ge, xi) for ge in elements for xi in xi_set]))
+        assert rep["failures"] == [
+            (elements.index(ge), xi) for ge, xi in uncovered
+            if ge[v0] != xi
+            and not small_steps(inst.index, oracle, ge[v0])[0][xi]]
+        assert rep["clauses"] == {
+            "cone": len(elements) * len(xi_set) - len(uncovered),
+            "small-geodesic": len(uncovered) - len(rep["failures"])}
+        monkeypatch.undo()
 
 
 class TestDichotomy:

@@ -37,7 +37,8 @@ from coarsecover.flow import (
     wideness_scan,
 )
 from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
-from coarsecover.pipeline import build_instance, run_pipeline
+from coarsecover.pipeline import build_instance, run_pipeline, \
+    select_theta0
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
 from oracles import endpoint_pair_space, failed, flow_space, \
     mask_vertices, small_carriers, star_metric, theta_small_paths_brute
@@ -502,6 +503,22 @@ class TestPullback:
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
         assert all((e, xi) not in m.points for m in pull.members)
 
+    def test_only_the_tau_sphere_of_a_line_is_read(self):
+        # the slice holds the line's vertices at distance tau and none
+        # nearer to the base: the pair is pulled back all the same
+        g, sub, cf = tree_cf(8)
+        v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
+        e = cf.group.identity
+        d0 = cf.index.dist[v0]
+        xi = max(cf.endpoints, key=d0.__getitem__)
+        assert d0[xi] > 2
+        at_tau = [v for v in cf.index.geodesic_vertex_set(v0, xi)
+                  if d0[v] == 2]
+        member = CoverMember(slices_of((v, (v0, xi)) for v in at_tau),
+                             frozenset([e]), True)
+        pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
+        assert [m.points for m in pull.members] == [frozenset([(e, xi)])]
+
     def test_short_flow_lines_excluded(self):
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
@@ -642,6 +659,40 @@ class TestThetaForWideness:
                 # whenever the base translate flows small (theta0 = corner
                 # size makes every cycle geodesic qualify)
                 assert a == xi or into[xi]
+
+
+WIDENESS_PARITY_CASES = [
+    ("c12-dihedral", cycle_graph(12),
+     [cyclic_rotation(12), cycle_reflection(12)]),
+    ("c12-r3", cycle_graph(12), [tuple((i + 3) % 12 for i in range(12))]),
+    ("c9-rot", cycle_graph(9), [cyclic_rotation(9)]),
+    ("spider3-4-rot", spider(3, 4), [spider_rotation(3, 4)]),
+    ("spider4-3-rot", spider(4, 3), [spider_rotation(4, 3)]),
+    # at alpha 1 under the trivial theta0, ball(alpha) alone from v0 misses
+    # the angles between legs two apart
+    ("spider8-2-rot", spider(8, 2), [spider_rotation(8, 2)]),
+]
+
+
+@pytest.mark.parametrize("name, g, gens", WIDENESS_PARITY_CASES,
+                         ids=[c[0] for c in WIDENESS_PARITY_CASES])
+def test_theta_for_wideness_matches_the_ball_pairs(monkeypatch, name, g,
+                                                   gens):
+    """The pairs (v0, r v0), r in ball(2 alpha), give the same size as every
+    pair of ball(alpha) translates of v0, at alpha 0 to 3, from the seeded
+    and from the trivial theta0."""
+    inst = build_instance(g, close_group(g, gens))
+    Gs, v0 = inst.sub_group, inst.v0
+    real = flow.geodesic_angles
+    for alpha in range(4):
+        ball = [p[v0] for p in Gs.ball(alpha)]
+        for theta0 in (select_theta0(inst, alpha, "seed"), trivial_only(g)):
+            got = theta_for_wideness(inst, alpha, theta0)
+            monkeypatch.setattr(flow, "geodesic_angles", lambda index, sub, _:
+                                real(index, sub, [(a, b) for a in ball
+                                                  for b in ball]))
+            assert got == theta_for_wideness(inst, alpha, theta0), alpha
+            monkeypatch.setattr(flow, "geodesic_angles", real)
 
 
 class TestEqualEndpoints:
