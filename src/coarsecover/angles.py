@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .graphs import (
@@ -196,7 +196,8 @@ class SmallnessOracle:
     smallness.  links[v][j] is (w, the bit of v among w's neighbours) for
     the j-th neighbour w of v, so a step v -> w is recorded at w without a
     search.  Every turn is decided here, once; the sweeps only combine
-    masks.
+    masks.  split[v] is True when some turn at v is large, that is, some
+    exit mask of v lacks a bit; it is computed on first read.
     """
 
     def __init__(self, base, theta: AngleSet):
@@ -227,6 +228,10 @@ class SmallnessOracle:
         for w, nbrs in enumerate(adj):
             for j, v in enumerate(nbrs):
                 links[v].append((w, 1 << j))
+
+    @cached_property
+    def split(self):
+        return [any(x != (1 << len(ex)) - 1 for x in ex) for ex in self.exits]
 
 
 def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
@@ -311,55 +316,100 @@ def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
     return into, reach
 
 
-def small_lines(index: GeodesicIndex, oracle: SmallnessOracle, a, targets,
-                weight):
+def small_lines(oracle: SmallnessOracle, a, targets, weight):
     """For each b in targets other than a, the OR of weight[w] over the
     vertices w on small a -> b geodesics (0 when there is none); with
     weight[w] = 1 << w it is the bitmask of those vertices.
 
-    One sweep from a in BFS order, out to the farthest target.  A small
-    geodesic a -> w ending v -> w is a small geodesic a -> v, ending some
-    u -> v, followed by the step v -> w with a small turn u -> v -> w
-    (every prefix of a geodesic is a geodesic), and every such
+    One sweep from a in BFS order, which finds each vertex's layer itself.
+    A small geodesic a -> w ending v -> w is a small geodesic a -> v,
+    ending some u -> v, followed by the step v -> w with a small turn
+    u -> v -> w (every prefix of a geodesic is a geodesic), and every such
     concatenation is one.  So the set of the vertices on small a -> w
     geodesics ending v -> w is {w} joined with the sets of the steps
     u -> v turning smally into w, the step a -> w holding a and w; BFS
     order settles every step into v before the steps out of v.  The line
     of b is the union over the steps into b, and a step v -> w into which
-    every step u -> v turns smally carries v's whole line.  OR distributes
-    over these unions, so each step carries the OR of the weights of its
-    set in place of the set.  Angles are unordered, so a reversed small
-    geodesic is small and the line of (a, b) is the line of (b, a).
+    every step u -> v turns smally carries v's whole line: at a vertex
+    with no large turn (not oracle.split) every step out does, so only a
+    split vertex keeps the ORs of the steps into it.  OR distributes over
+    these unions, so each step carries the OR of the weights of its set in
+    place of the set.  Angles are unordered, so a reversed small geodesic
+    is small and the line of (a, b) is the line of (b, a).
+
+    The sweep stops once every target has its layer, as later layers hold
+    no step into a target, or once a layer has no vertex that a small
+    geodesic reaches: every prefix of a geodesic is a geodesic, so no
+    later vertex is reached either.  A vertex no small geodesic reaches
+    only advances the layers.
     """
-    da, exits, links = index.dist[a], oracle.exits, oracle.links
-    # ends[w] maps the bit of v among w's neighbours to the OR of the step
-    # v -> w, into[w] ORs those bits and line[w] those ORs; exits are
+    exits, links, split = oracle.exits, oracle.links, oracle.split
+    n = len(exits)
+    # dist[w] is n, beyond every layer, until w has one; small counts the
+    # vertices of the newest layer that small geodesics reach; ends[w], for
+    # a split w, maps the bit of v among w's neighbours to the OR of the
+    # step v -> w, into[w] ORs those bits and line[w] those ORs; exits are
     # symmetric, so exits[v][j] has the bits of the steps into v turning
     # smally into v's j-th step, and -1 admits every step
-    ends, into, line = [None] * len(exits), [0] * len(exits), [0] * len(exits)
-    ends[a], into[a] = {-1: weight[a]}, -1
-    layer, d, far = [a], 1, max((da[b] for b in targets), default=0)
-    while layer and d <= far:
-        reached = []
+    dist, into, line = [n] * n, [0] * n, [0] * n
+    dist[a], into[a], line[a] = 0, -1, weight[a]
+    ends = {a: {-1: weight[a]}}
+    layer, d, small, found = [a], 0, 1, 0
+    while small:
+        while found < len(targets) and dist[targets[found]] <= d:
+            found += 1
+        if found == len(targets):
+            break
+        reached, d, small = [], d + 1, 0
         for v in layer:
-            steps, iv, lv = ends[v], into[v], line[v]
-            for (w, bit), x in zip(links[v], exits[v]):
-                if da[w] == d and x & iv:
-                    m = weight[w]
-                    if iv & ~x:  # some step into v turns largely into w
-                        for ub, um in steps.items():
-                            if x & ub:
-                                m |= um
-                    else:
-                        m |= lv
-                    if into[w]:
-                        ends[w][bit] = m
-                    else:
-                        ends[w] = {bit: m}
+            iv = into[v]
+            if not iv:
+                for w, _ in links[v]:
+                    if dist[w] > d:
+                        dist[w] = d
                         reached.append(w)
-                    into[w] |= bit
-                    line[w] |= m
-        layer, d = reached, d + 1
+            elif split[v]:
+                steps, lv = ends[v], line[v]
+                for (w, bit), x in zip(links[v], exits[v]):
+                    dw = dist[w]
+                    if dw < d:
+                        continue
+                    if dw > d:
+                        dist[w] = d
+                        reached.append(w)
+                    if x & iv:
+                        m = weight[w]
+                        if iv & ~x:  # some step into v turns largely into w
+                            for ub, um in steps.items():
+                                if x & ub:
+                                    m |= um
+                        else:
+                            m |= lv
+                        if not into[w]:
+                            small += 1
+                        into[w] |= bit
+                        line[w] |= m
+                        if split[w]:
+                            ends.setdefault(w, {})[bit] = m
+            else:  # every step out of v carries v's whole line
+                lv = line[v]
+                for w, bit in links[v]:
+                    dw = dist[w]
+                    if dw < d:
+                        continue
+                    m = lv | weight[w]
+                    if dw > d:  # the first step into w
+                        dist[w], into[w], line[w] = d, bit, m
+                        reached.append(w)
+                        small += 1
+                    else:
+                        if not into[w]:
+                            small += 1
+                        into[w] |= bit
+                        line[w] |= m
+                    if split[w]:
+                        ends.setdefault(w, {})[bit] = m
+        layer = reached
     return {b: line[b] for b in targets if b != a}
 
 

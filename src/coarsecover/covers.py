@@ -17,7 +17,6 @@ set has the (D, R)-doubling property and alpha >= R.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import INF
@@ -289,13 +288,20 @@ def _held(member_slices):
 
 def _fiber_order(fiber, held):
     """The most of the slices held sharing one point of the fiber, less
-    one."""
+    one: -1 when they hold none of its points."""
     if len(held) == 1:
         return -1 if fiber.isdisjoint(held[0]) else 0
-    counts = Counter()
+    # levels[k] holds the points of the fiber in more than k of the slices
+    # seen so far: each slice adds its points to a level and carries those
+    # already there up to the next, as in a carry-save counter
+    levels = []
     for vs in held:
-        counts.update(vs)
-    return max((counts[v] for v in fiber), default=0) - 1
+        m = fiber & vs
+        for k in range(len(levels)):
+            levels[k], m = levels[k] | m, levels[k] & m
+        if m:
+            levels.append(m)
+    return len(levels) - 1
 
 
 def cover_order(member_slices, fibers) -> int:
@@ -486,8 +492,10 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         firsts = sorted(((min(rank[compose(tw, h)] for h in stab), W)
                          for W, tw in orbit.items()), key=lambda f: f[0])
         for k, (r, W) in enumerate(firsts):
-            members.append(CoverMember(W, conjugate(G.elements[r], t.subgroup),
-                                       k == 0))
+            p = G.elements[r]
+            members.append(CoverMember(
+                W, t.subgroup if p == G.identity else conjugate(p, t.subgroup),
+                k == 0))
     order = cover_order([m.slices for m in members], space.fibers)
     return Cover(tuple(members), alpha, order)
 

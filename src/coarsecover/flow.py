@@ -101,7 +101,8 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     its fiber.  Lines are kept as bitmasks; each distinct fiber is decoded
     once, so equal fibers are one frozenset.  Each unordered pair is built
     once and its line and fiber stored under both orders, since a line is
-    symmetric in its two ends.
+    symmetric in its two ends.  The sweeps find their own layers, so no
+    distance row of index is filled here.
     """
     g = sub.graph
     if not g.is_connected():
@@ -135,7 +136,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     fibers = {}
     decoded = {}  # fiber bitmask -> the fiber
     for i, xm in enumerate(endpoints):
-        for xp, m in small_lines(index, oracle, xm, endpoints[i + 1:],
+        for xp, m in small_lines(oracle, xm, endpoints[i + 1:],
                                  weight).items():
             f = m >> n
             if f not in decoded:

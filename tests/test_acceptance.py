@@ -20,6 +20,7 @@ from coarsecover.corpus import (
     battery_graphs,
     cycle_graph,
     flow_graphs,
+    grid_graph,
     path_graph,
     pipeline_instances,
     random_tree,
@@ -227,7 +228,10 @@ def test_criterion_05_dichotomy():
 def test_criterion_06_rips_contractibility():
     t0 = time.time()
     total_moves = 0
-    for name, g, d in rips_instances():
+    cases = set()
+    # the rips corpus makes no far fold; the 2 x 8 grid at d = 4 does
+    instances = rips_instances() + [("grid-2x8", grid_graph(2, 8), 4)]
+    for name, g, d in instances:
         index = GeodesicIndex(g)
         t3 = theta3(g, index=index)
         theta = k_fold_sum(t3, 7)
@@ -238,13 +242,15 @@ def test_criterion_06_rips_contractibility():
         for m in trace.moves:
             assert m.measure_after < m.measure_before
         total_moves += len(trace.moves)
+        cases |= {m.case for m in trace.moves}
         P = build_rips(g, d, theta, index=index)
         betti = homology_oracle(P, max(P.dimension, 0), cap=5000)
         assert betti[0] == 1 and all(b == 0 for b in betti[1:]), (name, betti)
+    assert cases == {"angle-fold", "far-fold", "base-fold"}
     elapsed = time.time() - t0
     assert elapsed < 300
     report(6, "traces valid, Betti (1,0,...) on %d instances, %d moves (%.1fs)"
-           % (len(rips_instances()), total_moves, elapsed))
+           % (len(instances), total_moves, elapsed))
 
 
 def test_criterion_07_extension_identities():

@@ -489,9 +489,9 @@ class TestCarrierSets:
                 oracle = SmallnessOracle(g, theta)
                 steps = [small_steps(idx, oracle, x) for x in g.vertices]
                 for u in g.vertices:
-                    lines = small_lines(idx, oracle, u, g.vertices,
+                    lines = small_lines(oracle, u, g.vertices,
                                         [1 << v for v in g.vertices])
-                    ors = small_lines(idx, oracle, u, g.vertices, weight)
+                    ors = small_lines(oracle, u, g.vertices, weight)
                     assert u not in lines and u not in ors
                     for v in g.vertices:
                         got = small_carriers(idx, steps[u], steps[v], u, v)

@@ -75,25 +75,25 @@ class TestBuildCfTheta:
                     <= cf.delta_prime}
             assert fiber == band
 
-    def test_fills_only_the_endpoint_rows(self, monkeypatch):
-        # a flow line reads the rows of its two endpoints alone; the other
-        # two BFS are the connectivity checks of build_cf_theta and of
-        # slimness_constant
+    def test_fills_no_distance_row(self, monkeypatch):
+        # the small_lines sweeps find their own layers; the only two BFS
+        # are the connectivity checks of build_cf_theta and of
+        # slimness_constant, on the subdivided and the original graph
         g = path_graph(40)
         sub = barycentric_subdivision(g)
         ends = [sub.ve_vertices()[0], sub.ve_vertices()[-1]]
-        sources, bfs_row = [], graphs.bfs_row
+        calls, bfs_row = [], graphs.bfs_row
 
         def counted(h, source):
-            sources.append(source)
+            calls.append((h, source))
             return bfs_row(h, source)
 
         monkeypatch.setattr(graphs, "bfs_row", counted)
         index = GeodesicIndex(sub.graph)
-        assert sources == []
+        assert calls == []
         flow_space(sub, all_angles(g), ends, index=index)
-        assert sorted(index.dist.keys()) == ends
-        assert len(sources) == 4 < sub.graph.vertex_count
+        assert index.dist == {}
+        assert calls == [(sub.graph, 0), (g, 0)]
 
     def test_one_frozenset_per_distinct_fiber(self):
         # a random tree of the tree-ladder workload's sizes, where many

@@ -380,9 +380,9 @@ def _check_small_geodesics(g, theta, sub=None):
     weight = [rng.choice((0, rng.randrange(1 << 12))) for _ in graph.vertices]
     for u in graph.vertices:
         others = [v for v in graph.vertices if v != u]
-        lines = small_lines(index, oracle, u, others,
+        lines = small_lines(oracle, u, others,
                             [1 << v for v in graph.vertices])
-        ors = small_lines(index, oracle, u, others, weight)
+        ors = small_lines(oracle, u, others, weight)
         for v in graph.vertices:
             paths = theta_small_paths_brute(graph, theta, u, v, sub)
             assert mask_neighbours(graph, v, steps[u][0][v]) \
@@ -417,9 +417,17 @@ def wide_examples(test):
     return test
 
 
+# C7 with the angle at 1 large: from 0, vertex 3's one geodesic turns
+# there, and only the unsmall vertex 2 gives 3 its layer; a sweep that does
+# not advance layers from 2 reaches 3 one layer late, from 4
+C7 = cycle_graph(7)
+C7_AT_1_LARGE = (C7, AngleSet(C7, all_angles(C7).nontrivial - {(0, 1, 2)}))
+
+
 @SETTINGS
 @given(graphs_with_theta())
 @wide_examples
+@example(C7_AT_1_LARGE)
 def test_small_geodesic_scans_match_brute(case):
     _check_small_geodesics(*case)
 
@@ -430,6 +438,28 @@ def test_small_geodesic_scans_match_brute(case):
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
+
+
+@SETTINGS
+@given(graphs_with_theta(), st.booleans(), st.data())
+def test_small_lines_toward_some_targets_cut_the_sweep_toward_all(
+        case, subdivide, data):
+    """small_lines from each vertex toward a random list of targets, in
+    random order and the source among them or not, equals the sweep toward
+    every vertex cut down to that list, on the graph or its subdivision:
+    neither stop rule (every target has its layer; a layer no small
+    geodesic reaches) loses a step into a target."""
+    g, theta = case
+    base = barycentric_subdivision(g) if subdivide else g
+    graph = base.graph if subdivide else g
+    oracle = SmallnessOracle(base, theta)
+    weight = [1 << v for v in graph.vertices]
+    targets = data.draw(st.lists(st.sampled_from(graph.vertices),
+                                 unique=True))
+    for u in graph.vertices:
+        every = small_lines(oracle, u, graph.vertices, weight)
+        assert small_lines(oracle, u, targets, weight) \
+            == {b: every[b] for b in targets if b != u}
 
 
 @SETTINGS
