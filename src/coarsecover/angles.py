@@ -197,7 +197,8 @@ class SmallnessOracle:
     the j-th neighbour w of v, so a step v -> w is recorded at w without a
     search.  Every turn is decided here, once; the sweeps only combine
     masks.  split[v] is True when some turn at v is large, that is, some
-    exit mask of v lacks a bit; it is computed on first read.
+    exit mask of v lacks a bit; it is computed on first read.  size is
+    theta, the size whose turns are decided.
     """
 
     def __init__(self, base, theta: AngleSet):
@@ -209,6 +210,7 @@ class SmallnessOracle:
             sub, g = None, base
             if theta.graph != base:
                 raise ValueError("theta must pair edges of this graph")
+        self.size = theta
         adj = [g.neighbors(v) for v in g.vertices]
         # every turn at a midpoint is small, and a trivial turn anywhere;
         # then each angle of theta sets its two bits at its apex

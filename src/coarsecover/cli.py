@@ -186,16 +186,25 @@ def _cf_document(cf):
 
 
 def _run_and_write(args, summary_name, artifact_keys):
-    """Run the pipeline, emit its summary and, under --out, the artifacts."""
+    """Run the pipeline, emit its summary and, under --out, the artifacts;
+    the flow cover, on fiber classes, is placed on the endpoint pairs."""
     g, group = _read_model(args)
     res = run_pipeline(g, group=group, alpha=args.alpha,
                        tau_max=args.tau_max, theta0_mode=args.theta0_mode)
     _emit(args, summary_name, res.summary())
+    group = res.instance.sub_group
     for key in artifact_keys if args.out else ():
         if key in res.artifacts:
             art = res.artifacts[key]
-            _emit(args, key, _cf_document(art) if key == "cf"
-                  else cover_to_document(art, res.instance.sub_group))
+            if key == "cf":
+                doc = _cf_document(art)
+            elif key == "flow_cover":
+                cf = res.artifacts["cf"]
+                doc = cover_to_document(expand_cover(cf, art), group,
+                                        cf.sub.ve_vertices())
+            else:
+                doc = cover_to_document(art, group, group.elements)
+            _emit(args, key, doc)
     return res
 
 
@@ -294,14 +303,16 @@ def cmd_cf(args):
         rep = cf_doubling_report(cf, compute_tightest=True)
         _emit(args, "cf_doubling", rep)
         return 0 if rep["ok"] else 1
-    cover = expand_cover(cf, cover_cf(cf_pair_space(cf), args.alpha))
+    cover = cover_cf(cf_pair_space(cf), args.alpha)
     if args.cf_cmd == "cover":
-        _emit(args, "cf_cover", cover_to_document(cover, sub_group))
+        _emit(args, "cf_cover", cover_to_document(
+            expand_cover(cf, cover), sub_group, inst.sub.ve_vertices()))
         return 0
     targets = ball_closed_targets(cf, v0, args.alpha, boundary)
     if args.cf_cmd == "pullback":
         pull = pullback_cover(cf, cover, args.tau, targets, v0)
-        _emit(args, "cf_pullback", cover_to_document(pull, sub_group))
+        _emit(args, "cf_pullback", cover_to_document(pull, sub_group,
+                                                     sub_group.elements))
         return 0
     if args.cf_cmd == "scan":
         scan = wideness_scan(cf, cover, args.alpha, targets,
@@ -317,7 +328,7 @@ def cmd_cone(args):
     inst = build_instance(*_read_model(args))
     sub_group, xi = inst.sub_group, inst.cone_targets()
     theta0 = select_theta0(inst, args.alpha, args.theta0_mode)
-    cones, theta_out = cone_cover(inst, theta0, xi)
+    cones, oracle = cone_cover(inst, theta0, xi)
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
@@ -326,10 +337,10 @@ def cmd_cone(args):
             "certified_interior": sorted([sub_group.index_of(ge), x]
                                          for (ge, x) in c.certified_interior),
         } for c in cones]
-        _emit(args, "cones", {"theta_out": angleset_to_document(theta_out),
+        _emit(args, "cones", {"theta_out": angleset_to_document(oracle.size),
                               "cone_sets": data})
         return 0
-    rep = dichotomy_check(inst, theta_out, args.alpha, cones, xi)
+    rep = dichotomy_check(inst, oracle, args.alpha, cones, xi)
     _emit(args, "dichotomy", rep)
     return 0 if rep["ok"] else 1
 

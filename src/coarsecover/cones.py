@@ -12,12 +12,13 @@ separately instead of inventing a topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
     geodesic_angles, geodesic_turns, k_fold_sum, small_steps
-from .covers import Cover, CoverMember, cover_order, slices_of, wide_failures
-from .flow import _vertices
+from .covers import Cover, CoverMember, cover_order, masked, slices_of, \
+    wide_failures
 from .symmetry import GroupModel, invert
 
 if TYPE_CHECKING:
@@ -79,9 +80,11 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     """Three layers of cone sets over all original apexes.
 
     Layers use sizes 2X, 5X and 6X where X pads theta0 with three corner
-    summands; the returned companion size is 6X.  Each layer has order 0,
-    so the collection has order at most 2.  Sets come apex ascending, then
-    layer; an empty set is left out.
+    summands; the companion size is 6X, returned as the SmallnessOracle
+    the third layer was swept with (its size is 6X), which
+    dichotomy_check reads.  Each layer has order 0, so the collection has
+    order at most 2.  Sets come apex ascending, then layer; an empty set
+    is left out.
 
     theta0 must be invariant under the lifted group and xi_set closed
     under it, or ValueError.  Then every layer size is invariant, since
@@ -117,11 +120,13 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     e, mask = sub_group.identity, sum(1 << xi for xi in targets)
     built = {}  # (a size's angles, apex) -> (members, certified)
     for key, size in distinct.items():
-        clean, large = cone_sweep(index, SmallnessOracle(sub, size), v0, mask)
+        oracle = SmallnessOracle(sub, size)  # the last is 6X's
+        clean, large = cone_sweep(index, oracle, v0, mask)
         sums = None  # interior_certificate's sums, on first need
         for b in sub.v_vertices():
             # b's base row: the targets y with (e, y) in the cone set at b
-            row = _vertices(large[b] | 1 << b & mask) if clean[b] else ()
+            row = list(masked(count(), large[b] | 1 << b & mask)) \
+                if clean[b] else ()
             if not row:
                 continue
             if large[b] and sums is None:
@@ -140,29 +145,29 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
             if members:
                 cones.append(ConeSet(apex, layer, frozenset(members),
                                      frozenset(certified)))
-    return cones, powers[5]
+    return cones, oracle
 
 
-def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
+def dichotomy_check(inst: Instance, oracle: SmallnessOracle, alpha, cones,
                     xi_set) -> dict:
     """Every eligible pair is widely cone-covered or flows small.
 
-    Vertex endpoints are tried under the covering clause first.  theta_out
-    is cone_cover's invariant size, so a small g v0 -> xi geodesic exists
-    exactly when a small v0 -> g^-1 xi one does: the small geodesics from v0
-    are swept once, when a pair first reaches the second clause.  The report
-    records which clause fired for each pair.
+    Vertex endpoints are tried under the covering clause first.  oracle is
+    cone_cover's, for its invariant size, so a small g v0 -> xi geodesic
+    exists exactly when a small v0 -> g^-1 xi one does: the small
+    geodesics from v0 are swept once, when a pair first reaches the second
+    clause.  The report records which clause fired for each pair.
     """
     sub_group, v0 = inst.sub_group, inst.v0
     pairs = [(ge, xi) for ge in sub_group.elements for xi in xi_set]
     into, last, small, failures = None, None, 0, []
-    for ge, xi in wide_failures([slices_of(c.members) for c in cones],
-                                sub_group, alpha, pairs):
+    for ge, xi in wide_failures(
+            [slices_of(c.members, sub_group.elements) for c in cones],
+            sub_group, alpha, pairs):
         if ge is not last:  # g^-1 once per element reaching this clause
             last, back = ge, invert(ge)
         if into is None:
-            into = small_steps(inst.index,
-                               SmallnessOracle(inst.sub, theta_out), v0)[0]
+            into = small_steps(inst.index, oracle, v0)[0]
         if ge[v0] == xi or into[back[xi]]:
             small += 1
         else:
@@ -177,23 +182,29 @@ def dichotomy_check(inst: Instance, theta_out: AngleSet, alpha, cones,
 
 
 def cone_sets_as_cover(cones, sub_group: GroupModel, domain) -> Cover:
-    """The cone sets as cover members, slices with z = xi and v = g."""
+    """The cone sets as cover members, slices with z = xi and v = g, a
+    mask over sub_group.elements."""
+    elements = sub_group.elements
     members = []
     for c in cones:
-        stab = frozenset(p for p in sub_group.elements if p[c.apex] == c.apex)
-        members.append(CoverMember(slices_of(c.members), stab, True))
-    order = cover_order([m.slices for m in members], slices_of(domain))
+        stab = frozenset(p for p in elements if p[c.apex] == c.apex)
+        members.append(CoverMember(slices_of(c.members, elements), stab,
+                                   True))
+    order = cover_order([m.slices for m in members],
+                        slices_of(domain, elements))
     return Cover(tuple(members), None, order)
 
 
 def combined_cover(cone_cover_obj: Cover, flow_pullback: Cover,
-                   domain) -> Cover:
+                   domain, elements) -> Cover:
     """Union of the cone collection and the pulled-back flow cover.
 
     The cone side contributes at most three members at any point, so the
     order is bounded by the flow order plus three.  Both sides must be
-    built over the same group, base vertex and word scale.
+    built over the same group, base vertex and word scale; elements are
+    the group's, which number the g of the slices' masks.
     """
     members = tuple(cone_cover_obj.members) + tuple(flow_pullback.members)
-    order = cover_order([m.slices for m in members], slices_of(domain))
+    order = cover_order([m.slices for m in members],
+                        slices_of(domain, elements))
     return Cover(members, flow_pullback.alpha, order)

@@ -3,7 +3,10 @@
 The ambient object is a PairSpace: a finite metric set of v-points (metric
 may take the value infinity), a finite discrete set of z-points, and a set
 of admitted (v, z) pairs invariant under a finite group acting diagonally.
-The pairs are stored as the z-fibers V_z, each z-point -> the v-points
+The v-points are numbered in ascending order and a set of them is an int
+mask, bit i for the i-th, so that order, longness and translates are int
+algebra; masked decodes a mask only where a v-point is named.  The pairs
+are stored as the z-fibers V_z, each z-point -> the mask of the v-points
 over it, and indexed by Z_v, each v-point -> the z-points over it.  A cover
 member has the shape of the fibers: its slices map each z-point it meets to
 its v-set over that point, so the cover is built, counted and verified
@@ -17,30 +20,56 @@ set has the (D, R)-doubling property and alpha >= R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress, count
 
 from .graphs import INF
 from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
     is_subgroup, set_orbit, subgroup_generated
 
 _EMPTY = frozenset()
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def masked(seq, mask):
+    """The items of seq at the bits set in mask, lowest bit first: the
+    digits of bin(mask), read from the end, select from seq."""
+    return compress(seq, bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+class _BitImages(dict):
+    """mask -> its image under a bit permutation, made on first read."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        super().__init__()
+        self.bits = bits  # bit i -> the bit of its image
+
+    def __missing__(self, mask):
+        self[mask] = image = sum(masked(self.bits, mask))
+        return image
 
 
 @dataclass(frozen=True)
 class PairSpace:
     """A finite G-invariant pair set X inside V x Z with a metric on V,
-    stored as its z-fibers V_z = {v : (v, z) in X}."""
+    stored as its z-fibers V_z = {v : (v, z) in X}, each a mask over
+    v_points."""
 
-    v_points: tuple
-    fibers: dict  # every z-point -> V_z, empty fibers included
+    v_points: tuple  # ascending; bit i of a mask stands for v_points[i]
+    fibers: dict  # every z-point -> the mask of V_z, empty fibers included
     dist: dict  # v -> {w: d(v, w)}
     group: GroupModel  # p acts on the v-points as the permutation it is
     act_z: dict  # p -> {z: p z}
     z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}
+    # p -> {mask: p.mask}, one memo that every cover of the space shares
+    images: dict = field(compare=False, repr=False)
 
 
 class Slices(dict):
-    """A set of pairs (v, z) as its slices {z: nonempty frozenset of v}.
+    """A set of pairs (v, z) as its slices {z: nonzero mask of its v}.
 
     Hashable, so it must not change once in use; equal slices are equal
     pair sets.
@@ -56,35 +85,23 @@ class Slices(dict):
             return self._hash
 
 
-def slices_of(pairs) -> Slices:
-    """The slices of a collection of pairs (v, z)."""
+def slices_of(pairs, v_points) -> Slices:
+    """The slices of a collection of pairs (v, z), each v-set a mask over
+    the sequence v_points."""
+    position = {v: i for i, v in enumerate(v_points)}
     over = {}
     for v, z in pairs:
-        over.setdefault(z, set()).add(v)
-    return Slices((z, frozenset(vs)) for z, vs in over.items())
+        over[z] = over.get(z, 0) | 1 << position[v]
+    return Slices(over)
 
 
-def _translator(space: PairSpace):
-    """A function applying a group element to slices; it maps each v-set
-    once per element, so translates of slices sharing a v-set share its
-    image."""
-    identity, act_z = space.group.identity, space.act_z
-    images = {}  # p -> {v-set: its image under p}
-
-    def translate(p, slices):
-        if p == identity:
-            return slices
-        image = images.setdefault(p, {})
-        az = act_z[p]
-        out = Slices()
-        for z, vs in slices.items():
-            ws = image.get(vs)
-            if ws is None:
-                ws = image[vs] = frozenset([p[v] for v in vs])
-            out[az[z]] = ws
-        return out
-
-    return translate
+def _translate(space: PairSpace, p, slices):
+    """p.slices; each v-set's image is made once per element and kept in
+    space.images, so translates of slices sharing a v-set share it."""
+    if p == space.group.identity:
+        return slices
+    image, az = space.images[p], space.act_z[p]
+    return Slices([(az[z], image[vs]) for z, vs in slices.items()])
 
 
 def _check_generators(G: GroupModel):
@@ -96,15 +113,30 @@ def _check_generators(G: GroupModel):
 
 def pair_space(v_points, fibers, dist, group: GroupModel,
                act_z) -> PairSpace:
-    """Assemble a PairSpace from its z-fibers (each z-point -> the v-points
-    over it), with Z_v read off them."""
-    fibers = {z: frozenset(vs) for z, vs in fibers.items()}
-    z_over = {}
+    """Assemble a PairSpace from its ascending v-points and its z-fibers,
+    each z-point -> the mask of the v-points over it, with Z_v read off
+    them."""
+    v_points = tuple(v_points)
+    if list(v_points) != sorted(v_points):
+        raise ValueError("the v-points must be ascending")
+    over = [[] for _ in v_points]  # position -> the z-points over it
+    adds = [zs.append for zs in over]
     for z, fiber in fibers.items():
-        for v in fiber:
-            z_over.setdefault(v, set()).add(z)
-    return PairSpace(tuple(v_points), fibers, dist, group, act_z,
-                     {v: frozenset(zs) for v, zs in z_over.items()})
+        for add in masked(adds, fiber):
+            add(z)
+    position = {v: i for i, v in enumerate(v_points)}
+    images = {p: _BitImages([1 << position[p[v]] for v in v_points])
+              for p in group.elements}
+    return PairSpace(v_points, fibers, dist, group, act_z,
+                     {v: frozenset(zs) for v, zs in zip(v_points, over)
+                      if zs}, images)
+
+
+def _ball(space: PairSpace, v, radius):
+    """The mask of the v-points within radius of v."""
+    row = space.dist[v]
+    return sum(compress(map((1).__lshift__, count()),
+                        [row[w] <= radius for w in space.v_points]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +153,13 @@ class DoublingReport:
         return self.witness is None
 
 
-def _dense_distances(points, dist_fn):
-    """Dense distances among points, indexed by their position in it."""
-    return [[dist_fn(a, b) for b in points] for a in points]
+def _dense_distances(points, dist):
+    """Dense distances among points, indexed by their position in it.
+    dist is the metric as a function dist(a, b), or as rows, a -> {b:
+    d(a, b)}, each row read once at the points."""
+    if callable(dist):
+        return [[dist(a, b) for b in points] for a in points]
+    return [list(map(dist[a].__getitem__, points)) for a in points]
 
 
 def _far_core(dist, k, R):
@@ -184,17 +220,17 @@ def _violating_set(pts, dist, size, R):
     return found[0] if found else None
 
 
-def doubling_check(points, dist_fn, D, R) -> DoublingReport:
+def doubling_check(points, dist, D, R) -> DoublingReport:
     """Verify the (D, R)-doubling property of a finite metric set.
 
     For every alpha >= R, every alpha-separated subset (pairwise distances
     strictly above alpha) of every closed 2*alpha ball centered at a point
     of the set must have at most D points.  Scanning scales is equivalent
-    to one subset search, see _violating_set, on the distances dist_fn
-    gives among the sorted points.
+    to one subset search, see _violating_set, on the distances dist gives
+    among the sorted points (a function or rows, see _dense_distances).
     """
     pts = sorted(points)
-    hit = _violating_set(pts, _dense_distances(pts, dist_fn), D + 1, R)
+    hit = _violating_set(pts, _dense_distances(pts, dist), D + 1, R)
     if hit is None:
         return DoublingReport()
     sel, sep, rad, center = hit
@@ -202,26 +238,26 @@ def doubling_check(points, dist_fn, D, R) -> DoublingReport:
     return DoublingReport((alpha, center, tuple(sel)))
 
 
-def minimal_doubling_constant(points, dist_fn, R) -> int:
+def minimal_doubling_constant(points, dist, R) -> int:
     """The smallest D for which the (D, R)-doubling property holds."""
     pts = sorted(points)
     if not pts:
         return 0
-    dist = _dense_distances(pts, dist_fn)
+    dist = _dense_distances(pts, dist)
     best = 1
     while _violating_set(pts, dist, best + 1, R) is not None:
         best += 1
     return best
 
 
-def minimal_doubling_radius(points, dist_fn, D):
+def minimal_doubling_radius(points, dist, D):
     """The smallest R for which the (D, R)-doubling property holds.
 
     The property only weakens as R grows, so a binary search over realized
     gaps finds the tightest passing threshold.
     """
     pts = sorted(points)
-    dist = _dense_distances(pts, dist_fn)
+    dist = _dense_distances(pts, dist)
     cands = [0]
     for i, row in enumerate(dist):
         for d in row[i + 1:]:
@@ -253,14 +289,14 @@ def minimal_doubling_radius(points, dist_fn, D):
 
 @dataclass(frozen=True)
 class CoverMember:
-    slices: Slices  # z -> the member's v-set over z
+    slices: Slices  # z -> the mask of the member's v-set over z
     stabilizer: frozenset
     orbit_rep: bool
 
-    @property
-    def points(self):
-        """The member's pairs (v, z), derived from its slices."""
-        return frozenset((v, z) for z, vs in self.slices.items() for v in vs)
+    def points(self, v_points):
+        """The member's pairs (v, z), its slices decoded over v_points."""
+        return frozenset((v, z) for z, vs in self.slices.items()
+                         for v in masked(v_points, vs))
 
 
 @dataclass(frozen=True)
@@ -290,7 +326,7 @@ def _fiber_order(fiber, held):
     """The most of the slices held sharing one point of the fiber, less
     one: -1 when they hold none of its points."""
     if len(held) == 1:
-        return -1 if fiber.isdisjoint(held[0]) else 0
+        return 0 if fiber & held[0] else -1
     # levels[k] holds the points of the fiber in more than k of the slices
     # seen so far: each slice adds its points to a level and carries those
     # already there up to the next, as in a carry-save counter
@@ -306,8 +342,8 @@ def _fiber_order(fiber, held):
 
 def cover_order(member_slices, fibers) -> int:
     """The most members sharing one point of the domain, less one (-1 when
-    the domain is empty); the domain is given by its fibers
-    {z: frozenset of v}, and the count is made one z-point at a time."""
+    the domain is empty); the domain is given by its fibers {z: mask of
+    v}, and the count is made one z-point at a time."""
     held = _held(member_slices)
     return max((_fiber_order(fiber, held.get(z, ()))
                 for z, fiber in fibers.items()), default=-1)
@@ -316,14 +352,20 @@ def cover_order(member_slices, fibers) -> int:
 def wide_failures(member_slices, group: GroupModel, alpha, pairs):
     """Yield, in input order, each pair (g, x) whose ball slice
     {(h, x) : h in group.ball(alpha, center=g)} no member holds: the pairs
-    at which the members fail to be alpha-wide.  Each ball is computed
-    once per call and tested against the members' slices over x."""
+    at which the members fail to be alpha-wide.  The v-sets are masks over
+    group.elements.  Each ball is made once per call and tested, ball &
+    ~slice == 0, against the slices over x alone, which one index of the
+    members by z-point lists."""
+    rank = {h: i for i, h in enumerate(group.elements)}
+    outside = {x: [~vs for vs in held]
+               for x, held in _held(member_slices).items()}
     balls = {}
     for g, x in pairs:
-        if g not in balls:
-            balls[g] = frozenset(group.ball(alpha, center=g))
-        ball = balls[g]
-        if not any(ball <= slices.get(x, _EMPTY) for slices in member_slices):
+        ball = balls.get(g)
+        if ball is None:
+            ball = balls[g] = sum(1 << rank[h]
+                                  for h in group.ball(alpha, center=g))
+        if all(map(ball.__and__, outside.get(x, ()))):
             yield g, x
 
 
@@ -380,17 +422,18 @@ def _saturate(space: PairSpace, core, gens):
     at a time, returned as slices."""
     if not gens:
         return core
-    acts = [(s, space.act_z[s]) for s in gens]
-    out = {z: set(vs) for z, vs in core.items()}
+    acts = [(space.images[s], space.act_z[s]) for s in gens]
+    out = Slices(core)
     queue = list(core.items())
     for z, vs in queue:  # the queue grows while it is walked
-        for s, az in acts:
-            over = out.setdefault(az[z], set())
-            new = {s[v] for v in vs} - over
+        for image, az in acts:
+            sz = az[z]
+            over = out.get(sz, 0)
+            new = image[vs] & ~over
             if new:
-                over |= new
-                queue.append((az[z], new))
-    return Slices((z, frozenset(vs)) for z, vs in out.items())
+                out[sz] = over | new
+                queue.append((sz, new))
+    return out
 
 
 def _check_alpha(alpha):
@@ -474,15 +517,14 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
                         zset.difference_update([az[z] for z in reduced[j]])
         reduced.append(frozenset(zset))
 
-    translate = _translator(space)
+    translate = partial(_translate, space)
     rank = {p: k for k, p in enumerate(G.elements)}
     members = []
     seen_sets = set()
     for i, t in enumerate(basis):
         if not reduced[i]:
             continue
-        row = space.dist[t.v]
-        ball = frozenset(w for w in space.v_points if row[w] <= 2 * alpha)
+        ball = _ball(space, t.v, 2 * alpha)
         core = Slices((z, space.fibers[z] & ball) for z in reduced[i])
         saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
         if saturated in seen_sets:
@@ -500,24 +542,27 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     return Cover(tuple(members), alpha, order)
 
 
-def _not_long(dist, alpha, fiber, held):
-    """The v of one fiber that are not long, ascending: (v, z) is long when
-    a slice held holds the fiber's points within alpha of v, v among them,
-    as a slice holding the whole fiber does."""
-    if any(fiber <= vs for vs in held):
-        return []
-    bad = []
-    for v in fiber:
-        row = dist[v]
-        needed = {w for w in fiber if row[w] <= alpha}
-        if not any(v in vs and needed <= vs for vs in held):
-            bad.append(v)
-    return sorted(bad)
+def _not_long(space: PairSpace, alpha, balls, fiber, held):
+    """The least position of one fiber whose v is not long, or -1: (v, z)
+    is long when a slice held holds need, v and the fiber's points within
+    alpha of v, as a slice holding the whole fiber does.  balls keeps the
+    alpha-ball mask of each position made so far."""
+    outside = [~vs for vs in held]
+    if not all(map(fiber.__and__, outside)):
+        return -1
+    for i in masked(count(), fiber):
+        ball = balls.get(i)
+        if ball is None:
+            ball = balls[i] = _ball(space, space.v_points[i], alpha)
+        need = ball & fiber | 1 << i
+        if all(map(need.__and__, outside)):
+            return i
+    return -1
 
 
 def _meets(a, b):
     """Whether the pair sets of two slices meet."""
-    return any(z in b and not vs.isdisjoint(b[z]) for z, vs in a.items())
+    return any(z in b and vs & b[z] for z, vs in a.items())
 
 
 @dataclass(frozen=True)
@@ -534,9 +579,10 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     """Independent check of order, longness, invariance and F-subsetness.
 
     Order and longness are checked one z-point at a time, on the members'
-    slices over it (_fiber_order, _not_long).  The least pair (v, z) that
-    is not long is reported, and an order other than the stated
-    cover.order fails.
+    slices over it (_fiber_order, _not_long), as int algebra on the masks.
+    The least pair (v, z) that is not long is reported, and an order other
+    than the stated cover.order fails.  Translates share the space's memo
+    of images with greedy_cover.
 
     Invariance and F-subsetness walk the generators, which must generate the
     group.  A generator maps the finite pool of member sets injectively, so
@@ -552,19 +598,19 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     failures = []
     sets = cover.member_slices()
     held = _held(sets)
-    order, least = -1, None
+    order, least, balls = -1, None, {}
     for z, fiber in space.fibers.items():
         over = held.get(z, ())
         order = max(order, _fiber_order(fiber, over))
-        bad = _not_long(space.dist, alpha, fiber, over)
-        if bad and (least is None or (bad[0], z) < least):
-            least = (bad[0], z)
+        bad = _not_long(space, alpha, balls, fiber, over)
+        if bad >= 0 and (least is None or (space.v_points[bad], z) < least):
+            least = (space.v_points[bad], z)
     if least is not None:
         failures.append(("not-long", least))
 
     G = space.group
     _check_generators(G)
-    translate = _translator(space)
+    translate = partial(_translate, space)
     set_pool = set(sets)
     for s in G.generators:
         if any(translate(s, m) not in set_pool for m in set_pool):

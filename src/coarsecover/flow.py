@@ -8,15 +8,21 @@ standing in for ideal points; distances between midpoints are integers in
 original units, so every bound here is exact integer arithmetic.
 
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
-set of admitted v.  The doubling report checks their union, and each
-distinct fiber only when the union fails; the cover works on the pair
-space whose z-fibers are these sets, one z-point per distinct fiber.
+mask of admitted v (bit v for vertex v), and classes groups the pairs by
+equal fiber.  The doubling report checks their union, and each distinct
+fiber only when the union fails; the cover works on the pair space whose
+z-points are the classes, and the pullback reads it through each pair's
+class.  A fiber is decoded only where its points are read: once per class
+for Z_v, in the union the doubling report checks, and where they are
+named.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from functools import reduce
+from itertools import count
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .angles import (
@@ -37,6 +43,7 @@ from .covers import (
     doubling_check,
     fiber_basis,
     greedy_cover,
+    masked,
     minimal_doubling_constant,
     minimal_doubling_radius,
     pair_space,
@@ -45,9 +52,6 @@ from .covers import (
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_constant
 from .symmetry import GroupModel, trivial_group
-
-_EMPTY = frozenset()
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -58,11 +62,12 @@ class CoarseFlowSpace:
     sub: Subdivision
     delta: int
     endpoints: tuple
-    fibers: dict  # (xi-, xi+) -> the admitted midpoints v
+    fibers: dict  # (xi-, xi+) -> bitmask of the admitted midpoints v
     metric: dict  # the chain metric d_theta, midpoint -> {midpoint: distance}
     group: GroupModel
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
+    classes: dict  # a fiber's bitmask -> the least endpoint pair over it
 
     @property
     def delta_prime(self):
@@ -70,15 +75,10 @@ class CoarseFlowSpace:
 
     @property
     def triples(self):
-        """The points (v, xi-, xi+), read off the fibers."""
-        return frozenset((v, xm, xp) for (xm, xp), fiber in self.fibers.items()
-                         for v in fiber)
-
-
-def _vertices(mask):
-    """The frozenset of the vertices whose bits are set in mask."""
-    return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(
-        _DIGITS)))
+        """The points (v, xi-, xi+), each distinct fiber decoded once."""
+        decoded = {f: tuple(masked(count(), f)) for f in self.classes}
+        return frozenset((v, xm, xp) for (xm, xp), f in self.fibers.items()
+                         for v in decoded[f])
 
 
 def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
@@ -98,11 +98,12 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     lesser end: with n vertices, the weight of v is v's bit joined with
     the bitmask of v's delta'-ball shifted by n (no ball at an original
     vertex), so the low n bits of a target's OR are its line and the rest
-    its fiber.  Lines are kept as bitmasks; each distinct fiber is decoded
-    once, so equal fibers are one frozenset.  Each unordered pair is built
-    once and its line and fiber stored under both orders, since a line is
-    symmetric in its two ends.  The sweeps find their own layers, so no
-    distance row of index is filled here.
+    its fiber.  Lines and fibers are kept as bitmasks, and the pairs are
+    grouped by equal fiber as they come: classes names each distinct fiber
+    by its least pair.  Each unordered pair is built once and its line and
+    fiber stored under both orders, since a line is symmetric in its two
+    ends.  The sweeps find their own layers, so no distance row of index
+    is filled here.
     """
     g = sub.graph
     if not g.is_connected():
@@ -134,17 +135,18 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
         weight[v] |= ball << n
     lines = {}
     fibers = {}
-    decoded = {}  # fiber bitmask -> the fiber
+    classes = {}
     for i, xm in enumerate(endpoints):
         for xp, m in small_lines(oracle, xm, endpoints[i + 1:],
                                  weight).items():
             f = m >> n
-            if f not in decoded:
-                decoded[f] = _vertices(f)
             lines[xm, xp] = lines[xp, xm] = m & (1 << n) - 1
-            fibers[xm, xp] = fibers[xp, xm] = decoded[f]
+            fibers[xm, xp] = fibers[xp, xm] = f
+            # (xm, xp) is the lesser order, as xm < xp
+            if (xm, xp) < classes.setdefault(f, (xm, xp)):
+                classes[f] = xm, xp
     return CoarseFlowSpace(sub, delta, endpoints, fibers, metric,
-                           group, index, lines)
+                           group, index, lines, classes)
 
 
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
@@ -164,13 +166,13 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     R = 24 * cf.delta_prime + 12
     rows = cf.metric
 
-    def chain(a, b):
-        return rows[a][b]
+    def points(fiber):
+        return list(masked(count(), fiber))
 
     distinct = set(cf.fibers.values())
     failures = []
-    if not doubling_check(_EMPTY.union(*distinct), chain, 5, R).ok:
-        reports = {fiber: doubling_check(fiber, chain, 5, R)
+    if not doubling_check(points(reduce(or_, distinct, 0)), rows, 5, R).ok:
+        reports = {fiber: doubling_check(points(fiber), rows, 5, R)
                    for fiber in distinct}
         failures = [(key, reports[fiber].witness)
                     for key, fiber in sorted(cf.fibers.items())
@@ -178,11 +180,12 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     tightest_d = tightest_r = None
     if compute_tightest:
         tightest_d = tightest_r = 0
-        for fiber in [f for f in distinct if not any(f < m for m in distinct)]:
+        for fiber in [f for f in distinct
+                      if not any(f != m and f & ~m == 0 for m in distinct)]:
             tightest_d = max(tightest_d, minimal_doubling_constant(
-                fiber, chain, R))
+                points(fiber), rows, R))
             tightest_r = max(tightest_r, minimal_doubling_radius(
-                fiber, chain, 5))
+                points(fiber), rows, 5))
     return {
         "ok": not failures,
         "D": 5,
@@ -196,10 +199,12 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as a pair space over the midpoints, with the chain
-    metric's rows.  Its z-points are the classes of endpoint pairs with
-    equal fibers: a class is named by its least pair and carries that
-    pair's fiber, and act_z[p] maps the class of z to the class of p.z,
-    well defined since fibers are equivariant, V_{p.z} = p.V_z.
+    metric's rows.  Its z-points are cf.classes, the classes of endpoint
+    pairs with equal fibers: a class is named by its least pair and
+    carries that pair's fiber, shifted down to midpoint positions (the
+    midpoints are the vertices from the original vertex count on), and
+    act_z[p] maps the class of z to the class of p.z, well defined since
+    fibers are equivariant, V_{p.z} = p.V_z.
 
     Nothing is lost against one z-point per pair.  fiber_basis's Z_v is a
     union of whole classes, and subtraction along translates, the cores
@@ -208,38 +213,38 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     constant on each class, and its order, longness, invariance and
     F-subset verdicts are the same on classes as on pairs; as a class is
     named by its least pair, so is the least failing (v, z) of a not-long
-    failure.  expand_cover places a class cover on the endpoint pairs.
+    failure.  pullback_cover reads a class cover through each pair's
+    class; expand_cover places it on the endpoint pairs for a document.
     """
-    names = {}  # fiber -> the least endpoint pair over it
-    for z, fiber in cf.fibers.items():
-        if z < names.setdefault(fiber, z):
-            names[fiber] = z
-    fibers = {r: fiber for fiber, r in names.items()}
-    act_z = {p: {r: names[cf.fibers[p[r[0]], p[r[1]]]] for r in fibers}
+    names, shift = cf.classes, cf.sub.original.vertex_count
+    act_z = {p: {r: names[cf.fibers[p[r[0]], p[r[1]]]]
+                 for r in names.values()}
              for p in cf.group.elements}
-    return pair_space(cf.sub.ve_vertices(), fibers, cf.metric, cf.group,
-                      act_z)
+    return pair_space(cf.sub.ve_vertices(),
+                      {r: f >> shift for f, r in names.items()}, cf.metric,
+                      cf.group, act_z)
 
 
 def cover_cf(space: PairSpace, alpha_prime) -> Cover:
     """Long thin cover of the flow space, alpha'-long in the chain metric.
 
     space is cf_pair_space(cf), built once by a caller that also verifies
-    the cover; the cover is on its fiber classes, see expand_cover.
+    the cover; the cover is on its fiber classes.
     """
     return greedy_cover(space, alpha_prime, fiber_basis(space, alpha_prime))
 
 
 def expand_cover(cf: CoarseFlowSpace, cover: Cover) -> Cover:
     """A cover on cf_pair_space(cf)'s fiber classes as a cover on endpoint
-    pairs: each member's slice over a class is placed on every pair of the
-    class.  Order, stabilizers and orbit_rep flags carry over."""
-    pairs = {}  # fiber -> the endpoint pairs over it
+    pairs, as a cover document names them: each member's slice over a
+    class is placed on every pair of the class.  Order, stabilizers and
+    orbit_rep flags carry over."""
+    pairs = {}  # class -> the endpoint pairs in it
     for z, fiber in cf.fibers.items():
-        pairs.setdefault(fiber, []).append(z)
+        pairs.setdefault(cf.classes[fiber], []).append(z)
     return Cover(tuple(
         CoverMember(Slices((z, vs) for r, vs in m.slices.items()
-                           for z in pairs[cf.fibers[r]]),
+                           for z in pairs[r]),
                     m.stabilizer, m.orbit_rep)
         for m in cover.members), cover.alpha, cover.order)
 
@@ -281,7 +286,8 @@ def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set):
     """
     eligible = frozenset(eligible_targets(cf, v0, xi_set))
     pairs = sorted(eligible, key=lambda t: (t[1], t[0]))
-    dropped = set(wide_failures([slices_of(eligible)], cf.group, alpha, pairs))
+    dropped = set(wide_failures([slices_of(eligible, cf.group.elements)],
+                                cf.group, alpha, pairs))
     return tuple(t for t in pairs if t not in dropped)
 
 
@@ -292,17 +298,23 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     from g v0 to xi has its midpoint vertex at distance tau in W's slice
     over (g v0, xi).  Pairs with flow lines shorter than tau are excluded
     from every pullback member.  Intersections commute with the operation,
-    so the order never grows.  A pulled-back member is held as slices with
-    z = xi and v = g.
+    so the order never grows.  cover is on cf_pair_space(cf)'s classes
+    and is read through the class of (g v0, xi); a cover on endpoint
+    pairs that is constant on each class, as expand_cover's is, reads the
+    same.  A pulled-back member is held as slices with z = xi and v = g,
+    a mask over the group's elements.
     """
     if tau != int(tau) or tau < 0:
         raise ValueError("tau must be a nonnegative integer in original units")
     tau = int(tau)
     if not cf.sub.is_midpoint(v0):
         raise ValueError("base vertex must be a midpoint vertex")
-    # layer 2*tau in the subdivision is distance tau in original units
-    tau_sets = []  # (g, xi, the flow-space z-point, the midpoints at tau)
-    spheres = {}  # g v0 -> the vertices at 2 tau from it
+    # layer 2*tau in the subdivision is distance tau in original units; the
+    # vertices there are midpoints, from the original vertex count on
+    shift, elements = cf.sub.original.vertex_count, cf.group.elements
+    rank = {g: i for i, g in enumerate(elements)}
+    tau_sets = []  # (g's bit, xi, the class of (g v0, xi), its tau-set)
+    spheres = {}  # g v0 -> the bitmask of the vertices at 2 tau from it
     for (g, xi) in targets:
         gv0 = g[v0]
         if gv0 == xi:
@@ -313,22 +325,26 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
         d0 = cf.index.dist[gv0]
         if d0[xi] >= 2 * tau:  # shorter lines are excluded everywhere
             if gv0 not in spheres:
-                spheres[gv0] = [v for v, dv in enumerate(d0) if dv == 2 * tau]
-            tau_sets.append((g, xi, (gv0, xi), frozenset(
-                v for v in spheres[gv0] if line >> v & 1)))
+                spheres[gv0] = sum(1 << v for v, dv in enumerate(d0)
+                                   if dv == 2 * tau)
+            tau_sets.append((1 << rank[g], xi,
+                             cf.classes[cf.fibers[gv0, xi]],
+                             (line & spheres[gv0]) >> shift))
     members = []
     seen = set()
     for m in cover.members:
         over = {}
-        for g, xi, z, tv in tau_sets:
-            if tv <= m.slices.get(z, _EMPTY):
-                over.setdefault(xi, set()).add(g)
-        pulled = Slices((xi, frozenset(gs)) for xi, gs in over.items())
+        slices = m.slices
+        for bit, xi, r, tv in tau_sets:
+            if tv & ~slices.get(r, 0) == 0:
+                over[xi] = over.get(xi, 0) | bit
+        pulled = Slices(over)
         if not pulled or pulled in seen:
             continue
         seen.add(pulled)
         members.append(CoverMember(pulled, m.stabilizer, m.orbit_rep))
-    order = cover_order([m.slices for m in members], slices_of(targets))
+    order = cover_order([m.slices for m in members],
+                        slices_of(targets, elements))
     return Cover(tuple(members), cover.alpha, order)
 
 
@@ -354,7 +370,8 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
     """
     G = cf.group
     failures = [(None, t, "ball leaves eligible pairs") for t in
-                wide_failures([slices_of(targets)], G, alpha, targets)]
+                wide_failures([slices_of(targets, G.elements)], G, alpha,
+                              targets)]
     if failures:
         return ScanReport(None, tuple(failures[:8]), None)
     for tau in tau_range:

@@ -22,7 +22,6 @@ from .flow import (
     cf_doubling_report,
     cf_pair_space,
     cover_cf,
-    expand_cover,
     theta_for_wideness,
     wideness_scan,
 )
@@ -135,11 +134,12 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
 
     theta0 = select_theta0(inst, alpha, theta0_mode)
     xi_cone = inst.cone_targets()
-    cones, theta_out = cone_cover(inst, theta0, xi_cone)
+    cones, oracle = cone_cover(inst, theta0, xi_cone)
+    theta_out = oracle.size
     stages["cone"] = {"cone_sets": len(cones), "theta_out": len(theta_out),
                       "theta0": len(theta0)}
 
-    dich = dichotomy_check(inst, theta_out, alpha, cones, xi_cone)
+    dich = dichotomy_check(inst, oracle, alpha, cones, xi_cone)
     stages["dichotomy"] = {"ok": dich["ok"], "clauses": dich["clauses"],
                            "failures": dich["failures"][:4]}
     if not dich["ok"]:
@@ -150,7 +150,8 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
                         group=sub_group, delta=delta, index=index,
                         theta3_set=t3)
     stages["flow_space"] = {"fibers": len(cf.fibers),
-                            "triples": sum(map(len, cf.fibers.values())),
+                            "triples": sum(map(int.bit_count,
+                                               cf.fibers.values())),
                             "theta_cf": len(theta_cf)}
     artifacts["cf"] = cf
 
@@ -168,8 +169,7 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
         "alpha_prime": alpha_prime, "members": len(flow_cover),
         "order": flow_cover.order, "verified": flow_report.ok,
     }
-    flow_cover = expand_cover(cf, flow_cover)
-    artifacts["flow_cover"] = flow_cover
+    artifacts["flow_cover"] = flow_cover  # on the fiber classes
     if not flow_report.ok:
         return result(False)
 
@@ -190,7 +190,7 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
 
     domain = [(ge, xi) for ge in sub_group.elements for xi in xi_cone]
     cone_cov = cone_sets_as_cover(cones, sub_group, domain)
-    combined = combined_cover(cone_cov, pull, domain)
+    combined = combined_cover(cone_cov, pull, domain, sub_group.elements)
     artifacts["combined"] = combined
     order_ok = combined.order <= pull.order + 3
 
@@ -210,7 +210,9 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
 # ---------------------------------------------------------------------------
 
 
-def cover_to_document(cover: Cover, group: GroupModel) -> dict:
+def cover_to_document(cover: Cover, group: GroupModel, v_points) -> dict:
+    """The cover's members as sorted points, each v decoded over v_points
+    (a flow cover's midpoints, or the group's elements)."""
     def enc(x):
         if isinstance(x, tuple) and x in group.word_length:
             return ["g", group.index_of(x)]
@@ -221,7 +223,8 @@ def cover_to_document(cover: Cover, group: GroupModel) -> dict:
     members = []
     for m in cover.members:
         members.append({
-            "points": sorted([enc(a), enc(b)] for (a, b) in m.points),
+            "points": sorted([enc(a), enc(b)]
+                             for (a, b) in m.points(v_points)),
             "stabilizer": sorted(group.index_of(p) for p in m.stabilizer),
             "orbit_rep": m.orbit_rep,
         })

@@ -8,6 +8,7 @@ scans.  They are slow and only ever run on small instances.
 import heapq
 import importlib.util
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -504,12 +505,43 @@ def fibers_of(z_points, pairs):
     return fibers
 
 
+def encoded(v_points, sets):
+    """Sets of v-points {z: v-points}, such as fibers, as masks over the
+    sequence v_points, bit i for v_points[i]: the one way the tests put a
+    v-set into the library's form."""
+    position = {v: i for i, v in enumerate(v_points)}
+    return {z: sum(1 << position[v] for v in set(vs))
+            for z, vs in sets.items()}
+
+
+def decoded_sets(v_points, masks):
+    """Masks {z: mask} over v_points as frozensets of v-points, read bit
+    by bit."""
+    return {z: frozenset(v for i, v in enumerate(v_points) if m >> i & 1)
+            for z, m in masks.items()}
+
+
+def decoded(space):
+    """The pair space with its fibers as frozensets of v-points, the form
+    the set-based references here read; every other part is kept."""
+    return replace(space, fibers=decoded_sets(space.v_points, space.fibers))
+
+
+def set_cover(cover, v_points):
+    """The cover with each slice a frozenset of v-points over v_points,
+    as greedy_cover_reference builds its covers."""
+    return Cover(tuple(CoverMember(Slices(decoded_sets(v_points, m.slices)),
+                                   m.stabilizer, m.orbit_rep)
+                       for m in cover.members), cover.alpha, cover.order)
+
+
 def trivial_pair_space(v_points, fibers, dist):
     """A pair space under the trivial group, whose identity permutation
-    fixes every v-point (the v-points are nonnegative integers)."""
+    fixes every v-point (the v-points are nonnegative integers); fibers
+    are sets of v-points."""
     v_points = tuple(v_points)
     G = trivial_group(make_graph(max(v_points, default=0) + 1, []))
-    return pair_space(v_points, fibers, dist, G,
+    return pair_space(v_points, encoded(v_points, fibers), dist, G,
                       {G.identity: {z: z for z in fibers}})
 
 
@@ -519,8 +551,10 @@ def endpoint_pair_space(cf):
     cf_pair_space's fiber classes."""
     act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
              for p in cf.group.elements}
-    return pair_space(cf.sub.ve_vertices(), cf.fibers, cf.metric, cf.group,
-                      act_z)
+    v_points = cf.sub.ve_vertices()
+    fibers = {z: mask_vertices(f) for z, f in cf.fibers.items()}
+    return pair_space(v_points, encoded(v_points, fibers), cf.metric,
+                      cf.group, act_z)
 
 
 def pairs_of(space):

@@ -30,12 +30,12 @@ from coarsecover.corpus import (
 from coarsecover.covers import (
     Cover,
     CoverMember,
+    Slices,
     cover_order,
     doubling_check,
     greedy_cover,
     minimal_doubling_constant,
     pair_space,
-    slices_of,
     verify_cover,
 )
 from coarsecover.flow import build_cf_theta, cf_doubling_report
@@ -47,9 +47,9 @@ from coarsecover.graphs import (
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
 from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
-from oracles import default_basis, distance_matrix, extend_cover, \
-    extend_open, fibers_of, flow_space, pairs_of, trivial_pair_space, \
-    validate_pair_space
+from oracles import decoded, default_basis, distance_matrix, encoded, \
+    extend_cover, extend_open, fibers_of, flow_space, mask_vertices, \
+    pairs_of, trivial_pair_space, validate_pair_space
 
 
 def report(number, detail):
@@ -77,9 +77,10 @@ def _random_pair_space(rng):
             v, z = rng.randrange(n), rng.choice(zs)
             for p in G.elements:
                 pairs.add((p[v], act_z[p][z]))
-        sp = pair_space(tuple(range(n)), fibers_of(zs, pairs), dist, G,
+        sp = pair_space(tuple(range(n)),
+                        encoded(range(n), fibers_of(zs, pairs)), dist, G,
                         act_z)
-        validate_pair_space(sp)
+        validate_pair_space(decoded(sp))
         return sp
     if kind == 0:
         # interval with holes, path metric
@@ -119,7 +120,8 @@ def _random_pair_space(rng):
             other = rng.randrange(n)
             for p in G.elements:
                 pairs.add((p[other], z))
-    return pair_space(tuple(range(n)), fibers_of(zs, pairs), dist, G, act_z)
+    return pair_space(tuple(range(n)), encoded(range(n), fibers_of(zs, pairs)),
+                      dist, G, act_z)
 
 
 def test_criterion_01_greedy_cover_order_bound():
@@ -128,23 +130,23 @@ def test_criterion_01_greedy_cover_order_bound():
     instances = 0
     while instances < 100:
         sp = _random_pair_space(rng)
-        if not pairs_of(sp):
+        if not pairs_of(decoded(sp)):
             continue
         def d(a, b, rows=sp.dist):
             return rows[a][b]
 
         ds = []
-        for fiber in sp.fibers.values():
+        for fiber in decoded(sp).fibers.values():
             fib = sorted(fiber)
             if fib:
                 ds.append(minimal_doubling_constant(fib, d, 1))
         d_cert = max(ds)
-        for fiber in sp.fibers.values():
+        for fiber in decoded(sp).fibers.values():
             fib = sorted(fiber)
             if fib:
                 assert doubling_check(fib, d, d_cert, 1).ok
         alpha = rng.choice((1, 2))
-        cov = greedy_cover(sp, alpha, default_basis(sp))
+        cov = greedy_cover(sp, alpha, default_basis(decoded(sp)))
         assert cov.order <= d_cert - 1, (instances, cov.order, d_cert)
         rep = verify_cover(cov, sp, alpha, ALL_SUBGROUPS)
         assert rep.ok
@@ -199,14 +201,14 @@ def _cone_setup(name, g, gens, mode, alpha):
     if mode == "all":
         theta0 = theta0.union(all_angles(g))
     xi = inst.cone_targets()
-    cones, theta_out = cone_cover(inst, theta0, xi)
-    return inst, xi, cones, theta_out
+    cones, oracle = cone_cover(inst, theta0, xi)
+    return inst, xi, cones, oracle
 
 
 def test_criterion_04_cone_cover_order():
     worst = -1
     for name, g, gens, mode, alpha, _tau in pipeline_instances():
-        inst, xi, cones, theta_out = _cone_setup(name, g, gens, mode, alpha)
+        inst, xi, cones, oracle = _cone_setup(name, g, gens, mode, alpha)
         sub_group = inst.sub_group
         dom = [(ge, x) for ge in sub_group.elements for x in xi]
         cov = cone_sets_as_cover(cones, sub_group, dom)
@@ -218,8 +220,8 @@ def test_criterion_04_cone_cover_order():
 def test_criterion_05_dichotomy():
     pairs = 0
     for name, g, gens, mode, alpha, _tau in pipeline_instances():
-        inst, xi, cones, theta_out = _cone_setup(name, g, gens, mode, alpha)
-        rep = dichotomy_check(inst, theta_out, alpha, cones, xi)
+        inst, xi, cones, oracle = _cone_setup(name, g, gens, mode, alpha)
+        rep = dichotomy_check(inst, oracle, alpha, cones, xi)
         assert rep["ok"], (name, rep["failures"][:2])
         pairs += rep["pairs_checked"]
     report(5, "wide-or-small dichotomy holds on %d pairs" % pairs)
@@ -272,10 +274,14 @@ def test_criterion_07_extension_identities():
         vp = extend_open(v, x0, pts, d)
         assert x0 & up == u
         assert extend_open(u & v, x0, pts, d) == up & vp
+        # sets of points over one z-point, the form extend_cover reads and
+        # cover_order counts alike
+        subsets = [frozenset(p for p in x0 if rng.random() < 0.5)
+                   for _ in range(rng.randrange(1, 4))]
         members = tuple(
-            CoverMember(slices_of((p, 0) for p in x0 if rng.random() < 0.5),
-                        frozenset([G.identity]), True)
-            for _ in range(rng.randrange(1, 4)))
+            CoverMember(Slices({0: s} if s else {}), frozenset([G.identity]),
+                        True)
+            for s in subsets)
         cov = Cover(members, 1, cover_order([m.slices for m in members],
                                             {0: x0}))
         ext = extend_cover(cov, x0, pts, d, G, lambda p, x: x)
@@ -308,7 +314,8 @@ def test_criterion_09_tree_sanity():
         sub = barycentric_subdivision(g)
         cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         idx = cf.index
-        for (xm, xp), fiber in cf.fibers.items():
+        for (xm, xp), mask in cf.fibers.items():
+            fiber = mask_vertices(mask)
             mids = [w for w in idx.geodesic_vertex_set(xm, xp)
                     if sub.is_midpoint(w)]
             band = {v for v in sub.ve_vertices()

@@ -147,21 +147,21 @@ def build_cones(g, gens=(), alpha=1, theta0=None):
     if theta0 is None:
         theta0 = seed_theta0(inst, alpha)
     xi_set = tuple(sorted(set(g.cone_vertices) | set(sub.ve_vertices())))
-    cones, theta_out = cone_cover(inst, theta0, xi_set)
-    return inst, sub, Gs, v0, xi_set, cones, theta_out
+    cones, oracle = cone_cover(inst, theta0, xi_set)
+    return inst, sub, Gs, v0, xi_set, cones, oracle
 
 
 class TestConeCover:
     def test_tree_order_bound(self):
         g = random_tree(10, seed=6)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g)
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(g)
         dom = [(ge, x) for ge in Gs.elements for x in xi]
         cov = cone_sets_as_cover(cones, Gs, dom)
         assert cov.order <= 2
 
     def test_spider_nontrivial_cones(self):
         g = spider(3, 4)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
         assert cones
         dom = [(ge, x) for ge in Gs.elements for x in xi]
@@ -170,7 +170,7 @@ class TestConeCover:
 
     def test_same_layer_distinct_apexes_disjoint(self):
         g = triangle_caterpillar(8, [2, 5])
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g)
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(g)
         by_layer = {}
         for c in cones:
             by_layer.setdefault(c.layer, []).append(c)
@@ -182,7 +182,7 @@ class TestConeCover:
 
     def test_translate_overlap_forces_fixed_apex(self):
         g = spider(3, 4)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
         for c in cones:
             for h in Gs.elements:
@@ -198,7 +198,7 @@ class TestConeCover:
     def test_base_vertex_translation_covariance(self):
         g = spider(3, 4)
         gens = [spider_rotation(3, 4)]
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(g, gens)
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(g, gens)
         r = [p for p in Gs.elements if p != Gs.identity][0]
         moved = replace(inst, v0=r[v0])
         theta0 = seed_theta0(moved, 1)
@@ -287,7 +287,8 @@ def test_cone_cover_matches_the_per_apex_construction(name, g, gens, mode):
     xi_set = inst.cone_targets()
     for alpha in (0, 1):
         theta0 = select_theta0(inst, alpha, mode)
-        assert cone_cover(inst, theta0, xi_set) == \
+        cones, oracle = cone_cover(inst, theta0, xi_set)
+        assert (cones, oracle.size) == \
             cone_cover_per_apex(inst, theta0, xi_set), alpha
 
 
@@ -428,14 +429,18 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
     inst = build_instance(g, close_group(g, gens) if gens else None)
     elements, v0 = inst.sub_group.elements, inst.v0
     xi_set = tuple(sorted(set(g.cone_vertices) | set(inst.sub.ve_vertices())))
-    cones, theta_out = cone_cover(inst, select_theta0(inst, 1, mode), xi_set)
-    oracle = SmallnessOracle(inst.sub, theta_out)
+    cones, handed = cone_cover(inst, select_theta0(inst, 1, mode), xi_set)
+    oracle = SmallnessOracle(inst.sub, handed.size)
     for kept in (cones[::2], []):
         sweeps = spy(monkeypatch, "small_steps")
-        rep = dichotomy_check(inst, theta_out, 1, kept, xi_set)
-        assert [src for _, _, src in sweeps] in ([], [v0])
+        built = spy(monkeypatch, "SmallnessOracle")
+        rep = dichotomy_check(inst, handed, 1, kept, xi_set)
+        # the sweep reads the oracle cone_cover handed over, and none is
+        # built again
+        assert [(o, src) for _, o, src in sweeps] in ([], [(handed, v0)])
+        assert built == []
         uncovered = list(wide_failures(
-            [slices_of(c.members) for c in kept], inst.sub_group, 1,
+            [slices_of(c.members, elements) for c in kept], inst.sub_group, 1,
             [(ge, xi) for ge in elements for xi in xi_set]))
         assert rep["failures"] == [
             (elements.index(ge), xi) for ge, xi in uncovered
@@ -450,25 +455,25 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
 class TestDichotomy:
     def test_all_angles_everything_small(self):
         g = random_tree(9, seed=8)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, theta0=all_angles(g))
-        rep = dichotomy_check(inst, theta_out, 1, cones, xi)
+        rep = dichotomy_check(inst, oracle, 1, cones, xi)
         assert rep["ok"]
         assert rep["clauses"]["small-geodesic"] > 0
 
     def test_spider_passes(self):
         g = spider(3, 4)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
-        rep = dichotomy_check(inst, theta_out, 1, cones, xi)
+        rep = dichotomy_check(inst, oracle, 1, cones, xi)
         assert rep["ok"]
         assert rep["clauses"]["cone"] > 0
 
     def test_deleted_layers_are_witnessed(self):
         g = spider(3, 4)
-        inst, sub, Gs, v0, xi, cones, theta_out = build_cones(
+        inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
-        rep = dichotomy_check(inst, theta_out, 1, [], xi)
+        rep = dichotomy_check(inst, oracle, 1, [], xi)
         assert not rep["ok"] and rep["failures"]
 
 
@@ -477,21 +482,21 @@ class TestCombined:
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
         dom = [((0,), "x")]
-        flow = Cover((CoverMember(slices_of(dom), frozenset([Gs.identity]),
-                                  True),), 1, 0)
+        flow = Cover((CoverMember(slices_of(dom, [(0,)]),
+                                  frozenset([Gs.identity]), True),), 1, 0)
         empty = Cover((), None, -1)
-        out = combined_cover(empty, flow, dom)
+        out = combined_cover(empty, flow, dom, [(0,)])
         assert out.member_slices() == flow.member_slices()
         assert out.order == 0
 
     def test_order_is_additive_at_worst(self):
         dom = [(g, "xi") for g in range(10)]
         def mk(gs):
-            return CoverMember(slices_of((g, "xi") for g in gs), frozenset(),
-                               True)
+            return CoverMember(slices_of(((g, "xi") for g in gs), range(10)),
+                               frozenset(), True)
         flow = Cover(tuple(mk(range(10)) for _ in range(5)), 1, 4)
         cone = Cover(tuple(mk(range(10)) for _ in range(3)), None, 2)
-        out = combined_cover(cone, flow, dom)
+        out = combined_cover(cone, flow, dom, range(10))
         assert out.order == 7 <= flow.order + 3
 
     def test_cone_sets_of_order_three_break_the_bound(self, monkeypatch):
@@ -512,13 +517,13 @@ class TestCombined:
         union = replace(cones[0], members=frozenset().union(
             *(c.members for c in cones)))
         cone_cov = cone_sets_as_cover(list(cones) + [union], Gs, domain)
-        combined = combined_cover(cone_cov, pull, domain)
+        combined = combined_cover(cone_cov, pull, domain, Gs.elements)
         assert cone_cov.order == combined.order == 3
         assert not combined.order <= pull.order + 3
 
         def with_union(*args):
-            sets, theta_out = cone_cover(*args)
-            return list(sets) + [union], theta_out
+            sets, oracle = cone_cover(*args)
+            return list(sets) + [union], oracle
 
         monkeypatch.setattr(pipeline, "cone_cover", with_union)
         bad = run_pipeline(g, gens, alpha=alpha, tau_max=tau_max,

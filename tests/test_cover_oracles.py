@@ -14,6 +14,7 @@ from coarsecover.corpus import dihedral_group, rotation_group
 from coarsecover.covers import (
     Cover,
     CoverMember,
+    _translate,
     _violating_set,
     cover_order,
     doubling_check,
@@ -25,10 +26,11 @@ from coarsecover.covers import (
 )
 from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
-from oracles import all_subgroups, cover_order_brute, default_basis, \
-    doubling_scan_oracle, failed, fiber_basis_brute, fibers_of, \
-    greedy_cover_reference, pairs_of, trivial_pair_space, \
-    verify_cover_definitional, violating_set_unpruned
+from oracles import all_subgroups, cover_order_brute, decoded, \
+    decoded_sets, default_basis, doubling_scan_oracle, encoded, failed, \
+    fiber_basis_brute, fibers_of, greedy_cover_reference, pairs_of, \
+    set_cover, trivial_pair_space, verify_cover_definitional, \
+    violating_set_unpruned
 
 SETTINGS = settings(max_examples=150, deadline=None)
 gaps = st.one_of(st.integers(1, 8), st.just(INF))
@@ -100,9 +102,10 @@ def test_core_search_matches_the_unpruned_search(d, size, R):
 def test_cover_order_matches_brute_count(members, domain):
     # the points of a plain set sit over one z-point
     def over_one(points):
-        return slices_of((x, 0) for x in points)
+        return slices_of(((x, 0) for x in points), range(13))
 
-    assert cover_order([over_one(m) for m in members], {0: domain}) == \
+    assert cover_order([over_one(m) for m in members],
+                       encoded(range(13), {0: domain})) == \
         cover_order_brute(members, domain)
 
 
@@ -142,13 +145,14 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
         pairs = [(v, z) for v in range(n) for z in zs]
         z_points = ("a", "b")
         act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
-    return pair_space(range(n), fibers_of(z_points, pairs), dist, group,
-                      act_z)
+    return pair_space(range(n), encoded(range(n), fibers_of(z_points, pairs)),
+                      dist, group, act_z)
 
 
 def _members(space, sets):
     stab = frozenset([space.group.identity])
-    members = tuple(CoverMember(slices_of(s), stab, True) for s in sets)
+    members = tuple(CoverMember(slices_of(s, space.v_points), stab, True)
+                    for s in sets)
     return Cover(members, 0, cover_order([m.slices for m in members],
                                          space.fibers))
 
@@ -156,9 +160,9 @@ def _members(space, sets):
 def _agrees(cover, space, alpha, family):
     rep = verify_cover(cover, space, alpha, family)
     kinds = failed(rep)
-    sets = [m.points for m in cover.members]
+    sets = [m.points(space.v_points) for m in cover.members]
     order, not_long, invariant, not_f = verify_cover_definitional(
-        sets, space, alpha, family)
+        sets, decoded(space), alpha, family)
     assert cover.order == order
     assert "order-mismatch" not in kinds
     assert ("not-long" not in kinds) == (not_long is None)
@@ -188,7 +192,7 @@ def families(draw, group):
 @given(pair_spaces(), st.integers(0, 3), st.data())
 def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
     family = data.draw(families(space.group))
-    pairs = sorted(pairs_of(space))
+    pairs = sorted(pairs_of(decoded(space)))
     sets = data.draw(st.lists(st.sets(st.sampled_from(pairs), min_size=1),
                               max_size=5))
     if data.draw(st.booleans()):
@@ -202,7 +206,7 @@ def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
 @given(pair_spaces(), st.integers(0, 3), st.booleans())
 def test_verify_cover_matches_definition_on_greedy_covers(space, alpha,
                                                           fibers):
-    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
+    basis = fiber_basis(space, alpha) if fibers else default_basis(decoded(space))
     cover = greedy_cover(space, alpha, basis)
     for family in (ALL_SUBGROUPS, TRIVIAL_ONLY):
         _agrees(cover, space, alpha, family)
@@ -213,9 +217,9 @@ def test_verify_cover_matches_definition_on_greedy_covers(space, alpha,
        st.booleans())
 def test_greedy_cover_matches_the_translate_per_element_reference(space, alpha,
                                                                   fibers):
-    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
-    assert greedy_cover(space, alpha, basis) == \
-        greedy_cover_reference(space, alpha, basis)
+    basis = fiber_basis(space, alpha) if fibers else default_basis(decoded(space))
+    assert set_cover(greedy_cover(space, alpha, basis), space.v_points) == \
+        greedy_cover_reference(decoded(space), alpha, basis)
 
 
 
@@ -224,21 +228,55 @@ def test_greedy_cover_matches_the_translate_per_element_reference(space, alpha,
 def test_greedy_cover_matches_the_reference_on_every_kind(space, alpha,
                                                           fibers):
     # the trivial kind is the path the tree-ladder pipelines take
-    basis = fiber_basis(space, alpha) if fibers else default_basis(space)
-    assert greedy_cover(space, alpha, basis) == \
-        greedy_cover_reference(space, alpha, basis)
+    basis = fiber_basis(space, alpha) if fibers else default_basis(decoded(space))
+    assert set_cover(greedy_cover(space, alpha, basis), space.v_points) == \
+        greedy_cover_reference(decoded(space), alpha, basis)
 
 
 @SETTINGS
 @given(pair_spaces())
 def test_z_over_is_the_z_points_over_each_v_point(space):
     # keyed by exactly the v-points lying in some fiber
-    pairs = pairs_of(space)
+    pairs = pairs_of(decoded(space))
     assert space.z_over == {v: frozenset(z for w, z in pairs if w == v)
                             for v, _ in pairs}
 
 
 @SETTINGS
+@given(pair_spaces(), st.integers(0, 3), st.data())
+def test_mask_translates_match_the_set_translates(space, alpha, data):
+    # a translate moves the bits of a mask as p moves the v-points; every
+    # image greedy_cover and verify_cover leave in the space's one memo
+    # is the set image, and so is the translate of random slices
+    cover = greedy_cover(space, alpha, fiber_basis(space, alpha))
+    verify_cover(cover, space, alpha, ALL_SUBGROUPS)
+    v_points = space.v_points
+
+    def points(mask):
+        return decoded_sets(v_points, {0: mask})[0]
+
+    for p, images in space.images.items():
+        for mask, image in images.items():
+            assert points(image) == {p[v] for v in points(mask)}
+    pts = data.draw(st.sets(st.sampled_from(sorted(pairs_of(decoded(space))))))
+    slices = slices_of(pts, v_points)
+    for p in space.group.elements:
+        moved = _translate(space, p, slices)
+        assert CoverMember(moved, frozenset(), True).points(v_points) == \
+            {(p[v], space.act_z[p][z]) for v, z in pts}
+
+
+@SETTINGS
+@given(pair_spaces(), st.data())
+def test_cover_order_matches_brute_count_on_pair_spaces(space, data):
+    pairs = sorted(pairs_of(decoded(space)))
+    sets = data.draw(st.lists(st.sets(st.sampled_from(pairs)), max_size=6))
+    assert cover_order([slices_of(m, space.v_points) for m in sets],
+                       space.fibers) == cover_order_brute(sets, pairs)
+
+
+@SETTINGS
 @given(pair_spaces(), st.integers(0, 3))
 def test_fiber_basis_matches_the_per_point_scan(space, alpha):
-    assert fiber_basis(space, alpha) == fiber_basis_brute(space, alpha)
+    assert fiber_basis(space, alpha) == fiber_basis_brute(decoded(space),
+                                                          alpha)

@@ -29,9 +29,11 @@ from coarsecover.covers import (
 from coarsecover.graphs import INF, make_graph
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, GroupModel, \
     SubgroupFamily, close_group, compose, trivial_group
-from oracles import cover_order_brute, default_basis, distance_matrix, \
-    extend_cover, extend_open, failed, fibers_of, greedy_cover_reference, \
-    pairs_of, separated_sets_brute, trivial_pair_space, validate_family, \
+from coarsecover.covers import Slices
+from oracles import cover_order_brute, decoded, decoded_sets, \
+    default_basis, distance_matrix, encoded, extend_cover, extend_open, \
+    failed, fibers_of, greedy_cover_reference, pairs_of, \
+    separated_sets_brute, set_cover, trivial_pair_space, validate_family, \
     validate_pair_space, verify_cover_definitional, violating_set_unpruned
 
 
@@ -113,12 +115,12 @@ def build_space(n_points, alpha=1, z_points=("z",), pairs=None):
 class TestGreedyCover:
     def test_single_point(self):
         sp = build_space(1)
-        cov = greedy_cover(sp, 2, default_basis(sp))
+        cov = greedy_cover(sp, 2, default_basis(decoded(sp)))
         assert len(cov) == 1 and cov.order == 0
 
     def test_line_order_bound(self):
         sp = build_space(9)
-        cov = greedy_cover(sp, 1, default_basis(sp))
+        cov = greedy_cover(sp, 1, default_basis(decoded(sp)))
         assert cov.order <= 4
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
         assert rep.ok
@@ -129,23 +131,25 @@ class TestGreedyCover:
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
-        validate_pair_space(sp)
-        cov = greedy_cover(sp, 1, default_basis(sp))
+        sp = pair_space(tuple(range(6)), encoded(range(6), {"z": range(6)}),
+                        dist, G, act_z)
+        validate_pair_space(decoded(sp))
+        cov = greedy_cover(sp, 1, default_basis(decoded(sp)))
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
         assert failed(rep) == set()
 
     def test_determinism(self):
         sp = build_space(9)
-        basis = default_basis(sp)
+        basis = default_basis(decoded(sp))
         c1 = greedy_cover(sp, 1, basis)
         c2 = greedy_cover(sp, 1, basis)
-        assert [m.points for m in c1.members] == [m.points for m in c2.members]
+        assert [m.points(sp.v_points) for m in c1.members] == \
+            [m.points(sp.v_points) for m in c2.members]
 
     def test_metamorphic_basis_permutation(self):
         sp = build_space(9)
         rng = random.Random(6)
-        base = default_basis(sp)
+        base = default_basis(decoded(sp))
         for _ in range(5):
             basis = list(base)
             rng.shuffle(basis)
@@ -153,9 +157,18 @@ class TestGreedyCover:
             rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
             assert rep.ok and cov.order <= 4
 
+    def test_v_points_must_ascend(self):
+        # bit i of a mask is the i-th v-point, and the least bit of a
+        # not-long fiber names the least v only when they ascend
+        dist = {v: {w: abs(v - w) for w in range(3)} for v in range(3)}
+        G = trivial_group(make_graph(3, []))
+        with pytest.raises(ValueError, match="ascending"):
+            pair_space((2, 0, 1), {"z": 0b111}, dist, G,
+                       {G.identity: {"z": "z"}})
+
     def test_basis_must_cover(self):
         sp = build_space(4)
-        basis = default_basis(sp)[:-1]
+        basis = default_basis(decoded(sp))[:-1]
         with pytest.raises(BasisError, match="cover"):
             greedy_cover(sp, 1, basis)
 
@@ -163,7 +176,7 @@ class TestGreedyCover:
         sp = build_space(5, z_points=("a", "b"),
                          pairs=[(v, z) for v in range(5) for z in "ab"
                                 if (v, z) != (3, "b")])
-        basis = [t for t in default_basis(sp) if t.v not in (1, 4)]
+        basis = [t for t in default_basis(decoded(sp)) if t.v not in (1, 4)]
         with pytest.raises(BasisError) as err:
             greedy_cover(sp, 1, basis)
         assert str(err.value) == ("basis does not cover the pair set, e.g. "
@@ -175,7 +188,7 @@ class TestGreedyCover:
                                 if (v, z) != (3, "b")])
         identity = frozenset([sp.group.identity])
         for zset in ("ab", "c"):
-            bad = default_basis(sp) + [BasisTriple(3, frozenset(zset),
+            bad = default_basis(decoded(sp)) + [BasisTriple(3, frozenset(zset),
                                                    identity)]
             with pytest.raises(BasisError) as err:
                 greedy_cover(sp, 1, bad)
@@ -190,7 +203,8 @@ class TestGreedyCover:
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
+        sp = pair_space(tuple(range(6)), encoded(range(6), {"z": range(6)}),
+                        dist, G, act_z)
         r = tuple((i + 1) % 6 for i in range(6))
         assert r in G.elements
         bad = [BasisTriple(0, frozenset(["z"]), frozenset([G.identity, r]))]
@@ -204,7 +218,8 @@ class TestGreedyCover:
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
+        sp = pair_space(tuple(range(6)), encoded(range(6), {"z": range(6)}),
+                        dist, G, act_z)
         bad = [BasisTriple(0, frozenset(["z"]), frozenset([G.identity]))]
         with pytest.raises(BasisError, match="moves the block"):
             greedy_cover(sp, 1, bad)
@@ -223,7 +238,8 @@ class TestGreedyCover:
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(6)} for v in range(6)}
         act_z = {p: {"z": "z"} for p in G.elements}
-        sp = pair_space(tuple(range(6)), {"z": range(6)}, dist, G, act_z)
+        sp = pair_space(tuple(range(6)), encoded(range(6), {"z": range(6)}),
+                        dist, G, act_z)
         cov = greedy_cover(sp, 1, fiber_basis(sp, 1))
         rep = verify_cover(cov, sp, 1, TRIVIAL_ONLY)
         assert "not-f-subset" in failed(rep)
@@ -232,7 +248,7 @@ class TestGreedyCover:
 class TestVerifyCover:
     def test_whole_space_cover(self):
         sp = build_space(5)
-        member = CoverMember(slices_of(pairs_of(sp)),
+        member = CoverMember(slices_of(pairs_of(decoded(sp)), sp.v_points),
                              frozenset([sp.group.identity]), True)
         cov = Cover((member,), 99, 0)
         rep = verify_cover(cov, sp, 99, ALL_SUBGROUPS)
@@ -240,7 +256,7 @@ class TestVerifyCover:
 
     def test_deleted_member_breaks_longness(self):
         sp = build_space(9)
-        cov = greedy_cover(sp, 1, default_basis(sp))
+        cov = greedy_cover(sp, 1, default_basis(decoded(sp)))
         kept = cov.members[:2] + cov.members[3:]  # drop the middle member
         pruned = Cover(kept, cov.alpha,
                        cover_order([m.slices for m in kept], sp.fibers))
@@ -252,7 +268,7 @@ class TestVerifyCover:
         # one member misses (1, z) and (2, z); at alpha = -1 every needed
         # set would be empty and the check would pass it
         sp = build_space(3)
-        member = CoverMember(slices_of([(0, "z")]),
+        member = CoverMember(slices_of([(0, "z")], sp.v_points),
                              frozenset([sp.group.identity]), True)
         cov = Cover((member,), 0, 0)
         rep = verify_cover(cov, sp, 0, ALL_SUBGROUPS)
@@ -260,13 +276,13 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="nonnegative"):
             verify_cover(cov, sp, -1, ALL_SUBGROUPS)
         with pytest.raises(ValueError, match="nonnegative"):
-            greedy_cover(sp, -1, default_basis(sp))
+            greedy_cover(sp, -1, default_basis(decoded(sp)))
 
 
     def test_stated_order_must_match(self):
         # negative control: the order is recounted and compared
         sp = build_space(9)
-        cov = greedy_cover(sp, 1, default_basis(sp))
+        cov = greedy_cover(sp, 1, default_basis(decoded(sp)))
         assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
         rep = verify_cover(replace(cov, order=cov.order + 1), sp, 1,
                            ALL_SUBGROUPS)
@@ -280,7 +296,8 @@ def cover_of(space, sets):
     """A cover with the given member sets, its true order and unread
     annotations."""
     triv = frozenset([space.group.identity])
-    members = tuple(CoverMember(slices_of(m), triv, True) for m in sets)
+    members = tuple(CoverMember(slices_of(m, space.v_points), triv, True)
+                    for m in sets)
     return Cover(members, 0, cover_order([m.slices for m in members],
                                          space.fibers))
 
@@ -299,7 +316,7 @@ class TestVerifyCoverPerFiber:
         sets = [over("a", (0, 1)) | over("b", (0, 1)),
                 over("a", (2,)) | over("b", (2,))]
         rep = verify_cover(cover_of(sp, sets), sp, 1, ALL_SUBGROUPS)
-        assert verify_cover_definitional(sets, sp, 1, ALL_SUBGROUPS)[1] \
+        assert verify_cover_definitional(sets, decoded(sp), 1, ALL_SUBGROUPS)[1] \
             == (1, "a")
         assert rep.failures == (("not-long", (1, "a")),)
 
@@ -321,7 +338,7 @@ class TestVerifyCoverPerFiber:
         cov = cover_of(sp, sets)
         assert cov.order == 1
         rep = verify_cover(cov, sp, 1, ALL_SUBGROUPS)
-        assert verify_cover_definitional(sets, sp, 1, ALL_SUBGROUPS)[1] \
+        assert verify_cover_definitional(sets, decoded(sp), 1, ALL_SUBGROUPS)[1] \
             == (2, "a")
         assert rep.failures == (("not-long", (2, "a")),)
 
@@ -331,8 +348,9 @@ class TestVerifyCoverPerFiber:
         sp = build_space(3, z_points=("a", "b"),
                          pairs=[(0, "a"), (1, "a"), (0, "b")])
         for sets, order in (([{(1, "b")}], -1), ([{(0, "b")}], 0)):
-            assert cover_order([slices_of(m) for m in sets], sp.fibers) \
-                == cover_order_brute(sets, pairs_of(sp)) == order
+            assert cover_order([slices_of(m, sp.v_points) for m in sets],
+                               sp.fibers) \
+                == cover_order_brute(sets, pairs_of(decoded(sp))) == order
 
     def test_equal_slices_with_different_multiplicities(self):
         # two members agree over "b" only: the order is 1, read over "b"
@@ -351,7 +369,7 @@ class TestRandomCorpus:
         for trial in range(25):
             n = rng.randrange(5, 14)
             sp = build_space(n, z_points=tuple("ab"[:rng.randrange(1, 3)]))
-            pairs = frozenset((v, z) for (v, z) in pairs_of(sp)
+            pairs = frozenset((v, z) for (v, z) in pairs_of(decoded(sp))
                               if rng.random() < 0.8 or v == 0)
             sp = trivial_pair_space(sp.v_points, fibers_of(sp.fibers, pairs),
                                     sp.dist)
@@ -359,12 +377,12 @@ class TestRandomCorpus:
                 continue
             alpha = rng.choice((1, 2))
             d_cert = 1
-            for fiber in sp.fibers.values():
+            for fiber in decoded(sp).fibers.values():
                 fib = sorted(fiber)
                 if fib:
                     d_cert = max(d_cert, minimal_doubling_constant(
                         fib, lambda a, b: abs(a - b), 1))
-            cov = greedy_cover(sp, alpha, default_basis(sp))
+            cov = greedy_cover(sp, alpha, default_basis(decoded(sp)))
             assert cov.order <= d_cert - 1
             rep = verify_cover(cov, sp, alpha, ALL_SUBGROUPS)
             assert rep.ok
@@ -422,13 +440,14 @@ class TestExtendOpen:
 
 
 def plain_member(points, G):
-    """A member over a plain metric set: its points sit over one z-point."""
-    return CoverMember(slices_of((x, 0) for x in points),
+    """A member over a plain metric set: its points sit over one z-point,
+    as a set, the form extend_cover reads and cover_order counts alike."""
+    return CoverMember(Slices({0: frozenset(points)} if points else {}),
                        frozenset([G.identity]), True)
 
 
 def plain_points(member):
-    return {x for x, _ in member.points}
+    return set(member.slices.get(0, ()))
 
 
 class TestExtendCover:
@@ -510,7 +529,8 @@ def dihedral_space(n, *seeds):
         pairs = {(v, "z") for v in range(n)}
         z_points = ("z",)
         act_z = {p: {"z": "z"} for p in G.elements}
-    return pair_space(tuple(range(n)), fibers_of(z_points, pairs), dist, G,
+    return pair_space(tuple(range(n)),
+                      encoded(range(n), fibers_of(z_points, pairs)), dist, G,
                       act_z)
 
 
@@ -521,7 +541,7 @@ def singleton_cover(space, points):
     """One member per point, annotated as one orbit with trivial
     stabilizers; verify_cover must not read the annotations."""
     triv = frozenset([space.group.identity])
-    members = tuple(CoverMember(slices_of([x]), triv, k == 0)
+    members = tuple(CoverMember(slices_of([x], space.v_points), triv, k == 0)
                     for k, x in enumerate(points))
     return Cover(members, 0, cover_order([m.slices for m in members],
                                          space.fibers))
@@ -535,9 +555,9 @@ class TestOrbitWalks:
         # an orbit set's breadth-first transversal element is not always
         # the first element of its coset here
         sp = dihedral_space(5, (0, (2, 2)))
-        basis = default_basis(sp)
-        assert greedy_cover(sp, 0, basis) == \
-            greedy_cover_reference(sp, 0, basis)
+        basis = default_basis(decoded(sp))
+        assert set_cover(greedy_cover(sp, 0, basis), sp.v_points) == \
+            greedy_cover_reference(decoded(sp), 0, basis)
 
     def test_equal_fibers_keep_their_own_core_slices_under_a_group(self):
         # every fiber is {0, 1}, but the swap s carries the first block's
@@ -547,19 +567,20 @@ class TestOrbitWalks:
         G = close_group(make_graph(4, [(2, 3)]), [(0, 1, 3, 2)])
         e, s = G.identity, G.generators[0]
         swap = {"z1": "z3", "z3": "z1", "z2": "z4", "z4": "z2"}
-        sp = pair_space((0, 1), {z: (0, 1) for z in swap},
+        sp = pair_space((0, 1), encoded((0, 1), {z: (0, 1) for z in swap}),
                         {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}, G,
                         {e: {z: z for z in swap}, s: swap})
-        validate_pair_space(sp)
+        validate_pair_space(decoded(sp))
         triv = frozenset([e])
         basis = [BasisTriple(1, frozenset(["z1"]), triv),
                  BasisTriple(0, frozenset(["z2", "z3"]), triv),
                  BasisTriple(1, frozenset(["z2"]), triv)]
         cov = greedy_cover(sp, 1, basis)
-        assert cov == greedy_cover_reference(sp, 1, basis)
+        assert set_cover(cov, sp.v_points) == \
+            greedy_cover_reference(decoded(sp), 1, basis)
         both = frozenset([0, 1])
-        assert cov.member_slices() == [{"z1": both}, {"z3": both},
-                                       {"z2": both}, {"z4": both}]
+        assert [decoded_sets(sp.v_points, s) for s in cov.member_slices()] \
+            == [{"z1": both}, {"z3": both}, {"z2": both}, {"z4": both}]
         assert verify_cover(cov, sp, 1, ALL_SUBGROUPS).ok
 
     def test_uncovered_pairs_listed_over_every_v_point(self):
@@ -568,14 +589,14 @@ class TestOrbitWalks:
         # v = 0, the message lists the least pairs over every v-point, as a
         # scan of every translate of every block finds them
         sp = dihedral_space(6, FREE, (0, (0, 3)))
-        validate_pair_space(sp)
-        basis = default_basis(sp)
+        validate_pair_space(decoded(sp))
+        basis = default_basis(decoded(sp))
         assert len(basis) == 2
         greedy_cover(sp, 1, basis)
         for kept in ([basis[0]], [basis[1]]):
             covered = {(p[t.v], sp.act_z[p][z]) for t in kept
                        for p in sp.group.elements for z in t.zset}
-            missing = sorted(pairs_of(sp) - covered)
+            missing = sorted(pairs_of(decoded(sp)) - covered)
             assert any(v != 0 for v, _ in missing[:3])
             with pytest.raises(BasisError) as err:
                 greedy_cover(sp, 1, kept)
@@ -588,9 +609,9 @@ class TestOrbitWalks:
         short = GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
                            G.word_length)
         sp = pair_space(sp.v_points, sp.fibers, sp.dist, short, sp.act_z)
-        cov = singleton_cover(sp, sorted(pairs_of(sp)))
-        for check in (lambda: validate_pair_space(sp),
-                      lambda: greedy_cover(sp, 0, default_basis(sp)),
+        cov = singleton_cover(sp, sorted(pairs_of(decoded(sp))))
+        for check in (lambda: validate_pair_space(decoded(sp)),
+                      lambda: greedy_cover(sp, 0, default_basis(decoded(sp))),
                       lambda: verify_cover(cov, sp, 0, ALL_SUBGROUPS)):
             with pytest.raises(ValueError, match="generators do not generate"):
                 check()
@@ -602,20 +623,20 @@ class TestOrbitWalks:
         act_z = dict(sp.act_z)
         act_z[r2] = {z: z for z in sp.fibers}  # not r applied twice
         bad = pair_space(sp.v_points, sp.fibers, sp.dist, G, act_z)
-        validate_pair_space(sp)
+        validate_pair_space(decoded(sp))
         with pytest.raises(ValueError, match="composition"):
-            validate_pair_space(bad)
+            validate_pair_space(decoded(bad))
 
     def test_free_orbit_of_singletons_passes(self):
         sp = dihedral_space(6, FREE)
-        validate_pair_space(sp)
-        rep = verify_cover(singleton_cover(sp, sorted(pairs_of(sp))), sp, 0,
+        validate_pair_space(decoded(sp))
+        rep = verify_cover(singleton_cover(sp, sorted(pairs_of(decoded(sp)))), sp, 0,
                            TRIVIAL_ONLY)
-        assert rep.ok and len(pairs_of(sp)) == 12
+        assert rep.ok and len(pairs_of(decoded(sp))) == 12
 
     def test_one_translate_removed(self):
         sp = dihedral_space(6, FREE)
-        points = sorted(pairs_of(sp))
+        points = sorted(pairs_of(decoded(sp)))
         rep = verify_cover(singleton_cover(sp, points[:4] + points[5:]), sp,
                            0, ALL_SUBGROUPS)
         assert "not-invariant" in failed(rep)
@@ -632,14 +653,14 @@ class TestOrbitWalks:
 
     def test_member_meeting_its_translate_at_a_non_representative_slot(self):
         sp = dihedral_space(6, FREE)
-        cov = singleton_cover(sp, sorted(pairs_of(sp)))
+        cov = singleton_cover(sp, sorted(pairs_of(decoded(sp))))
         r = sp.group.generators[0]
-        x = cov.members[5].points
+        x = cov.members[5].points(sp.v_points)
         moved = {(r[v], sp.act_z[r][z]) for v, z in x}
         overlapping = x | moved  # meets its r-translate
         members = list(cov.members)
-        members[5] = CoverMember(slices_of(overlapping), members[5].stabilizer,
-                                 False)
+        members[5] = CoverMember(slices_of(overlapping, sp.v_points),
+                                 members[5].stabilizer, False)
         order = cover_order([m.slices for m in members], sp.fibers)
         rep = verify_cover(Cover(tuple(members), 0, order), sp, 0,
                            ALL_SUBGROUPS)
@@ -670,7 +691,7 @@ def _plant(sp, defect):
     if defect == "missing-translate":
         # (0, (0, 1)) leaves the free orbit; its translates stay.  Rebuilt
         # through pair_space, so that z_over matches the fibers.
-        return pair_space(sp.v_points, {**sp.fibers, (0, 1): frozenset()},
+        return pair_space(sp.v_points, {**sp.fibers, (0, 1): 0},
                           sp.dist, sp.group, sp.act_z)
     if defect == "stale-index":
         # the fibers are intact; Z_0 has lost (0, 1)
@@ -703,9 +724,9 @@ class TestValidateRejects:
     ])
     def test_planted_defect(self, defect, message):
         sp = dihedral_space(6, FREE)
-        validate_pair_space(sp)
+        validate_pair_space(decoded(sp))
         with pytest.raises(ValueError, match=message):
-            validate_pair_space(_plant(sp, defect))
+            validate_pair_space(decoded(_plant(sp, defect)))
 
 
 class TestDoublingOracleAgreement:

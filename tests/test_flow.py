@@ -17,6 +17,7 @@ from coarsecover.corpus import (
     cyclic_rotation,
     flow_graphs,
     path_graph,
+    pipeline_instances,
     random_tree,
     spider,
     spider_rotation,
@@ -40,8 +41,14 @@ from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
-from oracles import endpoint_pair_space, failed, flow_space, \
-    mask_vertices, small_carriers, star_metric, theta_small_paths_brute
+from oracles import decoded, decoded_sets, encoded, endpoint_pair_space, \
+    failed, flow_space, mask_vertices, small_carriers, star_metric, \
+    theta_small_paths_brute
+
+
+def fiber_sets(cf):
+    """cf's fibers as frozensets of midpoints, read bit by bit."""
+    return {key: mask_vertices(f) for key, f in cf.fibers.items()}
 
 
 def tree_cf(n=12, seed=None):
@@ -67,7 +74,7 @@ class TestBuildCfTheta:
     def test_tree_fiber_is_metric_band(self):
         g, sub, cf = tree_cf(10, seed=2)
         idx = cf.index
-        for (xm, xp), fiber in cf.fibers.items():
+        for (xm, xp), fiber in fiber_sets(cf).items():
             geo_mids = [w for w in idx.geodesic_vertex_set(xm, xp)
                         if sub.is_midpoint(w)]
             band = {v for v in sub.ve_vertices()
@@ -95,13 +102,14 @@ class TestBuildCfTheta:
         assert index.dist == {}
         assert calls == [(sub.graph, 0), (g, 0)]
 
-    def test_one_frozenset_per_distinct_fiber(self):
+    def test_classes_name_each_distinct_fiber_by_its_least_pair(self):
         # a random tree of the tree-ladder workload's sizes, where many
         # endpoint pairs share a fiber
         g, sub, cf = tree_cf(16, seed=5)
         distinct = set(cf.fibers.values())
         assert len(distinct) < len(cf.fibers)
-        assert len({id(f) for f in cf.fibers.values()}) == len(distinct)
+        assert cf.classes == {f: min(key for key, h in cf.fibers.items()
+                                     if h == f) for f in distinct}
 
     def test_empty_endpoint_set(self):
         g = path_graph(5)
@@ -157,7 +165,7 @@ class TestBuildCfTheta:
         t3 = theta3(sub)
         theta = k_fold_sum(t3, 2).union(all_angles(g))
         cf = flow_space(sub, theta, sub.ve_vertices())
-        for (xm, xp), fiber in cf.fibers.items():
+        for (xm, xp), fiber in fiber_sets(cf).items():
             if not fiber:
                 continue
             smalls = theta_small_paths_brute(sub.graph, theta, xm, xp, sub)
@@ -176,7 +184,7 @@ class TestBuildCfTheta:
         sub = inst.sub
         cf = flow_space(sub, all_angles(g), sub.ve_vertices(),
                         group=inst.sub_group)
-        for (xm, xp), fiber in list(cf.fibers.items())[:20]:
+        for (xm, xp), fiber in list(fiber_sets(cf).items())[:20]:
             stab = [p for p in cf.group.elements
                     if (p[xm], p[xp]) == (xm, xp)]
             for p in stab:
@@ -241,7 +249,7 @@ class TestFiberSymmetry:
                   for key, line in lines.items()}
         assert {key: mask_vertices(m) for key, m in cf.lines.items()} \
             == lines
-        assert cf.fibers == fibers
+        assert fiber_sets(cf) == fibers
         assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
                               for v in fiber}
         # one z-point per fiber class, named by its least pair
@@ -249,8 +257,9 @@ class TestFiberSymmetry:
         names = {}
         for key in sorted(fibers):
             names.setdefault(fibers[key], key)
-        assert space.fibers == {r: f for f, r in names.items()}
-        assert all(fibers[key] == space.fibers[names[fibers[key]]]
+        space_fibers = decoded(space).fibers
+        assert space_fibers == {r: f for f, r in names.items()}
+        assert all(fibers[key] == space_fibers[names[fibers[key]]]
                    for key in fibers)
         assert space.act_z == {
             p: {r: names[fibers[p[r[0]], p[r[1]]]] for r in space.fibers}
@@ -269,13 +278,14 @@ class TestDoubling:
         light = frozenset((0, 1, 2, 3, 5))  # inside failing, passes
         # larger than failing but not around it, and passes
         wide = frozenset(range(13)) - {5, 6}
-        cf = SimpleNamespace(delta_prime=0, metric=metric, fibers={
-            (0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide})
+        fibers = {(0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide}
+        cf = SimpleNamespace(delta_prime=0, metric=metric,
+                             fibers=encoded(range(13), fibers))
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"] is False and rep["R"] == 12 and rep["fibers"] == 4
         checks = {key: doubling_check(sorted(f), lambda a, b: metric[a][b],
                                       5, 12)
-                  for key, f in cf.fibers.items()}
+                  for key, f in fibers.items()}
         assert [key for key in sorted(checks) if not checks[key].ok] == \
             [(0, 1), (0, 2)]
         assert rep["failures"] == [(key, checks[key].witness)
@@ -288,7 +298,8 @@ class TestDoubling:
         metric = star_metric((1, 20, 25, 30, 20, 25, 30))
         fibers = {(0, 1): frozenset((0, 1, 2, 3)),
                   (1, 0): frozenset((0, 4, 5, 6))}
-        cf = SimpleNamespace(delta_prime=0, metric=metric, fibers=fibers)
+        cf = SimpleNamespace(delta_prime=0, metric=metric,
+                             fibers=encoded(range(7), fibers))
         checked = count_doubling_checks(monkeypatch)
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"] is True and rep["failures"] == []
@@ -302,7 +313,7 @@ class TestDoubling:
         assert rep["ok"]
         assert rep["R"] == 24 * cf.delta_prime + 12
         # the union passes, so it is the only set checked
-        assert checked == [frozenset().union(*cf.fibers.values())]
+        assert checked == [frozenset().union(*fiber_sets(cf).values())]
 
     def test_tightest_constants(self):
         g, sub, cf = tree_cf(12)
@@ -325,9 +336,9 @@ class TestCoverCf:
                    for dv in row.values() if dv is not INF)
         cov = expand_cover(cf, cover_cf(cf_pair_space(cf), diam))
         assert cov.order == 0
-        sets = [m.points for m in cov.members]
+        sets = [m.points(sub.ve_vertices()) for m in cov.members]
         for z in sorted(cf.fibers):
-            for v in cf.fibers[z]:
+            for v in fiber_sets(cf)[z]:
                 assert sum(1 for m in sets if (v, z) in m) == 1
 
     def test_c6_cover_verified(self):
@@ -381,7 +392,7 @@ class TestFiberClassParity:
             cov = expand_cover(cf, classes)
             assert cov == greedy_cover(ref, ap, fiber_basis(ref, ap))
             if ap == pipeline_ap:
-                assert cov == res.artifacts["flow_cover"]
+                assert expand_cover(cf, res.artifacts["flow_cover"]) == cov
             self.check_reports(classes, space, cov, ref, ap)
 
     @staticmethod
@@ -444,12 +455,14 @@ class TestFiberClassParity:
             (s,) = sp.group.generators
 
             def translate(p, slices):
-                return Slices((sp.act_z[p][z], frozenset(p[v] for v in vs))
-                              for z, vs in slices.items())
+                sets = decoded_sets(sp.v_points, slices)
+                return Slices(encoded(sp.v_points, {
+                    sp.act_z[p][z]: {p[v] for v in vs}
+                    for z, vs in sets.items()}))
 
             m2 = c.members[2].slices
             sm2 = translate(s, m2)
-            union = Slices((z, m2.get(z, frozenset()) | sm2.get(z, frozenset()))
+            union = Slices((z, m2.get(z, 0) | sm2.get(z, 0))
                            for z in {*m2, *sm2})
             orbit, stab = set_orbit(union, sp.group, translate)
             reports.append(self.recounted(c.members + tuple(
@@ -464,11 +477,13 @@ class TestPullback:
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
         member = CoverMember(
-            slices_of((v, (a, b)) for (v, a, b) in cf.triples),
+            slices_of(((v, (a, b)) for (v, a, b) in cf.triples),
+                      sub.ve_vertices()),
             frozenset([cf.group.identity]), True)
         cov = Cover((member,), 1, 0)
         pull = pullback_cover(cf, cov, 0, targets, v0)
-        assert [m.points for m in pull.members] == [frozenset(targets)]
+        assert [m.points(cf.group.elements) for m in pull.members] == \
+            [frozenset(targets)]
 
     def test_tree_tau_zero_is_evaluation_at_base(self):
         g, sub, cf = tree_cf(8)
@@ -476,11 +491,12 @@ class TestPullback:
         targets = eligible_targets(cf, v0, cf.endpoints)
         cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 2))
         pull = pullback_cover(cf, cov, 0, targets, v0)
-        sets = [m.points for m in cov.members]
+        sets = [m.points(sub.ve_vertices()) for m in cov.members]
         for i, m in enumerate(sets):
             pulled = {(gg, xi) for (gg, xi) in targets
                       if (gg[v0], (gg[v0], xi)) in m}
-            assert pulled in ([p.points for p in pull.members] + [set()]) \
+            assert pulled in ([p.points(cf.group.elements)
+                               for p in pull.members] + [set()]) \
                 or not pulled
 
     def test_universal_quantifier_over_flow_lines(self):
@@ -497,11 +513,12 @@ class TestPullback:
         assert len(layer1) == 2
         taken = layer1[0]
         member = CoverMember(
-            slices_of((v, (a, b)) for (v, a, b) in cf.triples
-                      if v != layer1[1]),
+            slices_of(((v, (a, b)) for (v, a, b) in cf.triples
+                       if v != layer1[1]), sub.ve_vertices()),
             frozenset([e]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
-        assert all((e, xi) not in m.points for m in pull.members)
+        assert all((e, xi) not in m.points(cf.group.elements)
+                   for m in pull.members)
 
     def test_only_the_tau_sphere_of_a_line_is_read(self):
         # the slice holds the line's vertices at distance tau and none
@@ -514,16 +531,20 @@ class TestPullback:
         assert d0[xi] > 2
         at_tau = [v for v in cf.index.geodesic_vertex_set(v0, xi)
                   if d0[v] == 2]
-        member = CoverMember(slices_of((v, (v0, xi)) for v in at_tau),
-                             frozenset([e]), True)
+        # a member of the class cover, held over the class of (v0, xi)
+        member = CoverMember(slices_of(
+            ((v, cf.classes[cf.fibers[v0, xi]]) for v in at_tau),
+            sub.ve_vertices()), frozenset([e]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
-        assert [m.points for m in pull.members] == [frozenset([(e, xi)])]
+        assert [m.points(cf.group.elements) for m in pull.members] == \
+            [frozenset([(e, xi)])]
 
     def test_short_flow_lines_excluded(self):
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
-        full = CoverMember(slices_of((v, (a, b)) for (v, a, b) in cf.triples),
+        full = CoverMember(slices_of(((v, (a, b)) for (v, a, b) in cf.triples),
+                                     sub.ve_vertices()),
                            frozenset([cf.group.identity]), True)
         big_tau = 1 + max(cf.index.dist[g_[v0]][xi] // 2
                           for (g_, xi) in targets)
@@ -571,6 +592,36 @@ class TestPullback:
                 assert pull.order <= cov.order
 
 
+PULLBACK_CLASS_CASES = [case[:4] + case[5:] for case in pipeline_instances()] + [
+    ("c%d-dihedral" % n, cycle_graph(n),
+     [cyclic_rotation(n), cycle_reflection(n)], "seed", 6)
+    for n in (16, 18, 20)] + [
+    ("spider%d-%d-rot" % legs, spider(*legs), [spider_rotation(*legs)],
+     "all", 6) for legs in ((3, 4), (4, 3))]
+
+
+@pytest.mark.parametrize("name, g, gens, mode, tau_max",
+                         PULLBACK_CLASS_CASES,
+                         ids=[c[0] for c in PULLBACK_CLASS_CASES])
+def test_pullback_over_classes_matches_the_expanded_cover(name, g, gens,
+                                                          mode, tau_max):
+    """pullback_cover reads the pipeline's flow cover, on fiber classes,
+    through each pair's class: it equals the pullback of the cover placed
+    on every endpoint pair, at every tau up to tau_max, over every
+    eligible target of the flow space."""
+    res = run_pipeline(g, gens, alpha=1, tau_max=tau_max, theta0_mode=mode)
+    cf, v0 = res.artifacts["cf"], res.instance.v0
+    classes = res.artifacts["flow_cover"]
+    expanded = expand_cover(cf, classes)
+    assert {z for m in classes.members for z in m.slices} <= \
+        set(cf.classes.values())
+    targets = eligible_targets(cf, v0, cf.endpoints)
+    assert targets
+    for tau in range(tau_max + 1):
+        assert pullback_cover(cf, classes, tau, targets, v0) == \
+            pullback_cover(cf, expanded, tau, targets, v0), tau
+
+
 class TestWidenessScan:
     def test_trivial_group_passes_at_zero(self):
         g, sub, cf = tree_cf(10, seed=7)
@@ -598,7 +649,7 @@ class TestWidenessScan:
         res = run_pipeline(path_graph(10), alpha=1, tau_max=4,
                            theta0_mode="all")
         inst, cf = res.instance, res.artifacts["cf"]
-        cov = res.artifacts["flow_cover"]
+        cov = expand_cover(cf, res.artifacts["flow_cover"])
         space = endpoint_pair_space(cf)
         targets = ball_closed_targets(cf, inst.v0, 1, inst.boundary)
         assert len(cov) == 9 and len(targets) == 8

@@ -22,9 +22,17 @@ from coarsecover.covers import doubling_check
 from coarsecover.flow import build_cf_theta, cf_doubling_report
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
-from oracles import cf_doubling_report_brute, star_metric
+from oracles import cf_doubling_report_brute, encoded, mask_vertices, \
+    star_metric
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def with_fibers(cf, fibers):
+    """A stand-in for cf with other fibers: the report and its reference
+    read delta_prime, metric and fibers alone."""
+    return SimpleNamespace(delta_prime=cf.delta_prime, metric=cf.metric,
+                           fibers=fibers)
 
 # one light point and six heavy ones: the seven points fail (the heavy six
 # are pairwise 40 apart, within 2 * 12 of the light one), four points pass
@@ -83,8 +91,9 @@ def planted_flow_spaces(draw):
 @SETTINGS
 @given(flow_spaces(), st.booleans())
 def test_report_matches_per_fiber_checks_on_flow_spaces(cf, tightest):
+    sets = {key: mask_vertices(f) for key, f in cf.fibers.items()}
     assert cf_doubling_report(cf, tightest) == \
-        cf_doubling_report_brute(cf, tightest)
+        cf_doubling_report_brute(with_fibers(cf, sets), tightest)
 
 
 def test_report_matches_per_fiber_checks_on_planted_violations():
@@ -96,8 +105,10 @@ def test_report_matches_per_fiber_checks_on_planted_violations():
     @example(SOME_FAIL, True)
     @example(UNION_FAILS, False)
     def check(cf, tightest):
+        # the stand-ins hold their fibers as sets of the star's leaves
         want = cf_doubling_report_brute(cf, tightest)
-        assert cf_doubling_report(cf, tightest) == want
+        masks = encoded(range(len(cf.metric)), cf.fibers)
+        assert cf_doubling_report(with_fibers(cf, masks), tightest) == want
         union = frozenset().union(*cf.fibers.values())
         union_ok = doubling_check(union, lambda a, b: cf.metric[a][b], 5,
                                   12).ok

@@ -233,6 +233,33 @@ def test_a_restored_constant_default_is_flagged(tmp_path):
     assert "delta.floor" in _flagged(src)
 
 
+def private_imports(paths):
+    """"file: name" for each underscore name a file imports from another
+    module."""
+    return ["%s: %s" % (path.name, alias.name) for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name belongs to its module; a helper two modules share
+    # is public in the module that owns it
+    found = private_imports(sorted(SRC.glob("*.py")))
+    assert not found, "private names imported: %s" % ", ".join(found)
+
+
+def test_a_restored_private_import_is_flagged(tmp_path):
+    # cones decoding its base rows with flow's private decoder again
+    text = (SRC / "cones.py").read_text()
+    mutant = text.replace("from .symmetry import",
+                          "from .flow import _vertices\nfrom .symmetry import",
+                          1)
+    assert mutant != text
+    (tmp_path / "cones.py").write_text(mutant)
+    assert private_imports([tmp_path / "cones.py"]) == ["cones.py: _vertices"]
+
+
 def test_the_library_does_not_load_networkx():
     # networkx is a test dependency, the oracle for blocks and cliques: no
     # program file imports it, and importing the package loads none of it

@@ -25,6 +25,7 @@ from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
     select_theta0
 from coarsecover.rips import contract_subcomplex
 from coarsecover.symmetry import close_group
+from oracles import encoded
 
 
 class TestPipeline:
@@ -71,9 +72,10 @@ class TestPipeline:
         sets = res.artifacts["combined"].member_slices()
         assert list(wide_failures(sets, G, alpha, domain)) == []
         ge, xi = domain[-1]
-        need = frozenset(G.ball(alpha, center=ge))
-        assert len(need) > 1
-        kept = [m for m in sets if not need <= m.get(xi, frozenset())]
+        ball = frozenset(G.ball(alpha, center=ge))
+        assert len(ball) > 1
+        need = encoded(G.elements, {xi: ball})[xi]
+        kept = [m for m in sets if need & ~m.get(xi, 0)]
         assert len(kept) < len(sets)
         assert (ge, xi) in wide_failures(kept, G, alpha, domain)
 
@@ -114,14 +116,16 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
     """The flow cover, its verification, the pullback and the combined
     cover read fibers and slices: a pair space has no pair set, and
     run_pipeline never derives a member's pairs (v, z), on a tree or under
-    a group.  Every member it keeps holds slices {z: frozenset of v}."""
-    def refuse(member):
+    a group.  Every member it keeps holds slices {z: mask of v}: over a
+    fiber class, a mask of midpoint positions inside the class's fiber,
+    and on the group side a mask over the group's elements."""
+    def refuse(member, v_points):
         raise AssertionError("a member's pairs were built")
 
     assert not hasattr(PairSpace, "pairs")
     assert [f.name for f in fields(CoverMember)] == \
         ["slices", "stabilizer", "orbit_rep"]
-    monkeypatch.setattr(CoverMember, "points", property(refuse))
+    monkeypatch.setattr(CoverMember, "points", refuse)
     name, g, gens, mode, alpha, tau = next(
         c for c in pipeline_instances() if c[0] == "marked-cone-rot")
     for res in (run_pipeline(random_tree(14, seed=5), alpha=1, tau_max=4,
@@ -130,13 +134,15 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
                              theta0_mode=mode)):
         assert res.ok and res.stages["flow_cover"]["members"] > 0
         fibers = res.artifacts["cf"].fibers
+        shift = res.instance.sub.original.vertex_count
         for m in res.artifacts["flow_cover"].members:
             assert isinstance(m.slices, Slices) and m.slices
-            assert all(vs and vs <= fibers[z] for z, vs in m.slices.items())
-        group = set(res.instance.sub_group.elements)
+            assert all(vs and vs & ~(fibers[z] >> shift) == 0
+                       for z, vs in m.slices.items())
+        group = 1 << len(res.instance.sub_group.elements)
         for m in res.artifacts["combined"].members:
             assert isinstance(m.slices, Slices)
-            assert all(vs and vs <= group for vs in m.slices.values())
+            assert all(0 < vs < group for vs in m.slices.values())
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
