@@ -79,8 +79,19 @@ class AngleSet:
                    for p in G.generators for t in self.nontrivial)
 
     def saturate(self, G: GroupModel) -> "AngleSet":
-        return AngleSet(self.graph, frozenset(
-            act_angle(p, t) for t in self.nontrivial for p in G.elements))
+        """The least G-invariant angle set containing this one: the orbit
+        closure along the generators, |T| * |generators| images, which is
+        the union over every element as the generators generate G."""
+        G.check_generators()
+        out = set(self.nontrivial)
+        queue = list(out)
+        for t in queue:  # the queue grows while it is walked
+            for p in G.generators:
+                u = act_angle(p, t)
+                if u not in out:
+                    out.add(u)
+                    queue.append(u)
+        return AngleSet(self.graph, frozenset(out))
 
     def __len__(self):
         return len(self.nontrivial)

@@ -332,9 +332,9 @@ def cmd_cone(args):
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
-            "members": sorted([sub_group.index_of(ge), x]
+            "members": sorted([sub_group.rank[ge], x]
                               for (ge, x) in c.members),
-            "certified_interior": sorted([sub_group.index_of(ge), x]
+            "certified_interior": sorted([sub_group.rank[ge], x]
                                          for (ge, x) in c.certified_interior),
         } for c in cones]
         _emit(args, "cones", {"theta_out": angleset_to_document(oracle.size),

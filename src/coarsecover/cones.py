@@ -19,7 +19,7 @@ from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
     geodesic_angles, geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order, masked, slices_of, \
     wide_failures
-from .symmetry import GroupModel, invert
+from .symmetry import GroupModel
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -65,15 +65,23 @@ class ConeSet:
 
 def seed_theta0(inst: Instance, alpha) -> AngleSet:
     """All angles on geodesics from a ball translate of the base point to a
-    vertex on a geodesic between two other ball translates, saturated."""
-    index, sub_group = inst.index, inst.sub_group
-    ball = sorted({p[inst.v0] for p in sub_group.ball(alpha)})
+    vertex on a geodesic between two other ball translates, saturated.
+
+    Read from v0 alone, as theta_for_wideness is: the p v0 -> w geodesics
+    are p applied to the v0 -> p^-1 w ones, and p^-1 runs over the ball as
+    p does, the word metric's generators being closed under inverses.  So
+    after saturation the pairs (v0, q w), q in the ball and w a vertex on
+    a geodesic between ball translates, give the same angles.
+    """
+    index, v0 = inst.index, inst.v0
+    ball = inst.sub_group.ball(alpha)
+    points = sorted({p[v0] for p in ball})
     mids = set()
-    for a in ball:
-        for b in ball:
+    for a in points:
+        for b in points:
             mids.update(index.geodesic_vertex_set(a, b))
-    pairs = [(a, w) for a in ball for w in mids]
-    return geodesic_angles(index, inst.sub, pairs).saturate(sub_group)
+    pairs = {(v0, q[w]) for q in ball for w in mids}
+    return geodesic_angles(index, inst.sub, pairs).saturate(inst.sub_group)
 
 
 def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
@@ -159,19 +167,21 @@ def dichotomy_check(inst: Instance, oracle: SmallnessOracle, alpha, cones,
     clause.  The report records which clause fired for each pair.
     """
     sub_group, v0 = inst.sub_group, inst.v0
-    pairs = [(ge, xi) for ge in sub_group.elements for xi in xi_set]
+    elements, rank, inverse = sub_group.elements, sub_group.rank, \
+        sub_group.inverse
+    pairs = [(ge, xi) for ge in elements for xi in xi_set]
     into, last, small, failures = None, None, 0, []
     for ge, xi in wide_failures(
-            [slices_of(c.members, sub_group.elements) for c in cones],
+            [slices_of(c.members, elements) for c in cones],
             sub_group, alpha, pairs):
         if ge is not last:  # g^-1 once per element reaching this clause
-            last, back = ge, invert(ge)
+            last, back = ge, elements[inverse[rank[ge]]]
         if into is None:
             into = small_steps(inst.index, oracle, v0)[0]
         if ge[v0] == xi or into[back[xi]]:
             small += 1
         else:
-            failures.append((sub_group.index_of(ge), xi))
+            failures.append((rank[ge], xi))
     return {
         "ok": not failures,
         "clauses": {"cone": len(pairs) - small - len(failures),

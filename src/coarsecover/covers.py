@@ -25,8 +25,8 @@ from functools import partial
 from itertools import compress, count
 
 from .graphs import INF
-from .symmetry import GroupModel, SubgroupFamily, compose, conjugate, \
-    is_subgroup, set_orbit, subgroup_generated
+from .symmetry import GroupModel, SubgroupFamily, conjugate, is_subgroup, \
+    set_orbit, sifted_generators, subgroup_generated
 
 _EMPTY = frozenset()
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -52,6 +52,25 @@ class _BitImages(dict):
         return image
 
 
+class _ElementImages(dict):
+    """p -> the _BitImages of the group element p on masks over the
+    v-points, made on first read: the translates read only the generators
+    and the sifted subgroup generators."""
+
+    __slots__ = ("v_points", "position")
+
+    def __init__(self, v_points):
+        super().__init__()
+        self.v_points = v_points
+        self.position = {v: i for i, v in enumerate(v_points)}
+
+    def __missing__(self, p):
+        position = self.position
+        self[p] = images = _BitImages([1 << position[p[v]]
+                                       for v in self.v_points])
+        return images
+
+
 @dataclass(frozen=True)
 class PairSpace:
     """A finite G-invariant pair set X inside V x Z with a metric on V,
@@ -62,9 +81,10 @@ class PairSpace:
     fibers: dict  # every z-point -> the mask of V_z, empty fibers included
     dist: dict  # v -> {w: d(v, w)}
     group: GroupModel  # p acts on the v-points as the permutation it is
-    act_z: dict  # p -> {z: p z}
+    act_z: dict  # p -> {z: p z}, a list when the z-points are 0..k-1
     z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}
-    # p -> {mask: p.mask}, one memo that every cover of the space shares
+    # p -> {mask: p.mask}, made on first read, one memo that every cover of
+    # the space shares
     images: dict = field(compare=False, repr=False)
 
 
@@ -104,13 +124,6 @@ def _translate(space: PairSpace, p, slices):
     return Slices([(az[z], image[vs]) for z, vs in slices.items()])
 
 
-def _check_generators(G: GroupModel):
-    """Raise ValueError unless G.generators generate G.elements; the orbit
-    walks of this module reach the whole group only along generators."""
-    if subgroup_generated(G, G.generators) != frozenset(G.elements):
-        raise ValueError("the group's generators do not generate its elements")
-
-
 def pair_space(v_points, fibers, dist, group: GroupModel,
                act_z) -> PairSpace:
     """Assemble a PairSpace from its ascending v-points and its z-fibers,
@@ -124,12 +137,9 @@ def pair_space(v_points, fibers, dist, group: GroupModel,
     for z, fiber in fibers.items():
         for add in masked(adds, fiber):
             add(z)
-    position = {v: i for i, v in enumerate(v_points)}
-    images = {p: _BitImages([1 << position[p[v]] for v in v_points])
-              for p in group.elements}
     return PairSpace(v_points, fibers, dist, group, act_z,
                      {v: frozenset(zs) for v, zs in zip(v_points, over)
-                      if zs}, images)
+                      if zs}, _ElementImages(v_points))
 
 
 def _ball(space: PairSpace, v, radius):
@@ -353,10 +363,10 @@ def wide_failures(member_slices, group: GroupModel, alpha, pairs):
     """Yield, in input order, each pair (g, x) whose ball slice
     {(h, x) : h in group.ball(alpha, center=g)} no member holds: the pairs
     at which the members fail to be alpha-wide.  The v-sets are masks over
-    group.elements.  Each ball is made once per call and tested, ball &
-    ~slice == 0, against the slices over x alone, which one index of the
-    members by z-point lists."""
-    rank = {h: i for i, h in enumerate(group.elements)}
+    group.elements, bit i for the element numbered i.  Each ball is made
+    once per call and tested, ball & ~slice == 0, against the slices over x
+    alone, which one index of the members by z-point lists."""
+    rank = group.rank
     outside = {x: [~vs for vs in held]
                for x, held in _held(member_slices).items()}
     balls = {}
@@ -403,17 +413,6 @@ def fiber_basis(space: PairSpace, alpha):
                 and any(space.act_z[p][z] in fiber for z in fiber)]
         triples.append(BasisTriple(v, fiber, subgroup_generated(space.group, gens)))
     return triples
-
-
-def _sifted_generators(G: GroupModel, H):
-    """A generating set of the subgroup H: each element of sorted(H) not
-    yet generated by those kept before it."""
-    gens, span = [], {G.identity}
-    for a in sorted(H):
-        if a not in span:
-            gens.append(a)
-            span = subgroup_generated(G, gens)
-    return gens
 
 
 def _saturate(space: PairSpace, core, gens):
@@ -476,7 +475,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     """
     _check_alpha(alpha)
     G = space.group
-    _check_generators(G)
+    G.check_generators()
     act_z, identity, z_over = space.act_z, G.identity, space.z_over
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
@@ -518,7 +517,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         reduced.append(frozenset(zset))
 
     translate = partial(_translate, space)
-    rank = {p: k for k, p in enumerate(G.elements)}
+    rank, products = G.rank, G.products
     members = []
     seen_sets = set()
     for i, t in enumerate(basis):
@@ -526,18 +525,21 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             continue
         ball = _ball(space, t.v, 2 * alpha)
         core = Slices((z, space.fibers[z] & ball) for z in reduced[i])
-        saturated = _saturate(space, core, _sifted_generators(G, t.subgroup))
+        saturated = _saturate(space, core, sifted_generators(G, t.subgroup))
         if saturated in seen_sets:
             continue
         orbit, stab = set_orbit(saturated, G, translate)
         seen_sets.update(orbit)
-        firsts = sorted(((min(rank[compose(tw, h)] for h in stab), W)
-                         for W, tw in orbit.items()), key=lambda f: f[0])
+        # the first element of each coset t_W Stab: t_W h is row h at t_W
+        rows, firsts = [products[rank[h]] for h in stab], []
+        for W, tw in orbit.items():
+            c = rank[tw]
+            firsts.append((min(row[c] for row in rows), W))
+        firsts.sort(key=lambda f: f[0])
         for k, (r, W) in enumerate(firsts):
-            p = G.elements[r]
             members.append(CoverMember(
-                W, t.subgroup if p == G.identity else conjugate(p, t.subgroup),
-                k == 0))
+                W, conjugate(G, G.elements[r], t.subgroup) if r
+                else t.subgroup, k == 0))
     order = cover_order([m.slices for m in members], space.fibers)
     return Cover(tuple(members), alpha, order)
 
@@ -609,7 +611,7 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
         failures.append(("not-long", least))
 
     G = space.group
-    _check_generators(G)
+    G.check_generators()
     translate = partial(_translate, space)
     set_pool = set(sets)
     for s in G.generators:
@@ -622,7 +624,7 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
         if not m:
             continue
         if m in checked:
-            ok = family.contains(conjugate(*checked[m]), G)
+            ok = family.contains(conjugate(G, *checked[m]), G)
         else:
             orbit, stab = set_orbit(m, G, translate)
             ok = (not any(_meets(W, m) for W in orbit if W != m)

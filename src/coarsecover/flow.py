@@ -9,12 +9,14 @@ original units, so every bound here is exact integer arithmetic.
 
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
 mask of admitted v (bit v for vertex v), and classes groups the pairs by
-equal fiber.  The doubling report checks their union, and each distinct
-fiber only when the union fails; the cover works on the pair space whose
-z-points are the classes, and the pullback reads it through each pair's
-class.  A fiber is decoded only where its points are read: once per class
-for Z_v, in the union the doubling report checks, and where they are
-named.
+equal fiber, numbering each distinct fiber in the order of its least pair.
+The doubling report checks their union, and each distinct fiber only when
+the union fails; the cover works on the pair space whose z-points are the
+class numbers, on which the group acts by lists composed along its
+generators, and the pullback reads it through each pair's class number.
+A fiber is decoded only where its points are read: once per class for
+Z_v, in the union the doubling report checks, and where they are named;
+the class numbers are decoded to endpoint pairs only for a document.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class CoarseFlowSpace:
     group: GroupModel
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
-    classes: dict  # a fiber's bitmask -> the least endpoint pair over it
+    classes: dict  # a fiber's bitmask -> its class number
 
     @property
     def delta_prime(self):
@@ -99,11 +101,17 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     the bitmask of v's delta'-ball shifted by n (no ball at an original
     vertex), so the low n bits of a target's OR are its line and the rest
     its fiber.  Lines and fibers are kept as bitmasks, and the pairs are
-    grouped by equal fiber as they come: classes names each distinct fiber
-    by its least pair.  Each unordered pair is built once and its line and
-    fiber stored under both orders, since a line is symmetric in its two
-    ends.  The sweeps find their own layers, so no distance row of index
-    is filled here.
+    grouped by equal fiber as they come.  Each unordered pair is built once
+    and its line and fiber stored under both orders, since a line is
+    symmetric in its two ends.  The sweeps find their own layers, so no
+    distance row of index is filled here.
+
+    classes numbers each distinct fiber as it first appears.  The pairs
+    come in lexicographic order, xm ascending and xp ascending after it
+    (small_lines keeps the order of its targets), and the least pair over
+    a fiber has xm < xp, as (xm, xp) < (xp, xm) then.  So a fiber first
+    appears at its least pair, and the numbers ascend with the least
+    pairs: no pair needs comparing.
     """
     g = sub.graph
     if not g.is_connected():
@@ -142,9 +150,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
             f = m >> n
             lines[xm, xp] = lines[xp, xm] = m & (1 << n) - 1
             fibers[xm, xp] = fibers[xp, xm] = f
-            # (xm, xp) is the lesser order, as xm < xp
-            if (xm, xp) < classes.setdefault(f, (xm, xp)):
-                classes[f] = xm, xp
+            classes.setdefault(f, len(classes))
     return CoarseFlowSpace(sub, delta, endpoints, fibers, metric,
                            group, index, lines, classes)
 
@@ -199,30 +205,44 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
 
 def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     """The flow space as a pair space over the midpoints, with the chain
-    metric's rows.  Its z-points are cf.classes, the classes of endpoint
-    pairs with equal fibers: a class is named by its least pair and
-    carries that pair's fiber, shifted down to midpoint positions (the
-    midpoints are the vertices from the original vertex count on), and
-    act_z[p] maps the class of z to the class of p.z, well defined since
-    fibers are equivariant, V_{p.z} = p.V_z.
+    metric's rows.  Its z-points are the numbers of cf.classes, the
+    classes of endpoint pairs with equal fibers: class r carries its
+    fiber, shifted down to midpoint positions (the midpoints are the
+    vertices from the original vertex count on), and act_z[p] is the list
+    whose entry r is the class of p.z, z any pair of class r, well defined
+    since fibers are equivariant, V_{p.z} = p.V_z.  A generator's list is
+    looked up at each class's least pair; every other element's is
+    composed along the group's walk, act_z[a s] = act_z[a] read along
+    act_z[s], s a generator, which needs the generators to generate.
 
     Nothing is lost against one z-point per pair.  fiber_basis's Z_v is a
     union of whole classes, and subtraction along translates, the cores
     (which read V_z alone), saturation and the orbit walk each keep a set
     a union of whole classes.  So every member of the flow cover is
     constant on each class, and its order, longness, invariance and
-    F-subset verdicts are the same on classes as on pairs; as a class is
-    named by its least pair, so is the least failing (v, z) of a not-long
-    failure.  pullback_cover reads a class cover through each pair's
-    class; expand_cover places it on the endpoint pairs for a document.
+    F-subset verdicts are the same on classes as on pairs; as the class
+    numbers ascend with the least pairs, the least failing (v, r) of a
+    not-long failure names the least failing pair, v over r's least pair.
+    pullback_cover reads a class cover through each pair's class number;
+    expand_cover places it on the endpoint pairs for a document.
     """
-    names, shift = cf.classes, cf.sub.original.vertex_count
-    act_z = {p: {r: names[cf.fibers[p[r[0]], p[r[1]]]]
-                 for r in names.values()}
-             for p in cf.group.elements}
+    G, names, fibers = cf.group, cf.classes, cf.fibers
+    G.check_generators()
+    # class -> its least pair, the first in fibers' order, which numbered
+    # the classes: the values come in class order
+    least = {}
+    for z, f in fibers.items():
+        least.setdefault(names[f], z)
+    step = {G.rank[s]: [names[fibers[s[xm], s[xp]]]
+                        for xm, xp in least.values()]
+            for s in G.generators}
+    act = [list(range(len(names)))] + [None] * (len(G) - 1)
+    for b, (a, s) in G.products.via.items():  # parents come first
+        act[b] = list(map(act[a].__getitem__, step[s]))
+    shift = cf.sub.original.vertex_count
     return pair_space(cf.sub.ve_vertices(),
                       {r: f >> shift for f, r in names.items()}, cf.metric,
-                      cf.group, act_z)
+                      G, dict(zip(G.elements, act)))
 
 
 def cover_cf(space: PairSpace, alpha_prime) -> Cover:
@@ -237,8 +257,8 @@ def cover_cf(space: PairSpace, alpha_prime) -> Cover:
 def expand_cover(cf: CoarseFlowSpace, cover: Cover) -> Cover:
     """A cover on cf_pair_space(cf)'s fiber classes as a cover on endpoint
     pairs, as a cover document names them: each member's slice over a
-    class is placed on every pair of the class.  Order, stabilizers and
-    orbit_rep flags carry over."""
+    class number is placed on every pair of the class.  Order, stabilizers
+    and orbit_rep flags carry over."""
     pairs = {}  # class -> the endpoint pairs in it
     for z, fiber in cf.fibers.items():
         pairs.setdefault(cf.classes[fiber], []).append(z)
@@ -298,10 +318,10 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     from g v0 to xi has its midpoint vertex at distance tau in W's slice
     over (g v0, xi).  Pairs with flow lines shorter than tau are excluded
     from every pullback member.  Intersections commute with the operation,
-    so the order never grows.  cover is on cf_pair_space(cf)'s classes
-    and is read through the class of (g v0, xi); a cover on endpoint
-    pairs that is constant on each class, as expand_cover's is, reads the
-    same.  A pulled-back member is held as slices with z = xi and v = g,
+    so the order never grows.  cover is on cf_pair_space(cf)'s class
+    numbers and is read through the class number of (g v0, xi), the
+    pair's own slice in the cover expand_cover places on the endpoint
+    pairs.  A pulled-back member is held as slices with z = xi and v = g,
     a mask over the group's elements.
     """
     if tau != int(tau) or tau < 0:
@@ -312,8 +332,8 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     # layer 2*tau in the subdivision is distance tau in original units; the
     # vertices there are midpoints, from the original vertex count on
     shift, elements = cf.sub.original.vertex_count, cf.group.elements
-    rank = {g: i for i, g in enumerate(elements)}
-    tau_sets = []  # (g's bit, xi, the class of (g v0, xi), its tau-set)
+    rank = cf.group.rank
+    tau_sets = []  # (g's bit, xi, (g v0, xi)'s class number, its tau-set)
     spheres = {}  # g v0 -> the bitmask of the vertices at 2 tau from it
     for (g, xi) in targets:
         gv0 = g[v0]

@@ -195,7 +195,7 @@ def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
     order_ok = combined.order <= pull.order + 3
 
     # final wideness: every eligible pair is fully ball-covered by a member
-    missed = [(sub_group.index_of(ge), xi) for ge, xi in wide_failures(
+    missed = [(sub_group.rank[ge], xi) for ge, xi in wide_failures(
         combined.member_slices(), sub_group, alpha, domain)]
     stages["combined"] = {
         "members": len(combined), "order": combined.order,
@@ -214,8 +214,8 @@ def cover_to_document(cover: Cover, group: GroupModel, v_points) -> dict:
     """The cover's members as sorted points, each v decoded over v_points
     (a flow cover's midpoints, or the group's elements)."""
     def enc(x):
-        if isinstance(x, tuple) and x in group.word_length:
-            return ["g", group.index_of(x)]
+        if isinstance(x, tuple) and x in group.rank:
+            return ["g", group.rank[x]]
         if isinstance(x, tuple):
             return list(x)
         return x
@@ -225,7 +225,7 @@ def cover_to_document(cover: Cover, group: GroupModel, v_points) -> dict:
         members.append({
             "points": sorted([enc(a), enc(b)]
                              for (a, b) in m.points(v_points)),
-            "stabilizer": sorted(group.index_of(p) for p in m.stabilizer),
+            "stabilizer": sorted(group.rank[p] for p in m.stabilizer),
             "orbit_rep": m.orbit_rep,
         })
     return {"alpha": cover.alpha, "order": cover.order, "members": members}

@@ -3,6 +3,16 @@
 Group elements are vertex permutations stored as tuples (images indexed by
 vertex).  The word metric comes from breadth-first search on the Cayley
 graph of the symmetrized generating set, so it is left invariant.
+
+A model numbers its elements: an element's number is its position in the
+ascending tuple of elements, so the identity, the least permutation, is
+number 0.  The group algebra runs on the numbers.  Products are read from
+a table of rows, row b mapping the number of a to that of a*b; the rows
+of the generators and their inverses come with the model, and every other
+row is composed from them along one walk from the identity on first read.
+Closures, orbits, conjugates and balls are index arithmetic on that table,
+and no product builds a permutation.  Subgroups and transversals are
+elements at the API.
 """
 
 from __future__ import annotations
@@ -28,12 +38,6 @@ def invert(p):
     return tuple(inv)
 
 
-def conjugate(g, H):
-    """The conjugate subgroup g H g^-1."""
-    gi = invert(g)
-    return frozenset(compose(compose(g, h), gi) for h in H)
-
-
 def is_automorphism(g: Graph, perm) -> bool:
     if len(perm) != g.vertex_count or set(perm) != set(range(g.vertex_count)):
         return False
@@ -47,28 +51,106 @@ class NotAutomorphism(ValueError):
     pass
 
 
+class _Products(dict):
+    """b -> the row of right products by b: row[a] is the number of a*b.
+
+    via maps each element the walk from the identity along the generators
+    reaches, but the identity, to (c, s) with b = c*s and s a generator,
+    in the order the walk reached them.  So a*b = (a*c)*s, and row b is
+    row s read along row c: a row is made on first read from its parent's,
+    the parents first.  An element the walk misses, in a model whose
+    generators do not generate, gets its row from the permutations.
+    """
+
+    __slots__ = ("via", "elements", "rank")
+
+    def __missing__(self, b):
+        via = self.via
+        if b not in via:
+            p, rank = self.elements[b], self.rank
+            self[b] = row = [rank[compose(a, p)] for a in self.elements]
+            return row
+        path = [b]
+        while via[path[-1]][0] not in self:
+            path.append(via[path[-1]][0])
+        for c in reversed(path):
+            a, s = via[c]
+            self[c] = list(map(self[s].__getitem__, self[a]))
+        return self[b]
+
+
+def _number(elements, rank, rows):
+    """The inverse numbers and the product table of a group, given its
+    ascending elements, their numbers and the generators' rows, generator
+    number -> row.  The walk from the identity along the generators alone
+    reaches every element when they generate the group, since in a finite
+    group an inverse is a positive power."""
+    inverse = tuple(rank[invert(p)] for p in elements)
+    products = _Products({0: range(len(elements))})
+    products.elements, products.rank = elements, rank
+    products.via = via = {}
+    order = [0]
+    for a in order:  # the walk grows while it is read
+        for s, row in rows.items():
+            b = row[a]
+            if b and b not in via:
+                via[b] = a, s
+                order.append(b)
+    for s, row in rows.items():
+        products[s], products[inverse[s]] = row, invert(row)
+    return inverse, products
+
+
 @dataclass(frozen=True)
 class GroupModel:
-    """A finite group of graph automorphisms with a word metric."""
+    """A finite group of graph automorphisms with a word metric, its
+    elements numbered by their position in elements, which ascend."""
 
     graph: Graph
     elements: tuple
     generators: tuple
     identity: tuple
     word_length: dict = field(compare=False)
+    # element -> its number; made here for a model made by hand, passed
+    # in by close_group and subdivided_group, which hold them already
+    rank: dict = field(default=None, compare=False, repr=False)
+    # number -> the number of its inverse
+    inverse: tuple = field(default=None, compare=False, repr=False)
+    # b -> the row of right products by b, see _Products; one memo that
+    # every use of the model, and of its lift, shares
+    products: dict = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rank is None:
+            rank = {p: i for i, p in enumerate(self.elements)}
+            rows = {rank[s]: [rank[compose(a, s)] for a in self.elements]
+                    for s in self.generators}
+            object.__setattr__(self, "rank", rank)
+            inverse, products = _number(self.elements, rank, rows)
+            object.__setattr__(self, "inverse", inverse)
+            object.__setattr__(self, "products", products)
 
     def __len__(self):
         return len(self.elements)
 
-    def ball(self, alpha, center=None):
-        """Elements within word distance alpha of center (default identity)."""
-        if center is None:
-            return tuple(h for h in self.elements if self.word_length[h] <= alpha)
-        return tuple(compose(center, h) for h in self.elements
-                     if self.word_length[h] <= alpha)
+    def check_generators(self):
+        """Raise ValueError unless the generators generate the elements:
+        walks along the generators reach the whole group only then.  The
+        model's walk, made with it, decides it."""
+        if len(self.products.via) < len(self.elements) - 1:
+            raise ValueError(
+                "the group's generators do not generate its elements")
 
-    def index_of(self, element):
-        return self.elements.index(element)
+    def ball(self, alpha, center=None):
+        """Elements within word distance alpha of center (default identity):
+        center h is row h read at center."""
+        elements = self.elements
+        inner = [i for i, h in enumerate(elements)
+                 if self.word_length[h] <= alpha]
+        if center is None:
+            return tuple(map(elements.__getitem__, inner))
+        c, products = self.rank[center], self.products
+        return tuple(elements[products[h][c]] for h in inner)
 
 
 def trivial_group(g: Graph) -> GroupModel:
@@ -77,7 +159,9 @@ def trivial_group(g: Graph) -> GroupModel:
 
 
 def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
-    """Close generators under composition and inverse; BFS word lengths."""
+    """Close generators under composition and inverse; BFS word lengths.
+    The search makes every product a*s, s a generator, so it numbers the
+    generators' rows as well."""
     e = identity_perm(g.vertex_count)
     gens = []
     for p in generator_perms:
@@ -92,12 +176,14 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
         if ip not in sym:
             sym.append(ip)
     word = {e: 0}
+    right = {}  # a -> [a*s for the generators s]
     frontier = [e]
     while frontier:
         nxt = []
         for a in frontier:
-            for s in sym:
-                b = compose(a, s)
+            products = [compose(a, s) for s in sym]
+            right[a] = products[:len(gens)]
+            for b in products:
                 if b not in word:
                     if len(word) >= cap:
                         raise CapExceeded("group closure exceeds cap %d" % cap)
@@ -105,7 +191,11 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
                     nxt.append(b)
         frontier = nxt
     elements = tuple(sorted(word))
-    return GroupModel(g, elements, tuple(gens), e, word)
+    rank = {p: i for i, p in enumerate(elements)}
+    rows = {rank[s]: [rank[right[a][k]] for a in elements]
+            for k, s in enumerate(gens)}
+    return GroupModel(g, elements, tuple(gens), e, word, rank,
+                      *_number(elements, rank, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -128,41 +218,67 @@ def act_angle(perm, angle):
 # ---------------------------------------------------------------------------
 
 
+def _closure(G: GroupModel, seeds):
+    """The numbers of the subgroup the numbers seeds generate: the products
+    of seeds, walked from the identity, since in a finite group an inverse
+    is a positive power."""
+    rows = [G.products[s] for s in set(seeds) if s]
+    out = {0}
+    order = [0]
+    for a in order:  # the walk grows while it is read
+        for row in rows:
+            b = row[a]
+            if b not in out:
+                out.add(b)
+                order.append(b)
+    return out
+
+
+def _numbers(G: GroupModel, subset):
+    """The numbers of the elements in subset, or ValueError."""
+    try:
+        return {G.rank[a] for a in subset}
+    except KeyError:
+        raise ValueError("seed element not in group") from None
+
+
 def subgroup_generated(G: GroupModel, seed) -> frozenset:
-    elems = {G.identity}
-    frontier = [G.identity]
-    seed = list(seed)
-    for s in seed:
-        if s not in G.word_length:
-            raise ValueError("seed element not in group")
-    if len(set(seed)) == len(G.elements):
+    seed = _numbers(G, seed)
+    if len(seed) == len(G.elements):
         return frozenset(G.elements)
-    gens = seed + [invert(s) for s in seed]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = compose(a, s)
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(elems)
+    return frozenset(map(G.elements.__getitem__, _closure(G, seed)))
 
 
 def is_subgroup(G: GroupModel, subset) -> bool:
     sub = frozenset(subset)
-    if G.identity not in sub:
+    if G.identity not in sub or not all(a in G.rank for a in sub):
         return False
-    if len(sub) == len(G.elements) and all(a in G.word_length for a in sub):
+    if len(sub) == len(G.elements):
         return True  # the whole group
-    for a in sub:
-        if invert(a) not in sub:
-            return False
-        for b in sub:
-            if compose(a, b) not in sub:
-                return False
-    return True
+    H, inverse, products = _numbers(G, sub), G.inverse, G.products
+    return all(inverse[a] in H for a in H) and all(
+        products[b][a] in H for b in H for a in H)
+
+
+def conjugate(G: GroupModel, g, H) -> frozenset:
+    """The conjugate subgroup g H g^-1: g h is row h read at g, and
+    (g h) g^-1 row g^-1 read at g h."""
+    c = G.rank[g]
+    back, products = G.products[G.inverse[c]], G.products
+    return frozenset(G.elements[back[products[h][c]]]
+                     for h in _numbers(G, H))
+
+
+def sifted_generators(G: GroupModel, H):
+    """A generating set of the subgroup H: each element of sorted(H) not
+    yet generated by those kept before it.  Numbers ascend with the
+    elements, and the span starts at the identity, which is never kept."""
+    gens, span = [], {0}
+    for a in sorted(_numbers(G, H)):
+        if a not in span:
+            gens.append(a)
+            span = _closure(G, gens)
+    return [G.elements[a] for a in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +317,8 @@ class SubgroupFamily:
             if H == frozenset([G.identity]):
                 return True
             for S in self.seeds:
-                S = frozenset(S)
                 for g in G.elements:
-                    if H <= conjugate(g, S):
+                    if H <= conjugate(G, g, S):
                         return True
             return False
         raise ValueError("unknown family kind %r" % (self.kind,))
@@ -227,21 +342,27 @@ def set_orbit(U, G: GroupModel, translate):
     generators (inverses are positive powers in a finite group), so the
     walk reaches every translate.  By Schreier's lemma the elements
     t_{sW}^-1 s t_W, over orbit sets W and generators s, generate the
-    stabilizer.  Cost: |orbit| * |generators| translates.
+    stabilizer.  Cost: |orbit| * |generators| translates.  The walk runs
+    on numbers: s t = (t^-1 s^-1)^-1 reads the row of s^-1, which comes
+    with the model, and t_{sW}^-1 (s t) the row of the transversal t_{sW}.
     """
-    orbit = {U: G.identity}
+    inverse, products = G.inverse, G.products
+    steps = [(s, products[inverse[G.rank[s]]]) for s in G.generators]
+    orbit = {U: 0}
     queue = [U]
     schreier = set()
     for W in queue:
-        t = orbit[W]
-        for s in G.generators:
-            sW, st = translate(s, W), compose(s, t)
+        t_inv = inverse[orbit[W]]
+        for s, back in steps:
+            sW, st = translate(s, W), inverse[back[t_inv]]
             if sW in orbit:
-                schreier.add(compose(invert(orbit[sW]), st))
+                schreier.add(inverse[products[orbit[sW]][inverse[st]]])
             else:
                 orbit[sW] = st
                 queue.append(sW)
-    return orbit, subgroup_generated(G, schreier)
+    elements = G.elements
+    return ({W: elements[t] for W, t in orbit.items()},
+            frozenset(map(elements.__getitem__, _closure(G, schreier))))
 
 
 def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
@@ -286,14 +407,17 @@ def subdivision_perm(perm, subdivision):
 def subdivided_group(G: GroupModel, subdivision) -> GroupModel:
     """The same abstract group acting on the subdivided graph.
 
-    G must act on the original graph of the subdivision.
+    G must act on the original graph of the subdivision.  A lift begins
+    with the permutation it lifts, as the original vertices come first, so
+    the lifts ascend as the elements do: every element keeps its number,
+    and the lift shares G's inverses and product table.
     """
     if G.graph != subdivision.original:
         raise ValueError("the group must act on the original graph of the "
                          "subdivision")
-    lift = {p: subdivision_perm(p, subdivision) for p in G.elements}
-    elements = tuple(sorted(lift.values()))
-    word = {lift[p]: G.word_length[p] for p in G.elements}
-    gens = tuple(lift[p] for p in G.generators)
-    return GroupModel(subdivision.graph, elements, gens,
-                      lift[G.identity], word)
+    lift = tuple(subdivision_perm(p, subdivision) for p in G.elements)
+    word = {q: G.word_length[p] for p, q in zip(G.elements, lift)}
+    gens = tuple(lift[G.rank[p]] for p in G.generators)
+    return GroupModel(subdivision.graph, lift, gens, lift[0], word,
+                      {q: i for i, q in enumerate(lift)}, G.inverse,
+                      G.products)

@@ -15,16 +15,113 @@ from itertools import combinations, compress, product
 from operator import and_
 from pathlib import Path
 
-from coarsecover.angles import angle_sum, geodesic_turns, k_fold_sum, theta3
+from coarsecover.angles import AngleSet, angle_sum, geodesic_angles, \
+    geodesic_turns, k_fold_sum, theta3
 from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     doubling_check, minimal_doubling_constant, minimal_doubling_radius, \
-    pair_space
+    pair_space, slices_of
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
     _closing_paths, bfs_row, canon_edge, make_graph
-from coarsecover.symmetry import GroupModel, compose, conjugate, is_subgroup, \
-    subgroup_generated, trivial_group
+from coarsecover.symmetry import GroupModel, act_angle, compose, invert, \
+    trivial_group
+
+
+# ---------------------------------------------------------------------------
+# The group algebra on permutation tuples: symmetry's closures, orbits,
+# conjugates and balls as they were before the elements were numbered, one
+# new tuple per product
+# ---------------------------------------------------------------------------
+
+
+def subgroup_generated_tuples(G: GroupModel, seed) -> frozenset:
+    elems = {G.identity}
+    frontier = [G.identity]
+    seed = list(seed)
+    for s in seed:
+        if s not in G.word_length:
+            raise ValueError("seed element not in group")
+    if len(set(seed)) == len(G.elements):
+        return frozenset(G.elements)
+    gens = seed + [invert(s) for s in seed]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in gens:
+                b = compose(a, s)
+                if b not in elems:
+                    elems.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def is_subgroup_tuples(G: GroupModel, subset) -> bool:
+    sub = frozenset(subset)
+    if G.identity not in sub:
+        return False
+    if len(sub) == len(G.elements) and all(a in G.word_length for a in sub):
+        return True  # the whole group
+    for a in sub:
+        if invert(a) not in sub:
+            return False
+        for b in sub:
+            if compose(a, b) not in sub:
+                return False
+    return True
+
+
+def conjugate_tuples(g, H):
+    """The conjugate subgroup g H g^-1."""
+    gi = invert(g)
+    return frozenset(compose(compose(g, h), gi) for h in H)
+
+
+def set_orbit_tuples(U, G: GroupModel, translate):
+    """set_orbit with the transversals and Schreier generators composed
+    as permutations."""
+    orbit = {U: G.identity}
+    queue = [U]
+    schreier = set()
+    for W in queue:
+        t = orbit[W]
+        for s in G.generators:
+            sW, st = translate(s, W), compose(s, t)
+            if sW in orbit:
+                schreier.add(compose(invert(orbit[sW]), st))
+            else:
+                orbit[sW] = st
+                queue.append(sW)
+    return orbit, subgroup_generated_tuples(G, schreier)
+
+
+def ball_tuples(G: GroupModel, alpha, center):
+    """The elements within word distance alpha of center."""
+    return tuple(compose(center, h) for h in G.elements
+                 if G.word_length[h] <= alpha)
+
+
+def saturate_over_elements(angles: AngleSet, G: GroupModel) -> AngleSet:
+    """The images of every angle under every element of G."""
+    return AngleSet(angles.graph, frozenset(
+        act_angle(p, t) for t in angles.nontrivial for p in G.elements))
+
+
+def seed_theta0_reference(inst, alpha):
+    """seed_theta0 read from every ball translate of the base point: the
+    angles on the geodesics from each translate a to each vertex on a
+    geodesic between two translates, saturated over every element."""
+    index, sub_group = inst.index, inst.sub_group
+    ball = sorted({p[inst.v0] for p in sub_group.elements
+                   if sub_group.word_length[p] <= alpha})
+    mids = set()
+    for a in ball:
+        for b in ball:
+            mids.update(index.geodesic_vertex_set(a, b))
+    pairs = [(a, w) for a in ball for w in mids]
+    return saturate_over_elements(geodesic_angles(index, inst.sub, pairs),
+                                  sub_group)
 
 
 def perfbench_module(name):
@@ -545,6 +642,45 @@ def trivial_pair_space(v_points, fibers, dist):
                       {G.identity: {z: z for z in fibers}})
 
 
+def least_pairs(cf):
+    """Class number -> the least endpoint pair of its class, the first of
+    the class in a sorted scan of every pair."""
+    least = {}
+    for z in sorted(cf.fibers):
+        least.setdefault(cf.classes[cf.fibers[z]], z)
+    return [least[r] for r in range(len(cf.classes))]
+
+
+def pullback_on_pairs(cf, cover, tau, targets, v0):
+    """pullback_cover from the definition, on a cover whose slices sit
+    over endpoint pairs, as expand_cover's do: (g, xi) lands in the
+    pullback of W when the midpoints at distance tau from g v0 on the
+    small g v0 -> xi geodesics lie in W's slice over the pair (g v0, xi)
+    itself.  The same member order, stabilizers and flags; empty and
+    repeated pullbacks are left out."""
+    v_points = cf.sub.ve_vertices()
+    members, seen = [], set()
+    for m in cover.members:
+        held = decoded_sets(v_points, m.slices)
+        pulled = set()
+        for g, xi in targets:
+            gv0 = g[v0]
+            d0 = cf.index.dist[gv0]
+            if d0[xi] < 2 * tau:
+                continue
+            at_tau = {v for v in mask_vertices(cf.lines[gv0, xi])
+                      if d0[v] == 2 * tau}
+            if at_tau <= held.get((gv0, xi), set()):
+                pulled.add((g, xi))
+        slices = slices_of(pulled, cf.group.elements)
+        if slices and slices not in seen:
+            seen.add(slices)
+            members.append(CoverMember(slices, m.stabilizer, m.orbit_rep))
+    order = cover_order([m.slices for m in members],
+                        slices_of(targets, cf.group.elements))
+    return Cover(tuple(members), cover.alpha, order)
+
+
 def endpoint_pair_space(cf):
     """The flow space as a pair space with one z-point per ordered endpoint
     pair, whose z-fibers are cf's fibers: the reference for
@@ -635,7 +771,6 @@ def fiber_basis_brute(space, alpha):
     """fiber_basis with Z_v found by scanning every z-fiber for each v-point
     and the overlap tested on the whole moved z-set."""
     from coarsecover.covers import BasisTriple
-    from coarsecover.symmetry import subgroup_generated
 
     G = space.group
     seen = set()
@@ -650,7 +785,8 @@ def fiber_basis_brute(space, alpha):
         gens = [p for p in G.elements
                 if space.dist[p[v]][v] <= 4 * alpha
                 and {space.act_z[p][z] for z in zset} & zset]
-        triples.append(BasisTriple(v, zset, subgroup_generated(G, gens)))
+        triples.append(BasisTriple(v, zset,
+                                   subgroup_generated_tuples(G, gens)))
     return triples
 
 
@@ -663,7 +799,6 @@ def greedy_cover_reference(space, alpha, basis):
     sets of pairs; only the returned members hold them as slices.
     """
     from coarsecover.covers import Cover, CoverMember, Slices
-    from coarsecover.symmetry import compose, invert
 
     G = space.group
     act_z = space.act_z
@@ -884,7 +1019,7 @@ def validate_pair_space(space):
             if space.dist[v][w] != space.dist[w][v]:
                 raise ValueError("metric not symmetric")
     G = space.group
-    if subgroup_generated(G, G.generators) != frozenset(G.elements):
+    if subgroup_generated_tuples(G, G.generators) != frozenset(G.elements):
         raise ValueError("the group's generators do not generate its elements")
     act = space.act_z
     if any(act[G.identity][z] != z for z in space.fibers):
@@ -915,7 +1050,7 @@ def all_subgroups(G, cap=4096):
             for x in G.elements:
                 if x in H:
                     continue
-                H2 = subgroup_generated(G, list(H) + [x])
+                H2 = subgroup_generated_tuples(G, list(H) + [x])
                 if H2 not in found:
                     if len(found) >= cap:
                         raise CapExceeded("subgroup lattice exceeds cap")
@@ -932,10 +1067,10 @@ def validate_family(family, G):
         return
     listed = set(frozenset(H) for H in family.members)
     for H in listed:
-        if not is_subgroup(G, H):
+        if not is_subgroup_tuples(G, H):
             raise ValueError("family member is not a subgroup")
         for g in G.elements:
-            if conjugate(g, H) not in listed:
+            if conjugate_tuples(g, H) not in listed:
                 raise ValueError("family not conjugation closed")
     for H in listed:
         elements = tuple(sorted(H))

@@ -31,6 +31,7 @@ from coarsecover.corpus import (
     random_tree,
     rotation_group,
     spider,
+    spider_rotation,
     star_graph,
     theta_graph,
     wedge_of_cycles,
@@ -41,10 +42,11 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     slimness_constant,
 )
+from coarsecover.symmetry import GroupModel, close_group
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
     mask_neighbours, mask_vertices, observer_set_all, observer_set_exists, \
-    small_carriers, theta3_brute, theta3_subdivision_brute, \
-    theta_small_paths_brute
+    saturate_over_elements, small_carriers, theta3_brute, \
+    theta3_subdivision_brute, theta_small_paths_brute
 
 C6 = cycle_graph(6)
 
@@ -67,6 +69,26 @@ class TestAngleBasics:
         assert not one.is_invariant(G)
         sat = one.saturate(G)
         assert sat.is_invariant(G) and len(sat) == 6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_saturation_along_the_generators_covers_every_element(self,
+                                                                  seed):
+        rng = random.Random(seed)
+        groups = [(cycle_graph(n), dihedral_group(n)) for n in (5, 8, 12)]
+        groups.append((spider(3, 4), close_group(spider(3, 4), [
+            spider_rotation(3, 4)])))
+        for g, G in groups:
+            every = sorted(all_angles(g).nontrivial)
+            some = angle_set_from_triples(g, rng.sample(every, 3))
+            assert some.saturate(G) == saturate_over_elements(some, G)
+
+    def test_saturation_needs_generators_that_generate(self):
+        G = dihedral_group(6)
+        short = GroupModel(G.graph, G.elements, G.generators[:1],
+                           G.identity, G.word_length)
+        one = angle_set_from_triples(C6, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="generators do not generate"):
+            one.saturate(short)
 
 
 class TestTheta3:

@@ -44,7 +44,8 @@ from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import close_group, compose
 from oracles import cone_cover_per_apex, cone_member_brute, \
-    cone_sweep_reference, interior_certificate_brute, perfbench_module
+    cone_sweep_reference, interior_certificate_brute, perfbench_module, \
+    seed_theta0_reference
 
 workloads = perfbench_module("workloads")
 
@@ -140,6 +141,21 @@ class TestInteriorCertificate:
         theta = all_angles(g)
         assert not interior_certificate(inst, e, xi, 2, theta,
                                         corner_sums(inst, theta))
+
+
+SEED_CASES = [case[:3] for case in pipeline_instances()] + [
+    ("c%d-dihedral" % n, cycle_graph(n),
+     [cyclic_rotation(n), cycle_reflection(n)]) for n in (12, 16, 20)] + [
+    ("spider%d-%d-rot" % legs, spider(*legs), [spider_rotation(*legs)])
+    for legs in ((3, 4), (4, 3), (5, 2))]
+
+
+@pytest.mark.parametrize("name, g, gens", SEED_CASES,
+                         ids=[c[0] for c in SEED_CASES])
+def test_seed_theta0_from_v0_matches_every_ball_translate(name, g, gens):
+    inst = setup(g, gens)[0]
+    for alpha in (1, 2):
+        assert seed_theta0(inst, alpha) == seed_theta0_reference(inst, alpha)
 
 
 def build_cones(g, gens=(), alpha=1, theta0=None):

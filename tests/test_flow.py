@@ -42,13 +42,19 @@ from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
 from oracles import decoded, decoded_sets, encoded, endpoint_pair_space, \
-    failed, flow_space, mask_vertices, small_carriers, star_metric, \
-    theta_small_paths_brute
+    failed, flow_space, least_pairs, mask_vertices, pullback_on_pairs, \
+    small_carriers, star_metric, theta_small_paths_brute
 
 
 def fiber_sets(cf):
     """cf's fibers as frozensets of midpoints, read bit by bit."""
     return {key: mask_vertices(f) for key, f in cf.fibers.items()}
+
+
+def on_classes(cf, triples):
+    """The points (v, xi-, xi+) as pairs (v, r), r the class number of
+    (xi-, xi+): the z-points of cf_pair_space(cf)."""
+    return ((v, cf.classes[cf.fibers[a, b]]) for (v, a, b) in triples)
 
 
 def tree_cf(n=12, seed=None):
@@ -102,14 +108,17 @@ class TestBuildCfTheta:
         assert index.dist == {}
         assert calls == [(sub.graph, 0), (g, 0)]
 
-    def test_classes_name_each_distinct_fiber_by_its_least_pair(self):
+    def test_classes_number_each_distinct_fiber_by_its_least_pair(self):
         # a random tree of the tree-ladder workload's sizes, where many
-        # endpoint pairs share a fiber
+        # endpoint pairs share a fiber; the class numbers ascend with the
+        # least pairs
         g, sub, cf = tree_cf(16, seed=5)
         distinct = set(cf.fibers.values())
         assert len(distinct) < len(cf.fibers)
-        assert cf.classes == {f: min(key for key, h in cf.fibers.items()
-                                     if h == f) for f in distinct}
+        least = {f: min(key for key, h in cf.fibers.items() if h == f)
+                 for f in distinct}
+        assert cf.classes == {f: r for r, f in enumerate(
+            sorted(distinct, key=least.__getitem__))}
 
     def test_empty_endpoint_set(self):
         g = path_graph(5)
@@ -252,17 +261,22 @@ class TestFiberSymmetry:
         assert fiber_sets(cf) == fibers
         assert cf.triples == {(v, a, b) for (a, b), fiber in fibers.items()
                               for v in fiber}
-        # one z-point per fiber class, named by its least pair
+        # one z-point per fiber class, numbered in the order of its least
+        # pair; act_z, composed along the generators, is the lookup at the
+        # least pairs for every element
         space = cf_pair_space(cf)
         names = {}
         for key in sorted(fibers):
             names.setdefault(fibers[key], key)
+        least = sorted(names.values())  # class number -> its least pair
+        number = {key: r for r, key in enumerate(least)}
         space_fibers = decoded(space).fibers
-        assert space_fibers == {r: f for f, r in names.items()}
-        assert all(fibers[key] == space_fibers[names[fibers[key]]]
+        assert {least[r]: f for r, f in space_fibers.items()} == \
+            {r: f for f, r in names.items()}
+        assert all(fibers[key] == space_fibers[number[names[fibers[key]]]]
                    for key in fibers)
         assert space.act_z == {
-            p: {r: names[fibers[p[r[0]], p[r[1]]]] for r in space.fibers}
+            p: [number[names[fibers[p[r[0]], p[r[1]]]]] for r in least]
             for p in cf.group.elements}
         assert space.dist is cf.metric
 
@@ -393,10 +407,17 @@ class TestFiberClassParity:
             assert cov == greedy_cover(ref, ap, fiber_basis(ref, ap))
             if ap == pipeline_ap:
                 assert expand_cover(cf, res.artifacts["flow_cover"]) == cov
-            self.check_reports(classes, space, cov, ref, ap)
+            self.check_reports(classes, space, cov, ref, ap, least_pairs(cf))
 
     @staticmethod
-    def check_reports(classes, space, cov, ref, ap):
+    def on_pairs(failures, least):
+        """Failures on the class space with the class number a not-long
+        failure names read as its least pair."""
+        return tuple((kind, (detail[0], least[detail[1]]))
+                     if kind == "not-long" else (kind, detail)
+                     for kind, detail in failures)
+
+    def check_reports(self, classes, space, cov, ref, ap, least):
         """The same failures on the cover, on every cover with one member
         dropped (stated order recounted on the pairs) and on the cover
         with its order plus one."""
@@ -405,8 +426,8 @@ class TestFiberClassParity:
                                             if i != drop), ap, order),
                                 sp, ap, ALL_SUBGROUPS).failures
                    for c, sp in ((classes, space), (cov, ref))]
-            assert out[0] == out[1]
-            return out[0]
+            assert self.on_pairs(out[0], least) == out[1]
+            return out[1]
 
         assert failures(cov.order) == ()
         assert failures(cov.order + 1) == (
@@ -419,7 +440,8 @@ class TestFiberClassParity:
     @pytest.fixture(scope="class")
     def spider_covers(self):
         """The rotated spider's flow cover at alpha' = 1, as (cover, space)
-        on the class space and, expanded, on the endpoint pair space."""
+        on the class space and, expanded, on the endpoint pair space, with
+        the least pair of each class."""
         g, gens, mode = self.CASES["rotated-spider"]
         res = run_pipeline(g, gens, alpha=1, tau_max=4, theta0_mode=mode)
         cf = res.artifacts["cf"]
@@ -427,7 +449,8 @@ class TestFiberClassParity:
         classes = cover_cf(space, 1)
         assert len(classes) == 8
         return [(classes, space),
-                (expand_cover(cf, classes), endpoint_pair_space(cf))]
+                (expand_cover(cf, classes), endpoint_pair_space(cf))], \
+            least_pairs(cf)
 
     @staticmethod
     def recounted(members, space):
@@ -441,9 +464,10 @@ class TestFiberClassParity:
         member dropped, its order recounted, on both spaces."""
         expected = [{"not-long"}, set()] \
             + [{"not-long", "not-invariant"}] * 3 + [{"not-invariant"}] * 3
+        covers, least = spider_covers
         reports = [[self.recounted(c.members[:k] + c.members[k + 1:], sp)
-                    for k in range(len(c))] for c, sp in spider_covers]
-        assert reports[0] == reports[1]
+                    for k in range(len(c))] for c, sp in covers]
+        assert [self.on_pairs(f, least) for f in reports[0]] == reports[1]
         assert [{kind for kind, _ in f} for f in reports[0]] == expected
 
     def test_an_orbit_of_overlapping_members_fails_f_subset(self,
@@ -451,7 +475,8 @@ class TestFiberClassParity:
         """Negative control: adding the orbit of m2 | s.m2, s the generator,
         keeps the cover invariant and long but makes it no F-subset."""
         reports = []
-        for c, sp in spider_covers:
+        covers, least = spider_covers
+        for c, sp in covers:
             (s,) = sp.group.generators
 
             def translate(p, slices):
@@ -467,7 +492,7 @@ class TestFiberClassParity:
             orbit, stab = set_orbit(union, sp.group, translate)
             reports.append(self.recounted(c.members + tuple(
                 CoverMember(W, stab, False) for W in orbit), sp))
-        assert reports[0] == reports[1]
+        assert self.on_pairs(reports[0], least) == reports[1]
         assert [kind for kind, _ in reports[0]] == ["not-f-subset"]
 
 
@@ -477,8 +502,7 @@ class TestPullback:
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
         member = CoverMember(
-            slices_of(((v, (a, b)) for (v, a, b) in cf.triples),
-                      sub.ve_vertices()),
+            slices_of(on_classes(cf, cf.triples), sub.ve_vertices()),
             frozenset([cf.group.identity]), True)
         cov = Cover((member,), 1, 0)
         pull = pullback_cover(cf, cov, 0, targets, v0)
@@ -489,8 +513,9 @@ class TestPullback:
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
-        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 2))
-        pull = pullback_cover(cf, cov, 0, targets, v0)
+        classes = cover_cf(cf_pair_space(cf), 2)
+        cov = expand_cover(cf, classes)
+        pull = pullback_cover(cf, classes, 0, targets, v0)
         sets = [m.points(sub.ve_vertices()) for m in cov.members]
         for i, m in enumerate(sets):
             pulled = {(gg, xi) for (gg, xi) in targets
@@ -513,8 +538,9 @@ class TestPullback:
         assert len(layer1) == 2
         taken = layer1[0]
         member = CoverMember(
-            slices_of(((v, (a, b)) for (v, a, b) in cf.triples
-                       if v != layer1[1]), sub.ve_vertices()),
+            slices_of(on_classes(cf, [t for t in cf.triples
+                                      if t[0] != layer1[1]]),
+                      sub.ve_vertices()),
             frozenset([e]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
         assert all((e, xi) not in m.points(cf.group.elements)
@@ -543,7 +569,7 @@ class TestPullback:
         g, sub, cf = tree_cf(6)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = eligible_targets(cf, v0, cf.endpoints)
-        full = CoverMember(slices_of(((v, (a, b)) for (v, a, b) in cf.triples),
+        full = CoverMember(slices_of(on_classes(cf, cf.triples),
                                      sub.ve_vertices()),
                            frozenset([cf.group.identity]), True)
         big_tau = 1 + max(cf.index.dist[g_[v0]][xi] // 2
@@ -586,7 +612,7 @@ class TestPullback:
             g, sub, cf = tree_cf(10, seed=seed)
             v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
             targets = eligible_targets(cf, v0, cf.endpoints)
-            cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 3))
+            cov = cover_cf(cf_pair_space(cf), 3)
             for tau in (0, 1, 2):
                 pull = pullback_cover(cf, cov, tau, targets, v0)
                 assert pull.order <= cov.order
@@ -606,9 +632,9 @@ PULLBACK_CLASS_CASES = [case[:4] + case[5:] for case in pipeline_instances()] + 
 def test_pullback_over_classes_matches_the_expanded_cover(name, g, gens,
                                                           mode, tau_max):
     """pullback_cover reads the pipeline's flow cover, on fiber classes,
-    through each pair's class: it equals the pullback of the cover placed
-    on every endpoint pair, at every tau up to tau_max, over every
-    eligible target of the flow space."""
+    through each pair's class number: it equals the pullback, from the
+    definition, of the cover placed on every endpoint pair, at every tau
+    up to tau_max, over every eligible target of the flow space."""
     res = run_pipeline(g, gens, alpha=1, tau_max=tau_max, theta0_mode=mode)
     cf, v0 = res.artifacts["cf"], res.instance.v0
     classes = res.artifacts["flow_cover"]
@@ -619,7 +645,29 @@ def test_pullback_over_classes_matches_the_expanded_cover(name, g, gens,
     assert targets
     for tau in range(tau_max + 1):
         assert pullback_cover(cf, classes, tau, targets, v0) == \
-            pullback_cover(cf, expanded, tau, targets, v0), tau
+            pullback_on_pairs(cf, expanded, tau, targets, v0), tau
+
+
+@pytest.mark.parametrize("name, g, gens, mode, tau_max",
+                         PULLBACK_CLASS_CASES,
+                         ids=[c[0] for c in PULLBACK_CLASS_CASES])
+def test_composed_act_z_is_the_lookup_on_every_element(name, g, gens, mode,
+                                                       tau_max):
+    """cf_pair_space composes act_z along the group's generators; on every
+    element it is the lookup of each endpoint pair's class, and the class
+    numbers ascend with the least pairs."""
+    inst = build_instance(g, close_group(g, gens) if gens else None)
+    cf = flow_space(inst.sub, all_angles(g), inst.flow_endpoints(),
+                    group=inst.sub_group, index=inst.index,
+                    theta3_set=inst.t3)
+    least = least_pairs(cf)
+    assert least == sorted(set(least))
+    act_z = cf_pair_space(cf).act_z
+    assert list(act_z) == list(cf.group.elements)
+    for p, act in act_z.items():
+        assert act == [cf.classes[cf.fibers[p[a], p[b]]] for a, b in least]
+        assert all(act[cf.classes[f]] == cf.classes[cf.fibers[p[a], p[b]]]
+                   for (a, b), f in cf.fibers.items())
 
 
 class TestWidenessScan:
@@ -627,7 +675,7 @@ class TestWidenessScan:
         g, sub, cf = tree_cf(10, seed=7)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
         targets = ball_closed_targets(cf, v0, 0, cf.endpoints)
-        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 2))
+        cov = cover_cf(cf_pair_space(cf), 2)
         scan = wideness_scan(cf, cov, 0, targets, range(0, 3), v0)
         assert scan.passing_tau == 0
         assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,
@@ -649,7 +697,8 @@ class TestWidenessScan:
         res = run_pipeline(path_graph(10), alpha=1, tau_max=4,
                            theta0_mode="all")
         inst, cf = res.instance, res.artifacts["cf"]
-        cov = expand_cover(cf, res.artifacts["flow_cover"])
+        classes = res.artifacts["flow_cover"]
+        cov = expand_cover(cf, classes)
         space = endpoint_pair_space(cf)
         targets = ball_closed_targets(cf, inst.v0, 1, inst.boundary)
         assert len(cov) == 9 and len(targets) == 8
@@ -659,8 +708,10 @@ class TestWidenessScan:
             pruned = Cover(kept, cov.alpha, cover_order(
                 [m.slices for m in kept], space.fibers))
             rep = verify_cover(pruned, space, cov.alpha, ALL_SUBGROUPS)
-            scan = wideness_scan(cf, pruned, 1, targets, range(0, 5),
-                                 inst.v0)
+            # the scan reads the class cover, the same member dropped
+            scan = wideness_scan(cf, Cover(
+                classes.members[:i] + classes.members[i + 1:], cov.alpha,
+                pruned.order), 1, targets, range(0, 5), inst.v0)
             outcomes.append((failed(rep), scan.passing_tau,
                              {why for _, _, why in scan.witness}))
         long_only = ({"not-long"}, 0, set())
@@ -683,7 +734,7 @@ class TestWidenessScan:
         boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
         targets = ball_closed_targets(cf, v0, 1, boundary)
         assert targets
-        cov = expand_cover(cf, cover_cf(cf_pair_space(cf), 8))
+        cov = cover_cf(cf_pair_space(cf), 8)
         scan = wideness_scan(cf, cov, 1, targets, range(0, 6), v0)
         assert scan.ok
         assert scan.cover == pullback_cover(cf, cov, scan.passing_tau,

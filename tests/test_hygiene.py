@@ -260,6 +260,41 @@ def test_a_restored_private_import_is_flagged(tmp_path):
     assert private_imports([tmp_path / "cones.py"]) == ["cones.py: _vertices"]
 
 
+def permutation_calls(paths):
+    """"file: name" for each call of compose or invert outside
+    symmetry.py."""
+    found = []
+    for path in paths:
+        if path.name == "symmetry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in ("compose", "invert"):
+                    found.append("%s: %s" % (path.name, name))
+    return found
+
+
+def test_only_symmetry_composes_permutations():
+    # the group algebra reads the model's numbers, its product table and
+    # its inverses; a permutation is composed or inverted only where
+    # symmetry.py numbers a model
+    found = permutation_calls(sorted(SRC.glob("*.py")))
+    assert not found, "permutations composed: %s" % ", ".join(found)
+
+
+def test_a_restored_permutation_inverse_is_flagged(tmp_path):
+    # dichotomy_check inverting g as a permutation again
+    text = (SRC / "cones.py").read_text()
+    mutant = text.replace("last, back = ge, elements[inverse[rank[ge]]]",
+                          "last, back = ge, invert(ge)")
+    assert mutant != text
+    (tmp_path / "cones.py").write_text(mutant)
+    assert permutation_calls([tmp_path / "cones.py"]) == ["cones.py: invert"]
+
+
 def test_the_library_does_not_load_networkx():
     # networkx is a test dependency, the oracle for blocks and cliques: no
     # program file imports it, and importing the package loads none of it

@@ -2,12 +2,14 @@ from dataclasses import fields
 
 import pytest
 
-from coarsecover import angles, graphs
+from coarsecover import angles, flow, graphs, pipeline, symmetry
 from coarsecover.angles import all_angles, k_fold_sum, lemma_battery, theta3
 from coarsecover.cones import seed_theta0
 from coarsecover.corpus import (
     battery_graphs,
     cycle_graph,
+    cycle_reflection,
+    cyclic_rotation,
     dihedral_group,
     grid_graph,
     path_graph,
@@ -133,7 +135,8 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
                 run_pipeline(g, gens, alpha=alpha, tau_max=tau,
                              theta0_mode=mode)):
         assert res.ok and res.stages["flow_cover"]["members"] > 0
-        fibers = res.artifacts["cf"].fibers
+        # class number -> its fiber
+        fibers = {r: f for f, r in res.artifacts["cf"].classes.items()}
         shift = res.instance.sub.original.vertex_count
         for m in res.artifacts["flow_cover"].members:
             assert isinstance(m.slices, Slices) and m.slices
@@ -143,6 +146,37 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
         for m in res.artifacts["combined"].members:
             assert isinstance(m.slices, Slices)
             assert all(0 < vs < group for vs in m.slices.values())
+
+
+def test_covers_close_no_group_by_permutations(monkeypatch):
+    """greedy_cover and verify_cover read the group by number: a C20
+    dihedral pipeline composes no permutation inside either, while the
+    wrapper sees the products close_group composes."""
+    compose, stack, calls = symmetry.compose, [], []
+
+    def counted(p, q):
+        calls.append(stack[-1] if stack else None)
+        return compose(p, q)
+
+    def inside(name, fn):
+        def run(*args, **kwargs):
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return run
+
+    monkeypatch.setattr(symmetry, "compose", counted)
+    monkeypatch.setattr(flow, "greedy_cover",
+                        inside("greedy_cover", flow.greedy_cover))
+    monkeypatch.setattr(pipeline, "verify_cover",
+                        inside("verify_cover", pipeline.verify_cover))
+    res = run_pipeline(cycle_graph(20),
+                       [cyclic_rotation(20), cycle_reflection(20)],
+                       alpha=1, tau_max=6, theta0_mode="seed")
+    assert res.ok and res.stages["flow_cover"]["members"] > 0
+    assert calls and set(calls) == {None}
 
 
 def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):

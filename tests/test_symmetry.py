@@ -14,21 +14,26 @@ from coarsecover.graphs import CapExceeded, barycentric_subdivision
 from coarsecover.symmetry import (
     ALL_SUBGROUPS,
     TRIVIAL_ONLY,
+    GroupModel,
     NotAutomorphism,
     act_angle,
     act_edge,
     SubgroupFamily,
     close_group,
     compose,
+    conjugate,
     invert,
     is_F_subset,
     is_subgroup,
     set_orbit,
+    sifted_generators,
     subdivided_group,
     subgroup_generated,
     trivial_group,
 )
-from oracles import all_subgroups, validate_family
+from oracles import all_subgroups, ball_tuples, conjugate_tuples, \
+    is_subgroup_tuples, set_orbit_tuples, subgroup_generated_tuples, \
+    validate_family
 
 
 class TestCloseGroup:
@@ -204,3 +209,93 @@ class TestSubdividedAction:
         for G in (Gs, trivial_group(sub.graph), trivial_group(spider(3, 5))):
             with pytest.raises(ValueError, match="original graph"):
                 subdivided_group(G, sub)
+
+
+# ---------------------------------------------------------------------------
+# The group by number
+# ---------------------------------------------------------------------------
+
+
+def _numbered_groups():
+    """Dihedral groups of cycles up to 12, rotated spiders, and the lift of
+    a dihedral group to the subdivided cycle."""
+    groups = [dihedral_group(n) for n in range(3, 13)]
+    groups += [close_group(spider(*legs), [spider_rotation(*legs)])
+               for legs in ((3, 2), (3, 4), (4, 3), (5, 2))]
+    groups.append(subdivided_group(dihedral_group(6),
+                                   barycentric_subdivision(cycle_graph(6))))
+    return groups
+
+
+NUMBERED_GROUPS = _numbered_groups()
+
+
+def short_model(G):
+    """G with its first generator alone, which need not generate it."""
+    return GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
+                      G.word_length)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NUMBERED_GROUPS), st.data())
+def test_numbered_algebra_matches_the_tuple_algebra(G, data):
+    elements = st.sampled_from(G.elements)
+    seeds = data.draw(st.lists(elements, max_size=4))
+    H = subgroup_generated(G, seeds)
+    assert H == subgroup_generated_tuples(G, seeds)
+    assert is_subgroup(G, H) and is_subgroup_tuples(G, H)
+    subset = data.draw(st.frozensets(elements, max_size=6)) | {G.identity}
+    assert is_subgroup(G, subset) == is_subgroup_tuples(G, subset)
+    g = data.draw(elements)
+    assert conjugate(G, g, H) == conjugate_tuples(g, H)
+    sifted = sifted_generators(G, H)
+    assert subgroup_generated_tuples(G, sifted) == H
+    assert all(a not in subgroup_generated_tuples(G, sifted[:k])
+               for k, a in enumerate(sifted))
+    U = data.draw(st.frozensets(st.integers(0, G.graph.vertex_count - 1)))
+
+    def translate(p, S):
+        return frozenset(p[x] for x in S)
+
+    assert set_orbit(U, G, translate) == set_orbit_tuples(U, G, translate)
+    for alpha in range(4):
+        assert G.ball(alpha, center=g) == ball_tuples(G, alpha, g)
+
+
+@pytest.mark.parametrize("G", NUMBERED_GROUPS[::3] + NUMBERED_GROUPS[-1:],
+                         ids=lambda G: "order%d" % len(G))
+def test_product_table_matches_composition(G):
+    # every row, each made along the generators on first read; a model
+    # made by hand is numbered from its permutations, and one whose
+    # generators miss elements makes those rows from the permutations
+    for model in (G, GroupModel(G.graph, G.elements, G.generators,
+                                G.identity, G.word_length), short_model(G)):
+        rank = model.rank
+        assert rank == {p: i for i, p in enumerate(G.elements)}
+        assert model.inverse == tuple(rank[invert(p)] for p in G.elements)
+        for b in G.elements:
+            assert list(model.products[rank[b]]) == \
+                [rank[compose(a, b)] for a in G.elements]
+
+
+def test_generation_is_decided_once_by_the_walk():
+    G = dihedral_group(6)
+    G.check_generators()
+    short = short_model(G)
+    with pytest.raises(ValueError, match="generators do not generate"):
+        short.check_generators()
+    # the walk reached the rotations only, the identity aside
+    assert len(short.products.via) == 5
+    trivial_group(cycle_graph(4)).check_generators()
+
+
+def test_the_lift_keeps_every_number():
+    # a lift begins with the permutation it lifts, so the lifts ascend as
+    # the elements do, and the lift shares the product table
+    g = spider(3, 4)
+    G = close_group(g, [spider_rotation(3, 4)])
+    Gs = subdivided_group(G, barycentric_subdivision(g))
+    assert list(Gs.elements) == sorted(Gs.elements)
+    assert [q[:g.vertex_count] for q in Gs.elements] == list(G.elements)
+    assert Gs.products is G.products and Gs.inverse == G.inverse
+    assert all(Gs.rank[q] == i for i, q in enumerate(Gs.elements))
