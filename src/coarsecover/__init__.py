@@ -34,7 +34,6 @@ from .symmetry import (
     TRIVIAL_ONLY,
     close_group,
     is_F_subset,
-    trivial_group,
 )
 from .angles import (
     AngleSet,

@@ -81,8 +81,7 @@ class AngleSet:
     def saturate(self, G: GroupModel) -> "AngleSet":
         """The least G-invariant angle set containing this one: the orbit
         closure along the generators, |T| * |generators| images, which is
-        the union over every element as the generators generate G."""
-        G.check_generators()
+        the union over every element (see the symmetry module)."""
         out = set(self.nontrivial)
         queue = list(out)
         for t in queue:  # the queue grows while it is walked

@@ -51,7 +51,6 @@ from .pipeline import PipelineError, build_instance, cover_to_document, \
     report_json, run_pipeline, select_theta0
 from .rips import build_rips, complex_stats, contract_subcomplex, \
     homology_oracle
-from .symmetry import close_group, trivial_group
 
 
 @dataclass
@@ -100,10 +99,11 @@ def _read_graph(args):
 
 
 def _read_model(args):
-    """The graph model and its group, trivial without an action file."""
+    """The graph model and its generator lists, none without an action
+    file."""
     g, graph_doc = _read_graph(args)
     if not getattr(args, "action", None):
-        return g, trivial_group(g)
+        return g, ()
     with open(args.action) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -123,7 +123,7 @@ def _read_model(args):
             for p in perms):
         raise GraphFormatError("action %r must be a list of integer lists"
                                % name)
-    return g, close_group(g, [tuple(p) for p in perms])
+    return g, perms
 
 
 def _theta_for(g, spec_text, corner):
@@ -188,8 +188,7 @@ def _cf_document(cf):
 def _run_and_write(args, summary_name, artifact_keys):
     """Run the pipeline, emit its summary and, under --out, the artifacts;
     the flow cover, on fiber classes, is placed on the endpoint pairs."""
-    g, group = _read_model(args)
-    res = run_pipeline(g, group=group, alpha=args.alpha,
+    res = run_pipeline(*_read_model(args), alpha=args.alpha,
                        tau_max=args.tau_max, theta0_mode=args.theta0_mode)
     _emit(args, summary_name, res.summary())
     group = res.instance.sub_group

@@ -361,20 +361,22 @@ def cover_order(member_slices, fibers) -> int:
 
 def wide_failures(member_slices, group: GroupModel, alpha, pairs):
     """Yield, in input order, each pair (g, x) whose ball slice
-    {(h, x) : h in group.ball(alpha, center=g)} no member holds: the pairs
-    at which the members fail to be alpha-wide.  The v-sets are masks over
+    {(g h, x) : h in group.ball(alpha)} no member holds: the pairs at which
+    the members fail to be alpha-wide.  The v-sets are masks over
     group.elements, bit i for the element numbered i.  Each ball is made
-    once per call and tested, ball & ~slice == 0, against the slices over x
-    alone, which one index of the members by z-point lists."""
+    once per call, g h read off row h at g, and tested, ball & ~slice == 0,
+    against the slices over x alone, which one index of the members by
+    z-point lists."""
     rank = group.rank
+    rows = [group.products[rank[h]] for h in group.ball(alpha)]
     outside = {x: [~vs for vs in held]
                for x, held in _held(member_slices).items()}
     balls = {}
     for g, x in pairs:
         ball = balls.get(g)
         if ball is None:
-            ball = balls[g] = sum(1 << rank[h]
-                                  for h in group.ball(alpha, center=g))
+            c = rank[g]
+            ball = balls[g] = sum(1 << row[c] for row in rows)
         if all(map(ball.__and__, outside.get(x, ()))):
             yield g, x
 
@@ -469,13 +471,13 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     blocks are G-invariant, so a gap at (v, z) gives one at each p.(v, z).
 
     Each saturated set contributes its orbit, walked along the generators
-    (which must generate the group); orbits are equal or disjoint.  The
-    member W = p.saturated, p in the coset t_W.Stab, is annotated with the
-    first such p in G.elements order, and members come in that order.
+    (which generate the group, see the symmetry module); orbits are equal
+    or disjoint.  The member W = p.saturated, p in the coset t_W.Stab, is
+    annotated with the first such p in G.elements order, and members come
+    in that order.
     """
     _check_alpha(alpha)
     G = space.group
-    G.check_generators()
     act_z, identity, z_over = space.act_z, G.identity, space.z_over
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
@@ -586,13 +588,14 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     than the stated cover.order fails.  Translates share the space's memo
     of images with greedy_cover.
 
-    Invariance and F-subsetness walk the generators, which must generate the
-    group.  A generator maps the finite pool of member sets injectively, so
-    a pool each generator maps into itself is G-invariant.  The first member
-    m of each orbit, in cover order, gets the check of is_F_subset on the
-    orbit set_orbit walks.  It transfers to m' = g.m: m' meets h.m' exactly
-    when m meets (g^-1 h g).m, and Stab(m') = g Stab(m) g^-1 is tested
-    against the family directly, which need not be closed under conjugation.
+    Invariance and F-subsetness walk the generators, which generate the
+    group (see the symmetry module).  A generator maps the finite pool of
+    member sets injectively, so a pool each generator maps into itself is
+    G-invariant.  The first member m of each orbit, in cover order, gets
+    the check of is_F_subset on the orbit set_orbit walks.  It transfers
+    to m' = g.m: m' meets h.m' exactly when m meets (g^-1 h g).m, and
+    Stab(m') = g Stab(m) g^-1 is tested against the family directly, which
+    need not be closed under conjugation.
     Failures name the first failing generator or member; the members'
     annotations are not read.
     """
@@ -611,7 +614,6 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
         failures.append(("not-long", least))
 
     G = space.group
-    G.check_generators()
     translate = partial(_translate, space)
     set_pool = set(sets)
     for s in G.generators:

@@ -53,7 +53,7 @@ from .covers import (
     wide_failures,
 )
 from .graphs import GeodesicIndex, Subdivision, slimness_constant
-from .symmetry import GroupModel, trivial_group
+from .symmetry import GroupModel, close_group
 
 if TYPE_CHECKING:
     from .pipeline import Instance
@@ -117,7 +117,7 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     if not g.is_connected():
         raise ValueError("subdivided graph must be connected")
     if group is None:
-        group = trivial_group(g)
+        group = close_group(g, ())
     elif group.graph != g:
         raise ValueError("the group must act on the subdivided graph")
     if not k_fold_sum(theta3_set, 2) <= theta:
@@ -213,7 +213,8 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     since fibers are equivariant, V_{p.z} = p.V_z.  A generator's list is
     looked up at each class's least pair; every other element's is
     composed along the group's walk, act_z[a s] = act_z[a] read along
-    act_z[s], s a generator, which needs the generators to generate.
+    act_z[s], s a generator; the walk reaches every element (see the
+    symmetry module).
 
     Nothing is lost against one z-point per pair.  fiber_basis's Z_v is a
     union of whole classes, and subtraction along translates, the cores
@@ -227,7 +228,6 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     expand_cover places it on the endpoint pairs for a document.
     """
     G, names, fibers = cf.group, cf.classes, cf.fibers
-    G.check_generators()
     # class -> its least pair, the first in fibers' order, which numbered
     # the classes: the values come in class order
     least = {}

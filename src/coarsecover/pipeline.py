@@ -28,7 +28,7 @@ from .flow import (
 from .graphs import GeodesicIndex, Graph, INF, Subdivision, \
     barycentric_subdivision, slimness_constant
 from .symmetry import ALL_SUBGROUPS, GroupModel, close_group, \
-    subdivided_group, trivial_group
+    subdivided_group
 
 
 class PipelineError(RuntimeError):
@@ -67,17 +67,17 @@ class Instance:
                             | {p[self.v0] for p in self.sub_group.elements}))
 
 
-def build_instance(g: Graph, group: GroupModel = None) -> Instance:
-    """Check that the graph model is connected and has an edge, subdivide
-    it and lift the group (default trivial); the base vertex is the
-    midpoint of the least edge.  Cone separation is left to cone_cover,
-    since the flow space does not need it."""
+def build_instance(g: Graph, generators) -> Instance:
+    """Close the generators (none for the trivial group), check that the
+    graph model is connected and has an edge, subdivide it and lift the
+    group; the base vertex is the midpoint of the least edge.  Cone
+    separation is left to cone_cover, since the flow space does not need
+    it."""
+    group = close_group(g, generators)
     if not g.is_connected():
         raise PipelineError("load", "graph is disconnected")
     if not g.edges:
         raise PipelineError("load", "graph has no edges")
-    if group is None:
-        group = trivial_group(g)
     sub = barycentric_subdivision(g)
     index = GeodesicIndex(sub.graph)
     sub_group = subdivided_group(group, sub)
@@ -113,13 +113,11 @@ class PipelineResult:
         return {"ok": self.ok, "stages": self.stages}
 
 
-def run_pipeline(g: Graph, generators=(), *, alpha, tau_max, theta0_mode,
-                 group: GroupModel = None) -> PipelineResult:
+def run_pipeline(g: Graph, generators, *, alpha, tau_max,
+                 theta0_mode) -> PipelineResult:
     stages = {}
     artifacts = {}
-    if group is None and generators:
-        group = close_group(g, generators)
-    inst = build_instance(g, group)
+    inst = build_instance(g, generators)
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
     t3, delta = inst.t3, inst.delta
 

@@ -4,6 +4,13 @@ Group elements are vertex permutations stored as tuples (images indexed by
 vertex).  The word metric comes from breadth-first search on the Cayley
 graph of the symmetrized generating set, so it is left invariant.
 
+A model is made one way: close_group closes its generators, and
+subdivided_group lifts such a model to a subdivision.  So a model's
+generators generate its elements by construction, and every walk along
+the generators (an orbit, a saturation, a composition along the model's
+walk) reaches the whole group; in a finite group an inverse is a
+positive power.
+
 A model numbers its elements: an element's number is its position in the
 ascending tuple of elements, so the identity, the least permutation, is
 number 0.  The group algebra runs on the numbers.  Products are read from
@@ -54,22 +61,17 @@ class NotAutomorphism(ValueError):
 class _Products(dict):
     """b -> the row of right products by b: row[a] is the number of a*b.
 
-    via maps each element the walk from the identity along the generators
-    reaches, but the identity, to (c, s) with b = c*s and s a generator,
-    in the order the walk reached them.  So a*b = (a*c)*s, and row b is
-    row s read along row c: a row is made on first read from its parent's,
-    the parents first.  An element the walk misses, in a model whose
-    generators do not generate, gets its row from the permutations.
+    via maps each element but the identity to (c, s) with b = c*s and s a
+    generator, in the order the walk from the identity along the
+    generators reached them.  So a*b = (a*c)*s, and row b is row s read
+    along row c: a row is made on first read from its parent's, the
+    parents first.
     """
 
-    __slots__ = ("via", "elements", "rank")
+    __slots__ = ("via",)
 
     def __missing__(self, b):
         via = self.via
-        if b not in via:
-            p, rank = self.elements[b], self.rank
-            self[b] = row = [rank[compose(a, p)] for a in self.elements]
-            return row
         path = [b]
         while via[path[-1]][0] not in self:
             path.append(via[path[-1]][0])
@@ -79,89 +81,39 @@ class _Products(dict):
         return self[b]
 
 
-def _number(elements, rank, rows):
-    """The inverse numbers and the product table of a group, given its
-    ascending elements, their numbers and the generators' rows, generator
-    number -> row.  The walk from the identity along the generators alone
-    reaches every element when they generate the group, since in a finite
-    group an inverse is a positive power."""
-    inverse = tuple(rank[invert(p)] for p in elements)
-    products = _Products({0: range(len(elements))})
-    products.elements, products.rank = elements, rank
-    products.via = via = {}
-    order = [0]
-    for a in order:  # the walk grows while it is read
-        for s, row in rows.items():
-            b = row[a]
-            if b and b not in via:
-                via[b] = a, s
-                order.append(b)
-    for s, row in rows.items():
-        products[s], products[inverse[s]] = row, invert(row)
-    return inverse, products
-
-
 @dataclass(frozen=True)
 class GroupModel:
     """A finite group of graph automorphisms with a word metric, its
-    elements numbered by their position in elements, which ascend."""
+    elements numbered by their position in elements, which ascend.  Made
+    by close_group, or lifted by subdivided_group, never by hand."""
 
     graph: Graph
     elements: tuple
     generators: tuple
     identity: tuple
     word_length: dict = field(compare=False)
-    # element -> its number; made here for a model made by hand, passed
-    # in by close_group and subdivided_group, which hold them already
-    rank: dict = field(default=None, compare=False, repr=False)
+    # element -> its number
+    rank: dict = field(compare=False, repr=False)
     # number -> the number of its inverse
-    inverse: tuple = field(default=None, compare=False, repr=False)
+    inverse: tuple = field(compare=False, repr=False)
     # b -> the row of right products by b, see _Products; one memo that
     # every use of the model, and of its lift, shares
-    products: dict = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.rank is None:
-            rank = {p: i for i, p in enumerate(self.elements)}
-            rows = {rank[s]: [rank[compose(a, s)] for a in self.elements]
-                    for s in self.generators}
-            object.__setattr__(self, "rank", rank)
-            inverse, products = _number(self.elements, rank, rows)
-            object.__setattr__(self, "inverse", inverse)
-            object.__setattr__(self, "products", products)
+    products: dict = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
 
-    def check_generators(self):
-        """Raise ValueError unless the generators generate the elements:
-        walks along the generators reach the whole group only then.  The
-        model's walk, made with it, decides it."""
-        if len(self.products.via) < len(self.elements) - 1:
-            raise ValueError(
-                "the group's generators do not generate its elements")
-
-    def ball(self, alpha, center=None):
-        """Elements within word distance alpha of center (default identity):
-        center h is row h read at center."""
-        elements = self.elements
-        inner = [i for i, h in enumerate(elements)
-                 if self.word_length[h] <= alpha]
-        if center is None:
-            return tuple(map(elements.__getitem__, inner))
-        c, products = self.rank[center], self.products
-        return tuple(elements[products[h][c]] for h in inner)
-
-
-def trivial_group(g: Graph) -> GroupModel:
-    e = identity_perm(g.vertex_count)
-    return GroupModel(g, (e,), (), e, {e: 0})
+    def ball(self, alpha):
+        """Elements within word distance alpha of the identity."""
+        return tuple(h for h in self.elements if self.word_length[h] <= alpha)
 
 
 def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
-    """Close generators under composition and inverse; BFS word lengths.
+    """The group the generators generate, closed under composition and
+    inverse, with BFS word lengths; no generators give the trivial group.
     The search makes every product a*s, s a generator, so it numbers the
-    generators' rows as well."""
+    generators' rows as well, and the walk from the identity along the
+    generators alone reaches every element."""
     e = identity_perm(g.vertex_count)
     gens = []
     for p in generator_perms:
@@ -181,9 +133,9 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
     while frontier:
         nxt = []
         for a in frontier:
-            products = [compose(a, s) for s in sym]
-            right[a] = products[:len(gens)]
-            for b in products:
+            steps = [compose(a, s) for s in sym]
+            right[a] = steps[:len(gens)]
+            for b in steps:
                 if b not in word:
                     if len(word) >= cap:
                         raise CapExceeded("group closure exceeds cap %d" % cap)
@@ -192,10 +144,22 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
         frontier = nxt
     elements = tuple(sorted(word))
     rank = {p: i for i, p in enumerate(elements)}
-    rows = {rank[s]: [rank[right[a][k]] for a in elements]
-            for k, s in enumerate(gens)}
-    return GroupModel(g, elements, tuple(gens), e, word, rank,
-                      *_number(elements, rank, rows))
+    inverse = tuple(rank[invert(p)] for p in elements)
+    rows = [(rank[s], [rank[right[a][k]] for a in elements])
+            for k, s in enumerate(gens)]
+    products = _Products({0: range(len(elements))})
+    products.via = via = {}
+    order = [0]
+    for a in order:  # the walk grows while it is read
+        for s, row in rows:
+            b = row[a]
+            if b and b not in via:
+                via[b] = a, s
+                order.append(b)
+    for s, row in rows:
+        products[s], products[inverse[s]] = row, invert(row)
+    return GroupModel(g, elements, tuple(gens), e, word, rank, inverse,
+                      products)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +302,8 @@ def set_orbit(U, G: GroupModel, translate):
     t_W.U = W (t_U is the identity), and stab is the setwise stabilizer of
     U.
 
-    G.generators must generate G; every element is then a product of
-    generators (inverses are positive powers in a finite group), so the
-    walk reaches every translate.  By Schreier's lemma the elements
+    G.generators generate G (see the module docstring), so the walk
+    reaches every translate.  By Schreier's lemma the elements
     t_{sW}^-1 s t_W, over orbit sets W and generators s, generate the
     stabilizer.  Cost: |orbit| * |generators| translates.  The walk runs
     on numbers: s t = (t^-1 s^-1)^-1 reads the row of s^-1, which comes
@@ -375,7 +338,7 @@ def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
 
     set_orbit gives F0 and the orbit; the translates p.U with p outside F0
     are exactly the orbit sets other than U, so disjointness is one test
-    per orbit set.  G.generators must generate G.
+    per orbit set.
     """
     U = frozenset(U)
     if not U:

@@ -24,8 +24,8 @@ from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
     _closing_paths, bfs_row, canon_edge, make_graph
-from coarsecover.symmetry import GroupModel, act_angle, compose, invert, \
-    trivial_group
+from coarsecover.symmetry import GroupModel, act_angle, close_group, \
+    compose, invert
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +637,7 @@ def trivial_pair_space(v_points, fibers, dist):
     fixes every v-point (the v-points are nonnegative integers); fibers
     are sets of v-points."""
     v_points = tuple(v_points)
-    G = trivial_group(make_graph(max(v_points, default=0) + 1, []))
+    G = close_group(make_graph(max(v_points, default=0) + 1, []), ())
     return pair_space(v_points, encoded(v_points, fibers), dist, G,
                       {G.identity: {z: z for z in fibers}})
 
@@ -1073,10 +1073,7 @@ def validate_family(family, G):
             if conjugate_tuples(g, H) not in listed:
                 raise ValueError("family not conjugation closed")
     for H in listed:
-        elements = tuple(sorted(H))
-        sub_model = GroupModel(G.graph, elements, elements, G.identity,
-                               {h: 0 for h in H})
-        for K in all_subgroups(sub_model):
+        for K in all_subgroups(close_group(G.graph, H)):
             if K not in listed:
                 raise ValueError("family not closed under subgroups")
 

@@ -46,7 +46,7 @@ from coarsecover.graphs import (
 )
 from coarsecover.pipeline import build_instance, run_pipeline
 from coarsecover.rips import build_rips, contract_subcomplex, homology_oracle
-from coarsecover.symmetry import ALL_SUBGROUPS, trivial_group
+from coarsecover.symmetry import ALL_SUBGROUPS, close_group
 from oracles import decoded, default_basis, distance_matrix, encoded, \
     extend_cover, extend_open, fibers_of, flow_space, mask_vertices, \
     pairs_of, trivial_pair_space, validate_pair_space
@@ -63,7 +63,6 @@ def _random_pair_space(rng):
         # swaps the two z-levels, so member stabilizers mix coordinates
         n = rng.choice((8, 12))
         g = cycle_graph(n)
-        from coarsecover.symmetry import close_group
         G = close_group(g, [tuple((i + 2) % n for i in range(n))])
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
@@ -195,8 +194,7 @@ def test_criterion_03_theta3_circuit_bound():
 
 
 def _cone_setup(name, g, gens, mode, alpha):
-    from coarsecover.symmetry import close_group
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     theta0 = seed_theta0(inst, alpha)
     if mode == "all":
         theta0 = theta0.union(all_angles(g))
@@ -258,7 +256,7 @@ def test_criterion_06_rips_contractibility():
 def test_criterion_07_extension_identities():
     rng = random.Random(77)
     g1 = path_graph(1)
-    G = trivial_group(g1)
+    G = close_group(g1, ())
     checked = 0
     for _ in range(1000):
         n = rng.randrange(3, 12)

@@ -42,7 +42,7 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     slimness_constant,
 )
-from coarsecover.symmetry import GroupModel, close_group
+from coarsecover.symmetry import close_group
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
     mask_neighbours, mask_vertices, observer_set_all, observer_set_exists, \
     saturate_over_elements, small_carriers, theta3_brute, \
@@ -81,14 +81,6 @@ class TestAngleBasics:
             every = sorted(all_angles(g).nontrivial)
             some = angle_set_from_triples(g, rng.sample(every, 3))
             assert some.saturate(G) == saturate_over_elements(some, G)
-
-    def test_saturation_needs_generators_that_generate(self):
-        G = dihedral_group(6)
-        short = GroupModel(G.graph, G.elements, G.generators[:1],
-                           G.identity, G.word_length)
-        one = angle_set_from_triples(C6, [(0, 1, 2)])
-        with pytest.raises(ValueError, match="generators do not generate"):
-            one.saturate(short)
 
 
 class TestTheta3:

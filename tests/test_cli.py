@@ -314,6 +314,21 @@ class TestPipelineCommand:
         assert code == 2
         assert "no action named [1]" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("argv", [["pipeline"], ["cf", "build"],
+                                      ["cone", "build"], ["cover", "combine"]],
+                             ids=" ".join)
+    def test_a_bad_generator_is_reported_before_a_disconnected_graph(
+            self, tmp_graph, tmp_path, capsys, argv):
+        # the generators are closed before the graph model is checked
+        gpath = tmp_graph(make_graph(4, [(0, 1), (2, 3)]))
+        apath = tmp_path / "act.json"
+        apath.write_text(json.dumps({"a": [[1, 2, 0, 3]]}))
+        code, out = run_cli(argv + ["--graph", gpath, "--action", str(apath)],
+                            capsys)
+        assert code == 2
+        assert json.loads(out) == \
+            {"error": "generator (1, 2, 0, 3) is not an automorphism"}
+
     def test_determinism(self, tmp_graph, capsys):
         args = ["pipeline", "--graph", tmp_graph(path_graph(8)),
                 "--theta0-mode", "all", "--tau-max", "2"]

@@ -42,7 +42,7 @@ from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
     make_graph
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
-from coarsecover.symmetry import close_group, compose
+from coarsecover.symmetry import compose
 from oracles import cone_cover_per_apex, cone_member_brute, \
     cone_sweep_reference, interior_certificate_brute, perfbench_module, \
     seed_theta0_reference
@@ -51,7 +51,7 @@ workloads = perfbench_module("workloads")
 
 
 def setup(g, gens=()):
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     return inst, inst.sub, inst.sub_group, inst.v0
 
 
@@ -261,7 +261,7 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
     pairs are exactly the members meeting the interior certificate, at
     alpha 0 and 1.  At alpha 0 the seeded theta0 is smallest, so the most
     pairs turn large."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     xi_set = inst.cone_targets()
     for alpha in (0, 1):
         theta0 = select_theta0(inst, alpha, mode)
@@ -299,7 +299,7 @@ def test_cone_cover_matches_the_per_apex_construction(name, g, gens, mode):
     group element gives the same list, in the same order, with the same
     companion size, as building every apex and every group element on its
     own, at alpha 0 and 1."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     xi_set = inst.cone_targets()
     for alpha in (0, 1):
         theta0 = select_theta0(inst, alpha, mode)
@@ -310,7 +310,7 @@ def test_cone_cover_matches_the_per_apex_construction(name, g, gens, mode):
 
 def test_cone_cover_refuses_a_size_or_targets_the_group_moves():
     g = spider(3, 3)
-    inst = build_instance(g, close_group(g, [spider_rotation(3, 3)]))
+    inst = build_instance(g, [spider_rotation(3, 3)])
     theta0 = seed_theta0(inst, 1)
     xi_set = inst.cone_targets()
     assert cone_cover(inst, theta0, xi_set)[0]
@@ -328,7 +328,7 @@ def test_cone_cover_refuses_a_size_or_targets_the_group_moves():
 def test_interior_certificates_match_the_definition(name, g, gens, mode):
     """At each layer's size, the certificate of every pair and apex is
     exactly its two conditions read off every geodesic."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     x = angle_sum(select_theta0(inst, 1, mode), k_fold_sum(inst.t3, 3))
     for k in (2, 5, 6):
         size = k_fold_sum(x, k)
@@ -359,7 +359,7 @@ def graphs_with_sizes(draw):
 @given(graphs_with_sizes())
 def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
     g, theta = gt
-    inst = build_instance(g)
+    inst = build_instance(g, ())
     e = inst.sub_group.identity
     sums = corner_sums(inst, theta)
     for apex in inst.sub.v_vertices():
@@ -409,7 +409,7 @@ def test_cone_cover_sweeps_once_per_size_from_v0(monkeypatch, g, gens, mode):
     certificates checked at the identity only.  Under theta0 all no pair
     turns large, so no geodesic is scanned and no certificate sums (the
     doubled corner size) are formed."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     theta0 = select_theta0(inst, 1, mode)
     x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
     sizes = {size.nontrivial: size
@@ -442,7 +442,7 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
     finds a small geodesic to xi, and fails in order otherwise; a call
     sweeps at most once, from v0.  Every midpoint is a target, so a sweep
     read at g xi in place of g^-1 xi changes some verdict."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     elements, v0 = inst.sub_group.elements, inst.v0
     xi_set = tuple(sorted(set(g.cone_vertices) | set(inst.sub.ve_vertices())))
     cones, handed = cone_cover(inst, select_theta0(inst, 1, mode), xi_set)

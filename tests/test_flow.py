@@ -157,8 +157,7 @@ class TestBuildCfTheta:
 
     def test_equivariance_of_fibers(self):
         g = cycle_graph(12)
-        inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
-                                                      for i in range(12))]))
+        inst = build_instance(g, [tuple((i + 3) % 12 for i in range(12))])
         sub = inst.sub
         cf = flow_space(sub, all_angles(g), sub.ve_vertices(),
                         group=inst.sub_group)
@@ -188,8 +187,7 @@ class TestBuildCfTheta:
 
     def test_fiber_stabilizers_respect_pair_stabilizers(self):
         g = cycle_graph(12)
-        inst = build_instance(g, close_group(g, [tuple((i + 3) % 12
-                                                      for i in range(12))]))
+        inst = build_instance(g, [tuple((i + 3) % 12 for i in range(12))])
         sub = inst.sub
         cf = flow_space(sub, all_angles(g), sub.ve_vertices(),
                         group=inst.sub_group)
@@ -206,7 +204,7 @@ class TestBuildCfTheta:
          [(1, 0, 4), (1, 0, 7), (4, 0, 7)]),
     ])
     def test_lines_match_brute_carriers(self, g, gens, triples):
-        inst = build_instance(g, close_group(g, gens))
+        inst = build_instance(g, gens)
         sub = inst.sub
         theta = k_fold_sum(inst.t3, 2)
         if triples is not None:
@@ -235,8 +233,7 @@ class TestFiberSymmetry:
 
     def test_group_instance_fibers_are_symmetric(self):
         g = cycle_graph(8)
-        inst = build_instance(g, close_group(
-            g, [cyclic_rotation(8), cycle_reflection(8)]))
+        inst = build_instance(g, [cyclic_rotation(8), cycle_reflection(8)])
         theta = k_fold_sum(inst.t3, 2)
         self.check(flow_space(inst.sub, theta, inst.sub.ve_vertices(),
                               group=inst.sub_group, index=inst.index,
@@ -656,7 +653,7 @@ def test_composed_act_z_is_the_lookup_on_every_element(name, g, gens, mode,
     """cf_pair_space composes act_z along the group's generators; on every
     element it is the lookup of each endpoint pair's class, and the class
     numbers ascend with the least pairs."""
-    inst = build_instance(g, close_group(g, gens) if gens else None)
+    inst = build_instance(g, gens)
     cf = flow_space(inst.sub, all_angles(g), inst.flow_endpoints(),
                     group=inst.sub_group, index=inst.index,
                     theta3_set=inst.t3)
@@ -694,7 +691,7 @@ class TestWidenessScan:
         # the pipeline's 9-member flow cover of path_graph(10): dropping
         # member 0 breaks longness and wideness at every tau, members 3-6
         # longness alone, and members 1, 2, 7 and 8 are redundant
-        res = run_pipeline(path_graph(10), alpha=1, tau_max=4,
+        res = run_pipeline(path_graph(10), (), alpha=1, tau_max=4,
                            theta0_mode="all")
         inst, cf = res.instance, res.artifacts["cf"]
         classes = res.artifacts["flow_cover"]
@@ -723,8 +720,7 @@ class TestWidenessScan:
 
     def test_equivariant_cycle_scan(self):
         g = cycle_graph(12)
-        G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
-        inst = build_instance(g, G)
+        inst = build_instance(g, [tuple((i + 3) % 12 for i in range(12))])
         sub, idx, Gs = inst.sub, inst.index, inst.sub_group
         v0 = sub.midpoint_of_edge[(0, 1)]
         theta = all_angles(g)
@@ -744,8 +740,7 @@ class TestWidenessScan:
 class TestThetaForWideness:
     def test_ball_translate_geodesics_become_small(self):
         g = cycle_graph(12)
-        G = close_group(g, [tuple((i + 3) % 12 for i in range(12))])
-        inst = build_instance(g, G)
+        inst = build_instance(g, [tuple((i + 3) % 12 for i in range(12))])
         sub, idx, Gs, v0, t3 = inst.sub, inst.index, inst.sub_group, \
             inst.v0, inst.t3
         theta0 = k_fold_sum(t3, 1)
@@ -783,7 +778,7 @@ def test_theta_for_wideness_matches_the_ball_pairs(monkeypatch, name, g,
     """The pairs (v0, r v0), r in ball(2 alpha), give the same size as every
     pair of ball(alpha) translates of v0, at alpha 0 to 3, from the seeded
     and from the trivial theta0."""
-    inst = build_instance(g, close_group(g, gens))
+    inst = build_instance(g, gens)
     Gs, v0 = inst.sub_group, inst.v0
     real = flow.geodesic_angles
     for alpha in range(4):

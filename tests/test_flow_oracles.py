@@ -58,7 +58,7 @@ def flow_spaces(draw):
     edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
                           max_size=4))
     g = make_graph(n, edges, ())
-    inst = build_instance(g)
+    inst = build_instance(g, ())
     corners = [(u, apex, w) for apex in g.vertices
                for u, w in combinations(sorted(g.neighbors(apex)), 2)]
     extra = draw(st.sets(st.sampled_from(corners))) if corners else ()

@@ -149,7 +149,7 @@ def test_flow_lines_match_the_per_pair_reference(g, gens):
     the least size it admits, under every angle, and under that size
     joined with every angle not at vertex 0 (the spider's centre; on the
     grid every size it admits is every angle)."""
-    inst = build_instance(g, close_group(g, gens))
+    inst = build_instance(g, gens)
     index = inst.index
     least, every = k_fold_sum(inst.t3, 2), all_angles(g)
     for theta in (least, every, least.union(AngleSet(g, frozenset(

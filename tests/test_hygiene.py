@@ -34,8 +34,6 @@ ALLOWED = {
 # parameters with a default that every program call passes, each kept for
 # a reason
 ALLOWED_DEFAULTS = {
-    "build_instance.group": "run_pipeline forwards its own group, None "
-                            "for the trivial group",
     "load_graph.cone_threshold": "the one home of DEFAULT_CONE_THRESHOLD, "
                                  "which the command line option also reads",
 }
@@ -260,9 +258,8 @@ def test_a_restored_private_import_is_flagged(tmp_path):
     assert private_imports([tmp_path / "cones.py"]) == ["cones.py: _vertices"]
 
 
-def permutation_calls(paths):
-    """"file: name" for each call of compose or invert outside
-    symmetry.py."""
+def symmetry_calls(paths, names):
+    """"file: name" for each call of one of names outside symmetry.py."""
     found = []
     for path in paths:
         if path.name == "symmetry.py":
@@ -272,7 +269,7 @@ def permutation_calls(paths):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(
                     f, "attr", None)
-                if name in ("compose", "invert"):
+                if name in names:
                     found.append("%s: %s" % (path.name, name))
     return found
 
@@ -281,7 +278,7 @@ def test_only_symmetry_composes_permutations():
     # the group algebra reads the model's numbers, its product table and
     # its inverses; a permutation is composed or inverted only where
     # symmetry.py numbers a model
-    found = permutation_calls(sorted(SRC.glob("*.py")))
+    found = symmetry_calls(sorted(SRC.glob("*.py")), ("compose", "invert"))
     assert not found, "permutations composed: %s" % ", ".join(found)
 
 
@@ -292,7 +289,29 @@ def test_a_restored_permutation_inverse_is_flagged(tmp_path):
                           "last, back = ge, invert(ge)")
     assert mutant != text
     (tmp_path / "cones.py").write_text(mutant)
-    assert permutation_calls([tmp_path / "cones.py"]) == ["cones.py: invert"]
+    assert symmetry_calls([tmp_path / "cones.py"], ("compose", "invert")) == \
+        ["cones.py: invert"]
+
+
+def test_only_symmetry_makes_a_group_model():
+    # close_group numbers every model and subdivided_group lifts one, so
+    # the generators of every model generate it
+    found = symmetry_calls(sorted(SRC.glob("*.py")), ("GroupModel",))
+    assert not found, "group models made: %s" % ", ".join(found)
+
+
+def test_a_restored_trivial_group_is_flagged(tmp_path):
+    # the trivial group made by hand again, outside close_group
+    text = (SRC / "pipeline.py").read_text()
+    mutant = text.replace(
+        "class PipelineError(", "def trivial_group(g):\n"
+        "    e = tuple(range(g.vertex_count))\n"
+        "    return GroupModel(g, (e,), (), e, {e: 0})\n\n\n"
+        "class PipelineError(", 1)
+    assert mutant != text
+    (tmp_path / "pipeline.py").write_text(mutant)
+    assert symmetry_calls([tmp_path / "pipeline.py"], ("GroupModel",)) == \
+        ["pipeline.py: GroupModel"]
 
 
 def test_the_library_does_not_load_networkx():

@@ -26,13 +26,12 @@ from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
 from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
     select_theta0
 from coarsecover.rips import contract_subcomplex
-from coarsecover.symmetry import close_group
-from oracles import encoded
+from oracles import ball_tuples, encoded
 
 
 class TestPipeline:
     def test_tree_flow_dominated(self):
-        res = run_pipeline(path_graph(12), alpha=1, tau_max=4,
+        res = run_pipeline(path_graph(12), (), alpha=1, tau_max=4,
                            theta0_mode="all")
         assert res.ok
         assert res.stages["wideness_scan"]["targets"] > 0
@@ -57,7 +56,7 @@ class TestPipeline:
 
     def test_marked_cone_vertex(self):
         g = make_graph(9, spider(2, 4).edges, cone_vertices=[0])
-        res = run_pipeline(g, alpha=1, tau_max=4, theta0_mode="all")
+        res = run_pipeline(g, (), alpha=1, tau_max=4, theta0_mode="all")
         assert res.ok
         assert res.stages["dichotomy"]["clauses"]["cone"] > 0
 
@@ -74,7 +73,7 @@ class TestPipeline:
         sets = res.artifacts["combined"].member_slices()
         assert list(wide_failures(sets, G, alpha, domain)) == []
         ge, xi = domain[-1]
-        ball = frozenset(G.ball(alpha, center=ge))
+        ball = frozenset(ball_tuples(G, alpha, ge))
         assert len(ball) > 1
         need = encoded(G.elements, {xi: ball})[xi]
         kept = [m for m in sets if need & ~m.get(xi, 0)]
@@ -84,11 +83,11 @@ class TestPipeline:
     def test_disconnected_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(PipelineError, match="disconnected"):
-            run_pipeline(g, alpha=1, tau_max=8, theta0_mode="seed")
+            run_pipeline(g, (), alpha=1, tau_max=8, theta0_mode="seed")
 
     def test_bad_theta0_mode(self):
         with pytest.raises(ValueError, match="theta0_mode"):
-            run_pipeline(path_graph(4), alpha=1, tau_max=8,
+            run_pipeline(path_graph(4), (), alpha=1, tau_max=8,
                          theta0_mode="bogus")
 
     @pytest.mark.parametrize("case", pipeline_instances(),
@@ -97,13 +96,13 @@ class TestPipeline:
         """Mode 'all' gives every angle without the seed, which every angle
         contains, so the union the mode stands for is every angle."""
         name, g, gens, mode, alpha, tau = case
-        inst = build_instance(g, close_group(g, gens) if gens else None)
+        inst = build_instance(g, gens)
         theta0 = select_theta0(inst, 1, "all")
         assert theta0 == all_angles(g)
         assert seed_theta0(inst, 1) <= theta0
 
     def test_stage_reports_are_complete(self):
-        res = run_pipeline(random_tree(10, seed=4), alpha=1, tau_max=3,
+        res = run_pipeline(random_tree(10, seed=4), (), alpha=1, tau_max=3,
                            theta0_mode="all")
         assert res.ok
         for key in ("setup", "theta3", "cone", "dichotomy", "flow_space",
@@ -130,8 +129,8 @@ def test_pipeline_never_builds_the_pair_set(monkeypatch):
     monkeypatch.setattr(CoverMember, "points", refuse)
     name, g, gens, mode, alpha, tau = next(
         c for c in pipeline_instances() if c[0] == "marked-cone-rot")
-    for res in (run_pipeline(random_tree(14, seed=5), alpha=1, tau_max=4,
-                             theta0_mode="all"),
+    for res in (run_pipeline(random_tree(14, seed=5), (), alpha=1,
+                             tau_max=4, theta0_mode="all"),
                 run_pipeline(g, gens, alpha=alpha, tau_max=tau,
                              theta0_mode=mode)):
         assert res.ok and res.stages["flow_cover"]["members"] > 0
@@ -220,7 +219,7 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
 
     monkeypatch.setattr(graphs, "_maximin_columns", spy)
     tree = random_tree(24, 5)
-    assert run_pipeline(tree, alpha=1, tau_max=8, theta0_mode="seed").ok
+    assert run_pipeline(tree, (), alpha=1, tau_max=8, theta0_mode="seed").ok
     sub = barycentric_subdivision(tree)
     index = GeodesicIndex(sub.graph)
     t3 = theta3(sub, index=index)
@@ -246,8 +245,8 @@ def test_theta3_runs_one_apex_per_orbit(monkeypatch):
 
     monkeypatch.setattr(angles, "_corner_angles", spy)
     g = cycle_graph(20)
-    t3 = build_instance(g, dihedral_group(20)).t3
+    t3 = build_instance(g, dihedral_group(20).generators).t3
     assert apexes == [0]
     apexes.clear()
-    assert build_instance(g).t3 == t3
+    assert build_instance(g, ()).t3 == t3
     assert apexes == list(range(20))

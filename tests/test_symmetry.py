@@ -10,11 +10,11 @@ from coarsecover.corpus import (
     spider,
     spider_rotation,
 )
+from coarsecover.covers import Slices, wide_failures
 from coarsecover.graphs import CapExceeded, barycentric_subdivision
 from coarsecover.symmetry import (
     ALL_SUBGROUPS,
     TRIVIAL_ONLY,
-    GroupModel,
     NotAutomorphism,
     act_angle,
     act_edge,
@@ -29,11 +29,10 @@ from coarsecover.symmetry import (
     sifted_generators,
     subdivided_group,
     subgroup_generated,
-    trivial_group,
 )
 from oracles import all_subgroups, ball_tuples, conjugate_tuples, \
-    is_subgroup_tuples, set_orbit_tuples, subgroup_generated_tuples, \
-    validate_family
+    decoded_sets, encoded, is_subgroup_tuples, set_orbit_tuples, \
+    subgroup_generated_tuples, validate_family
 
 
 class TestCloseGroup:
@@ -206,7 +205,8 @@ class TestSubdividedAction:
         g = spider(3, 4)
         sub = barycentric_subdivision(g)
         Gs = subdivided_group(close_group(g, [spider_rotation(3, 4)]), sub)
-        for G in (Gs, trivial_group(sub.graph), trivial_group(spider(3, 5))):
+        for G in (Gs, close_group(sub.graph, ()),
+                  close_group(spider(3, 5), ())):
             with pytest.raises(ValueError, match="original graph"):
                 subdivided_group(G, sub)
 
@@ -228,12 +228,6 @@ def _numbered_groups():
 
 
 NUMBERED_GROUPS = _numbered_groups()
-
-
-def short_model(G):
-    """G with its first generator alone, which need not generate it."""
-    return GroupModel(G.graph, G.elements, G.generators[:1], G.identity,
-                      G.word_length)
 
 
 @settings(max_examples=120, deadline=None)
@@ -259,34 +253,63 @@ def test_numbered_algebra_matches_the_tuple_algebra(G, data):
 
     assert set_orbit(U, G, translate) == set_orbit_tuples(U, G, translate)
     for alpha in range(4):
-        assert G.ball(alpha, center=g) == ball_tuples(G, alpha, g)
+        assert G.ball(alpha) == ball_tuples(G, alpha, G.identity)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NUMBERED_GROUPS), st.data())
+def test_wide_failures_match_the_definition(G, data):
+    # each member's v-set over a z-point is a ball about one of a few
+    # centers, of radius alpha - 1 to 3, with a few elements dropped and
+    # added, and most pairs sit at those centers, so pairs pass and fail;
+    # a pair (g, x) fails when no member's slice over x holds the ball of g
+    elements, zs = st.sampled_from(G.elements), st.integers(0, 2)
+    alpha = data.draw(st.integers(0, 3))
+    radii = st.integers(max(alpha - 1, 0), 3)
+    centers = st.sampled_from(data.draw(st.lists(elements, min_size=1,
+                                                 max_size=3)))
+    members = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        sets = {}
+        for z in data.draw(st.frozensets(zs, min_size=1)):
+            ball = ball_tuples(G, data.draw(radii), data.draw(centers))
+            vs = (frozenset(ball)
+                  - data.draw(st.frozensets(elements, max_size=2))) \
+                | data.draw(st.frozensets(elements, max_size=2))
+            if vs:
+                sets[z] = vs
+        if sets:
+            members.append(Slices(encoded(G.elements, sets)))
+    pairs = data.draw(st.lists(st.tuples(st.one_of(centers, elements), zs),
+                               max_size=10))
+    held = [decoded_sets(G.elements, m) for m in members]
+    want = [(g, x) for g, x in pairs
+            if not any(set(ball_tuples(G, alpha, g)) <= vs.get(x, set())
+                       for vs in held)]
+    assert list(wide_failures(members, G, alpha, pairs)) == want
 
 
 @pytest.mark.parametrize("G", NUMBERED_GROUPS[::3] + NUMBERED_GROUPS[-1:],
                          ids=lambda G: "order%d" % len(G))
 def test_product_table_matches_composition(G):
-    # every row, each made along the generators on first read; a model
-    # made by hand is numbered from its permutations, and one whose
-    # generators miss elements makes those rows from the permutations
-    for model in (G, GroupModel(G.graph, G.elements, G.generators,
-                                G.identity, G.word_length), short_model(G)):
-        rank = model.rank
-        assert rank == {p: i for i, p in enumerate(G.elements)}
-        assert model.inverse == tuple(rank[invert(p)] for p in G.elements)
-        for b in G.elements:
-            assert list(model.products[rank[b]]) == \
-                [rank[compose(a, b)] for a in G.elements]
+    # every row, each made along the generators on first read
+    rank = G.rank
+    assert rank == {p: i for i, p in enumerate(G.elements)}
+    assert G.inverse == tuple(rank[invert(p)] for p in G.elements)
+    for b in G.elements:
+        assert list(G.products[rank[b]]) == \
+            [rank[compose(a, b)] for a in G.elements]
 
 
-def test_generation_is_decided_once_by_the_walk():
-    G = dihedral_group(6)
-    G.check_generators()
-    short = short_model(G)
-    with pytest.raises(ValueError, match="generators do not generate"):
-        short.check_generators()
-    # the walk reached the rotations only, the identity aside
-    assert len(short.products.via) == 5
-    trivial_group(cycle_graph(4)).check_generators()
+def test_every_model_walks_to_every_element():
+    # generation holds by construction: the walk of a model made by
+    # close_group or subdivided_group reaches every element but the
+    # identity, each once
+    g = spider(3, 4)
+    G = close_group(g, [spider_rotation(3, 4)])
+    for model in (close_group(cycle_graph(4), ()), dihedral_group(6), G,
+                  subdivided_group(G, barycentric_subdivision(g))):
+        assert sorted(model.products.via) == list(range(1, len(model)))
 
 
 def test_the_lift_keeps_every_number():
