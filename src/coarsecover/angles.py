@@ -30,7 +30,6 @@ from .graphs import (
     Subdivision,
     bfs_row,
     biconnected_blocks,
-    geodesic_counts,
     geodesic_steps,
     make_graph,
     parse_document,
@@ -478,18 +477,18 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
     pair_cap bounds the corner pairs of the whole graph.  Given a group
     acting on the original graph, apexes run over the least vertex of each
     orbit and the result is closed under the group: automorphisms preserve
-    distances and geodesic counts, so the angles at p.v are the p-images
-    of the angles at v.
+    distances and geodesics, so the angles at p.v are the p-images of the
+    angles at v.
 
     The set is the union over the biconnected blocks of at least 3
     vertices, each block measured on the global rows cut down to it (see
     biconnected_blocks; a block of a subdivision is the subdivision of a
-    block of the original graph).  If the first steps from apex v toward corners p and q go into
-    different blocks, v is a cut vertex on every p-q geodesic and makes no
-    angle.  If both go into block B, the p-q geodesics pass the gates of p
-    and q in B and the counts sigma factor through them, so they avoid v
-    exactly when the geodesics between the gates do.  A bridge makes no
-    angle, but a triangle does.
+    block of the original graph).  If the first steps from apex v toward
+    corners p and q go into different blocks, v is a cut vertex on every
+    p-q geodesic and makes no angle.  If both go into block B, the p-q
+    geodesics pass the gates of p and q in B, so one avoids v exactly when
+    v does not dominate q's gate in the geodesic DAG from p's gate (see
+    geodesic_dominators).  A bridge makes no angle, but a triangle does.
     """
     if isinstance(base, Subdivision):
         sub, g, original = base, base.graph, base.original
@@ -513,47 +512,67 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
     return t3 if group is None else t3.saturate(group)
 
 
+def geodesic_dominators(g: Graph, dp, vertices, bit):
+    """below[v]: the OR of bit[q] over the q in vertices for which v lies
+    on every p -> q geodesic, with dp the distance row of p.  vertices
+    holds p and every geodesic from p to its vertices, as a component or
+    a block does (see biconnected_blocks); below is indexed like bit.
+
+    The geodesics from p are the paths of the DAG of the steps u -> q with
+    dp[u] = dp[q] - 1, so v lies on every p -> q geodesic exactly when v
+    dominates q.  A sweep in BFS order (Cooper, Harvey and Kennedy 2001)
+    takes for q's immediate dominator the meeting point of the dominator
+    chains of its predecessors, climbing from the one farther from p, and
+    a sweep back ORs each vertex's mask into its dominator's.
+    """
+    order = sorted(vertices, key=dp.__getitem__)
+    idom = [order[0]] * len(bit)
+    for q in order[1:]:
+        d, a = dp[q] - 1, -1
+        for u in g.neighbors(q):
+            if dp[u] == d:
+                while 0 <= a != u:
+                    if dp[a] < dp[u]:
+                        u = idom[u]
+                    else:
+                        a = idom[a]
+                a = u
+        idom[q] = a
+    below = [0] * len(bit)
+    for q in reversed(order):
+        below[q] |= bit[q]
+        below[idom[q]] |= below[q]
+    return below
+
+
 def _corner_angles(sub, g, dist, apexes, corners):
     """theta3's angles at the apexes of one block, with corners its
     vertices in g."""
-    # The first steps from v toward p, as the far ends of original edges.
-    # Equal sets are one object, so they compare by identity.
-    far_ends = {v: [(w, far_end(sub, v, w)) for w in g.neighbors(v)]
-                for v in apexes}
-    interned = {}
-
-    def first_steps(v, p):
-        d = dist[v][p] - 1
-        steps = frozenset(x for w, x in far_ends[v] if dist[w][p] == d)
-        return interned.setdefault(steps, steps)
-
-    # The third side p-q avoids v unless v lies on every p-q geodesic, that
-    # is d(p,v) + d(v,q) = d(p,q) and sigma(p,v) * sigma(v,q) = sigma(p,q).
-    # Per apex the test runs over the rows cut down to the corners, and the
-    # corners are grouped by their first steps: each pair of groups counts
-    # once, and a single first step paired with itself makes no angle.
-    sigma = geodesic_counts(g, dist, corners)
-    dist_c = {v: [dist[v][q] for q in corners] for v in corners}
-    sigma_c = {v: [sigma[v][q] for q in corners] for v in corners}
+    # corner q is bit[q], 1 << its place in corners; below[i][v] has the
+    # corners q with v on every corners[i] -> q geodesic
+    bit = [0] * g.vertex_count
+    for i, q in enumerate(corners):
+        bit[q] = 1 << i
+    below = [geodesic_dominators(g, dist[p], corners, bit) for p in corners]
     result = set()
     for v in apexes:
-        dv, dv_c, sv_c = dist[v], dist_c[v], sigma_c[v]
-        steps = [first_steps(v, q) for q in corners]
-        groups = set()
-        for i, p in enumerate(corners):
-            if p == v:
-                continue
-            dpv, spv = dv[p], sigma[p][v]
-            own = steps[i]
-            bare = own if len(own) == 1 else None
-            groups.update((own, s) for s in {s for s, a, b, x, y in zip(
-                steps[i:], dv_c[i:], dist_c[p][i:], sv_c[i:], sigma_c[p][i:])
-                if s is not bare and (dpv + a != b or spv * x != y)})
-        for s1, s2 in groups:
-            for x in s1:
-                for y in s2:
-                    if x != y:
-                        result.add(canonical_angle(x, v, y))
+        # The side p-q avoids v unless v lies on every p-q geodesic.  Per
+        # step v -> w into the block, reach has the corners q with w a first
+        # step toward q, and avoid the corners joined to one of those by a
+        # geodesic avoiding v; steps w, w' make an angle exactly when
+        # avoid(w) meets reach(w'), which is symmetric in w and w'.
+        dv, steps, missed = dist[v], [], [~col[v] for col in below]
+        for w in g.neighbors(v):
+            if bit[w]:
+                dw, reach, avoid = dist[w], 0, 0
+                for q, m in zip(corners, missed):
+                    if dw[q] < dv[q]:
+                        reach |= bit[q]
+                        avoid |= m
+                steps.append((far_end(sub, v, w), reach, avoid))
+        for (x, _, avoid), (y, reach, _) in combinations(steps, 2):
+            if avoid & reach:
+                result.add(canonical_angle(x, v, y))
     return result
 
 
@@ -684,13 +703,12 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     indicts the theta3 or geodesic machinery, not the sampled instance.
     All corners are vertices; endpoints on rays have no finite counterpart
     and configurations involving them are simply never sampled.  Questions
-    about all geodesics are read off distance rows and counts; a failing
+    about all geodesics are read off distance rows and dominators; a failing
     configuration is recorded once per conclusion it breaks.
     """
     rng = random.Random(seed)
     index = GeodesicIndex(g)
-    dist = index.dist
-    sigma = geodesic_counts(g, dist)
+    dist, bits = index.dist, [1 << v for v in g.vertices]
     t3 = theta3(g, index=index)
     x_pass = angle_sum(theta0, k_fold_sum(t3, 2))
     x_trans = angle_sum(theta0, k_fold_sum(t3, 3))
@@ -711,10 +729,14 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
         comp = comps[rng.randrange(len(comps))]
         return [rng.choice(comp) for _ in range(k)]
 
+    @cache
+    def dominated(a):
+        # dominated(a)[v] has bit b when v lies on every a -> b geodesic
+        return geodesic_dominators(
+            g, dist[a], [v for v in g.vertices if dist[a][v] is not INF], bits)
+
     def on_every_geodesic(v, a, b):
-        # sigma(a, v) * sigma(v, b) = sigma(a, b) puts v on every geodesic
-        return (dist[a][v] + dist[v][b] == dist[a][b]
-                and sigma[a][v] * sigma[v][b] == sigma[a][b])
+        return dominated(a)[v] >> b & 1
 
     def angles_at(v, a, b):
         # the angles at v of the a -> b geodesics through v

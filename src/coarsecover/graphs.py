@@ -202,29 +202,6 @@ class _DistanceRows(dict):
         raise TypeError("distance rows are read by vertex, not iterated")
 
 
-def geodesic_counts(g: Graph, dist, vertices=None):
-    """sigma[s][w]: the number of s-w geodesics (0 when disconnected).
-
-    One pass per source in BFS order sums the counts of the predecessors
-    (Brandes, J. Math. Sociol. 25, 2001); counts are exact integers.
-    Given vertices, a block of g, only the rows and entries of its
-    vertices are counted, and the other rows are None: every predecessor
-    of w toward s is in the block (see biconnected_blocks).
-    """
-    vs = g.vertices if vertices is None else vertices
-    sigma = [None] * g.vertex_count
-    for s in vs:
-        ds = dist[s]
-        row = [0] * g.vertex_count
-        row[s] = 1
-        for w in sorted((w for w in vs if ds[w] is not INF),
-                        key=ds.__getitem__)[1:]:
-            dw = ds[w] - 1
-            row[w] = sum(row[u] for u in g.neighbors(w) if ds[u] == dw)
-        sigma[s] = row
-    return sigma
-
-
 def geodesic_steps(index, s, t, u):
     """The neighbours b of u, in neighbour order, for which u -> b is a
     step of an s -> t geodesic: d(s,b) = d(s,u) + 1 and d(b,t) = d(u,t) - 1.
@@ -388,8 +365,8 @@ def biconnected_blocks(g: Graph):
 
     Every geodesic between two vertices of a block stays in the block, so
     a block is an isometric subgraph with the global distances, and
-    slimness_constant, theta3 and geodesic_counts work block by block on
-    the global rows cut down to it.  Their block arguments are arguments,
+    slimness_constant and theta3, with its geodesic dominators, work block
+    by block on the global rows cut down to it.  Their block arguments are arguments,
     not proofs; the oracle tests check them against full geodesic
     enumeration on blocks glued at cut vertices.
 

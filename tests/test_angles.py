@@ -484,9 +484,19 @@ class TestCaps:
 
     def test_subdivision_matches_direct_brute(self):
         # run the raw triangle oracle on the subdivided graph itself, keep
-        # apexes at original vertices, translate midpoints back to edges
-        from coarsecover.graphs import barycentric_subdivision
-        for g in (cycle_graph(5), wedge_of_cycles(2, 4), star_graph(3)):
+        # apexes at original vertices, translate midpoints back to edges.
+        # C4, C6, the grid, Q3 and the bowtie (two triangles at 0, and the
+        # path 1-5-3 closing a 5-cycle) have corners with two or more
+        # predecessors in a geodesic DAG, whose dominator is where their
+        # dominator chains meet; the first predecessor in its place loses
+        # (2, 0, 4) on the bowtie
+        from coarsecover.corpus import grid_graph, hypercube3
+        from coarsecover.graphs import barycentric_subdivision, make_graph
+        bowtie = make_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
+                                (1, 5), (3, 4), (3, 5)])
+        for g in (cycle_graph(5), wedge_of_cycles(2, 4), star_graph(3),
+                  cycle_graph(4), cycle_graph(6), grid_graph(3, 3),
+                  hypercube3(), bowtie):
             sub = barycentric_subdivision(g)
             assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
 

@@ -1,4 +1,5 @@
-"""Property tests: the geodesic-triangle kernels, the block decomposition,
+"""Property tests: the geodesic-triangle kernels, the geodesic dominators
+against the geodesic counts, the block decomposition,
 the geodesic turn iterator, the small-geodesic sweeps, angle sums, the
 Rips pair relation, the theta3 circuit bound and the lemma battery's
 connector test built on them against the brute-force oracles (networkx's for the blocks),
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
-    all_angles, angle_sum, canonical_angle, geodesic_turns, k_fold_sum, small_lines, \
-    small_steps, theta3, theta3_circuit_bound_check
+    all_angles, angle_sum, canonical_angle, geodesic_dominators, \
+    geodesic_turns, k_fold_sum, small_lines, small_steps, theta3, \
+    theta3_circuit_bound_check
 from coarsecover.corpus import cycle_graph, dihedral_group, grid_graph, \
     spider, spider_rotation, star_graph
 from coarsecover.flow import build_cf_theta
@@ -31,7 +33,6 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     biconnected_blocks,
     canon_edge,
-    geodesic_counts,
     make_graph,
     slimness_constant,
 )
@@ -42,6 +43,7 @@ from oracles import (
     all_simple_shortest_paths,
     angle_sum_brute,
     distance_matrix,
+    geodesic_counts,
     mask_neighbours,
     mask_vertices,
     small_carriers,
@@ -78,6 +80,27 @@ def test_geodesic_counts_match_enumeration(g):
     for s in g.vertices:
         for w in g.vertices:
             assert sigma[s][w] == len(all_simple_shortest_paths(g, s, w))
+
+
+@SETTINGS
+@given(graphs(), st.booleans())
+def test_dominators_match_the_geodesic_counts(g, subdivided):
+    """From each source p, v has bit q in the dominator mask exactly when
+    it lies on every p-q geodesic by the counts: d(p,v) + d(v,q) = d(p,q)
+    and sigma(p,v) * sigma(v,q) = sigma(p,q), for every q that p reaches,
+    on the graph or on its subdivision."""
+    if subdivided:
+        g = barycentric_subdivision(g).graph
+    dist = distance_matrix(g)
+    sigma = geodesic_counts(g, dist)
+    bit = [1 << v for v in g.vertices]
+    for p in g.vertices:
+        reached = [q for q in g.vertices if dist[p][q] is not INF]
+        below = geodesic_dominators(g, dist[p], reached, bit)
+        for v in g.vertices:
+            assert [below[v] >> q & 1 for q in reached] == [
+                dist[p][v] + dist[v][q] == dist[p][q]
+                and sigma[p][v] * sigma[v][q] == sigma[p][q] for q in reached]
 
 
 @SETTINGS

@@ -24,7 +24,6 @@ from coarsecover.graphs import (
     barycentric_subdivision,
     dag_to_dot,
     fineness_profile,
-    geodesic_counts,
     geodesic_dag,
     geodesic_steps,
     graph_to_dot,
@@ -33,8 +32,8 @@ from coarsecover.graphs import (
     slimness_constant,
 )
 from oracles import _canonical_circuit, all_simple_shortest_paths, \
-    circuits_through_edge, distance_matrix, graph_to_document, \
-    slimness_brute, slimness_min_over_sides
+    circuits_through_edge, distance_matrix, geodesic_counts, \
+    graph_to_document, slimness_brute, slimness_min_over_sides
 
 
 class TestLoadGraph:

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +231,24 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
                          + [(v, v + 1) for v in range(3, 23)])
     assert slimness_constant(k4_path).delta == 0
     assert columns == [(4, x) for x in range(4)]
+
+
+def test_theta3_makes_one_dominator_sweep_per_corner(monkeypatch):
+    """Under the dihedral group of the 20-cycle, theta3 sweeps once from
+    each of the 40 corners of the subdivided block, and counts no
+    geodesics: no module of the package names geodesic_counts."""
+    sources = []
+    sweep = angles.geodesic_dominators
+
+    def spy(g, dp, vertices, bit):
+        sources.append(dp.index(0))
+        return sweep(g, dp, vertices, bit)
+
+    monkeypatch.setattr(angles, "geodesic_dominators", spy)
+    build_instance(cycle_graph(20), dihedral_group(20).generators)
+    assert sorted(sources) == list(range(40))
+    assert [p.name for p in Path(angles.__file__).parent.glob("*.py")
+            if "geodesic_counts" in p.read_text()] == []
 
 
 def test_theta3_runs_one_apex_per_orbit(monkeypatch):
