@@ -256,7 +256,9 @@ class GeodesicIndex:
 class SlimnessReport:
     """delta, and witness_triangle found on each read: the first triple, in
     combinations order, of defect delta, or (0, 0, 0) at delta 0.  It can
-    span blocks, so each read runs a new whole-graph scan."""
+    span blocks, so each read runs a new whole-graph scan, which sweeps
+    only the endpoints of the sides it reads, those at least 2 * delta
+    long."""
 
     delta: int
     graph: Graph = field(repr=False, compare=False)
@@ -298,30 +300,49 @@ class _DefectScan:
     p-r and q-r.  Sets of third corners r are byte masks, byte r 0 or 1.
     A defect on side p-q is at most d(p,q) // 2, so both scans take the
     sides longest first and end at the first side too short to matter.
+    A side reads only its two endpoints' columns and masks, so each
+    endpoint's columns are swept on first read, and its masks at the
+    current threshold are made on first read and dropped when the
+    threshold moves: a scan sweeps only the endpoints it reads.
     """
 
     def __init__(self, g: Graph, dist):
         n = self.n = g.vertex_count
+        self.graph = g
         self.dist = dist
-        self.cols = [_maximin_columns(g, dist, x) for x in range(n)]
+        self.cols = [None] * n
         self.corner = [1 << 8 * r for r in range(n)]
         self.pairs = sorted(combinations(range(n), 2),
                             key=lambda pq: -dist[pq[0]][pq[1]])
 
+    def columns(self, x):
+        cols = self.cols[x]
+        if cols is None:
+            cols = self.cols[x] = _maximin_columns(self.graph, self.dist, x)
+        return cols
+
     def above(self, t):
-        # byte r of above(t)[x][v] is 1 iff m(x, r)[v] > t
-        return [[int.from_bytes(bytes(map(t.__lt__, col)), "little")
-                 for col in xcols] for xcols in self.cols]
+        # byte r of mask(x)[v] is 1 iff m(x, r)[v] > t
+        self.t = t
+        self.masks = [None] * self.n
+
+    def mask(self, x):
+        masks = self.masks[x]
+        if masks is None:
+            masks = self.masks[x] = [
+                int.from_bytes(bytes(map(self.t.__lt__, col)), "little")
+                for col in self.columns(x)]
+        return masks
 
     def side(self, p, q):
         dp, dq = self.dist[p], self.dist[q]
         return compress(range(self.n),
                         map(eq, map(add, dp, dq), repeat(dp[q])))
 
-    def thirds(self, masks, p, q):
+    def thirds(self, p, q):
         # the corners r for which some v on side p-q has a defect above the
         # masks' threshold
-        mp, mq = masks[p], masks[q]
+        mp, mq = self.mask(p), self.mask(q)
         found = 0
         for v in self.side(p, q):
             found |= mp[v] & mq[v]
@@ -331,29 +352,29 @@ class _DefectScan:
     def delta(self, floor):
         """The largest defect, or floor if no defect exceeds it."""
         delta = floor
-        masks = self.above(delta)
+        self.above(delta)
         for p, q in self.pairs:
             if self.dist[p][q] <= 2 * delta + 1:
                 break
-            rs = self.thirds(masks, p, q)
+            rs = self.thirds(p, q)
             if rs:
-                cp, cq = self.cols[p], self.cols[q]
+                cp, cq = self.columns(p), self.columns(q)
                 delta = max(min(cp[v][r], cq[v][r])
                             for v in self.side(p, q) for r in rs)
-                masks = self.above(delta)
+                self.above(delta)
         return delta
 
     def witness(self, delta):
         """The least triple, in combinations order, with a side of defect
         delta (the largest defect, at least 1); for one side p < q, the
         least such triple has the least third corner."""
-        masks = self.above(delta - 1)
+        self.above(delta - 1)
         triples = []
         for p, q in self.pairs:
             if self.dist[p][q] < 2 * delta:
                 break
             triples += [tuple(sorted((p, q, r)))
-                        for r in self.thirds(masks, p, q)[:1]]
+                        for r in self.thirds(p, q)[:1]]
         return min(triples)
 
 

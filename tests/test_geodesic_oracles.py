@@ -24,8 +24,8 @@ from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
     all_angles, angle_sum, canonical_angle, geodesic_dominators, \
     geodesic_turns, k_fold_sum, small_lines, small_steps, theta3, \
     theta3_circuit_bound_check
-from coarsecover.corpus import cycle_graph, dihedral_group, grid_graph, \
-    spider, spider_rotation, star_graph
+from coarsecover.corpus import barbell, cycle_graph, dihedral_group, \
+    grid_graph, spider, spider_rotation, star_graph
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import (
     INF,
@@ -131,6 +131,11 @@ def test_theta3_matches_brute(g):
 
 @SETTINGS
 @given(graphs(max_n=6, max_extra=4))
+# the bowtie: triangles 0-1-2 and 0-3-4 closed by the path 1-5-3; with the
+# first geodesic predecessor of a corner taken as its dominator, theta3 of
+# its subdivision loses the angle (2, 0, 4)
+@example(make_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5),
+                        (3, 4), (3, 5)]))
 def test_theta3_on_subdivision_matches_brute(g):
     sub = barycentric_subdivision(g)
     assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
@@ -198,6 +203,12 @@ def _check_slimness(g):
 
 @SETTINGS
 @given(graphs(connected=True))
+# the barbell's first C8 sets delta 2, so no side of its second C8 is read
+@example(barbell(8, 6))
+# one scan: delta rises from 0 to 1 at its first side, and to 2 at a later
+# side longer than 2 * 1 + 1
+@example(make_graph(9, [(0, 1), (0, 2), (1, 3), (2, 5), (3, 4), (3, 6),
+                        (4, 5), (4, 8), (6, 7), (7, 8)]))
 def test_slimness_matches_brute(g):
     _check_slimness(g)
 

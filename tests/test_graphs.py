@@ -10,6 +10,7 @@ from coarsecover.corpus import (
     barbell,
     complete_graph,
     cycle_graph,
+    grid_graph,
     hypercube3,
     path_graph,
     random_tree,
@@ -236,25 +237,44 @@ class TestSlimness:
 
     def test_witness_is_found_when_read(self, monkeypatch):
         # the barbell's blocks of more than 3 vertices are its two C8s: the
-        # delta sweeps those alone, and the witness, which may span blocks,
-        # sweeps the whole graph on each read
+        # delta sweeps the first C8 from the two ends of its first side,
+        # where the defect reaches 2, and no side of the second C8 is longer
+        # than 2 * 2 + 1, so it sweeps nothing; the witness, which may span
+        # blocks, sweeps every vertex of the whole graph once on each read
         columns = self._record_columns(monkeypatch)
         g = barbell(8, 6)
         rep = slimness_constant(g)
         assert rep.delta == 2
-        assert columns == [(8, x) for x in range(8)] * 2
+        assert columns == [(8, 0), (8, 4)]
         del columns[:]
         assert rep.witness_triangle == (0, 1, 4)
-        assert columns == [(21, x) for x in range(21)]
+        assert sorted(columns) == [(21, x) for x in range(21)]
 
     def test_one_block_witness_reads_the_block_scan(self, monkeypatch):
         # the block is the whole graph, and reading the witness still runs
-        # one more whole-graph scan: no scan outlives the delta
+        # one more whole-graph scan, from its first side again: no scan
+        # outlives the delta
         columns = self._record_columns(monkeypatch)
         rep = slimness_constant(cycle_graph(6))
-        assert columns == [(6, x) for x in range(6)]
+        assert columns == [(6, 0), (6, 3)]
         assert (rep.delta, rep.witness_triangle) == (1, (0, 1, 3))
-        assert columns == [(6, x) for x in range(6)] * 2
+        assert columns[:4] == [(6, 0), (6, 3)] * 2
+        assert sorted(columns[2:]) == [(6, x) for x in range(6)]
+
+    def test_delta_sweeps_only_the_endpoints_it_reads(self, monkeypatch):
+        # on C20 the first side, an antipodal pair, already has defect 5,
+        # and no side is longer than 2 * 5 + 1: two sweeps, not twenty
+        columns = self._record_columns(monkeypatch)
+        assert slimness_constant(cycle_graph(20)).delta == 5
+        assert columns == [(20, 0), (20, 10)]
+
+    def test_thin_grid_sweeps_each_source_at_most_once(self, monkeypatch):
+        # on the 2 x 30 grid delta stays 1 and the scan reads every side
+        # longer than 3, so it reads every endpoint; each one's columns are
+        # swept once however often its sides are read
+        columns = self._record_columns(monkeypatch)
+        assert slimness_constant(grid_graph(2, 30)).delta == 1
+        assert sorted(columns) == [(60, x) for x in range(60)]
 
 
 class TestCircuits:

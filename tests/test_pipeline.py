@@ -208,9 +208,9 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
 
 def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
     """Slimness is measured block by block: on a tree the pipeline and the
-    flow space's slimness fallback compute no maximin column, and on a K4
-    glued to a long path the delta computes one per K4 vertex, on the K4
-    alone."""
+    flow space's slimness fallback compute no maximin column, and on a C8
+    glued to a long path the delta computes columns on the C8 alone, from
+    the two ends of its first side."""
     columns = []
     maximin_columns = graphs._maximin_columns
 
@@ -227,10 +227,10 @@ def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
     build_cf_theta(sub, k_fold_sum(t3, 2), sub.ve_vertices()[::6],
                    index=index, theta3_set=t3)
     assert columns == []
-    k4_path = make_graph(24, [(u, v) for u in range(4) for v in range(u)]
-                         + [(v, v + 1) for v in range(3, 23)])
-    assert slimness_constant(k4_path).delta == 0
-    assert columns == [(4, x) for x in range(4)]
+    c8_path = make_graph(24, [(v, (v + 1) % 8) for v in range(8)]
+                         + [(v, v + 1) for v in range(7, 23)])
+    assert slimness_constant(c8_path).delta == 2
+    assert columns == [(8, 0), (8, 4)]
 
 
 def test_theta3_makes_one_dominator_sweep_per_corner(monkeypatch):
