@@ -17,6 +17,7 @@ their unique angle never counts against smallness.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
@@ -104,13 +105,9 @@ def trivial_only(g: Graph) -> AngleSet:
 
 
 def all_angles(g: Graph) -> AngleSet:
-    out = set()
-    for apex in g.vertices:
-        nbrs = g.neighbors(apex)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                out.add(canonical_angle(nbrs[i], apex, nbrs[j]))
-    return AngleSet(g, frozenset(out))
+    # neighbours are sorted, so each pair of them is canonical
+    return AngleSet(g, frozenset((u, apex, w) for apex in g.vertices for u, w
+                                 in combinations(g.neighbors(apex), 2)))
 
 
 def angle_set_from_triples(g: Graph, triples) -> AngleSet:
@@ -142,12 +139,9 @@ def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
     group invariant whenever both summands are.
     """
     a._check_base(b)
-    g = a.graph
-    every = sum(len(nb) * (len(nb) - 1) // 2
-                for nb in map(g.neighbors, g.vertices))
     for s in (a, b):
-        if len(s) == every:
-            return s  # every angle of g, and a sum holds no more
+        if len(s) == a.graph.angle_count:
+            return s  # every angle of the graph, and a sum holds no more
     out = set(a.nontrivial) | set(b.nontrivial)
     by_apex_a = {}
     for (u, apex, w) in a.nontrivial:
@@ -165,7 +159,7 @@ def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
                 for w in nb.get(q, ()):
                     if p != w:
                         out.add(canonical_angle(p, apex, w))
-    return AngleSet(g, frozenset(out))
+    return AngleSet(a.graph, frozenset(out))
 
 
 def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
@@ -206,8 +200,9 @@ class SmallnessOracle:
     the j-th neighbour w of v, so a step v -> w is recorded at w without a
     search.  Every turn is decided here, once; the sweeps only combine
     masks.  split[v] is True when some turn at v is large, that is, some
-    exit mask of v lacks a bit; it is computed on first read.  size is
-    theta, the size whose turns are decided.
+    exit mask of v lacks a bit; it is computed on first read, or set all
+    False for a size holding every angle.  size is theta, the size whose
+    turns are decided.
     """
 
     def __init__(self, base, theta: AngleSet):
@@ -221,10 +216,19 @@ class SmallnessOracle:
                 raise ValueError("theta must pair edges of this graph")
         self.size = theta
         adj = [g.neighbors(v) for v in g.vertices]
+        # w ascending appends to links[v] in neighbors(v) order, which is
+        # sorted
+        self.links = links = [[] for _ in adj]
+        for w, nbrs in enumerate(adj):
+            for j, v in enumerate(nbrs):
+                links[v].append((w, 1 << j))
         # every turn at a midpoint is small, and a trivial turn anywhere;
         # then each angle of theta sets its two bits at its apex
         self.exits = exits = [[(1 << len(nbrs)) - 1] * len(nbrs)
                               for nbrs in adj]
+        if len(theta) == theta.graph.angle_count:  # every turn is small
+            self.split = [False] * len(adj)
+            return
         pos = {}
         for v in g.vertices if sub is None else sub.v_vertices():
             pos[v] = {far_end(sub, v, w): j for j, w in enumerate(adj[v])}
@@ -233,12 +237,6 @@ class SmallnessOracle:
             i, j = pos[v][u], pos[v][x]
             exits[v][i] |= 1 << j
             exits[v][j] |= 1 << i
-        # w ascending appends to links[v] in neighbors(v) order, which is
-        # sorted
-        self.links = links = [[] for _ in adj]
-        for w, nbrs in enumerate(adj):
-            for j, v in enumerate(nbrs):
-                links[v].append((w, 1 << j))
 
     @cached_property
     def split(self):
@@ -618,29 +616,42 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
 # ---------------------------------------------------------------------------
 
 
-def d_theta(sub: Subdivision, theta: AngleSet) -> dict:
-    """Chain metric on midpoint vertices of a subdivision, as rows:
-    midpoint -> {midpoint: distance}, both in ve_vertices order.
+def d_theta(sub: Subdivision, oracle: SmallnessOracle, radius):
+    """The chain metric of oracle's size on the midpoints of sub, oracle
+    being SmallnessOracle(sub, theta), and its balls of the given radius:
+    (rows, balls).  rows maps each midpoint, in ve_vertices order, to a
+    list by vertex, INF at the original vertices; balls[v] is the bitmask
+    of the midpoints within radius of v (0 at an original vertex).
 
     d(w, w') minimizes the summed graph length of chains of small-geodesic
     hops.  Any hop of length >= 2 passes an intermediate midpoint whose two
-    halves are again small, so unit hops suffice: the metric is the path
-    metric of the graph on midpoints joining (e, e') whenever that angle
-    lies in theta, numbered in ve_vertices order, and each row is a
-    bfs_row of it.  Distances are in original units (integers, inf
-    allowed).
+    halves are again small, so unit hops suffice: the path metric of the
+    graph joining the i-th and j-th midpoints at an original vertex v when
+    bit j of oracle.exits[v][i] is set, in original units.  A row is one
+    BFS of it, a ball the prefix of its order up to radius.
     """
-    order = sub.ve_vertices()
-    pos = {m: i for i, m in enumerate(order)}
-    hops = []
-    for apex in sub.v_vertices():
-        steps = [(pos[m], far_end(sub, apex, m))
-                 for m in sub.graph.neighbors(apex)]
-        hops += [(i, j) for (i, u), (j, w) in combinations(steps, 2)
-                 if theta.contains(u, apex, w)]
-    hop_graph = make_graph(len(order), hops)
-    return {m: dict(zip(order, bfs_row(hop_graph, i)))
-            for i, m in enumerate(order)}
+    exits = oracle.exits
+    if len(exits) != sub.graph.vertex_count:
+        raise ValueError("the oracle must decide the turns of sub")
+    hops = [[] for _ in exits]
+    for v in sub.v_vertices():
+        mids = sub.graph.neighbors(v)
+        for i, x in enumerate(exits[v]):
+            hops[mids[i]] += [w for j, w in enumerate(mids)
+                              if x >> j & 1 and j != i]
+    rows, balls = {}, [0] * len(exits)
+    for s in sub.ve_vertices():
+        row = rows[s] = [INF] * len(exits)
+        row[s], queue = 0, [s]
+        for u in queue:  # the queue grows while it is walked
+            du = row[u] + 1
+            for w in hops[u]:
+                if row[w] is INF:
+                    row[w] = du
+                    queue.append(w)
+        near = bisect_right(list(map(row.__getitem__, queue)), radius)
+        balls[s] = sum(map((1).__lshift__, queue[:near]))
+    return rows, balls
 
 
 # ---------------------------------------------------------------------------

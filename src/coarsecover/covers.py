@@ -79,7 +79,7 @@ class PairSpace:
 
     v_points: tuple  # ascending; bit i of a mask stands for v_points[i]
     fibers: dict  # every z-point -> the mask of V_z, empty fibers included
-    dist: dict  # v -> {w: d(v, w)}
+    dist: dict  # v -> its row, row[w] = d(v, w): a dict, or a list by vertex
     group: GroupModel  # p acts on the v-points as the permutation it is
     act_z: dict  # p -> {z: p z}, a list when the z-points are 0..k-1
     z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}
@@ -165,8 +165,8 @@ class DoublingReport:
 
 def _dense_distances(points, dist):
     """Dense distances among points, indexed by their position in it.
-    dist is the metric as a function dist(a, b), or as rows, a -> {b:
-    d(a, b)}, each row read once at the points."""
+    dist is the metric as a function dist(a, b), or as rows, dist[a][b] =
+    d(a, b), each row a dict or a list by vertex, read once at the points."""
     if callable(dist):
         return [[dist(a, b) for b in points] for a in points]
     return [list(map(dist[a].__getitem__, points)) for a in points]

@@ -65,7 +65,7 @@ class CoarseFlowSpace:
     delta: int
     endpoints: tuple
     fibers: dict  # (xi-, xi+) -> bitmask of the admitted midpoints v
-    metric: dict  # the chain metric d_theta, midpoint -> {midpoint: distance}
+    metric: dict  # d_theta's rows: midpoint -> a list by vertex, see there
     group: GroupModel
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
@@ -100,7 +100,8 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     lesser end: with n vertices, the weight of v is v's bit joined with
     the bitmask of v's delta'-ball shifted by n (no ball at an original
     vertex), so the low n bits of a target's OR are its line and the rest
-    its fiber.  Lines and fibers are kept as bitmasks, and the pairs are
+    its fiber; d_theta gives the balls with the metric, off the sweeps'
+    oracle.  Lines and fibers are kept as bitmasks, and the pairs are
     grouped by equal fiber as they come.  Each unordered pair is built once
     and its line and fiber stored under both orders, since a line is
     symmetric in its two ends.  The sweeps find their own layers, so no
@@ -134,16 +135,11 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
             endpoints.add(p[v])
     endpoints = tuple(sorted(endpoints))
 
-    metric = d_theta(sub, theta)
     oracle = SmallnessOracle(sub, theta)
+    metric, balls = d_theta(sub, oracle, delta + 1)
     n = g.vertex_count
-    weight = [1 << v for v in g.vertices]
-    for v, row in metric.items():
-        ball = sum(1 << w for w, dw in row.items() if dw <= delta + 1)
-        weight[v] |= ball << n
-    lines = {}
-    fibers = {}
-    classes = {}
+    weight = [1 << v | ball << n for v, ball in enumerate(balls)]
+    lines, fibers, classes = {}, {}, {}
     for i, xm in enumerate(endpoints):
         for xp, m in small_lines(oracle, xm, endpoints[i + 1:],
                                  weight).items():

@@ -43,6 +43,7 @@ class Graph:
     cone_vertices: frozenset = frozenset()
     labels: dict = field(default_factory=dict, compare=False)
     _adj: dict = field(init=False, compare=False, repr=False)
+    angle_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         adj = {v: [] for v in range(self.vertex_count)}
@@ -59,6 +60,8 @@ class Graph:
             if not (0 <= v < self.vertex_count):
                 raise GraphFormatError("cone vertex %d out of range" % v)
         object.__setattr__(self, "_adj", {v: tuple(sorted(ws)) for v, ws in adj.items()})
+        object.__setattr__(self, "angle_count", sum(  # edge pairs at a vertex
+            len(ws) * (len(ws) - 1) // 2 for ws in adj.values()))
 
     @property
     def vertices(self):

@@ -23,7 +23,7 @@ from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     pair_space, slices_of
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
-    _closing_paths, bfs_row, canon_edge, make_graph
+    Subdivision, _closing_paths, bfs_row, canon_edge, make_graph
 from coarsecover.symmetry import GroupModel, act_angle, close_group, \
     compose, invert
 
@@ -349,6 +349,26 @@ def _turn_small(theta, path, i, sub):
         return b if a == apex else a
 
     return theta.contains(far(x), apex, far(y))
+
+
+def exit_table_definitional(base, theta):
+    """SmallnessOracle(base, theta)'s (exits, split) by their definition,
+    on a graph or a subdivision: bit j of exits[v][i] is set when the turn
+    from v's i-th to its j-th neighbour is small as _turn_small reads it,
+    that is when i = j, when v is a midpoint, or when theta holds the
+    angle of the two steps' far ends; split[v] when some turn at v is
+    not small."""
+    sub = base if isinstance(base, Subdivision) else None
+    g = base if sub is None else sub.graph
+    exits, split = [], []
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        small = [[_turn_small(theta, (u, v, w), 1, sub) for w in nbrs]
+                 for u in nbrs]
+        exits.append([sum(1 << j for j, ok in enumerate(row) if ok)
+                      for row in small])
+        split.append(not all(map(all, small)))
+    return exits, split
 
 
 def theta_small_paths_brute(g, theta, u, v, sub=None):

@@ -259,10 +259,15 @@ class TestSmallGeodesics:
                                 theta_small_paths_brute(g, theta, u, v))
 
 
+def chain_rows(sub, theta):
+    """d_theta's rows for theta, its balls left unread."""
+    return d_theta(sub, SmallnessOracle(sub, theta), 0)[0]
+
+
 class TestDTheta:
     def test_all_angles_recovers_graph_metric(self):
         sub = barycentric_subdivision(C6)
-        tm = d_theta(sub, all_angles(C6))
+        tm = chain_rows(sub, all_angles(C6))
         idx = GeodesicIndex(sub.graph)
         for v in sub.ve_vertices():
             for w in sub.ve_vertices():
@@ -270,7 +275,7 @@ class TestDTheta:
 
     def test_diagonal_zero(self):
         sub = barycentric_subdivision(C6)
-        tm = d_theta(sub, trivial_only(C6))
+        tm = chain_rows(sub, trivial_only(C6))
         m = sub.ve_vertices()[0]
         assert tm[m][m] == 0
 
@@ -278,7 +283,7 @@ class TestDTheta:
         # every unit hop crosses a nontrivial angle, so nothing is joined
         c4 = cycle_graph(4)
         sub = barycentric_subdivision(c4)
-        tm = d_theta(sub, trivial_only(c4))
+        tm = chain_rows(sub, trivial_only(c4))
         m01 = sub.midpoint_of_edge[(0, 1)]
         m23 = sub.midpoint_of_edge[(2, 3)]
         assert tm[m01][m23] is INF
@@ -289,7 +294,7 @@ class TestDTheta:
         g = wedge_of_cycles(2, 4)
         t3 = theta3(g)
         sub = barycentric_subdivision(g)
-        tm = d_theta(sub, t3)
+        tm = chain_rows(sub, t3)
         idx = GeodesicIndex(sub.graph)
         oracle = SmallnessOracle(sub, t3)
         for v in sub.ve_vertices():
@@ -300,12 +305,19 @@ class TestDTheta:
                 if into[w]:
                     assert tm[v][w] == dg
 
+    def test_an_oracle_of_another_graph_is_refused(self):
+        # the hops are read off the subdivision's exit masks, so an oracle
+        # on the original graph has none to give
+        sub = barycentric_subdivision(C6)
+        with pytest.raises(ValueError, match="turns of sub"):
+            d_theta(sub, SmallnessOracle(C6, all_angles(C6)), 1)
+
     def test_matches_definitional_oracle(self):
         for g in (cycle_graph(5), wedge_of_cycles(2, 4), path_graph(6),
                   theta_graph(2, 2, 2)):
             sub = barycentric_subdivision(g)
             for theta in (theta3(g), all_angles(g)):
-                tm = d_theta(sub, theta)
+                tm = chain_rows(sub, theta)
                 oracle = d_theta_definitional_oracle(sub, theta)
                 for v in sub.ve_vertices():
                     for w in sub.ve_vertices():

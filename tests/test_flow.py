@@ -249,9 +249,10 @@ class TestFiberSymmetry:
         steps = {x: small_steps(cf.index, oracle, x) for x in cf.endpoints}
         lines = {(a, b): small_carriers(cf.index, steps[a], steps[b], a, b)
                  for a in cf.endpoints for b in cf.endpoints if a != b}
+        mids = cf.sub.ve_vertices()
         fibers = {key: frozenset(v for w in line if cf.sub.is_midpoint(w)
-                                 for v, dv in cf.metric[w].items()
-                                 if dv <= cf.delta_prime)
+                                 for v in mids
+                                 if cf.metric[w][v] <= cf.delta_prime)
                   for key, line in lines.items()}
         assert {key: mask_vertices(m) for key, m in cf.lines.items()} \
             == lines
@@ -343,8 +344,8 @@ class TestDoubling:
 class TestCoverCf:
     def test_diameter_cover_partitions(self):
         g, sub, cf = tree_cf(9)
-        diam = max(dv for row in cf.metric.values()
-                   for dv in row.values() if dv is not INF)
+        diam = max(row[w] for row in cf.metric.values()
+                   for w in sub.ve_vertices() if row[w] is not INF)
         cov = expand_cover(cf, cover_cf(cf_pair_space(cf), diam))
         assert cov.order == 0
         sets = [m.points(sub.ve_vertices()) for m in cov.members]

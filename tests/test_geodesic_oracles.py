@@ -1,6 +1,7 @@
 """Property tests: the geodesic-triangle kernels, the geodesic dominators
 against the geodesic counts, the block decomposition,
-the geodesic turn iterator, the small-geodesic sweeps, angle sums, the
+the geodesic turn iterator, the small-turn table and the small-geodesic
+sweeps, the chain metric d_theta with its balls, angle sums, the
 Rips pair relation, the theta3 circuit bound and the lemma battery's
 connector test built on them against the brute-force oracles (networkx's for the blocks),
 and theta3 under a group against theta3 with every apex.
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
-    all_angles, angle_sum, canonical_angle, geodesic_dominators, \
+    all_angles, angle_sum, canonical_angle, d_theta, geodesic_dominators, \
     geodesic_turns, k_fold_sum, small_lines, small_steps, theta3, \
     theta3_circuit_bound_check
 from coarsecover.corpus import barbell, cycle_graph, dihedral_group, \
@@ -42,7 +43,9 @@ from coarsecover.symmetry import close_group, is_automorphism
 from oracles import (
     all_simple_shortest_paths,
     angle_sum_brute,
+    d_theta_definitional_oracle,
     distance_matrix,
+    exit_table_definitional,
     geodesic_counts,
     mask_neighbours,
     mask_vertices,
@@ -472,6 +475,66 @@ def test_small_geodesic_scans_match_brute(case):
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
+
+
+@st.composite
+def graphs_with_size(draw, **kw):
+    """A random graph and a size drawn as every angle, no angle, every
+    angle but one, theta3 or a random subset of the angles."""
+    g = draw(graphs(**kw))
+    every = sorted(all_angles(g).nontrivial)
+    kind = draw(st.sampled_from(("every", "none", "every but one", "theta3",
+                                 "random")))
+    if kind == "every":
+        chosen = every
+    elif kind == "none" or not every:
+        chosen = ()
+    elif kind == "every but one":
+        chosen = set(every) - {draw(st.sampled_from(every))}
+    elif kind == "theta3":
+        chosen = theta3(g).nontrivial
+    else:
+        chosen = draw(st.sets(st.sampled_from(every)))
+    return g, AngleSet(g, frozenset(chosen))
+
+
+@SETTINGS
+@given(graphs_with_size(), st.booleans())
+@example(C7_AT_1_LARGE, False)
+@example(C7_AT_1_LARGE, True)
+def test_smallness_oracle_matches_the_definitional_exit_table(case,
+                                                              subdivide):
+    """SmallnessOracle's exit masks and split flags against their
+    definition, on the graph or its subdivision; C7 less one angle is a
+    size one angle short of every angle, which is no full size."""
+    g, theta = case
+    base = barycentric_subdivision(g) if subdivide else g
+    oracle = SmallnessOracle(base, theta)
+    assert (oracle.exits, oracle.split) == \
+        exit_table_definitional(base, theta)
+
+
+@SETTINGS
+@given(graphs_with_size(max_n=8, max_extra=5, connected=True),
+       st.integers(0, 4))
+def test_d_theta_matches_the_definitional_metric(case, radius):
+    """d_theta's rows against the Dijkstra over small hops at every pair
+    of midpoints, INF at every original vertex, and its balls, at the
+    graph's delta' and at a random radius, against the balls of the
+    definitional metric."""
+    g, theta = case
+    sub = barycentric_subdivision(g)
+    want = d_theta_definitional_oracle(sub, theta)
+    mids = sub.ve_vertices()
+    oracle = SmallnessOracle(sub, theta)
+    for r in (slimness_constant(g).delta + 1, radius):
+        rows, balls = d_theta(sub, oracle, r)
+        assert list(rows) == list(mids)
+        for v in mids:
+            assert all(rows[v][w] is INF for w in sub.v_vertices())
+            assert [rows[v][w] for w in mids] == [want[v, w] for w in mids]
+            assert balls[v] == sum(1 << w for w in mids if want[v, w] <= r)
+        assert balls[:g.vertex_count] == [0] * g.vertex_count
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import random
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from coarsecover.corpus import (
 from coarsecover.covers import CoverMember, PairSpace, Slices, wide_failures
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
-    make_graph, slimness_constant
+    canon_edge, make_graph, slimness_constant
 from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
     select_theta0
 from coarsecover.rips import contract_subcomplex
@@ -269,3 +270,69 @@ def test_theta3_runs_one_apex_per_orbit(monkeypatch):
     apexes.clear()
     assert build_instance(g, ()).t3 == t3
     assert apexes == list(range(20))
+
+
+# ---------------------------------------------------------------------------
+# Renaming the vertices
+# ---------------------------------------------------------------------------
+
+# the corpus runs, and random trees and spiders with their groups, as
+# (name, graph, generators, theta0_mode, alpha, tau_max)
+RENAMED_CASES = pipeline_instances() + [
+    ("tree14-s4", random_tree(14, 4), [], "all", 1, 4),
+    ("tree20-s11", random_tree(20, 11), [], "all", 1, 4),
+    ("spider3-4", spider(3, 4), [spider_rotation(3, 4)], "seed", 1, 4),
+    ("spider5-3", spider(5, 3), [spider_rotation(5, 3)], "all", 1, 4),
+]
+# the stages up to the flow space's doubling report, which read no choice
+# that follows the labels but the base vertex, the least edge's midpoint
+STAGES_THROUGH_DOUBLING = ("setup", "theta3", "cone", "dichotomy",
+                           "flow_space", "flow_doubling")
+
+
+def renamed(g, gens, perm):
+    """g and its generators under the renaming v -> perm[v]."""
+    h = make_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges],
+                   [perm[c] for c in g.cone_vertices],
+                   {perm[v]: label for v, label in g.labels.items()})
+    moved = []
+    for gen in gens:
+        out = [0] * len(perm)
+        for v, w in enumerate(gen):
+            out[perm[v]] = perm[w]
+        moved.append(tuple(out))
+    return h, moved
+
+
+@pytest.mark.parametrize("name, g, gens, mode, alpha, tau_max",
+                         RENAMED_CASES, ids=[c[0] for c in RENAMED_CASES])
+def test_renaming_the_vertices(name, g, gens, mode, alpha, tau_max):
+    """A renaming that sends the ends of the least edge to 0 and 1 keeps
+    the base vertex the least edge's midpoint: every stage through the
+    flow doubling report is the same, the base vertex mapped.  A free
+    renaming moves the base vertex, and the verdict is the same."""
+    rng = random.Random(name)
+
+    def run(h, hgens):
+        return run_pipeline(h, hgens, alpha=alpha, tau_max=tau_max,
+                            theta0_mode=mode)
+
+    res = run(g, gens)
+    a, b = min(g.edges)
+    for _ in range(2):
+        rest = [v for v in g.vertices if v not in (a, b)]
+        rng.shuffle(rest)
+        perm = [0] * g.vertex_count
+        for k, v in enumerate([a, b] + rest):
+            perm[v] = k
+        moved = run(*renamed(g, gens, perm))
+        u, w = res.instance.sub.edge_of_midpoint[res.instance.v0]
+        want = {k: res.stages.get(k) for k in STAGES_THROUGH_DOUBLING}
+        want["setup"] = dict(want["setup"], base_vertex=moved.instance.sub
+                             .midpoint_of_edge[canon_edge(perm[u], perm[w])])
+        assert {k: moved.stages.get(k) for k in STAGES_THROUGH_DOUBLING} \
+            == want
+        assert moved.ok == res.ok
+        free = list(g.vertices)
+        rng.shuffle(free)
+        assert run(*renamed(g, gens, free)).ok == res.ok
