@@ -282,46 +282,55 @@ def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
         for *_, angle in geodesic_turns(index, sub, a, b)))
 
 
-def small_steps(index: GeodesicIndex, oracle: SmallnessOracle, x):
-    """(into, reach): the last steps of the small geodesics from x, and
-    the steps that may follow them, as neighbour bitmasks per vertex.
+def small_steps(oracle: SmallnessOracle, x, radius):
+    """(into, reach): the last steps of the small geodesics from x of
+    length at most radius, and the steps that may follow them, as
+    neighbour bitmasks per vertex.
 
     into[v] has bit i when some small geodesic x -> v ends with the step
     from v's i-th neighbour; reach[v] is the OR of oracle.exits[v][i] over
     those i, the steps out of v that some small geodesic x -> v turns into
     smally, with every bit set at x, where nothing turns.  One sweep from x
-    in BFS order.  Every prefix of a geodesic is a geodesic, so a small
-    geodesic x -> w ending v -> w is a small geodesic x -> v followed by
-    the step v -> w with a small turn at v, which is the bit of w in
-    reach[v].  BFS order settles into[v], and so reach[v], before the
-    steps out of v are tried.  into[v] is 0 for v = x and for v
-    unreachable from x; a small geodesic x -> v exists exactly when
-    into[v] is nonzero.
+    in BFS order, which finds each vertex's layer itself.  Every prefix of
+    a geodesic is a geodesic, so a small geodesic x -> w ending v -> w is a
+    small geodesic x -> v followed by the step v -> w with a small turn at
+    v, which is the bit of w in reach[v].  BFS order settles into[v], and
+    so reach[v], before the steps out of v are tried.  into[v] is 0 for
+    v = x, for v unreachable from x and for v farther than radius; within
+    radius, a small geodesic x -> v exists exactly when into[v] is nonzero.
+
+    The sweep stops after layer radius (INF for none), or after a layer
+    that no small geodesic reaches, as then none reaches a later one.  A
+    vertex no small geodesic reaches only advances the layers.
     """
-    g, dx = index.graph, index.dist[x]
     exits, links = oracle.exits, oracle.links
-    into = [0] * g.vertex_count
-    reach = [0] * g.vertex_count
-    reach[x] = (1 << len(exits[x])) - 1
-    layer, d = [x], 1
-    while layer:
-        reached = []
+    n = len(exits)
+    # dist[w] is n, beyond every layer, until w has one
+    dist, into, reach = [n] * n, [0] * n, [0] * n
+    dist[x], reach[x] = 0, (1 << len(exits[x])) - 1
+    layer, d, small = [x], 0, True
+    while small and d < radius:
+        reached, d, small = [], d + 1, False
         for u in layer:
             r = reach[u]
             for w, bit in links[u]:
-                if r & 1 and dx[w] == d:
-                    if not into[w]:
+                dw = dist[w]
+                if dw >= d:
+                    if dw > d:
+                        dist[w] = d
                         reached.append(w)
-                    into[w] |= bit
+                    if r & 1:
+                        into[w] |= bit
                 r >>= 1
         for w in reached:
             m, ex, r = into[w], exits[w], 0
+            small = small or m != 0
             while m:
                 low = m & -m
                 r |= ex[low.bit_length() - 1]
                 m ^= low
             reach[w] = r
-        layer, d = reached, d + 1
+        layer = reached
     return into, reach
 
 
@@ -478,8 +487,8 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
     distances and geodesics, so the angles at p.v are the p-images of the
     angles at v.
 
-    The set is the union over the biconnected blocks of at least 3
-    vertices, each block measured on the global rows cut down to it (see
+    The set is the union over the biconnected blocks that hold a cycle,
+    each block measured on the global rows cut down to it (see
     biconnected_blocks; a block of a subdivision is the subdivision of a
     block of the original graph).  If the first steps from apex v toward
     corners p and q go into different blocks, v is a cut vertex on every
@@ -496,7 +505,7 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
         raise ValueError("the group must act on the original graph")
     if g.vertex_count * g.vertex_count > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
-    blocks = [b for b in biconnected_blocks(original) if len(b[0]) >= 3]
+    blocks = biconnected_blocks(original)
     if blocks and index is None:
         index = GeodesicIndex(g)
     result = set()
@@ -759,7 +768,7 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     @cache
     def small_into(oracle, a):
         # into[b] is nonzero when some oracle-small a -> b geodesic exists
-        return small_steps(index, oracle, a)[0]
+        return small_steps(oracle, a, INF)[0]
 
     for _ in range(trials):
         which = rng.randrange(6)

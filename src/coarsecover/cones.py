@@ -19,6 +19,7 @@ from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
     geodesic_angles, geodesic_turns, k_fold_sum, small_steps
 from .covers import Cover, CoverMember, cover_order, masked, slices_of, \
     wide_failures
+from .graphs import INF
 from .symmetry import GroupModel
 
 if TYPE_CHECKING:
@@ -177,7 +178,7 @@ def dichotomy_check(inst: Instance, oracle: SmallnessOracle, alpha, cones,
         if ge is not last:  # g^-1 once per element reaching this clause
             last, back = ge, elements[inverse[rank[ge]]]
         if into is None:
-            into = small_steps(inst.index, oracle, v0)[0]
+            into = small_steps(oracle, v0, INF)[0]
         if ge[v0] == xi or into[back[xi]]:
             small += 1
         else:

@@ -382,10 +382,11 @@ class _DefectScan:
 
 
 def biconnected_blocks(g: Graph):
-    """The biconnected blocks of g, each as (vertices, edges) with the
-    vertices sorted and the edges canonical, in no fixed block order.  A
-    block is the subgraph its vertices induce; bridges are the 2-vertex
-    blocks, and an isolated vertex lies in none.
+    """The biconnected blocks of g that hold a cycle, each as (vertices,
+    edges) with the vertices sorted and the edges canonical, in no fixed
+    block order.  A block is the subgraph its vertices induce; a block of
+    one edge, a bridge, holds no cycle and is left out, as is an isolated
+    vertex, so every block returned has at least 3 vertices.
 
     Every geodesic between two vertices of a block stays in the block, so
     a block is an isometric subgraph with the global distances, and
@@ -394,10 +395,12 @@ def biconnected_blocks(g: Graph):
     not proofs; the oracle tests check them against full geodesic
     enumeration on blocks glued at cut vertices.
 
-    One iterative Hopcroft-Tarjan pass: a depth-first search keeps the
-    edges it has seen on a stack, and when a child u of p has low(u) >=
-    disc(p), no edge below u reaches above p, so the edges from the tree
-    edge p-u up are one block.
+    One iterative Hopcroft-Tarjan pass: a depth-first search stacks each
+    vertex it finds until the vertex joins a block, and when a child u of
+    p has low(u) >= disc(p), no edge below u reaches above p, so p and the
+    vertices stacked from u up are one block, a bridge when u is alone.
+    low(u) may take disc(p) through the tree edge u-p, which leaves that
+    test unchanged.  A block's edges are those its vertices induce.
     """
     adj = g._adj
     disc = [0] * g.vertex_count  # discovery time from 1; 0 is unvisited
@@ -409,8 +412,8 @@ def biconnected_blocks(g: Graph):
             continue
         clock += 1
         disc[root] = low[root] = clock
-        edges = []
-        # (vertex, parent, neighbours left, edges seen before its tree edge)
+        found = []
+        # (vertex, parent, neighbours left, vertices found before it)
         stack = [(root, -1, iter(adj[root]), 0)]
         while stack:
             u, parent, rest, mark = stack[-1]
@@ -418,21 +421,25 @@ def biconnected_blocks(g: Graph):
                 if not disc[w]:
                     clock += 1
                     disc[w] = low[w] = clock
-                    stack.append((w, u, iter(adj[w]), len(edges)))
-                    edges.append(canon_edge(u, w))
+                    stack.append((w, u, iter(adj[w]), len(found)))
+                    found.append(w)
                     break
-                if w != parent and disc[w] < disc[u]:
-                    edges.append(canon_edge(u, w))
-                    low[u] = min(low[u], disc[w])
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:
                 stack.pop()
                 if parent < 0:
                     continue
-                low[parent] = min(low[parent], low[u])
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
                 if low[u] >= disc[parent]:
-                    es = edges[mark:]
-                    del edges[mark:]
-                    blocks.append((sorted({v for e in es for v in e}), es))
+                    if len(found) > mark + 1:
+                        vs = found[mark:] + [parent]
+                        inside = set(vs)
+                        blocks.append((sorted(vs), [
+                            (a, b) for a in vs for b in adj[a]
+                            if a < b and b in inside]))
+                    del found[mark:]
     return blocks
 
 
@@ -450,12 +457,16 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     slimness 0; the others are scanned one at a time, largest first, each
     relabelled 0..k-1 with the rows cut down to it and the running maximum
     as the floor.  Given no rows, it fills them on first read, so only the
-    rows of vertices in such blocks are computed.
+    rows of vertices in such blocks are computed.  A connected graph with
+    fewer edges than vertices is a tree, every block an edge, so delta is
+    0 with no block search.
     """
     if not g.is_connected():
         raise ValueError("slimness requires a connected graph")
     dist = _DistanceRows(g) if dist is None else dist
     delta = 0
+    if len(g.edges) < g.vertex_count:
+        return SlimnessReport(delta, g, dist)
     for vs, es in sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
                          key=lambda b: -len(b[0])):
         local = {v: i for i, v in enumerate(vs)}

@@ -229,8 +229,7 @@ class TestSmallGeodesics:
 
     @staticmethod
     def small(g, theta, u, v):
-        return bool(small_steps(GeodesicIndex(g), SmallnessOracle(g, theta),
-                                u)[0][v])
+        return bool(small_steps(SmallnessOracle(g, theta), u, INF)[0][v])
 
     def test_adjacent_always_small(self):
         assert self.small(C6, trivial_only(C6), 0, 1)
@@ -238,7 +237,7 @@ class TestSmallGeodesics:
     def test_square_all_angles(self):
         c4 = cycle_graph(4)
         index, oracle = GeodesicIndex(c4), SmallnessOracle(c4, all_angles(c4))
-        steps = [small_steps(index, oracle, x) for x in (0, 2)]
+        steps = [small_steps(oracle, x, INF) for x in (0, 2)]
         assert mask_neighbours(c4, 2, steps[0][0][2]) == {1, 3}
         got = small_carriers(index, *steps, 0, 2)
         assert got == frozenset({0, 1, 2, 3})
@@ -298,7 +297,7 @@ class TestDTheta:
         idx = GeodesicIndex(sub.graph)
         oracle = SmallnessOracle(sub, t3)
         for v in sub.ve_vertices():
-            into, _ = small_steps(idx, oracle, v)
+            into, _ = small_steps(oracle, v, INF)
             for w in sub.ve_vertices():
                 dg = idx.dist[v][w] // 2
                 assert tm[v][w] >= dg
@@ -523,7 +522,7 @@ class TestCarrierSets:
             weight = [rng.randrange(1 << 16) for _ in g.vertices]
             for theta in (trivial_only(g), theta3(g), all_angles(g)):
                 oracle = SmallnessOracle(g, theta)
-                steps = [small_steps(idx, oracle, x) for x in g.vertices]
+                steps = [small_steps(oracle, x, INF) for x in g.vertices]
                 for u in g.vertices:
                     lines = small_lines(oracle, u, g.vertices,
                                         [1 << v for v in g.vertices])

@@ -38,7 +38,7 @@ from coarsecover.corpus import (
 )
 from coarsecover.covers import Cover, CoverMember, slices_of, wide_failures
 from coarsecover import pipeline
-from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
+from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision, \
     make_graph
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
@@ -453,7 +453,7 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
         rep = dichotomy_check(inst, handed, 1, kept, xi_set)
         # the sweep reads the oracle cone_cover handed over, and none is
         # built again
-        assert [(o, src) for _, o, src in sweeps] in ([], [(handed, v0)])
+        assert [(o, src) for o, src, _ in sweeps] in ([], [(handed, v0)])
         assert built == []
         uncovered = list(wide_failures(
             [slices_of(c.members, elements) for c in kept], inst.sub_group, 1,
@@ -461,7 +461,7 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
         assert rep["failures"] == [
             (elements.index(ge), xi) for ge, xi in uncovered
             if ge[v0] != xi
-            and not small_steps(inst.index, oracle, ge[v0])[0][xi]]
+            and not small_steps(oracle, ge[v0], INF)[0][xi]]
         assert rep["clauses"] == {
             "cone": len(elements) * len(xi_set) - len(uncovered),
             "small-geodesic": len(uncovered) - len(rep["failures"])}

@@ -246,7 +246,7 @@ class TestFiberSymmetry:
             assert cf.lines[(a, b)] == cf.lines[(b, a)]
         # built on each ordered pair on its own
         oracle = SmallnessOracle(cf.sub, theta)
-        steps = {x: small_steps(cf.index, oracle, x) for x in cf.endpoints}
+        steps = {x: small_steps(oracle, x, INF) for x in cf.endpoints}
         lines = {(a, b): small_carriers(cf.index, steps[a], steps[b], a, b)
                  for a in cf.endpoints for b in cf.endpoints if a != b}
         mids = cf.sub.ve_vertices()
@@ -751,7 +751,7 @@ class TestThetaForWideness:
         ball = [p for p in Gs.elements if Gs.word_length[p] <= 1]
         for p in ball:
             a = p[v0]
-            into, _ = small_steps(idx, oracle, a)
+            into, _ = small_steps(oracle, a, INF)
             for xi in sub.ve_vertices():
                 # geodesics between ball translates and endpoints stay small
                 # whenever the base translate flows small (theta0 = corner

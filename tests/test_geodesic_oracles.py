@@ -26,7 +26,7 @@ from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
     geodesic_turns, k_fold_sum, small_lines, small_steps, theta3, \
     theta3_circuit_bound_check
 from coarsecover.corpus import barbell, cycle_graph, dihedral_group, \
-    grid_graph, spider, spider_rotation, star_graph
+    grid_graph, path_graph, spider, spider_rotation, star_graph
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import (
     INF,
@@ -189,7 +189,7 @@ def test_flow_lines_match_the_per_pair_reference(g, gens):
                             group=inst.sub_group, index=index,
                             theta3_set=inst.t3)
         oracle = SmallnessOracle(inst.sub, theta)
-        steps = {x: small_steps(index, oracle, x) for x in cf.endpoints}
+        steps = {x: small_steps(oracle, x, INF) for x in cf.endpoints}
         assert {key: mask_vertices(m) for key, m in cf.lines.items()} == {
             (a, b): small_carriers(index, steps[a], steps[b], a, b)
             for a in cf.endpoints for b in cf.endpoints if a != b}
@@ -273,15 +273,30 @@ def _blocks(pairs):
 @SETTINGS
 @given(st.one_of(graphs(max_n=12, max_extra=12), glued_blocks()))
 def test_biconnected_blocks_match_networkx(g):
+    """The blocks holding a cycle: networkx's blocks of more than one
+    edge, as bridges are left out."""
     nxg = nx.Graph()
     nxg.add_edges_from(g.edges)
     want = _blocks([canon_edge(u, v) for u, v in es]
-                   for es in nx.biconnected_component_edges(nxg))
+                   for es in nx.biconnected_component_edges(nxg)
+                   if len(es) > 1)
     blocks = biconnected_blocks(g)
     assert _blocks(es for _, es in blocks) == want
     for vs, es in blocks:
         assert vs == sorted({v for e in es for v in e})
         assert all(e == canon_edge(*e) for e in es)
+
+
+@pytest.mark.parametrize("g, want", [
+    (path_graph(6), []),
+    (barbell(8, 6), [list(range(8)), list(range(13, 21))]),
+    (make_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), [[0, 1, 2]])],
+    ids=["path6", "barbell8-6", "triangle-with-tail"])
+def test_biconnected_blocks_keep_only_cycle_blocks(g, want):
+    blocks = biconnected_blocks(g)
+    assert sorted(vs for vs, _ in blocks) == want
+    assert all(sorted(es) == sorted(e for e in g.edges if set(e) <= set(vs))
+               for vs, es in blocks)
 
 
 def _check_geodesic_turns(g, sub=None):
@@ -412,7 +427,7 @@ def _check_small_geodesics(g, theta, sub=None):
     graph = g if sub is None else sub.graph
     oracle = SmallnessOracle(g if sub is None else sub, theta)
     index = GeodesicIndex(graph)
-    steps = [small_steps(index, oracle, x) for x in graph.vertices]
+    steps = [small_steps(oracle, x, INF) for x in graph.vertices]
     rng = random.Random(graph.vertex_count)
     weight = [rng.choice((0, rng.randrange(1 << 12))) for _ in graph.vertices]
     for u in graph.vertices:
@@ -475,6 +490,48 @@ def test_small_geodesic_scans_match_brute(case):
 def test_small_geodesic_scans_on_subdivision_match_brute(case):
     g, theta = case
     _check_small_geodesics(g, theta, barycentric_subdivision(g))
+
+
+def _check_small_steps_radius(g, theta, sub=None):
+    """small_steps bounded at each radius r from 0 to the diameter + 1
+    against the theta-small geodesics of length at most r found by DFS:
+    into[v] has the last steps of those geodesics, and reach[v] ORs the
+    definitional exits of those steps, every bit at the start; both are 0
+    at a vertex that no such geodesic reaches."""
+    graph = g if sub is None else sub.graph
+    base = g if sub is None else sub
+    oracle = SmallnessOracle(base, theta)
+    exits = exit_table_definitional(base, theta)[0]
+    diameter = max(d for row in distance_matrix(graph) for d in row
+                   if d is not INF)
+    for x in graph.vertices:
+        paths = [theta_small_paths_brute(graph, theta, x, v, sub)
+                 for v in graph.vertices]
+        for r in range(diameter + 2):
+            into, reach = small_steps(oracle, x, r)
+            assert reach[x] == (1 << len(graph.neighbors(x))) - 1
+            for v in graph.vertices:
+                ends = {p[-2] for p in paths[v] if 0 < len(p) - 1 <= r}
+                assert mask_neighbours(graph, v, into[v]) == ends, (x, v, r)
+                if v != x:
+                    assert reach[v] == reduce(or_, (
+                        exits[v][i] for i, w in enumerate(graph.neighbors(v))
+                        if w in ends), 0), (x, v, r)
+
+
+@SETTINGS
+@given(graphs_with_theta())
+@wide_examples
+@example(C7_AT_1_LARGE)
+def test_small_steps_radius_matches_brute(case):
+    _check_small_steps_radius(*case)
+
+
+@SETTINGS
+@given(graphs_with_theta(max_n=6, max_extra=4))
+def test_small_steps_radius_on_subdivision_matches_brute(case):
+    g, theta = case
+    _check_small_steps_radius(g, theta, barycentric_subdivision(g))
 
 
 @st.composite
@@ -581,7 +638,7 @@ def test_angle_sum_matches_brute_and_keeps_every_angle(case):
 @given(graphs_with_theta(), st.integers(1, 4))
 def test_small_pair_relation_is_symmetric_and_matches_brute(case, d):
     g, theta = case
-    rel = SmallPairRelation(g, d, theta, GeodesicIndex(g))
+    rel = SmallPairRelation(g, d, theta)
     for u in g.vertices:
         for v in g.vertices:
             paths = theta_small_paths_brute(g, theta, u, v)

@@ -201,6 +201,24 @@ class TestSlimness:
             g = random_tree(3 + seed % 14, seed=seed)
             assert slimness_constant(g).delta == 0
 
+    @pytest.mark.parametrize("g", [path_graph(2), path_graph(12),
+                                   star_graph(6), random_tree(30, seed=4)],
+                             ids=["edge", "path12", "star6", "tree30"])
+    def test_a_tree_makes_one_bfs(self, monkeypatch, g):
+        # the connectivity check from vertex 0; a connected graph with
+        # fewer edges than vertices is a tree, so no block is searched
+        calls, bfs_row = [], graphs.bfs_row
+
+        def counted(h, source):
+            calls.append(source)
+            return bfs_row(h, source)
+
+        monkeypatch.setattr(graphs, "bfs_row", counted)
+        monkeypatch.setattr(graphs, "biconnected_blocks", None)
+        rep = slimness_constant(g)
+        assert (rep.delta, rep.witness_triangle) == (0, (0, 0, 0))
+        assert calls == [0]
+
     def test_c6(self):
         assert slimness_constant(cycle_graph(6)).delta == 1
 

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsecover import rips
+from coarsecover import graphs, rips
 from coarsecover.angles import AngleSet, all_angles, k_fold_sum, theta3, \
     trivial_only
 from coarsecover.corpus import (
@@ -186,6 +186,32 @@ def contraction_setup(g, d):
 
 
 class TestContraction:
+    @pytest.mark.parametrize("g, d", [(path_graph(32), 5),
+                                      (random_tree(40, seed=3), 4)],
+                             ids=["path32", "tree40"])
+    def test_the_chain_fills_no_relation_row(self, monkeypatch, g, d):
+        # the perfbench rips chain on a tree: theta3 finds no block, so it
+        # reads no row; slimness makes its connectivity check from 0 and
+        # contract_subcomplex reads the base row of vertex 0; the folds
+        # are angle-folds and base-folds, so no far-fold reads a row, and
+        # K0 holds every replacement.  The relation's sweeps read none
+        calls, bfs_row = [], graphs.bfs_row
+
+        def counted(h, source):
+            calls.append(source)
+            return bfs_row(h, source)
+
+        monkeypatch.setattr(graphs, "bfs_row", counted)
+        index, theta, delta = contraction_setup(g, d)
+        trace = contract_subcomplex(sorted(g.vertices), g, d, theta, delta,
+                                    index=index)
+        P = build_rips(g, d, theta, index=index)
+        assert homology_oracle(P, max(P.dimension, 0)) == (1, 0)
+        assert {m.case for m in trace.moves} == {"angle-fold", "base-fold"}
+        assert len(trace.moves) == g.vertex_count - 1
+        assert calls == [0, 0]
+        assert list(index.dist.keys()) == [0]
+
     def test_single_vertex(self):
         g = path_graph(6)
         index, theta, delta = contraction_setup(g, 4)
@@ -242,7 +268,7 @@ class TestContraction:
         delta = slimness_constant(g).delta
         d = 4 * max(1, delta) + 2
         from coarsecover.rips import SmallPairRelation
-        rel = SmallPairRelation(g, d, theta, index)
+        rel = SmallPairRelation(g, d, theta)
         K = set(g.vertices)
         trace = contract_subcomplex(sorted(K), g, d, theta, delta, index=index)
         for m in trace.moves:
@@ -263,7 +289,7 @@ class TestContraction:
         trace = contract_subcomplex(K, g, d, theta, delta, index=index)
         current = set(K)
         from coarsecover.rips import SmallPairRelation, _clique_complex
-        rel = SmallPairRelation(g, d, theta, index)
+        rel = SmallPairRelation(g, d, theta)
         for m in trace.moves[:6]:
             union_vs = sorted(current | {m.replacement})
             after_vs = sorted((current - {m.vertex}) | {m.replacement})
