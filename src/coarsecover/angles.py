@@ -485,7 +485,7 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
     acting on the original graph, apexes run over the least vertex of each
     orbit and the result is closed under the group: automorphisms preserve
     distances and geodesics, so the angles at p.v are the p-images of the
-    angles at v.
+    angles at v.  The set is kept in index.memo by reading and group.
 
     The set is the union over the biconnected blocks that hold a cycle,
     each block measured on the global rows cut down to it (see
@@ -505,18 +505,22 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
         raise ValueError("the group must act on the original graph")
     if g.vertex_count * g.vertex_count > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
-    blocks = biconnected_blocks(original)
-    if blocks and index is None:
+    if index is None:
         index = GeodesicIndex(g)
-    result = set()
-    for vs, es in blocks:
-        corners = vs if sub is None else sorted(
-            vs + [sub.midpoint_of_edge[e] for e in es])
-        apexes = vs if group is None else [
-            v for v in vs if all(p[v] >= v for p in group.elements)]
-        result |= _corner_angles(sub, g, index.dist, apexes, corners)
-    t3 = AngleSet(original, frozenset(result))
-    return t3 if group is None else t3.saturate(group)
+    elif index.graph != g:
+        raise ValueError("the index must be of the graph measured")
+    key = ("theta3", sub is None, None if group is None else group.generators)
+    if key not in index.memo:
+        result = set()
+        for vs, es in biconnected_blocks(original):
+            corners = vs if sub is None else sorted(
+                vs + [sub.midpoint_of_edge[e] for e in es])
+            apexes = vs if group is None else [
+                v for v in vs if all(p[v] >= v for p in group.elements)]
+            result |= _corner_angles(sub, g, index.dist, apexes, corners)
+        t3 = AngleSet(original, frozenset(result))
+        index.memo[key] = t3 if group is None else t3.saturate(group)
+    return index.memo[key]
 
 
 def geodesic_dominators(g: Graph, dp, vertices, bit):

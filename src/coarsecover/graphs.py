@@ -230,11 +230,15 @@ class GeodesicIndex:
     The rows dist[a] and dist[b] answer every question about the a -> b
     geodesics: their steps (geodesic_steps) and their turns
     (angles.geodesic_turns).
+
+    memo keeps, by value, facts that several callers read (theta3, the Rips
+    relation); it dies with the index, made per verdict, not per Graph.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.dist = _DistanceRows(g)
+        self.memo = {}
 
     def dag(self, u, v):
         # perfbench's tracer patches it by name (ROADMAP item 2)

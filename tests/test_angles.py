@@ -116,6 +116,39 @@ class TestTheta3:
         t3 = theta3(C6)
         assert t3.is_invariant(dihedral_group(6))
 
+    def test_kept_per_reading_and_group(self):
+        # each (reading, group) is one memo entry, keyed by value: a group
+        # closed again from the same generators finds the entry
+        g = cycle_graph(8)
+        sub = barycentric_subdivision(g)
+        plain, subdivided = GeodesicIndex(g), GeodesicIndex(sub.graph)
+        reads = [(g, plain, None), (sub, subdivided, None),
+                 (sub.graph, subdivided, None)]
+        reads += [(base, index, group) for base, index in
+                  ((g, plain), (sub, subdivided))
+                  for group in (rotation_group(8), dihedral_group(8))]
+        for _ in range(2):
+            for base, index, group in reads:
+                fresh = GeodesicIndex(index.graph)
+                assert theta3(base, index, group=group) == theta3(
+                    base, fresh, group=group)
+        assert theta3(g, plain, group=rotation_group(8)) == theta3(g)
+        assert (len(plain.memo), len(subdivided.memo)) == (3, 4)
+
+    def test_pair_cap_is_checked_before_the_memo(self):
+        from coarsecover.graphs import CapExceeded
+        index = GeodesicIndex(C6)
+        assert theta3(C6, index).contains(0, 1, 2)
+        with pytest.raises(CapExceeded):
+            theta3(C6, index, pair_cap=4)
+
+    def test_an_index_of_another_graph_is_refused(self):
+        sub = barycentric_subdivision(C6)
+        for base, other in ((C6, cycle_graph(7)), (sub, C6),
+                            (sub.graph, C6)):
+            with pytest.raises(ValueError, match="graph measured"):
+                theta3(base, GeodesicIndex(other))
+
     def test_subdivision_apexes_are_original(self):
         sub = barycentric_subdivision(C6)
         t3 = theta3(sub)

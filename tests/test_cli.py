@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import coarsecover
+from coarsecover import angles
 from coarsecover.cli import main
 from coarsecover.corpus import barbell, cycle_graph, grid_graph, path_graph, \
     spider, spider_rotation, triangle_caterpillar, wedge_of_cycles
@@ -550,6 +551,19 @@ class TestSubcommands:
         assert code == 0
         trace = json.loads(out)
         assert trace["final_vertex"] == trace["basepoint"]
+
+    def test_rips_contract_measures_theta3_once(self, tmp_graph, capsys,
+                                                monkeypatch):
+        # tfold:7 reads the corner size and so does the contraction; one
+        # computation, counted by its one block search, serves both
+        searched, real = [], angles.biconnected_blocks
+        monkeypatch.setattr(angles, "biconnected_blocks",
+                            lambda g: searched.append(g) or real(g))
+        code, out = run_cli(["rips", "contract", "--graph",
+                             tmp_graph(wedge_of_cycles(2, 8)), "--d", "8",
+                             "--theta", "tfold:7"], capsys)
+        assert code == 0 and json.loads(out)["moves"]
+        assert len(searched) == 1
 
     def test_battery(self, tmp_graph, capsys):
         code, out = run_cli(["battery", "--graph", tmp_graph(cycle_graph(6)),

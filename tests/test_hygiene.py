@@ -13,7 +13,9 @@ name with a live attribute of another class (graph, delta) escapes the
 scan; what it does flag is unread outside tests.
 
 A second scan flags a parameter with a default although every call in
-those program files passes it: its default is used only in tests.
+those program files passes it: its default is used only in tests.  A last
+check runs benchmark verdicts and finds no attribute added to their input
+graphs, where a cache would outlive the verdict.
 """
 
 import ast
@@ -21,6 +23,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from oracles import perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsecover"
@@ -334,3 +340,18 @@ def test_the_library_does_not_load_networkx():
          "import sys, coarsecover; print('networkx' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["rips-contract", "equivariant"])
+def test_a_verdict_keeps_nothing_on_its_graph(name):
+    # the benchmark keeps its case graphs from one pass to the next, so a
+    # fact kept on the input graph, not on the verdict's own GeodesicIndex,
+    # would be shared between passes; equivariant runs run_pipeline
+    workloads = perfbench_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    cases = sorted(workloads.seed_cases(workload, 1),
+                   key=lambda c: c.graph.vertex_count)[:2]
+    for case in cases:
+        before = set(vars(case.graph))
+        workload.verdict(case)
+        assert set(vars(case.graph)) == before, case.id

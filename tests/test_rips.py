@@ -6,10 +6,11 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsecover import graphs, rips
+from coarsecover import angles, graphs, rips
 from coarsecover.angles import AngleSet, all_angles, k_fold_sum, theta3, \
     trivial_only
 from coarsecover.corpus import (
+    barbell,
     complete_graph,
     cycle_graph,
     grid_graph,
@@ -332,6 +333,67 @@ class TestContraction:
         trace = contract_subcomplex(K, g, d, theta, delta, index=index)
         for m in trace.moves:
             assert m.replacement in span
+
+
+def recorded(monkeypatch, module, name):
+    """The argument tuples of the calls of module.name while the test runs."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneMeasurePerIndex:
+    """theta3 and the pair relation are made once per GeodesicIndex and
+    read from its memo by every later call with that index."""
+
+    @pytest.mark.parametrize("g, d", [(wedge_of_cycles(2, 8), 8),
+                                      (barbell(8, 6), 8),
+                                      (random_tree(40, seed=5), 4)],
+                             ids=["wedge2-8", "barbell8-6", "tree40"])
+    def test_one_theta3_and_one_sweep_per_vertex(self, monkeypatch, g, d):
+        # the rips-contract chain: theta3, contraction, then the complex;
+        # biconnected_blocks runs once per theta3 computation
+        blocks = recorded(monkeypatch, angles, "biconnected_blocks")
+        sweeps = recorded(monkeypatch, rips, "small_steps")
+        index, theta, delta = contraction_setup(g, d)
+        trace = contract_subcomplex(sorted(g.vertices), g, d, theta, delta,
+                                    index=index)
+        P = build_rips(g, d, theta, index=index)
+        assert trace.final_vertex == trace.basepoint
+        assert homology_oracle(P, max(P.dimension, 0))[0] == 1
+        assert len(blocks) == 1
+        assert sorted(x for _, x, _ in sweeps) == list(g.vertices)
+
+    def test_the_relation_is_kept_per_scale_and_size(self):
+        g = wedge_of_cycles(2, 6)
+        index = GeodesicIndex(g)
+        sizes = [trivial_only(g), k_fold_sum(theta3(g), 7), all_angles(g)]
+        for _ in range(2):
+            for d in (2, 3, 5):
+                for theta in sizes:
+                    fresh = build_rips(g, d, theta, GeodesicIndex(g))
+                    assert build_rips(g, d, theta, index) == fresh
+        assert len(index.memo) == 9
+        rel = rips._pair_relation(g, 3, sizes[1], index)
+        assert rel is rips._pair_relation(g, 3, sizes[1], index)
+
+    def test_an_index_of_another_graph_is_refused(self):
+        g, other = cycle_graph(6), cycle_graph(7)
+        index, theta, delta = contraction_setup(g, 4)
+        with pytest.raises(ValueError, match="graph measured"):
+            build_rips(g, 4, theta, GeodesicIndex(other))
+        with pytest.raises(ValueError, match="graph measured"):
+            contract_subcomplex([0, 3], g, 4, theta, delta,
+                                index=GeodesicIndex(other))
+        # an equal graph built again is the same graph
+        twin = make_graph(6, g.edges)
+        assert build_rips(twin, 4, theta, index) == build_rips(
+            g, 4, theta, GeodesicIndex(g))
 
 
 @st.composite
