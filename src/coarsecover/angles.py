@@ -31,6 +31,7 @@ from .graphs import (
     Subdivision,
     bfs_row,
     biconnected_blocks,
+    block_rows,
     geodesic_steps,
     make_graph,
     parse_document,
@@ -475,7 +476,7 @@ def cone_sweep(index: GeodesicIndex, oracle: SmallnessOracle, x, targets):
 # ---------------------------------------------------------------------------
 
 
-def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
+def theta3(base, index: GeodesicIndex, pair_cap: int = 2_000_000,
            group: GroupModel = None) -> AngleSet:
     """All angles realized at a triangle corner avoided by the third side.
 
@@ -487,15 +488,18 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
     distances and geodesics, so the angles at p.v are the p-images of the
     angles at v.  The set is kept in index.memo by reading and group.
 
-    The set is the union over the biconnected blocks that hold a cycle,
-    each block measured on the global rows cut down to it (see
-    biconnected_blocks; a block of a subdivision is the subdivision of a
-    block of the original graph).  If the first steps from apex v toward
-    corners p and q go into different blocks, v is a cut vertex on every
-    p-q geodesic and makes no angle.  If both go into block B, the p-q
-    geodesics pass the gates of p and q in B, so one avoids v exactly when
-    v does not dominate q's gate in the geodesic DAG from p's gate (see
-    geodesic_dominators).  A bridge makes no angle, but a triangle does.
+    The set is the union over the biconnected blocks that hold a cycle
+    (see biconnected_blocks; a block of a subdivision is the subdivision
+    of a block of the original graph).  A block is isometric, so one that
+    misses a vertex of the graph is measured on its block_rows, which
+    never leave it, and one that holds every vertex on index.dist, whose
+    rows later readers of the index share.  If the first steps from apex
+    v toward corners p and q go into different blocks, v is a cut vertex
+    on every p-q geodesic and makes no angle.  If both go into block B,
+    the p-q geodesics pass the gates of p and q in B, so one avoids v
+    exactly when v does not dominate q's gate in the geodesic DAG from p's
+    gate (see geodesic_dominators).  A bridge makes no angle, but a
+    triangle does.
     """
     if isinstance(base, Subdivision):
         sub, g, original = base, base.graph, base.original
@@ -505,19 +509,20 @@ def theta3(base, index: GeodesicIndex = None, pair_cap: int = 2_000_000,
         raise ValueError("the group must act on the original graph")
     if g.vertex_count * g.vertex_count > pair_cap:
         raise CapExceeded("corner pair count exceeds cap")
-    if index is None:
-        index = GeodesicIndex(g)
-    elif index.graph != g:
+    if index.graph != g:
         raise ValueError("the index must be of the graph measured")
     key = ("theta3", sub is None, None if group is None else group.generators)
     if key not in index.memo:
         result = set()
         for vs, es in biconnected_blocks(original):
-            corners = vs if sub is None else sorted(
-                vs + [sub.midpoint_of_edge[e] for e in es])
             apexes = vs if group is None else [
                 v for v in vs if all(p[v] >= v for p in group.elements)]
-            result |= _corner_angles(sub, g, index.dist, apexes, corners)
+            if sub is not None:  # the subdivided block: its edges' halves
+                mids = [sub.midpoint_of_edge[e] for e in es]
+                vs, es = sorted(vs + mids), [
+                    (x, m) for e, m in zip(es, mids) for x in e]
+            result |= _corner_angles(sub, g, block_rows(g, vs, es, index.dist),
+                                     apexes, vs)
         t3 = AngleSet(original, frozenset(result))
         index.memo[key] = t3 if group is None else t3.saturate(group)
     return index.memo[key]
@@ -718,10 +723,11 @@ def _joined_inside(index: GeodesicIndex, paths, v, v2):
     return bfs_row(inside, v)[v2] == index.dist[v][v2]
 
 
-def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
-                  seed: int) -> BatteryReport:
+def lemma_battery(g: Graph, theta0: AngleSet, trials: int, seed: int,
+                  index: GeodesicIndex) -> BatteryReport:
     """Sample configurations satisfying the large-angle lemma hypotheses and
-    assert the conclusions.
+    assert the conclusions, on the rows and theta3 of index, an index of g,
+    so a caller that sized theta0 from theta3(g, index=index) shares both.
 
     Conclusions are theorems for any hyperbolic graph, so a violation
     indicts the theta3 or geodesic machinery, not the sampled instance.
@@ -731,7 +737,6 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int,
     configuration is recorded once per conclusion it breaks.
     """
     rng = random.Random(seed)
-    index = GeodesicIndex(g)
     dist, bits = index.dist, [1 << v for v in g.vertices]
     t3 = theta3(g, index=index)
     x_pass = angle_sum(theta0, k_fold_sum(t3, 2))

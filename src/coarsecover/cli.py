@@ -385,8 +385,9 @@ def cmd_rips(args):
 
 def cmd_battery(args):
     g, _ = _read_graph(args)
-    theta0 = _theta_for(g, args.theta, lambda: theta3(g))
-    rep = lemma_battery(g, theta0, args.trials, args.seed)
+    index = GeodesicIndex(g)
+    theta0 = _theta_for(g, args.theta, lambda: theta3(g, index=index))
+    rep = lemma_battery(g, theta0, args.trials, args.seed, index)
     _emit(args, "battery", {"ok": rep.ok, "total": rep.total_checked,
                             "lemmas": rep.summary()})
     return 0 if rep.ok else 1

@@ -46,20 +46,22 @@ class Graph:
     angle_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        adj = {v: [] for v in range(self.vertex_count)}
+        adj = {}  # the vertices with an edge; the others get () below
         for (u, v) in self.edges:
             if u == v:
                 raise GraphFormatError("self-loop at vertex %d" % u)
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise GraphFormatError("edge (%d,%d) out of range" % (u, v))
-            if (u, v) != canon_edge(u, v):
+            if u > v:
                 raise GraphFormatError("edge (%d,%d) not canonical" % (u, v))
-            adj[u].append(v)
-            adj[v].append(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         for v in self.cone_vertices:
             if not (0 <= v < self.vertex_count):
                 raise GraphFormatError("cone vertex %d out of range" % v)
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ws)) for v, ws in adj.items()})
+        full = dict.fromkeys(range(self.vertex_count), ())
+        full.update(zip(adj, map(tuple, map(sorted, adj.values()))))
+        object.__setattr__(self, "_adj", full)
         object.__setattr__(self, "angle_count", sum(  # edge pairs at a vertex
             len(ws) * (len(ws) - 1) // 2 for ws in adj.values()))
 
@@ -74,10 +76,9 @@ class Graph:
         return canon_edge(u, v) in self.edges
 
     def cone_vertices_adjacent(self):
-        return [
-            (u, v) for (u, v) in sorted(self.edges)
-            if u in self.cone_vertices and v in self.cone_vertices
-        ]
+        cones = self.cone_vertices
+        return sorted((u, v) for (u, v) in self.edges
+                      if u in cones and v in cones)
 
     def require_cone_separation(self):
         """Cone operations assume no two cone vertices are adjacent."""
@@ -395,9 +396,10 @@ def biconnected_blocks(g: Graph):
     Every geodesic between two vertices of a block stays in the block, so
     a block is an isometric subgraph with the global distances, and
     slimness_constant and theta3, with its geodesic dominators, work block
-    by block on the global rows cut down to it.  Their block arguments are arguments,
-    not proofs; the oracle tests check them against full geodesic
-    enumeration on blocks glued at cut vertices.
+    by block, on rows of the block alone (theta3's block_rows, slimness's
+    relabelled block) or on the global rows cut down to it.  Their block
+    arguments are arguments, not proofs; the oracle tests check them
+    against full geodesic enumeration on blocks glued at cut vertices.
 
     One iterative Hopcroft-Tarjan pass: a depth-first search stacks each
     vertex it finds until the vertex joins a block, and when a child u of
@@ -447,6 +449,19 @@ def biconnected_blocks(g: Graph):
     return blocks
 
 
+def block_rows(g: Graph, vertices, edges, rows):
+    """The distance rows that measure a block of g, given by its vertices
+    and edges (or, on a subdivision, the halves of a block's edges): rows,
+    g's own, when the block holds every vertex of g, and else the rows of
+    the graph on g's vertex ids with only the block's edges, each bfs_row
+    run on first read.  A block is isometric, so from a block vertex these
+    are g's distances within the block, found by a search that never
+    leaves it; a vertex off the block is at math.inf."""
+    if len(vertices) == g.vertex_count:
+        return rows
+    return _DistanceRows(make_graph(g.vertex_count, edges))
+
+
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     """Minimal delta such that every geodesic triangle is delta-slim.
 
@@ -459,25 +474,26 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
     tripod along the block tree plus one triangle or bigon in each block
     it crosses.  A block of at most 3 vertices, an edge or a triangle, has
     slimness 0; the others are scanned one at a time, largest first, each
-    relabelled 0..k-1 with the rows cut down to it and the running maximum
-    as the floor.  Given no rows, it fills them on first read, so only the
-    rows of vertices in such blocks are computed.  A connected graph with
-    fewer edges than vertices is a tree, every block an edge, so delta is
-    0 with no block search.
+    relabelled 0..k-1 with the running maximum as the floor.  Given rows,
+    the block is measured on them, cut down to it; given none, on the
+    rows of the relabelled block itself, filled on first read by searches
+    that never leave it, and the report gets rows of its own, filled only
+    if the witness is read.  A connected graph with fewer edges than
+    vertices is a tree, every block an edge, so delta is 0 with no block
+    search.
     """
     if not g.is_connected():
         raise ValueError("slimness requires a connected graph")
-    dist = _DistanceRows(g) if dist is None else dist
     delta = 0
-    if len(g.edges) < g.vertex_count:
-        return SlimnessReport(delta, g, dist)
-    for vs, es in sorted((b for b in biconnected_blocks(g) if len(b[0]) > 3),
-                         key=lambda b: -len(b[0])):
-        local = {v: i for i, v in enumerate(vs)}
-        block = make_graph(len(vs), [(local[u], local[v]) for u, v in es])
-        delta = _DefectScan(block, [[dist[u][v] for v in vs] for u in vs]
-                            ).delta(delta)
-    return SlimnessReport(delta, g, dist)
+    if len(g.edges) >= g.vertex_count:
+        for vs, es in sorted((b for b in biconnected_blocks(g)
+                              if len(b[0]) > 3), key=lambda b: -len(b[0])):
+            local = {v: i for i, v in enumerate(vs)}
+            block = make_graph(len(vs), [(local[u], local[v]) for u, v in es])
+            rows = _DistanceRows(block) if dist is None else [
+                [dist[u][v] for v in vs] for u in vs]
+            delta = _DefectScan(block, rows).delta(delta)
+    return SlimnessReport(delta, g, _DistanceRows(g) if dist is None else dist)
 
 
 # ---------------------------------------------------------------------------

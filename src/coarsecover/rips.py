@@ -72,18 +72,30 @@ def _bits(mask):
 def _maximal_cliques(nbr, R, P, X, out):
     """Bron-Kerbosch with Tomita's pivot on neighbour bitmasks: append to
     out every maximal clique that extends R by vertices of P and meets no
-    vertex of X.  The pivot u in P | X has the most neighbours in P; each
-    such clique holds u or a non-neighbour of u, else u would extend it,
-    so only the vertices of P - nbr[u] are branched on."""
+    vertex of X.  The pivot u is the first vertex of P | X, lowest bit
+    first, with the most neighbours in P; each such clique holds u or a
+    non-neighbour of u, else u would extend it, so only the vertices of
+    P - nbr[u] are branched on.  Both loops walk their bits inline, low =
+    x & -x, as this runs at every node of the search."""
     if not P:
         if not X:
             out.append(R)
         return
-    u = max(_bits(P | X), key=lambda i: (P & nbr[i]).bit_count())
-    for i in _bits(P & ~nbr[u]):
-        _maximal_cliques(nbr, R | 1 << i, P & nbr[i], X & nbr[i], out)
-        P &= ~(1 << i)
-        X |= 1 << i
+    most, rest = -1, P | X
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        k = (P & nbr[low.bit_length() - 1]).bit_count()
+        if k > most:
+            most, u = k, low
+    branch = P & ~nbr[u.bit_length() - 1]
+    while branch:
+        low = branch & -branch
+        branch ^= low
+        near = nbr[low.bit_length() - 1]
+        _maximal_cliques(nbr, R | low, P & near, X & near, out)
+        P ^= low
+        X |= low
 
 
 def _clique_complex(vertices, near) -> SimplicialComplex:
@@ -96,9 +108,9 @@ def _clique_complex(vertices, near) -> SimplicialComplex:
     masks = []
     if vs:  # with no vertex, the empty set would count as a maximal clique
         _maximal_cliques(nbr, 0, (1 << len(vs)) - 1, 0, masks)
-    maximal = sorted((frozenset(vs[i] for i in _bits(m)) for m in masks),
-                     key=lambda s: sorted(s))
-    return SimplicialComplex(tuple(vs), tuple(maximal))
+    # vs is sorted and _bits ascends, so each clique's list is sorted
+    maximal = sorted([vs[i] for i in _bits(m)] for m in masks)
+    return SimplicialComplex(tuple(vs), tuple(map(frozenset, maximal)))
 
 
 class SmallPairRelation:
@@ -417,15 +429,18 @@ def _strongly_collapsible(P):
 
 
 def homology_oracle(P: SimplicialComplex, max_dim, cap=FACE_CAP):
-    """The rational Betti numbers b_0, ..., b_max_dim of P, after
-    face_masks(cap) checks the face cap.
+    """The rational Betti numbers b_0, ..., b_max_dim of P, once the face
+    cap holds: a maximal simplex m has 2^|m| - 1 faces, so the sum of
+    these bounds the distinct faces, and face_masks(cap) runs, to raise
+    CapExceeded exactly when the faces pass cap, only if the sum does.
 
     A complex that strong-collapses to a vertex has those of a point, found
     with no face listing and no boundary matrix.  Any other is answered by
     one exact rank over the rationals per boundary map, from dimension
     max_dim + 1, the highest a Betti number up to max_dim reads, down.
     """
-    P.face_masks(cap)
+    if sum((1 << len(m)) - 1 for m in P.maximal_simplices) > cap:
+        P.face_masks(cap)
     if max_dim >= 0 and _strongly_collapsible(P):
         return (1,) + (0,) * max_dim
     faces = P.faces(cap)

@@ -183,7 +183,7 @@ def test_criterion_03_theta3_circuit_bound():
     angles_checked = 0
     for name, g in battery_graphs():
         delta = slimness_constant(g).delta
-        rep = theta3_circuit_bound_check(g, theta3(g), delta)
+        rep = theta3_circuit_bound_check(g, theta3(g, GeodesicIndex(g)), delta)
         assert rep["ok"], name
         angles_checked += rep["angles_checked"]
     elapsed = time.time() - t0
@@ -292,7 +292,9 @@ def test_criterion_08_lemma_battery():
     total = 0
     nonvacuous = {}
     for name, g in battery_graphs():
-        rep = lemma_battery(g, theta3(g), 4800, seed=len(name) * 101)
+        index = GeodesicIndex(g)
+        rep = lemma_battery(g, theta3(g, index), 4800, seed=len(name) * 101,
+                            index=index)
         assert rep.ok, (name, {k: v.violations[:1]
                                for k, v in rep.lemmas.items() if v.violations})
         total += rep.total_checked
@@ -308,7 +310,7 @@ def test_criterion_09_tree_sanity():
     for seed in range(5):
         g = random_tree(12 + seed, seed=seed)
         assert slimness_constant(g).delta == 0
-        assert len(theta3(g)) == 0
+        assert len(theta3(g, GeodesicIndex(g))) == 0
         sub = barycentric_subdivision(g)
         cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         idx = cf.index

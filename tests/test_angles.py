@@ -23,9 +23,11 @@ from coarsecover.angles import (
     trivial_only,
 )
 from coarsecover.corpus import (
+    barbell,
     battery_graphs,
     complete_graph,
     cycle_graph,
+    cycle_with_tail,
     dihedral_group,
     path_graph,
     random_tree,
@@ -87,15 +89,16 @@ class TestTheta3:
     def test_tree_is_trivial_only(self):
         for seed in range(6):
             g = random_tree(10, seed=seed)
-            t3 = theta3(g)
+            t3 = theta3(g, GeodesicIndex(g))
             assert len(t3) == 0
             assert t3.nontrivial == theta3_brute(g)
 
     def test_p3_trivial(self):
-        assert len(theta3(path_graph(3))) == 0
+        p3 = path_graph(3)
+        assert len(theta3(p3, GeodesicIndex(p3))) == 0
 
     def test_c6_contains_consecutive_angle(self):
-        t3 = theta3(C6)
+        t3 = theta3(C6, GeodesicIndex(C6))
         assert t3.contains(0, 1, 2)
         assert t3.nontrivial == theta3_brute(C6)
 
@@ -103,17 +106,42 @@ class TestTheta3:
         for g in (cycle_graph(4), cycle_graph(5), complete_graph(4),
                   wedge_of_cycles(2, 4), theta_graph(1, 2, 2),
                   star_graph(4), spider(3, 2)):
-            assert theta3(g).nontrivial == theta3_brute(g)
+            assert theta3(g, GeodesicIndex(g)).nontrivial == theta3_brute(g)
+
+    @pytest.mark.parametrize("g", [cycle_with_tail(8, 12), barbell(8, 6)],
+                             ids=["tail", "barbell"])
+    def test_blocks_short_of_the_graph_fill_no_index_row(self, g):
+        # each block misses a vertex of the graph, so it is measured on
+        # rows that never leave it: plain and subdivided, no row of the
+        # index is filled, and the oracle still agrees
+        sub = barycentric_subdivision(g)
+        for base, index, want in (
+                (g, GeodesicIndex(g), theta3_brute(g)),
+                (sub, GeodesicIndex(sub.graph),
+                 theta3_subdivision_brute(sub))):
+            assert theta3(base, index).nontrivial == want
+            assert len(index.dist) == 0
+
+    def test_a_block_spanning_the_graph_fills_the_index_rows(self):
+        # C8 is one block holding every vertex: theta3 reads index.dist,
+        # whose rows later readers of the index share
+        g = cycle_graph(8)
+        sub = barycentric_subdivision(g)
+        plain, subdivided = GeodesicIndex(g), GeodesicIndex(sub.graph)
+        assert theta3(g, plain).nontrivial == theta3_brute(g)
+        assert theta3(sub, subdivided).nontrivial == \
+            theta3_subdivision_brute(sub)
+        assert (len(plain.dist), len(subdivided.dist)) == (8, 16)
 
     def test_wedge_cut_vertex_angles_are_large(self):
         g = wedge_of_cycles(2, 6)
-        t3 = theta3(g)
+        t3 = theta3(g, GeodesicIndex(g))
         # angles crossing the cut vertex 0 between the two cycles
         n1, n2 = 1, 6  # first vertices of each cycle
         assert not t3.contains(n1, 0, n2)
 
     def test_invariant_under_group(self):
-        t3 = theta3(C6)
+        t3 = theta3(C6, GeodesicIndex(C6))
         assert t3.is_invariant(dihedral_group(6))
 
     def test_kept_per_reading_and_group(self):
@@ -132,7 +160,8 @@ class TestTheta3:
                 fresh = GeodesicIndex(index.graph)
                 assert theta3(base, index, group=group) == theta3(
                     base, fresh, group=group)
-        assert theta3(g, plain, group=rotation_group(8)) == theta3(g)
+        assert theta3(g, plain, group=rotation_group(8)) == theta3(
+            g, GeodesicIndex(g))
         assert (len(plain.memo), len(subdivided.memo)) == (3, 4)
 
     def test_pair_cap_is_checked_before_the_memo(self):
@@ -151,7 +180,7 @@ class TestTheta3:
 
     def test_subdivision_apexes_are_original(self):
         sub = barycentric_subdivision(C6)
-        t3 = theta3(sub)
+        t3 = theta3(sub, GeodesicIndex(sub.graph))
         assert t3.graph == C6
         for (u, apex, w) in t3.nontrivial:
             assert apex < 6
@@ -160,11 +189,11 @@ class TestTheta3:
 class TestCircuitBound:
     def test_tree_vacuous(self):
         g = random_tree(12, seed=0)
-        rep = theta3_circuit_bound_check(g, theta3(g), 0)
+        rep = theta3_circuit_bound_check(g, theta3(g, GeodesicIndex(g)), 0)
         assert rep["ok"] and rep["angles_checked"] == 0
 
     def test_c6(self):
-        rep = theta3_circuit_bound_check(C6, theta3(C6), 1)
+        rep = theta3_circuit_bound_check(C6, theta3(C6, GeodesicIndex(C6)), 1)
         assert rep["ok"]
         assert rep["max_circuit_needed"] == 6 <= rep["bound"] == 16
 
@@ -172,20 +201,21 @@ class TestCircuitBound:
         g = complete_graph(4)
         delta = slimness_constant(g).delta
         assert delta == 0
-        rep = theta3_circuit_bound_check(g, theta3(g), delta)
+        rep = theta3_circuit_bound_check(g, theta3(g, GeodesicIndex(g)), delta)
         assert rep["ok"] and rep["delta_effective"] == 1
         assert rep["max_circuit_needed"] == 3
 
     def test_corpus(self):
         for name, g in battery_graphs():
             delta = slimness_constant(g).delta
-            rep = theta3_circuit_bound_check(g, theta3(g), delta)
+            rep = theta3_circuit_bound_check(g, theta3(g, GeodesicIndex(g)),
+                                             delta)
             assert rep["ok"], name
 
     def test_long_cycle_misses_every_angle(self):
         # negative control: the one circuit of C20 is longer than 16
         c20 = cycle_graph(20)
-        t3 = theta3(c20)
+        t3 = theta3(c20, GeodesicIndex(c20))
         rep = theta3_circuit_bound_check(c20, t3, 1)
         assert len(t3) == 20
         assert not rep["ok"] and rep["max_circuit_needed"] == 0
@@ -194,24 +224,24 @@ class TestCircuitBound:
 
 class TestAngleSum:
     def test_identity(self):
-        t3 = theta3(C6)
+        t3 = theta3(C6, GeodesicIndex(C6))
         triv = trivial_only(C6)
         assert angle_sum(t3, triv).nontrivial == t3.nontrivial
         assert angle_sum(triv, t3).nontrivial == t3.nontrivial
 
     def test_definitional_oracle(self):
-        t3 = theta3(C6)
+        t3 = theta3(C6, GeodesicIndex(C6))
         got = angle_sum(t3, t3)
         assert got.nontrivial == angle_sum_brute(t3.nontrivial, t3.nontrivial)
         k4 = complete_graph(4)
-        a = theta3(k4)
+        a = theta3(k4, GeodesicIndex(k4))
         b = angle_set_from_triples(k4, [(1, 0, 2)])
         assert angle_sum(a, b).nontrivial == \
             angle_sum_brute(a.nontrivial, b.nontrivial)
 
     def test_associative_and_monotone(self):
         g = wedge_of_cycles(2, 4)
-        t3 = theta3(g)
+        t3 = theta3(g, GeodesicIndex(g))
         a = angle_set_from_triples(g, list(sorted(t3.nontrivial))[:2])
         b = t3
         c = all_angles(g)
@@ -223,12 +253,12 @@ class TestAngleSum:
 
     def test_commutative(self):
         g = complete_graph(4)
-        a = theta3(g)
+        a = theta3(g, GeodesicIndex(g))
         b = angle_set_from_triples(g, [(1, 0, 3)])
         assert angle_sum(a, b) == angle_sum(b, a)
 
     def test_k_fold(self):
-        t3 = theta3(C6)
+        t3 = theta3(C6, GeodesicIndex(C6))
         assert k_fold_sum(t3, 0).nontrivial == frozenset()
         assert k_fold_sum(t3, 1) == t3
         assert k_fold_sum(t3, 2) == angle_sum(t3, t3)
@@ -236,7 +266,7 @@ class TestAngleSum:
     def test_k_fold_stops_once_a_sum_adds_nothing(self, monkeypatch):
         import coarsecover.angles as angles_mod
         g = wedge_of_cycles(2, 6)
-        t3 = theta3(g)
+        t3 = theta3(g, GeodesicIndex(g))
         calls = []
 
         def counted(a, b):
@@ -282,7 +312,7 @@ class TestSmallGeodesics:
     def test_against_brute(self):
         for g in (C6, wedge_of_cycles(2, 4), complete_graph(4),
                   theta_graph(2, 2, 2)):
-            t3 = theta3(g)
+            t3 = theta3(g, GeodesicIndex(g))
             for theta in (trivial_only(g), t3, all_angles(g)):
                 for u in g.vertices:
                     for v in g.vertices:
@@ -324,7 +354,7 @@ class TestDTheta:
 
     def test_dominates_graph_metric_with_equality_on_small(self):
         g = wedge_of_cycles(2, 4)
-        t3 = theta3(g)
+        t3 = theta3(g, GeodesicIndex(g))
         sub = barycentric_subdivision(g)
         tm = chain_rows(sub, t3)
         idx = GeodesicIndex(sub.graph)
@@ -348,7 +378,7 @@ class TestDTheta:
         for g in (cycle_graph(5), wedge_of_cycles(2, 4), path_graph(6),
                   theta_graph(2, 2, 2)):
             sub = barycentric_subdivision(g)
-            for theta in (theta3(g), all_angles(g)):
+            for theta in (theta3(g, GeodesicIndex(g)), all_angles(g)):
                 tm = chain_rows(sub, theta)
                 oracle = d_theta_definitional_oracle(sub, theta)
                 for v in sub.ve_vertices():
@@ -356,10 +386,11 @@ class TestDTheta:
                         assert tm[v][w] == oracle[(v, w)]
 
 
-# lemma_battery(g, theta0(g), 600, seed).summary() for
+# lemma_battery(g, theta0(g, index), 600, seed, index).summary() for
 # every battery graph: (checked, nonvacuous) per lemma in name order, and no
 # violations
-BATTERY_THETA0 = {"trivial": trivial_only, "theta3": theta3}
+BATTERY_THETA0 = {"trivial": lambda g, index: trivial_only(g),
+                  "theta3": theta3}
 BATTERY_SUMMARIES = {
     "c6": {
         ("trivial", 0): ((116, 14), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
@@ -431,7 +462,9 @@ class TestLemmaBattery:
         assert list(graphs) == list(BATTERY_SUMMARIES)
         g = graphs[name]
         for (theta0, seed), counts in BATTERY_SUMMARIES[name].items():
-            rep = lemma_battery(g, BATTERY_THETA0[theta0](g), 600, seed)
+            index = GeodesicIndex(g)
+            rep = lemma_battery(g, BATTERY_THETA0[theta0](g, index), 600,
+                                seed, index)
             assert rep.summary() == {
                 lemma: {"checked": c, "nonvacuous": n, "violations": 0}
                 for lemma, (c, n) in zip(sorted(rep.lemmas), counts)
@@ -439,17 +472,20 @@ class TestLemmaBattery:
 
     def test_tree_instance_clean(self):
         g = random_tree(10, seed=1)
-        rep = lemma_battery(g, trivial_only(g), 300, seed=4)
+        rep = lemma_battery(g, trivial_only(g), 300, seed=4,
+                            index=GeodesicIndex(g))
         assert rep.ok
 
     def test_c6_thousand_trials(self):
-        rep = lemma_battery(C6, trivial_only(C6), 1000, seed=0)
+        rep = lemma_battery(C6, trivial_only(C6), 1000, seed=0,
+                            index=GeodesicIndex(C6))
         assert rep.ok
         assert rep.lemmas["geodesic_2_gons"].nonvacuous >= 1
 
     def test_planted_large_angle_nonvacuous(self):
         g = wedge_of_cycles(2, 6)
-        rep = lemma_battery(g, trivial_only(g), 2500, seed=2)
+        rep = lemma_battery(g, trivial_only(g), 2500, seed=2,
+                            index=GeodesicIndex(g))
         assert rep.ok
         assert rep.lemmas["large_angles"].nonvacuous >= 1
         assert rep.lemmas["large_angles_in_triangles"].nonvacuous >= 1
@@ -459,12 +495,14 @@ class TestLemmaBattery:
         # row reads must then find the conclusions false
         monkeypatch.setattr(angles, "theta3",
                             lambda g, index: trivial_only(g))
-        rep = lemma_battery(C6, trivial_only(C6), 600, seed=0)
+        rep = lemma_battery(C6, trivial_only(C6), 600, seed=0,
+                            index=GeodesicIndex(C6))
         assert rep.lemmas["large_angles_in_triangles_no_c"].violations
         assert rep.lemmas["large_angles_in_triangles"].violations
 
     def test_summary_shape(self):
-        rep = lemma_battery(C6, theta3(C6), 200, seed=3)
+        index = GeodesicIndex(C6)
+        rep = lemma_battery(C6, theta3(C6, index), 200, seed=3, index=index)
         assert rep.ok
         assert set(rep.summary()) == {
             "geodesic_2_gons", "large_angles",
@@ -514,7 +552,7 @@ class TestCaps:
         import pytest
         from coarsecover.graphs import CapExceeded
         with pytest.raises(CapExceeded):
-            theta3(C6, pair_cap=4)
+            theta3(C6, GeodesicIndex(C6), pair_cap=4)
 
     def test_theta3_pair_cap_counts_every_corner(self):
         # every block of a path is a bridge and makes no angle, but the cap
@@ -523,8 +561,8 @@ class TestCaps:
         from coarsecover.graphs import CapExceeded, barycentric_subdivision
         sub = barycentric_subdivision(path_graph(5))
         with pytest.raises(CapExceeded):
-            theta3(sub, pair_cap=80)
-        assert len(theta3(sub, pair_cap=81)) == 0
+            theta3(sub, GeodesicIndex(sub.graph), pair_cap=80)
+        assert len(theta3(sub, GeodesicIndex(sub.graph), pair_cap=81)) == 0
 
     def test_subdivision_matches_direct_brute(self):
         # run the raw triangle oracle on the subdivided graph itself, keep
@@ -542,7 +580,8 @@ class TestCaps:
                   cycle_graph(4), cycle_graph(6), grid_graph(3, 3),
                   hypercube3(), bowtie):
             sub = barycentric_subdivision(g)
-            assert theta3(sub).nontrivial == theta3_subdivision_brute(sub)
+            assert theta3(sub, GeodesicIndex(sub.graph)).nontrivial == \
+                theta3_subdivision_brute(sub)
 
 
 class TestCarrierSets:
@@ -553,7 +592,8 @@ class TestCarrierSets:
             idx = GeodesicIndex(g)
             rng = random.Random(g.vertex_count)
             weight = [rng.randrange(1 << 16) for _ in g.vertices]
-            for theta in (trivial_only(g), theta3(g), all_angles(g)):
+            for theta in (trivial_only(g), theta3(g, GeodesicIndex(g)),
+                          all_angles(g)):
                 oracle = SmallnessOracle(g, theta)
                 steps = [small_steps(oracle, x, INF) for x in g.vertices]
                 for u in g.vertices:

@@ -565,6 +565,19 @@ class TestSubcommands:
         assert code == 0 and json.loads(out)["moves"]
         assert len(searched) == 1
 
+    def test_battery_measures_theta3_once(self, tmp_graph, capsys,
+                                          monkeypatch):
+        # tfold:2 reads the corner size and so does the battery; one
+        # computation, counted by its one block search, serves both
+        searched, real = [], angles.biconnected_blocks
+        monkeypatch.setattr(angles, "biconnected_blocks",
+                            lambda g: searched.append(g) or real(g))
+        code, out = run_cli(["battery", "--graph",
+                             tmp_graph(wedge_of_cycles(2, 6)), "--theta",
+                             "tfold:2", "--trials", "50"], capsys)
+        assert code == 0 and json.loads(out)["ok"]
+        assert len(searched) == 1
+
     def test_battery(self, tmp_graph, capsys):
         code, out = run_cli(["battery", "--graph", tmp_graph(cycle_graph(6)),
                              "--trials", "200", "--seed", "1"], capsys)

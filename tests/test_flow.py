@@ -170,7 +170,7 @@ class TestBuildCfTheta:
         # single small geodesic between the endpoints
         g = wedge_of_cycles(2, 4)
         sub = barycentric_subdivision(g)
-        t3 = theta3(sub)
+        t3 = theta3(sub, GeodesicIndex(sub.graph))
         theta = k_fold_sum(t3, 2).union(all_angles(g))
         cf = flow_space(sub, theta, sub.ve_vertices())
         for (xm, xp), fiber in fiber_sets(cf).items():
@@ -225,7 +225,7 @@ class TestFiberSymmetry:
     def test_corpus_fibers_are_symmetric(self, name, g, use_all):
         # criterion 02's flow spaces
         sub = barycentric_subdivision(g)
-        t3 = theta3(sub)
+        t3 = theta3(sub, GeodesicIndex(sub.graph))
         theta = all_angles(g) if use_all else k_fold_sum(t3, 2)
         ve = sub.ve_vertices()
         self.check(flow_space(sub, theta, ve[::max(1, len(ve) // 8)][:10],

@@ -219,6 +219,27 @@ class TestSlimness:
         assert (rep.delta, rep.witness_triangle) == (0, (0, 0, 0))
         assert calls == [0]
 
+    def test_barbell_searches_stay_in_its_blocks(self, monkeypatch):
+        # past the connectivity check from vertex 0, every search runs on
+        # one C8 relabelled 0..7, at most once from each of its vertices;
+        # given rows, the blocks are cut from them instead
+        g = barbell(8, 6)
+        index = GeodesicIndex(g)
+        assert slimness_constant(g, index.dist).delta == 2
+        assert len(index.dist) == 16
+        reached, bfs_row = [], graphs.bfs_row
+
+        def counted(h, source):
+            row = bfs_row(h, source)
+            reached.append((h is g, h.vertex_count,
+                            sum(d is not INF for d in row)))
+            return row
+
+        monkeypatch.setattr(graphs, "bfs_row", counted)
+        assert slimness_constant(g).delta == 2
+        assert reached[0] == (True, 21, 21)
+        assert set(reached[1:]) == {(False, 8, 8)} and len(reached) <= 17
+
     def test_c6(self):
         assert slimness_constant(cycle_graph(6)).delta == 1
 

@@ -197,14 +197,16 @@ def test_pipeline_and_contraction_build_no_geodesic_dag(monkeypatch):
     # the ladder makes far folds, the tree angle folds
     cases = set()
     for g, d in (tree[1:], (grid_graph(2, 8), 4)):
-        theta = k_fold_sum(theta3(g), 7)
+        theta = k_fold_sum(theta3(g, GeodesicIndex(g)), 7)
         trace = contract_subcomplex(sorted(g.vertices), g, d, theta,
                                     slimness_constant(g).delta,
                                     GeodesicIndex(g))
         cases |= {m.case for m in trace.moves}
     assert cases == {"angle-fold", "far-fold", "base-fold"}
     for name, g in battery_graphs():
-        assert lemma_battery(g, theta3(g), 200, seed=1).ok, name
+        index = GeodesicIndex(g)
+        assert lemma_battery(g, theta3(g, index), 200, seed=1,
+                             index=index).ok, name
 
 
 def test_slimness_scans_only_blocks_of_more_than_3_vertices(monkeypatch):
@@ -336,3 +338,35 @@ def test_renaming_the_vertices(name, g, gens, mode, alpha, tau_max):
         free = list(g.vertices)
         rng.shuffle(free)
         assert run(*renamed(g, gens, free)).ok == res.ok
+
+
+# ---------------------------------------------------------------------------
+# Reordering the generators
+# ---------------------------------------------------------------------------
+
+
+def _twice(p):
+    return tuple(p[p[v]] for v in range(len(p)))
+
+
+# cycles under [rotation, reflection] and spiders under [r, r^2], as
+# (name, graph, generators)
+REORDERED_CASES = [
+    ("c%d" % n, cycle_graph(n), [cyclic_rotation(n), cycle_reflection(n)])
+    for n in (8, 12, 16)] + [
+    ("spider%d-%d" % (legs, leg_len), spider(legs, leg_len),
+     [spider_rotation(legs, leg_len),
+      _twice(spider_rotation(legs, leg_len))])
+    for legs, leg_len in ((3, 4), (4, 3))]
+
+
+@pytest.mark.parametrize("name, g, gens", REORDERED_CASES,
+                         ids=[c[0] for c in REORDERED_CASES])
+def test_reordering_the_generators(name, g, gens):
+    """The same generators in the reverse order close the same group and
+    give the same word metric, so every stage is the same."""
+    def run(order):
+        return run_pipeline(g, order, alpha=1, tau_max=8,
+                            theta0_mode="seed").summary()
+
+    assert run(gens) == run(gens[::-1])

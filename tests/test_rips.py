@@ -73,7 +73,7 @@ class TestBuildRips:
 
     def test_monotone_in_scale_and_size(self):
         g = wedge_of_cycles(2, 5)
-        t3 = theta3(g)
+        t3 = theta3(g, GeodesicIndex(g))
         small = build_rips(g, 2, t3, GeodesicIndex(g))
         bigger_d = build_rips(g, 3, t3, GeodesicIndex(g))
         bigger_t = build_rips(g, 2, all_angles(g), GeodesicIndex(g))
@@ -372,7 +372,8 @@ class TestOneMeasurePerIndex:
     def test_the_relation_is_kept_per_scale_and_size(self):
         g = wedge_of_cycles(2, 6)
         index = GeodesicIndex(g)
-        sizes = [trivial_only(g), k_fold_sum(theta3(g), 7), all_angles(g)]
+        sizes = [trivial_only(g), k_fold_sum(theta3(g, GeodesicIndex(g)), 7),
+                 all_angles(g)]
         for _ in range(2):
             for d in (2, 3, 5):
                 for theta in sizes:
@@ -733,7 +734,29 @@ class TestStatsParity:
             P.faces(cap=14)
 
 
+# three triangles in a strip: the bound sum(2^|m| - 1) is 21, but shared
+# edges leave 15 distinct faces; it strong-collapses to a vertex
+STRIP = SimplicialComplex(tuple(range(5)), (
+    frozenset({0, 1, 2}), frozenset({1, 2, 3}), frozenset({2, 3, 4})))
+
+
 class TestCaps:
+    def test_a_complex_within_the_bound_lists_no_face(self, monkeypatch):
+        listed, face_masks = [], SimplicialComplex.face_masks
+        monkeypatch.setattr(SimplicialComplex, "face_masks",
+                            lambda P, cap: listed.append(cap)
+                            or face_masks(P, cap))
+        assert homology_oracle(STRIP, 2, cap=21) == (1, 0, 0)
+        assert listed == []
+        assert homology_oracle(STRIP, 2, cap=20) == (1, 0, 0)
+        assert listed == [20]
+
+    def test_the_distinct_faces_decide_past_the_bound(self):
+        for cap in (15, 20):
+            assert homology_oracle(STRIP, 2, cap=cap) == (1, 0, 0)
+        with pytest.raises(CapExceeded, match="more than 14 simplices"):
+            homology_oracle(STRIP, 2, cap=14)
+
     def test_simplex_expansion_cap(self):
         g = random_tree(25, seed=5)
         # one simplex on 25 vertices
