@@ -20,7 +20,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, islice, repeat
 
 from .graphs import (
     INF,
@@ -48,18 +48,21 @@ class AngleSet:
     """A set of angles of one graph, trivial angles implicit.
 
     The graph reference is to the graph whose edges are being paired; for a
-    subdivision this is the original graph.
+    subdivision this is the original graph.  Every angle (u, apex, w) is
+    canonical, u < w, and realized, both ends joined to the apex by edges.
+    That is checked where outside triples become a size, in
+    angle_set_from_triples, and holds by construction everywhere else:
+    trivial_only holds no angle; all_angles pairs the sorted neighbours of
+    each apex; a union joins two sets of one graph; saturate takes images
+    under automorphisms, which keep edges, ordered by act_angle; angle_sum
+    pairs distinct neighbours of an apex met in its summands' angles, made
+    canonical; k_fold_sum adds sums; and theta3 and geodesic_angles pair
+    the far ends of two distinct steps out of an apex (see
+    geodesic_turns), made canonical.
     """
 
     graph: Graph
     nontrivial: frozenset
-
-    def __post_init__(self):
-        for (u, apex, w) in self.nontrivial:
-            if u > w or u == w:
-                raise ValueError("angle %r not canonical" % ((u, apex, w),))
-            if not (self.graph.has_edge(u, apex) and self.graph.has_edge(apex, w)):
-                raise ValueError("angle %r not realized by edges" % ((u, apex, w),))
 
     def contains(self, u, apex, w) -> bool:
         if u == w:
@@ -112,8 +115,18 @@ def all_angles(g: Graph) -> AngleSet:
 
 
 def angle_set_from_triples(g: Graph, triples) -> AngleSet:
-    return AngleSet(g, frozenset(canonical_angle(u, a, w) for (u, a, w) in triples
-                                 if u != w))
+    """The size holding the triples (u, apex, w), each made canonical and
+    a trivial one, u == w, left implicit.  This is the one path by which
+    outside triples, as load_angleset reads them, become a size, so an
+    angle whose ends are not both joined to its apex by edges of g is a
+    ValueError here (see AngleSet)."""
+    nontrivial = frozenset(canonical_angle(u, a, w) for (u, a, w) in triples
+                           if u != w)
+    for (u, apex, w) in nontrivial:
+        if not (g.has_edge(u, apex) and g.has_edge(apex, w)):
+            raise ValueError("angle %r not realized by edges"
+                             % ((u, apex, w),))
+    return AngleSet(g, nontrivial)
 
 
 def load_angleset(document, g: Graph) -> AngleSet:
@@ -163,18 +176,25 @@ def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
     return AngleSet(a.graph, frozenset(out))
 
 
-def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
-    """The sum of k copies of a.  Once a sum adds nothing, every later sum
-    is equal too, so the loop stops there."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+def partial_sums(a: AngleSet):
+    """The sums of 0, 1, 2, ... copies of a, each made from the one before
+    on first read.  Once a sum adds nothing, every later sum is equal too,
+    so that sum is repeated with no more work."""
     acc = trivial_only(a.graph)
-    for _ in range(k):
+    while True:
+        yield acc
         nxt = angle_sum(acc, a)
         if nxt.nontrivial == acc.nontrivial:
             break
         acc = nxt
-    return acc
+    yield from repeat(acc)
+
+
+def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
+    """The sum of k copies of a, the k-th of its partial_sums."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return next(islice(partial_sums(a), k, None))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def _run_and_write(args, summary_name, artifact_keys):
                 doc = cover_to_document(expand_cover(cf, art), group,
                                         cf.sub.ve_vertices())
             else:
-                doc = cover_to_document(art, group, group.elements)
+                doc = cover_to_document(art, group)
             _emit(args, key, doc)
     return res
 
@@ -310,8 +310,7 @@ def cmd_cf(args):
     targets = ball_closed_targets(cf, v0, args.alpha, boundary)
     if args.cf_cmd == "pullback":
         pull = pullback_cover(cf, cover, args.tau, targets, v0)
-        _emit(args, "cf_pullback", cover_to_document(pull, sub_group,
-                                                     sub_group.elements))
+        _emit(args, "cf_pullback", cover_to_document(pull, sub_group))
         return 0
     if args.cf_cmd == "scan":
         scan = wideness_scan(cf, cover, args.alpha, targets,
@@ -325,16 +324,14 @@ def cmd_cf(args):
 
 def cmd_cone(args):
     inst = build_instance(*_read_model(args))
-    sub_group, xi = inst.sub_group, inst.cone_targets()
+    xi = inst.cone_targets()
     theta0 = select_theta0(inst, args.alpha, args.theta0_mode)
     cones, oracle = cone_cover(inst, theta0, xi)
     if args.cone_cmd == "build":
         data = [{
             "apex": c.apex, "layer": c.layer,
-            "members": sorted([sub_group.rank[ge], x]
-                              for (ge, x) in c.members),
-            "certified_interior": sorted([sub_group.rank[ge], x]
-                                         for (ge, x) in c.certified_interior),
+            "members": sorted(map(list, c.members)),
+            "certified_interior": sorted(map(list, c.certified_interior)),
         } for c in cones]
         _emit(args, "cones", {"theta_out": angleset_to_document(oracle.size),
                               "cone_sets": data})

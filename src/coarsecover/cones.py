@@ -7,6 +7,12 @@ disjoint cone sets at the same size, so the three-layer collection built
 here has order at most 2.  On finite targets every set is open; the
 interior certificates track the sufficient condition for interiorness
 separately instead of inventing a topology.
+
+A pair names g by its number, its position in the lifted group's
+elements, which is also its bit in every slice: the cone sets, their
+certificates, the dichotomy's pairs and failures and the combined domain
+hold numbers, and a permutation is read off elements only where g v0 or
+g y is needed.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
 class ConeSet:
     apex: int
     layer: int
-    members: frozenset
-    certified_interior: frozenset
+    members: frozenset  # pairs (g, xi), g an element's number
+    certified_interior: frozenset  # the members certified interior
 
 
 def seed_theta0(inst: Instance, alpha) -> AngleSet:
@@ -74,8 +80,8 @@ def seed_theta0(inst: Instance, alpha) -> AngleSet:
     after saturation the pairs (v0, q w), q in the ball and w a vertex on
     a geodesic between ball translates, give the same angles.
     """
-    index, v0 = inst.index, inst.v0
-    ball = inst.sub_group.ball(alpha)
+    index, v0, elements = inst.index, inst.v0, inst.sub_group.elements
+    ball = [elements[h] for h in inst.sub_group.ball(alpha)]
     points = sorted({p[v0] for p in ball})
     mids = set()
     for a in points:
@@ -101,10 +107,11 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     the v0 -> g^-1 a and v0 -> g^-1 xi ones, turns to turns.  So (g, xi) is
     in the cone set at a, or certified there, exactly when (e, g^-1 xi) is
     at g^-1 a.  The base row of an original vertex b holds the targets y
-    with (e, y) in the cone set at b, and the cone set at g b holds (g, g y)
-    for each y of it.  One cone_sweep from v0 per distinct size reads every
-    row: clean[b] and (y == b or bit y of large[b]).  Certificates are
-    checked at the identity only; an empty row adds nothing.
+    with (e, y) in the cone set at b, and the cone set at g b holds
+    (g, g y), g by its number, for each y of it.  One cone_sweep from v0
+    per distinct size reads every row: clean[b] and (y == b or bit y of
+    large[b]).  Certificates are checked at the identity only; an empty
+    row adds nothing.
     """
     inst.graph.require_cone_separation()
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
@@ -143,10 +150,10 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
                 sums = t3_2, angle_sum(size, t3_2)
             certified = [y for y in row if y != b and interior_certificate(
                 inst, e, y, b, size, sums)]
-            for ge in sub_group.elements:
-                members, certs = built.setdefault((key, ge[b]), (set(), set()))
-                members.update((ge, ge[y]) for y in row)
-                certs.update((ge, ge[y]) for y in certified)
+            for g, p in enumerate(sub_group.elements):
+                members, certs = built.setdefault((key, p[b]), (set(), set()))
+                members.update((g, p[y]) for y in row)
+                certs.update((g, p[y]) for y in certified)
     cones = []
     for apex in sub.v_vertices():
         for layer, size in layer_sizes:
@@ -165,24 +172,23 @@ def dichotomy_check(inst: Instance, oracle: SmallnessOracle, alpha, cones,
     cone_cover's, for its invariant size, so a small g v0 -> xi geodesic
     exists exactly when a small v0 -> g^-1 xi one does: the small
     geodesics from v0 are swept once, when a pair first reaches the second
-    clause.  The report records which clause fired for each pair.
+    clause.  The report records which clause fired for each pair, and a
+    failure names g by its number.
     """
     sub_group, v0 = inst.sub_group, inst.v0
-    elements, rank, inverse = sub_group.elements, sub_group.rank, \
-        sub_group.inverse
-    pairs = [(ge, xi) for ge in elements for xi in xi_set]
+    elements, inverse = sub_group.elements, sub_group.inverse
+    pairs = [(g, xi) for g in range(len(elements)) for xi in xi_set]
     into, last, small, failures = None, None, 0, []
-    for ge, xi in wide_failures(
-            [slices_of(c.members, elements) for c in cones],
-            sub_group, alpha, pairs):
-        if ge is not last:  # g^-1 once per element reaching this clause
-            last, back = ge, elements[inverse[rank[ge]]]
+    for g, xi in wide_failures([slices_of(c.members) for c in cones],
+                               sub_group, alpha, pairs):
+        if g != last:  # g^-1 once per element reaching this clause
+            last, back = g, elements[inverse[g]]
         if into is None:
             into = small_steps(oracle, v0, INF)[0]
-        if ge[v0] == xi or into[back[xi]]:
+        if elements[g][v0] == xi or into[back[xi]]:
             small += 1
         else:
-            failures.append((rank[ge], xi))
+            failures.append((g, xi))
     return {
         "ok": not failures,
         "clauses": {"cone": len(pairs) - small - len(failures),
@@ -193,29 +199,26 @@ def dichotomy_check(inst: Instance, oracle: SmallnessOracle, alpha, cones,
 
 
 def cone_sets_as_cover(cones, sub_group: GroupModel, domain) -> Cover:
-    """The cone sets as cover members, slices with z = xi and v = g, a
-    mask over sub_group.elements."""
-    elements = sub_group.elements
+    """The cone sets as cover members, slices with z = xi and v = g, bit g
+    of a mask over sub_group.elements; domain holds pairs (g, xi) too."""
     members = []
     for c in cones:
-        stab = frozenset(p for p in elements if p[c.apex] == c.apex)
-        members.append(CoverMember(slices_of(c.members, elements), stab,
-                                   True))
-    order = cover_order([m.slices for m in members],
-                        slices_of(domain, elements))
+        stab = frozenset(p for p in sub_group.elements
+                         if p[c.apex] == c.apex)
+        members.append(CoverMember(slices_of(c.members), stab, True))
+    order = cover_order([m.slices for m in members], slices_of(domain))
     return Cover(tuple(members), None, order)
 
 
 def combined_cover(cone_cover_obj: Cover, flow_pullback: Cover,
-                   domain, elements) -> Cover:
+                   domain) -> Cover:
     """Union of the cone collection and the pulled-back flow cover.
 
     The cone side contributes at most three members at any point, so the
     order is bounded by the flow order plus three.  Both sides must be
-    built over the same group, base vertex and word scale; elements are
-    the group's, which number the g of the slices' masks.
+    built over the same group, base vertex and word scale, and domain's
+    pairs (g, xi) name g by its number, as the slices' masks do.
     """
     members = tuple(cone_cover_obj.members) + tuple(flow_pullback.members)
-    order = cover_order([m.slices for m in members],
-                        slices_of(domain, elements))
+    order = cover_order([m.slices for m in members], slices_of(domain))
     return Cover(members, flow_pullback.alpha, order)

@@ -105,13 +105,13 @@ class Slices(dict):
             return self._hash
 
 
-def slices_of(pairs, v_points) -> Slices:
-    """The slices of a collection of pairs (v, z), each v-set a mask over
-    the sequence v_points."""
-    position = {v: i for i, v in enumerate(v_points)}
+def slices_of(pairs) -> Slices:
+    """The slices of a collection of pairs (i, z), i a v-point's position,
+    so bit i of z's mask: for a pair (g, x) of a group element and a
+    point, the element's number."""
     over = {}
-    for v, z in pairs:
-        over[z] = over.get(z, 0) | 1 << position[v]
+    for i, z in pairs:
+        over[z] = over.get(z, 0) | 1 << i
     return Slices(over)
 
 
@@ -362,21 +362,19 @@ def cover_order(member_slices, fibers) -> int:
 def wide_failures(member_slices, group: GroupModel, alpha, pairs):
     """Yield, in input order, each pair (g, x) whose ball slice
     {(g h, x) : h in group.ball(alpha)} no member holds: the pairs at which
-    the members fail to be alpha-wide.  The v-sets are masks over
-    group.elements, bit i for the element numbered i.  Each ball is made
-    once per call, g h read off row h at g, and tested, ball & ~slice == 0,
-    against the slices over x alone, which one index of the members by
-    z-point lists."""
-    rank = group.rank
-    rows = [group.products[rank[h]] for h in group.ball(alpha)]
+    the members fail to be alpha-wide.  g is an element's number, and the
+    v-sets are masks over group.elements, bit i for the element numbered
+    i.  Each ball is made once per call, g h read off row h at g, and
+    tested, ball & ~slice == 0, against the slices over x alone, which one
+    index of the members by z-point lists."""
+    rows = list(map(group.products.__getitem__, group.ball(alpha)))
     outside = {x: [~vs for vs in held]
                for x, held in _held(member_slices).items()}
     balls = {}
     for g, x in pairs:
         ball = balls.get(g)
         if ball is None:
-            c = rank[g]
-            ball = balls[g] = sum(1 << row[c] for row in rows)
+            ball = balls[g] = sum(1 << row[g] for row in rows)
         if all(map(ball.__and__, outside.get(x, ()))):
             yield g, x
 

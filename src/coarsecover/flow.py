@@ -9,11 +9,12 @@ original units, so every bound here is exact integer arithmetic.
 
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
 mask of admitted v (bit v for vertex v), and classes groups the pairs by
-equal fiber, numbering each distinct fiber in the order of its least pair.
-The doubling report checks their union, and each distinct fiber only when
-the union fails; the cover works on the pair space whose z-points are the
-class numbers, on which the group acts by lists composed along its
-generators, and the pullback reads it through each pair's class number.
+equal fiber, numbering each distinct fiber in the order of its least pair,
+which least keeps.  The doubling report checks their union, and each
+distinct fiber only when the union fails; the cover works on the pair
+space whose z-points are the class numbers, on which the group acts by
+lists composed along its generators, and the pullback reads it through
+each pair's class number.
 A fiber is decoded only where its points are read: once per class for
 Z_v, in the union the doubling report checks, and where they are named;
 the class numbers are decoded to endpoint pairs only for a document.
@@ -70,6 +71,7 @@ class CoarseFlowSpace:
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
     classes: dict  # a fiber's bitmask -> its class number
+    least: tuple  # class number -> the least endpoint pair of the class
 
     @property
     def delta_prime(self):
@@ -107,12 +109,12 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     symmetric in its two ends.  The sweeps find their own layers, so no
     distance row of index is filled here.
 
-    classes numbers each distinct fiber as it first appears.  The pairs
-    come in lexicographic order, xm ascending and xp ascending after it
-    (small_lines keeps the order of its targets), and the least pair over
-    a fiber has xm < xp, as (xm, xp) < (xp, xm) then.  So a fiber first
-    appears at its least pair, and the numbers ascend with the least
-    pairs: no pair needs comparing.
+    classes numbers each distinct fiber as it first appears, and least
+    records the pair it appears at.  The pairs come in lexicographic
+    order, xm ascending and xp ascending after it (small_lines keeps the
+    order of its targets), and the least pair over a fiber has xm < xp, as
+    (xm, xp) < (xp, xm) then.  So a fiber first appears at its least pair,
+    and the numbers ascend with the least pairs: no pair needs comparing.
     """
     g = sub.graph
     if not g.is_connected():
@@ -139,16 +141,18 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     metric, balls = d_theta(sub, oracle, delta + 1)
     n = g.vertex_count
     weight = [1 << v | ball << n for v, ball in enumerate(balls)]
-    lines, fibers, classes = {}, {}, {}
+    lines, fibers, classes, least = {}, {}, {}, []
     for i, xm in enumerate(endpoints):
         for xp, m in small_lines(oracle, xm, endpoints[i + 1:],
                                  weight).items():
             f = m >> n
             lines[xm, xp] = lines[xp, xm] = m & (1 << n) - 1
             fibers[xm, xp] = fibers[xp, xm] = f
-            classes.setdefault(f, len(classes))
+            if f not in classes:
+                classes[f] = len(least)
+                least.append((xm, xp))
     return CoarseFlowSpace(sub, delta, endpoints, fibers, metric,
-                           group, index, lines, classes)
+                           group, index, lines, classes, tuple(least))
 
 
 def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
@@ -159,11 +163,12 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     some alpha >= R inside a 2 * alpha ball around a point of the fiber, is
     a violation in every larger set, since all fibers share the chain
     metric.  So one passing check of the union of the fibers certifies
-    every fiber; only when the union fails is each distinct fiber checked,
-    and failures lists every failing fiber key, in key order, with its own
-    witness.  With compute_tightest, the report also carries the tightest
-    (D, R) realized across fibers; both grow with the fiber, so they are
-    maxima over the fibers maximal under inclusion.
+    every fiber; only when the union fails is each distinct fiber, each
+    key of cf.classes, checked, and failures lists every failing fiber
+    key, in key order, with its own witness.  With compute_tightest, the
+    report also carries the tightest (D, R) realized across fibers; both
+    grow with the fiber, so they are maxima over the fibers maximal under
+    inclusion.
     """
     R = 24 * cf.delta_prime + 12
     rows = cf.metric
@@ -171,7 +176,7 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     def points(fiber):
         return list(masked(count(), fiber))
 
-    distinct = set(cf.fibers.values())
+    distinct = cf.classes
     failures = []
     if not doubling_check(points(reduce(or_, distinct, 0)), rows, 5, R).ok:
         reports = {fiber: doubling_check(points(fiber), rows, 5, R)
@@ -207,7 +212,7 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     vertices from the original vertex count on), and act_z[p] is the list
     whose entry r is the class of p.z, z any pair of class r, well defined
     since fibers are equivariant, V_{p.z} = p.V_z.  A generator's list is
-    looked up at each class's least pair; every other element's is
+    looked up at each class's least pair, cf.least; every other element's is
     composed along the group's walk, act_z[a s] = act_z[a] read along
     act_z[s], s a generator; the walk reaches every element (see the
     symmetry module).
@@ -224,13 +229,7 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     expand_cover places it on the endpoint pairs for a document.
     """
     G, names, fibers = cf.group, cf.classes, cf.fibers
-    # class -> its least pair, the first in fibers' order, which numbered
-    # the classes: the values come in class order
-    least = {}
-    for z, f in fibers.items():
-        least.setdefault(names[f], z)
-    step = {G.rank[s]: [names[fibers[s[xm], s[xp]]]
-                        for xm, xp in least.values()]
+    step = {G.rank[s]: [names[fibers[s[xm], s[xp]]] for xm, xp in cf.least]
             for s in G.generators}
     act = [list(range(len(names)))] + [None] * (len(G) - 1)
     for b, (a, s) in G.products.via.items():  # parents come first
@@ -281,11 +280,11 @@ def _line(cf: CoarseFlowSpace, gv0, xi):
 
 
 def eligible_targets(cf: CoarseFlowSpace, v0, xi_set):
-    """Pairs (g, xi), xi in xi_set, admitting a nonconstant small geodesic
-    from g v0 to xi."""
+    """Pairs (g, xi), g an element's number and xi in xi_set, admitting a
+    nonconstant small geodesic from g v0 to xi."""
     out = []
-    for g in cf.group.elements:
-        gv0 = g[v0]
+    for g, p in enumerate(cf.group.elements):
+        gv0 = p[v0]
         for xi in xi_set:
             if gv0 != xi and _line(cf, gv0, xi):
                 out.append((g, xi))
@@ -302,8 +301,8 @@ def ball_closed_targets(cf: CoarseFlowSpace, v0, alpha, xi_set):
     """
     eligible = frozenset(eligible_targets(cf, v0, xi_set))
     pairs = sorted(eligible, key=lambda t: (t[1], t[0]))
-    dropped = set(wide_failures([slices_of(eligible, cf.group.elements)],
-                                cf.group, alpha, pairs))
+    dropped = set(wide_failures([slices_of(eligible)], cf.group, alpha,
+                                pairs))
     return tuple(t for t in pairs if t not in dropped)
 
 
@@ -317,8 +316,9 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     so the order never grows.  cover is on cf_pair_space(cf)'s class
     numbers and is read through the class number of (g v0, xi), the
     pair's own slice in the cover expand_cover places on the endpoint
-    pairs.  A pulled-back member is held as slices with z = xi and v = g,
-    a mask over the group's elements.
+    pairs.  g is an element's number, and a pulled-back member is held as
+    slices with z = xi and v = g, bit g of a mask over the group's
+    elements.
     """
     if tau != int(tau) or tau < 0:
         raise ValueError("tau must be a nonnegative integer in original units")
@@ -328,11 +328,10 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
     # layer 2*tau in the subdivision is distance tau in original units; the
     # vertices there are midpoints, from the original vertex count on
     shift, elements = cf.sub.original.vertex_count, cf.group.elements
-    rank = cf.group.rank
     tau_sets = []  # (g's bit, xi, (g v0, xi)'s class number, its tau-set)
     spheres = {}  # g v0 -> the bitmask of the vertices at 2 tau from it
     for (g, xi) in targets:
-        gv0 = g[v0]
+        gv0 = elements[g][v0]
         if gv0 == xi:
             raise ValueError("target (%r, %r) has a constant flow line" % (g, xi))
         line = _line(cf, gv0, xi)
@@ -343,7 +342,7 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
             if gv0 not in spheres:
                 spheres[gv0] = sum(1 << v for v, dv in enumerate(d0)
                                    if dv == 2 * tau)
-            tau_sets.append((1 << rank[g], xi,
+            tau_sets.append((1 << g, xi,
                              cf.classes[cf.fibers[gv0, xi]],
                              (line & spheres[gv0]) >> shift))
     members = []
@@ -359,8 +358,7 @@ def pullback_cover(cf: CoarseFlowSpace, cover: Cover, tau, targets, v0) -> Cover
             continue
         seen.add(pulled)
         members.append(CoverMember(pulled, m.stabilizer, m.orbit_rep))
-    order = cover_order([m.slices for m in members],
-                        slices_of(targets, elements))
+    order = cover_order([m.slices for m in members], slices_of(targets))
     return Cover(tuple(members), cover.alpha, order)
 
 
@@ -380,14 +378,13 @@ def wideness_scan(cf: CoarseFlowSpace, cover: Cover, alpha, targets,
     """Find the smallest tau making the pulled-back cover alpha-wide.
 
     For each tau: every target pair must have one pulled-back member
-    containing its whole word-metric ball slice; the first failing target
-    is the witness for that tau.  On finite models the scan may exhaust;
-    that outcome is reported, not asserted away.
+    containing its whole word-metric ball slice; the first failing target,
+    g by its number, is the witness for that tau.  On finite models the
+    scan may exhaust; that outcome is reported, not asserted away.
     """
     G = cf.group
     failures = [(None, t, "ball leaves eligible pairs") for t in
-                wide_failures([slices_of(targets, G.elements)], G, alpha,
-                              targets)]
+                wide_failures([slices_of(targets)], G, alpha, targets)]
     if failures:
         return ScanReport(None, tuple(failures[:8]), None)
     for tau in tau_range:
@@ -420,7 +417,8 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     scan, never assumed.
     """
     sub_group, v0 = inst.sub_group, inst.v0
-    pairs = [(v0, p[v0]) for p in sub_group.ball(2 * alpha)]
+    elements = sub_group.elements
+    pairs = [(v0, elements[h][v0]) for h in sub_group.ball(2 * alpha)]
     theta1 = geodesic_angles(inst.index, inst.sub, pairs).saturate(sub_group)
     t3_2 = k_fold_sum(inst.t3, 2)
     x = angle_sum(theta0.union(theta1), k_fold_sum(inst.t3, 3))

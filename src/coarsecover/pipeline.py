@@ -158,7 +158,9 @@ def run_pipeline(g: Graph, generators, *, alpha, tau_max,
     if not doubling["ok"]:
         return result(False)
 
-    reach = max(index.dist[v0][p[v0]] for p in sub_group.ball(alpha)) // 2
+    elements = sub_group.elements
+    reach = max(index.dist[v0][elements[h][v0]]
+                for h in sub_group.ball(alpha)) // 2
     alpha_prime = reach + 2 * (delta + 1)
     space = cf_pair_space(cf)
     flow_cover = cover_cf(space, alpha_prime)
@@ -186,15 +188,15 @@ def run_pipeline(g: Graph, generators, *, alpha, tau_max,
         pull = Cover((), alpha_prime, -1)
     artifacts["pullback"] = pull
 
-    domain = [(ge, xi) for ge in sub_group.elements for xi in xi_cone]
+    domain = [(g, xi) for g in range(len(elements)) for xi in xi_cone]
     cone_cov = cone_sets_as_cover(cones, sub_group, domain)
-    combined = combined_cover(cone_cov, pull, domain, sub_group.elements)
+    combined = combined_cover(cone_cov, pull, domain)
     artifacts["combined"] = combined
     order_ok = combined.order <= pull.order + 3
 
     # final wideness: every eligible pair is fully ball-covered by a member
-    missed = [(sub_group.rank[ge], xi) for ge, xi in wide_failures(
-        combined.member_slices(), sub_group, alpha, domain)]
+    missed = list(wide_failures(combined.member_slices(), sub_group, alpha,
+                                domain))
     stages["combined"] = {
         "members": len(combined), "order": combined.order,
         "flow_order": pull.order, "order_ok": order_ok,
@@ -208,15 +210,15 @@ def run_pipeline(g: Graph, generators, *, alpha, tau_max,
 # ---------------------------------------------------------------------------
 
 
-def cover_to_document(cover: Cover, group: GroupModel, v_points) -> dict:
-    """The cover's members as sorted points, each v decoded over v_points
-    (a flow cover's midpoints, or the group's elements)."""
+def cover_to_document(cover: Cover, group: GroupModel, v_points=None) -> dict:
+    """The cover's members as sorted points, each v decoded over v_points,
+    a flow cover's midpoints; without v_points the v are the numbers of
+    group elements, written ["g", number]."""
+    if v_points is None:
+        v_points = [("g", g) for g in range(len(group))]
+
     def enc(x):
-        if isinstance(x, tuple) and x in group.rank:
-            return ["g", group.rank[x]]
-        if isinstance(x, tuple):
-            return list(x)
-        return x
+        return list(x) if isinstance(x, tuple) else x
 
     members = []
     for m in cover.members:

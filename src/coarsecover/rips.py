@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, islice
 
-from .angles import AngleSet, SmallnessOracle, canonical_angle, k_fold_sum, \
-    small_steps, theta3
+from .angles import AngleSet, SmallnessOracle, canonical_angle, \
+    partial_sums, small_steps, theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
 FACE_CAP = 200000  # the most distinct simplices a face enumeration holds
@@ -244,35 +244,38 @@ class _FoldMeasure:
     alpha is the largest distance from v0 over K and a the number of
     vertices of K at it; beta is the largest large-angle depth over K and
     b the number of vertices of K at it, 0 when beta is 0.  Both are read
-    off counters over K, of the distances and of the depths, and a fold
-    changes one entry of each per vertex it moves.
+    off buckets of K, the vertices at each distance and at each depth, and
+    a fold moves each vertex it moves between buckets.  A fold picks its
+    vertex from the bucket at alpha or at beta.
     """
 
     def __init__(self, d0, depth, K):
         self.d0, self.depth = d0, depth
         self.at_dist, self.at_depth = {}, {}
         for v in K:
-            self._count(v, 1)
+            self._add(v)
 
-    def _count(self, v, step):
-        for counter, key in ((self.at_dist, self.d0[v]),
-                             (self.at_depth, self.depth(v))):
-            n = counter.get(key, 0) + step
-            if n:
-                counter[key] = n
-            else:
-                del counter[key]
+    def _keys(self, v):
+        return (self.at_dist, self.d0[v]), (self.at_depth, self.depth(v))
+
+    def _add(self, v):
+        for buckets, key in self._keys(v):
+            buckets.setdefault(key, set()).add(v)
 
     def fold(self, v, vt, K):
-        """Count the fold of v in K to vt, before K itself changes."""
-        self._count(v, -1)
+        """Move the fold of v in K to vt, before K itself changes."""
+        for buckets, key in self._keys(v):
+            bucket = buckets[key]
+            bucket.remove(v)
+            if not bucket:
+                del buckets[key]
         if vt not in K:
-            self._count(vt, 1)
+            self._add(vt)
 
     def value(self):
         alpha, beta = max(self.at_dist), max(self.at_depth)
-        return (alpha, beta, self.at_dist[alpha],
-                self.at_depth[beta] if beta else 0)
+        return (alpha, beta, len(self.at_dist[alpha]),
+                len(self.at_depth[beta]) if beta else 0)
 
 
 def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
@@ -297,9 +300,10 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
     if d < 4 * delta_eff:
         raise ValueError("need d >= 4 * delta (delta taken as %d)" % delta_eff)
     t3 = theta3(g, index=index)
-    if not k_fold_sum(t3, 7) <= theta:
+    sums = list(islice(partial_sums(t3), 8))  # 0 to 7 corner sizes
+    if not sums[7] <= theta:
         raise ValueError("theta must contain the sevenfold corner size")
-    t3_2 = k_fold_sum(t3, 2)
+    t3_2 = sums[2]
     rel = _pair_relation(g, d, theta, index)
 
     K0 = frozenset(K_vertices)
@@ -320,18 +324,16 @@ def contract_subcomplex(K_vertices, g: Graph, d, theta: AngleSet, delta,
         if len(moves) > move_cap:
             raise ContractionError("fold count exceeded cap; no progress")
         if alpha >= beta + d:
-            v = min(v for v in K if d0[v] == alpha)
+            v = min(measure.at_dist[alpha])
             vt = min(w for w in index.geodesic_vertex_set(v0, v)
                      if d0[w] == alpha - 2 * delta_eff)
             case = "far-fold"
         elif beta == 0:
-            v = min(v for v in K if d0[v] == alpha)
+            v = min(measure.at_dist[alpha])
             vt = v0
             case = "base-fold"
         else:
-            v = min((c for c in K if depth[c] == beta), default=None)
-            if v is None:
-                raise ContractionError("no witness for the recorded beta")
+            v = min(measure.at_depth[beta])
             vt = witness[v]
             case = "angle-fold"
 

@@ -19,7 +19,8 @@ of the generators and their inverses come with the model, and every other
 row is composed from them along one walk from the identity on first read.
 Closures, orbits, conjugates and balls are index arithmetic on that table,
 and no product builds a permutation.  Subgroups and transversals are
-elements at the API.
+elements at the API; word lengths and balls are by number, as are the g of
+every pair (g, x) the cover layer reads.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class GroupModel:
     elements: tuple
     generators: tuple
     identity: tuple
-    word_length: dict = field(compare=False)
+    # number -> its word length
+    word_length: tuple = field(compare=False)
     # element -> its number
     rank: dict = field(compare=False, repr=False)
     # number -> the number of its inverse
@@ -104,8 +106,9 @@ class GroupModel:
         return len(self.elements)
 
     def ball(self, alpha):
-        """Elements within word distance alpha of the identity."""
-        return tuple(h for h in self.elements if self.word_length[h] <= alpha)
+        """The numbers of the elements within word distance alpha of the
+        identity, ascending."""
+        return tuple(h for h, n in enumerate(self.word_length) if n <= alpha)
 
 
 def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
@@ -158,7 +161,8 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
                 order.append(b)
     for s, row in rows:
         products[s], products[inverse[s]] = row, invert(row)
-    return GroupModel(g, elements, tuple(gens), e, word, rank, inverse,
+    return GroupModel(g, elements, tuple(gens), e,
+                      tuple(map(word.__getitem__, elements)), rank, inverse,
                       products)
 
 
@@ -373,14 +377,13 @@ def subdivided_group(G: GroupModel, subdivision) -> GroupModel:
     G must act on the original graph of the subdivision.  A lift begins
     with the permutation it lifts, as the original vertices come first, so
     the lifts ascend as the elements do: every element keeps its number,
-    and the lift shares G's inverses and product table.
+    and the lift shares G's word lengths, inverses and product table.
     """
     if G.graph != subdivision.original:
         raise ValueError("the group must act on the original graph of the "
                          "subdivision")
     lift = tuple(subdivision_perm(p, subdivision) for p in G.elements)
-    word = {q: G.word_length[p] for p, q in zip(G.elements, lift)}
     gens = tuple(lift[G.rank[p]] for p in G.generators)
-    return GroupModel(subdivision.graph, lift, gens, lift[0], word,
+    return GroupModel(subdivision.graph, lift, gens, lift[0], G.word_length,
                       {q: i for i, q in enumerate(lift)}, G.inverse,
                       G.products)

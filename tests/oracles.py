@@ -14,13 +14,14 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import and_
 from pathlib import Path
+from types import SimpleNamespace
 
 from coarsecover.angles import AngleSet, angle_sum, geodesic_angles, \
     geodesic_turns, k_fold_sum, theta3
 from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     doubling_check, minimal_doubling_constant, minimal_doubling_radius, \
-    pair_space, slices_of
+    pair_space
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
     Subdivision, _closing_paths, bfs_row, canon_edge, make_graph
@@ -40,7 +41,7 @@ def subgroup_generated_tuples(G: GroupModel, seed) -> frozenset:
     frontier = [G.identity]
     seed = list(seed)
     for s in seed:
-        if s not in G.word_length:
+        if s not in G.rank:
             raise ValueError("seed element not in group")
     if len(set(seed)) == len(G.elements):
         return frozenset(G.elements)
@@ -61,7 +62,7 @@ def is_subgroup_tuples(G: GroupModel, subset) -> bool:
     sub = frozenset(subset)
     if G.identity not in sub:
         return False
-    if len(sub) == len(G.elements) and all(a in G.word_length for a in sub):
+    if len(sub) == len(G.elements) and all(a in G.rank for a in sub):
         return True  # the whole group
     for a in sub:
         if invert(a) not in sub:
@@ -98,8 +99,8 @@ def set_orbit_tuples(U, G: GroupModel, translate):
 
 def ball_tuples(G: GroupModel, alpha, center):
     """The elements within word distance alpha of center."""
-    return tuple(compose(center, h) for h in G.elements
-                 if G.word_length[h] <= alpha)
+    return tuple(compose(center, h)
+                 for h, n in zip(G.elements, G.word_length) if n <= alpha)
 
 
 def saturate_over_elements(angles: AngleSet, G: GroupModel) -> AngleSet:
@@ -108,13 +109,27 @@ def saturate_over_elements(angles: AngleSet, G: GroupModel) -> AngleSet:
         act_angle(p, t) for t in angles.nontrivial for p in G.elements))
 
 
+def validate_angle_set(theta: AngleSet):
+    """ValueError unless every angle (u, apex, w) of theta is canonical,
+    u < w, and realized, both ends joined to the apex by edges of its
+    graph: the check every AngleSet once made on construction."""
+    g = theta.graph
+    for (u, apex, w) in theta.nontrivial:
+        if u >= w:
+            raise ValueError("angle %r not canonical" % ((u, apex, w),))
+        if not (g.has_edge(u, apex) and g.has_edge(apex, w)):
+            raise ValueError("angle %r not realized by edges"
+                             % ((u, apex, w),))
+
+
 def seed_theta0_reference(inst, alpha):
     """seed_theta0 read from every ball translate of the base point: the
     angles on the geodesics from each translate a to each vertex on a
     geodesic between two translates, saturated over every element."""
     index, sub_group = inst.index, inst.sub_group
-    ball = sorted({p[inst.v0] for p in sub_group.elements
-                   if sub_group.word_length[p] <= alpha})
+    ball = sorted({p[inst.v0] for p, n in zip(sub_group.elements,
+                                              sub_group.word_length)
+                   if n <= alpha})
     mids = set()
     for a in ball:
         for b in ball:
@@ -488,18 +503,18 @@ def cone_cover_per_apex(inst, theta0, xi_set):
         for layer, size in sorted(layer_sizes.items()):
             members = set()
             certified = set()
-            for ge in sub_group.elements:
+            for g, ge in enumerate(sub_group.elements):
                 gv0 = ge[v0]
                 if large(size, gv0, apex):
                     continue
                 for xi in xi_set:
                     if xi == apex:
-                        members.add((ge, xi))
+                        members.add((g, xi))
                     elif large(size, gv0, xi, apex):
-                        members.add((ge, xi))
+                        members.add((g, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
                                                 sums[layer]):
-                            certified.add((ge, xi))
+                            certified.add((g, xi))
             if members:
                 cones.append(ConeSet(apex, layer, frozenset(members),
                                      frozenset(certified)))
@@ -653,6 +668,16 @@ def encoded(v_points, sets):
             for z, vs in sets.items()}
 
 
+def slices_of(pairs, v_points) -> Slices:
+    """covers.slices_of's positional form: the slices of pairs (v, z),
+    each v-set a mask over the sequence v_points, bit i for v_points[i]."""
+    position = {v: i for i, v in enumerate(v_points)}
+    over = {}
+    for v, z in pairs:
+        over[z] = over.get(z, 0) | 1 << position[v]
+    return Slices(over)
+
+
 def decoded_sets(v_points, masks):
     """Masks {z: mask} over v_points as frozensets of v-points, read bit
     by bit."""
@@ -684,6 +709,17 @@ def trivial_pair_space(v_points, fibers, dist):
                       {G.identity: {z: z for z in fibers}})
 
 
+def stand_in_flow_space(delta_prime, metric, fibers):
+    """A stand-in for a CoarseFlowSpace as cf_doubling_report reads it:
+    delta_prime, the metric's rows, the fibers and their classes, each
+    distinct fiber numbered as it first appears."""
+    classes = {}
+    for f in fibers.values():
+        classes.setdefault(f, len(classes))
+    return SimpleNamespace(delta_prime=delta_prime, metric=metric,
+                           fibers=fibers, classes=classes)
+
+
 def least_pairs(cf):
     """Class number -> the least endpoint pair of its class, the first of
     the class in a sorted scan of every pair."""
@@ -706,7 +742,7 @@ def pullback_on_pairs(cf, cover, tau, targets, v0):
         held = decoded_sets(v_points, m.slices)
         pulled = set()
         for g, xi in targets:
-            gv0 = g[v0]
+            gv0 = cf.group.elements[g][v0]
             d0 = cf.index.dist[gv0]
             if d0[xi] < 2 * tau:
                 continue
@@ -714,12 +750,12 @@ def pullback_on_pairs(cf, cover, tau, targets, v0):
                       if d0[v] == 2 * tau}
             if at_tau <= held.get((gv0, xi), set()):
                 pulled.add((g, xi))
-        slices = slices_of(pulled, cf.group.elements)
+        slices = slices_of(pulled, range(len(cf.group)))
         if slices and slices not in seen:
             seen.add(slices)
             members.append(CoverMember(slices, m.stabilizer, m.orbit_rep))
     order = cover_order([m.slices for m in members],
-                        slices_of(targets, cf.group.elements))
+                        slices_of(targets, range(len(cf.group))))
     return Cover(tuple(members), cover.alpha, order)
 
 

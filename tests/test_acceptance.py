@@ -208,7 +208,7 @@ def test_criterion_04_cone_cover_order():
     for name, g, gens, mode, alpha, _tau in pipeline_instances():
         inst, xi, cones, oracle = _cone_setup(name, g, gens, mode, alpha)
         sub_group = inst.sub_group
-        dom = [(ge, x) for ge in sub_group.elements for x in xi]
+        dom = [(ge, x) for ge in range(len(sub_group)) for x in xi]
         cov = cone_sets_as_cover(cones, sub_group, dom)
         assert cov.order <= 2, name
         worst = max(worst, cov.order)

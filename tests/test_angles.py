@@ -1,8 +1,10 @@
 import random
 from functools import reduce
+from itertools import combinations, permutations
 from operator import or_
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsecover import angles
 from coarsecover.angles import (
@@ -13,6 +15,7 @@ from coarsecover.angles import (
     angle_sum,
     angleset_to_document,
     d_theta,
+    geodesic_angles,
     k_fold_sum,
     lemma_battery,
     load_angleset,
@@ -42,13 +45,14 @@ from coarsecover.graphs import (
     INF,
     GeodesicIndex,
     barycentric_subdivision,
+    make_graph,
     slimness_constant,
 )
-from coarsecover.symmetry import close_group
+from coarsecover.symmetry import close_group, is_automorphism
 from oracles import angle_sum_brute, d_theta_definitional_oracle, \
     mask_neighbours, mask_vertices, observer_set_all, observer_set_exists, \
     saturate_over_elements, small_carriers, theta3_brute, \
-    theta3_subdivision_brute, theta_small_paths_brute
+    theta3_subdivision_brute, theta_small_paths_brute, validate_angle_set
 
 C6 = cycle_graph(6)
 
@@ -64,6 +68,17 @@ class TestAngleBasics:
         doc = angleset_to_document(t)
         assert doc == [[0, 1, 2]]
         assert load_angleset(doc, C6) == t
+
+    def test_an_unrealized_triple_is_refused_where_it_enters(self):
+        # vertices 1 and 3 of C4 are not adjacent; a trivial triple stays
+        # implicit whatever its apex, and an unordered one is made canonical
+        c4 = cycle_graph(4)
+        with pytest.raises(ValueError, match="not realized"):
+            angle_set_from_triples(c4, [(0, 1, 3)])
+        with pytest.raises(ValueError, match="not realized"):
+            load_angleset([[0, 1, 3]], c4)
+        assert angle_set_from_triples(c4, [(2, 0, 2), (3, 0, 1)]) == \
+            angle_set_from_triples(c4, [(1, 0, 3)])
 
     def test_invariance_and_saturation(self):
         G = rotation_group(6)
@@ -611,3 +626,39 @@ class TestCarrierSets:
                             assert mask_vertices(lines[v]) == got, (u, v)
                             assert ors[v] == reduce(
                                 or_, (weight[w] for w in want), 0), (u, v)
+
+
+@st.composite
+def graphs_with_angles(draw):
+    """A connected graph on at most 6 vertices, its automorphism group,
+    two drawn sizes on it and drawn vertex pairs of its subdivision."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=4))
+    g = make_graph(n, edges)
+    G = close_group(g, [p for p in permutations(range(n))
+                        if is_automorphism(g, p)])
+    every = sorted(all_angles(g).nontrivial)
+    a, b = (angle_set_from_triples(g, draw(st.sets(st.sampled_from(every))))
+            if every else trivial_only(g) for _ in range(2))
+    sub = barycentric_subdivision(g)
+    vertices = st.sampled_from(sub.graph.vertices)
+    pairs = draw(st.lists(st.tuples(vertices, vertices), max_size=6))
+    return g, G, a, b, sub, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_angles(), st.integers(0, 4))
+def test_every_size_made_inside_the_library_is_valid(case, k):
+    """Sums, unions, saturations, all_angles, theta3 and geodesic_angles
+    make canonical, realized angles by construction, so AngleSet checks
+    none of them; validate_angle_set is the check it once made."""
+    g, G, a, b, sub, pairs = case
+    index = GeodesicIndex(sub.graph)
+    for theta in (angle_sum(a, b), a.union(b), a.saturate(G),
+                  k_fold_sum(a, k), all_angles(g),
+                  theta3(g, GeodesicIndex(g)), theta3(sub, index=index),
+                  theta3(sub, index=GeodesicIndex(sub.graph), group=G),
+                  geodesic_angles(index, sub, pairs)):
+        validate_angle_set(theta)

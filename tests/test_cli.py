@@ -438,6 +438,8 @@ MALFORMED_DOCUMENTS = {
     "trace-move-missing-keys": ("--trace", {"moves": [{"vertex": 1}]}),
     "theta-number": ("--theta", 5),
     "theta-string-vertex": ("--theta", [["a", 1, 2]]),
+    # vertices 1 and 3 of C4 are not adjacent
+    "theta-unrealized-angle": ("--theta", [[0, 1, 3]]),
 }
 
 

@@ -171,7 +171,7 @@ class TestConeCover:
     def test_tree_order_bound(self):
         g = random_tree(10, seed=6)
         inst, sub, Gs, v0, xi, cones, oracle = build_cones(g)
-        dom = [(ge, x) for ge in Gs.elements for x in xi]
+        dom = [(ge, x) for ge in range(len(Gs)) for x in xi]
         cov = cone_sets_as_cover(cones, Gs, dom)
         assert cov.order <= 2
 
@@ -180,7 +180,7 @@ class TestConeCover:
         inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
         assert cones
-        dom = [(ge, x) for ge in Gs.elements for x in xi]
+        dom = [(ge, x) for ge in range(len(Gs)) for x in xi]
         cov = cone_sets_as_cover(cones, Gs, dom)
         assert cov.order <= 2
 
@@ -202,7 +202,8 @@ class TestConeCover:
             g, [spider_rotation(3, 4)])
         for c in cones:
             for h in Gs.elements:
-                moved = {(compose(h, ge), h[x]) for (ge, x) in c.members}
+                moved = {(Gs.rank[compose(h, Gs.elements[ge])], h[x])
+                         for (ge, x) in c.members}
                 peers = [d for d in cones
                          if d.layer == c.layer and d.apex == h[c.apex]]
                 if h[c.apex] != c.apex:
@@ -221,7 +222,8 @@ class TestConeCover:
         cones2, _ = cone_cover(moved, theta0, xi)
         expect = {
             (c.apex, c.layer):
-            frozenset((compose(ge, r), x) for (ge, x) in c.members)
+            frozenset((Gs.rank[compose(Gs.elements[ge], r)], x)
+                      for (ge, x) in c.members)
             for c in cones}
         got = {(c.apex, c.layer): c.members for c in cones2}
         assert got == expect
@@ -272,7 +274,7 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
             for layer, k in ((1, 2), (2, 5), (3, 6)):
                 size = k_fold_sum(x, k)
                 want = frozenset(
-                    (ge, xi) for ge in inst.sub_group.elements
+                    (g, xi) for g, ge in enumerate(inst.sub_group.elements)
                     for xi in xi_set
                     if cone_member_brute(inst, ge, xi, apex, size))
                 c = got.get((apex, layer))
@@ -280,9 +282,10 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
                     (alpha, apex, layer)
                 if c:
                     assert c.certified_interior == frozenset(
-                        (ge, xi) for ge, xi in c.members
+                        (g, xi) for g, xi in c.members
                         if interior_certificate_brute(
-                            inst, ge, xi, apex, size)), (alpha, apex, layer)
+                            inst, inst.sub_group.elements[g], xi, apex,
+                            size)), (alpha, apex, layer)
 
 
 C16_DIHEDRAL = next(c for c in workloads.seed_cases(
@@ -456,12 +459,12 @@ def test_dichotomy_matches_a_sweep_per_translate(monkeypatch, name, g, gens,
         assert [(o, src) for o, src, _ in sweeps] in ([], [(handed, v0)])
         assert built == []
         uncovered = list(wide_failures(
-            [slices_of(c.members, elements) for c in kept], inst.sub_group, 1,
-            [(ge, xi) for ge in elements for xi in xi_set]))
+            [slices_of(c.members) for c in kept], inst.sub_group, 1,
+            [(g, xi) for g in range(len(elements)) for xi in xi_set]))
         assert rep["failures"] == [
-            (elements.index(ge), xi) for ge, xi in uncovered
-            if ge[v0] != xi
-            and not small_steps(oracle, ge[v0], INF)[0][xi]]
+            (g, xi) for g, xi in uncovered
+            if elements[g][v0] != xi
+            and not small_steps(oracle, elements[g][v0], INF)[0][xi]]
         assert rep["clauses"] == {
             "cone": len(elements) * len(xi_set) - len(uncovered),
             "small-geodesic": len(uncovered) - len(rep["failures"])}
@@ -497,22 +500,22 @@ class TestCombined:
     def test_empty_cone_side_is_identity(self):
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
-        dom = [((0,), "x")]
-        flow = Cover((CoverMember(slices_of(dom, [(0,)]),
+        dom = [(0, "x")]
+        flow = Cover((CoverMember(slices_of(dom),
                                   frozenset([Gs.identity]), True),), 1, 0)
         empty = Cover((), None, -1)
-        out = combined_cover(empty, flow, dom, [(0,)])
+        out = combined_cover(empty, flow, dom)
         assert out.member_slices() == flow.member_slices()
         assert out.order == 0
 
     def test_order_is_additive_at_worst(self):
         dom = [(g, "xi") for g in range(10)]
         def mk(gs):
-            return CoverMember(slices_of(((g, "xi") for g in gs), range(10)),
+            return CoverMember(slices_of((g, "xi") for g in gs),
                                frozenset(), True)
         flow = Cover(tuple(mk(range(10)) for _ in range(5)), 1, 4)
         cone = Cover(tuple(mk(range(10)) for _ in range(3)), None, 2)
-        out = combined_cover(cone, flow, dom, range(10))
+        out = combined_cover(cone, flow, dom)
         assert out.order == 7 <= flow.order + 3
 
     def test_cone_sets_of_order_three_break_the_bound(self, monkeypatch):
@@ -526,14 +529,14 @@ class TestCombined:
                            theta0_mode=mode)
         inst, pull = res.instance, res.artifacts["pullback"]
         Gs, xi = inst.sub_group, inst.cone_targets()
-        domain = [(ge, x) for ge in Gs.elements for x in xi]
+        domain = [(ge, x) for ge in range(len(Gs)) for x in xi]
         cones, _ = cone_cover(inst, select_theta0(inst, alpha, mode), xi)
         assert res.ok and not pull.members
         assert res.artifacts["combined"].order == 2 == pull.order + 3
         union = replace(cones[0], members=frozenset().union(
             *(c.members for c in cones)))
         cone_cov = cone_sets_as_cover(list(cones) + [union], Gs, domain)
-        combined = combined_cover(cone_cov, pull, domain, Gs.elements)
+        combined = combined_cover(cone_cov, pull, domain)
         assert cone_cov.order == combined.order == 3
         assert not combined.order <= pull.order + 3
 

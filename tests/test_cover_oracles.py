@@ -21,7 +21,6 @@ from coarsecover.covers import (
     fiber_basis,
     greedy_cover,
     pair_space,
-    slices_of,
     verify_cover,
 )
 from coarsecover.graphs import INF
@@ -29,7 +28,7 @@ from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
 from oracles import all_subgroups, cover_order_brute, decoded, \
     decoded_sets, default_basis, doubling_scan_oracle, encoded, failed, \
     fiber_basis_brute, fibers_of, greedy_cover_reference, pairs_of, \
-    set_cover, trivial_pair_space, verify_cover_definitional, \
+    set_cover, slices_of, trivial_pair_space, verify_cover_definitional, \
     violating_set_unpruned
 
 SETTINGS = settings(max_examples=150, deadline=None)

@@ -23,7 +23,6 @@ from coarsecover.covers import (
     greedy_cover,
     minimal_doubling_constant,
     pair_space,
-    slices_of,
     verify_cover,
 )
 from coarsecover.graphs import INF, make_graph
@@ -33,8 +32,9 @@ from coarsecover.covers import Slices
 from oracles import cover_order_brute, decoded, decoded_sets, \
     default_basis, distance_matrix, encoded, extend_cover, extend_open, \
     failed, fibers_of, greedy_cover_reference, pairs_of, \
-    separated_sets_brute, set_cover, trivial_pair_space, validate_family, \
-    validate_pair_space, verify_cover_definitional, violating_set_unpruned
+    separated_sets_brute, set_cover, slices_of, trivial_pair_space, \
+    validate_family, validate_pair_space, verify_cover_definitional, \
+    violating_set_unpruned
 
 
 def line_metric(n):

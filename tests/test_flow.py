@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import pytest
 
 from coarsecover.angles import (
@@ -25,7 +23,7 @@ from coarsecover.corpus import (
 )
 from coarsecover import flow, graphs
 from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
-    doubling_check, fiber_basis, greedy_cover, slices_of, verify_cover
+    doubling_check, fiber_basis, greedy_cover, verify_cover
 from coarsecover.flow import (
     ball_closed_targets,
     cf_doubling_report,
@@ -43,7 +41,8 @@ from coarsecover.pipeline import build_instance, run_pipeline, \
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
 from oracles import decoded, decoded_sets, encoded, endpoint_pair_space, \
     failed, flow_space, least_pairs, mask_vertices, pullback_on_pairs, \
-    small_carriers, star_metric, theta_small_paths_brute
+    slices_of, small_carriers, stand_in_flow_space, star_metric, \
+    theta_small_paths_brute
 
 
 def fiber_sets(cf):
@@ -291,8 +290,7 @@ class TestDoubling:
         # larger than failing but not around it, and passes
         wide = frozenset(range(13)) - {5, 6}
         fibers = {(0, 1): failing, (0, 2): heavy, (1, 0): light, (2, 0): wide}
-        cf = SimpleNamespace(delta_prime=0, metric=metric,
-                             fibers=encoded(range(13), fibers))
+        cf = stand_in_flow_space(0, metric, encoded(range(13), fibers))
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"] is False and rep["R"] == 12 and rep["fibers"] == 4
         checks = {key: doubling_check(sorted(f), lambda a, b: metric[a][b],
@@ -310,8 +308,7 @@ class TestDoubling:
         metric = star_metric((1, 20, 25, 30, 20, 25, 30))
         fibers = {(0, 1): frozenset((0, 1, 2, 3)),
                   (1, 0): frozenset((0, 4, 5, 6))}
-        cf = SimpleNamespace(delta_prime=0, metric=metric,
-                             fibers=encoded(range(7), fibers))
+        cf = stand_in_flow_space(0, metric, encoded(range(7), fibers))
         checked = count_doubling_checks(monkeypatch)
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"] is True and rep["failures"] == []
@@ -504,7 +501,7 @@ class TestPullback:
             frozenset([cf.group.identity]), True)
         cov = Cover((member,), 1, 0)
         pull = pullback_cover(cf, cov, 0, targets, v0)
-        assert [m.points(cf.group.elements) for m in pull.members] == \
+        assert [m.points(range(len(cf.group))) for m in pull.members] == \
             [frozenset(targets)]
 
     def test_tree_tau_zero_is_evaluation_at_base(self):
@@ -515,10 +512,11 @@ class TestPullback:
         cov = expand_cover(cf, classes)
         pull = pullback_cover(cf, classes, 0, targets, v0)
         sets = [m.points(sub.ve_vertices()) for m in cov.members]
+        elements = cf.group.elements
         for i, m in enumerate(sets):
             pulled = {(gg, xi) for (gg, xi) in targets
-                      if (gg[v0], (gg[v0], xi)) in m}
-            assert pulled in ([p.points(cf.group.elements)
+                      if (elements[gg][v0], (elements[gg][v0], xi)) in m}
+            assert pulled in ([p.points(range(len(elements)))
                                for p in pull.members] + [set()]) \
                 or not pulled
 
@@ -529,7 +527,7 @@ class TestPullback:
         cf = flow_space(sub, all_angles(g), sub.ve_vertices())
         v0 = sub.midpoint_of_edge[(0, 1)]
         xi = sub.midpoint_of_edge[(3, 4)]  # antipodal midpoint: two flow lines
-        e = cf.group.identity
+        e = 0  # the identity's number
         idx = cf.index
         layer1 = [v for v in idx.geodesic_vertex_set(v0, xi)
                   if idx.dist[v0][v] == 2 and sub.is_midpoint(v)]
@@ -539,9 +537,9 @@ class TestPullback:
             slices_of(on_classes(cf, [t for t in cf.triples
                                       if t[0] != layer1[1]]),
                       sub.ve_vertices()),
-            frozenset([e]), True)
+            frozenset([cf.group.identity]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
-        assert all((e, xi) not in m.points(cf.group.elements)
+        assert all((e, xi) not in m.points(range(len(cf.group)))
                    for m in pull.members)
 
     def test_only_the_tau_sphere_of_a_line_is_read(self):
@@ -549,7 +547,7 @@ class TestPullback:
         # nearer to the base: the pair is pulled back all the same
         g, sub, cf = tree_cf(8)
         v0 = sub.midpoint_of_edge[min(sub.midpoint_of_edge)]
-        e = cf.group.identity
+        e = 0  # the identity's number
         d0 = cf.index.dist[v0]
         xi = max(cf.endpoints, key=d0.__getitem__)
         assert d0[xi] > 2
@@ -558,9 +556,9 @@ class TestPullback:
         # a member of the class cover, held over the class of (v0, xi)
         member = CoverMember(slices_of(
             ((v, cf.classes[cf.fibers[v0, xi]]) for v in at_tau),
-            sub.ve_vertices()), frozenset([e]), True)
+            sub.ve_vertices()), frozenset([cf.group.identity]), True)
         pull = pullback_cover(cf, Cover((member,), 1, 0), 1, [(e, xi)], v0)
-        assert [m.points(cf.group.elements) for m in pull.members] == \
+        assert [m.points(range(len(cf.group))) for m in pull.members] == \
             [frozenset([(e, xi)])]
 
     def test_short_flow_lines_excluded(self):
@@ -570,7 +568,7 @@ class TestPullback:
         full = CoverMember(slices_of(on_classes(cf, cf.triples),
                                      sub.ve_vertices()),
                            frozenset([cf.group.identity]), True)
-        big_tau = 1 + max(cf.index.dist[g_[v0]][xi] // 2
+        big_tau = 1 + max(cf.index.dist[cf.group.elements[g_][v0]][xi] // 2
                           for (g_, xi) in targets)
         pull = pullback_cover(cf, Cover((full,), 1, 0), big_tau, targets, v0)
         assert not pull.members
@@ -592,7 +590,7 @@ class TestPullback:
 
     def test_pullback_rejects_foreign_endpoints(self):
         ve, cf = self.two_ended_cf()
-        e, empty = cf.group.identity, Cover((), 1, -1)
+        e, empty = 0, Cover((), 1, -1)
         with pytest.raises(ValueError, match="endpoints"):
             pullback_cover(cf, empty, 0, [(e, ve[2])], ve[0])
         with pytest.raises(ValueError, match="endpoints"):
@@ -666,6 +664,30 @@ def test_composed_act_z_is_the_lookup_on_every_element(name, g, gens, mode,
         assert act == [cf.classes[cf.fibers[p[a], p[b]]] for a, b in least]
         assert all(act[cf.classes[f]] == cf.classes[cf.fibers[p[a], p[b]]]
                    for (a, b), f in cf.fibers.items())
+
+
+LEAST_PAIR_CASES = [("criterion02-" + name, g, [], use_all, True)
+                    for name, g, use_all in flow_graphs()] + [
+    (name, g, gens, True, False)
+    for name, g, gens, *_ in pipeline_instances()]
+
+
+@pytest.mark.parametrize("name, g, gens, use_all, sampled", LEAST_PAIR_CASES,
+                         ids=[c[0] for c in LEAST_PAIR_CASES])
+def test_each_class_keeps_its_least_pair(name, g, gens, use_all, sampled):
+    """cf.least[r] is the least endpoint pair whose fiber has class r, on
+    criterion 02's flow spaces (its sampled endpoints) and on the
+    pipeline instances' (every flow endpoint, under the group)."""
+    inst = build_instance(g, gens)
+    theta = all_angles(g) if use_all else k_fold_sum(inst.t3, 2)
+    ends = inst.flow_endpoints()
+    if sampled:
+        ve = inst.sub.ve_vertices()
+        ends = ve[::max(1, len(ve) // 8)][:10]
+    cf = flow_space(inst.sub, theta, ends, group=inst.sub_group,
+                    index=inst.index, theta3_set=inst.t3)
+    assert list(cf.least) == least_pairs(cf)
+    assert len(cf.least) == len(cf.classes) > 0
 
 
 class TestWidenessScan:
@@ -748,7 +770,7 @@ class TestThetaForWideness:
         theta = theta_for_wideness(inst, 1, theta0)
         assert k_fold_sum(t3, 2) <= theta
         oracle = SmallnessOracle(sub, theta)
-        ball = [p for p in Gs.elements if Gs.word_length[p] <= 1]
+        ball = [p for p, n in zip(Gs.elements, Gs.word_length) if n <= 1]
         for p in ball:
             a = p[v0]
             into, _ = small_steps(oracle, a, INF)
@@ -783,7 +805,7 @@ def test_theta_for_wideness_matches_the_ball_pairs(monkeypatch, name, g,
     Gs, v0 = inst.sub_group, inst.v0
     real = flow.geodesic_angles
     for alpha in range(4):
-        ball = [p[v0] for p in Gs.ball(alpha)]
+        ball = [Gs.elements[h][v0] for h in Gs.ball(alpha)]
         for theta0 in (select_theta0(inst, alpha, "seed"), trivial_only(g)):
             got = theta_for_wideness(inst, alpha, theta0)
             monkeypatch.setattr(flow, "geodesic_angles", lambda index, sub, _:

@@ -23,16 +23,15 @@ from coarsecover.flow import build_cf_theta, cf_doubling_report
 from coarsecover.graphs import make_graph
 from coarsecover.pipeline import build_instance
 from oracles import cf_doubling_report_brute, encoded, mask_vertices, \
-    star_metric
+    stand_in_flow_space, star_metric
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def with_fibers(cf, fibers):
     """A stand-in for cf with other fibers: the report and its reference
-    read delta_prime, metric and fibers alone."""
-    return SimpleNamespace(delta_prime=cf.delta_prime, metric=cf.metric,
-                           fibers=fibers)
+    read delta_prime, metric, fibers and their classes alone."""
+    return stand_in_flow_space(cf.delta_prime, cf.metric, fibers)
 
 # one light point and six heavy ones: the seven points fail (the heavy six
 # are pairwise 40 apart, within 2 * 12 of the light one), four points pass

@@ -291,8 +291,8 @@ def test_only_symmetry_composes_permutations():
 def test_a_restored_permutation_inverse_is_flagged(tmp_path):
     # dichotomy_check inverting g as a permutation again
     text = (SRC / "cones.py").read_text()
-    mutant = text.replace("last, back = ge, elements[inverse[rank[ge]]]",
-                          "last, back = ge, invert(ge)")
+    mutant = text.replace("last, back = g, elements[inverse[g]]",
+                          "last, back = g, invert(elements[g])")
     assert mutant != text
     (tmp_path / "cones.py").write_text(mutant)
     assert symmetry_calls([tmp_path / "cones.py"], ("compose", "invert")) == \

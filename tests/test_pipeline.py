@@ -70,12 +70,12 @@ class TestPipeline:
                            alpha=alpha, tau_max=4, theta0_mode="seed")
         assert res.ok
         G = res.instance.sub_group
-        domain = [(ge, xi) for ge in G.elements
+        domain = [(ge, xi) for ge in range(len(G))
                   for xi in res.instance.cone_targets()]
         sets = res.artifacts["combined"].member_slices()
         assert list(wide_failures(sets, G, alpha, domain)) == []
         ge, xi = domain[-1]
-        ball = frozenset(ball_tuples(G, alpha, ge))
+        ball = frozenset(ball_tuples(G, alpha, G.elements[ge]))
         assert len(ball) > 1
         need = encoded(G.elements, {xi: ball})[xi]
         kept = [m for m in sets if need & ~m.get(xi, 0)]
