@@ -1,17 +1,19 @@
 """Angle sets on finite graphs and everything built from them.
 
-An angle is an unordered pair of edges sharing a vertex (the apex), stored
-canonically as a triple (u, apex, w) listing the two far endpoints with
-u <= w.  Trivial angles (an edge paired with itself) are members of every
-angle set and are kept implicit.  A step out of the apex starts an
-original edge; far_end names that edge's other end, so every turn of a
-path, on a graph or on its subdivision, is read as a canonical angle.
+An angle is an unordered pair of edges sharing a vertex (the apex).  An
+angle set holds an exit mask per vertex v and neighbour: bit j of v's i-th
+mask is set when the angle of the edges to v's i-th and j-th neighbours,
+in neighbors(v) order, is in the set.  Trivial angles (an edge paired with
+itself, i = j) are in every angle set.  Triples (u, apex, w) name angles
+only where documents are read and written.
 
 A size for angles is a group-invariant angle set.  Geodesics all of whose
 internal angles lie in a size Theta are Theta-small; length <= 1 geodesics
 are always small.  On a barycentric subdivision only angles at original
-(class "V") vertices are inspected; midpoint vertices have valency 2 and
-their unique angle never counts against smallness.
+(class "V") vertices are inspected; a midpoint has valency 2 and its one
+angle never counts against smallness.  barycentric_subdivision numbers the
+midpoints in sorted edge order, so those at an original vertex v come in
+the order of v's neighbours: a size's masks serve on the subdivision too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
+from operator import ne, or_
 
 from .graphs import (
     INF,
@@ -36,97 +39,144 @@ from .graphs import (
     make_graph,
     parse_document,
 )
-from .symmetry import GroupModel, act_angle
+from .symmetry import GroupModel
 
 
 def canonical_angle(u, apex, w):
     return (u, apex, w) if u <= w else (w, apex, u)
 
 
+def _through(x, rows):
+    """The OR of rows[j] over the bits j of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= rows[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+@cache
+def _unit(degree):  # the masks at a vertex of that degree with no angle
+    return tuple(1 << i for i in range(degree))
+
+
+@cache
+def _full(degree):  # and with every angle
+    return ((1 << degree) - 1,) * degree
+
+
 @dataclass(frozen=True)
 class AngleSet:
-    """A set of angles of one graph, trivial angles implicit.
+    """A set of angles of one graph as exit masks (see the module
+    docstring): rows[v][i] has bit j when the angle of v's i-th and j-th
+    neighbours is in the set, and bit i always.
 
-    The graph reference is to the graph whose edges are being paired; for a
-    subdivision this is the original graph.  Every angle (u, apex, w) is
-    canonical, u < w, and realized, both ends joined to the apex by edges.
-    That is checked where outside triples become a size, in
-    angle_set_from_triples, and holds by construction everywhere else:
-    trivial_only holds no angle; all_angles pairs the sorted neighbours of
-    each apex; a union joins two sets of one graph; saturate takes images
-    under automorphisms, which keep edges, ordered by act_angle; angle_sum
-    pairs distinct neighbours of an apex met in its summands' angles, made
-    canonical; k_fold_sum adds sums; and theta3 and geodesic_angles pair
-    the far ends of two distinct steps out of an apex (see
-    geodesic_turns), made canonical.
+    The graph is the one whose edges are paired; for a subdivision, the
+    original graph.  A mask names only neighbours, so every angle is
+    realized by two edges at its apex; angle_set_from_triples checks that
+    where outside triples become a size.  nontrivial derives the canonical
+    triples (u, apex, w), u < w, for documents and reports.
     """
 
     graph: Graph
-    nontrivial: frozenset
+    rows: tuple
 
     def contains(self, u, apex, w) -> bool:
-        if u == w:
-            return True
-        return canonical_angle(u, apex, w) in self.nontrivial
+        """Whether the angle of the edges apex-u and apex-w is in the set."""
+        at = self.graph.neighbors(apex).index  # a neighbour's place
+        return u == w or self.rows[apex][at(u)] >> at(w) & 1 == 1
 
     def union(self, other) -> "AngleSet":
         self._check_base(other)
-        return AngleSet(self.graph, self.nontrivial | other.nontrivial)
+        if not len(other):
+            return self
+        return AngleSet(self.graph, tuple(
+            x if x == y else tuple(map(or_, x, y))
+            for x, y in zip(self.rows, other.rows)))
 
     def _check_base(self, other):
         if other.graph is not self.graph and other.graph != self.graph:
             raise ValueError("angle sets live on different graphs")
 
     def is_invariant(self, G: GroupModel) -> bool:
-        # invariance under each generator is invariance under the group
-        return all(act_angle(p, t) in self.nontrivial
-                   for p in G.generators for t in self.nontrivial)
+        return self.saturate(G) == self
 
     def saturate(self, G: GroupModel) -> "AngleSet":
-        """The least G-invariant angle set containing this one: the orbit
-        closure along the generators, |T| * |generators| images, which is
+        """The least G-invariant angle set containing this one: each row's
+        images along the generators, again whenever a row grows, which is
         the union over every element (see the symmetry module)."""
-        out = set(self.nontrivial)
-        queue = list(out)
-        for t in queue:  # the queue grows while it is walked
+        if not G.generators:
+            return self  # the trivial group moves no angle
+        g, rows = self.graph, list(self.rows)
+        # the vertices with an angle; the queue grows while it is walked
+        queue = [v for v, row in enumerate(rows) if row != _unit(len(row))]
+        for v in queue:
             for p in G.generators:
-                u = act_angle(p, t)
-                if u not in out:
-                    out.add(u)
-                    queue.append(u)
-        return AngleSet(self.graph, frozenset(out))
+                # v's one angle goes to w's when v has two neighbours or
+                # fewer, else p carries v's i-th neighbour to bit to[i] at w
+                w, grown = p[v], rows[v]
+                if len(grown) > 2:
+                    to = [1 << g.neighbors(w).index(p[u])
+                          for u in g.neighbors(v)]
+                    image = [0] * len(to)
+                    for t, x in zip(to, rows[v]):
+                        image[t.bit_length() - 1] = _through(x, to)
+                    grown = tuple(map(or_, rows[w], image))
+                if grown != rows[w]:
+                    rows[w] = grown
+                    queue.append(w)
+        return AngleSet(g, tuple(rows))
+
+    @cached_property
+    def nontrivial(self) -> frozenset:
+        return frozenset(
+            (nbrs[i], v, nbrs[j]) for v, row in enumerate(self.rows)
+            for nbrs in (self.graph.neighbors(v),) for i, x in enumerate(row)
+            for j in range(i + 1, len(nbrs)) if x >> j & 1)
+
+    @cached_property
+    def _size(self):
+        # each angle sets two bits, and each edge sets one bit at each end
+        return sum(map(int.bit_count, chain.from_iterable(self.rows))) // 2 \
+            - len(self.graph.edges)
 
     def __len__(self):
-        return len(self.nontrivial)
+        return self._size
 
     def __le__(self, other):
         self._check_base(other)
-        return self.nontrivial <= other.nontrivial
+        masks = list(chain.from_iterable(other.rows))
+        return masks == list(map(or_, chain.from_iterable(self.rows), masks))
 
 
 def trivial_only(g: Graph) -> AngleSet:
-    return AngleSet(g, frozenset())
+    return AngleSet(g, tuple(map(_unit, map(len, map(g.neighbors,
+                                                     g.vertices)))))
 
 
 def all_angles(g: Graph) -> AngleSet:
-    # neighbours are sorted, so each pair of them is canonical
-    return AngleSet(g, frozenset((u, apex, w) for apex in g.vertices for u, w
-                                 in combinations(g.neighbors(apex), 2)))
+    return AngleSet(g, tuple(map(_full, map(len, map(g.neighbors,
+                                                     g.vertices)))))
 
 
 def angle_set_from_triples(g: Graph, triples) -> AngleSet:
-    """The size holding the triples (u, apex, w), each made canonical and
-    a trivial one, u == w, left implicit.  This is the one path by which
-    outside triples, as load_angleset reads them, become a size, so an
-    angle whose ends are not both joined to its apex by edges of g is a
-    ValueError here (see AngleSet)."""
-    nontrivial = frozenset(canonical_angle(u, a, w) for (u, a, w) in triples
-                           if u != w)
-    for (u, apex, w) in nontrivial:
-        if not (g.has_edge(u, apex) and g.has_edge(apex, w)):
+    """The size holding the triples (u, apex, w), in either order, a
+    trivial one, u == w, left implicit.  This is the one path by which
+    triples, as load_angleset and geodesic_angles give them, become a
+    size, so an angle whose ends are not both joined to its apex by edges
+    of g is a ValueError here (see AngleSet)."""
+    rows = list(trivial_only(g).rows)
+    for u, apex, w in {(u, a, w) for u, a, w in triples if u != w}:
+        try:  # the places of u and w among apex's neighbours
+            nbrs = g.neighbors(apex)
+            i, j, row = nbrs.index(u), nbrs.index(w), list(rows[apex])
+        except (KeyError, ValueError):
             raise ValueError("angle %r not realized by edges"
-                             % ((u, apex, w),))
-    return AngleSet(g, nontrivial)
+                             % ((u, apex, w),)) from None
+        row[i], row[j] = row[i] | 1 << j, row[j] | 1 << i
+        rows[apex] = tuple(row)
+    return AngleSet(g, tuple(rows))
 
 
 def load_angleset(document, g: Graph) -> AngleSet:
@@ -147,44 +197,35 @@ def angleset_to_document(theta: AngleSet):
 
 
 def angle_sum(a: AngleSet, b: AngleSet) -> AngleSet:
-    """All angles (e, e'') split by some e' with (e,e') in a, (e',e'') in b.
-
-    Contains both summands (via trivial middle edges) and is again
-    group invariant whenever both summands are.
-    """
+    """All angles (e, e'') split by some e' with (e,e') in a, (e',e'') in b:
+    row i at an apex ORs b's rows over the bits of a's row i, and a's over
+    b's, as angles are unordered.  It contains both summands (via trivial
+    middle edges) and is group invariant whenever both summands are."""
     a._check_base(b)
-    for s in (a, b):
+    for s, t in ((a, b), (b, a)):
         if len(s) == a.graph.angle_count:
             return s  # every angle of the graph, and a sum holds no more
-    out = set(a.nontrivial) | set(b.nontrivial)
-    by_apex_a = {}
-    for (u, apex, w) in a.nontrivial:
-        by_apex_a.setdefault(apex, []).append((u, w))
-    by_apex_b = {}
-    for (u, apex, w) in b.nontrivial:
-        by_apex_b.setdefault(apex, {}).setdefault(u, set()).add(w)
-        by_apex_b.setdefault(apex, {}).setdefault(w, set()).add(u)
-    for apex, pairs in by_apex_a.items():
-        nb = by_apex_b.get(apex)
-        if not nb:
-            continue
-        for (u, x) in pairs:
-            for (p, q) in ((u, x), (x, u)):
-                for w in nb.get(q, ()):
-                    if p != w:
-                        out.add(canonical_angle(p, apex, w))
-    return AngleSet(a.graph, frozenset(out))
+        if not len(s):
+            return t  # trivial angles only, which add nothing to t
+
+    def apex_sum(ra, rb):
+        if len(ra) <= 2:  # each row the unit or full, the sum the greater
+            return max(ra, rb)
+        return tuple(_through(x, rb) | _through(y, ra)
+                     for x, y in zip(ra, rb))
+
+    return AngleSet(a.graph, tuple(map(apex_sum, a.rows, b.rows)))
 
 
 def partial_sums(a: AngleSet):
     """The sums of 0, 1, 2, ... copies of a, each made from the one before
     on first read.  Once a sum adds nothing, every later sum is equal too,
     so that sum is repeated with no more work."""
-    acc = trivial_only(a.graph)
+    acc = AngleSet(a.graph, tuple(map(_unit, map(len, a.rows))))  # trivial
     while True:
         yield acc
         nxt = angle_sum(acc, a)
-        if nxt.nontrivial == acc.nontrivial:
+        if nxt == acc:
             break
         acc = nxt
     yield from repeat(acc)
@@ -202,66 +243,38 @@ def k_fold_sum(a: AngleSet, k: int) -> AngleSet:
 # ---------------------------------------------------------------------------
 
 
-def far_end(sub, apex, w):
-    """The other end of the original edge that the step apex -> w starts:
-    w itself on a plain graph (sub None), and on a subdivision, where w is
-    a midpoint, the far end of w's edge."""
-    return w if sub is None else sum(sub.edge_of_midpoint[w]) - apex
-
-
 class SmallnessOracle:
     """The small turns of a graph or a subdivision, as neighbour bitmasks.
 
     exits[v][i] has bit j when the turn from the i-th to the j-th
-    neighbour of v (in neighbors(v) order) is small: the turn is trivial
-    (i = j), or the canonical angle of the two steps' original edges, read
-    through far_end, is in theta.nontrivial.  At a midpoint of a
-    subdivision every bit is set, as its one angle never counts against
-    smallness.  links[v][j] is (w, the bit of v among w's neighbours) for
-    the j-th neighbour w of v, so a step v -> w is recorded at w without a
-    search.  Every turn is decided here, once; the sweeps only combine
-    masks.  split[v] is True when some turn at v is large, that is, some
-    exit mask of v lacks a bit; it is computed on first read, or set all
-    False for a size holding every angle.  size is theta, the size whose
-    turns are decided.
+    neighbour of v (in neighbors(v) order) is small: at an original vertex
+    that is theta.rows[v][i], on a subdivision too (see the module
+    docstring), and at a midpoint every bit is set.
+    links[v][j] is (w, the bit of v among w's neighbours) for the j-th
+    neighbour w of v, so a step v -> w is recorded at w without a search.
+    The sweeps only combine masks.  split[v] is True when some turn at v
+    is large, that is, some exit mask of v lacks a bit.  size is theta,
+    the size whose turns are decided.
     """
 
     def __init__(self, base, theta: AngleSet):
-        if isinstance(base, Subdivision):
-            sub, g = base, base.graph
-            if theta.graph != base.original:
-                raise ValueError("theta must pair edges of the original graph")
-        else:
-            sub, g = None, base
-            if theta.graph != base:
-                raise ValueError("theta must pair edges of this graph")
-        self.size = theta
-        adj = [g.neighbors(v) for v in g.vertices]
+        g, original = (base.graph, base.original) \
+            if isinstance(base, Subdivision) else (base, base)
+        if theta.graph != original:
+            raise ValueError("theta must pair edges of the graph, or of the "
+                             "original graph of a subdivision")
+        # the midpoints, if any, are numbered after the original vertices
+        self.size, rows = theta, theta.rows
+        midpoints = g.vertex_count - len(rows)
+        self.exits = list(map(list, rows)) + [[3, 3]] * midpoints
+        self.split = list(map(ne, rows, map(_full, map(len, rows)))) \
+            + [False] * midpoints
         # w ascending appends to links[v] in neighbors(v) order, which is
         # sorted
-        self.links = links = [[] for _ in adj]
-        for w, nbrs in enumerate(adj):
-            for j, v in enumerate(nbrs):
+        self.links = links = [[] for _ in g.vertices]
+        for w in g.vertices:
+            for j, v in enumerate(g.neighbors(w)):
                 links[v].append((w, 1 << j))
-        # every turn at a midpoint is small, and a trivial turn anywhere;
-        # then each angle of theta sets its two bits at its apex
-        self.exits = exits = [[(1 << len(nbrs)) - 1] * len(nbrs)
-                              for nbrs in adj]
-        if len(theta) == theta.graph.angle_count:  # every turn is small
-            self.split = [False] * len(adj)
-            return
-        pos = {}
-        for v in g.vertices if sub is None else sub.v_vertices():
-            pos[v] = {far_end(sub, v, w): j for j, w in enumerate(adj[v])}
-            exits[v] = [1 << j for j in range(len(adj[v]))]
-        for u, v, x in theta.nontrivial:
-            i, j = pos[v][u], pos[v][x]
-            exits[v][i] |= 1 << j
-            exits[v][j] |= 1 << i
-
-    @cached_property
-    def split(self):
-        return [any(x != (1 << len(ex)) - 1 for x in ex) for ex in self.exits]
 
 
 def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
@@ -275,7 +288,7 @@ def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
     original edges, w ascending, then p and s in neighbour order; given at,
     only the turns at that vertex.  No angle is trivial: p = s would give
     d(a,p) + d(p,b) = d(a,b) - 2, so a size theta holds the turn exactly
-    when angle is in theta.nontrivial.  A disconnected pair is a ValueError.
+    when theta.contains(*angle).  A disconnected pair is a ValueError.
     """
     da, db = index.dist[a], index.dist[b]
     total = da[b]
@@ -286,11 +299,12 @@ def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
         if w == a or w == b or da[w] + db[w] != total \
                 or sub is not None and sub.is_midpoint(w):
             continue
+        # the far ends of the steps' original edges, in the same order
         nbrs = g.neighbors(w)
-        ss = [(s, far_end(sub, w, s)) for s in nbrs if db[s] == db[w] - 1]
-        for p in nbrs:
+        ends = nbrs if sub is None else sub.original.neighbors(w)
+        ss = [(s, x) for s, x in zip(nbrs, ends) if db[s] == db[w] - 1]
+        for p, u in zip(nbrs, ends):
             if da[p] == da[w] - 1:
-                u = far_end(sub, w, p)
                 for s, x in ss:
                     yield w, p, s, canonical_angle(u, w, x)
 
@@ -298,7 +312,7 @@ def geodesic_turns(index: GeodesicIndex, sub: Subdivision, a, b, at=None):
 def geodesic_angles(index: GeodesicIndex, sub: Subdivision, pairs) -> AngleSet:
     """Every angle at which some a -> b geodesic of the subdivision turns,
     over the given (a, b) pairs, as an angle set of the original graph."""
-    return AngleSet(sub.original, frozenset(
+    return angle_set_from_triples(sub.original, (
         angle for a, b in pairs
         for *_, angle in geodesic_turns(index, sub, a, b)))
 
@@ -533,7 +547,7 @@ def theta3(base, index: GeodesicIndex, pair_cap: int = 2_000_000,
         raise ValueError("the index must be of the graph measured")
     key = ("theta3", sub is None, None if group is None else group.generators)
     if key not in index.memo:
-        result = set()
+        rows = list(trivial_only(original).rows)
         for vs, es in biconnected_blocks(original):
             apexes = vs if group is None else [
                 v for v in vs if all(p[v] >= v for p in group.elements)]
@@ -541,9 +555,9 @@ def theta3(base, index: GeodesicIndex, pair_cap: int = 2_000_000,
                 mids = [sub.midpoint_of_edge[e] for e in es]
                 vs, es = sorted(vs + mids), [
                     (x, m) for e, m in zip(es, mids) for x in e]
-            result |= _corner_angles(sub, g, block_rows(g, vs, es, index.dist),
-                                     apexes, vs)
-        t3 = AngleSet(original, frozenset(result))
+            _corner_angles(g, block_rows(g, vs, es, index.dist), apexes, vs,
+                           rows)
+        t3 = AngleSet(original, tuple(rows))
         index.memo[key] = t3 if group is None else t3.saturate(group)
     return index.memo[key]
 
@@ -581,16 +595,15 @@ def geodesic_dominators(g: Graph, dp, vertices, bit):
     return below
 
 
-def _corner_angles(sub, g, dist, apexes, corners):
-    """theta3's angles at the apexes of one block, with corners its
-    vertices in g."""
+def _corner_angles(g, dist, apexes, corners, rows):
+    """Add theta3's angles at the apexes of one block, with corners its
+    vertices in g, to rows, an angle set's masks."""
     # corner q is bit[q], 1 << its place in corners; below[i][v] has the
     # corners q with v on every corners[i] -> q geodesic
     bit = [0] * g.vertex_count
     for i, q in enumerate(corners):
         bit[q] = 1 << i
     below = [geodesic_dominators(g, dist[p], corners, bit) for p in corners]
-    result = set()
     for v in apexes:
         # The side p-q avoids v unless v lies on every p-q geodesic.  Per
         # step v -> w into the block, reach has the corners q with w a first
@@ -598,18 +611,19 @@ def _corner_angles(sub, g, dist, apexes, corners):
         # geodesic avoiding v; steps w, w' make an angle exactly when
         # avoid(w) meets reach(w'), which is symmetric in w and w'.
         dv, steps, missed = dist[v], [], [~col[v] for col in below]
-        for w in g.neighbors(v):
+        for i, w in enumerate(g.neighbors(v)):
             if bit[w]:
                 dw, reach, avoid = dist[w], 0, 0
                 for q, m in zip(corners, missed):
                     if dw[q] < dv[q]:
                         reach |= bit[q]
                         avoid |= m
-                steps.append((far_end(sub, v, w), reach, avoid))
-        for (x, _, avoid), (y, reach, _) in combinations(steps, 2):
+                steps.append((i, reach, avoid))
+        row = list(rows[v])
+        for (i, _, avoid), (j, reach, _) in combinations(steps, 2):
             if avoid & reach:
-                result.add(canonical_angle(x, v, y))
-    return result
+                row[i], row[j] = row[i] | 1 << j, row[j] | 1 << i
+        rows[v] = tuple(row)
 
 
 def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dict:
@@ -759,10 +773,10 @@ def lemma_battery(g: Graph, theta0: AngleSet, trials: int, seed: int,
     rng = random.Random(seed)
     dist, bits = index.dist, [1 << v for v in g.vertices]
     t3 = theta3(g, index=index)
-    x_pass = angle_sum(theta0, k_fold_sum(t3, 2))
-    x_trans = angle_sum(theta0, k_fold_sum(t3, 3))
-    tripod_bound = angle_sum(theta0, angle_sum(theta0, k_fold_sum(t3, 3)))
-    t3_2 = k_fold_sum(t3, 2)
+    _, _, t3_2, t3_3 = islice(partial_sums(t3), 4)
+    x_pass = angle_sum(theta0, t3_2)
+    x_trans = angle_sum(theta0, t3_3)
+    tripod_bound = angle_sum(theta0, x_trans)
     transfer_pairs = [(th, angle_sum(th, x_trans))
                       for th in (theta0, t3, t3_2)]
     counters = {name: LemmaCounter() for name in (

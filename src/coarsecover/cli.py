@@ -291,10 +291,10 @@ def cmd_export_dot(args):
 def cmd_cf(args):
     inst = build_instance(*_read_model(args))
     sub_group, v0, boundary = inst.sub_group, inst.v0, inst.boundary
-    theta = _theta_for(inst.graph, args.theta, lambda: inst.t3)
+    theta = _theta_for(inst.graph, args.theta, lambda: inst.t3_sums[1])
     cf = build_cf_theta(inst.sub, theta, inst.flow_endpoints(),
                         group=sub_group, delta=inst.delta, index=inst.index,
-                        theta3_set=inst.t3)
+                        theta3_set=inst.t3_sums[1])
     if args.cf_cmd == "build":
         _emit(args, "cf", _cf_document(cf))
         return 0

@@ -18,11 +18,11 @@ g y is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import TYPE_CHECKING
 
 from .angles import AngleSet, SmallnessOracle, angle_sum, cone_sweep, \
-    geodesic_angles, geodesic_turns, k_fold_sum, small_steps
+    geodesic_angles, geodesic_turns, partial_sums, small_steps
 from .covers import Cover, CoverMember, cover_order, masked, slices_of, \
     wide_failures
 from .graphs import INF
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
-                         sums) -> bool:
+                         big: AngleSet) -> bool:
     """Sufficient condition for the pair to sit in the cone set's interior.
 
     Either some geodesic to xi turns (theta + doubled corner size)-large at
@@ -41,23 +41,23 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     corner-large at a strictly later internal vertex.  A geodesic leaving
     the apex at x can make the turn p -> w -> s exactly when x reaches p
     along a geodesic, d(g v0, x) + d(x, p) = d(g v0, p); w then lies
-    beyond x.  sums is (t3_2, theta + t3_2), t3_2 the doubled corner size.
+    beyond x.  big is theta + t3_2, t3_2 the doubled corner size.
     """
     index = inst.index
     gv0 = g[inst.v0]
     if xi == apex:
         return False
-    t3_2, big = sums
+    t3_2 = inst.t3_sums[2]
     large_apex_exits = set()
     for _, _, s, angle in geodesic_turns(index, inst.sub, gv0, xi, at=apex):
-        if angle not in big.nontrivial:
+        if not big.contains(*angle):
             return True
-        if angle not in theta.nontrivial:
+        if not theta.contains(*angle):
             large_apex_exits.add(s)
     if not large_apex_exits:
         return False
     d0 = index.dist[gv0]
-    return any(angle not in t3_2.nontrivial and any(
+    return any(not t3_2.contains(*angle) and any(
         d0[x] + index.dist[x][p] == d0[p] for x in large_apex_exits)
         for _, p, _, angle in geodesic_turns(index, inst.sub, gv0, xi))
 
@@ -121,43 +121,34 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     if any(p[xi] not in targets for p in sub_group.generators
            for xi in xi_set):
         raise ValueError("the cone targets are not invariant under the group")
-    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
-    powers = [x]  # powers[k - 1] is the sum of k copies of X
-    while len(powers) < 6:
-        nxt = angle_sum(powers[-1], x)
-        if nxt.nontrivial == powers[-1].nontrivial:
-            # a sum that adds nothing leaves every later sum equal too
-            powers += powers[-1:] * (6 - len(powers))
-        else:
-            powers.append(nxt)
-    layer_sizes = ((1, powers[1]), (2, powers[4]), (3, powers[5]))
-    # equal sizes are built once: a size's angles -> the size
-    distinct = {size.nontrivial: size for _, size in layer_sizes}
+    # powers[k] is the sum of k copies of X
+    powers = list(islice(partial_sums(angle_sum(theta0, inst.t3_sums[3])), 7))
+    layer_sizes = ((1, powers[2]), (2, powers[5]), (3, powers[6]))
+    # equal sizes are built once, each under its place in distinct
+    distinct = list(dict.fromkeys(size for _, size in layer_sizes))
     e, mask = sub_group.identity, sum(1 << xi for xi in targets)
-    built = {}  # (a size's angles, apex) -> (members, certified)
-    for key, size in distinct.items():
+    built = {}  # (a size's place in distinct, apex) -> (members, certified)
+    for key, size in enumerate(distinct):
         oracle = SmallnessOracle(sub, size)  # the last is 6X's
         clean, large = cone_sweep(index, oracle, v0, mask)
-        sums = None  # interior_certificate's sums, on first need
+        big = angle_sum(size, inst.t3_sums[2])
         for b in sub.v_vertices():
             # b's base row: the targets y with (e, y) in the cone set at b
             row = list(masked(count(), large[b] | 1 << b & mask)) \
                 if clean[b] else ()
             if not row:
                 continue
-            if large[b] and sums is None:
-                t3_2 = k_fold_sum(inst.t3, 2)
-                sums = t3_2, angle_sum(size, t3_2)
             certified = [y for y in row if y != b and interior_certificate(
-                inst, e, y, b, size, sums)]
+                inst, e, y, b, size, big)]
             for g, p in enumerate(sub_group.elements):
                 members, certs = built.setdefault((key, p[b]), (set(), set()))
                 members.update((g, p[y]) for y in row)
                 certs.update((g, p[y]) for y in certified)
     cones = []
+    places = [(layer, distinct.index(size)) for layer, size in layer_sizes]
     for apex in sub.v_vertices():
-        for layer, size in layer_sizes:
-            members, certified = built.get((size.nontrivial, apex), ((), ()))
+        for layer, key in places:
+            members, certified = built.get((key, apex), ((), ()))
             if members:
                 cones.append(ConeSet(apex, layer, frozenset(members),
                                      frozenset(certified)))

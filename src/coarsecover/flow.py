@@ -420,8 +420,8 @@ def theta_for_wideness(inst: Instance, alpha, theta0: AngleSet) -> AngleSet:
     elements = sub_group.elements
     pairs = [(v0, elements[h][v0]) for h in sub_group.ball(2 * alpha)]
     theta1 = geodesic_angles(inst.index, inst.sub, pairs).saturate(sub_group)
-    t3_2 = k_fold_sum(inst.t3, 2)
-    x = angle_sum(theta0.union(theta1), k_fold_sum(inst.t3, 3))
+    _, _, t3_2, t3_3 = inst.t3_sums
+    x = angle_sum(theta0.union(theta1), t3_3)
     out = angle_sum(theta1, angle_sum(x, x))
     out = out.union(angle_sum(theta0, x))
     out = out.union(angle_sum(theta0, t3_2))

@@ -72,9 +72,6 @@ class Graph:
     def neighbors(self, v):
         return self._adj[v]
 
-    def has_edge(self, u, v):
-        return canon_edge(u, v) in self.edges
-
     def cone_vertices_adjacent(self):
         cones = self.cone_vertices
         return sorted((u, v) for (u, v) in self.edges

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
-from .angles import AngleSet, all_angles, theta3
+from .angles import AngleSet, all_angles, partial_sums, theta3
 from .cones import cone_cover, cone_sets_as_cover, combined_cover, \
     dichotomy_check, seed_theta0
 from .covers import Cover, verify_cover, wide_failures
@@ -43,7 +44,8 @@ class Instance:
     Every cover is built from this one object: the graph, the lift of its
     group to the subdivision with the subdivision's geodesic index, the
     base vertex v0, the boundary surrogates standing in for ideal endpoints,
-    the corner size t3 and the slimness delta of the graph.
+    the sums of 0 to 3 copies of the corner size, t3_sums[1] being the
+    corner size itself, and the slimness delta of the graph.
     """
 
     graph: Graph
@@ -52,7 +54,7 @@ class Instance:
     sub_group: GroupModel
     v0: int
     boundary: tuple
-    t3: AngleSet
+    t3_sums: tuple
     delta: int
 
     def cone_targets(self):
@@ -86,8 +88,8 @@ def build_instance(g: Graph, generators) -> Instance:
     # translate of the base vertex, or flow lines degenerate to points.
     orbit = {p[v0] for p in sub_group.elements}
     boundary = tuple(v for v in sub.ve_vertices() if v not in orbit)
-    return Instance(g, sub, index, sub_group, v0, boundary,
-                    theta3(sub, index, group=group),
+    sums = islice(partial_sums(theta3(sub, index, group=group)), 4)
+    return Instance(g, sub, index, sub_group, v0, boundary, tuple(sums),
                     slimness_constant(g).delta)
 
 
@@ -119,7 +121,7 @@ def run_pipeline(g: Graph, generators, *, alpha, tau_max,
     artifacts = {}
     inst = build_instance(g, generators)
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
-    t3, delta = inst.t3, inst.delta
+    t3, delta = inst.t3_sums[1], inst.delta
 
     def result(ok):
         return PipelineResult(ok, stages, inst, artifacts)

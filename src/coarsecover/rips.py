@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count, islice
 
-from .angles import AngleSet, SmallnessOracle, canonical_angle, \
-    partial_sums, small_steps, theta3
+from .angles import AngleSet, SmallnessOracle, partial_sums, small_steps, \
+    theta3
 from .graphs import INF, CapExceeded, GeodesicIndex, Graph
 
 FACE_CAP = 200000  # the most distinct simplices a face enumeration holds
@@ -144,7 +144,7 @@ def _pair_relation(g: Graph, d, theta: AngleSet, index: GeodesicIndex):
     """The SmallPairRelation of g at (d, theta), kept in index.memo."""
     if index.graph != g:
         raise ValueError("the index must be of the graph measured")
-    key = ("pairs", d, theta.nontrivial)
+    key = ("pairs", d, theta.rows)
     if key not in index.memo:
         index.memo[key] = SmallPairRelation(g, d, theta)
     return index.memo[key]
@@ -220,8 +220,7 @@ def _large_turn_depths(index: GeodesicIndex, small: AngleSet, v0):
                     key=d0.__getitem__)[1:]:
         ps = preds[v] = [u for u in g.neighbors(v) if d0[u] == d0[v] - 1]
         for u in ps:
-            large = any(canonical_angle(p, u, v) not in small.nontrivial
-                        for p in preds[u])
+            large = any(not small.contains(p, u, v) for p in preds[u])
             du, wu = (d0[u], u) if large else (depth[u], witness[u])
             if du > depth[v] or du == depth[v] and du and wu < witness[v]:
                 depth[v], witness[v] = du, wu

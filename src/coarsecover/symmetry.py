@@ -175,12 +175,6 @@ def act_edge(perm, e):
     return canon_edge(perm[e[0]], perm[e[1]])
 
 
-def act_angle(perm, angle):
-    u, apex, w = angle
-    a, b = sorted((perm[u], perm[w]))
-    return (a, perm[apex], b)
-
-
 # ---------------------------------------------------------------------------
 # Subgroups
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from operator import and_
 from pathlib import Path
 from types import SimpleNamespace
 
-from coarsecover.angles import AngleSet, angle_sum, geodesic_angles, \
-    geodesic_turns, k_fold_sum, theta3
+from coarsecover.angles import AngleSet, angle_set_from_triples, angle_sum, \
+    geodesic_angles, geodesic_turns, k_fold_sum, theta3
 from coarsecover.cones import ConeSet, interior_certificate
 from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
     doubling_check, minimal_doubling_constant, minimal_doubling_radius, \
@@ -25,8 +25,7 @@ from coarsecover.covers import Cover, CoverMember, Slices, cover_order, \
 from coarsecover.flow import build_cf_theta
 from coarsecover.graphs import INF, CapExceeded, GeodesicIndex, Graph, \
     Subdivision, _closing_paths, bfs_row, canon_edge, make_graph
-from coarsecover.symmetry import GroupModel, act_angle, close_group, \
-    compose, invert
+from coarsecover.symmetry import GroupModel, close_group, compose, invert
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +102,16 @@ def ball_tuples(G: GroupModel, alpha, center):
                  for h, n in zip(G.elements, G.word_length) if n <= alpha)
 
 
+def act_angle(perm, angle):
+    """The image of the angle triple (u, apex, w) under perm, canonical."""
+    u, apex, w = angle
+    a, b = sorted((perm[u], perm[w]))
+    return (a, perm[apex], b)
+
+
 def saturate_over_elements(angles: AngleSet, G: GroupModel) -> AngleSet:
     """The images of every angle under every element of G."""
-    return AngleSet(angles.graph, frozenset(
+    return angle_set_from_triples(angles.graph, (
         act_angle(p, t) for t in angles.nontrivial for p in G.elements))
 
 
@@ -117,7 +123,7 @@ def validate_angle_set(theta: AngleSet):
     for (u, apex, w) in theta.nontrivial:
         if u >= w:
             raise ValueError("angle %r not canonical" % ((u, apex, w),))
-        if not (g.has_edge(u, apex) and g.has_edge(apex, w)):
+        if not {canon_edge(u, apex), canon_edge(apex, w)} <= g.edges:
             raise ValueError("angle %r not realized by edges"
                              % ((u, apex, w),))
 
@@ -465,7 +471,7 @@ def interior_certificate_brute(inst, g, xi, apex, theta):
     size)-large there, or it turns theta-large there and twice-corner-large
     at a later internal vertex."""
     sub, gv0 = inst.sub, g[inst.v0]
-    t3_2 = k_fold_sum(inst.t3, 2)
+    t3_2 = k_fold_sum(inst.t3_sums[1], 2)
     big = angle_sum(theta, t3_2)
     for path in _geodesics(sub.graph, gv0, xi):
         if apex not in path[1:-1]:
@@ -485,13 +491,13 @@ def cone_cover_per_apex(inst, theta0, xi_set):
     translation: every pair's turns are read again at every apex."""
     inst.graph.require_cone_separation()
     sub, index, sub_group, v0 = inst.sub, inst.index, inst.sub_group, inst.v0
-    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    x = angle_sum(theta0, k_fold_sum(inst.t3_sums[1], 3))
     powers = {1: x}
     for k in (2, 3, 4, 5, 6):
         powers[k] = angle_sum(powers[k - 1], x)
     layer_sizes = {1: powers[2], 2: powers[5], 3: powers[6]}
-    t3_2 = k_fold_sum(inst.t3, 2)
-    sums = {layer: (t3_2, angle_sum(size, t3_2))
+    t3_2 = k_fold_sum(inst.t3_sums[1], 2)
+    bigs = {layer: angle_sum(size, t3_2)
             for layer, size in layer_sizes.items()}
 
     def large(size, *key):  # some geodesic of key turns size-large
@@ -513,7 +519,7 @@ def cone_cover_per_apex(inst, theta0, xi_set):
                     elif large(size, gv0, xi, apex):
                         members.add((g, xi))
                         if interior_certificate(inst, ge, xi, apex, size,
-                                                sums[layer]):
+                                                bigs[layer]):
                             certified.add((g, xi))
             if members:
                 cones.append(ConeSet(apex, layer, frozenset(members),

@@ -1,3 +1,4 @@
+import json
 import random
 from functools import reduce
 from itertools import combinations, permutations
@@ -48,8 +49,9 @@ from coarsecover.graphs import (
     make_graph,
     slimness_constant,
 )
-from coarsecover.symmetry import close_group, is_automorphism
-from oracles import angle_sum_brute, d_theta_definitional_oracle, \
+from coarsecover.symmetry import close_group, is_automorphism, \
+    subdivided_group
+from oracles import act_angle, angle_sum_brute, d_theta_definitional_oracle, \
     mask_neighbours, mask_vertices, observer_set_all, observer_set_exists, \
     saturate_over_elements, small_carriers, theta3_brute, \
     theta3_subdivision_brute, theta_small_paths_brute, validate_angle_set
@@ -629,23 +631,29 @@ class TestCarrierSets:
 
 
 @st.composite
-def graphs_with_angles(draw):
-    """A connected graph on at most 6 vertices, its automorphism group,
-    two drawn sizes on it and drawn vertex pairs of its subdivision."""
+def graphs_with_angles(draw, triples=False):
+    """A connected graph on at most 6 vertices, the group of up to two
+    drawn automorphisms, so that an orbit may take several steps along the
+    generators, two drawn sizes on it and drawn vertex pairs of its
+    subdivision; with triples, also the sizes' drawn angles as canonical
+    triples.  The angles are drawn from the pairs of neighbours of each
+    apex, listed here without the library."""
     n = draw(st.integers(2, 6))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     edges |= draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
                           max_size=4))
     g = make_graph(n, edges)
-    G = close_group(g, [p for p in permutations(range(n))
-                        if is_automorphism(g, p)])
-    every = sorted(all_angles(g).nontrivial)
-    a, b = (angle_set_from_triples(g, draw(st.sets(st.sampled_from(every))))
-            if every else trivial_only(g) for _ in range(2))
+    autos = [p for p in permutations(range(n)) if is_automorphism(g, p)]
+    G = close_group(g, draw(st.lists(st.sampled_from(autos), max_size=2)))
+    every = sorted((u, apex, w) for apex in g.vertices
+                   for u, w in combinations(g.neighbors(apex), 2))
+    drawn = [frozenset(draw(st.sets(st.sampled_from(every))) if every
+                       else ()) for _ in range(2)]
+    a, b = (angle_set_from_triples(g, t) for t in drawn)
     sub = barycentric_subdivision(g)
     vertices = st.sampled_from(sub.graph.vertices)
     pairs = draw(st.lists(st.tuples(vertices, vertices), max_size=6))
-    return g, G, a, b, sub, pairs
+    return (g, G, a, b, sub, pairs) + (tuple(drawn) if triples else ())
 
 
 @settings(max_examples=80, deadline=None)
@@ -662,3 +670,35 @@ def test_every_size_made_inside_the_library_is_valid(case, k):
                   theta3(sub, index=GeodesicIndex(sub.graph), group=G),
                   geodesic_angles(index, sub, pairs)):
         validate_angle_set(theta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_angles(triples=True))
+def test_each_mask_operation_matches_its_triple_reference(case):
+    """contains, angle_sum, union, <=, ==, len, saturate and is_invariant
+    on exit masks against the same operations on the drawn triples, and
+    the round trip triples -> size -> document -> size.  Sizes are
+    saturated and tested for invariance under the graph's automorphisms
+    and under their lift to the subdivision, which acts on the original
+    vertices as they do."""
+    g, G, a, b, sub, _, ta, tb = case
+    every = {(u, apex, w) for apex in g.vertices
+             for u, w in combinations(g.neighbors(apex), 2)}
+    assert all_angles(g).nontrivial == every
+    assert trivial_only(g).nontrivial == frozenset()
+    for t in every:
+        assert a.contains(*t) == a.contains(t[2], t[1], t[0]) == (t in ta)
+    assert angle_sum(a, b).nontrivial == angle_sum_brute(ta, tb)
+    assert a.union(b).nontrivial == ta | tb
+    assert (a <= b, b <= a) == (ta <= tb, tb <= ta)
+    assert (a == b) == (ta == tb)
+    assert a == angle_set_from_triples(g, [(w, v, u) for u, v, w in ta])
+    assert (len(a), len(b)) == (len(ta), len(tb))
+    for H in (G, subdivided_group(G, sub)):
+        images = {act_angle(p, t) for p in H.elements for t in ta}
+        assert a.saturate(H).nontrivial == images
+        assert a.saturate(H) == saturate_over_elements(a, H)
+        assert a.is_invariant(H) == (images == ta)
+    doc = angleset_to_document(a)
+    assert doc == sorted(map(list, ta))
+    assert load_angleset(json.dumps(doc), g) == a

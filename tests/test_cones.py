@@ -55,10 +55,10 @@ def setup(g, gens=()):
     return inst, inst.sub, inst.sub_group, inst.v0
 
 
-def corner_sums(inst, theta):
-    """interior_certificate's sums for the size theta."""
-    t3_2 = k_fold_sum(inst.t3, 2)
-    return t3_2, angle_sum(theta, t3_2)
+def big_size(inst, theta):
+    """interior_certificate's big size for the size theta: theta with the
+    doubled corner size."""
+    return angle_sum(theta, k_fold_sum(inst.t3_sums[1], 2))
 
 
 class TestVplus:
@@ -79,7 +79,7 @@ class TestVplus:
     def test_planted_cut_vertex(self):
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
-        theta = k_fold_sum(inst.t3, 2)
+        theta = k_fold_sum(inst.t3_sums[1], 2)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]  # inside the far cycle
         assert cone_member_brute(inst, e, xi, 0, theta)
@@ -87,7 +87,7 @@ class TestVplus:
     def test_blocked_approach_fails_first_clause(self):
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
-        theta = k_fold_sum(inst.t3, 2)
+        theta = k_fold_sum(inst.t3_sums[1], 2)
         e = Gs.identity
         # reaching an apex inside the far cycle crosses the cut vertex with
         # a large angle, so the first clause fails
@@ -98,12 +98,12 @@ class TestInteriorCertificate:
     def test_large_by_margin_fires_first_condition(self):
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
-        theta = k_fold_sum(inst.t3, 2)
+        theta = k_fold_sum(inst.t3_sums[1], 2)
         e = Gs.identity
         xi = sub.midpoint_of_edge[(6, 7)]
         # the crossing angle at the cut vertex avoids theta + 2 corners
         assert interior_certificate(inst, e, xi, 0, theta,
-                                    corner_sums(inst, theta))
+                                    big_size(inst, theta))
 
     def test_second_condition_with_two_large_turns(self):
         g = triangle_caterpillar(6, [1, 3])
@@ -116,7 +116,7 @@ class TestInteriorCertificate:
         # and the spine angle at 3 on the same flow line is twice-corner-large
         assert cone_member_brute(inst, e, xi, 1, theta)
         assert interior_certificate(inst, e, xi, 1, theta,
-                                    corner_sums(inst, theta))
+                                    big_size(inst, theta))
 
     def test_the_apex_turn_is_not_a_later_turn(self):
         # the reach clause decides here (hypothesis's shrunk case for the
@@ -131,7 +131,7 @@ class TestInteriorCertificate:
         assert cone_member_brute(inst, e, 3, 0, theta)
         assert not interior_certificate_brute(inst, e, 3, 0, theta)
         assert not interior_certificate(inst, e, 3, 0, theta,
-                                        corner_sums(inst, theta))
+                                        big_size(inst, theta))
 
     def test_no_geodesic_no_certificate(self):
         g = path_graph(5)
@@ -140,7 +140,7 @@ class TestInteriorCertificate:
         xi = sub.midpoint_of_edge[(3, 4)]
         theta = all_angles(g)
         assert not interior_certificate(inst, e, xi, 2, theta,
-                                        corner_sums(inst, theta))
+                                        big_size(inst, theta))
 
 
 SEED_CASES = [case[:3] for case in pipeline_instances()] + [
@@ -268,7 +268,7 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
     for alpha in (0, 1):
         theta0 = select_theta0(inst, alpha, mode)
         cones, _ = cone_cover(inst, theta0, xi_set)
-        x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+        x = angle_sum(theta0, k_fold_sum(inst.t3_sums[1], 3))
         got = {(c.apex, c.layer): c for c in cones}
         for apex in inst.sub.v_vertices():
             for layer, k in ((1, 2), (2, 5), (3, 6)):
@@ -332,15 +332,15 @@ def test_interior_certificates_match_the_definition(name, g, gens, mode):
     """At each layer's size, the certificate of every pair and apex is
     exactly its two conditions read off every geodesic."""
     inst = build_instance(g, gens)
-    x = angle_sum(select_theta0(inst, 1, mode), k_fold_sum(inst.t3, 3))
+    x = angle_sum(select_theta0(inst, 1, mode), k_fold_sum(inst.t3_sums[1], 3))
     for k in (2, 5, 6):
         size = k_fold_sum(x, k)
-        sums = corner_sums(inst, size)
+        big = big_size(inst, size)
         for apex in inst.sub.v_vertices():
             for ge in inst.sub_group.elements:
                 for xi in inst.cone_targets():
                     assert interior_certificate(
-                        inst, ge, xi, apex, size, sums) == \
+                        inst, ge, xi, apex, size, big) == \
                         interior_certificate_brute(inst, ge, xi, apex, size), \
                         (k, apex, xi)
 
@@ -364,10 +364,10 @@ def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
     g, theta = gt
     inst = build_instance(g, ())
     e = inst.sub_group.identity
-    sums = corner_sums(inst, theta)
+    big = big_size(inst, theta)
     for apex in inst.sub.v_vertices():
         for xi in inst.sub.graph.vertices:
-            assert interior_certificate(inst, e, xi, apex, theta, sums) == \
+            assert interior_certificate(inst, e, xi, apex, theta, big) == \
                 interior_certificate_brute(inst, e, xi, apex, theta)
 
 
@@ -408,28 +408,28 @@ def spy(monkeypatch, name):
     (spider(3, 4), [spider_rotation(3, 4)], "seed")],
     ids=["tree12-all", "spider3-4-rot-seed"])
 def test_cone_cover_sweeps_once_per_size_from_v0(monkeypatch, g, gens, mode):
-    """One cone_sweep per distinct layer size, every one from v0, and
-    certificates checked at the identity only.  Under theta0 all no pair
-    turns large, so no geodesic is scanned and no certificate sums (the
-    doubled corner size) are formed."""
+    """One cone_sweep per distinct layer size, every one from v0, the
+    layer sizes read off one partial_sums run over X, the corner sums off
+    the instance, and certificates checked at the identity only.  Under
+    theta0 all no pair turns large, so no geodesic is scanned."""
     inst = build_instance(g, gens)
     theta0 = select_theta0(inst, 1, mode)
-    x = angle_sum(theta0, k_fold_sum(inst.t3, 3))
+    x = angle_sum(theta0, k_fold_sum(inst.t3_sums[1], 3))
     sizes = {size.nontrivial: size
              for size in (k_fold_sum(x, k) for k in (2, 5, 6))}
     exits = [SmallnessOracle(inst.sub, size).exits for size in sizes.values()]
     sweeps = spy(monkeypatch, "cone_sweep")
     turns = spy(monkeypatch, "geodesic_turns")
-    folds = spy(monkeypatch, "k_fold_sum")
+    runs = spy(monkeypatch, "partial_sums")
     certs = spy(monkeypatch, "interior_certificate")
     cones, _ = cone_cover(inst, theta0, inst.cone_targets())
     assert [src for _, _, src, _ in sweeps] == [inst.v0] * len(sizes)
     assert sorted(oracle.exits for _, oracle, _, _ in sweeps) == sorted(exits)
     assert {args[1] for args in certs} <= {inst.sub_group.identity}
+    assert runs == [(x,)]
     if mode == "all":
         assert not turns
         assert not certs
-        assert [k for _, k in folds] == [3]
         assert not any(c.certified_interior for c in cones)
     else:
         assert certs

@@ -205,12 +205,12 @@ class TestBuildCfTheta:
     def test_lines_match_brute_carriers(self, g, gens, triples):
         inst = build_instance(g, gens)
         sub = inst.sub
-        theta = k_fold_sum(inst.t3, 2)
+        theta = k_fold_sum(inst.t3_sums[1], 2)
         if triples is not None:
             theta = theta.union(angle_set_from_triples(g, triples))
         cf = flow_space(sub, theta, inst.flow_endpoints(),
                         group=inst.sub_group, index=inst.index,
-                        theta3_set=inst.t3)
+                        theta3_set=inst.t3_sums[1])
         ends = cf.endpoints
         assert set(cf.lines) == {(a, b) for a in ends for b in ends if a != b}
         for (a, b), line in cf.lines.items():
@@ -233,10 +233,10 @@ class TestFiberSymmetry:
     def test_group_instance_fibers_are_symmetric(self):
         g = cycle_graph(8)
         inst = build_instance(g, [cyclic_rotation(8), cycle_reflection(8)])
-        theta = k_fold_sum(inst.t3, 2)
+        theta = k_fold_sum(inst.t3_sums[1], 2)
         self.check(flow_space(inst.sub, theta, inst.sub.ve_vertices(),
                               group=inst.sub_group, index=inst.index,
-                              theta3_set=inst.t3), theta)
+                              theta3_set=inst.t3_sums[1]), theta)
 
     @staticmethod
     def check(cf, theta):
@@ -655,7 +655,7 @@ def test_composed_act_z_is_the_lookup_on_every_element(name, g, gens, mode,
     inst = build_instance(g, gens)
     cf = flow_space(inst.sub, all_angles(g), inst.flow_endpoints(),
                     group=inst.sub_group, index=inst.index,
-                    theta3_set=inst.t3)
+                    theta3_set=inst.t3_sums[1])
     least = least_pairs(cf)
     assert least == sorted(set(least))
     act_z = cf_pair_space(cf).act_z
@@ -679,13 +679,13 @@ def test_each_class_keeps_its_least_pair(name, g, gens, use_all, sampled):
     criterion 02's flow spaces (its sampled endpoints) and on the
     pipeline instances' (every flow endpoint, under the group)."""
     inst = build_instance(g, gens)
-    theta = all_angles(g) if use_all else k_fold_sum(inst.t3, 2)
+    theta = all_angles(g) if use_all else k_fold_sum(inst.t3_sums[1], 2)
     ends = inst.flow_endpoints()
     if sampled:
         ve = inst.sub.ve_vertices()
         ends = ve[::max(1, len(ve) // 8)][:10]
     cf = flow_space(inst.sub, theta, ends, group=inst.sub_group,
-                    index=inst.index, theta3_set=inst.t3)
+                    index=inst.index, theta3_set=inst.t3_sums[1])
     assert list(cf.least) == least_pairs(cf)
     assert len(cf.least) == len(cf.classes) > 0
 
@@ -765,7 +765,7 @@ class TestThetaForWideness:
         g = cycle_graph(12)
         inst = build_instance(g, [tuple((i + 3) % 12 for i in range(12))])
         sub, idx, Gs, v0, t3 = inst.sub, inst.index, inst.sub_group, \
-            inst.v0, inst.t3
+            inst.v0, inst.t3_sums[1]
         theta0 = k_fold_sum(t3, 1)
         theta = theta_for_wideness(inst, 1, theta0)
         assert k_fold_sum(t3, 2) <= theta

@@ -61,10 +61,10 @@ def flow_spaces(draw):
     corners = [(u, apex, w) for apex in g.vertices
                for u, w in combinations(sorted(g.neighbors(apex)), 2)]
     extra = draw(st.sets(st.sampled_from(corners))) if corners else ()
-    theta = k_fold_sum(inst.t3, 2).union(angle_set_from_triples(g, extra))
+    theta = inst.t3_sums[2].union(angle_set_from_triples(g, extra))
     ends = draw(st.sets(st.sampled_from(inst.sub.ve_vertices()), max_size=5))
     return build_cf_theta(inst.sub, theta, ends, index=inst.index,
-                          theta3_set=inst.t3)
+                          theta3_set=inst.t3_sums[1])
 
 
 @st.composite

@@ -21,10 +21,10 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsecover.angles import AngleSet, SmallnessOracle, _joined_inside, \
-    all_angles, angle_sum, canonical_angle, d_theta, geodesic_dominators, \
-    geodesic_turns, k_fold_sum, small_lines, small_steps, theta3, \
-    theta3_circuit_bound_check
+from coarsecover.angles import SmallnessOracle, _joined_inside, \
+    all_angles, angle_set_from_triples, angle_sum, canonical_angle, d_theta, \
+    geodesic_dominators, geodesic_turns, k_fold_sum, small_lines, \
+    small_steps, theta3, theta3_circuit_bound_check
 from coarsecover.corpus import barbell, cycle_graph, dihedral_group, \
     grid_graph, path_graph, spider, spider_rotation, star_graph
 from coarsecover.flow import build_cf_theta
@@ -190,12 +190,12 @@ def test_flow_lines_match_the_per_pair_reference(g, gens):
     grid every size it admits is every angle)."""
     inst = build_instance(g, gens)
     index = inst.index
-    least, every = k_fold_sum(inst.t3, 2), all_angles(g)
-    for theta in (least, every, least.union(AngleSet(g, frozenset(
+    least, every = k_fold_sum(inst.t3_sums[1], 2), all_angles(g)
+    for theta in (least, every, least.union(angle_set_from_triples(g, (
             a for a in every.nontrivial if a[1] != 0)))):
         cf = build_cf_theta(inst.sub, theta, inst.sub.ve_vertices(),
                             group=inst.sub_group, index=index,
-                            theta3_set=inst.t3)
+                            theta3_set=inst.t3_sums[1])
         oracle = SmallnessOracle(inst.sub, theta)
         steps = {x: small_steps(oracle, x, INF) for x in cf.endpoints}
         assert {key: mask_vertices(m) for key, m in cf.lines.items()} == {
@@ -423,7 +423,7 @@ def graphs_with_theta(draw, **kw):
     g = draw(graphs(**kw))
     angles = sorted(all_angles(g).nontrivial)
     chosen = draw(st.sets(st.sampled_from(angles))) if angles else ()
-    return g, AngleSet(g, frozenset(chosen))
+    return g, angle_set_from_triples(g, chosen)
 
 
 def _check_small_geodesics(g, theta, sub=None):
@@ -460,8 +460,8 @@ def _check_small_geodesics(g, theta, sub=None):
 def _wide(g, seed):
     """g with a seeded random half of its angles as the size."""
     angles = sorted(all_angles(g).nontrivial)
-    return g, AngleSet(g, frozenset(
-        random.Random(seed).sample(angles, len(angles) // 2)))
+    return g, angle_set_from_triples(
+        g, random.Random(seed).sample(angles, len(angles) // 2))
 
 
 # a hub 0 of degree 13 (wheel) or 12 (star): the masks at the hub are wider
@@ -482,7 +482,8 @@ def wide_examples(test):
 # there, and only the unsmall vertex 2 gives 3 its layer; a sweep that does
 # not advance layers from 2 reaches 3 one layer late, from 4
 C7 = cycle_graph(7)
-C7_AT_1_LARGE = (C7, AngleSet(C7, all_angles(C7).nontrivial - {(0, 1, 2)}))
+C7_AT_1_LARGE = (C7, angle_set_from_triples(
+    C7, all_angles(C7).nontrivial - {(0, 1, 2)}))
 
 
 @SETTINGS
@@ -561,7 +562,7 @@ def graphs_with_size(draw, **kw):
         chosen = theta3(g, GeodesicIndex(g)).nontrivial
     else:
         chosen = draw(st.sets(st.sampled_from(every)))
-    return g, AngleSet(g, frozenset(chosen))
+    return g, angle_set_from_triples(g, chosen)
 
 
 @SETTINGS
@@ -633,7 +634,7 @@ def test_angle_sum_matches_brute_and_keeps_every_angle(case):
     between them is every angle."""
     g, theta = case
     every = all_angles(g)
-    rest = AngleSet(g, every.nontrivial - theta.nontrivial)
+    rest = angle_set_from_triples(g, every.nontrivial - theta.nontrivial)
     for a, b in ((theta, theta), (theta, rest), (every, theta),
                  (theta, every)):
         assert angle_sum(a, b).nontrivial == angle_sum_brute(

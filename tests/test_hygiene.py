@@ -15,7 +15,9 @@ scan; what it does flag is unread outside tests.
 A second scan flags a parameter with a default although every call in
 those program files passes it: its default is used only in tests.  A last
 check runs benchmark verdicts and finds no attribute added to their input
-graphs, where a cache would outlive the verdict.
+graphs, where a cache would outlive the verdict.  An angle set is read as
+exit masks everywhere but angles.py, whose nontrivial triples serve only
+documents and reports.
 """
 
 import ast
@@ -297,6 +299,35 @@ def test_a_restored_permutation_inverse_is_flagged(tmp_path):
     (tmp_path / "cones.py").write_text(mutant)
     assert symmetry_calls([tmp_path / "cones.py"], ("compose", "invert")) == \
         ["cones.py: invert"]
+
+
+def nontrivial_reads(paths):
+    """"file: line" for each read of an attribute nontrivial, an angle
+    set's triples, outside angles.py."""
+    return ["%s: %d" % (path.name, node.lineno) for path in paths
+            if path.name != "angles.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "nontrivial"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_angles_reads_an_angle_sets_triples():
+    # every other module tests, combines and keys angle sets by their
+    # masks: contains, union, angle_sum, rows
+    found = nontrivial_reads(sorted(SRC.glob("*.py")))
+    assert not found, "triples read: %s" % ", ".join(found)
+
+
+def test_a_restored_triple_read_is_flagged(tmp_path):
+    # the Rips depth sweep testing a turn against the triples again
+    text = (SRC / "rips.py").read_text()
+    old = "large = any(not small.contains(p, u, v) for p in preds[u])"
+    mutant = text.replace(old, "large = any((min(p, v), u, max(p, v)) not in "
+                               "small.nontrivial for p in preds[u])")
+    assert mutant != text
+    (tmp_path / "rips.py").write_text(mutant)
+    line = text[:text.index(old)].count("\n") + 1
+    assert nontrivial_reads([tmp_path / "rips.py"]) == ["rips.py: %d" % line]
 
 
 def test_only_symmetry_makes_a_group_model():

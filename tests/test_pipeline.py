@@ -261,17 +261,28 @@ def test_theta3_runs_one_apex_per_orbit(monkeypatch):
     apexes = []
     corner_angles = angles._corner_angles
 
-    def spy(sub, g, dist, block_apexes, corners):
+    def spy(g, dist, block_apexes, corners, rows):
         apexes.extend(block_apexes)
-        return corner_angles(sub, g, dist, block_apexes, corners)
+        return corner_angles(g, dist, block_apexes, corners, rows)
 
     monkeypatch.setattr(angles, "_corner_angles", spy)
     g = cycle_graph(20)
-    t3 = build_instance(g, dihedral_group(20).generators).t3
+    t3 = build_instance(g, dihedral_group(20).generators).t3_sums[1]
     assert apexes == [0]
     apexes.clear()
-    assert build_instance(g, ()).t3 == t3
+    assert build_instance(g, ()).t3_sums[1] == t3
     assert apexes == list(range(20))
+
+
+@pytest.mark.parametrize("name, g, gens", [
+    case[:3] for case in pipeline_instances()])
+def test_the_instance_keeps_the_corner_sums(name, g, gens):
+    """t3_sums holds the sums of 0 to 3 copies of the subdivision's corner
+    size under the model's group, from one partial_sums run."""
+    inst = build_instance(g, gens)
+    t3 = theta3(inst.sub, GeodesicIndex(inst.sub.graph),
+                group=symmetry.close_group(g, gens))
+    assert inst.t3_sums == tuple(k_fold_sum(t3, k) for k in range(4))
 
 
 # ---------------------------------------------------------------------------

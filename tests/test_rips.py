@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsecover import angles, graphs, rips
-from coarsecover.angles import AngleSet, all_angles, k_fold_sum, theta3, \
-    trivial_only
+from coarsecover.angles import all_angles, angle_set_from_triples, \
+    k_fold_sum, theta3, trivial_only
 from coarsecover.corpus import (
     barbell,
     complete_graph,
@@ -470,7 +470,7 @@ class TestContractionClauses:
                                   max_size=len(angles)))
         drawn = [t for t, k in zip(angles, keep) if k]
         for small in (all_angles(g), k_fold_sum(t3, 2), k_fold_sum(t3, 7),
-                      trivial_only(g), AngleSet(g, frozenset(drawn))):
+                      trivial_only(g), angle_set_from_triples(g, drawn)):
             depth, witness = rips._large_turn_depths(index, small, v0)
             for v in g.vertices:
                 large = large_angle_vertices(index, small, v0, v)

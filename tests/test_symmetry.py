@@ -16,7 +16,6 @@ from coarsecover.symmetry import (
     ALL_SUBGROUPS,
     TRIVIAL_ONLY,
     NotAutomorphism,
-    act_angle,
     act_edge,
     SubgroupFamily,
     close_group,
@@ -30,7 +29,7 @@ from coarsecover.symmetry import (
     subdivided_group,
     subgroup_generated,
 )
-from oracles import all_subgroups, ball_tuples, conjugate_tuples, \
+from oracles import act_angle, all_subgroups, ball_tuples, conjugate_tuples, \
     decoded_sets, encoded, is_subgroup_tuples, set_orbit_tuples, \
     subgroup_generated_tuples, validate_family
 
