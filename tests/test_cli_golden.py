@@ -25,14 +25,31 @@ from coarsecover.corpus import path_graph, random_tree, spider, spider_rotation
 from coarsecover.graphs import make_graph
 from oracles import graph_to_document
 
+
+def spider_leg_reflection(legs, leg_len):
+    """The generator of spider(legs, leg_len) fixing leg 0 and sending leg
+    j to leg legs - j."""
+    perm = [0] * (1 + legs * leg_len)
+    for j in range(legs):
+        for i in range(leg_len):
+            perm[1 + j * leg_len + i] = 1 + (-j % legs) * leg_len + i
+    return tuple(perm)
+
+
+# each graph with the generator list of its action, none for the trivial
+# group
 GRAPHS = {
-    "path8": (path_graph(8), None),
-    "tree12-3": (random_tree(12, 3), None),
-    "spider3-4-rot": (spider(3, 4), spider_rotation(3, 4)),
+    "path8": (path_graph(8), []),
+    "tree12-3": (random_tree(12, 3), []),
+    "spider3-4-rot": (spider(3, 4), [spider_rotation(3, 4)]),
+    # the dihedral group of order 8, whose cone members have stabilizers
+    # of order 2
+    "spider4-3-d4": (spider(4, 3), [spider_rotation(4, 3),
+                                    spider_leg_reflection(4, 3)]),
     # the flow space runs on adjacent cone vertices, the cone operations
     # refuse them
     "path5-adjacent-cones": (make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
-                                        cone_vertices=(1, 2)), None),
+                                        cone_vertices=(1, 2)), []),
 }
 
 COMMANDS = {
@@ -61,15 +78,15 @@ def _run(argv):
 
 def digests(workdir, graph_name, command):
     """Exit codes and sha256 digests of one case's stdout and artifacts."""
-    g, rotation = GRAPHS[graph_name]
+    g, gens = GRAPHS[graph_name]
     gpath = os.path.join(workdir, "g.json")
     with open(gpath, "w") as fh:
         json.dump(graph_to_document(g), fh)
     argv = COMMANDS[command] + ["--graph", gpath]
-    if rotation is not None:
+    if gens:
         apath = os.path.join(workdir, "act.json")
         with open(apath, "w") as fh:
-            json.dump({"rot": [list(rotation)]}, fh)
+            json.dump({"rot": [list(p) for p in gens]}, fh)
         argv += ["--action", apath, "--action-name", "rot"]
     code, out = _run(argv)
     rec = {"exit": code, "stdout": _sha(out)}
@@ -279,6 +296,74 @@ GOLDEN = {
         "pipeline_summary.json": "6dbcda5eb37fe647231faa9b025bf3d46810d3c11401d70d4811583d84411273",
         "pullback.json": "6823068bb9089a05642de5808f8776e05494499379082dde3dce46732d060c8e",
         "stdout": "6dbcda5eb37fe647231faa9b025bf3d46810d3c11401d70d4811583d84411273",
+        "stdout_out": "90b6ba1fd037c0b240ae0f205f413df8408c4c077d9317801d20e760009fc219",
+    },
+    "spider4-3-d4/cf-build": {
+        "cf.json": "2d3431490bd21f446048286de3218e6192d148fed66998db1b4c260200ab540a",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "2d3431490bd21f446048286de3218e6192d148fed66998db1b4c260200ab540a",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cf-cover": {
+        "cf_cover.json": "44e9cca2911283e4b7b20421fddadc6a2deb40ff07e4e6ef51100c174ef2adc3",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "44e9cca2911283e4b7b20421fddadc6a2deb40ff07e4e6ef51100c174ef2adc3",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cf-doubling": {
+        "cf_doubling.json": "304f905c29de8643c11b71c7de9c80e25ebe59dfadae7c62279b1cd4bc20bd4d",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "304f905c29de8643c11b71c7de9c80e25ebe59dfadae7c62279b1cd4bc20bd4d",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cf-pullback": {
+        "cf_pullback.json": "cf0a2ddafe51bab6a4862ca7981fddb75916be28398e82d2bd03439db259ce2d",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "cf0a2ddafe51bab6a4862ca7981fddb75916be28398e82d2bd03439db259ce2d",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cf-scan": {
+        "cf_scan.json": "1821b585dbef7e488d6f4512abf21dce3cdaff529c8a908c59352bd35d2df7b2",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "1821b585dbef7e488d6f4512abf21dce3cdaff529c8a908c59352bd35d2df7b2",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cone-build": {
+        "cones.json": "75327d32fe3cf805489852e5ff96a21bd1ad34131574b8aed497418e14061761",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "75327d32fe3cf805489852e5ff96a21bd1ad34131574b8aed497418e14061761",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cone-dichotomy": {
+        "dichotomy.json": "9897f0992f72e0b7e44cf7977c14404a06b32f7c8b9f92f2d071949a7a3a3c4b",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "9897f0992f72e0b7e44cf7977c14404a06b32f7c8b9f92f2d071949a7a3a3c4b",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/cover-combine": {
+        "combined.json": "ccf9b67520c0cf85dfff814eca09ae88a08a161d58d979d30078536e9171dfa8",
+        "combined_summary.json": "feda390a5ccae55b51ce48a14f5cc1253b17a6a8f0682272edc7affc23b562e5",
+        "exit": 0,
+        "exit_out": 0,
+        "stdout": "feda390a5ccae55b51ce48a14f5cc1253b17a6a8f0682272edc7affc23b562e5",
+        "stdout_out": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "spider4-3-d4/pipeline": {
+        "cf.json": "7a705b4e9bdcdf58695d1e85227ca0e6995680f702db31564d2486f264f991ee",
+        "combined.json": "ccf9b67520c0cf85dfff814eca09ae88a08a161d58d979d30078536e9171dfa8",
+        "exit": 0,
+        "exit_out": 0,
+        "flow_cover.json": "a825a792bafa58e4c62641b9db187bcbe837b64810a7fd56f51886af8b681535",
+        "pipeline_summary.json": "feda390a5ccae55b51ce48a14f5cc1253b17a6a8f0682272edc7affc23b562e5",
+        "pullback.json": "6823068bb9089a05642de5808f8776e05494499379082dde3dce46732d060c8e",
+        "stdout": "feda390a5ccae55b51ce48a14f5cc1253b17a6a8f0682272edc7affc23b562e5",
         "stdout_out": "90b6ba1fd037c0b240ae0f205f413df8408c4c077d9317801d20e760009fc219",
     },
     "tree12-3/cf-build": {
