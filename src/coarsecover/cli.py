@@ -100,15 +100,18 @@ def _read_graph(args):
 
 def _read_model(args):
     """The graph model and its generator lists, none without an action
-    file."""
+    file, where an action name is an error."""
     g, graph_doc = _read_graph(args)
+    name = getattr(args, "action_name", None)
     if not getattr(args, "action", None):
+        if name is not None:
+            raise GraphFormatError("action %r named without an action file"
+                                   % (name,))
         return g, ()
     with open(args.action) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise GraphFormatError("action document must be an object")
-    name = getattr(args, "action_name", None)
     if name is None:
         # the graph document may reference the generator list by name
         name = graph_doc.get("action")

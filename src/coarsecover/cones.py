@@ -34,7 +34,8 @@ if TYPE_CHECKING:
 
 def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
                          big: AngleSet) -> bool:
-    """Sufficient condition for the pair to sit in the cone set's interior.
+    """Sufficient condition for the pair (g, xi), g an element's number, to
+    sit in the cone set's interior.
 
     Either some geodesic to xi turns (theta + doubled corner size)-large at
     the apex, or a single geodesic turns theta-large at the apex and twice-
@@ -44,7 +45,7 @@ def interior_certificate(inst: Instance, g, xi, apex, theta: AngleSet,
     beyond x.  big is theta + t3_2, t3_2 the doubled corner size.
     """
     index = inst.index
-    gv0 = g[inst.v0]
+    gv0 = inst.sub_group.elements[g][inst.v0]
     if xi == apex:
         return False
     t3_2 = inst.t3_sums[2]
@@ -126,7 +127,7 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
     layer_sizes = ((1, powers[2]), (2, powers[5]), (3, powers[6]))
     # equal sizes are built once, each under its place in distinct
     distinct = list(dict.fromkeys(size for _, size in layer_sizes))
-    e, mask = sub_group.identity, sum(1 << xi for xi in targets)
+    mask = sum(1 << xi for xi in targets)
     built = {}  # (a size's place in distinct, apex) -> (members, certified)
     for key, size in enumerate(distinct):
         oracle = SmallnessOracle(sub, size)  # the last is 6X's
@@ -139,7 +140,7 @@ def cone_cover(inst: Instance, theta0: AngleSet, xi_set):
             if not row:
                 continue
             certified = [y for y in row if y != b and interior_certificate(
-                inst, e, y, b, size, big)]
+                inst, 0, y, b, size, big)]
             for g, p in enumerate(sub_group.elements):
                 members, certs = built.setdefault((key, p[b]), (set(), set()))
                 members.update((g, p[y]) for y in row)
@@ -194,7 +195,7 @@ def cone_sets_as_cover(cones, sub_group: GroupModel, domain) -> Cover:
     of a mask over sub_group.elements; domain holds pairs (g, xi) too."""
     members = []
     for c in cones:
-        stab = frozenset(p for p in sub_group.elements
+        stab = frozenset(k for k, p in enumerate(sub_group.elements)
                          if p[c.apex] == c.apex)
         members.append(CoverMember(slices_of(c.members), stab, True))
     order = cover_order([m.slices for m in members], slices_of(domain))

@@ -12,6 +12,11 @@ member has the shape of the fibers: its slices map each z-point it meets to
 its v-set over that point, so the cover is built, counted and verified
 slice by slice, one z-point at a time.
 
+A group element is named by its number in the group model (see the
+symmetry module): the action on z-points, the memo of images, subgroups
+and stabilizers are by number, and a permutation is read only to move a
+v-point or to name an element in a failure.
+
 Because Z is finite and discrete, closures and boundaries are trivial and
 the greedy construction (greedy_cover) needs a single induction step.  The
 order of the result is bounded by D - 1 whenever every z-fiber of the pair
@@ -53,21 +58,19 @@ class _BitImages(dict):
 
 
 class _ElementImages(dict):
-    """p -> the _BitImages of the group element p on masks over the
-    v-points, made on first read: the translates read only the generators
-    and the sifted subgroup generators."""
+    """k -> the _BitImages of the group element numbered k on masks over
+    the v-points, made on first read from moves(k), the bit of each
+    v-point's image: the translates read only the generators and the
+    sifted subgroup generators."""
 
-    __slots__ = ("v_points", "position")
+    __slots__ = ("moves",)
 
-    def __init__(self, v_points):
+    def __init__(self, moves):
         super().__init__()
-        self.v_points = v_points
-        self.position = {v: i for i, v in enumerate(v_points)}
+        self.moves = moves
 
-    def __missing__(self, p):
-        position = self.position
-        self[p] = images = _BitImages([1 << position[p[v]]
-                                       for v in self.v_points])
+    def __missing__(self, k):
+        self[k] = images = _BitImages(self.moves(k))
         return images
 
 
@@ -80,10 +83,10 @@ class PairSpace:
     v_points: tuple  # ascending; bit i of a mask stands for v_points[i]
     fibers: dict  # every z-point -> the mask of V_z, empty fibers included
     dist: dict  # v -> its row, row[w] = d(v, w): a dict, or a list by vertex
-    group: GroupModel  # p acts on the v-points as the permutation it is
-    act_z: dict  # p -> {z: p z}, a list when the z-points are 0..k-1
+    group: GroupModel  # element k moves the v-points as elements[k] does
+    act_z: list  # k -> {z: k z}, a list when the z-points are 0..m-1
     z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}
-    # p -> {mask: p.mask}, made on first read, one memo that every cover of
+    # k -> {mask: k.mask}, made on first read, one memo that every cover of
     # the space shares
     images: dict = field(compare=False, repr=False)
 
@@ -115,12 +118,13 @@ def slices_of(pairs) -> Slices:
     return Slices(over)
 
 
-def _translate(space: PairSpace, p, slices):
-    """p.slices; each v-set's image is made once per element and kept in
-    space.images, so translates of slices sharing a v-set share it."""
-    if p == space.group.identity:
+def _translate(space: PairSpace, k, slices):
+    """k.slices, k an element's number; each v-set's image is made once
+    per element and kept in space.images, so translates of slices sharing
+    a v-set share it."""
+    if k == 0:
         return slices
-    image, az = space.images[p], space.act_z[p]
+    image, az = space.images[k], space.act_z[k]
     return Slices([(az[z], image[vs]) for z, vs in slices.items()])
 
 
@@ -137,9 +141,15 @@ def pair_space(v_points, fibers, dist, group: GroupModel,
     for z, fiber in fibers.items():
         for add in masked(adds, fiber):
             add(z)
+    position = {v: i for i, v in enumerate(v_points)}
+
+    def moves(k):
+        p = group.elements[k]
+        return [1 << position[p[v]] for v in v_points]
+
     return PairSpace(v_points, fibers, dist, group, act_z,
                      {v: frozenset(zs) for v, zs in zip(v_points, over)
-                      if zs}, _ElementImages(v_points))
+                      if zs}, _ElementImages(moves))
 
 
 def _ball(space: PairSpace, v, radius):
@@ -300,7 +310,7 @@ def minimal_doubling_radius(points, dist, D):
 @dataclass(frozen=True)
 class CoverMember:
     slices: Slices  # z -> the mask of the member's v-set over z
-    stabilizer: frozenset
+    stabilizer: frozenset  # of element numbers
     orbit_rep: bool
 
     def points(self, v_points):
@@ -383,7 +393,7 @@ def wide_failures(member_slices, group: GroupModel, alpha, pairs):
 class BasisTriple:
     v: object
     zset: frozenset
-    subgroup: frozenset
+    subgroup: frozenset  # of element numbers
 
 
 class BasisError(ValueError):
@@ -399,19 +409,18 @@ def fiber_basis(space: PairSpace, alpha):
     triple per orbit of pairs, which pullbacks along flows need.  The
     z-set of v is Z_v, read off space.z_over.
     """
-    seen = set()
-    triples = []
+    G, seen, triples = space.group, set(), []
     for v in sorted(space.v_points):
         if v in seen:
             continue
-        seen.update(p[v] for p in space.group.elements)
+        seen.update(p[v] for p in G.elements)
         fiber = space.z_over.get(v)
         if fiber is None:
             continue
-        gens = [p for p in space.group.elements
+        gens = [k for k, (p, az) in enumerate(zip(G.elements, space.act_z))
                 if space.dist[p[v]][v] <= 4 * alpha
-                and any(space.act_z[p][z] in fiber for z in fiber)]
-        triples.append(BasisTriple(v, fiber, subgroup_generated(space.group, gens)))
+                and any(az[z] in fiber for z in fiber)]
+        triples.append(BasisTriple(v, fiber, subgroup_generated(G, gens)))
     return triples
 
 
@@ -445,13 +454,12 @@ def _check_alpha(alpha):
 def _uncovered(space: PairSpace, basis, at):
     """The pairs (v, z), v in at, that no translated basis block holds;
     a translate p.t holds pairs over p.t.v alone."""
-    G, covered = space.group, {}  # v -> the z-points translates put v over
+    covered = {}  # v -> the z-points translates put v over
     for t in basis:
-        for p in G.elements:
+        for p, az in zip(space.group.elements, space.act_z):
             if p[t.v] in at:
-                az = space.act_z[p]
                 covered.setdefault(p[t.v], set()).update(
-                    t.zset if p == G.identity else [az[z] for z in t.zset])
+                    map(az.__getitem__, t.zset))
     return sorted((v, z) for v in at
                   for z in space.z_over[v] - covered.get(v, _EMPTY))
 
@@ -476,7 +484,7 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
     """
     _check_alpha(alpha)
     G = space.group
-    act_z, identity, z_over = space.act_z, G.identity, space.z_over
+    act_z, z_over = space.act_z, space.z_over
     # precondition: each basis block sits inside the pair set
     for i, t in enumerate(basis):
         if not t.zset <= z_over.get(t.v, _EMPTY):
@@ -485,10 +493,10 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             raise BasisError("basis %d: annotation is not a subgroup" % i)
     # precondition: separation condition at scale 4*alpha
     for i, t in enumerate(basis):
-        for p in G.elements:
-            if p in t.subgroup or space.dist[p[t.v]][t.v] > 4 * alpha:
+        for k, (p, az) in enumerate(zip(G.elements, act_z)):
+            if k in t.subgroup or space.dist[p[t.v]][t.v] > 4 * alpha:
                 continue
-            if any(act_z[p][z] in t.zset for z in t.zset):
+            if any(az[z] in t.zset for z in t.zset):
                 raise BasisError(
                     "basis %d: element %r moves the block onto itself" % (i, p))
     # precondition: translated basis blocks cover every fiber
@@ -507,17 +515,12 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
             if not reduced[j]:
                 continue
             vj = basis[j].v
-            for p in G.elements:
+            for p, az in zip(G.elements, act_z):
                 if row[p[vj]] <= alpha:
-                    if p == identity:
-                        zset -= reduced[j]
-                    else:
-                        az = act_z[p]
-                        zset.difference_update([az[z] for z in reduced[j]])
+                    zset.difference_update(map(az.__getitem__, reduced[j]))
         reduced.append(frozenset(zset))
 
     translate = partial(_translate, space)
-    rank, products = G.rank, G.products
     members = []
     seen_sets = set()
     for i, t in enumerate(basis):
@@ -531,15 +534,12 @@ def greedy_cover(space: PairSpace, alpha, basis) -> Cover:
         orbit, stab = set_orbit(saturated, G, translate)
         seen_sets.update(orbit)
         # the first element of each coset t_W Stab: t_W h is row h at t_W
-        rows, firsts = [products[rank[h]] for h in stab], []
-        for W, tw in orbit.items():
-            c = rank[tw]
-            firsts.append((min(row[c] for row in rows), W))
-        firsts.sort(key=lambda f: f[0])
+        rows = list(map(G.products.__getitem__, stab))
+        firsts = sorted(((min(row[tw] for row in rows), W)
+                         for W, tw in orbit.items()), key=lambda f: f[0])
         for k, (r, W) in enumerate(firsts):
-            members.append(CoverMember(
-                W, conjugate(G, G.elements[r], t.subgroup) if r
-                else t.subgroup, k == 0))
+            members.append(CoverMember(W, conjugate(G, r, t.subgroup),
+                                       k == 0))
     order = cover_order([m.slices for m in members], space.fibers)
     return Cover(tuple(members), alpha, order)
 
@@ -614,12 +614,13 @@ def verify_cover(cover: Cover, space: PairSpace, alpha,
     G = space.group
     translate = partial(_translate, space)
     set_pool = set(sets)
-    for s in G.generators:
-        if any(translate(s, m) not in set_pool for m in set_pool):
+    for s, k in zip(G.generators, G.generator_numbers):
+        if any(translate(k, m) not in set_pool for m in set_pool):
             failures.append(("not-invariant", s))
             break
 
-    checked = {}  # translate of a checked member -> (t, member's stabilizer)
+    # translate of a checked member -> (t, member's stabilizer), t a number
+    checked = {}
     for idx, m in enumerate(sets):
         if not m:
             continue

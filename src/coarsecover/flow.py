@@ -209,13 +209,13 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     metric's rows.  Its z-points are the numbers of cf.classes, the
     classes of endpoint pairs with equal fibers: class r carries its
     fiber, shifted down to midpoint positions (the midpoints are the
-    vertices from the original vertex count on), and act_z[p] is the list
-    whose entry r is the class of p.z, z any pair of class r, well defined
-    since fibers are equivariant, V_{p.z} = p.V_z.  A generator's list is
-    looked up at each class's least pair, cf.least; every other element's is
-    composed along the group's walk, act_z[a s] = act_z[a] read along
-    act_z[s], s a generator; the walk reaches every element (see the
-    symmetry module).
+    vertices from the original vertex count on), and act_z[k] is the list
+    whose entry r is the class of p.z, p the element numbered k and z any
+    pair of class r, well defined since fibers are equivariant, V_{p.z} =
+    p.V_z.  A generator's list is looked up at each class's least pair,
+    cf.least; every other element's is composed along the group's walk,
+    act_z[a s] = act_z[a] read along act_z[s], s a generator; the walk
+    reaches every element (see the symmetry module).
 
     Nothing is lost against one z-point per pair.  fiber_basis's Z_v is a
     union of whole classes, and subtraction along translates, the cores
@@ -229,15 +229,15 @@ def cf_pair_space(cf: CoarseFlowSpace) -> PairSpace:
     expand_cover places it on the endpoint pairs for a document.
     """
     G, names, fibers = cf.group, cf.classes, cf.fibers
-    step = {G.rank[s]: [names[fibers[s[xm], s[xp]]] for xm, xp in cf.least]
-            for s in G.generators}
+    step = {k: [names[fibers[s[xm], s[xp]]] for xm, xp in cf.least]
+            for s, k in zip(G.generators, G.generator_numbers)}
     act = [list(range(len(names)))] + [None] * (len(G) - 1)
     for b, (a, s) in G.products.via.items():  # parents come first
         act[b] = list(map(act[a].__getitem__, step[s]))
     shift = cf.sub.original.vertex_count
     return pair_space(cf.sub.ve_vertices(),
                       {r: f >> shift for f, r in names.items()}, cf.metric,
-                      G, dict(zip(G.elements, act)))
+                      G, act)
 
 
 def cover_cf(space: PairSpace, alpha_prime) -> Cover:

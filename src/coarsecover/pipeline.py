@@ -227,7 +227,7 @@ def cover_to_document(cover: Cover, group: GroupModel, v_points=None) -> dict:
         members.append({
             "points": sorted([enc(a), enc(b)]
                              for (a, b) in m.points(v_points)),
-            "stabilizer": sorted(group.rank[p] for p in m.stabilizer),
+            "stabilizer": sorted(m.stabilizer),
             "orbit_rep": m.orbit_rep,
         })
     return {"alpha": cover.alpha, "order": cover.order, "members": members}

@@ -13,14 +13,16 @@ positive power.
 
 A model numbers its elements: an element's number is its position in the
 ascending tuple of elements, so the identity, the least permutation, is
-number 0.  The group algebra runs on the numbers.  Products are read from
-a table of rows, row b mapping the number of a to that of a*b; the rows
-of the generators and their inverses come with the model, and every other
-row is composed from them along one walk from the identity on first read.
-Closures, orbits, conjugates and balls are index arithmetic on that table,
-and no product builds a permutation.  Subgroups and transversals are
-elements at the API; word lengths and balls are by number, as are the g of
-every pair (g, x) the cover layer reads.
+number 0.  The number is the one name an element has outside the model,
+whose elements and generators are the permutations themselves, read only
+to move a point.  Products are read from a table of rows, row b mapping
+the number of a to that of a*b; the rows of the generators and their
+inverses come with the model, and every other row is composed from them
+along one walk from the identity on first read.  Closures, orbits,
+conjugates and balls are index arithmetic on that table, and no product
+builds a permutation.  A subgroup is the frozenset of its numbers, the
+trivial one {0}, and a transversal element, a word length or the g of a
+pair (g, x) is a number.
 """
 
 from __future__ import annotations
@@ -91,11 +93,10 @@ class GroupModel:
     graph: Graph
     elements: tuple
     generators: tuple
-    identity: tuple
+    # the numbers of the generators, in their order
+    generator_numbers: tuple
     # number -> its word length
     word_length: tuple = field(compare=False)
-    # element -> its number
-    rank: dict = field(compare=False, repr=False)
     # number -> the number of its inverse
     inverse: tuple = field(compare=False, repr=False)
     # b -> the row of right products by b, see _Products; one memo that
@@ -161,8 +162,8 @@ def close_group(g: Graph, generator_perms, cap=20000) -> GroupModel:
                 order.append(b)
     for s, row in rows:
         products[s], products[inverse[s]] = row, invert(row)
-    return GroupModel(g, elements, tuple(gens), e,
-                      tuple(map(word.__getitem__, elements)), rank, inverse,
+    return GroupModel(g, elements, tuple(gens), tuple(s for s, _ in rows),
+                      tuple(map(word.__getitem__, elements)), inverse,
                       products)
 
 
@@ -180,11 +181,14 @@ def act_edge(perm, e):
 # ---------------------------------------------------------------------------
 
 
-def _closure(G: GroupModel, seeds):
-    """The numbers of the subgroup the numbers seeds generate: the products
-    of seeds, walked from the identity, since in a finite group an inverse
-    is a positive power."""
-    rows = [G.products[s] for s in set(seeds) if s]
+def subgroup_generated(G: GroupModel, seed) -> frozenset:
+    """The subgroup the numbers in seed generate: the products of seed,
+    walked from the identity, since in a finite group an inverse is a
+    positive power."""
+    seed = set(seed)
+    if len(seed) == len(G):
+        return frozenset(seed)  # the whole group
+    rows = [G.products[s] for s in seed if s]
     out = {0}
     order = [0]
     for a in order:  # the walk grows while it is read
@@ -193,54 +197,36 @@ def _closure(G: GroupModel, seeds):
             if b not in out:
                 out.add(b)
                 order.append(b)
-    return out
-
-
-def _numbers(G: GroupModel, subset):
-    """The numbers of the elements in subset, or ValueError."""
-    try:
-        return {G.rank[a] for a in subset}
-    except KeyError:
-        raise ValueError("seed element not in group") from None
-
-
-def subgroup_generated(G: GroupModel, seed) -> frozenset:
-    seed = _numbers(G, seed)
-    if len(seed) == len(G.elements):
-        return frozenset(G.elements)
-    return frozenset(map(G.elements.__getitem__, _closure(G, seed)))
+    return frozenset(out)
 
 
 def is_subgroup(G: GroupModel, subset) -> bool:
-    sub = frozenset(subset)
-    if G.identity not in sub or not all(a in G.rank for a in sub):
+    """Whether the numbers in subset hold the identity and every product
+    of two of them, which in a finite group makes a subgroup."""
+    H = frozenset(subset)
+    if 0 not in H or not H.issubset(range(len(G))):
         return False
-    if len(sub) == len(G.elements):
-        return True  # the whole group
-    H, inverse, products = _numbers(G, sub), G.inverse, G.products
-    return all(inverse[a] in H for a in H) and all(
-        products[b][a] in H for b in H for a in H)
+    products = G.products
+    return len(H) == len(G) or all(products[b][a] in H for b in H for a in H)
 
 
 def conjugate(G: GroupModel, g, H) -> frozenset:
-    """The conjugate subgroup g H g^-1: g h is row h read at g, and
-    (g h) g^-1 row g^-1 read at g h."""
-    c = G.rank[g]
-    back, products = G.products[G.inverse[c]], G.products
-    return frozenset(G.elements[back[products[h][c]]]
-                     for h in _numbers(G, H))
+    """The conjugate subgroup g H g^-1, g a number: g h is row h read at
+    g, and (g h) g^-1 row g^-1 read at g h."""
+    back, products = G.products[G.inverse[g]], G.products
+    return frozenset(back[products[h][g]] for h in H)
 
 
 def sifted_generators(G: GroupModel, H):
-    """A generating set of the subgroup H: each element of sorted(H) not
-    yet generated by those kept before it.  Numbers ascend with the
-    elements, and the span starts at the identity, which is never kept."""
+    """A generating set of the subgroup H: each number of sorted(H) not
+    yet generated by those kept before it.  The span starts at the
+    identity, which is never kept."""
     gens, span = [], {0}
-    for a in sorted(_numbers(G, H)):
+    for a in sorted(H):
         if a not in span:
             gens.append(a)
-            span = _closure(G, gens)
-    return [G.elements[a] for a in gens]
+            span = subgroup_generated(G, gens)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +236,8 @@ def sifted_generators(G: GroupModel, H):
 
 @dataclass(frozen=True)
 class SubgroupFamily:
-    """A family of subgroups, queried by membership only.
+    """A family of subgroups, queried by membership only; a subgroup, a
+    listed member and a seed are frozensets of element numbers.
 
     kinds:
       trivial-only      just the trivial subgroup
@@ -270,22 +257,19 @@ class SubgroupFamily:
     def contains(self, subgroup, G: GroupModel) -> bool:
         H = frozenset(subgroup)
         if self.kind == "trivial-only":
-            return H == frozenset([G.identity])
+            return H == TRIVIAL
         if self.kind == "all-subgroups":
             return is_subgroup(G, H)
         if self.kind == "explicit-list":
-            return H in set(self.members)
+            return H in self.members
         if self.kind == "stabilizer-closed":
-            if H == frozenset([G.identity]):
-                return True
-            for S in self.seeds:
-                for g in G.elements:
-                    if H <= conjugate(G, g, S):
-                        return True
-            return False
+            return H == TRIVIAL or any(H <= conjugate(G, g, S)
+                                       for S in self.seeds
+                                       for g in range(len(G)))
         raise ValueError("unknown family kind %r" % (self.kind,))
 
 
+TRIVIAL = frozenset([0])
 TRIVIAL_ONLY = SubgroupFamily("trivial-only")
 ALL_SUBGROUPS = SubgroupFamily("all-subgroups")
 
@@ -293,12 +277,12 @@ ALL_SUBGROUPS = SubgroupFamily("all-subgroups")
 def set_orbit(U, G: GroupModel, translate):
     """The orbit of the set U, walked along the generators of G.
 
-    translate(p, S) applies the group element p to a set S; U and its
-    translates are hashable (frozensets, or the Slices of cover members).
-    Returns (orbit, stab): orbit maps each translate W of U, in
-    breadth-first order from U, to a transversal element t_W with
-    t_W.U = W (t_U is the identity), and stab is the setwise stabilizer of
-    U.
+    translate(k, S) applies the group element numbered k to a set S; U
+    and its translates are hashable (frozensets, or the Slices of cover
+    members).  Returns (orbit, stab): orbit maps each translate W of U, in
+    breadth-first order from U, to the number of a transversal element t_W
+    with t_W.U = W (t_U is the identity, 0), and stab is the setwise
+    stabilizer of U.
 
     G.generators generate G (see the module docstring), so the walk
     reaches every translate.  By Schreier's lemma the elements
@@ -308,7 +292,7 @@ def set_orbit(U, G: GroupModel, translate):
     with the model, and t_{sW}^-1 (s t) the row of the transversal t_{sW}.
     """
     inverse, products = G.inverse, G.products
-    steps = [(s, products[inverse[G.rank[s]]]) for s in G.generators]
+    steps = [(s, products[inverse[s]]) for s in G.generator_numbers]
     orbit = {U: 0}
     queue = [U]
     schreier = set()
@@ -321,18 +305,16 @@ def set_orbit(U, G: GroupModel, translate):
             else:
                 orbit[sW] = st
                 queue.append(sW)
-    elements = G.elements
-    return ({W: elements[t] for W, t in orbit.items()},
-            frozenset(map(elements.__getitem__, _closure(G, schreier))))
+    return orbit, subgroup_generated(G, schreier)
 
 
 def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
     """Check the equivariant-subset condition with a stabilizer witness.
 
     U is an F-subset when its setwise stabilizer F0 lies in the family and
-    every other translate of U is disjoint from U; act(p, x) applies the
-    group element p to a point x of U.  Returns (ok, witness) where witness
-    is F0 on success.
+    every other translate of U is disjoint from U; act(k, x) applies the
+    group element numbered k to a point x of U.  Returns (ok, witness)
+    where witness is F0 on success.
 
     set_orbit gives F0 and the orbit; the translates p.U with p outside F0
     are exactly the orbit sets other than U, so disjointness is one test
@@ -340,9 +322,9 @@ def is_F_subset(U, G: GroupModel, family: SubgroupFamily, act):
     """
     U = frozenset(U)
     if not U:
-        return True, frozenset([G.identity])
+        return True, TRIVIAL
     orbit, stab = set_orbit(
-        U, G, lambda p, S: frozenset(act(p, x) for x in S))
+        U, G, lambda k, S: frozenset(act(k, x) for x in S))
     if any(W & U for W in orbit if W != U) or not family.contains(stab, G):
         return False, None
     return True, stab
@@ -377,7 +359,6 @@ def subdivided_group(G: GroupModel, subdivision) -> GroupModel:
         raise ValueError("the group must act on the original graph of the "
                          "subdivision")
     lift = tuple(subdivision_perm(p, subdivision) for p in G.elements)
-    gens = tuple(lift[G.rank[p]] for p in G.generators)
-    return GroupModel(subdivision.graph, lift, gens, lift[0], G.word_length,
-                      {q: i for i, q in enumerate(lift)}, G.inverse,
-                      G.products)
+    gens = G.generator_numbers
+    return GroupModel(subdivision.graph, lift, tuple(lift[s] for s in gens),
+                      gens, G.word_length, G.inverse, G.products)

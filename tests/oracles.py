@@ -35,12 +35,27 @@ from coarsecover.symmetry import GroupModel, close_group, compose, invert
 # ---------------------------------------------------------------------------
 
 
+def rank(G: GroupModel):
+    """Each element of G -> its number, its position in G.elements."""
+    return {p: k for k, p in enumerate(G.elements)}
+
+
+def numbered(G: GroupModel, elements) -> frozenset:
+    """The numbers of a collection of elements of G."""
+    return frozenset(map(rank(G).__getitem__, elements))
+
+
+def permuted(G: GroupModel, numbers) -> frozenset:
+    """The elements of G with the given numbers."""
+    return frozenset(map(G.elements.__getitem__, numbers))
+
+
 def subgroup_generated_tuples(G: GroupModel, seed) -> frozenset:
-    elems = {G.identity}
-    frontier = [G.identity]
+    elems = {G.elements[0]}
+    frontier = [G.elements[0]]
     seed = list(seed)
     for s in seed:
-        if s not in G.rank:
+        if s not in G.elements:
             raise ValueError("seed element not in group")
     if len(set(seed)) == len(G.elements):
         return frozenset(G.elements)
@@ -59,9 +74,9 @@ def subgroup_generated_tuples(G: GroupModel, seed) -> frozenset:
 
 def is_subgroup_tuples(G: GroupModel, subset) -> bool:
     sub = frozenset(subset)
-    if G.identity not in sub:
+    if G.elements[0] not in sub:
         return False
-    if len(sub) == len(G.elements) and all(a in G.rank for a in sub):
+    if len(sub) == len(G.elements) and all(a in G.elements for a in sub):
         return True  # the whole group
     for a in sub:
         if invert(a) not in sub:
@@ -81,7 +96,7 @@ def conjugate_tuples(g, H):
 def set_orbit_tuples(U, G: GroupModel, translate):
     """set_orbit with the transversals and Schreier generators composed
     as permutations."""
-    orbit = {U: G.identity}
+    orbit = {U: G.elements[0]}
     queue = [U]
     schreier = set()
     for W in queue:
@@ -94,6 +109,12 @@ def set_orbit_tuples(U, G: GroupModel, translate):
                 orbit[sW] = st
                 queue.append(sW)
     return orbit, subgroup_generated_tuples(G, schreier)
+
+
+def leg_reflection(legs, leg_len):
+    """The automorphism of spider(legs, leg_len) taking leg j to leg -j."""
+    return (0,) + tuple(1 + (-j) % legs * leg_len + i
+                        for j in range(legs) for i in range(leg_len))
 
 
 def ball_tuples(G: GroupModel, alpha, center):
@@ -451,8 +472,9 @@ def _geodesics(g, u, v):
 def cone_member_brute(inst, g, xi, apex, theta):
     """Both clauses of the cone-set definition, read off every geodesic:
     every geodesic from g v0 to the apex is theta-small and, unless xi is
-    the apex, some geodesic from g v0 to xi turns theta-large at the apex."""
-    sub, gv0 = inst.sub, g[inst.v0]
+    the apex, some geodesic from g v0 to xi turns theta-large at the apex;
+    g is an element's number."""
+    sub, gv0 = inst.sub, inst.sub_group.elements[g][inst.v0]
     to_apex = _geodesics(sub.graph, gv0, apex)
     if not to_apex or not all(_turn_small(theta, path, i, sub)
                               for path in to_apex
@@ -469,8 +491,8 @@ def interior_certificate_brute(inst, g, xi, apex, theta):
     """Both conditions of the interior certificate, read off every geodesic
     from g v0 to xi through the apex: it turns (theta + doubled corner
     size)-large there, or it turns theta-large there and twice-corner-large
-    at a later internal vertex."""
-    sub, gv0 = inst.sub, g[inst.v0]
+    at a later internal vertex; g is an element's number."""
+    sub, gv0 = inst.sub, inst.sub_group.elements[g][inst.v0]
     t3_2 = k_fold_sum(inst.t3_sums[1], 2)
     big = angle_sum(theta, t3_2)
     for path in _geodesics(sub.graph, gv0, xi):
@@ -518,7 +540,7 @@ def cone_cover_per_apex(inst, theta0, xi_set):
                         members.add((g, xi))
                     elif large(size, gv0, xi, apex):
                         members.add((g, xi))
-                        if interior_certificate(inst, ge, xi, apex, size,
+                        if interior_certificate(inst, g, xi, apex, size,
                                                 bigs[layer]):
                             certified.add((g, xi))
             if members:
@@ -712,7 +734,7 @@ def trivial_pair_space(v_points, fibers, dist):
     v_points = tuple(v_points)
     G = close_group(make_graph(max(v_points, default=0) + 1, []), ())
     return pair_space(v_points, encoded(v_points, fibers), dist, G,
-                      {G.identity: {z: z for z in fibers}})
+                      [{z: z for z in fibers}])
 
 
 def stand_in_flow_space(delta_prime, metric, fibers):
@@ -769,8 +791,8 @@ def endpoint_pair_space(cf):
     """The flow space as a pair space with one z-point per ordered endpoint
     pair, whose z-fibers are cf's fibers: the reference for
     cf_pair_space's fiber classes."""
-    act_z = {p: {z: (p[z[0]], p[z[1]]) for z in cf.fibers}
-             for p in cf.group.elements}
+    act_z = [{z: (p[z[0]], p[z[1]]) for z in cf.fibers}
+             for p in cf.group.elements]
     v_points = cf.sub.ve_vertices()
     fibers = {z: mask_vertices(f) for z, f in cf.fibers.items()}
     return pair_space(v_points, encoded(v_points, fibers), cf.metric,
@@ -790,14 +812,13 @@ def default_basis(space):
 
     seen = set()
     triples = []
+    moves = list(zip(space.group.elements, space.act_z))
     for pair in sorted(pairs_of(space)):
         if pair in seen:
             continue
         v, z = pair
-        seen |= {(p[v], space.act_z[p][z])
-                 for p in space.group.elements}
-        stab = frozenset(p for p in space.group.elements
-                         if space.act_z[p][z] == z)
+        seen |= {(p[v], az[z]) for p, az in moves}
+        stab = frozenset(k for k, (p, az) in enumerate(moves) if az[z] == z)
         triples.append(BasisTriple(v, frozenset([z]), stab))
     return triples
 
@@ -819,8 +840,8 @@ def verify_cover_definitional(members, space, alpha, family):
     """
     G = space.group
 
-    def act(p, pair):
-        return (p[pair[0]], space.act_z[p][pair[1]])
+    def act(k, pair):
+        return (G.elements[k][pair[0]], space.act_z[k][pair[1]])
 
     pairs = pairs_of(space)
     order = cover_order_brute(members, pairs)
@@ -832,17 +853,17 @@ def verify_cover_definitional(members, space, alpha, family):
             not_long = (v, z)
             break
     pool = [set(m) for m in members]
-    invariant = all({act(p, x) for x in m} in pool
-                    for p in G.elements for m in members)
+    invariant = all({act(k, x) for x in m} in pool
+                    for k in range(len(G)) for m in members)
     not_f = None
     for idx, m in enumerate(members):
         m = set(m)
         stab = set()
         meets = False
-        for p in G.elements:
-            pm = {act(p, x) for x in m}
+        for k in range(len(G)):
+            pm = {act(k, x) for x in m}
             if pm == m:
-                stab.add(p)
+                stab.add(k)
             elif pm & m:
                 meets = True
         if meets or (m and not family.contains(frozenset(stab), G)):
@@ -866,11 +887,11 @@ def fiber_basis_brute(space, alpha):
         zset = frozenset(z for z, vs in space.fibers.items() if v in vs)
         if not zset:
             continue
-        gens = [p for p in G.elements
+        gens = [p for p, az in zip(G.elements, space.act_z)
                 if space.dist[p[v]][v] <= 4 * alpha
-                and {space.act_z[p][z] for z in zset} & zset]
-        triples.append(BasisTriple(v, zset,
-                                   subgroup_generated_tuples(G, gens)))
+                and {az[z] for z in zset} & zset]
+        triples.append(BasisTriple(v, zset, numbered(
+            G, subgroup_generated_tuples(G, gens))))
     return triples
 
 
@@ -885,7 +906,7 @@ def greedy_cover_reference(space, alpha, basis):
     from coarsecover.covers import Cover, CoverMember, Slices
 
     G = space.group
-    act_z = space.act_z
+    act_z = dict(zip(G.elements, space.act_z))
     pairs = pairs_of(space)
 
     def translate(p, points):
@@ -906,8 +927,9 @@ def greedy_cover_reference(space, alpha, basis):
         core = frozenset((w, z) for z in reduced[i] for w in space.v_points
                          if (w, z) in pairs
                          and space.dist[t.v][w] <= 2 * alpha)
+        subgroup = permuted(G, t.subgroup)
         saturated = frozenset().union(*(translate(a, core)
-                                        for a in t.subgroup))
+                                        for a in subgroup))
         if not saturated:
             continue
         first = True
@@ -916,8 +938,8 @@ def greedy_cover_reference(space, alpha, basis):
             if translated in seen_sets:
                 continue
             seen_sets.add(translated)
-            stab = frozenset(compose(compose(p, a), invert(p))
-                             for a in t.subgroup)
+            stab = numbered(G, [compose(compose(p, a), invert(p))
+                                for a in subgroup])
             members.append((translated, stab, first))
             first = False
     order = cover_order_brute([m for m, _, _ in members], pairs)
@@ -1104,8 +1126,8 @@ def validate_pair_space(space):
             if space.dist[v][w] != space.dist[w][v]:
                 raise ValueError("metric not symmetric")
     G = space.group
-    act = space.act_z
-    if any(act[G.identity][z] != z for z in space.fibers):
+    act = dict(zip(G.elements, space.act_z))
+    if any(space.act_z[0][z] != z for z in space.fibers):
         raise ValueError("the identity moves a point")
     for p in G.elements:
         for s in G.generators:
@@ -1125,8 +1147,8 @@ def validate_pair_space(space):
 
 def all_subgroups(G, cap=4096):
     """Every subgroup of G, found by closing generated subsets."""
-    found = {frozenset([G.identity])}
-    frontier = [frozenset([G.identity])]
+    found = {frozenset([G.elements[0]])}
+    frontier = [frozenset([G.elements[0]])]
     while frontier:
         nxt = []
         for H in frontier:
@@ -1148,7 +1170,7 @@ def validate_family(family, G):
     to subgroups; the other kinds are closed by construction."""
     if family.kind != "explicit-list":
         return
-    listed = set(frozenset(H) for H in family.members)
+    listed = set(permuted(G, H) for H in family.members)
     for H in listed:
         if not is_subgroup_tuples(G, H):
             raise ValueError("family member is not a subgroup")

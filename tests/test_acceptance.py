@@ -67,15 +67,15 @@ def _random_pair_space(rng):
         dm = distance_matrix(g)
         dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
         zs = ("a", "b")
-        act_z = {}
+        act_z = []
         for p in G.elements:
             steps = (p[0] // 2) % 2  # generator power parity drives the swap
-            act_z[p] = {"a": "ab"[steps], "b": "ba"[steps]}
+            act_z.append({"a": "ab"[steps], "b": "ba"[steps]})
         pairs = set()
         for _ in range(rng.randrange(1, 3)):
             v, z = rng.randrange(n), rng.choice(zs)
-            for p in G.elements:
-                pairs.add((p[v], act_z[p][z]))
+            for p, az in zip(G.elements, act_z):
+                pairs.add((p[v], az[z]))
         sp = pair_space(tuple(range(n)),
                         encoded(range(n), fibers_of(zs, pairs)), dist, G,
                         act_z)
@@ -109,7 +109,7 @@ def _random_pair_space(rng):
     dm = distance_matrix(g)
     dist = {v: {w: dm[v][w] for w in range(n)} for v in range(n)}
     zs = tuple(range(rng.randrange(1, 3)))
-    act_z = {p: {z: z for z in zs} for p in G.elements}
+    act_z = [{z: z for z in zs} for _ in G.elements]
     pairs = set()
     for z in zs:
         seedv = rng.randrange(n)
@@ -277,8 +277,7 @@ def test_criterion_07_extension_identities():
         subsets = [frozenset(p for p in x0 if rng.random() < 0.5)
                    for _ in range(rng.randrange(1, 4))]
         members = tuple(
-            CoverMember(Slices({0: s} if s else {}), frozenset([G.identity]),
-                        True)
+            CoverMember(Slices({0: s} if s else {}), frozenset([0]), True)
             for s in subsets)
         cov = Cover(members, 1, cover_order([m.slices for m in members],
                                             {0: x0}))

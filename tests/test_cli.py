@@ -303,6 +303,25 @@ class TestPipelineCommand:
         assert code == 2
         assert "no action named 'nope'" in json.loads(out)["error"]
 
+    def test_action_name_without_action_is_usage_error(self, tmp_graph,
+                                                       tmp_path, capsys):
+        # by flag or by configuration, the name would otherwise be dropped
+        # and the trivial group run
+        gpath = tmp_graph(spider(3, 4))
+        code, out = run_cli(["pipeline", "--graph", gpath,
+                             "--action-name", "rot"], capsys)
+        assert code == 2
+        assert "action 'rot' named without an action file" in \
+            json.loads(out)["error"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"graph_path": gpath,
+                                   "action_name": "rot"}))
+        code, out = run_cli(["pipeline", "--graph", gpath, "--config",
+                             str(cfg)], capsys)
+        assert code == 2
+        assert "action 'rot' named without an action file" in \
+            json.loads(out)["error"]
+
     def test_non_string_action_reference_is_usage_error(self, tmp_path,
                                                          capsys):
         gpath = tmp_path / "g.json"

@@ -23,17 +23,7 @@ import pytest
 from coarsecover.cli import main
 from coarsecover.corpus import path_graph, random_tree, spider, spider_rotation
 from coarsecover.graphs import make_graph
-from oracles import graph_to_document
-
-
-def spider_leg_reflection(legs, leg_len):
-    """The generator of spider(legs, leg_len) fixing leg 0 and sending leg
-    j to leg legs - j."""
-    perm = [0] * (1 + legs * leg_len)
-    for j in range(legs):
-        for i in range(leg_len):
-            perm[1 + j * leg_len + i] = 1 + (-j % legs) * leg_len + i
-    return tuple(perm)
+from oracles import graph_to_document, leg_reflection
 
 
 # each graph with the generator list of its action, none for the trivial
@@ -45,7 +35,7 @@ GRAPHS = {
     # the dihedral group of order 8, whose cone members have stabilizers
     # of order 2
     "spider4-3-d4": (spider(4, 3), [spider_rotation(4, 3),
-                                    spider_leg_reflection(4, 3)]),
+                                    leg_reflection(4, 3)]),
     # the flow space runs on adjacent cone vertices, the cone operations
     # refuse them
     "path5-adjacent-cones": (make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)],

@@ -44,8 +44,8 @@ from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import compose
 from oracles import cone_cover_per_apex, cone_member_brute, \
-    cone_sweep_reference, interior_certificate_brute, perfbench_module, \
-    seed_theta0_reference
+    cone_sweep_reference, interior_certificate_brute, leg_reflection, \
+    perfbench_module, rank, seed_theta0_reference
 
 workloads = perfbench_module("workloads")
 
@@ -65,14 +65,14 @@ class TestVplus:
     def test_apex_endpoint_with_small_approach(self):
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
-        e = Gs.identity
+        e = 0
         # v0 = midpoint of (0,1); apex 1 is half a unit away
         assert cone_member_brute(inst, e, 1, 1, trivial_only(g))
 
     def test_all_angles_never_large(self):
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
-        e = Gs.identity
+        e = 0
         xi = sub.midpoint_of_edge[(6, 7)]
         assert not cone_member_brute(inst, e, xi, 0, all_angles(g))
 
@@ -80,7 +80,7 @@ class TestVplus:
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
         theta = k_fold_sum(inst.t3_sums[1], 2)
-        e = Gs.identity
+        e = 0
         xi = sub.midpoint_of_edge[(6, 7)]  # inside the far cycle
         assert cone_member_brute(inst, e, xi, 0, theta)
 
@@ -88,7 +88,7 @@ class TestVplus:
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
         theta = k_fold_sum(inst.t3_sums[1], 2)
-        e = Gs.identity
+        e = 0
         # reaching an apex inside the far cycle crosses the cut vertex with
         # a large angle, so the first clause fails
         assert not cone_member_brute(inst, e, 0, 7, theta)
@@ -99,7 +99,7 @@ class TestInteriorCertificate:
         g = wedge_of_cycles(2, 6)
         inst, sub, Gs, v0 = setup(g)
         theta = k_fold_sum(inst.t3_sums[1], 2)
-        e = Gs.identity
+        e = 0
         xi = sub.midpoint_of_edge[(6, 7)]
         # the crossing angle at the cut vertex avoids theta + 2 corners
         assert interior_certificate(inst, e, xi, 0, theta,
@@ -110,7 +110,7 @@ class TestInteriorCertificate:
         inst, sub, Gs, v0 = setup(g)
         bloom1 = 7  # bloom vertex of the triangle at spine position 1
         theta = angle_set_from_triples(g, [(0, 1, bloom1)])
-        e = Gs.identity
+        e = 0
         xi = sub.midpoint_of_edge[(5, 6)]
         # spine angle at apex 1 is theta-large but (theta + 2 corners)-small,
         # and the spine angle at 3 on the same flow line is twice-corner-large
@@ -126,7 +126,7 @@ class TestInteriorCertificate:
         g = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)])
         inst, sub, Gs, v0 = setup(g)
         theta = angle_set_from_triples(g, [(2, 0, 3)])
-        e = Gs.identity
+        e = 0
         assert sub.edge_of_midpoint[v0] == (0, 1)
         assert cone_member_brute(inst, e, 3, 0, theta)
         assert not interior_certificate_brute(inst, e, 3, 0, theta)
@@ -136,7 +136,7 @@ class TestInteriorCertificate:
     def test_no_geodesic_no_certificate(self):
         g = path_graph(5)
         inst, sub, Gs, v0 = setup(g)
-        e = Gs.identity
+        e = 0
         xi = sub.midpoint_of_edge[(3, 4)]
         theta = all_angles(g)
         assert not interior_certificate(inst, e, xi, 2, theta,
@@ -200,9 +200,10 @@ class TestConeCover:
         g = spider(3, 4)
         inst, sub, Gs, v0, xi, cones, oracle = build_cones(
             g, [spider_rotation(3, 4)])
+        number = rank(Gs)
         for c in cones:
             for h in Gs.elements:
-                moved = {(Gs.rank[compose(h, Gs.elements[ge])], h[x])
+                moved = {(number[compose(h, Gs.elements[ge])], h[x])
                          for (ge, x) in c.members}
                 peers = [d for d in cones
                          if d.layer == c.layer and d.apex == h[c.apex]]
@@ -216,23 +217,17 @@ class TestConeCover:
         g = spider(3, 4)
         gens = [spider_rotation(3, 4)]
         inst, sub, Gs, v0, xi, cones, oracle = build_cones(g, gens)
-        r = [p for p in Gs.elements if p != Gs.identity][0]
+        r, number = Gs.elements[1], rank(Gs)
         moved = replace(inst, v0=r[v0])
         theta0 = seed_theta0(moved, 1)
         cones2, _ = cone_cover(moved, theta0, xi)
         expect = {
             (c.apex, c.layer):
-            frozenset((Gs.rank[compose(Gs.elements[ge], r)], x)
+            frozenset((number[compose(Gs.elements[ge], r)], x)
                       for (ge, x) in c.members)
             for c in cones}
         got = {(c.apex, c.layer): c.members for c in cones2}
         assert got == expect
-
-
-def leg_reflection(legs, leg_len):
-    """The automorphism of spider(legs, leg_len) taking leg j to leg -j."""
-    return (0,) + tuple(1 + (-j) % legs * leg_len + i
-                        for j in range(legs) for i in range(leg_len))
 
 
 CONE_PARITY_CASES = [
@@ -274,9 +269,9 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
             for layer, k in ((1, 2), (2, 5), (3, 6)):
                 size = k_fold_sum(x, k)
                 want = frozenset(
-                    (g, xi) for g, ge in enumerate(inst.sub_group.elements)
+                    (g, xi) for g in range(len(inst.sub_group))
                     for xi in xi_set
-                    if cone_member_brute(inst, ge, xi, apex, size))
+                    if cone_member_brute(inst, g, xi, apex, size))
                 c = got.get((apex, layer))
                 assert (c.members if c else frozenset()) == want, \
                     (alpha, apex, layer)
@@ -284,8 +279,7 @@ def test_cone_layers_match_the_definition(name, g, gens, mode):
                     assert c.certified_interior == frozenset(
                         (g, xi) for g, xi in c.members
                         if interior_certificate_brute(
-                            inst, inst.sub_group.elements[g], xi, apex,
-                            size)), (alpha, apex, layer)
+                            inst, g, xi, apex, size)), (alpha, apex, layer)
 
 
 C16_DIHEDRAL = next(c for c in workloads.seed_cases(
@@ -337,11 +331,11 @@ def test_interior_certificates_match_the_definition(name, g, gens, mode):
         size = k_fold_sum(x, k)
         big = big_size(inst, size)
         for apex in inst.sub.v_vertices():
-            for ge in inst.sub_group.elements:
+            for g in range(len(inst.sub_group)):
                 for xi in inst.cone_targets():
                     assert interior_certificate(
-                        inst, ge, xi, apex, size, big) == \
-                        interior_certificate_brute(inst, ge, xi, apex, size), \
+                        inst, g, xi, apex, size, big) == \
+                        interior_certificate_brute(inst, g, xi, apex, size), \
                         (k, apex, xi)
 
 
@@ -363,7 +357,7 @@ def graphs_with_sizes(draw):
 def test_interior_certificate_matches_the_definition_on_random_graphs(gt):
     g, theta = gt
     inst = build_instance(g, ())
-    e = inst.sub_group.identity
+    e = 0
     big = big_size(inst, theta)
     for apex in inst.sub.v_vertices():
         for xi in inst.sub.graph.vertices:
@@ -425,7 +419,7 @@ def test_cone_cover_sweeps_once_per_size_from_v0(monkeypatch, g, gens, mode):
     cones, _ = cone_cover(inst, theta0, inst.cone_targets())
     assert [src for _, _, src, _ in sweeps] == [inst.v0] * len(sizes)
     assert sorted(oracle.exits for _, oracle, _, _ in sweeps) == sorted(exits)
-    assert {args[1] for args in certs} <= {inst.sub_group.identity}
+    assert {args[1] for args in certs} <= {0}
     assert runs == [(x,)]
     if mode == "all":
         assert not turns
@@ -502,7 +496,7 @@ class TestCombined:
         inst, sub, Gs, v0 = setup(g)
         dom = [(0, "x")]
         flow = Cover((CoverMember(slices_of(dom),
-                                  frozenset([Gs.identity]), True),), 1, 0)
+                                  frozenset([0]), True),), 1, 0)
         empty = Cover((), None, -1)
         out = combined_cover(empty, flow, dom)
         assert out.member_slices() == flow.member_slices()

@@ -27,8 +27,8 @@ from coarsecover.graphs import INF
 from coarsecover.symmetry import ALL_SUBGROUPS, TRIVIAL_ONLY, SubgroupFamily
 from oracles import all_subgroups, cover_order_brute, decoded, \
     decoded_sets, default_basis, doubling_scan_oracle, encoded, failed, \
-    fiber_basis_brute, fibers_of, greedy_cover_reference, pairs_of, \
-    set_cover, slices_of, trivial_pair_space, verify_cover_definitional, \
+    fiber_basis_brute, fibers_of, greedy_cover_reference, numbered, \
+    pairs_of, set_cover, slices_of, trivial_pair_space, verify_cover_definitional, \
     violating_set_unpruned
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -137,19 +137,19 @@ def pair_spaces(draw, kinds=("trivial", "rotation", "dihedral")):
         pairs = {(p[v], (p[a], p[b])) for v, (a, b) in seeds
                  for p in group.elements}
         z_points = tuple(sorted({z for _, z in pairs}))
-        act_z = {p: {z: (p[z[0]], p[z[1]]) for z in z_points}
-                 for p in group.elements}
+        act_z = [{z: (p[z[0]], p[z[1]]) for z in z_points}
+                 for p in group.elements]
     else:
         zs = draw(st.sampled_from((("a",), ("b",), ("a", "b"))))
         pairs = [(v, z) for v in range(n) for z in zs]
         z_points = ("a", "b")
-        act_z = {p: {"a": "a", "b": "b"} for p in group.elements}
+        act_z = [{"a": "a", "b": "b"} for _ in group.elements]
     return pair_space(range(n), encoded(range(n), fibers_of(z_points, pairs)),
                       dist, group, act_z)
 
 
 def _members(space, sets):
-    stab = frozenset([space.group.identity])
+    stab = frozenset([0])
     members = tuple(CoverMember(slices_of(s, space.v_points), stab, True)
                     for s in sets)
     return Cover(members, 0, cover_order([m.slices for m in members],
@@ -181,7 +181,8 @@ def _agrees(cover, space, alpha, family):
 def families(draw, group):
     """A fixed family, or an unvalidated list of subgroups of the group,
     which need not be closed under conjugation."""
-    listed = st.lists(st.sampled_from(all_subgroups(group)), unique=True)
+    listed = st.lists(st.sampled_from([numbered(group, H) for H in
+                                       all_subgroups(group)]), unique=True)
     return draw(st.one_of(st.sampled_from((ALL_SUBGROUPS, TRIVIAL_ONLY)),
                           listed.map(lambda hs: SubgroupFamily(
                               "explicit-list", members=tuple(hs)))))
@@ -196,8 +197,8 @@ def test_verify_cover_matches_definition_on_random_covers(space, alpha, data):
                               max_size=5))
     if data.draw(st.booleans()):
         # saturate under the group, so invariance can hold
-        sets = list({frozenset((p[v], space.act_z[p][z]) for v, z in s)
-                     for s in sets for p in space.group.elements})
+        sets = list({frozenset((p[v], az[z]) for v, z in s) for s in sets
+                     for p, az in zip(space.group.elements, space.act_z)})
     _agrees(_members(space, sets), space, alpha, family)
 
 
@@ -254,15 +255,16 @@ def test_mask_translates_match_the_set_translates(space, alpha, data):
     def points(mask):
         return decoded_sets(v_points, {0: mask})[0]
 
-    for p, images in space.images.items():
+    for k, images in space.images.items():
+        p = space.group.elements[k]
         for mask, image in images.items():
             assert points(image) == {p[v] for v in points(mask)}
     pts = data.draw(st.sets(st.sampled_from(sorted(pairs_of(decoded(space))))))
     slices = slices_of(pts, v_points)
-    for p in space.group.elements:
-        moved = _translate(space, p, slices)
+    for k, (p, az) in enumerate(zip(space.group.elements, space.act_z)):
+        moved = _translate(space, k, slices)
         assert CoverMember(moved, frozenset(), True).points(v_points) == \
-            {(p[v], space.act_z[p][z]) for v, z in pts}
+            {(p[v], az[z]) for v, z in pts}
 
 
 @SETTINGS

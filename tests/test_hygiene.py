@@ -17,18 +17,25 @@ those program files passes it: its default is used only in tests.  A last
 check runs benchmark verdicts and finds no attribute added to their input
 graphs, where a cache would outlive the verdict.  An angle set is read as
 exit masks everywhere but angles.py, whose nontrivial triples serve only
-documents and reports.
+documents and reports.  The cover, cone and pipeline modules name a group
+element by its number: they read no permutation's number or identity off
+a model, and the cover layer hashes no permutation.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from oracles import perfbench_module
+from coarsecover.corpus import cycle_graph, dihedral_group
+from coarsecover.covers import fiber_basis, greedy_cover, pair_space, \
+    verify_cover
+from coarsecover.symmetry import ALL_SUBGROUPS, SubgroupFamily
+from oracles import distance_matrix, encoded, fibers_of, perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsecover"
@@ -349,6 +356,71 @@ def test_a_restored_trivial_group_is_flagged(tmp_path):
     (tmp_path / "pipeline.py").write_text(mutant)
     assert symmetry_calls([tmp_path / "pipeline.py"], ("GroupModel",)) == \
         ["pipeline.py: GroupModel"]
+
+
+NUMBERED_MODULES = ("covers.py", "cones.py", "pipeline.py")
+
+
+def element_name_reads(paths):
+    """"file: line" for each read of an attribute rank or identity, a
+    permutation's number or the identity as a permutation."""
+    return ["%s: %d" % (path.name, node.lineno) for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("rank", "identity")
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_the_cover_layer_names_an_element_by_its_number():
+    found = element_name_reads([SRC / name for name in NUMBERED_MODULES])
+    assert not found, "element names read: %s" % ", ".join(found)
+
+
+def test_a_restored_identity_test_is_flagged(tmp_path):
+    # _translate testing its element against the identity permutation again
+    text = (SRC / "covers.py").read_text()
+    old = "    if k == 0:\n        return slices\n"
+    mutant = text.replace(old, "    if k == space.group.identity:\n"
+                               "        return slices\n")
+    assert mutant != text
+    (tmp_path / "covers.py").write_text(mutant)
+    line = text[:text.index(old)].count("\n") + 1
+    assert element_name_reads([tmp_path / "covers.py"]) == \
+        ["covers.py: %d" % line]
+
+
+class _Unhashed(tuple):
+    """A permutation that refuses to be a dict key or a set member."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        raise TypeError("a permutation was hashed")
+
+
+def test_the_cover_layer_hashes_no_permutation():
+    # a basis, a greedy cover and its verdicts under the dihedral group of
+    # the hexagon, whose elements refuse hashing; the pairs are the orbits
+    # of (0, (0, 1)) and (0, (0, 3)), and every member is fixed by a
+    # reflection
+    n = 6
+    G = dihedral_group(n)
+    G = replace(G, elements=tuple(map(_Unhashed, G.elements)),
+                generators=tuple(map(_Unhashed, G.generators)))
+    pairs = {(p[0], (p[0], p[b])) for p in G.elements for b in (1, 3)}
+    z_points = sorted({z for _, z in pairs})
+    dm = distance_matrix(cycle_graph(n))
+    space = pair_space(range(n), encoded(range(n), fibers_of(z_points,
+                                                              pairs)),
+                       {v: dict(enumerate(row)) for v, row in enumerate(dm)},
+                       G, [{z: (p[z[0]], p[z[1]]) for z in z_points}
+                           for p in G.elements])
+    cover = greedy_cover(space, 1, fiber_basis(space, 1))
+    assert verify_cover(cover, space, 1, ALL_SUBGROUPS).ok
+    assert {len(m.stabilizer) for m in cover.members} == {2}
+    family = SubgroupFamily("stabilizer-closed", seeds=(
+        cover.members[-1].stabilizer,))
+    assert verify_cover(cover, space, 1, family).ok
 
 
 def test_the_library_does_not_load_networkx():

@@ -28,7 +28,7 @@ from coarsecover.graphs import GeodesicIndex, barycentric_subdivision, \
 from coarsecover.pipeline import PipelineError, build_instance, run_pipeline, \
     select_theta0
 from coarsecover.rips import contract_subcomplex
-from oracles import ball_tuples, encoded
+from oracles import ball_tuples, encoded, leg_reflection
 
 
 class TestPipeline:
@@ -296,6 +296,8 @@ RENAMED_CASES = pipeline_instances() + [
     ("tree20-s11", random_tree(20, 11), [], "all", 1, 4),
     ("spider3-4", spider(3, 4), [spider_rotation(3, 4)], "seed", 1, 4),
     ("spider5-3", spider(5, 3), [spider_rotation(5, 3)], "all", 1, 4),
+    ("spider4-3-d4", spider(4, 3),
+     [spider_rotation(4, 3), leg_reflection(4, 3)], "seed", 1, 4),
 ]
 # the stages up to the flow space's doubling report, which read no choice
 # that follows the labels but the base vertex, the least edge's midpoint
@@ -349,6 +351,29 @@ def test_renaming_the_vertices(name, g, gens, mode, alpha, tau_max):
         free = list(g.vertices)
         rng.shuffle(free)
         assert run(*renamed(g, gens, free)).ok == res.ok
+
+
+@pytest.mark.parametrize("name, g, gens, mode, alpha, tau_max",
+                         RENAMED_CASES, ids=[c[0] for c in RENAMED_CASES])
+def test_every_base_point_gives_the_verdict(name, g, gens, mode, alpha,
+                                            tau_max):
+    """The base vertex is the least edge's midpoint, so a renaming that
+    sends an edge to (0, 1) makes its midpoint the base vertex.  Each edge
+    orbit under the group, each base point up to the group, gives the
+    verdict of the model as it is named."""
+    want = run_pipeline(g, gens, alpha=alpha, tau_max=tau_max,
+                        theta0_mode=mode).ok
+    G = symmetry.close_group(g, gens)
+    for a, b in sorted({min(symmetry.act_edge(p, e) for p in G.elements)
+                        for e in g.edges}):
+        perm = [0] * g.vertex_count
+        for k, v in enumerate([a, b] + [v for v in g.vertices
+                                        if v not in (a, b)]):
+            perm[v] = k
+        res = run_pipeline(*renamed(g, gens, perm), alpha=alpha,
+                           tau_max=tau_max, theta0_mode=mode)
+        assert res.instance.sub.edge_of_midpoint[res.instance.v0] == (0, 1)
+        assert res.ok == want, (a, b)
 
 
 # ---------------------------------------------------------------------------
