@@ -19,15 +19,15 @@ the order of v's neighbours: a size's masks serve on the subdivision too.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations, islice, repeat
 from operator import ne, or_
 
 from .graphs import (
     INF,
     CapExceeded,
+    DistanceRows,
     GeodesicIndex,
     Graph,
     GraphFormatError,
@@ -671,16 +671,18 @@ def theta3_circuit_bound_check(g: Graph, theta3set: AngleSet, delta: int) -> dic
 def d_theta(sub: Subdivision, oracle: SmallnessOracle, radius):
     """The chain metric of oracle's size on the midpoints of sub, oracle
     being SmallnessOracle(sub, theta), and its balls of the given radius:
-    (rows, balls).  rows maps each midpoint, in ve_vertices order, to a
-    list by vertex, INF at the original vertices; balls[v] is the bitmask
-    of the midpoints within radius of v (0 at an original vertex).
+    (rows, balls).  rows maps each midpoint to a list by vertex, INF at
+    the original vertices, filled on first read and read by midpoint, as
+    GeodesicIndex.dist is; balls[v] is the bitmask of the midpoints within
+    radius of v (0 at an original vertex), all made here.
 
     d(w, w') minimizes the summed graph length of chains of small-geodesic
     hops.  Any hop of length >= 2 passes an intermediate midpoint whose two
     halves are again small, so unit hops suffice: the path metric of the
     graph joining the i-th and j-th midpoints at an original vertex v when
     bit j of oracle.exits[v][i] is set, in original units.  A row is one
-    BFS of it, a ball the prefix of its order up to radius.
+    BFS of it; the balls grow from the midpoints' own bits, one hop per
+    unit of radius.
     """
     exits = oracle.exits
     if len(exits) != sub.graph.vertex_count:
@@ -691,19 +693,13 @@ def d_theta(sub: Subdivision, oracle: SmallnessOracle, radius):
         for i, x in enumerate(exits[v]):
             hops[mids[i]] += [w for j, w in enumerate(mids)
                               if x >> j & 1 and j != i]
-    rows, balls = {}, [0] * len(exits)
-    for s in sub.ve_vertices():
-        row = rows[s] = [INF] * len(exits)
-        row[s], queue = 0, [s]
-        for u in queue:  # the queue grows while it is walked
-            du = row[u] + 1
-            for w in hops[u]:
-                if row[w] is INF:
-                    row[w] = du
-                    queue.append(w)
-        near = bisect_right(list(map(row.__getitem__, queue)), radius)
-        balls[s] = sum(map((1).__lshift__, queue[:near]))
-    return rows, balls
+    balls = [0] * len(exits)
+    for w in sub.ve_vertices():
+        balls[w] = 1 << w
+    for _ in range(radius):
+        balls = [reduce(or_, map(balls.__getitem__, ws), ball)
+                 for ball, ws in zip(balls, hops)]
+    return DistanceRows(hops), balls
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ class PairSpace:
 
     v_points: tuple  # ascending; bit i of a mask stands for v_points[i]
     fibers: dict  # every z-point -> the mask of V_z, empty fibers included
-    dist: dict  # v -> its row, row[w] = d(v, w): a dict, or a list by vertex
+    # v -> its row, row[w] = d(v, w): a dict, or a list by vertex; read by
+    # v and never iterated, as rows filled on first read are
+    dist: dict
     group: GroupModel  # element k moves the v-points as elements[k] does
     act_z: list  # k -> {z: k z}, a list when the z-points are 0..m-1
     z_over: dict  # every v-point in some fiber -> Z_v = {z : (v, z) in X}

@@ -10,11 +10,11 @@ original units, so every bound here is exact integer arithmetic.
 The points are stored once, fiber by fiber: fibers maps (xi-, xi+) to the
 mask of admitted v (bit v for vertex v), and classes groups the pairs by
 equal fiber, numbering each distinct fiber in the order of its least pair,
-which least keeps.  The doubling report checks their union, and each
-distinct fiber only when the union fails; the cover works on the pair
-space whose z-points are the class numbers, on which the group acts by
-lists composed along its generators, and the pullback reads it through
-each pair's class number.
+which least keeps.  The doubling report checks their union, unless it
+lies within R/2 of one point, and each distinct fiber only when the union
+fails; the cover works on the pair space whose z-points are the class
+numbers, on which the group acts by lists composed along its generators,
+and the pullback reads it through each pair's class number.
 A fiber is decoded only where its points are read: once per class for
 Z_v, in the union the doubling report checks, and where they are named;
 the class numbers are decoded to endpoint pairs only for a document.
@@ -66,7 +66,8 @@ class CoarseFlowSpace:
     delta: int
     endpoints: tuple
     fibers: dict  # (xi-, xi+) -> bitmask of the admitted midpoints v
-    metric: dict  # d_theta's rows: midpoint -> a list by vertex, see there
+    # d_theta's rows, filled on first read: midpoint -> a list by vertex
+    metric: dict
     group: GroupModel
     index: GeodesicIndex
     lines: dict  # (xi-, xi+) -> bitmask of the small xi- -> xi+ carriers
@@ -106,8 +107,9 @@ def build_cf_theta(sub: Subdivision, theta: AngleSet, endpoint_set,
     oracle.  Lines and fibers are kept as bitmasks, and the pairs are
     grouped by equal fiber as they come.  Each unordered pair is built once
     and its line and fiber stored under both orders, since a line is
-    symmetric in its two ends.  The sweeps find their own layers, so no
-    distance row of index is filled here.
+    symmetric in its two ends.  The sweeps find their own layers and the
+    balls grow hop by hop, so no distance row of index and no row of the
+    chain metric is filled here.
 
     classes numbers each distinct fiber as it first appears, and least
     records the pair it appears at.  The pairs come in lexicographic
@@ -169,6 +171,15 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
     report also carries the tightest (D, R) realized across fibers; both
     grow with the fiber, so they are maxima over the fibers maximal under
     inclusion.
+
+    The union passes unchecked when it lies within R / 2 of one point c
+    (R is even): by the triangle inequality any two of its points are then
+    at most R apart, so no two are farther apart than any alpha >= R, and
+    no D + 1 of them are.  Any c would do; a double sweep picks one from
+    three rows, those of the least point a, of the point b farthest from
+    a, and of the point c minimizing the larger of its distances to a and
+    b.  An unreachable point is at math.inf, so it leaves the union to the
+    check.
     """
     R = 24 * cf.delta_prime + 12
     rows = cf.metric
@@ -178,12 +189,18 @@ def cf_doubling_report(cf: CoarseFlowSpace, compute_tightest) -> dict:
 
     distinct = cf.classes
     failures = []
-    if not doubling_check(points(reduce(or_, distinct, 0)), rows, 5, R).ok:
-        reports = {fiber: doubling_check(points(fiber), rows, 5, R)
-                   for fiber in distinct}
-        failures = [(key, reports[fiber].witness)
-                    for key, fiber in sorted(cf.fibers.items())
-                    if not reports[fiber].ok]
+    union = points(reduce(or_, distinct, 0))
+    if union:
+        da = rows[union[0]]
+        db = rows[max(union, key=da.__getitem__)]
+        dc = rows[min(union, key=lambda v: max(da[v], db[v]))]
+        if max(map(dc.__getitem__, union)) > R // 2 and \
+                not doubling_check(union, rows, 5, R).ok:
+            reports = {fiber: doubling_check(points(fiber), rows, 5, R)
+                       for fiber in distinct}
+            failures = [(key, reports[fiber].witness)
+                        for key, fiber in sorted(cf.fibers.items())
+                        if not reports[fiber].ok]
     tightest_d = tightest_r = None
     if compute_tightest:
         tightest_d = tightest_r = 0

@@ -169,10 +169,12 @@ def load_graph(document, cone_threshold=DEFAULT_CONE_THRESHOLD):
 # ---------------------------------------------------------------------------
 
 
-def bfs_row(g: Graph, source):
-    """The hop distances from source; unreachable vertices map to math.inf."""
-    adj = g._adj
-    dist = [INF] * g.vertex_count
+def bfs_row(g, source):
+    """The hop distances from source in g, a Graph or an adjacency (the
+    neighbours of each vertex 0..n-1, by vertex); unreachable vertices map
+    to math.inf."""
+    adj = g._adj if isinstance(g, Graph) else g
+    dist = [INF] * len(adj)
     dist[source] = 0
     frontier = [source]
     d = 0
@@ -188,11 +190,12 @@ def bfs_row(g: Graph, source):
     return dist
 
 
-class _DistanceRows(dict):
-    """Hop distance rows by source vertex, each one bfs_row run on first
-    read; iterating raises TypeError, as it would see only rows filled."""
+class DistanceRows(dict):
+    """Hop distance rows by source vertex of g, a Graph or an adjacency,
+    each one bfs_row run on first read; iterating raises TypeError, as it
+    would see only rows filled."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g):
         self.graph = g
 
     def __missing__(self, source):
@@ -235,7 +238,7 @@ class GeodesicIndex:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.dist = _DistanceRows(g)
+        self.dist = DistanceRows(g)
         self.memo = {}
 
     def dag(self, u, v):
@@ -456,7 +459,7 @@ def block_rows(g: Graph, vertices, edges, rows):
     leaves it; a vertex off the block is at math.inf."""
     if len(vertices) == g.vertex_count:
         return rows
-    return _DistanceRows(make_graph(g.vertex_count, edges))
+    return DistanceRows(make_graph(g.vertex_count, edges))
 
 
 def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
@@ -487,10 +490,10 @@ def slimness_constant(g: Graph, dist=None) -> SlimnessReport:
                               if len(b[0]) > 3), key=lambda b: -len(b[0])):
             local = {v: i for i, v in enumerate(vs)}
             block = make_graph(len(vs), [(local[u], local[v]) for u, v in es])
-            rows = _DistanceRows(block) if dist is None else [
+            rows = DistanceRows(block) if dist is None else [
                 [dist[u][v] for v in vs] for u in vs]
             delta = _DefectScan(block, rows).delta(delta)
-    return SlimnessReport(delta, g, _DistanceRows(g) if dist is None else dist)
+    return SlimnessReport(delta, g, DistanceRows(g) if dist is None else dist)
 
 
 # ---------------------------------------------------------------------------

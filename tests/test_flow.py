@@ -39,8 +39,8 @@ from coarsecover.graphs import INF, GeodesicIndex, barycentric_subdivision
 from coarsecover.pipeline import build_instance, run_pipeline, \
     select_theta0
 from coarsecover.symmetry import ALL_SUBGROUPS, close_group, set_orbit
-from oracles import decoded, decoded_sets, encoded, endpoint_pair_space, \
-    failed, flow_space, least_pairs, mask_vertices, pullback_on_pairs, \
+from oracles import cf_doubling_report_brute, decoded, decoded_sets, \
+    encoded, endpoint_pair_space, failed, flow_space, least_pairs, mask_vertices, pullback_on_pairs, \
     slices_of, small_carriers, stand_in_flow_space, star_metric, \
     theta_small_paths_brute
 
@@ -61,6 +61,18 @@ def tree_cf(n=12, seed=None):
     sub = barycentric_subdivision(g)
     theta = all_angles(g)
     return g, sub, flow_space(sub, theta, sub.ve_vertices())
+
+
+class ReadRows(dict):
+    """Metric rows that record the source of every row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return super().__getitem__(v)
 
 
 def count_doubling_checks(monkeypatch):
@@ -88,9 +100,10 @@ class TestBuildCfTheta:
             assert fiber == band
 
     def test_fills_no_distance_row(self, monkeypatch):
-        # the small_lines sweeps find their own layers; the only two BFS
-        # are the connectivity checks of build_cf_theta and of
-        # slimness_constant, on the subdivided and the original graph
+        # the small_lines sweeps find their own layers and d_theta grows
+        # its balls hop by hop; the only two BFS are the connectivity
+        # checks of build_cf_theta and of slimness_constant, on the
+        # subdivided and the original graph
         g = path_graph(40)
         sub = barycentric_subdivision(g)
         ends = [sub.ve_vertices()[0], sub.ve_vertices()[-1]]
@@ -103,8 +116,8 @@ class TestBuildCfTheta:
         monkeypatch.setattr(graphs, "bfs_row", counted)
         index = GeodesicIndex(sub.graph)
         assert calls == []
-        flow_space(sub, all_angles(g), ends, index=index)
-        assert index.dist == {}
+        cf = flow_space(sub, all_angles(g), ends, index=index)
+        assert index.dist == {} and cf.metric == {}
         assert calls == [(sub.graph, 0), (g, 0)]
 
     def test_classes_number_each_distinct_fiber_by_its_least_pair(self):
@@ -316,13 +329,62 @@ class TestDoubling:
         assert set(checked[1:]) == set(fibers.values())
 
     def test_tree_passes_d5(self, monkeypatch):
-        g, sub, cf = tree_cf(30)
         checked = count_doubling_checks(monkeypatch)
+        g, sub, cf = tree_cf(30)
         rep = cf_doubling_report(cf, compute_tightest=False)
         assert rep["ok"]
         assert rep["R"] == 24 * cf.delta_prime + 12
-        # the union passes, so it is the only set checked
+        # path 30's union lies within R / 2 of one point: no set is checked
+        # and the bound reads at most three rows
+        assert checked == [] and len(cf.metric) <= 3
+        g, sub, cf = tree_cf(40)
+        rep = cf_doubling_report(cf, compute_tightest=False)
+        assert rep["ok"]
+        # path 40's union spreads past R / 2 and passes, so it is the only
+        # set checked
         assert checked == [frozenset().union(*fiber_sets(cf).values())]
+
+    def test_star_within_half_of_r_is_settled_by_three_rows(self,
+                                                            monkeypatch):
+        # delta' = 0, so R = 12: six leaves at 6 from the hub leaf 0 are
+        # pairwise 12 apart, all within R / 2 of leaf 0
+        rows = ReadRows(star_metric((0, 6, 6, 6, 6, 6, 6)))
+        cf = stand_in_flow_space(0, rows, encoded(range(7), {
+            (0, 1): range(7), (1, 0): range(1, 7)}))
+        checked = count_doubling_checks(monkeypatch)
+        rep = cf_doubling_report(cf, compute_tightest=False)
+        assert rep["ok"] and rep["R"] == 12
+        assert checked == [] and len(rows.reads) <= 3
+
+    def test_star_past_half_of_r_fails_as_each_fiber_checked(self):
+        # six leaves at 7 from the hub leaf 0: pairwise 14 > R = 12, all
+        # within 2 R of leaf 0, so the six fail D = 5
+        metric = star_metric((0, 7, 7, 7, 7, 7, 7))
+        fibers = {(0, 1): frozenset(range(7)), (1, 0): frozenset(range(1, 7))}
+        want = cf_doubling_report_brute(
+            stand_in_flow_space(0, metric, fibers))
+        rep = cf_doubling_report(stand_in_flow_space(
+            0, metric, encoded(range(7), fibers)), compute_tightest=False)
+        assert not want["ok"] and rep == want
+
+    def test_disconnected_chain_metric_checks_the_whole_union(self,
+                                                               monkeypatch):
+        # criterion 02's wedge: some union points are unreachable from
+        # others in the chain metric, so the spread is infinite and the
+        # union is checked in full
+        g = {name: g for name, g, _ in flow_graphs()}["wedge"]
+        sub = barycentric_subdivision(g)
+        index = GeodesicIndex(sub.graph)
+        t3 = theta3(sub, index=index)
+        ve = sub.ve_vertices()
+        ends = ve[::max(1, len(ve) // 8)][:10]
+        cf = flow_space(sub, k_fold_sum(t3, 2), ends, index=index,
+                        theta3_set=t3)
+        union = frozenset().union(*fiber_sets(cf).values())
+        assert any(cf.metric[v][w] is INF for v in union for w in union)
+        checked = count_doubling_checks(monkeypatch)
+        assert cf_doubling_report(cf, compute_tightest=False)["ok"]
+        assert checked == [union]
 
     def test_tightest_constants(self):
         g, sub, cf = tree_cf(12)
@@ -341,8 +403,8 @@ class TestDoubling:
 class TestCoverCf:
     def test_diameter_cover_partitions(self):
         g, sub, cf = tree_cf(9)
-        diam = max(row[w] for row in cf.metric.values()
-                   for w in sub.ve_vertices() if row[w] is not INF)
+        diam = max(cf.metric[v][w] for v in sub.ve_vertices()
+                   for w in sub.ve_vertices() if cf.metric[v][w] is not INF)
         cov = expand_cover(cf, cover_cf(cf_pair_space(cf), diam))
         assert cov.order == 0
         sets = [m.points(sub.ve_vertices()) for m in cov.members]
